@@ -37,7 +37,6 @@ from .quiver import (
     CoverVector,
     Quiver,
     component_dimension,
-    covering_quiver_window,
     enumerate_covers,
 )
 from .repfield import (
@@ -81,7 +80,6 @@ __all__ = [
     "CoverVector",
     "Quiver",
     "component_dimension",
-    "covering_quiver_window",
     "enumerate_covers",
     "RepFq",
     "certify_component",

@@ -13,9 +13,7 @@ guard/limit error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -38,13 +36,12 @@ from .quiver import (
     Arrow,
     ArrowWeights,
     Quiver,
-    box_from_radius,
     check_stability_pairing,
     component_dimension,
     default_window_radius,
     enumerate_covers,
 )
-from .repfield import certify_component
+from .repfield import DEFAULT_MAX_TOTAL_DIM, certify_component, check_prime
 from .toric import fixed_points_toric, quotient_fan, toric_context
 
 
@@ -72,6 +69,29 @@ def load_problem(path):
         loc = "/".join(str(p) for p in e.absolute_path) or "(root)"
         raise ValidationError("%s: at %s: %s" % (path, loc, e.message))
     return data
+
+
+def _check_flag(flag, value, kind, *path):
+    """Hold a command-line value to the schema rule for the same field of a
+    problem file of this kind."""
+    import jsonschema
+
+    rule = next(r["then"] for r in _load_schema("problem.schema.json")["allOf"]
+                if r["if"]["properties"]["kind"]["const"] == kind)
+    for key in path:
+        rule = rule["properties"][key]
+    errors = list(jsonschema.Draft202012Validator(rule).iter_errors(value))
+    if errors:
+        raise ValidationError("%s: %s" % (flag, errors[0].message))
+    return value
+
+
+def _json_flag(flag, text, *path):
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError("%s: invalid JSON at column %d: %s" % (flag, exc.colno, exc.msg))
+    return _check_flag(flag, value, "weights", *path)
 
 
 def validate_report(report):
@@ -208,29 +228,23 @@ def _quiver_report(data, seed, prime, trials, window):
     radius = window if window is not None else opts.get("window")
     if radius is None:
         radius = default_window_radius(alpha, W)
-    box = box_from_radius(W.aux_rank, int(radius))
+    check_prime(prime)
 
     total = sum(alpha.values())
-    if total > 8:
-        raise TooLarge("total dimension %d exceeds the certification guard 8" % total)
-    covers = enumerate_covers(Q, W, alpha, box)
+    if total > DEFAULT_MAX_TOTAL_DIM:
+        raise TooLarge("total dimension %d exceeds the certification guard %d"
+                       % (total, DEFAULT_MAX_TOTAL_DIM))
+    covers = enumerate_covers(Q, W, alpha, radius)
     cands = []
     for c in covers:
         if not c.items:
             continue
         if component_dimension(Q, W, c) >= 0:
             cands.append(c)
-
-    workers = max(1, int(os.environ.get("FIXEDLOCI_THREADS", "1")))
-
-    def certify(c):
-        return certify_component(Q, W, c, theta, trials=trials, prime=prime, seed=seed)
-
-    if workers > 1 and len(cands) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(certify, cands))
-    else:
-        results = [certify(c) for c in cands]
+    results = [
+        certify_component(Q, W, c, theta, trials=trials, prime=prime, seed=seed)
+        for c in cands
+    ]
 
     comp_json = []
     for c, r in zip(cands, results):
@@ -286,20 +300,15 @@ def _grassmann_report(data):
     }
 
 
-def _kempf_report(data, support_arg, inner_product_arg=None):
+def _kempf_report(data, support=None, inner_product=None):
     action = _action_from_weights(data)
-    if support_arg is not None:
-        support = [tuple(p) for p in json.loads(support_arg)]
-    elif "support" in data:
-        support = [tuple(p) for p in data["support"]]
-    else:
-        support = list(action.indices())
-    if inner_product_arg is not None:
-        Q = json.loads(inner_product_arg)
-    else:
-        Q = data.get("options", {}).get("inner_product")
+    if support is None:
+        support = data["support"] if "support" in data else action.indices()
+    support = [tuple(p) for p in support]
+    if inner_product is None:
+        inner_product = data.get("options", {}).get("inner_product")
     cone = limit_cone(action, support)
-    mv, lam, _ = _kempf_data(action, frozenset(support), Q)
+    mv, lam, _ = _kempf_data(action, frozenset(support), inner_product)
     return {
         "tool": "fixedloci",
         "version": __version__,
@@ -439,11 +448,20 @@ def main(argv=None):
         if args.command == "toric":
             report = _toric_report(data, seed=None)
         elif args.command == "quiver":
+            for name in ("window", "prime", "trials"):
+                if getattr(args, name) is not None:
+                    _check_flag("--" + name, getattr(args, name), "quiver", "options", name)
             report = _quiver_report(data, args.seed, args.prime, args.trials, args.window)
         elif args.command == "grassmann":
             report = _grassmann_report(data)
         else:
-            report = _kempf_report(data, args.support, args.inner_product)
+            support = inner_product = None
+            if args.support is not None:
+                support = _json_flag("--support", args.support, "support")
+            if args.inner_product is not None:
+                inner_product = _json_flag("--inner-product", args.inner_product,
+                                           "options", "inner_product")
+            report = _kempf_report(data, support, inner_product)
     except TooLarge as exc:
         print("guard error: %s" % exc, file=sys.stderr)
         return 3

@@ -1,4 +1,4 @@
-"""Small shared value types."""
+"""Small shared value types and combinatorial helpers."""
 
 from __future__ import annotations
 
@@ -14,3 +14,16 @@ class Status(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+def positive_compositions(n, k):
+    """Ordered k-tuples of positive integers summing to n."""
+    if k == 0:
+        return [()] if n == 0 else []
+    if k == 1:
+        return [(n,)]
+    out = []
+    for first in range(1, n - k + 2):
+        for rest in positive_compositions(n - first, k - 1):
+            out.append((first,) + rest)
+    return out

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .common import positive_compositions
 from .errors import ValidationError
 
 
@@ -64,7 +65,7 @@ def classify(problem: GrassmannProblem):
     m = problem.m
     out = []
     for l in range(1, min(m, k) + 1):
-        for t in _positive_compositions(m, l):
+        for t in positive_compositions(m, l):
             for j_seq in itertools.combinations(range(1, k + 1), l):
                 if any(t[i] > q[j_seq[i] - 1] for i in range(l)):
                     continue
@@ -79,12 +80,3 @@ def classify(problem: GrassmannProblem):
 def component_count(problem: GrassmannProblem) -> int:
     return len(classify(problem))
 
-
-def _positive_compositions(n, k):
-    if k == 1:
-        return [(n,)]
-    out = []
-    for first in range(1, n - k + 2):
-        for rest in _positive_compositions(n - first, k - 1):
-            out.append((first,) + rest)
-    return out

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .common import positive_compositions
 from .errors import DimMismatch, ValidationError, ZeroDimensionVector
 from .linalg import IntMatrix
 
@@ -145,11 +146,7 @@ class CoverVector:
 
 
 # ---------------------------------------------------------------------------
-# windows into the covering quiver
-
-def box_from_radius(aux_rank, radius):
-    return tuple((-int(radius), int(radius)) for _ in range(aux_rank))
-
+# the grading window
 
 def default_window_radius(alpha, weights: ArrowWeights):
     """Radius guaranteeing every connected cover support fits after translation.
@@ -163,28 +160,6 @@ def default_window_radius(alpha, weights: ArrowWeights):
         for x in w:
             wmax = max(wmax, abs(x))
     return max(1, total * max(1, wmax)) if weights.aux_rank else 0
-
-
-def box_contains(box, chi):
-    return all(lo <= c <= hi for (lo, hi), c in zip(box, chi))
-
-
-def box_points(box):
-    ranges = [range(lo, hi + 1) for lo, hi in box]
-    return itertools.product(*ranges)
-
-
-def covering_quiver_window(quiver: Quiver, weights: ArrowWeights, box) -> Quiver:
-    """Finite induced subquiver of the covering quiver on Q_0 x box."""
-    verts = [(v, chi) for v in quiver.vertices for chi in box_points(box)]
-    arrows = []
-    for a in quiver.arrows:
-        w = weights.of(a.id)
-        for chi in box_points(box):
-            tgt_chi = tuple(c + x for c, x in zip(chi, w))
-            if box_contains(box, tgt_chi):
-                arrows.append(Arrow((a.id, chi), (a.src, chi), (a.tgt, tgt_chi)))
-    return Quiver(tuple(verts), tuple(arrows))
 
 
 def theta_hat(theta, points):
@@ -253,26 +228,25 @@ def support_is_connected(quiver: Quiver, weights: ArrowWeights, beta: CoverVecto
 # ---------------------------------------------------------------------------
 # enumeration of covers up to translation
 
-def _compositions(n, k):
-    """Ordered k-tuples of positive integers summing to n."""
-    if k == 0:
-        return [()] if n == 0 else []
-    if k == 1:
-        return [(n,)]
-    out = []
-    for first in range(1, n - k + 2):
-        for rest in _compositions(n - first, k - 1):
-            out.append((first,) + rest)
-    return out
+def enumerate_covers(quiver: Quiver, weights: ArrowWeights, alpha, radius):
+    """All covers of alpha with connected support inside the window.
 
+    The window of radius R admits every support that spans at most 2R in
+    each grade coordinate, equivalently one with a translate inside
+    [-R, R]^aux.  One canonical representative per translation class, in
+    deterministic sorted order.  Points are addressed as (vertex position,
+    grade) while enumerating; the caller sees vertex ids again.
 
-def enumerate_covers(quiver: Quiver, weights: ArrowWeights, alpha, box):
-    """All covers of alpha with connected support meeting the window.
-
-    One canonical representative per translation class, in deterministic
-    sorted order.  Points are addressed as (vertex position, grade) while
-    enumerating; the caller sees vertex ids again.
+    Every support covers v0, the first vertex with alpha > 0, so its
+    lex-least point is (v0, chi) and its translate by -chi has lex-least
+    point (v0, 0).  One search from that root, adding only points above it,
+    therefore meets each class exactly once.  The span bound is monotone
+    under adding points, so a candidate that breaks it is banned for the
+    rest of its branch without losing a class.
     """
+    radius = int(radius)
+    if radius < 0:
+        raise ValidationError("window radius must be >= 0, got %d" % radius)
     alpha = {v: int(alpha.get(v, 0)) for v in quiver.vertices}
     supp_pos = [i for i, v in enumerate(quiver.vertices) if alpha[v] > 0]
     if not supp_pos:
@@ -290,27 +264,27 @@ def enumerate_covers(quiver: Quiver, weights: ArrowWeights, alpha, box):
     def neighbors(point):
         v, chi = point
         for u, w in out_arcs.get(v, ()):  # forward along arrows
-            nxt = tuple(c + x for c, x in zip(chi, w))
-            if limits.get(u, 0) > 0 and box_contains(box, nxt):
-                yield (u, nxt)
+            if limits.get(u, 0) > 0:
+                yield (u, tuple(c + x for c, x in zip(chi, w)))
         for u, w in in_arcs.get(v, ()):  # backward along arrows
-            nxt = tuple(c - x for c, x in zip(chi, w))
-            if limits.get(u, 0) > 0 and box_contains(box, nxt):
-                yield (u, nxt)
+            if limits.get(u, 0) > 0:
+                yield (u, tuple(c - x for c, x in zip(chi, w)))
 
+    span = 2 * radius
     v0 = min(supp_pos)
+    root = (v0, (0,) * weights.aux_rank)
     supports = set()
 
-    def grow(current, counts, candidates, banned, root):
+    def grow(current, counts, lo, hi, candidates, banned):
         if all(counts.get(i, 0) >= 1 for i in supp_pos):
-            shift = min(current)[1]
-            canon = frozenset((v, tuple(c - s for c, s in zip(chi, shift))) for v, chi in current)
-            supports.add(canon)
+            supports.add(current)
         if len(current) >= total:
             return
         banned = set(banned)
         for pos, u in enumerate(candidates):
-            if counts.get(u[0], 0) >= limits[u[0]]:
+            lo2 = tuple(map(min, lo, u[1]))
+            hi2 = tuple(map(max, hi, u[1]))
+            if counts.get(u[0], 0) >= limits[u[0]] or any(h - l > span for l, h in zip(lo2, hi2)):
                 banned.add(u)
                 continue
             nxt = current | {u}
@@ -322,13 +296,11 @@ def enumerate_covers(quiver: Quiver, weights: ArrowWeights, alpha, box):
                 if w > root and w not in seenc:
                     extra.append(w)
                     seenc.add(w)
-            grow(nxt, counts2, candidates[pos + 1:] + sorted(extra), banned, root)
+            grow(nxt, counts2, lo2, hi2, candidates[pos + 1:] + sorted(extra), banned)
             banned.add(u)
 
-    for chi0 in box_points(box):
-        root = (v0, chi0)
-        start = sorted({w for w in neighbors(root) if w > root})
-        grow(frozenset([root]), {v0: 1}, start, set(), root)
+    start = sorted({w for w in neighbors(root) if w > root})
+    grow(frozenset([root]), {v0: 1}, root[1], root[1], start, set())
 
     covers = set()
     for sup in supports:
@@ -339,7 +311,7 @@ def enumerate_covers(quiver: Quiver, weights: ArrowWeights, alpha, box):
         keys = sorted(per_vertex)
         for v in keys:
             pts = sorted(per_vertex[v])
-            comps = _compositions(limits[v], len(pts))
+            comps = positive_compositions(limits[v], len(pts))
             choices.append([(pts, c) for c in comps])
         for combo in itertools.product(*choices):
             mapping = {}

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .common import Status
-from .errors import TooLarge
+from .errors import TooLarge, ValidationError
 from .quiver import ArrowWeights, CoverVector, Quiver, support_quiver, theta_hat
 
 DEFAULT_MAX_TOTAL_DIM = 8
@@ -126,8 +126,13 @@ def _check_guard(dims, prime, max_total_dim, max_prime):
         raise TooLarge("total dimension %d exceeds the guard %d" % (total, max_total_dim))
     if prime > max_prime:
         raise TooLarge("prime %d exceeds the guard %d" % (prime, max_prime))
+    check_prime(prime)
+
+
+def check_prime(prime):
+    """A non-prime modulus is bad input, not an exceeded guard."""
     if prime < 2 or any(prime % q == 0 for q in range(2, prime)):
-        raise TooLarge("modulus %d is not prime" % prime)
+        raise ValidationError("modulus %d is not prime" % prime)
 
 
 def _iter_subrep_dimvectors(quiver: Quiver, M: RepFq):

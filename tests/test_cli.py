@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from fixedloci.cli import main, validate_report
 from fixedloci.cli import _quiver_report, _toric_report
 
@@ -145,6 +147,27 @@ def test_guard_exits_3(tmp_path, capsys):
     assert "guard error" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--window", "-1"], ["--trials", "-1"], ["--prime", "4"], ["--prime", "1"],
+])
+def test_bad_quiver_flags_exit_2(tmp_path, capsys, flags):
+    f = write(tmp_path, "k.json", KRON3)
+    code, out, err = run(["quiver", f] + flags, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("validation error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag,text", [
+    ("--support", "[[0,0"), ("--inner-product", "[[1"),
+    ("--support", "[1]"), ("--inner-product", '[[1, 0], [0, "a"]]'),
+])
+def test_kempf_bad_json_flag_exits_2(tmp_path, capsys, flag, text):
+    f = write(tmp_path, "w.json", KEMPF)
+    code, out, err = run(["kempf", f, flag, text], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("validation error: %s: " % flag) and err.count("\n") == 1
+
+
 def test_empty_stable_locus_exits_2(tmp_path, capsys):
     prob = {
         "kind": "toric",
@@ -183,12 +206,11 @@ def test_table_and_dot_formats(tmp_path, capsys):
     assert code == 2
 
 
-def test_threads_env_same_report(tmp_path, capsys, monkeypatch):
+def test_repeat_run_same_report(tmp_path, capsys):
     f = write(tmp_path, "k.json", KRON3)
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
     assert main(["quiver", f, "--out", str(out1)]) == 0
-    monkeypatch.setenv("FIXEDLOCI_THREADS", "4")
     assert main(["quiver", f, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 

@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from conftest import kronecker3
+from fixedloci.common import positive_compositions
 from fixedloci.errors import ValidationError, ZeroDimensionVector
 from fixedloci.linalg import IntMatrix
 from fixedloci.quiver import (
@@ -10,10 +12,8 @@ from fixedloci.quiver import (
     ArrowWeights,
     CoverVector,
     Quiver,
-    box_from_radius,
     check_stability_pairing,
     component_dimension,
-    covering_quiver_window,
     covers_to_rho,
     default_window_radius,
     enumerate_covers,
@@ -30,50 +30,53 @@ def a2_quiver():
 
 
 def test_window_examples():
+    # window 0 keeps every support at one grade, where the A2 arrow (weight
+    # 1) joins nothing; a weight-0 grading puts a copy of A2 at each grade
     Q, W = a2_quiver()
-    win = covering_quiver_window(Q, W, ((0, 1),))
-    assert set(win.vertices) == {("1", (0,)), ("1", (1,)), ("2", (0,)), ("2", (1,))}
-    assert [(a.src, a.tgt) for a in win.arrows] == [(("1", (0,)), ("2", (1,)))]
-
-    win0 = covering_quiver_window(Q, W, ((0, 0),))
-    assert win0.arrows == ()
-
+    assert enumerate_covers(Q, W, {"1": 1, "2": 1}, 0) == []
+    assert enumerate_covers(Q, W, {"1": 1, "2": 0}, 0) == [CoverVector({("1", (0,)): 1})]
     W0 = ArrowWeights.from_dict(1, {"a": (0,)})
-    win_triv = covering_quiver_window(Q, W0, ((0, 1),))
-    assert len(win_triv.arrows) == 2  # one copy of Q per grade
+    same_grade = CoverVector({("1", (0,)): 1, ("2", (0,)): 1})
+    assert enumerate_covers(Q, W0, {"1": 1, "2": 1}, 0) == [same_grade]
+    assert enumerate_covers(Q, W0, {"1": 1, "2": 1}, 1) == [same_grade]
+
+
+def test_negative_window_rejected():
+    Q, W = a2_quiver()
+    with pytest.raises(ValidationError):
+        enumerate_covers(Q, W, {"1": 1, "2": 1}, -1)
 
 
 def test_enumerate_covers_a2():
     Q, W = a2_quiver()
-    covers = enumerate_covers(Q, W, {"1": 1, "2": 1}, ((-2, 2),))
+    covers = enumerate_covers(Q, W, {"1": 1, "2": 1}, 2)
     assert len(covers) == 1
     assert covers[0].items == ((("1", (0,)), 1), (("2", (1,)), 1))
 
 
 def test_enumerate_covers_zero_alpha():
     Q, W = a2_quiver()
-    covers = enumerate_covers(Q, W, {"1": 0, "2": 0}, ((-2, 2),))
+    covers = enumerate_covers(Q, W, {"1": 0, "2": 0}, 2)
     assert len(covers) == 1 and covers[0].items == ()
 
 
 def test_enumerate_covers_brute_force_a2():
-    # independent check: place one unit per vertex anywhere in the box,
+    # independent check: place one unit per vertex anywhere in the window,
     # keep connected placements, dedup translates
     Q, W = a2_quiver()
-    box = ((-2, 2),)
     expected = set()
     for c1 in range(-2, 3):
         for c2 in range(-2, 3):
             beta = CoverVector({("1", (c1,)): 1, ("2", (c2,)): 1})
             if support_is_connected(Q, W, beta):
                 expected.add(beta.canonical())
-    got = set(enumerate_covers(Q, W, {"1": 1, "2": 1}, box))
+    got = set(enumerate_covers(Q, W, {"1": 1, "2": 1}, 2))
     assert got == expected
 
 
 def test_cover_sums_and_connectivity():
     Q, W, alpha, _theta = kronecker3()
-    covers = enumerate_covers(Q, W, alpha, box_from_radius(3, 2))
+    covers = enumerate_covers(Q, W, alpha, 2)
     assert len(covers) == 55
     for c in covers:
         assert c.is_cover_of(alpha)
@@ -109,7 +112,7 @@ def _union_find_connected(Q, W, beta):
 def test_canonical_translate_idempotent_and_invariant():
     rng = random.Random(71)
     Q, W, alpha, _ = kronecker3()
-    covers = enumerate_covers(Q, W, alpha, box_from_radius(3, 2))
+    covers = enumerate_covers(Q, W, alpha, 2)
     for c in covers[:20]:
         assert c.canonical() == c
         for _ in range(5):
@@ -119,7 +122,7 @@ def test_canonical_translate_idempotent_and_invariant():
 
 def test_theta_hat():
     Q, W, alpha, theta = kronecker3()
-    covers = enumerate_covers(Q, W, alpha, box_from_radius(3, 2))
+    covers = enumerate_covers(Q, W, alpha, 2)
     for c in covers[:10]:
         th = theta_hat(theta, c.support())
         assert sum(th[k] * n for k, n in c.items) == 0
@@ -223,3 +226,121 @@ def test_default_window_radius():
     assert default_window_radius(alpha, W) == 5
     W0 = ArrowWeights.from_dict(0, {"a": (), "b": (), "c": ()})
     assert default_window_radius(alpha, W0) == 0
+
+
+def _enumerate_covers_box_oracle(quiver, weights, alpha, radius):
+    """The box-rooted enumerator: search from every point of [-R, R]^aux,
+    keep neighbors inside the box, and canonicalize what each root finds."""
+    box = tuple((-radius, radius) for _ in range(weights.aux_rank))
+
+    def box_contains(chi):
+        return all(lo <= c <= hi for (lo, hi), c in zip(box, chi))
+
+    alpha = {v: int(alpha.get(v, 0)) for v in quiver.vertices}
+    supp_pos = [i for i, v in enumerate(quiver.vertices) if alpha[v] > 0]
+    if not supp_pos:
+        return [CoverVector({})]
+    total = sum(alpha.values())
+    limits = {i: alpha[quiver.vertices[i]] for i in range(len(quiver.vertices))}
+
+    out_arcs = {}
+    in_arcs = {}
+    for a in quiver.arrows:
+        w = weights.of(a.id)
+        out_arcs.setdefault(quiver.vertex_pos(a.src), []).append((quiver.vertex_pos(a.tgt), w))
+        in_arcs.setdefault(quiver.vertex_pos(a.tgt), []).append((quiver.vertex_pos(a.src), w))
+
+    def neighbors(point):
+        v, chi = point
+        for u, w in out_arcs.get(v, ()):
+            nxt = tuple(c + x for c, x in zip(chi, w))
+            if limits.get(u, 0) > 0 and box_contains(nxt):
+                yield (u, nxt)
+        for u, w in in_arcs.get(v, ()):
+            nxt = tuple(c - x for c, x in zip(chi, w))
+            if limits.get(u, 0) > 0 and box_contains(nxt):
+                yield (u, nxt)
+
+    v0 = min(supp_pos)
+    supports = set()
+
+    def grow(current, counts, candidates, banned, root):
+        if all(counts.get(i, 0) >= 1 for i in supp_pos):
+            shift = min(current)[1]
+            canon = frozenset((v, tuple(c - s for c, s in zip(chi, shift))) for v, chi in current)
+            supports.add(canon)
+        if len(current) >= total:
+            return
+        banned = set(banned)
+        for pos, u in enumerate(candidates):
+            if counts.get(u[0], 0) >= limits[u[0]]:
+                banned.add(u)
+                continue
+            nxt = current | {u}
+            counts2 = dict(counts)
+            counts2[u[0]] = counts2.get(u[0], 0) + 1
+            seenc = set(candidates[pos + 1:]) | banned | nxt
+            extra = []
+            for w in neighbors(u):
+                if w > root and w not in seenc:
+                    extra.append(w)
+                    seenc.add(w)
+            grow(nxt, counts2, candidates[pos + 1:] + sorted(extra), banned, root)
+            banned.add(u)
+
+    for chi0 in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
+        root = (v0, chi0)
+        start = sorted({w for w in neighbors(root) if w > root})
+        grow(frozenset([root]), {v0: 1}, start, set(), root)
+
+    covers = set()
+    for sup in supports:
+        per_vertex = {}
+        for v, chi in sup:
+            per_vertex.setdefault(v, []).append(chi)
+        choices = []
+        keys = sorted(per_vertex)
+        for v in keys:
+            pts = sorted(per_vertex[v])
+            choices.append([(pts, c) for c in positive_compositions(limits[v], len(pts))])
+        for combo in itertools.product(*choices):
+            mapping = {}
+            for (pts, comp), v in zip(combo, keys):
+                for chi, n in zip(pts, comp):
+                    mapping[(quiver.vertices[v], chi)] = n
+            covers.add(CoverVector(mapping).canonical())
+    return sorted(covers, key=lambda c: c.items)
+
+
+def kronecker(n, a, b):
+    Q = Quiver(("1", "2"), tuple(Arrow("abcde"[i], "1", "2") for i in range(n)))
+    return Q, ArrowWeights.full(Q), {"1": a, "2": b}
+
+
+@pytest.mark.parametrize("n,a,b", [(3, 1, 2), (3, 2, 3), (4, 1, 3), (3, 2, 4), (5, 1, 2)])
+def test_enumerate_covers_matches_box_oracle_default_window(n, a, b):
+    Q, W, alpha = kronecker(n, a, b)
+    radius = default_window_radius(alpha, W)
+    assert enumerate_covers(Q, W, alpha, radius) == _enumerate_covers_box_oracle(Q, W, alpha, radius)
+
+
+@pytest.mark.parametrize("n,a,b,radius", [(3, 2, 3, 0), (3, 2, 3, 1), (3, 2, 3, 2), (3, 3, 4, 2)])
+def test_enumerate_covers_matches_box_oracle_explicit_window(n, a, b, radius):
+    Q, W, alpha = kronecker(n, a, b)
+    assert enumerate_covers(Q, W, alpha, radius) == _enumerate_covers_box_oracle(Q, W, alpha, radius)
+
+
+def test_enumerate_covers_matches_box_oracle_subtorus():
+    # rank-2 grading with a weight-0 arrow and a negative entry, on a
+    # cycle; vertex ids out of lex order
+    Q = Quiver(("b", "a", "c"), (
+        Arrow("x", "b", "a"), Arrow("y", "b", "a"), Arrow("z", "a", "c"), Arrow("t", "c", "b"),
+    ))
+    W = ArrowWeights.from_dict(2, {"x": (1, 0), "y": (0, 0), "z": (-1, 1), "t": (1, 0)})
+    alpha = {"a": 2, "b": 2, "c": 2}
+    sizes = []
+    for radius in (0, 1, 2, default_window_radius(alpha, W)):
+        got = enumerate_covers(Q, W, alpha, radius)
+        assert got == _enumerate_covers_box_oracle(Q, W, alpha, radius)
+        sizes.append(len(got))
+    assert sizes == [0, 68, 73, 73]

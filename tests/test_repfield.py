@@ -4,14 +4,13 @@ import pytest
 
 from conftest import kronecker3
 from fixedloci.common import Status
-from fixedloci.errors import TooLarge
+from fixedloci.errors import TooLarge, ValidationError
 from fixedloci.hmtorus import WeightItem, WeightedAction, is_stable_support
 from fixedloci.quiver import (
     Arrow,
     ArrowWeights,
     CoverVector,
     Quiver,
-    box_from_radius,
     component_dimension,
     enumerate_covers,
     support_quiver,
@@ -105,6 +104,9 @@ def test_guards():
     M2 = RepFq.build(7, {"1": 1}, {})
     with pytest.raises(TooLarge):
         subrep_dimension_vectors(Q, M2)
+    M3 = RepFq.build(4, {"1": 1}, {})
+    with pytest.raises(ValidationError):
+        subrep_dimension_vectors(Q, M3)
 
 
 def test_certify_simple_vertex():
@@ -153,7 +155,7 @@ def test_cross_module_consistency_with_torus_stability():
     # 0/1 representation must match torus-level support stability
     Q, W, alpha, theta = kronecker3()
     covers = [
-        c for c in enumerate_covers(Q, W, alpha, box_from_radius(3, 2))
+        c for c in enumerate_covers(Q, W, alpha, 2)
         if all(n == 1 for _, n in c.items)
         and component_dimension(Q, W, c) >= 0
     ]
@@ -198,7 +200,7 @@ def test_structural_destabilizer_soundness():
     # when a destabilizer is reported, random reps of that shape are never stable
     Q, W, alpha, theta = kronecker3()
     rng = random.Random(89)
-    covers = enumerate_covers(Q, W, alpha, box_from_radius(3, 2))
+    covers = enumerate_covers(Q, W, alpha, 2)
     flagged = 0
     for beta in covers:
         sq, dims, _ = support_quiver(Q, W, beta)
