@@ -7,7 +7,7 @@ cover enumeration, and fixed-point component certification.
 __version__ = "0.1.0"
 
 from .common import Status
-from .cones import RationalCone, dual_cone, project_onto_cone
+from .cones import RationalCone, project_onto_cone
 from .hmtorus import (
     MValue,
     WeightedAction,
@@ -51,7 +51,6 @@ from .grassmann import GrassmannComponent, GrassmannProblem, classify, component
 __all__ = [
     "Status",
     "RationalCone",
-    "dual_cone",
     "project_onto_cone",
     "MValue",
     "WeightedAction",

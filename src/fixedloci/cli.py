@@ -28,9 +28,8 @@ from .hmtorus import (
     WeightedAction,
     is_semistable_support,
     is_stable_support,
-    limit_cone,
+    kempf_data,
 )
-from .hmtorus import _kempf_data  # internal reuse: one projection for value + ray
 from .linalg import IntMatrix
 from .quiver import (
     Arrow,
@@ -307,8 +306,7 @@ def _kempf_report(data, support=None, inner_product=None):
     support = [tuple(p) for p in support]
     if inner_product is None:
         inner_product = data.get("options", {}).get("inner_product")
-    cone = limit_cone(action, support)
-    mv, lam, _ = _kempf_data(action, frozenset(support), inner_product)
+    mv, lam, cone = kempf_data(action, support, inner_product)
     return {
         "tool": "fixedloci",
         "version": __version__,

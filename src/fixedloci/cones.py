@@ -18,12 +18,10 @@ from fractions import Fraction
 
 from .errors import DimMismatch, ValidationError
 from .linalg import (
-    IntMatrix,
     det_rational,
     dot,
     is_zero_vec,
     primitive,
-    rank,
     rational_inverse,
     rational_primitive,
     saturated_lattice_basis,
@@ -150,40 +148,6 @@ class RationalCone:
             self._dual = RationalCone(gens, self.ambient_dim)
         return self._dual
 
-    def facet_normals(self):
-        """Canonical generators of the dual cone (inner facet normals)."""
-        return self.dual().generators
-
-    def is_fulldim(self):
-        if not self.generators:
-            return self.ambient_dim == 0
-        return rank(IntMatrix.from_rows(self.generators, self.ambient_dim)) == self.ambient_dim
-
-    def lineality_basis(self) -> IntMatrix:
-        """Canonical lattice basis (HNF rows) of the largest linear subspace."""
-        lin = [g for g in self.generators if _in_cone_raw(self.generators, vec_neg(g))]
-        return saturated_lattice_basis(lin, self.ambient_dim)
-
-    def interior_contains(self, x):
-        """Relative-interior membership, exact.
-
-        For a full-dimensional cone this is the topological interior; in
-        general it is strict on all facet inequalities and equality on the
-        linear span's defining equations.
-        """
-        if len(x) != self.ambient_dim:
-            raise DimMismatch("point has wrong dimension")
-        dual = self.dual()
-        dual_set = set(dual.generators)
-        for g in dual.generators:
-            p = dot(g, x)
-            if vec_neg(g) in dual_set:
-                if p != 0:
-                    return False
-            elif p <= 0:
-                return False
-        return True
-
     def intersection(self, other):
         if self.ambient_dim != other.ambient_dim:
             raise DimMismatch("ambient dims differ")
@@ -218,33 +182,6 @@ def _dual_generators(halfspaces, dim):
                     new.append(primitive(comb))
         gens = _prune_redundant(sorted(set(new)))
     return gens
-
-
-# ---------------------------------------------------------------------------
-# module-level operations in the shapes the rest of the library uses
-
-def dual_cone(C: RationalCone) -> RationalCone:
-    return C.dual()
-
-
-def cone_contains(C: RationalCone, x) -> bool:
-    return C.contains(x)
-
-
-def cone_interior_contains(C: RationalCone, x) -> bool:
-    return C.interior_contains(x)
-
-
-def cone_is_fulldim(C: RationalCone) -> bool:
-    return C.is_fulldim()
-
-
-def cone_lineality(C: RationalCone) -> IntMatrix:
-    return C.lineality_basis()
-
-
-def intersect_cones(C: RationalCone, D: RationalCone) -> RationalCone:
-    return C.intersection(D)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 A WeightedAction packages the weight data of a rank-r torus acting on a
 vector space (with an optional commuting auxiliary torus recorded through
 the w fields) together with the stability character theta.  Stability of a
-coordinate support set is decided exactly through cone membership; the
-optimal destabilizing one-parameter subgroup comes from a nearest-point
-projection in a user-chosen integral inner product.
+coordinate support set is decided by one exact LP certificate on the raw
+support weights; the optimal destabilizing one-parameter subgroup comes from
+a nearest-point projection in a user-chosen integral inner product.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from .cones import (
     project_onto_cone,
 )
 from .errors import DimMismatch, NotUnstable
-from .linalg import dot, rational_primitive, solve_rational, vec_neg
+from .linalg import IntMatrix, dot, rank, rational_primitive, solve_rational, vec_neg
+from .simplex import feasible_nonneg
 
 
 @dataclass(frozen=True)
@@ -92,11 +93,15 @@ def _normalize_support(action, support):
     return support
 
 
+def _support_chis(action, support):
+    """The distinct weights meeting the support, sorted."""
+    support = _normalize_support(action, support)
+    return sorted({action.items[s].chi for (s, k) in support})
+
+
 def support_cone(action: WeightedAction, support) -> RationalCone:
     """The cone in character space spanned by the weights meeting the support."""
-    support = _normalize_support(action, support)
-    chis = sorted({action.items[s].chi for (s, k) in support})
-    return RationalCone(chis, action.g_rank)
+    return RationalCone(_support_chis(action, support), action.g_rank)
 
 
 def limit_cone(action: WeightedAction, support) -> RationalCone:
@@ -108,20 +113,32 @@ def limit_cone(action: WeightedAction, support) -> RationalCone:
 def is_semistable_support(action: WeightedAction, support) -> bool:
     """True iff the limit cone pairs nonnegatively with theta.
 
-    By cone duality this says theta lies in the cone spanned by the support
-    weights, which is how it is tested.
+    By Farkas' lemma this says theta lies in the cone of the support weights,
+    so the certificate is one LP: some lambda >= 0 with
+    sum_s lambda_s chi_s = theta.
     """
-    return support_cone(action, support).contains(action.theta)
+    chis = _support_chis(action, support)
+    rows = [[chi[i] for chi in chis] for i in range(action.g_rank)]
+    return feasible_nonneg(rows, action.theta)
 
 
 def is_stable_support(action: WeightedAction, support) -> bool:
     """True iff every nonzero limit-admitting 1-PS pairs positively with theta.
 
-    Equivalent to: the support weight cone is full-dimensional and theta lies
-    in its interior.
+    Equivalent to: the support weights have rank r and theta lies in the
+    interior of their cone, i.e. is a strictly positive combination of all
+    of them.  The certificate is one LP after the rank check: some
+    lambda >= 0 and t >= 0 with sum_s (lambda_s + 1) chi_s = t theta.  For
+    t > 0 this writes theta with coefficients (lambda_s + 1)/t > 0; for t = 0
+    the cone contains a strictly positive relation, so it is a linear space,
+    all of Q^r by the rank condition.
     """
-    tau = support_cone(action, support)
-    return tau.is_fulldim() and tau.interior_contains(action.theta)
+    chis = _support_chis(action, support)
+    r = action.g_rank
+    if rank(IntMatrix.from_rows(chis, r)) != r:
+        return False
+    rows = [[chi[i] for chi in chis] + [-action.theta[i]] for i in range(r)]
+    return feasible_nonneg(rows, [-sum(chi[i] for chi in chis) for i in range(r)])
 
 
 @dataclass(frozen=True)
@@ -138,13 +155,15 @@ class MValue:
     m_squared: Fraction | None = field(default=None)
 
 
-def _kempf_data(action, support, Q):
+def kempf_data(action: WeightedAction, support, Q=None):
+    """The Kempf minimum, the adapted primitive ray (None unless m < 0) and
+    the limit cone, from one nearest-point projection."""
+    cone = limit_cone(action, support)
     r = action.g_rank
     if Q is None:
         Q = [[int(i == j) for j in range(r)] for i in range(r)]
     else:
         Q = check_inner_product(Q, r)
-    cone = limit_cone(action, support)
     if not cone.generators:
         return MValue(1, None), None, cone
     theta = action.theta
@@ -164,9 +183,7 @@ def _kempf_data(action, support, Q):
 
 def m_value(action: WeightedAction, support, Q=None) -> MValue:
     """Exact signed square of min <theta,eta>/||eta||_Q over the limit cone."""
-    support = _normalize_support(action, support)
-    mv, _, _ = _kempf_data(action, support, Q)
-    return mv
+    return kempf_data(action, support, Q)[0]
 
 
 def adapted_one_ps(action: WeightedAction, support, Q=None):
@@ -175,8 +192,7 @@ def adapted_one_ps(action: WeightedAction, support, Q=None):
     Raises NotUnstable when the support is semi-stable, where the optimal ray
     may fail to be unique.
     """
-    support = _normalize_support(action, support)
-    mv, lam, cone = _kempf_data(action, support, Q)
+    mv, lam, cone = kempf_data(action, support, Q)
     if mv.sign >= 0:
         raise NotUnstable("support is semi-stable; no adapted destabilizer")
     assert cone.contains(lam)

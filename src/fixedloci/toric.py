@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .common import Status
-from .cones import RationalCone, intersect_cones
+from .cones import RationalCone
 from .errors import (
     EmptyStableLocus,
     FreeActionViolated,
@@ -31,6 +31,7 @@ from .linalg import (
     primitive,
     rank,
     rational_inverse,
+    unimodular_inverse,
 )
 
 MAX_ENUM_DIM = 16  # cap on |I| for the 2^|I| fan enumeration
@@ -104,8 +105,6 @@ def toric_context(action: WeightedAction, section: IntMatrix | None = None):
         )
         if abs(det_rational(completed.entries)) != 1:
             raise FreeActionViolated("supplied section does not split the cokernel")
-        from .linalg import unimodular_inverse
-
         inv = unimodular_inverse(completed)
         pi = inv.submatrix_rows(range(r, m))
         c = section
@@ -148,9 +147,6 @@ def minimally_stable_subsets(action: WeightedAction):
     idx = action.indices()
     out = []
     for comb in itertools.combinations(idx, r):
-        chis = [action.chi_of(i) for i in comb]
-        if rank(IntMatrix.from_rows(chis, r)) != r:
-            continue
         if is_stable_support(action, comb):
             out.append(frozenset(comb))
     return out
@@ -357,7 +353,7 @@ def fan_intersections_ok(fan: ToricFan, pairs=None) -> bool:
         pairs = itertools.combinations(range(len(cones)), 2)
     for i, j in pairs:
         a, b = cones[i], cones[j]
-        inter = intersect_cones(fan.cone_geometry(a), fan.cone_geometry(b))
+        inter = fan.cone_geometry(a).intersection(fan.cone_geometry(b))
         expected = fan.cone_geometry(tuple(sorted(set(a) & set(b))))
         if not inter.same_cone(expected):
             return False

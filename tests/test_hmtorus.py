@@ -16,6 +16,7 @@ from fixedloci.hmtorus import (
     is_stable_support,
     limit_cone,
     m_value,
+    support_cone,
 )
 from fixedloci.linalg import IntMatrix, dot, rank
 
@@ -33,6 +34,56 @@ def random_action(rng, r=None, max_items=6):
 def random_support(rng, action):
     idx = action.indices()
     return frozenset(i for i in idx if rng.random() < 0.6)
+
+
+def _stable_by_dual_cone(action, support):
+    """Old path: full rank, and theta strictly positive on every dual generator."""
+    chis = [action.chi_of(i) for i in support]
+    if rank(IntMatrix.from_rows(chis, action.g_rank)) != action.g_rank:
+        return False
+    dual = support_cone(action, support).dual()
+    return all(dot(g, action.theta) > 0 for g in dual.generators)
+
+
+def _semistable_by_canonical_cone(action, support):
+    """Old path: membership in the canonical support cone."""
+    return support_cone(action, support).contains(action.theta)
+
+
+def test_certificates_agree_with_cone_oracles():
+    rng = random.Random(61)
+    seen = dict.fromkeys(
+        ["r0", "empty", "zero_chi", "zero_theta", "repeat", "mult", "stable", "unstable",
+         "semistable_only"], 0)
+    for n in range(600):
+        r = n % 4
+        chis = []
+        for _ in range(rng.randint(0, 6)):
+            roll = rng.random()
+            if roll < 0.15:
+                chis.append((0,) * r)
+            elif roll < 0.3 and chis:
+                chis.append(rng.choice(chis))
+            else:
+                chis.append(tuple(rng.randint(-3, 3) for _ in range(r)))
+        items = tuple(WeightItem(c, mult=rng.choice([1, 1, 1, 2, 3])) for c in chis)
+        theta = (0,) * r if rng.random() < 0.15 else tuple(rng.randint(-3, 3) for _ in range(r))
+        A = WeightedAction(r, 0, items, theta)
+        S = frozenset() if rng.random() < 0.1 else random_support(rng, A)
+        stable, semistable = is_stable_support(A, S), is_semistable_support(A, S)
+        assert stable == _stable_by_dual_cone(A, S)
+        assert semistable == _semistable_by_canonical_cone(A, S)
+        support_chis = [A.chi_of(i) for i in S]
+        seen["r0"] += r == 0
+        seen["empty"] += not S
+        seen["zero_chi"] += any(not any(c) for c in support_chis) and r > 0
+        seen["zero_theta"] += not any(theta) and r > 0
+        seen["repeat"] += len(set(support_chis)) < len(support_chis)
+        seen["mult"] += any(it.mult > 1 for it in items)
+        seen["stable"] += stable and r > 0
+        seen["unstable"] += not semistable
+        seen["semistable_only"] += semistable and not stable
+    assert min(seen.values()) > 10, seen
 
 
 def test_limit_cone_examples(hirz2):
@@ -59,6 +110,22 @@ def test_stable_examples():
         assert is_stable_support(A, {(0, 0), (1, 0)})
         assert not is_stable_support(A, {(0, 0), (0, 1)})
         assert is_stable_support(A, full_support(A))
+    # theta inside the quadrant is stable, theta on its boundary only semistable
+    quad = WeightedAction(2, 0, (WeightItem((1, 0)), WeightItem((0, 1))), (1, 1))
+    assert is_stable_support(quad, full_support(quad))
+    edge = WeightedAction(2, 0, quad.items, (1, 0))
+    assert is_semistable_support(edge, full_support(edge))
+    assert not is_stable_support(edge, full_support(edge))
+    # weights spanning the plane as a linear space: the certificate takes t = 0
+    plane = WeightedAction(2, 0, tuple(WeightItem(c) for c in [(1, 0), (0, 1), (-1, -1)]), (0, 0))
+    assert is_stable_support(plane, full_support(plane))
+    # weights on a line: semistable, never stable
+    line = WeightedAction(2, 0, (WeightItem((1, 1)), WeightItem((-1, -1))), (0, 0))
+    assert is_semistable_support(line, full_support(line))
+    assert not is_stable_support(line, full_support(line))
+    # rank 0: every support is stable
+    point = WeightedAction(0, 0, (WeightItem(()),), ())
+    assert is_stable_support(point, set())
 
 
 def test_m_value_examples():
