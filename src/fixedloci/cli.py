@@ -41,7 +41,7 @@ from .quiver import (
     enumerate_covers,
 )
 from .repfield import DEFAULT_MAX_TOTAL_DIM, certify_component, check_prime
-from .toric import fixed_points_toric, quotient_fan, toric_context
+from .toric import check_fan_enumerable, fixed_points_toric, quotient_fan, toric_context
 
 
 def _load_schema(name):
@@ -156,8 +156,10 @@ def _toric_report(data, seed):
     opts = data.get("options", {})
     if "section" in opts:
         section = IntMatrix.from_rows(opts["section"], len(opts["section"][0]) if opts["section"] else 0)
-    fan = quotient_fan(action, section)
+    # the free-action check in fixed_points_toric is cheap; run it before the fan scan
+    check_fan_enumerable(action)
     comps = fixed_points_toric(action, section)
+    fan = quotient_fan(action, section)
     _, used_section = toric_context(action, section)
 
     m = action.total_dim

@@ -18,16 +18,14 @@ from fractions import Fraction
 
 from .errors import DimMismatch, ValidationError
 from .linalg import (
-    det_rational,
+    clear_denominators,
+    det,
     dot,
     is_zero_vec,
     primitive,
-    rational_inverse,
-    rational_primitive,
     saturated_lattice_basis,
-    solve_rational,
+    solve,
     vec_neg,
-    vec_sub,
 )
 from .simplex import feasible_nonneg
 
@@ -59,17 +57,12 @@ def _prune_redundant(gens):
 
 
 def _orthogonal_component(v, basis_rows):
-    """v minus its (standard) orthogonal projection onto span(basis_rows)."""
-    if not basis_rows:
-        return tuple(Fraction(a) for a in v)
-    gram = [[Fraction(dot(a, b)) for b in basis_rows] for a in basis_rows]
-    rhs = [Fraction(dot(a, v)) for a in basis_rows]
-    coeffs = solve_rational(gram, rhs)
-    w = [Fraction(a) for a in v]
-    for c, row in zip(coeffs, basis_rows):
-        for i, entry in enumerate(row):
-            w[i] -= c * entry
-    return tuple(w)
+    """A positive integer multiple of v minus its (standard) orthogonal
+    projection onto the span of the independent basis_rows."""
+    gram = [[dot(a, b) for b in basis_rows] for a in basis_rows]
+    coeffs, d = solve(gram, [dot(a, v) for a in basis_rows])
+    return tuple(d * a - sum(c * row[i] for c, row in zip(coeffs, basis_rows))
+                 for i, a in enumerate(v))
 
 
 def _canonical_generators(gens, dim):
@@ -84,7 +77,7 @@ def _canonical_generators(gens, dim):
     for g in gens:
         w = _orthogonal_component(g, L.entries)
         if any(w):
-            pointed.append(rational_primitive(w))
+            pointed.append(primitive(w))
     pointed = _prune_redundant(sorted(set(pointed)))
     out = set(pointed)
     for row in L.entries:
@@ -198,7 +191,7 @@ def check_inner_product(Q, dim):
                 raise ValidationError("inner product not symmetric")
     for k in range(1, dim + 1):
         minor = [r[:k] for r in rows[:k]]
-        if det_rational(minor) <= 0:
+        if det(minor) <= 0:
             raise ValidationError("inner product not positive definite")
     return rows
 
@@ -219,27 +212,21 @@ def project_onto_cone(C: RationalCone, x, Q=None):
         Q = [[int(i == j) for j in range(dim)] for i in range(dim)]
     else:
         Q = check_inner_product(Q, dim)
-    x = tuple(Fraction(a) for a in x)
     gens = C.generators
     if not gens:
         return tuple(Fraction(0) for _ in range(dim))
+    # work with the integer vector den * x; p is then (sum_g c_g g) / (d * den)
+    xs, den = clear_denominators(x)
 
     def try_subset(subset):
-        gram = [[Fraction(dot_q(a, b, Q)) for b in subset] for a in subset]
-        rhs = [Fraction(dot_q(x, g, Q)) for g in subset]
-        inv = rational_inverse(gram) if subset else ()
-        if subset and inv is None:
-            return None
-        coeffs = [sum(inv[i][j] * rhs[j] for j in range(len(subset))) for i in range(len(subset))]
+        gram = [[dot_q(a, b, Q) for b in subset] for a in subset]
+        coeffs, d = solve(gram, [dot_q(xs, g, Q) for g in subset])
         if any(c < 0 for c in coeffs):
             return None
-        p = [Fraction(0)] * dim
-        for c, g in zip(coeffs, subset):
-            for i, entry in enumerate(g):
-                p[i] += c * entry
-        diff = vec_sub(x, tuple(p))
+        p = [sum(c * g[i] for c, g in zip(coeffs, subset)) for i in range(dim)]
+        diff = [d * a - b for a, b in zip(xs, p)]
         if all(dot_q(diff, g, Q) <= 0 for g in gens):
-            return tuple(p)
+            return tuple(Fraction(a, d * den) for a in p)
         return None
 
     max_k = min(len(gens), dim)

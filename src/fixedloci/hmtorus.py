@@ -20,7 +20,7 @@ from .cones import (
     project_onto_cone,
 )
 from .errors import DimMismatch, NotUnstable
-from .linalg import IntMatrix, dot, rank, rational_primitive, solve_rational, vec_neg
+from .linalg import IntMatrix, dot, rank, rational_primitive, solve
 from .simplex import feasible_nonneg
 
 
@@ -167,8 +167,8 @@ def kempf_data(action: WeightedAction, support, Q=None):
     if not cone.generators:
         return MValue(1, None), None, cone
     theta = action.theta
-    theta_sharp = solve_rational(Q, theta)
-    p = project_onto_cone(cone, vec_neg(theta_sharp), Q)
+    X, d = solve(Q, theta)
+    p = project_onto_cone(cone, [Fraction(-a, d) for a in X], Q)
     if any(p):
         msq = Fraction(dot_q(p, p, Q))
         return MValue(-1, msq), rational_primitive(p), cone

@@ -1,9 +1,10 @@
 """Exact integer and rational linear algebra.
 
 Hermite and Smith normal forms with unimodular transforms, integer kernels,
-cokernels with a chosen section, and rational Gaussian elimination.  All
-arithmetic uses arbitrary-precision ints and fractions.Fraction; there is no
-floating point anywhere in this package.
+cokernels with a chosen section, and fraction-free (Bareiss) elimination for
+determinants, ranks and exact solves.  All arithmetic uses arbitrary-precision
+ints and fractions.Fraction; there is no floating point anywhere in this
+package.
 """
 
 from __future__ import annotations
@@ -53,14 +54,16 @@ def primitive(v):
     return tuple(int(a) // g for a in v)
 
 
+def clear_denominators(v):
+    """(den * v, den) for the least den > 0 that makes a rational vector integral."""
+    v = [Fraction(a) for a in v]
+    den = math.lcm(*(a.denominator for a in v))
+    return tuple(a.numerator * (den // a.denominator) for a in v), den
+
+
 def rational_primitive(v):
     """Primitive integer vector on the ray through a rational vector."""
-    den = 1
-    for a in v:
-        a = Fraction(a)
-        den = den * a.denominator // math.gcd(den, a.denominator)
-    ints = tuple(int(Fraction(a) * den) for a in v)
-    return primitive(ints)
+    return primitive(clear_denominators(v)[0])
 
 
 def is_zero_vec(v):
@@ -255,8 +258,7 @@ def smith(A: IntMatrix):
 
 
 def rank(A: IntMatrix):
-    H, _ = hnf(A)
-    return sum(1 for r in H.entries if not is_zero_vec(r))
+    return len(_eliminate(A.entries)[1])
 
 
 def kernel_basis(A: IntMatrix) -> IntMatrix:
@@ -267,92 +269,99 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# rational elimination
+# fraction-free elimination
 
-def solve_rational(rows, b):
-    """One exact solution of (rows) x = b over Q, or None if inconsistent.
+def _eliminate(rows):
+    """Fraction-free (Bareiss) forward elimination of an integer matrix.
 
-    rows: sequence of coefficient rows, b: right-hand side.  Free variables
-    are set to 0.
+    Returns (M, pivots, sign): M in row echelon form with its pivots in the
+    columns listed by pivots, and sign the parity of the row swaps.  After k
+    pivot steps every entry below row k is a (k+1)-minor of the row-permuted
+    input, so each division by the previous pivot is exact, and the last
+    pivot of a nonsingular square matrix is sign * determinant.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else len(b) * 0
-    aug = [[Fraction(x) for x in rows[i]] + [Fraction(b[i])] for i in range(m)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if p is None:
-            continue
-        aug[r], aug[p] = aug[p], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [a * inv for a in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * bb for a, bb in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
+    M = [list(r) for r in rows]
+    m = len(M)
+    pivots = []
+    sign = prev = 1
+    for c in range(len(M[0]) if m else 0):
+        r = len(pivots)
         if r == m:
             break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(piv_cols):
-        x[c] = aug[i][n]
-    return tuple(x)
-
-
-def rational_inverse(rows):
-    """Exact inverse of a square rational matrix, or None if singular."""
-    n = len(rows)
-    aug = [[Fraction(x) for x in rows[i]] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        p = next((i for i in range(c, n) if aug[i][c] != 0), None)
+        p = next((i for i in range(r, m) if M[i][c]), None)
         if p is None:
-            return None
-        aug[c], aug[p] = aug[p], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [a * inv for a in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * bb for a, bb in zip(aug[i], aug[c])]
-    return tuple(tuple(row[n:]) for row in aug)
+            continue
+        if p != r:
+            M[r], M[p] = M[p], M[r]
+            sign = -sign
+        top = M[r]
+        piv = top[c]
+        for i in range(r + 1, m):
+            a = M[i][c]
+            M[i] = [(piv * x - a * y) // prev for x, y in zip(M[i], top)]
+        prev = piv
+        pivots.append(c)
+    return M, pivots, sign
 
 
-def det_rational(rows):
-    """Exact determinant of a square rational matrix."""
-    n = len(rows)
-    M = [[Fraction(x) for x in r] for r in rows]
-    det = Fraction(1)
-    for c in range(n):
-        p = next((i for i in range(c, n) if M[i][c] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            M[c], M[p] = M[p], M[c]
-            det = -det
-        det *= M[c][c]
-        inv = 1 / M[c][c]
-        for i in range(c + 1, n):
-            if M[i][c] != 0:
-                f = M[i][c] * inv
-                M[i] = [a - f * b for a, b in zip(M[i], M[c])]
-    return det
+def _solve_augmented(rows, rhs_rows):
+    """Integer X and d > 0 with rows * X = d * rhs_rows, free variables 0.
+
+    Returns (X, d, pivots), or None when some column of rhs_rows is not in
+    the column span.  Back-substitution is fraction-free: d is the last
+    pivot, so by Cramer's rule every d * x_i is an integer and each division
+    below is exact.
+    """
+    n = len(rows[0]) if rows else 0
+    M, pivots, _ = _eliminate([tuple(a) + tuple(b) for a, b in zip(rows, rhs_rows)])
+    if pivots and pivots[-1] >= n:
+        return None
+    k = len(M[0]) - n if M else 0
+    d = abs(M[len(pivots) - 1][pivots[-1]]) if pivots else 1
+    X = [[0] * k for _ in range(n)]
+    for i in reversed(range(len(pivots))):
+        row = M[i]
+        later = [(row[c], X[c]) for c in pivots[i + 1:]]
+        X[pivots[i]] = [(d * row[n + j] - sum(u * x[j] for u, x in later)) // row[pivots[i]]
+                        for j in range(k)]
+    return X, d, pivots
+
+
+def det(rows):
+    """Exact determinant of a square integer matrix (1 for the 0x0 matrix)."""
+    M, pivots, sign = _eliminate(rows)
+    if len(pivots) < len(rows):
+        return 0
+    return sign * M[-1][-1] if rows else 1
+
+
+def solve(rows, rhs):
+    """One solution of (rows) x = rhs over Q as (X, d): integers X and d > 0
+    with rows * X = d * rhs, free variables 0; None if inconsistent."""
+    out = _solve_augmented(rows, [(b,) for b in rhs])
+    if out is None:
+        return None
+    X, d, _ = out
+    return tuple(x[0] for x in X), d
+
+
+def solve_integral(rows, rhs_rows):
+    """The integer matrix X with rows * X = rhs_rows for a square matrix rows,
+    or None when rows is singular or the solution is not integral."""
+    out = _solve_augmented(rows, rhs_rows)
+    if out is None or len(out[2]) < len(rows):
+        return None
+    X, d, _ = out
+    if any(x % d for r in X for x in r):
+        return None
+    return tuple(tuple(x // d for x in r) for r in X)
 
 
 def unimodular_inverse(U: IntMatrix) -> IntMatrix:
-    inv = rational_inverse(U.entries)
+    inv = solve_integral(U.entries, IntMatrix.identity(U.nrows).entries)
     if inv is None:
-        raise ValueError("matrix is singular")
-    rows = []
-    for r in inv:
-        if any(x.denominator != 1 for x in r):
-            raise ValueError("matrix is not unimodular")
-        rows.append(tuple(int(x) for x in r))
-    return IntMatrix.from_rows(rows, U.nrows)
+        raise ValueError("matrix is not unimodular")
+    return IntMatrix.from_rows(inv, U.nrows)
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,12 @@ from .hmtorus import WeightedAction, is_stable_support
 from .linalg import (
     IntMatrix,
     cokernel_with_section,
-    det_rational,
+    det,
     hnf,
     is_zero_vec,
     primitive,
     rank,
-    rational_inverse,
-    unimodular_inverse,
+    solve_integral,
 )
 
 MAX_ENUM_DIM = 16  # cap on |I| for the 2^|I| fan enumeration
@@ -103,10 +102,10 @@ def toric_context(action: WeightedAction, section: IntMatrix | None = None):
         completed = IntMatrix.from_rows(
             [tuple(a.entries[i]) + tuple(section.entries[i]) for i in range(m)], m
         )
-        if abs(det_rational(completed.entries)) != 1:
+        inv = solve_integral(completed.entries, IntMatrix.identity(m).entries)
+        if inv is None:
             raise FreeActionViolated("supplied section does not split the cokernel")
-        inv = unimodular_inverse(completed)
-        pi = inv.submatrix_rows(range(r, m))
+        pi = IntMatrix.from_rows(inv[r:], m)
         c = section
     return pi, c
 
@@ -152,6 +151,17 @@ def minimally_stable_subsets(action: WeightedAction):
     return out
 
 
+def check_fan_enumerable(action: WeightedAction):
+    """The index set, after the checks quotient_fan makes before its 2^|I|
+    scan: EmptyStableLocus, then TooLarge."""
+    idx = action.indices()
+    if not is_stable_support(action, idx):
+        raise EmptyStableLocus("the stable locus is empty")
+    if len(idx) > MAX_ENUM_DIM:
+        raise TooLarge("fan enumeration over 2^%d subsets refused" % len(idx))
+    return idx
+
+
 def quotient_fan(action: WeightedAction, section: IntMatrix | None = None) -> ToricFan:
     """The toric fan of the stable quotient.
 
@@ -159,11 +169,7 @@ def quotient_fan(action: WeightedAction, section: IntMatrix | None = None) -> To
     projection; a subset spans a cone precisely when its complement is a
     stable support.
     """
-    idx = action.indices()
-    if not is_stable_support(action, idx):
-        raise EmptyStableLocus("the stable locus is empty")
-    if len(idx) > MAX_ENUM_DIM:
-        raise TooLarge("fan enumeration over 2^%d subsets refused" % len(idx))
+    idx = check_fan_enumerable(action)
     pi, _ = toric_context(action, section)
     n_rank = pi.nrows
     ray_vectors = [pi.col(action.flat_index(i)) for i in idx]
@@ -205,20 +211,11 @@ def rho_from_stable_subset(action: WeightedAction, support, section: IntMatrix) 
     a_s = IntMatrix.from_rows([action.chi_of(i) for i in sup], r)
     if a_s.nrows != r:
         raise FreeActionViolated("support has size %d, expected %d" % (a_s.nrows, r))
-    d = det_rational(a_s.entries)
+    d = det(a_s.entries)
     if abs(d) != 1:
         raise FreeActionViolated("support weight matrix has determinant %s" % d)
-    inv = rational_inverse(a_s.entries)
     c_s = [section.entries[action.flat_index(i)] for i in sup]
-    rows = []
-    for i in range(r):
-        row = []
-        for j in range(section.ncols):
-            val = sum(inv[i][k] * c_s[k][j] for k in range(r))
-            assert val.denominator == 1
-            row.append(int(val))
-        rows.append(tuple(row))
-    return RhoMap(IntMatrix.from_rows(rows, section.ncols))
+    return RhoMap(IntMatrix.from_rows(solve_integral(a_s.entries, c_s), section.ncols))
 
 
 def s_rho(action: WeightedAction, rho: RhoMap, section: IntMatrix):
@@ -282,29 +279,11 @@ def enumerate_linear_maps(pairs, dim_x: int, dim_y: int):
         return [IntMatrix.from_rows([() for _ in range(dim_y)], 0)]
     found = {}
     for comb in itertools.combinations(range(len(pairs)), dim_x):
-        xs = [pairs[i][0] for i in comb]
-        X = [[xs[j][i] for j in range(dim_x)] for i in range(dim_x)]  # columns are xs
-        inv = rational_inverse(X)
-        if inv is None:
+        # f maps each x to its y: F X = Y with columns x, i.e. X^T F^T = Y^T
+        Ft = solve_integral([pairs[i][0] for i in comb], [pairs[i][1] for i in comb])
+        if Ft is None:
             continue
-        ys = [pairs[i][1] for i in comb]
-        Y = [[ys[j][i] for j in range(dim_x)] for i in range(dim_y)]
-        rows = []
-        ok = True
-        for i in range(dim_y):
-            row = []
-            for j in range(dim_x):
-                val = sum(Y[i][k] * inv[k][j] for k in range(dim_x))
-                if val.denominator != 1:
-                    ok = False
-                    break
-                row.append(int(val))
-            if not ok:
-                break
-            rows.append(tuple(row))
-        if not ok:
-            continue
-        F = IntMatrix.from_rows(rows, dim_x)
+        F = IntMatrix.from_rows(Ft, dim_y).transpose()
         key = F.entries
         if key in found:
             continue
@@ -378,33 +357,15 @@ def fans_unimodularly_equivalent(f1: ToricFan, f2: ToricFan) -> bool:
     full2 = [c for c in f2.maximal_cones if len(c) == d]
     if not full1:
         return f1.cones == f2.cones and sorted(f1.rays) == sorted(f2.rays)
-    base = full1[0]
-    V1 = [[f1.rays[i][k] for i in base] for k in range(d)]  # columns are rays
-    inv = rational_inverse(V1)
-    if inv is None:
-        return False
+    base = [f1.rays[i] for i in full1[0]]
     cones1 = set(tuple(sorted(c)) for c in f1.cones)
     for target in full2:
         for perm in itertools.permutations(target):
-            V2 = [[f2.rays[i][k] for i in perm] for k in range(d)]
-            rows = []
-            ok = True
-            for i in range(d):
-                row = []
-                for j in range(d):
-                    val = sum(V2[i][k] * inv[k][j] for k in range(d))
-                    if val.denominator != 1:
-                        ok = False
-                        break
-                    row.append(int(val))
-                if not ok:
-                    break
-                rows.append(tuple(row))
-            if not ok:
+            # U carries the base rays onto perm: U V1 = V2, i.e. V1^T U^T = V2^T
+            Ut = solve_integral(base, [f2.rays[i] for i in perm])
+            if Ut is None or abs(det(Ut)) != 1:
                 continue
-            U = IntMatrix.from_rows(rows, d)
-            if abs(det_rational(U.entries)) != 1:
-                continue
+            U = IntMatrix.from_rows(Ut, d).transpose()
             mapped = {}
             good = True
             for i, ray in enumerate(f1.rays):

@@ -181,6 +181,25 @@ def test_empty_stable_locus_exits_2(tmp_path, capsys):
     assert "stable locus" in err
 
 
+def test_free_action_refused_before_fan_scan(tmp_path, capsys, monkeypatch):
+    # rank 1, 15 coordinates: the stable support {chi = 3} has determinant 3
+    weights = [(1, 3), (-2, 2), (3, 3), (-2, 3), (-2, 1), (2, 3)]
+    prob = {"kind": "toric", "g_rank": 1, "theta": [1],
+            "weights": [{"chi": [c], "mult": k} for c, k in weights]}
+
+    def no_fan(*args):
+        raise AssertionError("the fan scan ran before the free-action check")
+
+    monkeypatch.setattr("fixedloci.cli.quotient_fan", no_fan)
+    code, out, err = run(["toric", write(tmp_path, "t.json", prob)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "validation error: support weight matrix has determinant 3\n"
+    # past MAX_ENUM_DIM coordinates the size guard still comes first
+    prob["weights"] += [{"chi": [1], "mult": 2}]
+    code, _, err = run(["toric", write(tmp_path, "t.json", prob)], capsys)
+    assert code == 3 and err.startswith("guard error: fan enumeration")
+
+
 def test_determinism_bytes(tmp_path, capsys):
     f = write(tmp_path, "k.json", KRON3)
     out1 = tmp_path / "r1.json"

@@ -1,5 +1,6 @@
-"""Property test: every schema-valid toric or weights problem file ends in
-exit 0, 2 or 3, never in a traceback, and every exit-0 report validates."""
+"""Property tests: every schema-valid problem file, with any in-range option
+flags, ends in exit 0, 2 or 3, never in a traceback, and every exit-0 report
+validates."""
 
 import contextlib
 import io
@@ -42,19 +43,71 @@ def problem_files(draw):
     return data
 
 
-@settings(max_examples=150, deadline=None)
-@given(problem_files())
-def test_schema_valid_problems_end_in_known_exit_codes(data):
-    command = "kempf" if data["kind"] == "weights" else "toric"
+@st.composite
+def grassmann_files(draw):
+    n = draw(st.integers(1, 8))
+    # one file in four has a weight list of the wrong length
+    length = draw(st.integers(0, 9).filter(lambda k: k != n)) if draw(st.integers(0, 3)) == 0 else n
+    return {"kind": "grassmann", "m": draw(st.integers(1, 8)), "n": n,
+            "weights": draw(st.lists(ENTRY, min_size=length, max_size=length))}
+
+
+@st.composite
+def quiver_runs(draw):
+    """A schema-valid quiver file and in-range --window/--trials/--prime flags."""
+    vertices = ["v%d" % i for i in range(draw(st.integers(1, 3)))]
+    vertex = st.sampled_from(vertices)
+    arrows = [{"id": "a%d" % i, "src": draw(vertex), "tgt": draw(vertex)}
+              for i in range(draw(st.integers(0, 4)))]
+    alpha = {v: draw(st.integers(0, 2)) for v in vertices}
+    theta = {v: draw(ENTRY) for v in vertices}
+    ones = [v for v in vertices if alpha[v] == 1]
+    if ones and draw(st.integers(0, 3)) > 0:  # pair theta with alpha to zero
+        theta[ones[0]] = 0
+        theta[ones[0]] = -sum(theta[v] * alpha[v] for v in vertices)
+    data = {"kind": "quiver", "vertices": vertices, "arrows": arrows,
+            "alpha": alpha, "theta": theta}
+    if draw(st.booleans()):
+        aux = draw(st.integers(0, 2))
+        grade = st.lists(st.integers(-2, 2), min_size=aux, max_size=aux)
+        data["arrow_weights"] = {"aux_rank": aux,
+                                 "weights": {a["id"]: draw(grade) for a in arrows}}
+    flags = []
+    for flag, values in (("--window", st.integers(0, 1)), ("--trials", st.integers(0, 5)),
+                         ("--prime", st.sampled_from([2, 3, 5, 7]))):
+        if draw(st.booleans()):
+            flags += [flag, str(draw(values))]
+    return data, flags
+
+
+def _ends_in_known_exit_code(command, data, flags=()):
     with tempfile.TemporaryDirectory() as tmp:
         problem = os.path.join(tmp, "problem.json")
         with open(problem, "w") as fh:
             json.dump(data, fh)
-        load_problem(problem)  # the generator only writes schema-valid files
+        load_problem(problem)  # the generators only write schema-valid files
         out = os.path.join(tmp, "report.json")
         with contextlib.redirect_stderr(io.StringIO()):
-            code = main([command, problem, "--out", out])
+            code = main([command, problem, "--out", out] + list(flags))
         assert code in (0, 2, 3)
         if code == 0:
             with open(out) as fh:
                 validate_report(json.load(fh))
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem_files())
+def test_schema_valid_problems_end_in_known_exit_codes(data):
+    _ends_in_known_exit_code("kempf" if data["kind"] == "weights" else "toric", data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grassmann_files())
+def test_grassmann_files_end_in_known_exit_codes(data):
+    _ends_in_known_exit_code("grassmann", data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(quiver_runs())
+def test_quiver_files_end_in_known_exit_codes(run):
+    _ends_in_known_exit_code("quiver", *run)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,11 +7,14 @@ from fixedloci.errors import NotInjective, TorsionCokernel
 from fixedloci.linalg import (
     IntMatrix,
     cokernel_with_section,
-    det_rational,
+    det,
     hnf,
+    is_zero_vec,
     kernel_basis,
     rank,
     smith,
+    solve,
+    solve_integral,
     unimodular_inverse,
 )
 
@@ -45,7 +49,7 @@ def test_hnf_example():
     A = IntMatrix.from_rows([[2, 4], [1, 1]])
     H, U = hnf(A)
     assert H.entries == ((1, 1), (0, 2))
-    assert abs(det_rational(U.entries)) == 1
+    assert abs(det(U.entries)) == 1
     assert U.mul(A) == H
 
 
@@ -68,7 +72,7 @@ def test_hnf_random_properties():
         )
         H, U = hnf(A)
         assert U.mul(A) == H
-        assert abs(det_rational(U.entries)) == 1
+        assert abs(det(U.entries)) == 1
         is_row_echelon_hnf(H)
         # idempotence
         H2, _ = hnf(H)
@@ -85,8 +89,8 @@ def test_smith_random_properties():
         )
         D, U, V = smith(A)
         assert U.mul(A).mul(V) == D
-        assert abs(det_rational(U.entries)) == 1
-        assert abs(det_rational(V.entries)) == 1
+        assert abs(det(U.entries)) == 1
+        assert abs(det(V.entries)) == 1
         diag = [D.entries[i][i] for i in range(min(m, n))]
         for i in range(m):
             for j in range(n):
@@ -171,3 +175,155 @@ def test_unimodular_inverse():
     assert U.mul(V) == IntMatrix.identity(2)
     with pytest.raises(ValueError):
         unimodular_inverse(IntMatrix.from_rows([[2, 0], [0, 1]]))
+
+
+# ---------------------------------------------------------------------------
+# the rational Gauss-Jordan eliminations the Bareiss kernel replaced, kept as
+# reference implementations
+
+def solve_rational(rows, b):
+    """One exact solution of (rows) x = b over Q, or None if inconsistent.
+
+    rows: sequence of coefficient rows, b: right-hand side.  Free variables
+    are set to 0.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else len(b) * 0
+    aug = [[Fraction(x) for x in rows[i]] + [Fraction(b[i])] for i in range(m)]
+    piv_cols = []
+    r = 0
+    for c in range(n):
+        p = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        if p is None:
+            continue
+        aug[r], aug[p] = aug[p], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [a * inv for a in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [a - f * bb for a, bb in zip(aug[i], aug[r])]
+        piv_cols.append(c)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if aug[i][n] != 0:
+            return None
+    x = [Fraction(0)] * n
+    for i, c in enumerate(piv_cols):
+        x[c] = aug[i][n]
+    return tuple(x)
+
+
+def rational_inverse(rows):
+    """Exact inverse of a square rational matrix, or None if singular."""
+    n = len(rows)
+    aug = [[Fraction(x) for x in rows[i]] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for c in range(n):
+        p = next((i for i in range(c, n) if aug[i][c] != 0), None)
+        if p is None:
+            return None
+        aug[c], aug[p] = aug[p], aug[c]
+        inv = 1 / aug[c][c]
+        aug[c] = [a * inv for a in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [a - f * bb for a, bb in zip(aug[i], aug[c])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def det_rational(rows):
+    """Exact determinant of a square rational matrix."""
+    n = len(rows)
+    M = [[Fraction(x) for x in r] for r in rows]
+    det = Fraction(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if M[i][c] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            M[c], M[p] = M[p], M[c]
+            det = -det
+        det *= M[c][c]
+        inv = 1 / M[c][c]
+        for i in range(c + 1, n):
+            if M[i][c] != 0:
+                f = M[i][c] * inv
+                M[i] = [a - f * b for a, b in zip(M[i], M[c])]
+    return det
+
+
+def _random_system(rng):
+    """An integer system (rows, rhs) with 1-6 rows and columns, entries in
+    [-4, 4], often rank deficient, with zero rows or an inconsistent rhs."""
+    m, n = rng.randint(1, 6), rng.randint(1, 6)
+    rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+    kind = rng.randrange(4)
+    if kind == 1 and m > 1:  # a row that combines two others
+        i, j, k = (rng.randrange(m) for _ in range(3))
+        a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    elif kind == 2:
+        rows[rng.randrange(m)] = [0] * n
+    rhs = [rng.randint(-4, 4) for _ in range(m)]
+    if kind == 3:  # consistent, or nudged off the column span
+        x = [rng.randint(-3, 3) for _ in range(n)]
+        rhs = [sum(a * b for a, b in zip(r, x)) for r in rows]
+        if m > 1:
+            rows[-1] = list(rows[0])
+            rhs[-1] = rhs[0] + rng.randint(0, 1)
+    return rows, rhs
+
+
+def test_bareiss_matches_rational_oracles():
+    rng = random.Random(23)
+    assert det([]) == det_rational([]) == 1
+    seen = {"singular": 0, "inconsistent": 0, "integral": 0, "fractional": 0}
+    for _ in range(2500):
+        rows, rhs = _random_system(rng)
+        m, n = len(rows), len(rows[0])
+        k = min(m, n)
+        square = [r[:k] for r in rows[:k]]
+        assert det(square) == det_rational(square)
+        H, _ = hnf(IntMatrix.from_rows(rows))
+        assert rank(IntMatrix.from_rows(rows)) == sum(1 for r in H.entries if not is_zero_vec(r))
+
+        got, want = solve(rows, rhs), solve_rational(rows, rhs)
+        assert (got is None) == (want is None)
+        if got is None:
+            seen["inconsistent"] += 1
+        else:
+            X, d = got
+            assert d > 0 and all(type(x) is int for x in X)
+            assert tuple(Fraction(x, d) for x in X) == want
+
+        B = [r[k:] + [b] for r, b in zip(rows[:k], rhs)]
+        inv = rational_inverse(square)
+        if inv is None:
+            expected = None
+            seen["singular"] += 1
+        else:
+            prod = [[sum(inv[i][t] * B[t][j] for t in range(k)) for j in range(len(B[0]))]
+                    for i in range(k)]
+            integral = all(x.denominator == 1 for r in prod for x in r)
+            expected = tuple(tuple(int(x) for x in r) for r in prod) if integral else None
+            seen["integral" if integral else "fractional"] += 1
+        assert solve_integral(square, B) == expected
+    assert min(seen.values()) > 100, seen
+
+
+def test_solve_edge_cases():
+    assert solve([], []) == ((), 1)
+    assert solve([[0, 0]], [1]) is None
+    assert solve([[0, 0]], [0]) == ((0, 0), 1)
+    X, d = solve([[2, 4], [1, 2]], [2, 1])  # free variable x_1 = 0
+    assert X == (d, 0)
+    X, d = solve([[2, 0], [0, -3]], [1, 1])
+    assert (Fraction(X[0], d), Fraction(X[1], d)) == (Fraction(1, 2), Fraction(-1, 3))
+    assert solve_integral([], []) == ()
+    assert solve_integral([[2]], [[3]]) is None
+    assert solve_integral([[1, 1], [1, 1]], [[2], [2]]) is None
+    assert det([[0, 1], [1, 0]]) == -1
+    assert rank(IntMatrix.from_rows([], 3)) == 0
