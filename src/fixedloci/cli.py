@@ -156,11 +156,12 @@ def _toric_report(data, seed):
     opts = data.get("options", {})
     if "section" in opts:
         section = IntMatrix.from_rows(opts["section"], len(opts["section"][0]) if opts["section"] else 0)
-    # the free-action check in fixed_points_toric is cheap; run it before the fan scan
     check_fan_enumerable(action)
-    comps = fixed_points_toric(action, section)
-    fan = quotient_fan(action, section)
-    _, used_section = toric_context(action, section)
+    context = toric_context(action, section)
+    # the free-action check in fixed_points_toric is cheap; run it before the fan scan
+    comps = fixed_points_toric(action, context=context)
+    fan = quotient_fan(action, context=context)
+    _, used_section = context
 
     m = action.total_dim
     flat = {idx: action.flat_index(idx) for idx in action.indices()}
@@ -255,6 +256,7 @@ def _quiver_report(data, seed, prime, trials, window):
             "dimension": component_dimension(Q, W, c),
             "g_rho": "torus" if all(n == 1 for n in blocks) else blocks,
             "status": r.status.value,
+            "method": r.method,
             "witness": _witness_json(r.witness),
             "witness_trial": r.witness_trial,
             "destabilizer": None if r.destabilizer is None

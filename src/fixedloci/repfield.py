@@ -1,16 +1,25 @@
-"""Brute-force certification of stable loci via representations over F_p.
+"""Certification of quiver cover components, exact in characteristic zero.
 
-King's inequalities are evaluated literally: all subrepresentations of an
-explicit representation over a small prime field are enumerated by scanning
-tuples of subspaces closed under the arrow maps.  Nonemptiness certificates
-come from randomized sampling (a stable F_p point; transfer to C is a
-documented heuristic), emptiness certificates only from structural zero-block
-patterns that force a destabilizing subrepresentation into every point.
+A cover's support quiver carries the stable locus to be certified.
+Emptiness comes from a destabilizing dimension vector that every
+representation has as a subrepresentation: either a structural one (an
+arrow-closed vertex subset at full dimension) or, for non-thin covers on an
+acyclic support, a generic subdimension vector from Schofield's recursion.
+When neither exists the locus is nonempty: for a thin cover the
+representation with every arrow nonzero is stable, and on an acyclic
+support the generic representation is.  A stable representation over a
+small prime field, sampled at random, is attached as a witness; only on a
+cyclic support, where neither exact test applies, does it stand as the
+certificate (a heuristic; transfer to C is not proved), and a component
+with no witness there stays CandidateOnly.  King's inequalities are
+evaluated on F_p representations by scanning all subspace tuples closed
+under the arrow maps.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 
@@ -201,7 +210,7 @@ def is_stable_rep(quiver: Quiver, M: RepFq, theta,
 
 
 # ---------------------------------------------------------------------------
-# structural emptiness + randomized nonemptiness certification
+# destabilizers and certification
 
 def structural_destabilizer(quiver: Quiver, dims, theta):
     """A proper nonzero arrow-closed vertex subset with theta <= 0, if any.
@@ -232,12 +241,98 @@ def structural_destabilizer(quiver: Quiver, dims, theta):
     return None
 
 
+def is_acyclic(quiver: Quiver) -> bool:
+    """True when the quiver has no oriented cycle (a loop is one)."""
+    indegree = {v: 0 for v in quiver.vertices}
+    out_edges = {v: [] for v in quiver.vertices}
+    for a in quiver.arrows:
+        out_edges[a.src].append(a.tgt)
+        indegree[a.tgt] += 1
+    ready = [v for v, d in indegree.items() if d == 0]
+    removed = 0
+    while ready:
+        removed += 1
+        for t in out_edges[ready.pop()]:
+            indegree[t] -= 1
+            if indegree[t] == 0:
+                ready.append(t)
+    return removed == len(quiver.vertices)
+
+
+def _subvectors(g):
+    return itertools.product(*(range(x + 1) for x in g))
+
+
+class GenericSubdims:
+    """Generic subdimension vectors on an acyclic quiver, by Schofield's recursion.
+
+    Dimension vectors are tuples in quiver.vertices order.  s embeds in g
+    (s -> g) when every representation of dimension g has a subrepresentation
+    of dimension s.  With the Euler form <a, b> = sum a_v b_v - sum over
+    arrows i -> j of a_i b_j, s -> g exactly when ext(s, g - s) = 0, and
+    ext(a, h) = max of -<a', h> over a' -> a (Schofield, Proc. LMS 65, 1992,
+    Thm 5.4).  The subvectors of each g are memoised by g.
+    """
+
+    def __init__(self, quiver: Quiver):
+        pos = {v: i for i, v in enumerate(quiver.vertices)}
+        self._arrows = [(pos[a.src], pos[a.tgt]) for a in quiver.arrows]
+        self._subs = {}
+
+    def _pairing(self, h):
+        """The vector c with <a, h> = a . c for every a."""
+        c = list(h)
+        for i, j in self._arrows:
+            c[i] -= h[j]
+        return c
+
+    def ext(self, a, h):
+        """Dimension of Ext between general representations of dimensions a and h."""
+        c = self._pairing(h)
+        return max(-sum(map(operator.mul, s, c)) for s in self.subs(a))
+
+    def embeds(self, s, g):
+        """s -> g, i.e. ext(s, g - s) = 0; ext is never negative (0 -> s)."""
+        if s == g:
+            return True
+        c = self._pairing([x - y for x, y in zip(g, s)])
+        # s -> s, so <s, g - s> < 0 settles it without the recursion
+        return sum(map(operator.mul, s, c)) >= 0 and \
+            all(sum(map(operator.mul, a, c)) >= 0 for a in self.subs(s))
+
+    def subs(self, g):
+        """All s with s -> g, zero and g included."""
+        if g not in self._subs:
+            self._subs[g] = [s for s in _subvectors(g) if self.embeds(s, g)]
+        return self._subs[g]
+
+
+def generic_destabilizer(quiver: Quiver, dims, theta):
+    """A proper nonzero generic subdimension vector with theta <= 0, if any.
+
+    The quiver must be acyclic.  Every representation of dimension dims has a
+    subrepresentation of the returned dimension, so none is stable; when
+    there is none, the general representation is stable (King, Quart. J.
+    Math. 45, 1994: the stable locus is open).  Returns {vertex: dim} over
+    the vertices where it is nonzero.
+    """
+    beta = tuple(int(dims.get(v, 0)) for v in quiver.vertices)
+    tv = _theta_vec(quiver, theta)
+    generic = GenericSubdims(quiver)
+    for s in _subvectors(beta):
+        if any(s) and s != beta and sum(t * x for t, x in zip(tv, s)) <= 0 \
+                and generic.embeds(s, beta):
+            return {v: x for v, x in zip(quiver.vertices, s) if x}
+    return None
+
+
 @dataclass(frozen=True)
 class Certification:
     status: Status
     witness: RepFq | None = None
     witness_trial: int | None = None
     destabilizer: tuple | None = None
+    method: str | None = None  # "structural", "schofield", "fp_witness" or None
 
 
 def certify_component(quiver: Quiver, weights: ArrowWeights, beta: CoverVector, theta,
@@ -246,10 +341,12 @@ def certify_component(quiver: Quiver, weights: ArrowWeights, beta: CoverVector, 
                       max_prime=DEFAULT_MAX_PRIME) -> Certification:
     """Certify (non)emptiness of the stable locus a cover describes.
 
-    Emptiness comes only from a structural destabilizer.  Nonemptiness comes
-    from a sampled stable representation over F_p (a finite-field witness;
-    transfer to characteristic zero is heuristic).  Otherwise the component
-    stays CandidateOnly after the given number of trials.
+    In order: a structural destabilizer proves emptiness; without one a thin
+    cover is nonempty; a non-thin cover on an acyclic support is decided by
+    generic_destabilizer.  A sampled stable F_p representation is then
+    attached to a nonempty component as its witness.  On a cyclic support
+    the witness is the only certificate (method "fp_witness"), and without
+    one the component stays CandidateOnly after the given number of trials.
     """
     sq, dims, _ = support_quiver(quiver, weights, beta)
     th = theta_hat(theta, sq.vertices)
@@ -258,12 +355,27 @@ def certify_component(quiver: Quiver, weights: ArrowWeights, beta: CoverVector, 
     dest = structural_destabilizer(sq, dims, th)
     if dest is not None:
         return Certification(Status.EMPTY_VERIFIED,
-                             destabilizer=tuple(sorted(dest.items())))
+                             destabilizer=tuple(sorted(dest.items())), method="structural")
+    if all(n == 1 for n in dims.values()):
+        # thin: the subrepresentations of the all-nonzero representation are
+        # the arrow-closed subsets, none of which destabilizes
+        method = "structural"
+    elif is_acyclic(sq):
+        method = "schofield"
+        dest = generic_destabilizer(sq, dims, th)
+        if dest is not None:
+            return Certification(Status.EMPTY_VERIFIED,
+                                 destabilizer=tuple(sorted(dest.items())), method=method)
+    else:
+        method = None
 
     comp_key = repr(beta.items)
     for trial in range(trials):
         rng = random.Random("%s:%s:%d" % (seed, comp_key, trial))
         M = random_rep(sq, dims, prime, rng)
         if is_stable_rep(sq, M, th, max_total_dim, max_prime):
-            return Certification(Status.NONEMPTY_VERIFIED, witness=M, witness_trial=trial)
-    return Certification(Status.CANDIDATE_ONLY)
+            return Certification(Status.NONEMPTY_VERIFIED, witness=M, witness_trial=trial,
+                                 method=method or "fp_witness")
+    if method is None:
+        return Certification(Status.CANDIDATE_ONLY)
+    return Certification(Status.NONEMPTY_VERIFIED, method=method)

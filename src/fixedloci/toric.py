@@ -162,15 +162,20 @@ def check_fan_enumerable(action: WeightedAction):
     return idx
 
 
-def quotient_fan(action: WeightedAction, section: IntMatrix | None = None) -> ToricFan:
+def quotient_fan(action: WeightedAction, section: IntMatrix | None = None,
+                 context=None) -> ToricFan:
     """The toric fan of the stable quotient.
 
     Rays are the images of the coordinate 1-PS basis under the cokernel
     projection; a subset spans a cone precisely when its complement is a
-    stable support.
+    stable support.  A caller that has already run check_fan_enumerable may
+    pass toric_context(action, section) as context; both are then skipped.
     """
-    idx = check_fan_enumerable(action)
-    pi, _ = toric_context(action, section)
+    if context is None:
+        check_fan_enumerable(action)
+        context = toric_context(action, section)
+    idx = action.indices()
+    pi, _ = context
     n_rank = pi.nrows
     ray_vectors = [pi.col(action.flat_index(i)) for i in idx]
 
@@ -237,12 +242,18 @@ def necessary_condition(action: WeightedAction, rho: RhoMap, section: IntMatrix)
     return rank(IntMatrix.from_rows(chis, action.g_rank)) == action.g_rank
 
 
-def fixed_points_toric(action: WeightedAction, section: IntMatrix | None = None):
-    """One zero-dimensional fixed component per minimally stable support."""
-    idx = action.indices()
-    if not is_stable_support(action, idx):
-        raise EmptyStableLocus("the stable locus is empty")
-    _, c = toric_context(action, section)
+def fixed_points_toric(action: WeightedAction, section: IntMatrix | None = None,
+                       context=None):
+    """One zero-dimensional fixed component per minimally stable support.
+
+    A caller that has already checked the stable locus may pass
+    toric_context(action, section) as context; both are then skipped.
+    """
+    if context is None:
+        if not is_stable_support(action, action.indices()):
+            raise EmptyStableLocus("the stable locus is empty")
+        context = toric_context(action, section)
+    _, c = context
     components = []
     for sup in sorted(minimally_stable_subsets(action), key=sorted):
         rho = rho_from_stable_subset(action, sup, c)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fixedloci import toric
 from fixedloci.cli import main, validate_report
 from fixedloci.cli import _quiver_report, _toric_report
 
@@ -72,6 +73,32 @@ def test_quiver_run(tmp_path, capsys):
         "empty_verified": 6,
         "candidate_only": 0,
     }
+    methods = sorted((c["status"], c["method"]) for c in report["components"])
+    assert methods == sorted([("EmptyVerified", "structural")] * 6
+                             + [("NonemptyVerified", "structural")] * 12
+                             + [("NonemptyVerified", "schofield")])
+
+
+def test_toric_context_and_locus_check_run_once(tmp_path, capsys, monkeypatch):
+    contexts, full_checks = [], []
+    context, stable = toric.toric_context, toric.is_stable_support
+
+    def counted_context(*args):
+        contexts.append(args)
+        return context(*args)
+
+    def counted_stable(action, support):
+        # the fan scan's memo passes frozensets; count the explicit checks
+        if not isinstance(support, frozenset) and set(support) == set(action.indices()):
+            full_checks.append(support)
+        return stable(action, support)
+
+    monkeypatch.setattr("fixedloci.cli.toric_context", counted_context)
+    monkeypatch.setattr("fixedloci.toric.toric_context", None)
+    monkeypatch.setattr("fixedloci.toric.is_stable_support", counted_stable)
+    code, out, _ = run(["toric", write(tmp_path, "h.json", HIRZ2)], capsys)
+    assert code == 0 and len(json.loads(out)["components"]) == 4
+    assert len(contexts) == len(full_checks) == 1
 
 
 def test_grassmann_and_kempf_run(tmp_path, capsys):

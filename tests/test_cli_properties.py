@@ -1,6 +1,6 @@
 """Property tests: every schema-valid problem file, with any in-range option
-flags, ends in exit 0, 2 or 3, never in a traceback, and every exit-0 report
-validates."""
+flags and well-formed or malformed kempf JSON flags, ends in exit 0, 2 or 3,
+never in a traceback, and every exit-0 report validates."""
 
 import contextlib
 import io
@@ -14,10 +14,15 @@ from hypothesis import strategies as st
 from fixedloci.cli import load_problem, main, validate_report
 
 ENTRY = st.integers(-3, 3)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=8)
 
 
 @st.composite
 def problem_files(draw):
+    """A schema-valid toric or weights file, and kempf flags for a weights file."""
     kind = draw(st.sampled_from(["toric", "weights"]))
     r = draw(st.integers(0, 3))
     # one file in four may mix vector lengths, which the schema allows
@@ -34,13 +39,22 @@ def problem_files(draw):
         items.append(item)
     data = {"kind": kind, "g_rank": r, "weights" if kind == "toric" else "items": items,
             "theta": draw(vectors(r))}
+    flags = []
     if kind == "weights":
+        pair = st.lists(st.integers(0, 7), min_size=2, max_size=2)
+        support, inner = st.lists(pair, max_size=6), st.lists(vectors(r), max_size=3)
         if draw(st.booleans()):
-            pair = st.lists(st.integers(0, 7), min_size=2, max_size=2)
-            data["support"] = draw(st.lists(pair, max_size=6))
+            data["support"] = draw(support)
         if draw(st.booleans()):
-            data["options"] = {"inner_product": draw(st.lists(vectors(r), max_size=3))}
-    return data
+            data["options"] = {"inner_product": draw(inner)}
+        for flag, value in (("--support", support), ("--inner-product", inner)):
+            # absent, well-formed, or malformed: not JSON, or JSON of any shape
+            how = draw(st.integers(0, 3))
+            if how:
+                text = [json.dumps(draw(value)), draw(st.text(max_size=8)),
+                        json.dumps(draw(JSON_VALUES))][how - 1]
+                flags.append("%s=%s" % (flag, text))
+    return data, flags
 
 
 @st.composite
@@ -97,8 +111,9 @@ def _ends_in_known_exit_code(command, data, flags=()):
 
 @settings(max_examples=150, deadline=None)
 @given(problem_files())
-def test_schema_valid_problems_end_in_known_exit_codes(data):
-    _ends_in_known_exit_code("kempf" if data["kind"] == "weights" else "toric", data)
+def test_schema_valid_problems_end_in_known_exit_codes(run):
+    data, flags = run
+    _ends_in_known_exit_code("kempf" if data["kind"] == "weights" else "toric", data, flags)
 
 
 @settings(max_examples=100, deadline=None)

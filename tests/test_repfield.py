@@ -12,13 +12,18 @@ from fixedloci.quiver import (
     CoverVector,
     Quiver,
     component_dimension,
+    default_window_radius,
     enumerate_covers,
     support_quiver,
     theta_hat,
 )
 from fixedloci.repfield import (
+    GenericSubdims,
     RepFq,
     certify_component,
+    generic_destabilizer,
+    gf_rref,
+    is_acyclic,
     is_semistable_rep,
     is_stable_rep,
     random_rep,
@@ -215,3 +220,173 @@ def test_structural_destabilizer_soundness():
             M = random_rep(sq, dims, 5, rng)
             assert not is_stable_rep(sq, M, th)
     assert flagged >= 6
+
+
+# ---------------------------------------------------------------------------
+# Schofield's exact test
+
+BIG_PRIME = 2 ** 31 - 1
+
+
+def _ext_by_generic_rank(quiver, a, b, rng, samples=2):
+    """ext(a, b) as the corank of Hom(A, B) -> Ext(A, B) presentation maps.
+
+    For representations A, B the map (phi_v) -> (B_x phi_i - phi_j A_x) over
+    the arrows x: i -> j has kernel Hom(A, B) and cokernel Ext(A, B).  Its
+    rank at random A, B over a large prime field is the generic rank.
+    """
+    pos = {v: k for k, v in enumerate(quiver.vertices)}
+    arrows = [(pos[x.src], pos[x.tgt]) for x in quiver.arrows]
+    cols = {}
+    for v in range(len(a)):
+        for r in range(b[v]):
+            for c in range(a[v]):
+                cols[(v, r, c)] = len(cols)
+    target = sum(a[i] * b[j] for i, j in arrows)
+    best = 0
+    for _ in range(samples):
+        rows = []
+        for i, j in arrows:
+            A = [[rng.randrange(BIG_PRIME) for _ in range(a[i])] for _ in range(a[j])]
+            B = [[rng.randrange(BIG_PRIME) for _ in range(b[i])] for _ in range(b[j])]
+            for r in range(b[j]):
+                for c in range(a[i]):
+                    row = [0] * len(cols)
+                    for k in range(b[i]):
+                        row[cols[(i, k, c)]] += B[r][k]
+                    for k in range(a[j]):
+                        row[cols[(j, r, k)]] -= A[k][c]
+                    rows.append(row)
+        if rows and cols:
+            best = max(best, len(gf_rref(rows, BIG_PRIME)))
+    return target - best
+
+
+def _random_acyclic_quiver(rng):
+    n = rng.randint(1, 5)
+    verts = tuple("v%d" % i for i in range(n))
+    arrows = []
+    for k in range(rng.randint(0, 7) if n > 1 else 0):
+        i, j = sorted(rng.sample(range(n), 2))
+        arrows.append(Arrow("x%d" % k, verts[i], verts[j]))
+    return Quiver(verts, tuple(arrows))
+
+
+def test_schofield_ext_matches_generic_rank():
+    rng = random.Random(97)
+    positive = 0
+    for _ in range(400):
+        Q = _random_acyclic_quiver(rng)
+        assert is_acyclic(Q)
+        generic = GenericSubdims(Q)
+        a = tuple(rng.randint(0, 3) for _ in Q.vertices)
+        b = tuple(rng.randint(0, 3) for _ in Q.vertices)
+        ext = _ext_by_generic_rank(Q, a, b, rng)
+        assert generic.ext(a, b) == ext, (Q, a, b)
+        assert generic.embeds(a, tuple(x + y for x, y in zip(a, b))) == (ext == 0)
+        positive += ext > 0
+    assert positive > 100
+
+
+def test_acyclicity():
+    assert is_acyclic(Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "1", "2"))))
+    assert not is_acyclic(Quiver(("1",), (Arrow("l", "1", "1"),)))
+    assert not is_acyclic(Quiver(("1", "2", "3"), (
+        Arrow("a", "1", "2"), Arrow("b", "2", "3"), Arrow("c", "3", "1"))))
+
+
+def _kronecker(n, a, b):
+    Q = Quiver(("1", "2"), tuple(Arrow("a%d" % i, "1", "2") for i in range(n)))
+    return Q, ArrowWeights.full(Q), {"1": a, "2": b}, {"1": -b, "2": a}
+
+
+def _sampler_certify(Q, W, beta, theta, trials=200, prime=5, seed=0):
+    """The sampler-only certification the Schofield test replaced, as an oracle."""
+    sq, dims, _ = support_quiver(Q, W, beta)
+    th = theta_hat(theta, sq.vertices)
+    if structural_destabilizer(sq, dims, th) is not None:
+        return Status.EMPTY_VERIFIED
+    for trial in range(trials):
+        rng = random.Random("%s:%s:%d" % (seed, repr(beta.items), trial))
+        if is_stable_rep(sq, random_rep(sq, dims, prime, rng), th):
+            return Status.NONEMPTY_VERIFIED
+    return Status.CANDIDATE_ONLY
+
+
+@pytest.mark.parametrize("n, a, b, radius, counts", [
+    (3, 1, 2, None, (3, 0)),
+    (3, 2, 3, None, (13, 6)),
+    (4, 1, 3, None, (4, 0)),
+    (3, 2, 4, None, (0, 12)),
+    (5, 1, 2, None, (10, 0)),
+    (3, 3, 4, 2, (65, 93)),
+    (3, 3, 5, 2, (65, 93)),
+])
+def test_schofield_agrees_with_sampler(n, a, b, radius, counts):
+    Q, W, alpha, theta = _kronecker(n, a, b)
+    if radius is None:
+        radius = default_window_radius(alpha, W)
+    cands = [c for c in enumerate_covers(Q, W, alpha, radius)
+             if c.items and component_dimension(Q, W, c) >= 0]
+    seen = {Status.NONEMPTY_VERIFIED: 0, Status.EMPTY_VERIFIED: 0}
+    for beta in cands:
+        res = certify_component(Q, W, beta, theta)
+        seen[res.status] += 1
+        old = _sampler_certify(Q, W, beta, theta)
+        assert old is Status.CANDIDATE_ONLY or res.status is old, beta
+        # the old path's only emptiness certificate was the structural one
+        structural = all(k == 1 for _, k in beta.items) or old is Status.EMPTY_VERIFIED
+        assert res.method == ("structural" if structural else "schofield")
+        if res.method == "schofield" and res.status is Status.EMPTY_VERIFIED:
+            dest = dict(res.destabilizer)
+            full = beta.as_dict()
+            assert 0 < sum(dest.values()) < beta.total()
+            assert all(0 < k <= full[p] for p, k in dest.items())
+            assert sum(theta[v] * k for (v, _), k in dest.items()) <= 0
+    assert (seen[Status.NONEMPTY_VERIFIED], seen[Status.EMPTY_VERIFIED]) == counts
+
+
+def _two_cycle(alpha, theta, extra_arrow=False):
+    arrows = [Arrow("a", "1", "2"), Arrow("b", "2", "1")]
+    if extra_arrow:
+        arrows.append(Arrow("c", "1", "2"))
+    Q = Quiver(("1", "2"), tuple(arrows))
+    W = ArrowWeights.from_dict(1, {x.id: (0,) for x in arrows})
+    beta = CoverVector({(v, (0,)): k for v, k in alpha.items()})
+    return Q, W, beta, theta
+
+
+def test_cyclic_support_uses_sampler(monkeypatch):
+    def no_schofield(*args):
+        raise AssertionError("Schofield's test ran on a cyclic support")
+
+    monkeypatch.setattr("fixedloci.repfield.generic_destabilizer", no_schofield)
+    # a weight-0 grading keeps the 2-cycle in the support quiver
+    Q, W, beta, theta = _two_cycle({"1": 1, "2": 2}, {"1": -2, "2": 1})
+    sq, _, _ = support_quiver(Q, W, beta)
+    assert not is_acyclic(sq)
+    # every representation has U = (k, image of a) with theta(U) = -1, which
+    # no structural test sees, so the sampler finds nothing
+    res = certify_component(Q, W, beta, theta, trials=20)
+    assert (res.status, res.method, res.witness) == (Status.CANDIDATE_ONLY, None, None)
+    # with a second arrow 1 -> 2 the general representation is stable
+    res = certify_component(*_two_cycle({"1": 1, "2": 2}, {"1": -2, "2": 1}, True))
+    assert (res.status, res.method) == (Status.NONEMPTY_VERIFIED, "fp_witness")
+    assert res.witness is not None
+    # a thin cover is exact even on a cyclic support
+    res = certify_component(*_two_cycle({"1": 1, "2": 1}, {"1": 1, "2": -1}), trials=0)
+    assert (res.status, res.method, res.witness) == (Status.NONEMPTY_VERIFIED, "structural", None)
+
+
+def test_generic_destabilizer_examples():
+    Q, _W, alpha, theta = kronecker3()
+    # K3 with dimension vector (2, 3): the general representation is stable
+    assert generic_destabilizer(Q, alpha, theta) is None
+    # (1, 3) is stable too: the three arrows map a line onto all of C^3
+    assert generic_destabilizer(Q, {"1": 1, "2": 3}, {"1": -3, "2": 1}) is None
+    # in (1, 4) they span only a hyperplane, and (1, 3) has theta = -1
+    assert generic_destabilizer(Q, {"1": 1, "2": 4}, {"1": -4, "2": 1}) == {"1": 1, "2": 3}
+    # stability is strict: a subrepresentation with theta = 0 destabilizes
+    A2 = Quiver(("1", "2"), (Arrow("a", "1", "2"),))
+    assert generic_destabilizer(A2, {"1": 1, "2": 1}, {"1": 0, "2": 0}) == {"2": 1}
+    assert generic_destabilizer(A2, {"1": 1, "2": 1}, {"1": -1, "2": 1}) is None
