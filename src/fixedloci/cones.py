@@ -2,13 +2,14 @@
 
 Cones are stored by a canonical generator list: primitive vectors,
 lexicographically sorted, with redundant generators removed.  For a cone
-with lineality the canonical list consists of the +/- rows of the HNF basis
-of the lineality lattice together with the extreme rays of the pointed part,
-which makes the list unique for the cone as a set.
+with lineality L the canonical list consists of the +/- rows of the HNF basis
+of the lineality lattice together with the extreme rays of C intersected
+with L^perp, which makes the list unique for the cone as a set.
 
-Duals are computed by stepwise Fourier-Motzkin / double description with
-redundancy elimination after each halfspace; membership questions reduce to
-exact LP feasibility.  Fine for desk-scale dimensions (<= ~8).
+Duals, intersections and canonical forms come from one exact double
+description whose adjacency tests are integer ranks, so no LP runs there
+(a cone is canonicalised as the dual of its dual); only membership reduces
+to exact LP feasibility.  Fine for desk-scale dimensions (<= ~8).
 """
 
 from __future__ import annotations
@@ -18,12 +19,15 @@ from fractions import Fraction
 
 from .errors import DimMismatch, ValidationError
 from .linalg import (
+    IntMatrix,
     clear_denominators,
     det,
     dot,
+    hnf,
     is_zero_vec,
+    kernel_basis,
     primitive,
-    saturated_lattice_basis,
+    rank,
     solve,
     vec_neg,
 )
@@ -39,51 +43,64 @@ def _in_cone_raw(gens, x):
     return feasible_nonneg(rows, list(x))
 
 
-def _prune_redundant(gens):
-    """Remove generators that are nonnegative combinations of the others.
+def _dd(halfspaces, dim):
+    """Canonical generators of {y : <h, y> >= 0 for every h}, exactly.
 
-    Single ordered pass; each test is against the currently remaining set, so
-    the generated cone never changes and no survivor is redundant.
+    The lineality space is the saturated integer kernel of the halfspace
+    rows, emitted as +/- its HNF rows.  The pointed part is found by double
+    description inside their row span W = L^perp (Fukuda-Prodon 1996),
+    starting from a basis of W as lineality: a halfspace nonzero on the
+    current lineality cuts it with one pivot; otherwise a positive and a
+    negative ray are combined only when adjacent, i.e. when the processed
+    halfspaces tight at both have rank dim W - dim lineality - 2.  Every ray
+    stays in W, so the rays found are the primitive extreme rays of the
+    cone intersected with L^perp.
     """
-    current = list(gens)
-    i = 0
-    while i < len(current):
-        rest = current[:i] + current[i + 1:]
-        if _in_cone_raw(rest, current[i]):
-            current.pop(i)
-        else:
-            i += 1
-    return current
-
-
-def _orthogonal_component(v, basis_rows):
-    """A positive integer multiple of v minus its (standard) orthogonal
-    projection onto the span of the independent basis_rows."""
-    gram = [[dot(a, b) for b in basis_rows] for a in basis_rows]
-    coeffs, d = solve(gram, [dot(a, v) for a in basis_rows])
-    return tuple(d * a - sum(c * row[i] for c, row in zip(coeffs, basis_rows))
-                 for i, a in enumerate(v))
-
-
-def _canonical_generators(gens, dim):
-    gens = sorted({primitive(g) for g in gens if not is_zero_vec(g)})
-    if not gens:
-        return ()
-    lin = [g for g in gens if _in_cone_raw(gens, vec_neg(g))]
-    if not lin:
-        return tuple(sorted(_prune_redundant(gens)))
-    L = saturated_lattice_basis(lin, dim)
-    pointed = []
-    for g in gens:
-        w = _orthogonal_component(g, L.entries)
-        if any(w):
-            pointed.append(primitive(w))
-    pointed = _prune_redundant(sorted(set(pointed)))
-    out = set(pointed)
-    for row in L.entries:
-        out.add(tuple(row))
+    hs = sorted({primitive(h) for h in halfspaces if not is_zero_vec(h)})
+    K = kernel_basis(IntMatrix.from_rows(hs, dim))
+    lin = [primitive(b) for b in kernel_basis(K).entries]  # a basis of W
+    dim_w = len(lin)
+    rays = []  # (ray, bitmask of the processed halfspaces tight at it)
+    for k, h in enumerate(hs):
+        vals = [dot(h, b) for b in lin]
+        j = next((i for i, v in enumerate(vals) if v), None)
+        if j is not None:
+            b, hb = lin.pop(j), vals.pop(j)
+            if hb < 0:
+                b, hb = vec_neg(b), -hb
+            lin = [_combine(hb, c, v, b) for c, v in zip(lin, vals)]
+            rays = [(_combine(hb, r, dot(h, r), b), z | 1 << k) for r, z in rays]
+            rays.append((b, (1 << k) - 1))
+            continue
+        pos, neg, new = [], [], []
+        for r, z in rays:
+            v = dot(h, r)
+            if v > 0:
+                pos.append((r, z, v))
+                new.append((r, z))
+            elif v < 0:
+                neg.append((r, z, v))
+            else:
+                new.append((r, z | 1 << k))
+        need = dim_w - len(lin) - 2
+        for u, zu, hu in pos:
+            for w, zw, hw in neg:
+                common = zu & zw
+                if common.bit_count() < need or rank(IntMatrix.from_rows(
+                        [hs[i] for i in range(k) if common >> i & 1], dim)) != need:
+                    continue
+                new.append((_combine(hu, w, hw, u), common | 1 << k))
+        rays = new
+    out = {r for r, _ in rays}
+    for row in hnf(K)[0].entries:
+        out.add(row)
         out.add(vec_neg(row))
     return tuple(sorted(out))
+
+
+def _combine(a, u, b, w):
+    """The primitive vector on a * u - b * w."""
+    return primitive(tuple(a * x - b * y for x, y in zip(u, w)))
 
 
 class RationalCone:
@@ -100,10 +117,15 @@ class RationalCone:
         if any(len(g) != ambient_dim for g in generators):
             raise DimMismatch("generator length does not match ambient_dim")
         if not _canonical:
-            generators = _canonical_generators(generators, ambient_dim)
+            generators = _dd(_dd(generators, ambient_dim), ambient_dim)  # C = C**
         self.generators = tuple(generators)
         self.ambient_dim = ambient_dim
         self._dual = None
+
+    @staticmethod
+    def from_halfspaces(halfspaces, dim):
+        """The cone {y : <h, y> >= 0 for every h}."""
+        return RationalCone(_dd(halfspaces, dim), dim, _canonical=True)
 
     @staticmethod
     def zero(dim):
@@ -111,11 +133,7 @@ class RationalCone:
 
     @staticmethod
     def full(dim):
-        gens = []
-        for i in range(dim):
-            e = tuple(int(i == j) for j in range(dim))
-            gens += [e, vec_neg(e)]
-        return RationalCone(gens, dim)
+        return RationalCone.from_halfspaces((), dim)
 
     def __repr__(self):
         return "RationalCone(%r, dim=%d)" % (list(self.generators), self.ambient_dim)
@@ -137,15 +155,14 @@ class RationalCone:
 
     def dual(self):
         if self._dual is None:
-            gens = _dual_generators(self.generators, self.ambient_dim)
-            self._dual = RationalCone(gens, self.ambient_dim)
+            self._dual = RationalCone.from_halfspaces(self.generators, self.ambient_dim)
         return self._dual
 
     def intersection(self, other):
         if self.ambient_dim != other.ambient_dim:
             raise DimMismatch("ambient dims differ")
-        halfspaces = list(self.dual().generators) + list(other.dual().generators)
-        return RationalCone(_dual_generators(tuple(halfspaces), self.ambient_dim), self.ambient_dim)
+        return RationalCone.from_halfspaces(
+            self.dual().generators + other.dual().generators, self.ambient_dim)
 
     def contains_cone(self, other):
         return all(self.contains(g) for g in other.generators)
@@ -153,28 +170,6 @@ class RationalCone:
     def same_cone(self, other):
         """Set equality, tested by mutual generator containment."""
         return self.contains_cone(other) and other.contains_cone(self)
-
-
-def _dual_generators(halfspaces, dim):
-    """Generators of {y : <h, y> >= 0 for all h} by double description."""
-    gens = []
-    for i in range(dim):
-        e = tuple(int(i == j) for j in range(dim))
-        gens += [e, vec_neg(e)]
-    for h in sorted({primitive(h) for h in halfspaces if not is_zero_vec(h)}):
-        pos = [g for g in gens if dot(h, g) > 0]
-        zero = [g for g in gens if dot(h, g) == 0]
-        neg = [g for g in gens if dot(h, g) < 0]
-        new = pos + zero
-        for u in pos:
-            hu = dot(h, u)
-            for w in neg:
-                hw = dot(h, w)
-                comb = tuple(hu * wj - hw * uj for uj, wj in zip(u, w))
-                if not is_zero_vec(comb):
-                    new.append(primitive(comb))
-        gens = _prune_redundant(sorted(set(new)))
-    return gens
 
 
 # ---------------------------------------------------------------------------

@@ -99,15 +99,11 @@ def _support_chis(action, support):
     return sorted({action.items[s].chi for (s, k) in support})
 
 
-def support_cone(action: WeightedAction, support) -> RationalCone:
-    """The cone in character space spanned by the weights meeting the support."""
-    return RationalCone(_support_chis(action, support), action.g_rank)
-
-
 def limit_cone(action: WeightedAction, support) -> RationalCone:
     """One-parameter subgroups eta such that every support coordinate has
-    a limit: {eta : <chi_s, eta> >= 0 for all s meeting the support}."""
-    return support_cone(action, support).dual()
+    a limit: {eta : <chi_s, eta> >= 0 for all s meeting the support}, the
+    dual of the support weights' cone, built from the raw weights."""
+    return RationalCone.from_halfspaces(_support_chis(action, support), action.g_rank)
 
 
 def is_semistable_support(action: WeightedAction, support) -> bool:

@@ -25,20 +25,8 @@ def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vec_neg(u):
     return tuple(-a for a in u)
-
-
-def vec_scale(c, u):
-    return tuple(c * a for a in u)
 
 
 def primitive(v):
@@ -389,16 +377,3 @@ def cokernel_with_section(a: IntMatrix):
     Uinv = unimodular_inverse(U)
     c = Uinv.submatrix_cols(range(r, m))
     return pi, c
-
-
-def saturated_lattice_basis(vectors, dim) -> IntMatrix:
-    """Canonical basis of span_Q(vectors) intersected with Z^dim, as HNF rows."""
-    vecs = [v for v in vectors if not is_zero_vec(v)]
-    if not vecs:
-        return IntMatrix.from_rows([], dim)
-    M = IntMatrix.from_rows(vecs, dim)
-    orth = kernel_basis(M)
-    sat = kernel_basis(orth) if orth.nrows else IntMatrix.identity(dim)
-    H, _ = hnf(sat)
-    rows = [r for r in H.entries if not is_zero_vec(r)]
-    return IntMatrix.from_rows(rows, dim)

@@ -109,9 +109,6 @@ class CoverVector:
     def at(self, v, chi):
         return dict(self.items).get((v, tuple(chi)), 0)
 
-    def vertex_total(self, v):
-        return sum(n for (u, _), n in self.items if u == v)
-
     def total(self):
         return sum(n for _, n in self.items)
 

@@ -7,13 +7,17 @@ arrow-closed vertex subset at full dimension) or, for non-thin covers on an
 acyclic support, a generic subdimension vector from Schofield's recursion.
 When neither exists the locus is nonempty: for a thin cover the
 representation with every arrow nonzero is stable, and on an acyclic
-support the generic representation is.  A stable representation over a
-small prime field, sampled at random, is attached as a witness; only on a
+support the generic representation is.  A representation over a small
+prime field, sampled at random, is attached as a witness when it is
+geometrically stable: stable over F_p with End(M) = F_p, so that no
+Galois-conjugate summands split it over the algebraic closure.  Only on a
 cyclic support, where neither exact test applies, does it stand as the
-certificate (a heuristic; transfer to C is not proved), and a component
-with no witness there stays CandidateOnly.  King's inequalities are
-evaluated on F_p representations by scanning all subspace tuples closed
-under the arrow maps.
+certificate; it is exact there too, since the geometrically stable locus
+is open in the representation space over Spec Z, which is irreducible, so
+one F_p point of it proves the locus nonempty in characteristic zero.  A
+component with no witness there stays CandidateOnly.  King's inequalities
+are evaluated on F_p representations by scanning all subspace tuples
+closed under the arrow maps.
 """
 
 from __future__ import annotations
@@ -110,9 +114,6 @@ class RepFq:
             tuple(sorted((v, int(d)) for v, d in dims.items())),
             tuple(sorted((a, tuple(tuple(int(x) % prime for x in row) for row in m)) for a, m in mats.items())),
         )
-
-    def dim_of(self, v):
-        return dict(self.dims)[v]
 
     def mat_of(self, arrow_id):
         return dict(self.mats)[arrow_id]
@@ -211,6 +212,26 @@ def is_stable_rep(quiver: Quiver, M: RepFq, theta,
 
 # ---------------------------------------------------------------------------
 # destabilizers and certification
+
+def endomorphism_dim(quiver: Quiver, M: RepFq) -> int:
+    """dim over F_p of End(M), the kernel of (phi_v) -> (M_a phi_src - phi_tgt M_a)."""
+    dims = dict(M.dims)
+    offset, n = {}, 0
+    for v in quiver.vertices:
+        offset[v] = n
+        n += dims.get(v, 0) ** 2
+    rows = []
+    for a in quiver.arrows:
+        mat, s, t = M.mat_of(a.id), dims.get(a.src, 0), dims.get(a.tgt, 0)
+        for i, j in itertools.product(range(t), range(s)):
+            row = [0] * n  # entry (i, j) of M_a phi_src - phi_tgt M_a
+            for k in range(s):
+                row[offset[a.src] + k * s + j] += mat[i][k]
+            for k in range(t):
+                row[offset[a.tgt] + i * t + k] -= mat[k][j]
+            rows.append(row)
+    return n - len(gf_rref(rows, M.prime))
+
 
 def structural_destabilizer(quiver: Quiver, dims, theta):
     """A proper nonzero arrow-closed vertex subset with theta <= 0, if any.
@@ -343,10 +364,11 @@ def certify_component(quiver: Quiver, weights: ArrowWeights, beta: CoverVector, 
 
     In order: a structural destabilizer proves emptiness; without one a thin
     cover is nonempty; a non-thin cover on an acyclic support is decided by
-    generic_destabilizer.  A sampled stable F_p representation is then
-    attached to a nonempty component as its witness.  On a cyclic support
-    the witness is the only certificate (method "fp_witness"), and without
-    one the component stays CandidateOnly after the given number of trials.
+    generic_destabilizer.  A sampled geometrically stable F_p representation
+    (stable, with End(M) = F_p) is then attached to a nonempty component as
+    its witness.  On a cyclic support the witness is the only certificate
+    (method "fp_witness"), and without one the component stays CandidateOnly
+    after the given number of trials.
     """
     sq, dims, _ = support_quiver(quiver, weights, beta)
     th = theta_hat(theta, sq.vertices)
@@ -373,7 +395,7 @@ def certify_component(quiver: Quiver, weights: ArrowWeights, beta: CoverVector, 
     for trial in range(trials):
         rng = random.Random("%s:%s:%d" % (seed, comp_key, trial))
         M = random_rep(sq, dims, prime, rng)
-        if is_stable_rep(sq, M, th, max_total_dim, max_prime):
+        if is_stable_rep(sq, M, th, max_total_dim, max_prime) and endomorphism_dim(sq, M) == 1:
             return Certification(Status.NONEMPTY_VERIFIED, witness=M, witness_trial=trial,
                                  method=method or "fp_witness")
     if method is None:

@@ -26,8 +26,6 @@ from .linalg import (
     IntMatrix,
     cokernel_with_section,
     det,
-    hnf,
-    is_zero_vec,
     primitive,
     rank,
     solve_integral,
@@ -348,13 +346,6 @@ def fan_intersections_ok(fan: ToricFan, pairs=None) -> bool:
         if not inter.same_cone(expected):
             return False
     return True
-
-
-def ray_matrix_hnf(fan: ToricFan) -> IntMatrix:
-    """Normal form of the ray matrix, for quick lattice-level comparisons."""
-    H, _ = hnf(IntMatrix.from_rows(fan.rays, fan.lattice_rank))
-    rows = [r for r in H.entries if not is_zero_vec(r)]
-    return IntMatrix.from_rows(rows, fan.lattice_rank)
 
 
 def fans_unimodularly_equivalent(f1: ToricFan, f2: ToricFan) -> bool:

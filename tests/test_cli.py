@@ -79,6 +79,34 @@ def test_quiver_run(tmp_path, capsys):
                              + [("NonemptyVerified", "schofield")])
 
 
+def _loops(n):
+    """One vertex with n weight-0 loops, alpha = 2 and theta = 0."""
+    ids = "ab"[:n]
+    return {
+        "kind": "quiver",
+        "vertices": ["1"],
+        "arrows": [{"id": a, "src": "1", "tgt": "1"} for a in ids],
+        "arrow_weights": {"aux_rank": 1, "weights": {a: [0] for a in ids}},
+        "alpha": {"1": 2},
+        "theta": {"1": 0},
+    }
+
+
+def test_fp_witness_must_be_geometrically_stable(tmp_path, capsys):
+    # every 2x2 matrix has an eigenvector over C, a theta = 0 subrepresentation;
+    # a matrix with an irreducible characteristic polynomial hides it over F_5
+    code, out, _ = run(["quiver", write(tmp_path, "loop.json", _loops(1))], capsys)
+    assert code == 0
+    (comp,) = json.loads(out)["components"]
+    assert (comp["status"], comp["method"], comp["witness"]) == ("CandidateOnly", None, None)
+    # two general matrices share no eigenvector: a simple representation exists
+    code, out, _ = run(["quiver", write(tmp_path, "loops.json", _loops(2))], capsys)
+    assert code == 0
+    (comp,) = json.loads(out)["components"]
+    assert (comp["status"], comp["method"]) == ("NonemptyVerified", "fp_witness")
+    assert comp["witness"] is not None
+
+
 def test_toric_context_and_locus_check_run_once(tmp_path, capsys, monkeypatch):
     contexts, full_checks = [], []
     context, stable = toric.toric_context, toric.is_stable_support

@@ -4,10 +4,159 @@ from fractions import Fraction
 
 import pytest
 
-from fixedloci.cones import RationalCone, dot_q, project_onto_cone
+from fixedloci import simplex
+from fixedloci.cones import RationalCone, _in_cone_raw, dot_q, project_onto_cone
 from fixedloci.errors import DimMismatch
-from fixedloci.linalg import dot
+from fixedloci.linalg import IntMatrix, dot, hnf, is_zero_vec, kernel_basis, primitive, solve, vec_neg
 from fixedloci.simplex import feasible_nonneg, solve_nonneg
+
+
+# The LP-pruned double description that canonicalised and dualised cones
+# before the exact rank tests, kept verbatim as an oracle.
+
+def saturated_lattice_basis(vectors, dim) -> IntMatrix:
+    """Canonical basis of span_Q(vectors) intersected with Z^dim, as HNF rows."""
+    vecs = [v for v in vectors if not is_zero_vec(v)]
+    if not vecs:
+        return IntMatrix.from_rows([], dim)
+    M = IntMatrix.from_rows(vecs, dim)
+    orth = kernel_basis(M)
+    sat = kernel_basis(orth) if orth.nrows else IntMatrix.identity(dim)
+    H, _ = hnf(sat)
+    rows = [r for r in H.entries if not is_zero_vec(r)]
+    return IntMatrix.from_rows(rows, dim)
+
+
+def _prune_redundant(gens):
+    """Remove generators that are nonnegative combinations of the others.
+
+    Single ordered pass; each test is against the currently remaining set, so
+    the generated cone never changes and no survivor is redundant.
+    """
+    current = list(gens)
+    i = 0
+    while i < len(current):
+        rest = current[:i] + current[i + 1:]
+        if _in_cone_raw(rest, current[i]):
+            current.pop(i)
+        else:
+            i += 1
+    return current
+
+
+def _orthogonal_component(v, basis_rows):
+    """A positive integer multiple of v minus its (standard) orthogonal
+    projection onto the span of the independent basis_rows."""
+    gram = [[dot(a, b) for b in basis_rows] for a in basis_rows]
+    coeffs, d = solve(gram, [dot(a, v) for a in basis_rows])
+    return tuple(d * a - sum(c * row[i] for c, row in zip(coeffs, basis_rows))
+                 for i, a in enumerate(v))
+
+
+def _canonical_generators(gens, dim):
+    gens = sorted({primitive(g) for g in gens if not is_zero_vec(g)})
+    if not gens:
+        return ()
+    lin = [g for g in gens if _in_cone_raw(gens, vec_neg(g))]
+    if not lin:
+        return tuple(sorted(_prune_redundant(gens)))
+    L = saturated_lattice_basis(lin, dim)
+    pointed = []
+    for g in gens:
+        w = _orthogonal_component(g, L.entries)
+        if any(w):
+            pointed.append(primitive(w))
+    pointed = _prune_redundant(sorted(set(pointed)))
+    out = set(pointed)
+    for row in L.entries:
+        out.add(tuple(row))
+        out.add(vec_neg(row))
+    return tuple(sorted(out))
+
+
+def _dual_generators(halfspaces, dim):
+    """Generators of {y : <h, y> >= 0 for all h} by double description."""
+    gens = []
+    for i in range(dim):
+        e = tuple(int(i == j) for j in range(dim))
+        gens += [e, vec_neg(e)]
+    for h in sorted({primitive(h) for h in halfspaces if not is_zero_vec(h)}):
+        pos = [g for g in gens if dot(h, g) > 0]
+        zero = [g for g in gens if dot(h, g) == 0]
+        neg = [g for g in gens if dot(h, g) < 0]
+        new = pos + zero
+        for u in pos:
+            hu = dot(h, u)
+            for w in neg:
+                hw = dot(h, w)
+                comb = tuple(hu * wj - hw * uj for uj, wj in zip(u, w))
+                if not is_zero_vec(comb):
+                    new.append(primitive(comb))
+        gens = _prune_redundant(sorted(set(new)))
+    return gens
+
+
+def _oracle_cases():
+    """Seeded generator lists: d = 0-5, with zero, repeated and antipodal
+    generators mixed in, then the empty cone and the full space."""
+    rng = random.Random(41)
+    for _ in range(1500):
+        d = rng.choice((0, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 3, 4, 4, 4, 5))
+        gens = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(0, 7))]
+        extra = []
+        for g in gens:
+            roll = rng.random()
+            if roll < 0.12:
+                extra.append(vec_neg(g))
+            elif roll < 0.2:
+                extra.append(tuple(2 * a for a in g))
+        if rng.random() < 0.1:
+            extra.append((0,) * d)
+        gens += extra
+        rng.shuffle(gens)
+        yield gens, d
+    for d in range(6):
+        yield [], d
+        yield [e for i in range(d) for e in (tuple(int(i == j) for j in range(d)),
+                                             tuple(-int(i == j) for j in range(d)))], d
+
+
+def test_exact_dd_matches_lp_pruned_oracle():
+    seen = dict.fromkeys(["lineality", "pointed", "zero", "repeat", "antipodal",
+                          "empty", "full"], 0)
+    for gens, d in _oracle_cases():  # about 7 s, nearly all in the oracle
+        canon = _canonical_generators(gens, d)
+        C = RationalCone(gens, d)
+        assert C.generators == canon, (gens, d)
+        assert C.dual().generators == _canonical_generators(_dual_generators(canon, d), d)
+        prims = [primitive(g) for g in gens]
+        seen["lineality"] += any(vec_neg(g) in canon for g in canon)
+        seen["pointed"] += bool(canon) and not any(vec_neg(g) in canon for g in canon)
+        seen["zero"] += any(is_zero_vec(g) for g in gens) and d > 0
+        seen["repeat"] += len(set(prims)) < len(prims)
+        seen["antipodal"] += any(vec_neg(g) in prims for g in prims if any(g))
+        seen["empty"] += not canon
+        seen["full"] += len(canon) == 2 * d > 0 and not C.dual().generators
+    assert seen["lineality"] >= 500 and min(seen.values()) >= 10, seen
+
+
+def test_no_lp_in_canonical_form_dual_or_intersection(monkeypatch):
+    def no_lp(*args):
+        raise AssertionError("an LP ran")
+
+    # every LP, feasible_nonneg included, runs through solve_nonneg
+    monkeypatch.setattr(simplex, "solve_nonneg", no_lp)
+    rng = random.Random(43)
+    for _ in range(200):
+        d = rng.randint(0, 4)
+        A = RationalCone([tuple(rng.randint(-2, 2) for _ in range(d))
+                          for _ in range(rng.randint(0, 5))], d)
+        B = RationalCone([tuple(rng.randint(-2, 2) for _ in range(d))
+                          for _ in range(rng.randint(0, 5))], d)
+        assert A.intersection(B).dual().dual().generators == A.intersection(B).generators
+    assert RationalCone.full(3).dual() == RationalCone.zero(3)
+    with pytest.raises(AssertionError, match="an LP ran"):
+        RationalCone([(1, 0)], 2).contains((1, 1))
 
 
 def test_simplex_basics():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import hirzebruch_action
-from fixedloci.cones import dot_q
+from fixedloci.cones import RationalCone, dot_q
 from fixedloci.errors import NotUnstable
 from fixedloci.hmtorus import (
     WeightItem,
@@ -16,7 +16,6 @@ from fixedloci.hmtorus import (
     is_stable_support,
     limit_cone,
     m_value,
-    support_cone,
 )
 from fixedloci.linalg import IntMatrix, dot, rank
 
@@ -34,6 +33,11 @@ def random_action(rng, r=None, max_items=6):
 def random_support(rng, action):
     idx = action.indices()
     return frozenset(i for i in idx if rng.random() < 0.6)
+
+
+def support_cone(action, support):
+    """The cone in character space spanned by the weights meeting the support."""
+    return RationalCone(sorted({action.chi_of(i) for i in support}), action.g_rank)
 
 
 def _stable_by_dual_cone(action, support):

@@ -21,6 +21,7 @@ from fixedloci.repfield import (
     GenericSubdims,
     RepFq,
     certify_component,
+    endomorphism_dim,
     generic_destabilizer,
     gf_rref,
     is_acyclic,
@@ -376,6 +377,29 @@ def test_cyclic_support_uses_sampler(monkeypatch):
     # a thin cover is exact even on a cyclic support
     res = certify_component(*_two_cycle({"1": 1, "2": 1}, {"1": 1, "2": -1}), trials=0)
     assert (res.status, res.method, res.witness) == (Status.NONEMPTY_VERIFIED, "structural", None)
+
+
+def test_endomorphism_dim_examples():
+    loop = Quiver(("1",), (Arrow("a", "1", "1"),))
+
+    def rep(dims, mats):
+        return RepFq.build(5, dims, mats)
+
+    # End of one matrix is its commutant: F_5[M] when M is cyclic
+    assert endomorphism_dim(loop, rep({"1": 2}, {"a": ((4, 2), (4, 4))})) == 2
+    assert endomorphism_dim(loop, rep({"1": 2}, {"a": ((0, 0), (0, 0))})) == 4
+    assert endomorphism_dim(loop, rep({"1": 3}, {"a": ((1, 0, 0), (0, 1, 0), (0, 0, 2))})) == 5
+    two = Quiver(("1",), (Arrow("a", "1", "1"), Arrow("b", "1", "1")))
+    assert endomorphism_dim(two, rep({"1": 2}, {"a": ((1, 0), (0, 2)), "b": ((1, 1), (1, 1))})) == 1
+    A2 = Quiver(("1", "2"), (Arrow("a", "1", "2"),))
+    assert endomorphism_dim(A2, rep({"1": 1, "2": 1}, {"a": ((3,),)})) == 1
+    assert endomorphism_dim(A2, rep({"1": 1, "2": 1}, {"a": ((0,),)})) == 2
+    # K3 at (1, 2) with three maps spanning F_5^2 is a brick; a vertex with
+    # no arrows contributes its full matrix algebra
+    Q, _W, _alpha, _theta = kronecker3()
+    M = rep({"1": 1, "2": 2}, {"a": ((1,), (0,)), "b": ((0,), (1,)), "c": ((1,), (1,))})
+    assert endomorphism_dim(Q, M) == 1
+    assert endomorphism_dim(Quiver(("1",), ()), rep({"1": 3}, {})) == 9
 
 
 def test_generic_destabilizer_examples():
