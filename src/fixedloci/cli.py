@@ -23,22 +23,18 @@ from . import __version__
 from .common import Status
 from .errors import FixedLociError, TooLarge, ValidationError
 from .grassmann import GrassmannProblem, classify
-from .hmtorus import (
-    WeightItem,
-    WeightedAction,
-    is_semistable_support,
-    is_stable_support,
-    kempf_data,
-)
+from .hmtorus import WeightItem, WeightedAction, kempf_data
 from .linalg import IntMatrix
 from .quiver import (
     Arrow,
     ArrowWeights,
+    CoverVector,
     Quiver,
     check_stability_pairing,
     component_dimension,
     default_window_radius,
     enumerate_covers,
+    support_quiver,
 )
 from .repfield import DEFAULT_MAX_TOTAL_DIM, certify_component, check_prime
 from .toric import check_fan_enumerable, fixed_points_toric, quotient_fan, toric_context
@@ -237,12 +233,8 @@ def _quiver_report(data, seed, prime, trials, window):
         raise TooLarge("total dimension %d exceeds the certification guard %d"
                        % (total, DEFAULT_MAX_TOTAL_DIM))
     covers = enumerate_covers(Q, W, alpha, radius)
-    cands = []
-    for c in covers:
-        if not c.items:
-            continue
-        if component_dimension(Q, W, c) >= 0:
-            cands.append(c)
+    dimension = {c: component_dimension(Q, W, c) for c in covers if c.items}
+    cands = [c for c, d in dimension.items() if d >= 0]
     results = [
         certify_component(Q, W, c, theta, trials=trials, prime=prime, seed=seed)
         for c in cands
@@ -253,7 +245,7 @@ def _quiver_report(data, seed, prime, trials, window):
         blocks = sorted(n for _, n in c.items)
         comp_json.append({
             "beta": [[_point_json(k), n] for k, n in c.items],
-            "dimension": component_dimension(Q, W, c),
+            "dimension": dimension[c],
             "g_rho": "torus" if all(n == 1 for n in blocks) else blocks,
             "status": r.status.value,
             "method": r.method,
@@ -319,8 +311,8 @@ def _kempf_report(data, support=None, inner_product=None):
         "input": data,
         "kempf": {
             "support": [list(p) for p in sorted(support)],
-            "semistable": is_semistable_support(action, support),
-            "stable": is_stable_support(action, support),
+            "semistable": mv.sign >= 0,
+            "stable": mv.sign > 0,
             "m_sign": mv.sign,
             "m_squared": _frac_str(mv.m_squared),
             "adapted": None if lam is None else list(lam),
@@ -376,23 +368,15 @@ def render_dot(report):
     if kind == "quiver":
         data = report["input"]
         Q, W, _alpha, _theta = _quiver_from_data(data)
-        points = set()
-        for c in report["components"]:
-            for pt, _n in c["beta"]:
-                points.add((pt[0], tuple(pt[1])))
+        points = {(pt[0], tuple(pt[1])) for c in report["components"] for pt, _n in c["beta"]}
+        sq, _, _ = support_quiver(Q, W, CoverVector({pt: 1 for pt in points}))
         out = ["digraph cover_supports {"]
         names = {}
-        for pt in sorted(points):
+        for pt in sq.vertices:
             names[pt] = "v%d" % len(names)
             out.append('  %s [label="%s %s"];' % (names[pt], pt[0], list(pt[1])))
-        for a in Q.arrows:
-            w = W.of(a.id)
-            for (v, chi) in sorted(points):
-                if v != a.src:
-                    continue
-                tgt = (a.tgt, tuple(c + x for c, x in zip(chi, w)))
-                if tgt in points:
-                    out.append('  %s -> %s [label="%s"];' % (names[(v, chi)], names[tgt], a.id))
+        for a in sq.arrows:
+            out.append('  %s -> %s [label="%s"];' % (names[a.src], names[a.tgt], a.id[0]))
         out.append("}")
         base = ["digraph quiver {"]
         for v in data["vertices"]:

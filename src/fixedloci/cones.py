@@ -6,10 +6,11 @@ with lineality L the canonical list consists of the +/- rows of the HNF basis
 of the lineality lattice together with the extreme rays of C intersected
 with L^perp, which makes the list unique for the cone as a set.
 
-Duals, intersections and canonical forms come from one exact double
-description whose adjacency tests are integer ranks, so no LP runs there
-(a cone is canonicalised as the dual of its dual); only membership reduces
-to exact LP feasibility.  Fine for desk-scale dimensions (<= ~8).
+Duals, intersections, canonical forms and membership all come from one
+exact double description whose adjacency tests are integer ranks: a cone
+is canonicalised as the dual of its dual, and a point lies in it when it
+pairs nonnegatively with every dual generator.  No LP runs here.  Fine for
+desk-scale dimensions (<= ~8).
 """
 
 from __future__ import annotations
@@ -31,16 +32,6 @@ from .linalg import (
     solve,
     vec_neg,
 )
-from .simplex import feasible_nonneg
-
-
-def _in_cone_raw(gens, x):
-    """Membership of x in cone(gens) via nonnegative-combination feasibility."""
-    if not gens:
-        return all(a == 0 for a in x)
-    dim = len(x)
-    rows = [[g[i] for g in gens] for i in range(dim)]
-    return feasible_nonneg(rows, list(x))
 
 
 def _dd(halfspaces, dim):
@@ -151,7 +142,7 @@ class RationalCone:
     def contains(self, x):
         if len(x) != self.ambient_dim:
             raise DimMismatch("point has wrong dimension")
-        return _in_cone_raw(self.generators, tuple(x))
+        return all(dot(h, x) >= 0 for h in self.dual().generators)  # C = C**
 
     def dual(self):
         if self._dual is None:
@@ -163,13 +154,6 @@ class RationalCone:
             raise DimMismatch("ambient dims differ")
         return RationalCone.from_halfspaces(
             self.dual().generators + other.dual().generators, self.ambient_dim)
-
-    def contains_cone(self, other):
-        return all(self.contains(g) for g in other.generators)
-
-    def same_cone(self, other):
-        """Set equality, tested by mutual generator containment."""
-        return self.contains_cone(other) and other.contains_cone(self)
 
 
 # ---------------------------------------------------------------------------

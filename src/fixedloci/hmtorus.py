@@ -2,10 +2,12 @@
 
 A WeightedAction packages the weight data of a rank-r torus acting on a
 vector space (with an optional commuting auxiliary torus recorded through
-the w fields) together with the stability character theta.  Stability of a
-coordinate support set is decided by one exact LP certificate on the raw
-support weights; the optimal destabilizing one-parameter subgroup comes from
-a nearest-point projection in a user-chosen integral inner product.
+the w fields) together with the stability character theta.  Where only a
+yes/no answer is needed, stability of a coordinate support set is decided
+by one exact LP certificate on the raw support weights.  The Kempf minimum
+and the optimal destabilizing one-parameter subgroup come from a
+nearest-point projection onto the limit cone in a user-chosen integral
+inner product; the sign of that minimum gives the same two answers.
 """
 
 from __future__ import annotations

@@ -130,12 +130,12 @@ def random_rep(quiver: Quiver, dims, prime, rng: random.Random) -> RepFq:
     return RepFq.build(prime, {v: dims.get(v, 0) for v in quiver.vertices}, mats)
 
 
-def _check_guard(dims, prime, max_total_dim, max_prime):
+def _check_guard(dims, prime):
     total = sum(int(d) for d in dims.values())
-    if total > max_total_dim:
-        raise TooLarge("total dimension %d exceeds the guard %d" % (total, max_total_dim))
-    if prime > max_prime:
-        raise TooLarge("prime %d exceeds the guard %d" % (prime, max_prime))
+    if total > DEFAULT_MAX_TOTAL_DIM:
+        raise TooLarge("total dimension %d exceeds the guard %d" % (total, DEFAULT_MAX_TOTAL_DIM))
+    if prime > DEFAULT_MAX_PRIME:
+        raise TooLarge("prime %d exceeds the guard %d" % (prime, DEFAULT_MAX_PRIME))
     check_prime(prime)
 
 
@@ -167,14 +167,12 @@ def _iter_subrep_dimvectors(quiver: Quiver, M: RepFq):
             yield tuple(len(combo[i]) for i in range(len(verts)))
 
 
-def subrep_dimension_vectors(quiver: Quiver, M: RepFq,
-                             max_total_dim=DEFAULT_MAX_TOTAL_DIM,
-                             max_prime=DEFAULT_MAX_PRIME):
+def subrep_dimension_vectors(quiver: Quiver, M: RepFq):
     """The set of dimension vectors of subrepresentations, by exhaustion.
 
     Ordered by quiver.vertices.  Guarded: refuses large instances.
     """
-    _check_guard(dict(M.dims), M.prime, max_total_dim, max_prime)
+    _check_guard(dict(M.dims), M.prime)
     return set(_iter_subrep_dimvectors(quiver, M))
 
 
@@ -182,11 +180,9 @@ def _theta_vec(quiver, theta):
     return [int(theta.get(v, 0)) for v in quiver.vertices]
 
 
-def is_semistable_rep(quiver: Quiver, M: RepFq, theta,
-                      max_total_dim=DEFAULT_MAX_TOTAL_DIM,
-                      max_prime=DEFAULT_MAX_PRIME) -> bool:
+def is_semistable_rep(quiver: Quiver, M: RepFq, theta) -> bool:
     """King's inequality: theta of every subrepresentation is >= 0."""
-    _check_guard(dict(M.dims), M.prime, max_total_dim, max_prime)
+    _check_guard(dict(M.dims), M.prime)
     tv = _theta_vec(quiver, theta)
     for gamma in _iter_subrep_dimvectors(quiver, M):
         if sum(t * g for t, g in zip(tv, gamma)) < 0:
@@ -194,11 +190,9 @@ def is_semistable_rep(quiver: Quiver, M: RepFq, theta,
     return True
 
 
-def is_stable_rep(quiver: Quiver, M: RepFq, theta,
-                  max_total_dim=DEFAULT_MAX_TOTAL_DIM,
-                  max_prime=DEFAULT_MAX_PRIME) -> bool:
+def is_stable_rep(quiver: Quiver, M: RepFq, theta) -> bool:
     """King's strict inequality on proper nonzero subrepresentations."""
-    _check_guard(dict(M.dims), M.prime, max_total_dim, max_prime)
+    _check_guard(dict(M.dims), M.prime)
     tv = _theta_vec(quiver, theta)
     full = tuple(dict(M.dims).get(v, 0) for v in quiver.vertices)
     zero = tuple(0 for _ in quiver.vertices)
@@ -357,9 +351,7 @@ class Certification:
 
 
 def certify_component(quiver: Quiver, weights: ArrowWeights, beta: CoverVector, theta,
-                      trials=200, prime=5, seed=0,
-                      max_total_dim=DEFAULT_MAX_TOTAL_DIM,
-                      max_prime=DEFAULT_MAX_PRIME) -> Certification:
+                      trials=200, prime=5, seed=0) -> Certification:
     """Certify (non)emptiness of the stable locus a cover describes.
 
     In order: a structural destabilizer proves emptiness; without one a thin
@@ -372,7 +364,7 @@ def certify_component(quiver: Quiver, weights: ArrowWeights, beta: CoverVector, 
     """
     sq, dims, _ = support_quiver(quiver, weights, beta)
     th = theta_hat(theta, sq.vertices)
-    _check_guard(dims, prime, max_total_dim, max_prime)
+    _check_guard(dims, prime)
 
     dest = structural_destabilizer(sq, dims, th)
     if dest is not None:
@@ -395,7 +387,7 @@ def certify_component(quiver: Quiver, weights: ArrowWeights, beta: CoverVector, 
     for trial in range(trials):
         rng = random.Random("%s:%s:%d" % (seed, comp_key, trial))
         M = random_rep(sq, dims, prime, rng)
-        if is_stable_rep(sq, M, th, max_total_dim, max_prime) and endomorphism_dim(sq, M) == 1:
+        if is_stable_rep(sq, M, th) and endomorphism_dim(sq, M) == 1:
             return Certification(Status.NONEMPTY_VERIFIED, witness=M, witness_trial=trial,
                                  method=method or "fp_witness")
     if method is None:

@@ -1,6 +1,6 @@
 """Exact rational LP feasibility (phase-1 simplex with Bland's rule).
 
-Only the feasibility form needed by the cone and stability routines is
+Only the feasibility form needed by the support-stability certificates is
 provided: does A x = b admit x >= 0?  All pivoting is done over Fractions,
 so the answer is exact; Bland's rule guarantees termination.
 """

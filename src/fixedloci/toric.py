@@ -343,7 +343,7 @@ def fan_intersections_ok(fan: ToricFan, pairs=None) -> bool:
         a, b = cones[i], cones[j]
         inter = fan.cone_geometry(a).intersection(fan.cone_geometry(b))
         expected = fan.cone_geometry(tuple(sorted(set(a) & set(b))))
-        if not inter.same_cone(expected):
+        if inter != expected:
             return False
     return True
 

@@ -1,10 +1,13 @@
 import json
+import random
 
 import pytest
 
-from fixedloci import toric
+from fixedloci import simplex, toric
 from fixedloci.cli import main, validate_report
-from fixedloci.cli import _quiver_report, _toric_report
+from fixedloci.cli import _action_from_weights, _kempf_report, _quiver_report, _toric_report
+from fixedloci.hmtorus import is_semistable_support, is_stable_support
+from fixedloci.linalg import IntMatrix, rank
 
 
 HIRZ2 = {
@@ -164,6 +167,74 @@ def test_kempf_inner_product_flag(tmp_path, capsys):
     # a non-positive-definite matrix is rejected
     code, _, err = run(["kempf", f, "--inner-product", "[[0,0],[0,0]]"], capsys)
     assert code == 2
+
+
+def test_kempf_runs_no_lp(tmp_path, capsys, monkeypatch):
+    quad = {"kind": "weights", "g_rank": 2, "items": [{"chi": [1, 0]}, {"chi": [0, 1]}],
+            "theta": [1, 1]}
+    line = {"kind": "weights", "g_rank": 2, "items": [{"chi": [1, 1]}, {"chi": [-1, -1]}],
+            "theta": [0, 0]}
+    cases = [  # (problem, flags, semistable, stable)
+        (KEMPF, [], False, False),
+        (KEMPF, ["--support", "[]", "--inner-product", "[[2,1],[1,1]]"], False, False),
+        (quad, [], True, True),
+        (dict(quad, theta=[1, 0]), [], True, False),
+        (line, [], True, False),
+    ]
+    runs = []
+    for i, (data, flags, _, _) in enumerate(cases):
+        args = ["kempf", write(tmp_path, "k%d.json" % i, data)] + flags
+        runs.append((args, run(args, capsys)))
+
+    def no_lp(*args):
+        raise AssertionError("an LP ran")
+
+    # every LP, feasible_nonneg included, runs through solve_nonneg
+    monkeypatch.setattr(simplex, "solve_nonneg", no_lp)
+    for (args, before), (_, _, semistable, stable) in zip(runs, cases):
+        assert run(args, capsys) == before
+        assert before[0] == 0
+        k = json.loads(before[1])["kempf"]
+        assert (k["semistable"], k["stable"]) == (semistable, stable)
+
+
+def test_kempf_report_agrees_with_lp_certificates():
+    # the report reads both answers off the Kempf sign; the one-LP support
+    # certificates of hmtorus decide them independently
+    rng = random.Random(67)
+    seen = dict.fromkeys(["empty", "deficient", "zero_theta", "gram", "stable", "unstable",
+                          "semistable_only"], 0)
+    for n in range(500):
+        r = 1 + n % 4
+        if rng.random() < 0.25 and r > 1:  # weights in a proper subspace
+            basis = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(r - 1)]
+            chis = [[sum(rng.randint(-2, 2) * b[i] for b in basis) for i in range(r)]
+                    for _ in range(rng.randint(1, 6))]
+        else:
+            chis = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(rng.randint(1, 6))]
+        items = [{"chi": c, "mult": rng.choice([1, 1, 1, 2])} for c in chis]
+        theta = [0] * r if rng.random() < 0.15 else [rng.randint(-3, 3) for _ in range(r)]
+        data = {"kind": "weights", "g_rank": r, "items": items, "theta": theta}
+        index = [(s, k) for s, it in enumerate(items) for k in range(it["mult"])]
+        support = [] if rng.random() < 0.1 else [p for p in index if rng.random() < 0.7]
+        Q = None
+        if rng.random() < 0.5:
+            A = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(r)]
+            Q = [[sum(row[i] * row[j] for row in A) + (i == j) for j in range(r)]
+                 for i in range(r)]
+        k = _kempf_report(data, support, Q)["kempf"]
+        action = _action_from_weights(data)
+        assert k["semistable"] == is_semistable_support(action, support), (data, support, Q)
+        assert k["stable"] == is_stable_support(action, support), (data, support, Q)
+        support_chis = [chis[s] for s, _ in support]
+        seen["empty"] += not support
+        seen["deficient"] += bool(support) and rank(IntMatrix.from_rows(support_chis, r)) < r
+        seen["zero_theta"] += not any(theta)
+        seen["gram"] += Q is not None
+        seen["stable"] += k["stable"]
+        seen["unstable"] += not k["semistable"]
+        seen["semistable_only"] += k["semistable"] and not k["stable"]
+    assert min(seen.values()) > 20, seen
 
 
 def test_bad_theta_pairing_exits_2(tmp_path, capsys):

@@ -5,14 +5,24 @@ from fractions import Fraction
 import pytest
 
 from fixedloci import simplex
-from fixedloci.cones import RationalCone, _in_cone_raw, dot_q, project_onto_cone
+from fixedloci.cones import RationalCone, dot_q, project_onto_cone
 from fixedloci.errors import DimMismatch
 from fixedloci.linalg import IntMatrix, dot, hnf, is_zero_vec, kernel_basis, primitive, solve, vec_neg
 from fixedloci.simplex import feasible_nonneg, solve_nonneg
 
 
 # The LP-pruned double description that canonicalised and dualised cones
-# before the exact rank tests, kept verbatim as an oracle.
+# before the exact rank tests, and the LP membership test that decided
+# RationalCone.contains before the dual did, kept verbatim as oracles.
+
+def _in_cone_raw(gens, x):
+    """Membership of x in cone(gens) via nonnegative-combination feasibility."""
+    if not gens:
+        return all(a == 0 for a in x)
+    dim = len(x)
+    rows = [[g[i] for g in gens] for i in range(dim)]
+    return feasible_nonneg(rows, list(x))
+
 
 def saturated_lattice_basis(vectors, dim) -> IntMatrix:
     """Canonical basis of span_Q(vectors) intersected with Z^dim, as HNF rows."""
@@ -153,10 +163,42 @@ def test_no_lp_in_canonical_form_dual_or_intersection(monkeypatch):
                           for _ in range(rng.randint(0, 5))], d)
         B = RationalCone([tuple(rng.randint(-2, 2) for _ in range(d))
                           for _ in range(rng.randint(0, 5))], d)
-        assert A.intersection(B).dual().dual().generators == A.intersection(B).generators
+        I = A.intersection(B)
+        assert I.dual().dual().generators == I.generators
+        assert all(A.contains(g) and B.contains(g) for g in I.generators)
+        assert all(A.contains(g) for g in A.generators)
     assert RationalCone.full(3).dual() == RationalCone.zero(3)
-    with pytest.raises(AssertionError, match="an LP ran"):
-        RationalCone([(1, 0)], 2).contains((1, 1))
+    assert RationalCone([(1, 0)], 2).contains((1, 0))
+    assert not RationalCone([(1, 0)], 2).contains((1, 1))
+
+
+def test_contains_and_equality_match_lp_oracle():
+    # contains reads the dual's halfspaces and == compares canonical
+    # generators; the LP decides both from the raw generators
+    rng = random.Random(47)
+    seen = dict.fromkeys(["lineality", "inside", "outside", "equal", "unequal"], 0)
+    for _ in range(400):
+        d = rng.randint(1, 4)
+        gens = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(0, 5))]
+        gens += [vec_neg(g) for g in gens if rng.random() < 0.2]
+        if rng.random() < 0.5 and gens:  # the same cone from other generators
+            other = gens + [tuple(a + b for a, b in zip(*rng.sample(gens * 2, 2)))]
+            rng.shuffle(other)
+        else:
+            other = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(0, 5))]
+        A, B = RationalCone(gens, d), RationalCone(other, d)
+        points = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(8)]
+        points += [tuple(a + b for a, b in zip(g, h)) for g, h in zip(gens, other)]
+        for x in points:
+            inside = _in_cone_raw(gens, x)
+            assert A.contains(x) == inside, (gens, x)
+            seen["inside" if inside else "outside"] += 1
+        mutual = (all(_in_cone_raw(gens, g) for g in other)
+                  and all(_in_cone_raw(other, g) for g in gens))
+        assert (A == B) == mutual and (A != B) == (not mutual), (gens, other)
+        seen["equal" if mutual else "unequal"] += 1
+        seen["lineality"] += any(vec_neg(g) in A.generators for g in A.generators)
+    assert min(seen.values()) > 100, seen
 
 
 def test_simplex_basics():
@@ -208,7 +250,6 @@ def test_double_dual_random():
         gens = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(k)]
         C = RationalCone(gens, d)
         DD = C.dual().dual()
-        assert DD.same_cone(C)
         assert DD == C  # canonical form is unique, even with lineality
 
 
@@ -271,6 +312,6 @@ def test_intersection():
     A = RationalCone([(1, 0), (1, 1)])
     B = RationalCone([(1, 1), (0, 1)])
     I = A.intersection(B)
-    assert I.same_cone(RationalCone([(1, 1)], 2))
+    assert I == RationalCone([(1, 1)], 2)
     quad = RationalCone([(1, 0), (0, 1)])
-    assert quad.intersection(quad).same_cone(quad)
+    assert quad.intersection(quad) == quad
