@@ -25,11 +25,10 @@ from .toric import (
     ToricFan,
     enumerate_linear_maps,
     fixed_points_toric,
-    minimally_stable_subsets,
     quotient_fan,
     rho_from_stable_subset,
     s_rho,
-    stable_subsets,
+    toric_context,
 )
 from .quiver import (
     Arrow,
@@ -69,11 +68,10 @@ __all__ = [
     "ToricFan",
     "enumerate_linear_maps",
     "fixed_points_toric",
-    "minimally_stable_subsets",
     "quotient_fan",
     "rho_from_stable_subset",
     "s_rho",
-    "stable_subsets",
+    "toric_context",
     "Arrow",
     "ArrowWeights",
     "CoverVector",

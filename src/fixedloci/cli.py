@@ -37,7 +37,7 @@ from .quiver import (
     support_quiver,
 )
 from .repfield import DEFAULT_MAX_TOTAL_DIM, certify_component, check_prime
-from .toric import check_fan_enumerable, fixed_points_toric, quotient_fan, toric_context
+from .toric import fixed_points_toric, quotient_fan, toric_context
 
 
 def _load_schema(name):
@@ -152,12 +152,10 @@ def _toric_report(data, seed):
     opts = data.get("options", {})
     if "section" in opts:
         section = IntMatrix.from_rows(opts["section"], len(opts["section"][0]) if opts["section"] else 0)
-    check_fan_enumerable(action)
-    context = toric_context(action, section)
+    ctx = toric_context(action, section)
     # the free-action check in fixed_points_toric is cheap; run it before the fan scan
-    comps = fixed_points_toric(action, context=context)
-    fan = quotient_fan(action, context=context)
-    _, used_section = context
+    comps = fixed_points_toric(ctx)
+    fan = quotient_fan(ctx)
 
     m = action.total_dim
     flat = {idx: action.flat_index(idx) for idx in action.indices()}
@@ -197,7 +195,7 @@ def _toric_report(data, seed):
         "fan": fan_json,
         "counts": {
             "fixed_points": len(comp_json),
-            "section_rows": used_section.nrows,
+            "section_rows": ctx.section.nrows,
         },
     }
 

@@ -28,15 +28,14 @@ from fixedloci.hmtorus import (
 from fixedloci.linalg import dot
 from fixedloci.quiver import ArrowWeights, CoverVector, component_dimension
 from fixedloci.simplex import feasible_nonneg
-from fixedloci.toric import (
-    enumerate_linear_maps,
+from fixedloci.toric import enumerate_linear_maps, quotient_fan, toric_context
+from test_toric import classical_hirzebruch_fan
+from toric_oracles import (
     fan_intersections_ok,
     fan_is_face_closed,
     fan_is_simplicial,
     fans_unimodularly_equivalent,
-    quotient_fan,
 )
-from test_toric import classical_hirzebruch_fan
 
 
 @contextmanager
@@ -88,7 +87,7 @@ def test_criterion_1_hirzebruch():
                 ((1, 0), (-d, 0)),      # rho_3: (t1, t1^-d)
                 ((0, 0), (0, 0)),       # rho_4: (1, 1)
             }
-            fan = quotient_fan(hirzebruch_action(d))
+            fan = quotient_fan(toric_context(hirzebruch_action(d)))
             assert fans_unimodularly_equivalent(fan, classical_hirzebruch_fan(d))
         elapsed = time.monotonic() - t0
         assert elapsed < 1.0, "took %.2fs" % elapsed
@@ -340,9 +339,9 @@ def test_criterion_7_lattice_map_enumeration():
 
 def test_criterion_8_fan_axioms():
     with criterion(8, "fan axioms on all generated fans"):
-        fans = [quotient_fan(hirzebruch_action(d)) for d in range(4)]
-        fans.append(quotient_fan(WeightedAction(1, 0, (WeightItem((1,), mult=2),), (1,))))
-        fans.append(quotient_fan(WeightedAction(0, 0, (WeightItem(()),), ())))
+        fans = [quotient_fan(toric_context(hirzebruch_action(d))) for d in range(4)]
+        fans.append(quotient_fan(toric_context(WeightedAction(1, 0, (WeightItem((1,), mult=2),), (1,)))))
+        fans.append(quotient_fan(toric_context(WeightedAction(0, 0, (WeightItem(()),), ()))))
         rng = random.Random(109)
         made = 0
         while made < 10:
@@ -353,7 +352,7 @@ def test_criterion_8_fan_axioms():
             )
             theta = tuple(rng.randint(-2, 2) for _ in range(r))
             try:
-                fans.append(quotient_fan(WeightedAction(r, 0, items, theta)))
+                fans.append(quotient_fan(toric_context(WeightedAction(r, 0, items, theta))))
                 made += 1
             except (EmptyStableLocus, NotInjective, TorsionCokernel):
                 continue

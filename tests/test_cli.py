@@ -1,3 +1,4 @@
+import collections
 import json
 import random
 
@@ -130,6 +131,22 @@ def test_toric_context_and_locus_check_run_once(tmp_path, capsys, monkeypatch):
     code, out, _ = run(["toric", write(tmp_path, "h.json", HIRZ2)], capsys)
     assert code == 0 and len(json.loads(out)["components"]) == 4
     assert len(contexts) == len(full_checks) == 1
+
+
+def test_toric_stability_decided_once_per_item_set(tmp_path, capsys, monkeypatch):
+    # folded (P^1)^4: four weight items of multiplicity two
+    prob = {"kind": "toric", "g_rank": 4, "theta": [1] * 4,
+            "weights": [{"chi": [int(i == j) for j in range(4)], "mult": 2} for i in range(4)]}
+    calls, stable = collections.Counter(), toric.is_stable_support
+
+    def counted_stable(action, support):
+        calls[frozenset(s for s, _ in support)] += 1
+        return stable(action, support)
+
+    monkeypatch.setattr("fixedloci.toric.is_stable_support", counted_stable)
+    code, out, _ = run(["toric", write(tmp_path, "p1.json", prob)], capsys)
+    assert code == 0 and len(json.loads(out)["components"]) == 16
+    assert len(calls) == 16 and max(calls.values()) == 1
 
 
 def test_grassmann_and_kempf_run(tmp_path, capsys):

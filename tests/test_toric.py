@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,27 +8,30 @@ from fixedloci.errors import (
     EmptyStableLocus,
     FreeActionViolated,
     NotInjective,
+    TooLarge,
     TorsionCokernel,
 )
 from fixedloci.hmtorus import WeightItem, WeightedAction
-from fixedloci.linalg import IntMatrix
+from fixedloci.linalg import IntMatrix, det, primitive
 from fixedloci.toric import (
+    MAX_ENUM_DIM,
     RhoMap,
     ToricFan,
     candidate_rhos,
     enumerate_linear_maps,
+    fixed_points_toric,
+    quotient_fan,
+    rho_from_stable_subset,
+    s_rho,
+    toric_context,
+)
+from toric_oracles import (
     fan_intersections_ok,
     fan_is_face_closed,
     fan_is_simplicial,
     fans_unimodularly_equivalent,
-    fixed_points_toric,
-    minimally_stable_subsets,
     necessary_condition,
-    quotient_fan,
-    rho_from_stable_subset,
-    s_rho,
     stable_subsets,
-    toric_context,
 )
 
 
@@ -40,6 +44,13 @@ def classical_hirzebruch_fan(d):
         for r in c:
             cones.add((r,))
     return ToricFan(2, rays, tuple(sorted(cones)))
+
+
+def minimally_stable_subsets(action):
+    """The stable r-subsets of I, decided by the context's stability memo."""
+    ctx = toric_context(action)
+    return [frozenset(comb) for comb in itertools.combinations(action.indices(), action.g_rank)
+            if ctx.stable(comb)]
 
 
 def test_minimally_stable_hirzebruch(hirz2):
@@ -67,7 +78,8 @@ def test_stable_subsets_zero_theta_empty():
         (0, 0),
     )
     assert stable_subsets(A) == []
-    assert minimally_stable_subsets(A) == []
+    with pytest.raises(EmptyStableLocus):
+        toric_context(A)
 
 
 def test_minimal_two_copies():
@@ -78,7 +90,7 @@ def test_minimal_two_copies():
 
 def test_quotient_fan_hirzebruch_matches_classical():
     for d in range(4):
-        fan = quotient_fan(hirzebruch_action(d))
+        fan = quotient_fan(toric_context(hirzebruch_action(d)))
         assert len(fan.maximal_cones) == 4
         assert all(len(c) == 2 for c in fan.maximal_cones)
         assert fans_unimodularly_equivalent(fan, classical_hirzebruch_fan(d))
@@ -86,7 +98,7 @@ def test_quotient_fan_hirzebruch_matches_classical():
 
 def test_quotient_fan_trivial_group():
     A = WeightedAction(0, 0, (WeightItem(()),), ())
-    fan = quotient_fan(A)
+    fan = quotient_fan(toric_context(A))
     assert fan.lattice_rank == 1
     assert fan.rays == ((1,),)
     assert fan.cones == ((), (0,))
@@ -94,16 +106,16 @@ def test_quotient_fan_trivial_group():
 
 def test_quotient_fan_p1():
     A = WeightedAction(1, 0, (WeightItem((1,), mult=2),), (1,))
-    fan = quotient_fan(A)
+    fan = quotient_fan(toric_context(A))
     assert sorted(fan.rays) == [(-1,), (1,)]
     assert fan.maximal_cones == ((0,), (1,))
-    comps = fixed_points_toric(A)
+    comps = fixed_points_toric(toric_context(A))
     assert len(comps) == 2
 
 
 def test_fan_axioms():
-    fans = [quotient_fan(hirzebruch_action(d)) for d in range(4)]
-    fans.append(quotient_fan(WeightedAction(1, 0, (WeightItem((1,), mult=2),), (1,))))
+    fans = [quotient_fan(toric_context(hirzebruch_action(d))) for d in range(4)]
+    fans.append(quotient_fan(toric_context(WeightedAction(1, 0, (WeightItem((1,), mult=2),), (1,)))))
     rng = random.Random(61)
     made = 0
     while made < 6:
@@ -113,7 +125,7 @@ def test_fan_axioms():
         theta = tuple(rng.randint(-2, 2) for _ in range(r))
         A = WeightedAction(r, 0, items, theta)
         try:
-            fans.append(quotient_fan(A))
+            fans.append(quotient_fan(toric_context(A)))
             made += 1
         except (EmptyStableLocus, NotInjective, TorsionCokernel):
             continue
@@ -123,8 +135,45 @@ def test_fan_axioms():
         assert fan_intersections_ok(fan)
 
 
+def test_scans_agree_with_stable_subsets_oracle():
+    rng = random.Random(73)
+    checked = 0
+    for _ in range(300):
+        r = rng.randint(0, 3)
+        items = tuple(WeightItem(tuple(rng.randint(-1, 1) for _ in range(r)),
+                                 mult=rng.choice((1, 1, 2, 3)))
+                      for _ in range(rng.randint(max(1, r), r + 3)))
+        A = WeightedAction(r, 0, items, tuple(rng.randint(-1, 1) for _ in range(r)))
+        oracle = stable_subsets(A)
+        full = frozenset(A.indices())
+        try:
+            ctx = toric_context(A)
+        except EmptyStableLocus:
+            assert full not in oracle
+            continue
+        except (NotInjective, TorsionCokernel):
+            continue
+        bases = [tuple(sorted(s)) for s in oracle if len(s) == r]
+        try:
+            assert [c.support for c in fixed_points_toric(ctx)] == bases
+        except FreeActionViolated:
+            assert any(abs(det([A.chi_of(i) for i in b])) != 1 for b in bases)
+        fan = quotient_fan(ctx)
+        ray = {i: primitive(ctx.pi.col(A.flat_index(i))) for i in full}
+        assert ({frozenset(fan.rays[i] for i in c) for c in fan.cones}
+                == {frozenset(ray[i] for i in full - s) for s in oracle})
+        checked += 1
+    assert checked >= 100
+
+
+def test_context_refuses_past_max_enum_dim():
+    A = WeightedAction(1, 0, (WeightItem((1,), mult=MAX_ENUM_DIM + 1),), (1,))
+    with pytest.raises(TooLarge, match="fan enumeration over 2\\^17 subsets refused"):
+        toric_context(A)
+
+
 def test_fixed_points_hirzebruch_patterns(hirz2):
-    comps = fixed_points_toric(hirz2, PAPER_SECTION)
+    comps = fixed_points_toric(toric_context(hirz2, PAPER_SECTION))
     assert len(comps) == 4
     assert all(c.dimension == 0 for c in comps)
     supports = {c.support for c in comps}
@@ -141,9 +190,9 @@ def test_fixed_points_empty_stable_locus():
     # theta = 0 with only positive weights: nothing is stable
     assert stable_subsets(A) == []
     with pytest.raises(EmptyStableLocus):
-        quotient_fan(A)
+        quotient_fan(toric_context(A))
     with pytest.raises(EmptyStableLocus):
-        fixed_points_toric(A)
+        fixed_points_toric(toric_context(A))
 
 
 def test_rho_examples_match_reference():
@@ -171,7 +220,7 @@ def test_s_rho_examples(hirz2):
 
 
 def test_bijection_properties(hirz2):
-    _, c = toric_context(hirz2)
+    c = toric_context(hirz2).section
     mins = minimally_stable_subsets(hirz2)
     rhos = [rho_from_stable_subset(hirz2, s, c) for s in mins]
     # mutually inverse
@@ -181,20 +230,20 @@ def test_bijection_properties(hirz2):
     # injective
     assert len({r.matrix.entries for r in rhos}) == len(rhos)
     # counts line up with the fan
-    fan = quotient_fan(hirz2)
-    assert len(fan.maximal_cones) == len(mins) == len(fixed_points_toric(hirz2))
+    fan = quotient_fan(toric_context(hirz2))
+    assert len(fan.maximal_cones) == len(mins) == len(fixed_points_toric(toric_context(hirz2)))
 
 
 def test_section_choice_preserves_counts(hirz2):
-    default = fixed_points_toric(hirz2)
-    papered = fixed_points_toric(hirz2, PAPER_SECTION)
+    default = fixed_points_toric(toric_context(hirz2))
+    papered = fixed_points_toric(toric_context(hirz2, PAPER_SECTION))
     assert len(default) == len(papered) == 4
     assert {c.support for c in default} == {c.support for c in papered}
 
 
 def test_rho_requires_unimodular_support():
     A = WeightedAction(1, 0, (WeightItem((2,)), WeightItem((1,))), (1,))
-    _, c = toric_context(A)
+    c = toric_context(A).section
     with pytest.raises(FreeActionViolated):
         rho_from_stable_subset(A, {(0, 0)}, c)
 
@@ -210,7 +259,7 @@ def test_necessary_condition(hirz2):
 
 def test_candidate_rhos_hirzebruch(hirz2):
     # attach the section rows as auxiliary weights and enumerate candidates
-    _, c = toric_context(hirz2, PAPER_SECTION)
+    c = toric_context(hirz2, PAPER_SECTION).section
     items = tuple(
         WeightItem(hirz2.chi_of(i), c.entries[hirz2.flat_index(i)])
         for i in hirz2.indices()
