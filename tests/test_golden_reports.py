@@ -4,8 +4,11 @@ GOLDEN pins the exit code and the sha256 of the CLI's stdout for every
 `problems/*.json` file in json, table and dot format, for 60 seeded kempf
 files (g_rank 0-4) run with `--support` and `--inner-product` flags, and
 for 60 seeded toric files (g_rank 0-3, with multiplicities, one in three
-with a section) in json and dot format.  A seeded toric case also pins
-the sha256 of stderr, since many of its files exit 2 or 3.  A refactoring
+with a section) in json and dot format, and for 38 seeded quiver files
+and four Kronecker quivers in json format.  Seeded toric and quiver cases
+also pin the sha256 of stderr, since many of their files exit 2 or 3.  The
+quiver cases pin the F_p witnesses and the trials that found them, so they
+hold the subrepresentation scans to their exact answers.  A refactoring
 or speed-up must leave every one of them unchanged.
 
 When a change is meant to alter a report, regenerate the table with
@@ -92,6 +95,61 @@ def _toric_file(seed):
     return data
 
 
+def _quiver_file(seed):
+    """A seeded quiver problem on one to three vertices and its flags.
+
+    The vertices lie on a path of arrows in random directions, with one to
+    four more arrows between random vertices, so loops and 2-cycles occur.
+    Two files in three grade the arrows by `arrow_weights` of rank 0 or 1,
+    mostly 0, which keeps cycles in the support quiver: those components
+    end `fp_witness` or `CandidateOnly`.  One file in thirteen has total
+    dimension 9 or more, past the certification guard.
+    """
+    rng = random.Random("quiver:%d" % seed)
+    n = rng.randint(1, 3)
+    vertices = ["v%d" % i for i in range(n)]
+    pairs = [(vertices[i], vertices[i + 1])[::rng.choice((1, -1))] for i in range(n - 1)]
+    pairs += [(rng.choice(vertices), rng.choice(vertices)) for _ in range(rng.randint(1, 4))]
+    arrows = [{"id": "a%d" % k, "src": s, "tgt": t} for k, (s, t) in enumerate(pairs)]
+    large = seed % 13 == 12
+    alpha = {v: rng.randint(1, 3) for v in vertices}
+    while not large and sum(alpha.values()) > 8:
+        alpha[rng.choice(vertices)] -= 1
+    while large and sum(alpha.values()) < 9:
+        alpha[rng.choice(vertices)] += 1
+    theta = {v: rng.randint(-3, 3) for v in vertices}
+    v = max(vertices, key=lambda u: alpha[u] == 1)
+    theta[v] = 0
+    theta[v] = -sum(theta[u] * alpha[u] for u in vertices) // alpha[v]
+    if sum(theta[u] * alpha[u] for u in vertices):
+        theta = {u: 0 for u in vertices}
+    data = {"kind": "quiver", "vertices": vertices, "arrows": arrows,
+            "alpha": alpha, "theta": theta}
+    if seed % 3:
+        aux = rng.randint(0, 1)
+        data["arrow_weights"] = {"aux_rank": aux, "weights": {
+            a["id"]: [rng.choice((0, 0, 1, -1)) for _ in range(aux)] for a in arrows}}
+    flags = ["--seed", str(rng.randint(0, 99)), "--prime", str(rng.choice((2, 3, 5))),
+             "--trials", str(rng.choice((0, 1, 5, 20, 60)))]
+    if rng.random() < 0.7:
+        flags += ["--window", str(rng.randint(1, 2))]
+    return data, flags
+
+
+def _kronecker(n, a, b):
+    return {"kind": "quiver", "vertices": ["1", "2"],
+            "arrows": [{"id": "a%d" % i, "src": "1", "tgt": "2"} for i in range(n)],
+            "alpha": {"1": a, "2": b}, "theta": {"1": -b, "2": a}}
+
+
+KRONECKER_RUNS = (
+    ((3, 3, 4), ["--window", "2", "--prime", "5", "--trials", "200"]),
+    ((3, 3, 5), ["--window", "2", "--prime", "5", "--trials", "200"]),
+    ((3, 2, 3), ["--window", "1", "--prime", "3", "--trials", "40", "--seed", "7"]),
+    ((4, 1, 3), ["--prime", "2", "--trials", "20", "--seed", "3"]),
+)
+
+
 def _cases(tmp):
     for path in sorted(PROBLEMS.glob("*.json")):
         command = KIND_TO_COMMAND[json.loads(path.read_text())["kind"]]
@@ -109,6 +167,13 @@ def _cases(tmp):
             json.dump(_toric_file(seed), fh)
         for fmt in ("json", "dot"):
             yield "toric:%d:%s" % (seed, fmt), ["toric", path, "--format", fmt]
+    runs = [("quiver:%d" % seed,) + _quiver_file(seed) for seed in range(38)]
+    runs += [("quiver:K%d(%d,%d)" % nab, _kronecker(*nab), flags) for nab, flags in KRONECKER_RUNS]
+    for case, data, flags in runs:
+        path = os.path.join(tmp, case.replace(":", "_") + ".json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        yield case, ["quiver", path] + flags
 
 
 def _sha(text):
@@ -127,7 +192,7 @@ def _run(args, with_stderr):
 
 def digests():
     with tempfile.TemporaryDirectory() as tmp:
-        return {case: _run(args, case.startswith("toric:")) for case, args in _cases(tmp)}
+        return {case: _run(args, case.startswith(("toric:", "quiver:"))) for case, args in _cases(tmp)}
 
 
 GOLDEN = {
@@ -323,6 +388,48 @@ GOLDEN = {
     'toric:58:dot': '2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 2674f49e33032fcea3f0530048fc4ddb8b8ea1385b8e77154e1096952906b380',
     'toric:59:json': '3 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 ed4d926061d87a8e61a59bfe5c071514d2f04b77d29577a9460a7cbf7a6f4834',
     'toric:59:dot': '3 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 ed4d926061d87a8e61a59bfe5c071514d2f04b77d29577a9460a7cbf7a6f4834',
+    'quiver:0': '0 c6532371531c03a411c93b7c3956ca45cef49834464676362d0c6e0a2094c36f e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:1': '0 d6033ca2059b7a70a0fca6b77cc7f48bba32b8fb8a1090c87a2ee9063a6aac6a e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:2': '0 bfa1ea2548c8434760ea502b9092e34c8710a9c85b1512d8afe1ce91ec07c553 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:3': '0 89e82bda3c3f1bf9bb13ae0a7450033a1a7065a15ad4a592971b6f91212e486a e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:4': '0 1d57160f2c3eb09dbbe3ee5dc5a837d6a8c48412ecd9c2236fb80fb4aeff1f53 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:5': '0 5c3231fdfd022f37c6a68a7defa852426c83f7766ddbb04222dc262c837c27cb e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:6': '0 b8b34926add72dc88e99d220ea438deb5290047890cac1e0806729cf4486a084 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:7': '0 108030b1640cfacbab79a577ab3f74799d5ef7b67a3e782eeb20be085c4cbf0f e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:8': '0 e6aefacd362ce67bcce62c4fd361fc74219df8e6ee37c1a99ccd2194f94f6d99 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:9': '0 8f291e47e21eb212864df2de35aec13a1270b296ad6f1a2fac422e5398073d70 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:10': '0 dd8ac306a3c488b84b096cb1fecb9765159b7be70fc3cf3e87be24fe210ca1fb e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:11': '0 6cfd3147422332a0a01683a4f8788fbefe8f4fbbcd9dd592cb7f8c8dd12e2d32 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:12': '3 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 ed544937690ba3138b2a67abeff096e4a66ab9160897196973eedac06c304c56',
+    'quiver:13': '0 b30b05e91020a4be481cec72c6e64828488ca9609e1abfda034da64dfe95f8c1 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:14': '0 946a7aef3031fd3a5e33d83221e7a0b2a6ba485b616eb08539e2f2d88b5a603e e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:15': '0 bd5fe67a525df220f0bcafb0fa222acf217a4f1eb936d1ca9ef7d2b77130500e e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:16': '0 9baa80f277a6048073d844f8038205042d0989605923412dbf75640c0db2e09a e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:17': '0 a7c64da5b16230e5b9458d4fafec015c0fc30f4972c4b42df3469303e4d790f0 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:18': '0 07b449d7d8b3799832e60b2d8e3cf676477a6096ad5d85da84651c93d6efa979 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:19': '0 b356f6932c4c0cfae9b1b6d0daeb5a3ebcfb1f9fc49023592c3454e069009e19 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:20': '0 d41c783b661998394ed364aebbbf68fe744c4332c9a7a7538b519ecc7a309b8c e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:21': '0 5ed47592a989c0b7f2dd86fa233234fe98039587c96d8b7fd30a2cc1ecf62971 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:22': '0 8b36908dfa9697cc660bf31103a9b98c632e3ee67bd3af984fcb5bcb2251ebbe e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:23': '0 424b84f3205bc1fc48c3216f484eb90806b79025c8c92640a46aceaf5502840a e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:24': '0 ddf8d100e5b2b461f4e6dbb08c28e5197417e74cf215ad69375423a6a8fe694d e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:25': '3 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 ed544937690ba3138b2a67abeff096e4a66ab9160897196973eedac06c304c56',
+    'quiver:26': '0 a9fc25c5aa2764f5ce86daeb478959420c4c779021602b0bac13e69f5bedac76 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:27': '0 ef7ad0380545e09653ea1ca3d6d57121fd69dd0be9314a3cca865cadda3571dd e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:28': '0 653006115d05050ffa38143ecd3c95d3c8ecb8ceb82e72c6d5af46e3b8b9e69b e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:29': '0 f0f0dda1134f123bdceeebbdd571d8caaa2137c675a46dc691dd33d407309032 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:30': '0 309e01245137430eff328ac02e9e4e6c5e27bd78c4dc25c8f240c14554e777d0 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:31': '0 47042b9de21d43048b249ba77efdcf23acaeab18d1581a801f3cfe162e95d0f9 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:32': '0 5d115c2bbfb24b9a26622bdb5ee5685456d79e95ceadcbf2dde72e4010249f5e e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:33': '0 e3548d1b5d299e7bd775fcbc9a7448485b128913554c5d9725da2e588c17f5aa e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:34': '0 54db72f63dc4d5a4b388216103f0d6c3390d0c07e76d15a0372722cdcd9d615d e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:35': '0 48d167fcd8fde6a10794a2ec8525f8f8d28f97692f17d8a2a9ffd048de7b1907 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:36': '0 0511ebb77801fc0edef90347fa30aaa988bfd535c29b26092c4486ef92b14efd e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:37': '0 5cc4c371e4ca5254c28cda5e74430a49d0d067ccebe45750178dafb0d0126692 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:K3(3,4)': '0 dd0da51c6c5934725cbc8327a75d665334ccae8479aab2fc5a1c5000c1ba885e e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:K3(3,5)': '0 fbe2e998e2cf85857b426a2fd4cdfbe40baefb4b31d1909fa995085f62aaa9a6 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:K3(2,3)': '0 e31ecf1a1a1b65665f58cefcd5b289f71069a7f424e07d35992a4780b9de01e8 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:K4(1,3)': '0 4a564cf5f33f9de8040ede2954578279129c6188ef432648719062867c0c0db4 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
 }
 
 
