@@ -41,9 +41,7 @@ from .quiver import (
 from .repfield import (
     RepFq,
     certify_component,
-    is_semistable_rep,
     is_stable_rep,
-    subrep_dimension_vectors,
 )
 from .grassmann import GrassmannComponent, GrassmannProblem, classify, component_count
 
@@ -80,9 +78,7 @@ __all__ = [
     "enumerate_covers",
     "RepFq",
     "certify_component",
-    "is_semistable_rep",
     "is_stable_rep",
-    "subrep_dimension_vectors",
     "GrassmannComponent",
     "GrassmannProblem",
     "classify",

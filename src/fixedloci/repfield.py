@@ -16,13 +16,15 @@ certificate; it is exact there too, since the geometrically stable locus
 is open in the representation space over Spec Z, which is irreducible, so
 one F_p point of it proves the locus nonempty in characteristic zero.  A
 component with no witness there stays CandidateOnly.  King's inequalities
-are evaluated on F_p representations by scanning all subspace tuples
-closed under the arrow maps.
+are evaluated on F_p representations by a depth-first scan that extends
+only subspace tuples closed under the arrow maps.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -73,7 +75,7 @@ def gf_in_span(rref_rows, vec, p):
 
 
 def gf_matvec(mat, vec, p):
-    return tuple(sum(a * b for a, b in zip(row, vec)) % p for row in mat)
+    return tuple(sum(map(operator.mul, row, vec)) % p for row in mat)
 
 
 def subspaces(n, p):
@@ -115,18 +117,18 @@ class RepFq:
             tuple(sorted((a, tuple(tuple(int(x) % prime for x in row) for row in m)) for a, m in mats.items())),
         )
 
+    @functools.cached_property
+    def _mat_dict(self):
+        return dict(self.mats)
+
     def mat_of(self, arrow_id):
-        return dict(self.mats)[arrow_id]
+        return self._mat_dict[arrow_id]
 
 
 def random_rep(quiver: Quiver, dims, prime, rng: random.Random) -> RepFq:
-    mats = {}
-    for a in quiver.arrows:
-        rows = tuple(
-            tuple(rng.randrange(prime) for _ in range(int(dims.get(a.src, 0))))
-            for _ in range(int(dims.get(a.tgt, 0)))
-        )
-        mats[a.id] = rows
+    mats = {a.id: tuple(tuple(rng.randrange(prime) for _ in range(int(dims.get(a.src, 0))))
+                        for _ in range(int(dims.get(a.tgt, 0))))
+            for a in quiver.arrows}
     return RepFq.build(prime, {v: dims.get(v, 0) for v in quiver.vertices}, mats)
 
 
@@ -140,68 +142,73 @@ def _check_guard(dims, prime):
 
 
 def check_prime(prime):
-    """A non-prime modulus is bad input, not an exceeded guard."""
-    if prime < 2 or any(prime % q == 0 for q in range(2, prime)):
+    """A non-prime modulus is bad input, not an exceeded guard; this runs
+    before the prime guard.  Below 3.3e24 the strong probable-prime test to
+    the primes up to 41 is exact (Sorenson and Webster, Math. Comp. 86,
+    2017); above it, trial division by every q with q * q <= prime decides.
+    """
+    bases, n, d, r = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41), prime, prime - 1, 0
+    while n > 2 and d % 2 == 0:
+        d, r = d // 2, r + 1
+    if n >= 3317044064679887385961981:
+        composite = any(n % q == 0 for q in range(2, math.isqrt(n) + 1))
+    else:
+        composite = n < 2 or (n not in bases and any(
+            pow(a, d, n) != 1 and all(pow(a, d << i, n) != n - 1 for i in range(r)) for a in bases))
+    if composite:
         raise ValidationError("modulus %d is not prime" % prime)
 
 
 def _iter_subrep_dimvectors(quiver: Quiver, M: RepFq):
-    """Yield the dimension vectors of all subrepresentations (with repeats)."""
-    p = M.prime
-    dims = dict(M.dims)
-    verts = list(quiver.vertices)
-    space_lists = [subspaces(dims.get(v, 0), p) for v in verts]
-    arrows = [(a, M.mat_of(a.id), verts.index(a.src), verts.index(a.tgt)) for a in quiver.arrows]
-    for combo in itertools.product(*space_lists):
-        ok = True
-        for a, mat, si, ti in arrows:
-            target = combo[ti]
-            for basis_vec in combo[si]:
-                img = gf_matvec(mat, basis_vec, p)
-                if any(img) and not gf_in_span(target, img, p):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield tuple(len(combo[i]) for i in range(len(verts)))
+    """Yield the dimension vectors of all subrepresentations (with repeats).
 
-
-def subrep_dimension_vectors(quiver: Quiver, M: RepFq):
-    """The set of dimension vectors of subrepresentations, by exhaustion.
-
-    Ordered by quiver.vertices.  Guarded: refuses large instances.
+    Ordered by quiver.vertices.  The vertices take subspaces depth-first in
+    breadth-first order of the underlying graph; each arrow is checked as
+    soon as both its ends have a subspace, and a failed check prunes the
+    branch.  The image of every source subspace is computed once.
     """
-    _check_guard(dict(M.dims), M.prime)
-    return set(_iter_subrep_dimvectors(quiver, M))
+    p, dims, order, head = M.prime, dict(M.dims), [], 0
+    ends = [(a.src, a.tgt) for a in quiver.arrows] + [(a.tgt, a.src) for a in quiver.arrows]
+    for root in quiver.vertices:  # breadth-first; order[head:] is the queue
+        order += [] if root in order else [root]
+        while head < len(order):
+            order += [u for u in dict.fromkeys(u for s, u in ends if s == order[head]) if u not in order]
+            head += 1
+    depth = {v: k for k, v in enumerate(order)}
+    lists = {n: subspaces(n, p) for n in {dims.get(v, 0) for v in order}}
+    spaces = [lists[dims.get(v, 0)] for v in order]
+    checks = [[] for _ in order]  # the arrows whose later end is order[k]
+    for a in quiver.arrows:
+        mat, s, t = M.mat_of(a.id), depth[a.src], depth[a.tgt]
+        images = [[x for x in (gf_matvec(mat, row, p) for row in S) if any(x)] for S in spaces[s]]
+        checks[max(s, t)].append((s, t, images))
+    out, chosen, gamma, k = [depth[v] for v in quiver.vertices], [-1] * len(order), [0] * len(order), 0
+    while k >= 0:
+        if k == len(order):
+            yield tuple(map(gamma.__getitem__, out))
+            k -= 1
+        elif chosen[k] + 1 == len(spaces[k]):
+            chosen[k] = -1
+            k -= 1
+        else:
+            chosen[k] += 1
+            if all(gf_in_span(spaces[t][chosen[t]], row, p)
+                   for s, t, images in checks[k] for row in images[chosen[s]]):
+                gamma[k] = len(spaces[k][chosen[k]])
+                k += 1
 
 
 def _theta_vec(quiver, theta):
     return [int(theta.get(v, 0)) for v in quiver.vertices]
 
 
-def is_semistable_rep(quiver: Quiver, M: RepFq, theta) -> bool:
-    """King's inequality: theta of every subrepresentation is >= 0."""
-    _check_guard(dict(M.dims), M.prime)
-    tv = _theta_vec(quiver, theta)
-    for gamma in _iter_subrep_dimvectors(quiver, M):
-        if sum(t * g for t, g in zip(tv, gamma)) < 0:
-            return False
-    return True
-
-
 def is_stable_rep(quiver: Quiver, M: RepFq, theta) -> bool:
     """King's strict inequality on proper nonzero subrepresentations."""
     _check_guard(dict(M.dims), M.prime)
     tv = _theta_vec(quiver, theta)
-    full = tuple(dict(M.dims).get(v, 0) for v in quiver.vertices)
-    zero = tuple(0 for _ in quiver.vertices)
-    for gamma in _iter_subrep_dimvectors(quiver, M):
-        if gamma in (zero, full):
-            continue
-        if sum(t * g for t, g in zip(tv, gamma)) <= 0:
-            return False
-    return True
+    trivial = tuple(0 for _ in quiver.vertices), tuple(dict(M.dims).get(v, 0) for v in quiver.vertices)
+    return all(sum(map(operator.mul, tv, gamma)) > 0
+               for gamma in _iter_subrep_dimvectors(quiver, M) if gamma not in trivial)
 
 
 # ---------------------------------------------------------------------------
@@ -232,28 +239,25 @@ def structural_destabilizer(quiver: Quiver, dims, theta):
 
     The full spaces over such a subset form a subrepresentation of every
     representation with these dimensions, so its existence certifies that no
-    point is stable.
+    point is stable.  The arrow-closed subsets of the support are the unions
+    of its forward-reachability sets; the least one by size, then by
+    lexicographic position in the support, is returned.
     """
-    out_edges = {}
-    for a in quiver.arrows:
-        out_edges.setdefault(a.src, set()).add(a.tgt)
     supp = [v for v in quiver.vertices if int(dims.get(v, 0)) > 0]
-    supp_set = set(supp)
-    for r in range(1, len(supp)):
-        for combo in itertools.combinations(supp, r):
-            chosen = set(combo)
-            closed = all(
-                t in chosen
-                for v in chosen
-                for t in out_edges.get(v, ())
-                if t in supp_set
-            )
-            if not closed:
-                continue
-            val = sum(int(theta.get(v, 0)) * int(dims.get(v, 0)) for v in chosen)
-            if val <= 0:
-                return {v: int(dims.get(v, 0)) for v in chosen}
-    return None
+    bit = {v: 1 << i for i, v in enumerate(supp)}
+    closed = {0}
+    for v in supp:  # add the unions with the set reachable from v
+        reach, stack = 0, [v]
+        while stack:
+            u = stack.pop()
+            if not reach & bit[u]:
+                reach |= bit[u]
+                stack += [a.tgt for a in quiver.arrows if a.src == u and a.tgt in bit]
+        closed |= {c | reach for c in closed}
+    weight = [int(theta.get(v, 0)) * int(dims[v]) for v in supp]
+    members = ([i for i in range(len(supp)) if c >> i & 1] for c in closed - {0, (1 << len(supp)) - 1})
+    best = min(((len(m), m) for m in members if sum(weight[i] for i in m) <= 0), default=None)
+    return None if best is None else {v: int(dims.get(v, 0)) for v in set(supp[i] for i in best[1])}
 
 
 def is_acyclic(quiver: Quiver) -> bool:

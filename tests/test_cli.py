@@ -290,6 +290,22 @@ def test_guard_exits_3(tmp_path, capsys):
     assert "guard error" in err
 
 
+def test_large_prime_modulus_reaches_the_guard(tmp_path, capsys):
+    # 2^61 - 1 is prime; dividing by every q below it, or below its square
+    # root, would never get to the guard
+    f = write(tmp_path, "k.json", KRON3)
+    p = 2 ** 61 - 1
+    code, out, err = run(["quiver", f, "--prime", str(p)], capsys)
+    assert (code, out, err) == (3, "", "guard error: prime %d exceeds the guard 5\n" % p)
+
+
+def test_large_composite_modulus_exits_2(tmp_path, capsys):
+    f = write(tmp_path, "k.json", KRON3)
+    p = 999983 * 1000003
+    code, out, err = run(["quiver", f, "--prime", str(p)], capsys)
+    assert (code, out, err) == (2, "", "validation error: modulus %d is not prime\n" % p)
+
+
 @pytest.mark.parametrize("flags", [
     ["--window", "-1"], ["--trials", "-1"], ["--prime", "4"], ["--prime", "1"],
 ])

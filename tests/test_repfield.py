@@ -1,8 +1,14 @@
+import collections
+import contextlib
+import io
+import json
+import math
 import random
 
 import pytest
 
 from conftest import kronecker3
+from fixedloci.cli import main
 from fixedloci.common import Status
 from fixedloci.errors import TooLarge, ValidationError
 from fixedloci.hmtorus import WeightItem, WeightedAction, is_stable_support
@@ -20,18 +26,22 @@ from fixedloci.quiver import (
 from fixedloci.repfield import (
     GenericSubdims,
     RepFq,
+    _iter_subrep_dimvectors,
     certify_component,
+    check_prime,
     endomorphism_dim,
     generic_destabilizer,
+    gf_in_span,
     gf_rref,
     is_acyclic,
-    is_semistable_rep,
     is_stable_rep,
     random_rep,
     structural_destabilizer,
-    subrep_dimension_vectors,
     subspaces,
 )
+from repfield_oracles import _iter_subrep_dimvectors as oracle_iter_subrep_dimvectors
+from repfield_oracles import is_semistable_rep, subrep_dimension_vectors
+from repfield_oracles import structural_destabilizer as oracle_structural_destabilizer
 
 
 def test_subspace_counts():
@@ -106,13 +116,13 @@ def test_guards():
     Q = Quiver(("1",), ())
     M = RepFq.build(5, {"1": 9}, {})
     with pytest.raises(TooLarge):
-        subrep_dimension_vectors(Q, M)
+        is_stable_rep(Q, M, {"1": 0})
     M2 = RepFq.build(7, {"1": 1}, {})
     with pytest.raises(TooLarge):
-        subrep_dimension_vectors(Q, M2)
+        is_stable_rep(Q, M2, {"1": 0})
     M3 = RepFq.build(4, {"1": 1}, {})
     with pytest.raises(ValidationError):
-        subrep_dimension_vectors(Q, M3)
+        is_stable_rep(Q, M3, {"1": 0})
 
 
 def test_certify_simple_vertex():
@@ -414,3 +424,129 @@ def test_generic_destabilizer_examples():
     A2 = Quiver(("1", "2"), (Arrow("a", "1", "2"),))
     assert generic_destabilizer(A2, {"1": 1, "2": 1}, {"1": 0, "2": 0}) == {"2": 1}
     assert generic_destabilizer(A2, {"1": 1, "2": 1}, {"1": -1, "2": 1}) is None
+
+
+# ---------------------------------------------------------------------------
+# the scans that generate only closed tuples, against their brute-force oracles
+
+def _random_quiver(rng, n, max_arrows):
+    """Vertices v0..v{n-1} and random arrows, with loops and 2-cycles."""
+    verts = tuple("v%d" % i for i in range(n))
+    pairs = []
+    for _ in range(rng.randint(0, max_arrows)):
+        s, t = rng.choice(verts), rng.choice(verts)
+        roll = rng.random()
+        if roll < 0.15:
+            pairs.append((s, s))
+        elif roll < 0.3:
+            pairs += [(s, t), (t, s)]
+        else:
+            pairs.append((s, t))
+    return Quiver(verts, tuple(Arrow("x%d" % k, s, t) for k, (s, t) in enumerate(pairs)))
+
+
+def _random_rep_case(rng):
+    """A representation of total dimension <= 8 over F_2, F_3 or F_5.
+
+    Some vertices have dimension 0, some meet no arrow, and the matrices
+    are sparse to a random degree, so that many subspace tuples are closed.
+    The product of the subspace counts stays at most 2,000, which keeps
+    the product-scan oracle quick.
+    """
+    while True:
+        Q = _random_quiver(rng, rng.randint(1, 8), 6)
+        p = rng.choice((2, 3, 5))
+        dims = {v: rng.choice((0, 1, 1, 1, 2, 2, 3, 4)) for v in Q.vertices}
+        if sum(dims.values()) > 8 or \
+                math.prod(len(subspaces(d, p)) for d in dims.values()) > 2000:
+            continue
+        density = rng.random()
+        mats = {a.id: [[rng.randrange(1, p) if rng.random() < density else 0
+                        for _ in range(dims[a.src])] for _ in range(dims[a.tgt])]
+                for a in Q.arrows}
+        return Q, RepFq.build(p, dims, mats)
+
+
+def test_pruned_scan_matches_product_oracle():
+    rng = random.Random(101)
+    seen = collections.Counter()
+    for _ in range(2000):
+        Q, M = _random_rep_case(rng)
+        got = set(_iter_subrep_dimvectors(Q, M))
+        want = set(oracle_iter_subrep_dimvectors(Q, M))
+        assert got == want, (Q, M)
+        full = tuple(dict(M.dims)[v] for v in Q.vertices)
+        zero = tuple(0 for _ in Q.vertices)
+        theta = {v: rng.randint(-3, 3) for v in Q.vertices}
+        stable = all(sum(theta[v] * g for v, g in zip(Q.vertices, gamma)) > 0
+                     for gamma in want if gamma not in (zero, full))
+        assert is_stable_rep(Q, M, theta) == stable, (Q, M, theta)
+        seen[stable] += 1
+        dims = dict(M.dims)
+        seen["loop"] += any(a.src == a.tgt for a in Q.arrows)
+        pairs = {(a.src, a.tgt) for a in Q.arrows}
+        seen["2-cycle"] += any(s != t and (t, s) in pairs for s, t in pairs)
+        seen["zero vertex"] += 0 in dims.values()
+        seen["isolated vertex"] += any(all(v not in (a.src, a.tgt) for a in Q.arrows)
+                                       for v in Q.vertices)
+        seen["total 8"] += sum(dims.values()) == 8
+        seen[M.prime] += 1
+    assert min(seen.values()) >= 50, seen
+    assert list(_iter_subrep_dimvectors(Quiver((), ()), RepFq.build(5, {}, {}))) == [()]
+
+
+def test_structural_destabilizer_matches_combinations_oracle():
+    rng = random.Random(103)
+    found = 0
+    for _ in range(2000):
+        Q = _random_quiver(rng, rng.randint(1, 7), 10)
+        dims = {v: rng.choice((0, 1, 1, 2, 3)) for v in Q.vertices if rng.random() < 0.9}
+        theta = {v: rng.randint(-3, 3) for v in Q.vertices}
+        got = structural_destabilizer(Q, dims, theta)
+        want = oracle_structural_destabilizer(Q, dims, theta)
+        assert got == want and (got is None or list(got.items()) == list(want.items())), \
+            (Q, dims, theta)
+        found += got is not None
+    assert 500 < found < 1500
+
+
+def test_king_scan_checks_only_closed_prefixes(monkeypatch, tmp_path):
+    """The arrow-closure checks (gf_in_span calls) of one CLI run of K3(3,4)
+    at window 2: 6,826, against 25,188 for the full product scan."""
+    calls = []
+
+    def counted(rows, vec, p):
+        calls.append(1)
+        return gf_in_span(rows, vec, p)
+
+    monkeypatch.setattr("fixedloci.repfield.gf_in_span", counted)
+    Q, W, alpha, theta = _kronecker(3, 3, 4)
+    path = tmp_path / "k34.json"
+    path.write_text(json.dumps({
+        "kind": "quiver", "vertices": list(Q.vertices),
+        "arrows": [{"id": a.id, "src": a.src, "tgt": a.tgt} for a in Q.arrows],
+        "alpha": alpha, "theta": theta}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["quiver", str(path), "--window", "2"]) == 0
+    assert len(calls) == 6826
+
+
+def test_check_prime_matches_trial_division():
+    def prime(n):
+        return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+    def accepted(n):
+        try:
+            check_prime(n)
+        except ValidationError:
+            return False
+        return True
+
+    assert all(accepted(n) == prime(n) for n in range(-2, 20000))
+    # strong pseudoprimes to every prime base up to 2, 3, 5, 7, 11, 13, 17,
+    # 23 and 37, then Carmichael numbers, then two large primes
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, 318665857834031151167461,
+              561, 41041, 999983 * 1000003):
+        assert not accepted(n), n
+    assert accepted(2 ** 61 - 1) and accepted(2 ** 31 - 1)
