@@ -106,9 +106,6 @@ class CoverVector:
     def support(self):
         return tuple(k for k, _ in self.items)
 
-    def at(self, v, chi):
-        return dict(self.items).get((v, tuple(chi)), 0)
-
     def total(self):
         return sum(n for _, n in self.items)
 

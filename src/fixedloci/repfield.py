@@ -175,8 +175,7 @@ def _iter_subrep_dimvectors(quiver: Quiver, M: RepFq):
             order += [u for u in dict.fromkeys(u for s, u in ends if s == order[head]) if u not in order]
             head += 1
     depth = {v: k for k, v in enumerate(order)}
-    lists = {n: subspaces(n, p) for n in {dims.get(v, 0) for v in order}}
-    spaces = [lists[dims.get(v, 0)] for v in order]
+    spaces = [subspaces(dims.get(v, 0), p) for v in order]
     checks = [[] for _ in order]  # the arrows whose later end is order[k]
     for a in quiver.arrows:
         mat, s, t = M.mat_of(a.id), depth[a.src], depth[a.tgt]
@@ -255,9 +254,13 @@ def structural_destabilizer(quiver: Quiver, dims, theta):
                 stack += [a.tgt for a in quiver.arrows if a.src == u and a.tgt in bit]
         closed |= {c | reach for c in closed}
     weight = [int(theta.get(v, 0)) * int(dims[v]) for v in supp]
-    members = ([i for i in range(len(supp)) if c >> i & 1] for c in closed - {0, (1 << len(supp)) - 1})
-    best = min(((len(m), m) for m in members if sum(weight[i] for i in m) <= 0), default=None)
-    return None if best is None else {v: int(dims.get(v, 0)) for v in set(supp[i] for i in best[1])}
+    proper = sorted(closed - {0, (1 << len(supp)) - 1}, key=int.bit_count)
+    for _, group in itertools.groupby(proper, key=int.bit_count):  # by size, then position
+        found = [m for m in ([i for i in range(len(supp)) if c >> i & 1] for c in group)
+                 if sum(weight[i] for i in m) <= 0]
+        if found:
+            return {v: int(dims.get(v, 0)) for v in set(supp[i] for i in min(found))}
+    return None
 
 
 def is_acyclic(quiver: Quiver) -> bool:
