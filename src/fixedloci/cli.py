@@ -36,7 +36,7 @@ from .quiver import (
     enumerate_covers,
     support_quiver,
 )
-from .repfield import DEFAULT_MAX_TOTAL_DIM, certify_component, check_prime
+from .repfield import DEFAULT_MAX_TOTAL_DIM, certify_component, check_prime, check_prime_guard
 from .toric import fixed_points_toric, quotient_fan, toric_context
 
 
@@ -230,6 +230,7 @@ def _quiver_report(data, seed, prime, trials, window):
     if total > DEFAULT_MAX_TOTAL_DIM:
         raise TooLarge("total dimension %d exceeds the certification guard %d"
                        % (total, DEFAULT_MAX_TOTAL_DIM))
+    check_prime_guard(prime)
     covers = enumerate_covers(Q, W, alpha, radius)
     dimension = {c: component_dimension(Q, W, c) for c in covers if c.items}
     cands = [c for c, d in dimension.items() if d >= 0]
@@ -367,7 +368,7 @@ def render_dot(report):
         data = report["input"]
         Q, W, _alpha, _theta = _quiver_from_data(data)
         points = {(pt[0], tuple(pt[1])) for c in report["components"] for pt, _n in c["beta"]}
-        sq, _, _ = support_quiver(Q, W, CoverVector({pt: 1 for pt in points}))
+        sq, _ = support_quiver(Q, W, CoverVector({pt: 1 for pt in points}))
         out = ["digraph cover_supports {"]
         names = {}
         for pt in sq.vertices:

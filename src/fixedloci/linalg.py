@@ -2,8 +2,9 @@
 
 Hermite and Smith normal forms with unimodular transforms, integer kernels,
 cokernels with a chosen section, and fraction-free (Bareiss) elimination for
-determinants, ranks and exact solves.  All arithmetic uses arbitrary-precision
-ints and fractions.Fraction; there is no floating point anywhere in this
+determinants, ranks and exact solves.  Its one pivot step, `_pivot`, also
+drives the simplex tableau.  All arithmetic uses arbitrary-precision ints
+and fractions.Fraction; there is no floating point anywhere in this
 package.
 """
 
@@ -259,6 +260,24 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
 # ---------------------------------------------------------------------------
 # fraction-free elimination
 
+def _pivot(M, r, c, prev, rows):
+    """One fraction-free pivot on M[r][c]; returns the new pivot M[r][c].
+
+    Each row i in rows becomes (piv * M[i] - M[i][c] * M[r]) // prev, with
+    prev the previous pivot (1 before the first).  Used below the pivot this
+    is Bareiss' elimination; used on every other row it is Edmonds' integer
+    Gauss-Jordan, which keeps M equal to prev times the rational tableau.
+    Either way the new entries are minors of the input, so each division is
+    exact.
+    """
+    top = M[r]
+    piv = top[c]
+    for i in rows:
+        a = M[i][c]
+        M[i] = [(piv * x - a * y) // prev for x, y in zip(M[i], top)]
+    return piv
+
+
 def _eliminate(rows):
     """Fraction-free (Bareiss) forward elimination of an integer matrix.
 
@@ -282,12 +301,7 @@ def _eliminate(rows):
         if p != r:
             M[r], M[p] = M[p], M[r]
             sign = -sign
-        top = M[r]
-        piv = top[c]
-        for i in range(r + 1, m):
-            a = M[i][c]
-            M[i] = [(piv * x - a * y) // prev for x, y in zip(M[i], top)]
-        prev = piv
+        prev = _pivot(M, r, c, prev, range(r + 1, m))
         pivots.append(c)
     return M, pivots, sign
 

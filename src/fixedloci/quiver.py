@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .common import positive_compositions
 from .errors import DimMismatch, ValidationError, ZeroDimensionVector
-from .linalg import IntMatrix
 
 
 @dataclass(frozen=True)
@@ -123,12 +122,6 @@ class CoverVector:
         (_, chi0), _ = min(self.items)
         return self.translate(tuple(-c for c in chi0))
 
-    def is_cover_of(self, alpha):
-        totals = {}
-        for (v, _), n in self.items:
-            totals[v] = totals.get(v, 0) + n
-        return all(totals.get(v, 0) == int(alpha.get(v, 0)) for v in set(alpha) | set(totals))
-
     def __eq__(self, other):
         return isinstance(other, CoverVector) and self.items == other.items
 
@@ -180,10 +173,7 @@ def component_dimension(quiver: Quiver, weights: ArrowWeights, beta: CoverVector
 
 
 def support_quiver(quiver: Quiver, weights: ArrowWeights, beta: CoverVector):
-    """The finite quiver on the support of a cover, with its dims and grades.
-
-    Returns (support quiver, dims dict, grade dict mapping point -> base vertex).
-    """
+    """The finite quiver on the support of a cover: (support quiver, dims dict)."""
     pts = set(beta.support())
     arrows = []
     for a in quiver.arrows:
@@ -196,27 +186,7 @@ def support_quiver(quiver: Quiver, weights: ArrowWeights, beta: CoverVector):
                 arrows.append(Arrow((a.id, chi), (v, chi), tgt))
     sq = Quiver(tuple(sorted(pts)), tuple(arrows))
     dims = {k: n for k, n in beta.items}
-    base = {p: p[0] for p in pts}
-    return sq, dims, base
-
-
-def support_is_connected(quiver: Quiver, weights: ArrowWeights, beta: CoverVector) -> bool:
-    pts = list(beta.support())
-    if not pts:
-        return True
-    sq, _, _ = support_quiver(quiver, weights, beta)
-    adj = {p: set() for p in pts}
-    for a in sq.arrows:
-        adj[a.src].add(a.tgt)
-        adj[a.tgt].add(a.src)
-    seen = {pts[0]}
-    stack = [pts[0]]
-    while stack:
-        for q in adj[stack.pop()]:
-            if q not in seen:
-                seen.add(q)
-                stack.append(q)
-    return len(seen) == len(pts)
+    return sq, dims
 
 
 # ---------------------------------------------------------------------------
@@ -314,47 +284,3 @@ def enumerate_covers(quiver: Quiver, weights: ArrowWeights, alpha, radius):
                     mapping[(quiver.vertices[v], chi)] = n
             covers.add(CoverVector(mapping).canonical())
     return sorted(covers, key=lambda c: c.items)
-
-
-# ---------------------------------------------------------------------------
-# covers <-> diagonal torus morphisms
-
-def weyl_canonical(rho, blocks):
-    """Canonical representative under permutations within vertex blocks:
-    rows sorted lexicographically inside each block."""
-    rows = list(rho.entries) if isinstance(rho, IntMatrix) else [tuple(r) for r in rho]
-    out = []
-    at = 0
-    for b in blocks:
-        out.extend(sorted(rows[at:at + b]))
-        at += b
-    ncols = rho.ncols if isinstance(rho, IntMatrix) else (len(rows[0]) if rows else 0)
-    return IntMatrix.from_rows(out, ncols)
-
-
-def covers_to_rho(quiver: Quiver, beta: CoverVector, aux_rank: int) -> IntMatrix:
-    """Diagonal torus morphism matrix from a cover: one row per basis slot,
-    the grade of the slot, rows grouped by vertex and sorted within blocks."""
-    rows = []
-    for v in quiver.vertices:
-        grades = []
-        for (u, chi), n in beta.items:
-            if u == v:
-                grades.extend([chi] * n)
-        rows.extend(sorted(grades))
-    return IntMatrix.from_rows(rows, aux_rank)
-
-
-def rho_to_cover(quiver: Quiver, rho: IntMatrix, alpha) -> CoverVector:
-    """Cover from a diagonal morphism matrix: multiplicity of each grade row
-    per vertex block."""
-    counts = {}
-    at = 0
-    for v in quiver.vertices:
-        for _ in range(int(alpha.get(v, 0))):
-            chi = tuple(rho.entries[at])
-            counts[(v, chi)] = counts.get((v, chi), 0) + 1
-            at += 1
-    if at != rho.nrows:
-        raise DimMismatch("rho has %d rows, alpha needs %d" % (rho.nrows, at))
-    return CoverVector(counts)

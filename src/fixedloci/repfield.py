@@ -136,9 +136,14 @@ def _check_guard(dims, prime):
     total = sum(int(d) for d in dims.values())
     if total > DEFAULT_MAX_TOTAL_DIM:
         raise TooLarge("total dimension %d exceeds the guard %d" % (total, DEFAULT_MAX_TOTAL_DIM))
+    check_prime_guard(prime)
+    check_prime(prime)
+
+
+def check_prime_guard(prime):
+    """The F_p scans are brute force; primes above DEFAULT_MAX_PRIME are refused."""
     if prime > DEFAULT_MAX_PRIME:
         raise TooLarge("prime %d exceeds the guard %d" % (prime, DEFAULT_MAX_PRIME))
-    check_prime(prime)
 
 
 def check_prime(prime):
@@ -369,7 +374,7 @@ def certify_component(quiver: Quiver, weights: ArrowWeights, beta: CoverVector, 
     (method "fp_witness"), and without one the component stays CandidateOnly
     after the given number of trials.
     """
-    sq, dims, _ = support_quiver(quiver, weights, beta)
+    sq, dims = support_quiver(quiver, weights, beta)
     th = theta_hat(theta, sq.vertices)
     _check_guard(dims, prime)
 

@@ -290,6 +290,19 @@ def test_guard_exits_3(tmp_path, capsys):
     assert "guard error" in err
 
 
+def test_prime_guard_runs_without_candidates(tmp_path, capsys):
+    # one arrow 1 -> 2 at alpha = (2, 3) has a single cover class and no
+    # candidate, so no component is certified; the guard must still run
+    a2 = dict(KRON3, arrows=KRON3["arrows"][:1], options={})
+    f = write(tmp_path, "a2.json", a2)
+    code, out, _ = run(["quiver", f], capsys)
+    assert code == 0 and json.loads(out)["counts"]["candidates"] == 0
+    code, out, err = run(["quiver", f, "--prime", "7"], capsys)
+    assert (code, out, err) == (3, "", "guard error: prime 7 exceeds the guard 5\n")
+    code, out, err = run(["quiver", f, "--prime", "9"], capsys)
+    assert (code, out, err) == (2, "", "validation error: modulus 9 is not prime\n")
+
+
 def test_large_prime_modulus_reaches_the_guard(tmp_path, capsys):
     # 2^61 - 1 is prime; dividing by every q below it, or below its square
     # root, would never get to the guard

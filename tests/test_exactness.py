@@ -12,17 +12,12 @@ from fixedloci.hmtorus import WeightedAction, WeightItem, kempf_data
 from fixedloci.linalg import solve
 
 SOURCES = sorted(pathlib.Path(fixedloci.__file__).parent.glob("*.py"))
-# the one place true division is allowed: the simplex's Fraction tableau
-DIVISION_ALLOWED = {("simplex.py", "solve_nonneg")}
 
 
 def _float_constructs(path):
     """(line, description) of every float construct in a module."""
     found = []
-
-    def visit(node, func):
-        if isinstance(node, ast.FunctionDef):
-            func = node.name
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
             found.append((node.lineno, "float literal %r" % node.value))
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
@@ -34,14 +29,9 @@ def _float_constructs(path):
         elif isinstance(node, ast.ImportFrom) and node.module == "math" \
                 and any(a.name == "sqrt" for a in node.names):
             found.append((node.lineno, "math.sqrt import"))
-        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div) \
-                and (path.name, func) not in DIVISION_ALLOWED:
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
             found.append((node.lineno, "true division"))
-        for child in ast.iter_child_nodes(node):
-            visit(child, func)
-
-    visit(ast.parse(path.read_text()), None)
-    return found
+    return sorted(found)
 
 
 def test_source_has_no_float_constructs():
@@ -59,7 +49,7 @@ def test_scan_flags_each_construct(tmp_path):
         "round() call", "true division", "true division"]
     simplex = tmp_path / "simplex.py"
     simplex.write_text("def solve_nonneg(a, b):\n    return a / b\n\ndef other(a, b):\n    return a / b\n")
-    assert _float_constructs(simplex) == [(5, "true division")]
+    assert _float_constructs(simplex) == [(2, "true division"), (5, "true division")]
 
 
 def _exact(values):

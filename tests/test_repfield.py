@@ -178,7 +178,7 @@ def test_cross_module_consistency_with_torus_stability():
     rng = random.Random(83)
     checked = 0
     for beta in covers[:8]:
-        sq, dims, _ = support_quiver(Q, W, beta)
+        sq, dims = support_quiver(Q, W, beta)
         th = theta_hat(theta, sq.vertices)
         pts = list(sq.vertices)
         n = len(pts)
@@ -219,7 +219,7 @@ def test_structural_destabilizer_soundness():
     covers = enumerate_covers(Q, W, alpha, 2)
     flagged = 0
     for beta in covers:
-        sq, dims, _ = support_quiver(Q, W, beta)
+        sq, dims = support_quiver(Q, W, beta)
         th = theta_hat(theta, sq.vertices)
         if sum(dims.values()) > 8:
             continue
@@ -313,7 +313,7 @@ def _kronecker(n, a, b):
 
 def _sampler_certify(Q, W, beta, theta, trials=200, prime=5, seed=0):
     """The sampler-only certification the Schofield test replaced, as an oracle."""
-    sq, dims, _ = support_quiver(Q, W, beta)
+    sq, dims = support_quiver(Q, W, beta)
     th = theta_hat(theta, sq.vertices)
     if structural_destabilizer(sq, dims, th) is not None:
         return Status.EMPTY_VERIFIED
@@ -374,7 +374,7 @@ def test_cyclic_support_uses_sampler(monkeypatch):
     monkeypatch.setattr("fixedloci.repfield.generic_destabilizer", no_schofield)
     # a weight-0 grading keeps the 2-cycle in the support quiver
     Q, W, beta, theta = _two_cycle({"1": 1, "2": 2}, {"1": -2, "2": 1})
-    sq, _, _ = support_quiver(Q, W, beta)
+    sq, _ = support_quiver(Q, W, beta)
     assert not is_acyclic(sq)
     # every representation has U = (k, image of a) with theta(U) = -1, which
     # no structural test sees, so the sampler finds nothing
