@@ -10,7 +10,6 @@ class Status(enum.Enum):
 
     NONEMPTY_VERIFIED = "NonemptyVerified"
     EMPTY_VERIFIED = "EmptyVerified"
-    CANDIDATE_ONLY = "CandidateOnly"
 
     def __str__(self) -> str:
         return self.value

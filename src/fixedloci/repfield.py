@@ -3,21 +3,17 @@
 A cover's support quiver carries the stable locus to be certified.
 Emptiness comes from a destabilizing dimension vector that every
 representation has as a subrepresentation: either a structural one (an
-arrow-closed vertex subset at full dimension) or, for non-thin covers on an
-acyclic support, a generic subdimension vector from Schofield's recursion.
-When neither exists the locus is nonempty: for a thin cover the
-representation with every arrow nonzero is stable, and on an acyclic
-support the generic representation is.  A representation over a small
-prime field, sampled at random, is attached as a witness when it is
-geometrically stable: stable over F_p with End(M) = F_p, so that no
-Galois-conjugate summands split it over the algebraic closure.  Only on a
-cyclic support, where neither exact test applies, does it stand as the
-certificate; it is exact there too, since the geometrically stable locus
-is open in the representation space over Spec Z, which is irreducible, so
-one F_p point of it proves the locus nonempty in characteristic zero.  A
-component with no witness there stays CandidateOnly.  King's inequalities
-are evaluated on F_p representations by a depth-first scan that extends
-only subspace tuples closed under the arrow maps.
+arrow-closed vertex subset at full dimension) or, for a non-thin cover, a
+generic subdimension vector from Schofield's recursion.  When neither
+exists the locus is nonempty: for a thin cover the representation with
+every arrow nonzero is stable, and otherwise the general representation
+is.  A representation over a small prime field, sampled at random, is
+attached to a nonempty component as a witness when it is geometrically
+stable: stable over F_p with End(M) = F_p, so that no Galois-conjugate
+summands split it over the algebraic closure.  The status never rests
+on the witness.  King's inequalities are evaluated on F_p representations
+by a depth-first scan that extends only subspace tuples closed under the
+arrow maps.
 """
 
 from __future__ import annotations
@@ -132,25 +128,27 @@ def random_rep(quiver: Quiver, dims, prime, rng: random.Random) -> RepFq:
     return RepFq.build(prime, {v: dims.get(v, 0) for v in quiver.vertices}, mats)
 
 
-def _check_guard(dims, prime):
+def check_guard(dims, prime):
+    """Refuse what the brute-force F_p scans cannot take.
+
+    In order: a modulus that is not prime is bad input (ValidationError);
+    a total dimension above DEFAULT_MAX_TOTAL_DIM or a prime above
+    DEFAULT_MAX_PRIME exceeds a guard (TooLarge).
+    """
+    check_prime(prime)
     total = sum(int(d) for d in dims.values())
     if total > DEFAULT_MAX_TOTAL_DIM:
-        raise TooLarge("total dimension %d exceeds the guard %d" % (total, DEFAULT_MAX_TOTAL_DIM))
-    check_prime_guard(prime)
-    check_prime(prime)
-
-
-def check_prime_guard(prime):
-    """The F_p scans are brute force; primes above DEFAULT_MAX_PRIME are refused."""
+        raise TooLarge("total dimension %d exceeds the certification guard %d"
+                       % (total, DEFAULT_MAX_TOTAL_DIM))
     if prime > DEFAULT_MAX_PRIME:
         raise TooLarge("prime %d exceeds the guard %d" % (prime, DEFAULT_MAX_PRIME))
 
 
 def check_prime(prime):
-    """A non-prime modulus is bad input, not an exceeded guard; this runs
-    before the prime guard.  Below 3.3e24 the strong probable-prime test to
-    the primes up to 41 is exact (Sorenson and Webster, Math. Comp. 86,
-    2017); above it, trial division by every q with q * q <= prime decides.
+    """A non-prime modulus is bad input, not an exceeded guard.  Below
+    3.3e24 the strong probable-prime test to the primes up to 41 is exact
+    (Sorenson and Webster, Math. Comp. 86, 2017); above it, trial division
+    by every q with q * q <= prime decides.
     """
     bases, n, d, r = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41), prime, prime - 1, 0
     while n > 2 and d % 2 == 0:
@@ -208,7 +206,7 @@ def _theta_vec(quiver, theta):
 
 def is_stable_rep(quiver: Quiver, M: RepFq, theta) -> bool:
     """King's strict inequality on proper nonzero subrepresentations."""
-    _check_guard(dict(M.dims), M.prime)
+    check_guard(dict(M.dims), M.prime)
     tv = _theta_vec(quiver, theta)
     trivial = tuple(0 for _ in quiver.vertices), tuple(dict(M.dims).get(v, 0) for v in quiver.vertices)
     return all(sum(map(operator.mul, tv, gamma)) > 0
@@ -268,37 +266,20 @@ def structural_destabilizer(quiver: Quiver, dims, theta):
     return None
 
 
-def is_acyclic(quiver: Quiver) -> bool:
-    """True when the quiver has no oriented cycle (a loop is one)."""
-    indegree = {v: 0 for v in quiver.vertices}
-    out_edges = {v: [] for v in quiver.vertices}
-    for a in quiver.arrows:
-        out_edges[a.src].append(a.tgt)
-        indegree[a.tgt] += 1
-    ready = [v for v, d in indegree.items() if d == 0]
-    removed = 0
-    while ready:
-        removed += 1
-        for t in out_edges[ready.pop()]:
-            indegree[t] -= 1
-            if indegree[t] == 0:
-                ready.append(t)
-    return removed == len(quiver.vertices)
-
-
 def _subvectors(g):
     return itertools.product(*(range(x + 1) for x in g))
 
 
 class GenericSubdims:
-    """Generic subdimension vectors on an acyclic quiver, by Schofield's recursion.
+    """Generic subdimension vectors, by Schofield's recursion.
 
     Dimension vectors are tuples in quiver.vertices order.  s embeds in g
     (s -> g) when every representation of dimension g has a subrepresentation
     of dimension s.  With the Euler form <a, b> = sum a_v b_v - sum over
     arrows i -> j of a_i b_j, s -> g exactly when ext(s, g - s) = 0, and
     ext(a, h) = max of -<a', h> over a' -> a (Schofield, Proc. LMS 65, 1992,
-    Thm 5.4).  The subvectors of each g are memoised by g.
+    Thm 5.4; for quivers with oriented cycles and loops, Crawley-Boevey,
+    Bull. LMS 28, 1996).  The subvectors of each g are memoised by g.
     """
 
     def __init__(self, quiver: Quiver):
@@ -337,11 +318,11 @@ class GenericSubdims:
 def generic_destabilizer(quiver: Quiver, dims, theta):
     """A proper nonzero generic subdimension vector with theta <= 0, if any.
 
-    The quiver must be acyclic.  Every representation of dimension dims has a
-    subrepresentation of the returned dimension, so none is stable; when
-    there is none, the general representation is stable (King, Quart. J.
-    Math. 45, 1994: the stable locus is open).  Returns {vertex: dim} over
-    the vertices where it is nonzero.
+    Every representation of dimension dims has a subrepresentation of the
+    returned dimension, so none is stable; when there is none, the general
+    representation is stable (King, Quart. J. Math. 45, 1994: the stable
+    locus is open).  Returns {vertex: dim} over the vertices where it is
+    nonzero.
     """
     beta = tuple(int(dims.get(v, 0)) for v in quiver.vertices)
     tv = _theta_vec(quiver, theta)
@@ -356,10 +337,10 @@ def generic_destabilizer(quiver: Quiver, dims, theta):
 @dataclass(frozen=True)
 class Certification:
     status: Status
+    method: str  # "structural" or "schofield"
     witness: RepFq | None = None
     witness_trial: int | None = None
     destabilizer: tuple | None = None
-    method: str | None = None  # "structural", "schofield", "fp_witness" or None
 
 
 def certify_component(quiver: Quiver, weights: ArrowWeights, beta: CoverVector, theta,
@@ -367,41 +348,30 @@ def certify_component(quiver: Quiver, weights: ArrowWeights, beta: CoverVector, 
     """Certify (non)emptiness of the stable locus a cover describes.
 
     In order: a structural destabilizer proves emptiness; without one a thin
-    cover is nonempty; a non-thin cover on an acyclic support is decided by
-    generic_destabilizer.  A sampled geometrically stable F_p representation
-    (stable, with End(M) = F_p) is then attached to a nonempty component as
-    its witness.  On a cyclic support the witness is the only certificate
-    (method "fp_witness"), and without one the component stays CandidateOnly
-    after the given number of trials.
+    cover is nonempty; every other cover is decided by generic_destabilizer.
+    A sampled geometrically stable F_p representation (stable, with End(M)
+    = F_p) is then attached to a nonempty component as its witness; trials,
+    prime and seed choose the witness and never the status.
     """
     sq, dims = support_quiver(quiver, weights, beta)
     th = theta_hat(theta, sq.vertices)
-    _check_guard(dims, prime)
+    check_guard(dims, prime)
 
+    method = "structural"
     dest = structural_destabilizer(sq, dims, th)
-    if dest is not None:
-        return Certification(Status.EMPTY_VERIFIED,
-                             destabilizer=tuple(sorted(dest.items())), method="structural")
-    if all(n == 1 for n in dims.values()):
-        # thin: the subrepresentations of the all-nonzero representation are
-        # the arrow-closed subsets, none of which destabilizes
-        method = "structural"
-    elif is_acyclic(sq):
+    # a thin cover needs no more: the subrepresentations of the all-nonzero
+    # representation are the arrow-closed subsets, none of which destabilizes
+    if dest is None and any(n != 1 for n in dims.values()):
         method = "schofield"
         dest = generic_destabilizer(sq, dims, th)
-        if dest is not None:
-            return Certification(Status.EMPTY_VERIFIED,
-                                 destabilizer=tuple(sorted(dest.items())), method=method)
-    else:
-        method = None
+    if dest is not None:
+        return Certification(Status.EMPTY_VERIFIED, method,
+                             destabilizer=tuple(sorted(dest.items())))
 
     comp_key = repr(beta.items)
     for trial in range(trials):
         rng = random.Random("%s:%s:%d" % (seed, comp_key, trial))
         M = random_rep(sq, dims, prime, rng)
         if is_stable_rep(sq, M, th) and endomorphism_dim(sq, M) == 1:
-            return Certification(Status.NONEMPTY_VERIFIED, witness=M, witness_trial=trial,
-                                 method=method or "fp_witness")
-    if method is None:
-        return Certification(Status.CANDIDATE_ONLY)
-    return Certification(Status.NONEMPTY_VERIFIED, method=method)
+            return Certification(Status.NONEMPTY_VERIFIED, method, witness=M, witness_trial=trial)
+    return Certification(Status.NONEMPTY_VERIFIED, method)

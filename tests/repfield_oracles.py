@@ -11,7 +11,7 @@ and `is_semistable_rep` are helpers only the tests use.
 import itertools
 
 from fixedloci.quiver import Quiver
-from fixedloci.repfield import RepFq, _check_guard, _theta_vec, gf_in_span, gf_matvec, subspaces
+from fixedloci.repfield import RepFq, _theta_vec, check_guard, gf_in_span, gf_matvec, subspaces
 
 
 def _iter_subrep_dimvectors(quiver: Quiver, M: RepFq):
@@ -41,13 +41,13 @@ def subrep_dimension_vectors(quiver: Quiver, M: RepFq):
 
     Ordered by quiver.vertices.  Guarded: refuses large instances.
     """
-    _check_guard(dict(M.dims), M.prime)
+    check_guard(dict(M.dims), M.prime)
     return set(_iter_subrep_dimvectors(quiver, M))
 
 
 def is_semistable_rep(quiver: Quiver, M: RepFq, theta) -> bool:
     """King's inequality: theta of every subrepresentation is >= 0."""
-    _check_guard(dict(M.dims), M.prime)
+    check_guard(dict(M.dims), M.prime)
     tv = _theta_vec(quiver, theta)
     for gamma in _iter_subrep_dimvectors(quiver, M):
         if sum(t * g for t, g in zip(tv, gamma)) < 0:

@@ -102,12 +102,13 @@ def test_fp_witness_must_be_geometrically_stable(tmp_path, capsys):
     code, out, _ = run(["quiver", write(tmp_path, "loop.json", _loops(1))], capsys)
     assert code == 0
     (comp,) = json.loads(out)["components"]
-    assert (comp["status"], comp["method"], comp["witness"]) == ("CandidateOnly", None, None)
+    assert (comp["status"], comp["method"], comp["witness"]) == ("EmptyVerified", "schofield", None)
+    assert comp["destabilizer"] == [[["1", [0]], 1]]
     # two general matrices share no eigenvector: a simple representation exists
     code, out, _ = run(["quiver", write(tmp_path, "loops.json", _loops(2))], capsys)
     assert code == 0
     (comp,) = json.loads(out)["components"]
-    assert (comp["status"], comp["method"]) == ("NonemptyVerified", "fp_witness")
+    assert (comp["status"], comp["method"]) == ("NonemptyVerified", "schofield")
     assert comp["witness"] is not None
 
 

@@ -101,8 +101,8 @@ def _quiver_file(seed):
     The vertices lie on a path of arrows in random directions, with one to
     four more arrows between random vertices, so loops and 2-cycles occur.
     Two files in three grade the arrows by `arrow_weights` of rank 0 or 1,
-    mostly 0, which keeps cycles in the support quiver: those components
-    end `fp_witness` or `CandidateOnly`.  One file in thirteen has total
+    mostly 0, which keeps cycles in the support quiver, so that Schofield's
+    test runs on loops and oriented cycles.  One file in thirteen has total
     dimension 9 or more, past the certification guard.
     """
     rng = random.Random("quiver:%d" % seed)
@@ -401,31 +401,31 @@ GOLDEN = {
     'quiver:10': '0 dd8ac306a3c488b84b096cb1fecb9765159b7be70fc3cf3e87be24fe210ca1fb e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
     'quiver:11': '0 6cfd3147422332a0a01683a4f8788fbefe8f4fbbcd9dd592cb7f8c8dd12e2d32 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
     'quiver:12': '3 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 ed544937690ba3138b2a67abeff096e4a66ab9160897196973eedac06c304c56',
-    'quiver:13': '0 b30b05e91020a4be481cec72c6e64828488ca9609e1abfda034da64dfe95f8c1 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-    'quiver:14': '0 946a7aef3031fd3a5e33d83221e7a0b2a6ba485b616eb08539e2f2d88b5a603e e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:13': '0 ec9c2fb7e21ea84c5fa39c970997f238b9673f2694f01f5e3e8a999c205936d1 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:14': '0 27e2d19444ed122bf17a2c842e29a85adef5e1772fd746b265eeb8e306421dcd e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
     'quiver:15': '0 bd5fe67a525df220f0bcafb0fa222acf217a4f1eb936d1ca9ef7d2b77130500e e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-    'quiver:16': '0 9baa80f277a6048073d844f8038205042d0989605923412dbf75640c0db2e09a e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:16': '0 2b652c62bcc066ed1803c92e3be7e1d774853bf41864c9fafdd09c63b6964ad1 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
     'quiver:17': '0 a7c64da5b16230e5b9458d4fafec015c0fc30f4972c4b42df3469303e4d790f0 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
     'quiver:18': '0 07b449d7d8b3799832e60b2d8e3cf676477a6096ad5d85da84651c93d6efa979 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-    'quiver:19': '0 b356f6932c4c0cfae9b1b6d0daeb5a3ebcfb1f9fc49023592c3454e069009e19 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:19': '0 2c1d8a12b92fb364c1a4574e2763fb03cafed5f2cfe9be3a4c79809f8fc6b621 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
     'quiver:20': '0 d41c783b661998394ed364aebbbf68fe744c4332c9a7a7538b519ecc7a309b8c e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
     'quiver:21': '0 5ed47592a989c0b7f2dd86fa233234fe98039587c96d8b7fd30a2cc1ecf62971 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
     'quiver:22': '0 8b36908dfa9697cc660bf31103a9b98c632e3ee67bd3af984fcb5bcb2251ebbe e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-    'quiver:23': '0 424b84f3205bc1fc48c3216f484eb90806b79025c8c92640a46aceaf5502840a e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:23': '0 ea9d9042f9a9db743572288f621ad8d0cf89ca65eccdf363e938f96bf1b5df28 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
     'quiver:24': '0 ddf8d100e5b2b461f4e6dbb08c28e5197417e74cf215ad69375423a6a8fe694d e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
     'quiver:25': '3 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 ed544937690ba3138b2a67abeff096e4a66ab9160897196973eedac06c304c56',
-    'quiver:26': '0 a9fc25c5aa2764f5ce86daeb478959420c4c779021602b0bac13e69f5bedac76 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:26': '0 e3e09aabe482a2150d9c3bc9d11e3a4a7d64e391a202a444819be62b792b6276 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
     'quiver:27': '0 ef7ad0380545e09653ea1ca3d6d57121fd69dd0be9314a3cca865cadda3571dd e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
     'quiver:28': '0 653006115d05050ffa38143ecd3c95d3c8ecb8ceb82e72c6d5af46e3b8b9e69b e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
     'quiver:29': '0 f0f0dda1134f123bdceeebbdd571d8caaa2137c675a46dc691dd33d407309032 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
     'quiver:30': '0 309e01245137430eff328ac02e9e4e6c5e27bd78c4dc25c8f240c14554e777d0 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
     'quiver:31': '0 47042b9de21d43048b249ba77efdcf23acaeab18d1581a801f3cfe162e95d0f9 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-    'quiver:32': '0 5d115c2bbfb24b9a26622bdb5ee5685456d79e95ceadcbf2dde72e4010249f5e e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:32': '0 396e9cd7d66a91e1e7fabcd8af1eb8a50896063b03aa8180647cd8fc3aaefa91 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
     'quiver:33': '0 e3548d1b5d299e7bd775fcbc9a7448485b128913554c5d9725da2e588c17f5aa e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-    'quiver:34': '0 54db72f63dc4d5a4b388216103f0d6c3390d0c07e76d15a0372722cdcd9d615d e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-    'quiver:35': '0 48d167fcd8fde6a10794a2ec8525f8f8d28f97692f17d8a2a9ffd048de7b1907 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:34': '0 fb9cf114c77036032a454299113ff4431754930571ad647b8051908e22fdaac0 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:35': '0 a4f0826dc3753ed475addce9ac0505c71f37bb395bb72dcf34b9fe6a66fb3c1c e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
     'quiver:36': '0 0511ebb77801fc0edef90347fa30aaa988bfd535c29b26092c4486ef92b14efd e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-    'quiver:37': '0 5cc4c371e4ca5254c28cda5e74430a49d0d067ccebe45750178dafb0d0126692 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:37': '0 ecf08fb02636ddee1b6be14327dd6161fd0f81b817511e36532a698751599bb8 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
     'quiver:K3(3,4)': '0 dd0da51c6c5934725cbc8327a75d665334ccae8479aab2fc5a1c5000c1ba885e e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
     'quiver:K3(3,5)': '0 fbe2e998e2cf85857b426a2fd4cdfbe40baefb4b31d1909fa995085f62aaa9a6 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
     'quiver:K3(2,3)': '0 e31ecf1a1a1b65665f58cefcd5b289f71069a7f424e07d35992a4780b9de01e8 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from conftest import kronecker3
-from fixedloci.cli import main
+from fixedloci.cli import _quiver_from_data, main
 from fixedloci.common import Status
 from fixedloci.errors import TooLarge, ValidationError
 from fixedloci.hmtorus import WeightItem, WeightedAction, is_stable_support
@@ -33,7 +33,6 @@ from fixedloci.repfield import (
     generic_destabilizer,
     gf_in_span,
     gf_rref,
-    is_acyclic,
     is_stable_rep,
     random_rep,
     structural_destabilizer,
@@ -42,6 +41,7 @@ from fixedloci.repfield import (
 from repfield_oracles import _iter_subrep_dimvectors as oracle_iter_subrep_dimvectors
 from repfield_oracles import is_semistable_rep, subrep_dimension_vectors
 from repfield_oracles import structural_destabilizer as oracle_structural_destabilizer
+from test_golden_reports import _quiver_file
 
 
 def test_subspace_counts():
@@ -123,6 +123,10 @@ def test_guards():
     M3 = RepFq.build(4, {"1": 1}, {})
     with pytest.raises(ValidationError):
         is_stable_rep(Q, M3, {"1": 0})
+    # a composite modulus is bad input even above the prime guard
+    M4 = RepFq.build(9, {"1": 1}, {})
+    with pytest.raises(ValidationError, match="modulus 9 is not prime"):
+        is_stable_rep(Q, M4, {"1": 0})
 
 
 def test_certify_simple_vertex():
@@ -283,27 +287,42 @@ def _random_acyclic_quiver(rng):
     return Quiver(verts, tuple(arrows))
 
 
+def _random_cyclic_quiver(rng):
+    """Random arrows on one to four vertices, with at least one oriented cycle:
+    a loop, a 2-cycle or a longer cycle through every vertex."""
+    n = rng.randint(1, 4)
+    verts = tuple("v%d" % i for i in range(n))
+    kind = rng.choice(("loop", "2-cycle", "cycle")[:n])
+    if kind == "loop":
+        pairs = [(0, 0)]
+    elif kind == "2-cycle":
+        i, j = rng.sample(range(n), 2)
+        pairs = [(i, j), (j, i)]
+    else:
+        order = rng.sample(range(n), n)
+        pairs = list(zip(order, order[1:] + order[:1]))
+    pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 6 - len(pairs)))]
+    rng.shuffle(pairs)
+    return Quiver(verts, tuple(Arrow("x%d" % k, verts[i], verts[j]) for k, (i, j) in enumerate(pairs))), kind
+
+
 def test_schofield_ext_matches_generic_rank():
+    # Schofield's recursion holds on quivers with loops and oriented cycles
+    # too (Crawley-Boevey, Bull. LMS 28, 1996)
     rng = random.Random(97)
-    positive = 0
-    for _ in range(400):
-        Q = _random_acyclic_quiver(rng)
-        assert is_acyclic(Q)
+    seen = collections.Counter()
+    for k in range(850):
+        Q, kind = (_random_acyclic_quiver(rng), "acyclic") if k < 400 else _random_cyclic_quiver(rng)
         generic = GenericSubdims(Q)
         a = tuple(rng.randint(0, 3) for _ in Q.vertices)
         b = tuple(rng.randint(0, 3) for _ in Q.vertices)
         ext = _ext_by_generic_rank(Q, a, b, rng)
         assert generic.ext(a, b) == ext, (Q, a, b)
         assert generic.embeds(a, tuple(x + y for x, y in zip(a, b))) == (ext == 0)
-        positive += ext > 0
-    assert positive > 100
-
-
-def test_acyclicity():
-    assert is_acyclic(Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "1", "2"))))
-    assert not is_acyclic(Quiver(("1",), (Arrow("l", "1", "1"),)))
-    assert not is_acyclic(Quiver(("1", "2", "3"), (
-        Arrow("a", "1", "2"), Arrow("b", "2", "3"), Arrow("c", "3", "1"))))
+        seen[kind] += 1
+        seen[kind == "acyclic", ext > 0] += 1
+    assert seen[True, True] > 100 and seen[False, True] > 100, seen
+    assert min(seen[k] for k in ("loop", "2-cycle", "cycle")) >= 50, seen
 
 
 def _kronecker(n, a, b):
@@ -312,16 +331,22 @@ def _kronecker(n, a, b):
 
 
 def _sampler_certify(Q, W, beta, theta, trials=200, prime=5, seed=0):
-    """The sampler-only certification the Schofield test replaced, as an oracle."""
+    """The sampler-only certification the Schofield test replaced, as an oracle.
+
+    EmptyVerified for a structural destabilizer, NonemptyVerified for a
+    geometrically stable witness (stable, with End(M) = F_p), None when the
+    trials find neither.
+    """
     sq, dims = support_quiver(Q, W, beta)
     th = theta_hat(theta, sq.vertices)
     if structural_destabilizer(sq, dims, th) is not None:
         return Status.EMPTY_VERIFIED
     for trial in range(trials):
         rng = random.Random("%s:%s:%d" % (seed, repr(beta.items), trial))
-        if is_stable_rep(sq, random_rep(sq, dims, prime, rng), th):
+        M = random_rep(sq, dims, prime, rng)
+        if is_stable_rep(sq, M, th) and endomorphism_dim(sq, M) == 1:
             return Status.NONEMPTY_VERIFIED
-    return Status.CANDIDATE_ONLY
+    return None
 
 
 @pytest.mark.parametrize("n, a, b, radius, counts", [
@@ -344,7 +369,7 @@ def test_schofield_agrees_with_sampler(n, a, b, radius, counts):
         res = certify_component(Q, W, beta, theta)
         seen[res.status] += 1
         old = _sampler_certify(Q, W, beta, theta)
-        assert old is Status.CANDIDATE_ONLY or res.status is old, beta
+        assert old is None or res.status is old, beta
         # the old path's only emptiness certificate was the structural one
         structural = all(k == 1 for _, k in beta.items) or old is Status.EMPTY_VERIFIED
         assert res.method == ("structural" if structural else "schofield")
@@ -367,26 +392,86 @@ def _two_cycle(alpha, theta, extra_arrow=False):
     return Q, W, beta, theta
 
 
-def test_cyclic_support_uses_sampler(monkeypatch):
-    def no_schofield(*args):
-        raise AssertionError("Schofield's test ran on a cyclic support")
+def test_golden_quiver_files_certify_exactly(tmp_path):
+    """Seeded files from the golden quiver generator, whose weight-0 gradings
+    keep loops and cycles in the support quivers: the sampler only attaches
+    witnesses, and Schofield's test decides."""
+    seen, verdict = collections.Counter(), ("status", "method", "destabilizer")
+    path = tmp_path / "q.json"
+    for seed in range(170):
+        data, flags = _quiver_file(seed)
+        path.write_text(json.dumps(data))
+        reports = []
+        for extra in ([], ["--trials", "0"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(["quiver", str(path)] + flags + extra)
+            reports.append(json.loads(out.getvalue()) if code == 0 else None)
+        report, bare = reports
+        if report is None:
+            continue
+        seen["files"] += 1
+        assert report["counts"]["candidate_only"] == 0
+        opts = {k.lstrip("-"): int(v) for k, v in zip(flags[::2], flags[1::2])}
+        Q, W, _alpha, theta = _quiver_from_data(data)
+        for comp, comp0 in zip(report["components"], bare["components"], strict=True):
+            assert [comp[k] for k in verdict] == [comp0[k] for k in verdict], (seed, comp)
+            beta = CoverVector([((v, chi), n) for (v, chi), n in comp["beta"]])
+            assert comp0["beta"] == comp["beta"] and comp0["witness"] is None
+            old = _sampler_certify(Q, W, beta, theta, opts["trials"], opts["prime"], opts["seed"])
+            if old is not None:
+                assert comp["status"] == old.value, (seed, comp)
+            if comp["method"] == "schofield" and comp["status"] == "EmptyVerified":
+                dest, full = {(v, tuple(chi)): k for (v, chi), k in comp["destabilizer"]}, beta.as_dict()
+                assert 0 < sum(dest.values()) < beta.total()
+                assert all(0 < k <= full[p] for p, k in dest.items())
+                assert sum(theta[v] * k for (v, _), k in dest.items()) <= 0
+            seen[comp["status"], comp["method"], old] += 1
+    assert seen["files"] >= 150, seen
+    assert seen["EmptyVerified", "schofield", None] >= 20, seen
+    assert seen["NonemptyVerified", "schofield", Status.NONEMPTY_VERIFIED] >= 20, seen
+    assert seen["NonemptyVerified", "schofield", None] >= 5, seen
 
-    monkeypatch.setattr("fixedloci.repfield.generic_destabilizer", no_schofield)
-    # a weight-0 grading keeps the 2-cycle in the support quiver
+
+def test_cyclic_supports_are_exact():
+    # a weight-0 grading keeps the 2-cycle in the support quiver; every
+    # representation has U = (k, image of a) with theta(U) = -1, which no
+    # structural test sees
     Q, W, beta, theta = _two_cycle({"1": 1, "2": 2}, {"1": -2, "2": 1})
-    sq, _ = support_quiver(Q, W, beta)
-    assert not is_acyclic(sq)
-    # every representation has U = (k, image of a) with theta(U) = -1, which
-    # no structural test sees, so the sampler finds nothing
-    res = certify_component(Q, W, beta, theta, trials=20)
-    assert (res.status, res.method, res.witness) == (Status.CANDIDATE_ONLY, None, None)
+    for trials in (0, 20):
+        res = certify_component(Q, W, beta, theta, trials=trials)
+        assert (res.status, res.method, res.witness) == (Status.EMPTY_VERIFIED, "schofield", None)
+        assert res.destabilizer == ((("1", (0,)), 1), (("2", (0,)), 1))
     # with a second arrow 1 -> 2 the general representation is stable
     res = certify_component(*_two_cycle({"1": 1, "2": 2}, {"1": -2, "2": 1}, True))
-    assert (res.status, res.method) == (Status.NONEMPTY_VERIFIED, "fp_witness")
+    assert (res.status, res.method) == (Status.NONEMPTY_VERIFIED, "schofield")
     assert res.witness is not None
-    # a thin cover is exact even on a cyclic support
+    # a thin cover stays structural
     res = certify_component(*_two_cycle({"1": 1, "2": 1}, {"1": 1, "2": -1}), trials=0)
     assert (res.status, res.method, res.witness) == (Status.NONEMPTY_VERIFIED, "structural", None)
+
+
+def test_witness_has_trivial_endomorphisms():
+    """Two weight-0 loops at alpha = 2, theta = 0: a pair of matrices with no
+    common eigenline over F_p may share one over F_{p^2}, where they commute
+    and span a copy of F_{p^2}; such a stable M with End(M) = F_{p^2} is no
+    witness, and the sampler skips it."""
+    loops = (Arrow("a", "1", "1"), Arrow("b", "1", "1"))
+    Q = Quiver(("1",), loops)
+    W = ArrowWeights.from_dict(1, {x.id: (0,) for x in loops})
+    beta = CoverVector({("1", (0,)): 2})
+    sq, dims = support_quiver(Q, W, beta)
+    th = theta_hat({"1": 0}, sq.vertices)
+    skipped = 0
+    for prime in (2, 3, 5):
+        for seed in range(100):
+            res = certify_component(Q, W, beta, {"1": 0}, trials=40, prime=prime, seed=seed)
+            assert (res.status, res.method) == (Status.NONEMPTY_VERIFIED, "schofield")
+            assert res.witness is not None and endomorphism_dim(sq, res.witness) == 1
+            earlier = (random_rep(sq, dims, prime, random.Random("%s:%s:%d" % (seed, repr(beta.items), t)))
+                       for t in range(res.witness_trial))
+            skipped += any(is_stable_rep(sq, M, th) for M in earlier)
+    assert skipped >= 10, skipped
 
 
 def test_endomorphism_dim_examples():
