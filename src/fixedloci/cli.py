@@ -13,6 +13,7 @@ guard/limit error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -40,9 +41,59 @@ from .repfield import certify_component, check_guard
 from .toric import fixed_points_toric, quotient_fan, toric_context
 
 
-def _load_schema(name):
-    with resources.files("fixedloci.schemas").joinpath(name).open("r") as fh:
-        return json.load(fh)
+@functools.cache
+def _problem_schema():
+    return json.loads(resources.files("fixedloci.schemas").joinpath("problem.schema.json").read_text())
+
+
+def _is_type(value, name):
+    """JSON Schema's type test: a bool is no number, a float with an integral value an integer."""
+    if isinstance(value, bool):
+        return False
+    if name == "integer":
+        return isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    return isinstance(value, {"number": (int, float), "string": str, "array": list,
+                              "object": dict}[name])
+
+
+def _schema_errors(value, schema, path=()):
+    """Yield (path, message) for each way `value` breaks `schema`, in schema order, with the
+    messages of jsonschema's Draft 2020-12 validator for the keywords the problem schema uses."""
+    for key, rule in schema.items():
+        if key == "type" and not _is_type(value, rule):
+            yield path, "%r is not of type %r" % (value, rule)
+        elif key == "enum" and value not in rule:
+            yield path, "%r is not one of %r" % (value, rule)
+        elif key == "const" and value != rule:
+            yield path, "%r was expected" % (rule,)
+        elif key == "minimum" and _is_type(value, "number") and value < rule:
+            yield path, "%r is less than the minimum of %r" % (value, rule)
+        elif key == "minItems" and isinstance(value, list) and len(value) < rule:
+            yield path, "%r %s" % (value, "should be non-empty" if rule == 1 else "is too short")
+        elif key == "maxItems" and isinstance(value, list) and len(value) > rule:
+            yield path, "%r %s" % (value, "is expected to be empty" if rule == 0 else "is too long")
+        elif key == "items" and isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from _schema_errors(item, rule, path + (i,))
+        elif key == "required" and isinstance(value, dict):
+            yield from ((path, "%r is a required property" % (n,)) for n in rule if n not in value)
+        elif key == "properties" and isinstance(value, dict):
+            for name, sub in rule.items():
+                if name in value:
+                    yield from _schema_errors(value[name], sub, path + (name,))
+        elif key == "additionalProperties" and isinstance(value, dict):
+            extra = sorted(k for k in value if k not in schema.get("properties", {}))
+            if rule is False and extra:
+                yield path, "Additional properties are not allowed (%s %s unexpected)" % (
+                    ", ".join(map(repr, extra)), "was" if len(extra) == 1 else "were")
+            elif rule is not False:
+                for name in extra:
+                    yield from _schema_errors(value[name], rule, path + (name,))
+        elif key == "allOf":
+            for sub in rule:
+                yield from _schema_errors(value, sub, path)
+        elif key == "if" and "then" in schema and not any(_schema_errors(value, rule)):
+            yield from _schema_errors(value, schema["then"], path)
 
 
 def load_problem(path):
@@ -54,30 +105,23 @@ def load_problem(path):
     except json.JSONDecodeError as exc:
         raise ValidationError("%s: invalid JSON at line %d column %d: %s"
                               % (path, exc.lineno, exc.colno, exc.msg))
-    import jsonschema
-
-    schema = _load_schema("problem.schema.json")
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
-    if errors:
-        e = errors[0]
-        loc = "/".join(str(p) for p in e.absolute_path) or "(root)"
-        raise ValidationError("%s: at %s: %s" % (path, loc, e.message))
+    error = min(_schema_errors(data, _problem_schema()), key=lambda e: e[0], default=None)
+    if error:
+        loc = "/".join(str(p) for p in error[0]) or "(root)"
+        raise ValidationError("%s: at %s: %s" % (path, loc, error[1]))
     return data
 
 
 def _check_flag(flag, value, kind, *path):
     """Hold a command-line value to the schema rule for the same field of a
     problem file of this kind."""
-    import jsonschema
-
-    rule = next(r["then"] for r in _load_schema("problem.schema.json")["allOf"]
+    rule = next(r["then"] for r in _problem_schema()["allOf"]
                 if r["if"]["properties"]["kind"]["const"] == kind)
     for key in path:
         rule = rule["properties"][key]
-    errors = list(jsonschema.Draft202012Validator(rule).iter_errors(value))
-    if errors:
-        raise ValidationError("%s: %s" % (flag, errors[0].message))
+    error = next(_schema_errors(value, rule), None)
+    if error:
+        raise ValidationError("%s: %s" % (flag, error[1]))
     return value
 
 
@@ -89,28 +133,15 @@ def _json_flag(flag, text, *path):
     return _check_flag(flag, value, "weights", *path)
 
 
-def validate_report(report):
-    import jsonschema
-
-    jsonschema.validate(report, _load_schema("report.schema.json"))
-
-
 # ---------------------------------------------------------------------------
 # problem construction
 
-def _action_from_toric(data):
-    items = tuple(
-        WeightItem(tuple(w["chi"]), mult=int(w.get("mult", 1)))
-        for w in data["weights"]
-    )
-    return WeightedAction(int(data["g_rank"]), 0, items, tuple(data["theta"]))
-
-
-def _action_from_weights(data):
+def _action_from_data(data, key):
+    """The action of a toric file (`key` "weights") or a weights file (`key` "items")."""
     aux = int(data.get("aux_rank", 0))
     items = tuple(
         WeightItem(tuple(w["chi"]), tuple(w.get("w", [0] * aux)), int(w.get("mult", 1)))
-        for w in data["items"]
+        for w in data[key]
     )
     return WeightedAction(int(data["g_rank"]), aux, items, tuple(data["theta"]))
 
@@ -147,7 +178,7 @@ def _frac_str(x):
 
 
 def _toric_report(data, seed):
-    action = _action_from_toric(data)
+    action = _action_from_data(data, "weights")
     section = None
     opts = data.get("options", {})
     if "section" in opts:
@@ -289,7 +320,7 @@ def _grassmann_report(data):
 
 
 def _kempf_report(data, support=None, inner_product=None):
-    action = _action_from_weights(data)
+    action = _action_from_data(data, "items")
     if support is None:
         support = data["support"] if "support" in data else action.indices()
     support = [tuple(p) for p in support]
@@ -384,6 +415,7 @@ def render_dot(report):
 # ---------------------------------------------------------------------------
 # entry point
 
+@functools.cache
 def build_parser():
     p = argparse.ArgumentParser(prog="fixedloci",
                                 description="torus fixed points of GIT quotients")

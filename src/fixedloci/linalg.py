@@ -96,9 +96,6 @@ class IntMatrix:
     def nrows(self):
         return len(self.entries)
 
-    def row(self, i):
-        return self.entries[i]
-
     def col(self, j):
         return tuple(r[j] for r in self.entries)
 

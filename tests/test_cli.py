@@ -5,10 +5,11 @@ import random
 import pytest
 
 from fixedloci import simplex, toric
-from fixedloci.cli import main, validate_report
-from fixedloci.cli import _action_from_weights, _kempf_report, _quiver_report, _toric_report
+from fixedloci.cli import main
+from fixedloci.cli import _action_from_data, _kempf_report, _quiver_report, _toric_report
 from fixedloci.hmtorus import is_semistable_support, is_stable_support
 from fixedloci.linalg import IntMatrix, rank
+from schema_oracles import validate_report
 
 
 HIRZ2 = {
@@ -241,7 +242,7 @@ def test_kempf_report_agrees_with_lp_certificates():
             Q = [[sum(row[i] * row[j] for row in A) + (i == j) for j in range(r)]
                  for i in range(r)]
         k = _kempf_report(data, support, Q)["kempf"]
-        action = _action_from_weights(data)
+        action = _action_from_data(data, "items")
         assert k["semistable"] == is_semistable_support(action, support), (data, support, Q)
         assert k["stable"] == is_stable_support(action, support), (data, support, Q)
         support_chis = [chis[s] for s, _ in support]

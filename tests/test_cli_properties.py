@@ -11,7 +11,8 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixedloci.cli import load_problem, main, validate_report
+from fixedloci.cli import load_problem, main
+from schema_oracles import validate_report
 
 ENTRY = st.integers(-3, 3)
 JSON_VALUES = st.recursive(
