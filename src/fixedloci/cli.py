@@ -92,7 +92,7 @@ def _schema_errors(value, schema, path=()):
         elif key == "allOf":
             for sub in rule:
                 yield from _schema_errors(value, sub, path)
-        elif key == "if" and "then" in schema and not any(_schema_errors(value, rule)):
+        elif key == "if" and not any(_schema_errors(value, rule)):
             yield from _schema_errors(value, schema["then"], path)
 
 

@@ -1,7 +1,7 @@
 """jsonschema as the reference for the CLI's schema walker, and the report
 schema check that only the tests make.
 
-The CLI validates problem files and flags with `cli.schema_errors`, a
+The CLI validates problem files and flags with `cli._schema_errors`, a
 stdlib walker over the keywords the problem schema uses.  jsonschema's
 Draft 2020-12 validator is the oracle it is compared against; the report
 schema is checked here only.
@@ -13,16 +13,9 @@ from importlib import resources
 import jsonschema
 
 
-def _schema(name):
-    return json.loads(resources.files("fixedloci.schemas").joinpath(name).read_text())
-
-
 def validate_report(report):
-    jsonschema.validate(report, _schema("report.schema.json"))
-
-
-def problem_schema():
-    return _schema("problem.schema.json")
+    schema = resources.files("fixedloci.schemas").joinpath("report.schema.json").read_text()
+    jsonschema.validate(report, json.loads(schema))
 
 
 def jsonschema_errors(value, schema):

@@ -20,8 +20,8 @@ import tempfile
 from pathlib import Path
 
 import fixedloci
-from fixedloci.cli import _schema_errors, main
-from schema_oracles import jsonschema_errors, problem_schema
+from fixedloci.cli import _problem_schema, _schema_errors, main
+from schema_oracles import jsonschema_errors
 from test_golden_reports import BASES, KIND_TO_COMMAND, PROBLEMS, _nodes, _parent
 
 JUNK = (2.0, -2.0, 1e400, -1e400, float("nan"), True, False, 0, -1, 1, 2.5, "x", "",
@@ -74,7 +74,7 @@ def _flag_value(rng, depth=0):
 
 
 def test_walker_agrees_with_jsonschema():
-    schema = problem_schema()
+    schema = _problem_schema()
     bases = [json.loads(p.read_text()) for p in sorted(PROBLEMS.glob("*.json"))] + list(BASES)
     rng = random.Random("walker-oracle")
     seen = collections.Counter()
