@@ -491,8 +491,12 @@ def main(argv=None):
             print("validation error: %s" % exc, file=sys.stderr)
             return 2
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print("validation error: cannot write %s: %s" % (args.out, exc), file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     if args.verbose:

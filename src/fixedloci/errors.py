@@ -25,14 +25,6 @@ class EmptyStableLocus(FixedLociError):
     pass
 
 
-class NotUnstable(FixedLociError):
-    """An optimal destabilizer was requested for a semi-stable support.
-
-    On the semi-stable boundary the optimizing ray need not be unique, so the
-    library refuses to pick one.
-    """
-
-
 class TooLarge(FixedLociError):
     """A brute-force guard was exceeded."""
 

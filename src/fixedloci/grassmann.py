@@ -75,8 +75,3 @@ def classify(problem: GrassmannProblem):
                 out.append(GrassmannComponent(s_seq, j_seq, factors, dim))
     out.sort(key=lambda c: (c.l, c.s_seq, c.j_seq))
     return out
-
-
-def component_count(problem: GrassmannProblem) -> int:
-    return len(classify(problem))
-

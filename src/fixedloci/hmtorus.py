@@ -21,7 +21,7 @@ from .cones import (
     dot_q,
     project_onto_cone,
 )
-from .errors import DimMismatch, NotUnstable
+from .errors import DimMismatch
 from .linalg import IntMatrix, dot, rank, rational_primitive, solve
 from .simplex import feasible_nonneg
 
@@ -77,13 +77,6 @@ class WeightedAction:
 
     def chi_of(self, idx):
         return self.items[idx[0]].chi
-
-    def w_of(self, idx):
-        return self.items[idx[0]].w
-
-
-def full_support(action: WeightedAction):
-    return frozenset(action.indices())
 
 
 def _normalize_support(action, support):
@@ -177,21 +170,3 @@ def kempf_data(action: WeightedAction, support, Q=None):
         vals.append(Fraction(num * num, dot_q(g, g, Q)))
     msq = min(vals)
     return MValue(0 if msq == 0 else 1, msq), None, cone
-
-
-def m_value(action: WeightedAction, support, Q=None) -> MValue:
-    """Exact signed square of min <theta,eta>/||eta||_Q over the limit cone."""
-    return kempf_data(action, support, Q)[0]
-
-
-def adapted_one_ps(action: WeightedAction, support, Q=None):
-    """The primitive 1-PS on the optimal destabilizing ray (unique for m < 0).
-
-    Raises NotUnstable when the support is semi-stable, where the optimal ray
-    may fail to be unique.
-    """
-    mv, lam, cone = kempf_data(action, support, Q)
-    if mv.sign >= 0:
-        raise NotUnstable("support is semi-stable; no adapted destabilizer")
-    assert cone.contains(lam)
-    return lam

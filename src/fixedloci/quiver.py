@@ -150,8 +150,9 @@ def default_window_radius(alpha, weights: ArrowWeights):
 
 
 def theta_hat(theta, points):
-    """Graded stability on covering-quiver points: the vertex value, per grade."""
-    return {(v, chi): int(theta[v]) for (v, chi) in points}
+    """Graded stability on covering-quiver points: the vertex value, per grade.
+    A vertex missing from theta counts as 0."""
+    return {(v, chi): int(theta.get(v, 0)) for (v, chi) in points}
 
 
 def component_dimension(quiver: Quiver, weights: ArrowWeights, beta: CoverVector) -> int:

@@ -5,9 +5,7 @@ C^m with stability character theta, this module checks the action once
 (toric_context), then computes the toric fan of the quotient and the
 residual-torus fixed points from one memo of stable supports, and the
 bijection between fixed points and morphisms rho from the residual torus
-back into the acting torus.  It also contains the finite enumeration of
-lattice maps determined by a finite coincidence set, which powers the
-candidate-rho search for general abelian weight data.
+back into the acting torus.
 """
 
 from __future__ import annotations
@@ -212,47 +210,3 @@ def fixed_points_toric(ctx: ToricContext):
             )
         )
     return components
-
-
-# ---------------------------------------------------------------------------
-# finite enumeration of lattice maps pinned down by a coincidence set
-
-def enumerate_linear_maps(pairs, dim_x: int, dim_y: int):
-    """All integer matrices f with {x : (x, f x) in E} spanning Q^dim_x.
-
-    pairs is the finite set E of (x, y) tuples.  Any valid f is determined by
-    its values on a basis contained in its coincidence set, so scanning basis
-    subsets of E is exhaustive.  Returns IntMatrix objects (dim_y x dim_x),
-    deduplicated and sorted.
-    """
-    pairs = [(tuple(int(a) for a in x), tuple(int(b) for b in y)) for x, y in pairs]
-    for x, y in pairs:
-        if len(x) != dim_x or len(y) != dim_y:
-            raise ValueError("pair (%r, %r) has wrong dimensions" % (x, y))
-    if dim_x == 0:
-        return [IntMatrix.from_rows([() for _ in range(dim_y)], 0)]
-    found = {}
-    for comb in itertools.combinations(range(len(pairs)), dim_x):
-        # f maps each x to its y: F X = Y with columns x, i.e. X^T F^T = Y^T
-        Ft = solve_integral([pairs[i][0] for i in comb], [pairs[i][1] for i in comb])
-        if Ft is None:
-            continue
-        F = IntMatrix.from_rows(Ft, dim_y).transpose()
-        key = F.entries
-        if key in found:
-            continue
-        matched = [x for x, y in pairs if F.apply(x) == y]
-        if matched and rank(IntMatrix.from_rows(matched, dim_x)) == dim_x:
-            found[key] = F
-    return [found[k] for k in sorted(found)]
-
-
-def candidate_rhos(action: WeightedAction):
-    """All rho whose compatible subspace can span: the finite candidate list.
-
-    The coincidence set is the weight list (chi, w); a candidate's character
-    map is an integer matrix agreeing with w on a spanning set of chis.
-    """
-    pairs = [(action.chi_of(i), action.w_of(i)) for i in action.indices()]
-    maps = enumerate_linear_maps(pairs, action.g_rank, action.aux_rank)
-    return [RhoMap(F.transpose()) for F in maps]

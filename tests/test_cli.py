@@ -264,6 +264,28 @@ def test_bad_theta_pairing_exits_2(tmp_path, capsys):
     assert "theta . alpha = 5, expected 0" in err
 
 
+def test_theta_missing_vertex_counts_as_zero(tmp_path, capsys):
+    short = {"kind": "quiver", "vertices": ["1", "2"],
+             "arrows": [{"id": "a", "src": "1", "tgt": "2"}],
+             "alpha": {"1": 1, "2": 1}, "theta": {"1": 0}}
+    reports = []
+    for name, data in (("short.json", short), ("full.json", dict(short, theta={"1": 0, "2": 0}))):
+        code, out, _ = run(["quiver", write(tmp_path, name, data)], capsys)
+        assert code == 0
+        reports.append(json.loads(out))
+    assert reports[0]["components"] == reports[1]["components"]
+    assert reports[0]["counts"] == reports[1]["counts"]
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    f = write(tmp_path, "g.json", GRASS)
+    for target in (tmp_path / "missing" / "report.json", tmp_path):
+        code, out, err = run(["grassmann", f, "--out", str(target)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("validation error: cannot write %s: " % target)
+    assert not (tmp_path / "missing").exists()
+
+
 def test_schema_violation_exits_2(tmp_path, capsys):
     f = write(tmp_path, "bad.json", {"kind": "toric", "g_rank": 2})
     code, _, err = run(["toric", f], capsys)

@@ -80,6 +80,9 @@ def quiver_runs(draw):
     if ones and draw(st.integers(0, 3)) > 0:  # pair theta with alpha to zero
         theta[ones[0]] = 0
         theta[ones[0]] = -sum(theta[v] * alpha[v] for v in vertices)
+    # the schema lets alpha and theta leave out vertices, which then count as 0
+    alpha = {v: n for v, n in alpha.items() if draw(st.integers(0, 3))}
+    theta = {v: n for v, n in theta.items() if draw(st.integers(0, 3))}
     data = {"kind": "quiver", "vertices": vertices, "arrows": arrows,
             "alpha": alpha, "theta": theta}
     if draw(st.booleans()):

@@ -2,20 +2,15 @@ import math
 import random
 from fractions import Fraction
 
-import pytest
-
 from conftest import hirzebruch_action
 from fixedloci.cones import RationalCone, dot_q
-from fixedloci.errors import NotUnstable
 from fixedloci.hmtorus import (
     WeightItem,
     WeightedAction,
-    adapted_one_ps,
-    full_support,
     is_semistable_support,
     is_stable_support,
+    kempf_data,
     limit_cone,
-    m_value,
 )
 from fixedloci.linalg import IntMatrix, dot, rank
 
@@ -91,7 +86,7 @@ def test_certificates_agree_with_cone_oracles():
 
 
 def test_limit_cone_examples(hirz2):
-    full = limit_cone(hirz2, full_support(hirz2))
+    full = limit_cone(hirz2, hirz2.indices())
     assert set(full.generators) == {(1, 0), (0, 1)}
     assert limit_cone(hirz2, set()) == limit_cone(hirz2, set()).dual().dual()
     assert set(limit_cone(hirz2, set()).generators) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
@@ -111,41 +106,41 @@ def test_stable_examples():
         A = hirzebruch_action(d)
         assert is_stable_support(A, {(0, 0), (1, 0)})
         assert not is_stable_support(A, {(0, 0), (0, 1)})
-        assert is_stable_support(A, full_support(A))
+        assert is_stable_support(A, A.indices())
     # theta inside the quadrant is stable, theta on its boundary only semistable
     quad = WeightedAction(2, 0, (WeightItem((1, 0)), WeightItem((0, 1))), (1, 1))
-    assert is_stable_support(quad, full_support(quad))
+    assert is_stable_support(quad, quad.indices())
     edge = WeightedAction(2, 0, quad.items, (1, 0))
-    assert is_semistable_support(edge, full_support(edge))
-    assert not is_stable_support(edge, full_support(edge))
+    assert is_semistable_support(edge, edge.indices())
+    assert not is_stable_support(edge, edge.indices())
     # weights spanning the plane as a linear space: the certificate takes t = 0
     plane = WeightedAction(2, 0, tuple(WeightItem(c) for c in [(1, 0), (0, 1), (-1, -1)]), (0, 0))
-    assert is_stable_support(plane, full_support(plane))
+    assert is_stable_support(plane, plane.indices())
     # weights on a line: semistable, never stable
     line = WeightedAction(2, 0, (WeightItem((1, 1)), WeightItem((-1, -1))), (0, 0))
-    assert is_semistable_support(line, full_support(line))
-    assert not is_stable_support(line, full_support(line))
+    assert is_semistable_support(line, line.indices())
+    assert not is_stable_support(line, line.indices())
     # rank 0: every support is stable
     point = WeightedAction(0, 0, (WeightItem(()),), ())
     assert is_stable_support(point, set())
 
 
-def test_m_value_examples():
+def test_kempf_data_examples():
     B = WeightedAction(2, 0, (WeightItem((1, 0)),), (1, 1))
-    mv = m_value(B, {(0, 0)})
+    mv, lam, cone = kempf_data(B, {(0, 0)})
     assert (mv.sign, mv.m_squared) == (-1, Fraction(1))
-    assert adapted_one_ps(B, {(0, 0)}) == (0, -1)
+    assert lam == (0, -1) and cone.contains(lam)
 
     origin = WeightedAction(1, 0, (WeightItem((1,)),), (1,))
-    mv = m_value(origin, set())
+    mv, lam, cone = kempf_data(origin, set())
     assert mv.sign == -1
-    assert adapted_one_ps(origin, set()) == (-1,)
+    assert lam == (-1,) and cone.contains(lam)
 
+    # semi-stable: the optimal ray need not be unique, so none is returned
     D = WeightedAction(2, 0, (WeightItem((1, 0)), WeightItem((0, 1))), (1, 1))
-    mv = m_value(D, {(0, 0), (1, 0)})
+    mv, lam, _ = kempf_data(D, {(0, 0), (1, 0)})
     assert mv.sign == 1 and mv.m_squared == 1
-    with pytest.raises(NotUnstable):
-        adapted_one_ps(D, {(0, 0), (1, 0)})
+    assert lam is None
 
 
 def test_hilbert_mumford_consistency():
@@ -155,7 +150,7 @@ def test_hilbert_mumford_consistency():
     for _ in range(150):
         A = random_action(rng)
         S = random_support(rng, A)
-        assert is_semistable_support(A, S) == (m_value(A, S).sign >= 0)
+        assert is_semistable_support(A, S) == (kempf_data(A, S)[0].sign >= 0)
 
 
 def test_stable_implies_semistable_and_span():
@@ -191,11 +186,11 @@ def test_adapted_properties():
     while checked < 60:
         A = random_action(rng)
         S = random_support(rng, A)
-        mv = m_value(A, S)
+        mv, lam, _ = kempf_data(A, S)
         if mv.sign >= 0:
+            assert lam is None
             continue
         checked += 1
-        lam = adapted_one_ps(A, S)
         cone = limit_cone(A, S)
         assert cone.contains(lam)
         assert math.gcd(*[abs(x) for x in lam] + [0]) == 1
@@ -224,23 +219,23 @@ def test_adapted_unique_under_item_permutation():
     while checked < 40:
         A = random_action(rng)
         S = random_support(rng, A)
-        if m_value(A, S).sign >= 0:
+        lam = kempf_data(A, S)[1]
+        if lam is None:
             continue
         checked += 1
-        lam = adapted_one_ps(A, S)
         perm = list(range(len(A.items)))
         rng.shuffle(perm)
         B = WeightedAction(A.g_rank, 0, tuple(A.items[p] for p in perm), A.theta)
         S2 = frozenset((perm.index(s), k) for (s, k) in S)
-        assert adapted_one_ps(B, S2) == lam
+        assert kempf_data(B, S2)[1] == lam
 
 
 def test_nonidentity_inner_product():
     B = WeightedAction(2, 0, (WeightItem((1, 0)),), (1, 1))
     Q = [[2, 0], [0, 1]]
-    lam = adapted_one_ps(B, {(0, 0)}, Q)
+    mv, lam, cone = kempf_data(B, {(0, 0)}, Q)
+    assert cone.contains(lam)
     # minimizing over {eta1 >= 0}: theta_sharp = (1/2, 1), projection of
     # -(1/2,1) in Q-metric onto the halfspace is (0,-1) -> same ray here
     assert lam == (0, -1)
-    mv = m_value(B, {(0, 0)}, Q)
     assert mv.sign == -1 and mv.m_squared == Fraction(1)

@@ -17,8 +17,6 @@ from fixedloci.toric import (
     MAX_ENUM_DIM,
     RhoMap,
     ToricFan,
-    candidate_rhos,
-    enumerate_linear_maps,
     fixed_points_toric,
     quotient_fan,
     rho_from_stable_subset,
@@ -255,45 +253,3 @@ def test_necessary_condition(hirz2):
     rho_none = RhoMap(IntMatrix.from_rows([[3, 0], [0, 3]]))
     assert s_rho(hirz2, rho_none, PAPER_SECTION) == frozenset()
     assert not necessary_condition(hirz2, rho_none, PAPER_SECTION)
-
-
-def test_candidate_rhos_hirzebruch(hirz2):
-    # attach the section rows as auxiliary weights and enumerate candidates
-    c = toric_context(hirz2, PAPER_SECTION).section
-    items = tuple(
-        WeightItem(hirz2.chi_of(i), c.entries[hirz2.flat_index(i)])
-        for i in hirz2.indices()
-    )
-    A = WeightedAction(2, 2, items, hirz2.theta)
-    cands = {r.matrix.entries for r in candidate_rhos(A)}
-    assert ((1, 0), (0, 1)) in cands
-    assert ((0, 0), (0, 0)) in cands
-    assert ((1, 0), (-2, 0)) in cands
-    assert ((0, 0), (0, 1)) in cands
-
-
-def test_enumerate_linear_maps_examples():
-    res = enumerate_linear_maps([((1,), (0,)), ((1,), (1,)), ((2,), (1,))], 1, 1)
-    assert sorted(m.entries for m in res) == [((0,),), ((1,),)]
-    assert enumerate_linear_maps([], 1, 1) == []
-    res = enumerate_linear_maps([((2,), (2,))], 1, 1)
-    assert [m.entries for m in res] == [((1,),)]
-
-
-def test_enumerate_linear_maps_small_brute_force():
-    rng = random.Random(67)
-    for _ in range(25):
-        E = [
-            (
-                (rng.randint(-2, 2),),
-                (rng.randint(-2, 2),),
-            )
-            for _ in range(rng.randint(0, 4))
-        ]
-        got = {m.entries[0][0] for m in enumerate_linear_maps(E, 1, 1)}
-        brute = set()
-        for f in range(-10, 11):
-            matched = [x for (x,), (y,) in E if f * x == y]
-            if matched and any(x != 0 for x in matched):
-                brute.add(f)
-        assert got == brute
