@@ -7,6 +7,9 @@ for 60 seeded toric files (g_rank 0-3, with multiplicities, one in three
 with a section) in json and dot format, for 38 seeded quiver files and
 four Kronecker quivers in json format, for 300 seeded files that break the
 problem schema in one place, and for 100 out-of-range or ill-shaped flags.
+GOLDEN_HIGH_RANK pins 24 more seeded kempf files of rank 5 and 6, whose
+limit cones have up to 32 generators, so the projection onto the limit
+cone is held to its exact answer where it is most costly.
 Seeded toric, quiver and invalid-input cases also pin the sha256 of
 stderr, since many of them exit 2 or 3; the temporary directory in a
 message is replaced by a fixed token first, so the message texts are
@@ -15,12 +18,12 @@ quiver cases pin the F_p witnesses and the trials that found them, so they
 hold the subrepresentation scans to their exact answers.  A refactoring
 or speed-up must leave every one of them unchanged.
 
-When a change is meant to alter a report, regenerate the table with
+When a change is meant to alter a report, regenerate the tables with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 
-paste the printed lines over GOLDEN, and name the reports that moved, and
-why, in the change's description.
+paste the printed tables over GOLDEN and GOLDEN_HIGH_RANK, and name the
+reports that moved, and why, in the change's description.
 """
 
 import contextlib
@@ -63,6 +66,41 @@ def _kempf_file(seed):
         Q = [[sum(row[i] * row[j] for row in A) + (i == j) for j in range(r)] for i in range(r)]
         flags.append("--inner-product=" + json.dumps(Q))
     return data, flags
+
+
+def _kempf_high_rank_file(seed):
+    """A seeded rank 5 or 6 weights problem and its kempf flags.
+
+    Eight to twelve weights in [-2, 2]^r, nearly all pairing positively
+    with a random v, and theta near -v: the limit cone is then large, and
+    -theta lies in or near it, so the Kempf minimum sits on a face of high
+    dimension.  A quarter of the files carry `--support`, a quarter
+    `--inner-product`, a quarter both.
+    """
+    rng = random.Random("kempf-high:%d" % seed)
+    r = 5 + seed % 2
+    v = [rng.randint(-2, 2) for _ in range(r)]
+    items = []
+    while len(items) < 8 + seed % 5:
+        chi = [rng.randint(-2, 2) for _ in range(r)]
+        if sum(a * b for a, b in zip(chi, v)) > 0 or rng.random() < 0.1:
+            items.append({"chi": chi})
+    data = {"kind": "weights", "g_rank": r, "items": items,
+            "theta": [rng.randint(-1, 1) - a for a in v]}
+    flags = []
+    if seed % 4 in (1, 2):
+        support = [[s, 0] for s in range(len(items)) if rng.random() < 0.8]
+        flags.append("--support=" + json.dumps(support))
+    if seed % 4 in (2, 3):
+        A = [[rng.randint(-1, 1) for _ in range(r)] for _ in range(r)]
+        Q = [[sum(row[i] * row[j] for row in A) + (i == j) for j in range(r)] for i in range(r)]
+        flags.append("--inner-product=" + json.dumps(Q))
+    return data, flags
+
+
+# Seeds 0-29 less 7, 13, 17, 19, 23 and 27, whose reports took 2.2 s to
+# 124 s each with a generator-subset scan for the projection.
+HIGH_RANK_SEEDS = tuple(s for s in range(30) if s not in (7, 13, 17, 19, 23, 27))
 
 
 def _toric_file(seed):
@@ -304,6 +342,15 @@ def _cases(tmp):
         yield "invalid-flag:%d" % seed, [command, path] + flags
 
 
+def _high_rank_cases(tmp):
+    for seed in HIGH_RANK_SEEDS:
+        data, flags = _kempf_high_rank_file(seed)
+        path = os.path.join(tmp, "kempf_high_%d.json" % seed)
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        yield "kempf-high:%d" % seed, ["kempf", path] + flags
+
+
 def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -318,10 +365,10 @@ def _run(args, with_stderr, tmp):
     return digest
 
 
-def digests():
+def digests(cases=_cases):
     with tempfile.TemporaryDirectory() as tmp:
         return {case: _run(args, case.startswith(("toric:", "quiver:", "invalid")), tmp)
-                for case, args in _cases(tmp)}
+                for case, args in cases(tmp)}
 
 
 GOLDEN = {
@@ -961,6 +1008,33 @@ GOLDEN = {
     'invalid-flag:99': '2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 b820f2c7d906aff9a0b363af6de5fa373259f68b70c593570c8d3d580eff43b7',
 }
 
+GOLDEN_HIGH_RANK = {
+    'kempf-high:0': '0 9b5b7a12a92821eaed44b54469eaa74913bd2d9171ef924a21ab186f91a14aea',
+    'kempf-high:1': '0 ff889572f3837aa55f6acf14931dccc57feba25030a50a7aa28ab169f8080f70',
+    'kempf-high:2': '0 75166a4f0e4a51f08d0157e18da1c92f3b827fe3821eed3bd91f267aaa8e7a7f',
+    'kempf-high:3': '0 91dbaf29f239668d38a0183ae9263358080d855077ae9bcfebd479e89aefc9cf',
+    'kempf-high:4': '0 9439e5d3942303aaf5b0cf85ab532d315c86acddecdc04d17d4617165a22ac52',
+    'kempf-high:5': '0 324a8be7c069f08d0ff62705386956d777a71fcc49d77f54d9da665aa9a464f2',
+    'kempf-high:6': '0 7c051be643f8c125194f594ae489e140d3edbd61d17b2c89f4ddc831fc71690d',
+    'kempf-high:8': '0 915913afffa84f0523d0355fc3b1222140ddd8987fb644362ca037773c9d7870',
+    'kempf-high:9': '0 a7d4ab1ce9109188b5812ac6c8bdccf7572a1917ef45e1c9e9cf33ab089ca029',
+    'kempf-high:10': '0 fd58b3d8aca23e29332a6dfc5d2a40e0dc68e5013109df75a65ee613ef60f4c6',
+    'kempf-high:11': '0 b32e3e86b2fc22c4373f2685590bd002a520b8076c2d2d5391fcad9e32f16dc4',
+    'kempf-high:12': '0 0d7590d9d13a4d295806a3d059a87d2ec8054254ceaa9b1757fe53d79f7c5a6b',
+    'kempf-high:14': '0 271ec2785a5e4c31002a9f033773adb45ed23ee841f73029a58ab82b5895e568',
+    'kempf-high:15': '0 77da679669d9abf70339385bf7018ef001b9ef0b9d9be7542b4ee888a654fb4b',
+    'kempf-high:16': '0 b0ad390575fb8b6043cf3bd4ed39db98607f876d727328605791d706006016a0',
+    'kempf-high:18': '0 1c11a08c38aabd0d94f65a01bb08a7e92ac0aa4aef7bd2b338c531497948034a',
+    'kempf-high:20': '0 d1cda21f248016070518e05e4db0b40c55567f5dd11e79075e4770f250bf951f',
+    'kempf-high:21': '0 7d186c5d5e0c371a415d15d4edeea5a953b90b012602e6e9afa21012964212b6',
+    'kempf-high:22': '0 502de306f90f5cd2bb4201d42ecef628f05ae827b7da16eb72f780d1ee9a70c6',
+    'kempf-high:24': '0 9e2291df04b85c82b0e7510463ff37dddb772acd0bdbd7c7fba6ba95f746f179',
+    'kempf-high:25': '0 437f574a4334d1b00357d3d41de519cb91fd8e0d798890d80a2b215b78da2e9f',
+    'kempf-high:26': '0 9bb6ebfd51704aa4deee302e9d455b6b11ee5fe6143bf5753e1210c4a915544d',
+    'kempf-high:28': '0 a8a65bfdf0b24e0a3182821352048ee4117e65a36d656d733ba5a44438efe818',
+    'kempf-high:29': '0 8f3730f387fb9ac2974c892bd76a1494a3e06374e4d72fab1a6f2ac07ffd47a2',
+}
+
 
 def test_reports_match_golden_digests():
     got = digests()
@@ -969,6 +1043,16 @@ def test_reports_match_golden_digests():
     assert not moved, "report bytes changed: %s" % moved
 
 
+def test_high_rank_kempf_reports_match_golden_digests():
+    got = digests(_high_rank_cases)
+    assert sorted(got) == sorted(GOLDEN_HIGH_RANK)
+    moved = [case for case in GOLDEN_HIGH_RANK if got[case] != GOLDEN_HIGH_RANK[case]]
+    assert not moved, "report bytes changed: %s" % moved
+
+
 if __name__ == "__main__":
-    for case, digest in digests().items():
-        print("    %r: %r," % (case, digest))
+    for table, cases in (("GOLDEN", _cases), ("GOLDEN_HIGH_RANK", _high_rank_cases)):
+        print("%s = {" % table)
+        for case, digest in digests(cases).items():
+            print("    %r: %r," % (case, digest))
+        print("}")
