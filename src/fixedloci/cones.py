@@ -15,7 +15,7 @@ desk-scale dimensions (<= ~8).
 
 from __future__ import annotations
 
-import itertools
+import math
 from fractions import Fraction
 
 from .errors import DimMismatch, ValidationError
@@ -182,36 +182,54 @@ def dot_q(u, v, Q):
 def project_onto_cone(C: RationalCone, x, Q=None):
     """The unique nearest point of C to x in the Q-norm, exactly rational.
 
-    Characterized by p in C and <x - p, c - p>_Q <= 0 for all c in C; found
-    by scanning linearly independent generator subsets and solving the normal
-    equations on each.
+    Q is an integral symmetric positive definite Gram matrix as
+    check_inner_product returns it, the identity when None; it is not
+    checked again here.  The point is sum_g c_g g over the canonical
+    generators g with c >= 0 minimising |x - sum_g c_g g|_Q, found by the
+    Lawson-Hanson active-set method for non-negative least squares
+    (Solving Least Squares Problems, 1974, ch. 23) in exact arithmetic.
+    Each pass adds to the passive set the generator with the largest
+    positive residual pairing <x - p, g>_Q, the lowest index on ties, and
+    solves the normal equations on the passive set; while a coefficient is
+    not positive it steps back to feasibility by the exact ratio and drops
+    the generators whose coefficients reach 0.  It stops when no pairing is
+    positive: with c >= 0 this says <x - p, c - p>_Q <= 0 for all c in C.
     """
     dim = C.ambient_dim
     if Q is None:
         Q = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    else:
-        Q = check_inner_product(Q, dim)
     gens = C.generators
-    if not gens:
-        return tuple(Fraction(0) for _ in range(dim))
-    # work with the integer vector den * x; p is then (sum_g c_g g) / (d * den)
+    # work with the integer vector den * x; p is then (sum_g X_g g) / (d * den)
     xs, den = clear_denominators(x)
-
-    def try_subset(subset):
-        gram = [[dot_q(a, b, Q) for b in subset] for a in subset]
-        coeffs, d = solve(gram, [dot_q(xs, g, Q) for g in subset])
-        if any(c < 0 for c in coeffs):
-            return None
-        p = [sum(c * g[i] for c, g in zip(coeffs, subset)) for i in range(dim)]
-        diff = [d * a - b for a, b in zip(xs, p)]
-        if all(dot_q(diff, g, Q) <= 0 for g in gens):
-            return tuple(Fraction(a, d * den) for a in p)
-        return None
-
-    max_k = min(len(gens), dim)
-    for k in range(max_k + 1):
-        for subset in itertools.combinations(gens, k):
-            p = try_subset(list(subset))
-            if p is not None:
-                return p
-    raise AssertionError("projection onto cone not found; this is a bug")
+    qgens = [[dot(row, g) for row in Q] for g in gens]
+    gram = [[dot(g, qh) for qh in qgens] for g in gens]
+    rhs = [dot(xs, qg) for qg in qgens]
+    passive, X, d = [], (), 1
+    # A passive set stays linearly independent (a generator in its span
+    # pairs to 0 with the residual), and each pass ends on a new one at a
+    # smaller distance, so the passes are bounded by the independent sets.
+    for _ in range(sum(math.comb(len(gens), k) for k in range(dim + 1))):
+        # d * <den * x - p, g>_Q for every generator g
+        w = [d * b - sum(c * gram[i][j] for c, i in zip(X, passive))
+             for j, b in enumerate(rhs)]
+        j = max(range(len(gens)), key=w.__getitem__, default=None)
+        if j is None or w[j] <= 0:
+            break
+        passive.append(j)
+        coeffs = [Fraction(c, d) for c in X] + [Fraction(0)]
+        while True:
+            X, d = solve([[gram[i][k] for k in passive] for i in passive],
+                         [rhs[i] for i in passive])
+            if all(z > 0 for z in X):
+                break
+            zs = [Fraction(z, d) for z in X]
+            step = min(Fraction(c, c - z) for c, z in zip(coeffs, zs) if z <= 0)
+            coeffs = [c + step * (z - c) for c, z in zip(coeffs, zs)]
+            passive = [i for i, c in zip(passive, coeffs) if c]
+            coeffs = [c for c in coeffs if c]
+    else:
+        raise AssertionError("active-set projection did not converge; this is a bug")
+    assert all(c > 0 for c in X) and all(v <= 0 for v in w), \
+        "projection fails its optimality conditions; this is a bug"
+    return tuple(Fraction(sum(c * gens[i][k] for c, i in zip(X, passive)), d * den)
+                 for k in range(dim))

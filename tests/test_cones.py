@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from fixedloci import simplex
+from cone_oracles import project_by_subset_scan
+from fixedloci import cones, simplex
 from fixedloci.cones import RationalCone, dot_q, project_onto_cone
 from fixedloci.errors import DimMismatch
 from fixedloci.linalg import IntMatrix, dot, hnf, is_zero_vec, kernel_basis, primitive, solve, vec_neg
@@ -294,6 +295,126 @@ def test_projection_variational_inequality():
             c = tuple(sum(co * g[i] for co, g in zip(coeffs, C.generators)) for i in range(d))
             gap = dot_q(diff, tuple(a - b for a, b in zip(c, p)), Q)
             assert gap <= 0
+
+
+def _gram_matrix(rng, r):
+    """None (the identity), a diagonal or a random positive definite Gram matrix."""
+    kind = rng.choice(("identity", "diagonal", "random"))
+    if kind == "identity":
+        return kind, None
+    if kind == "diagonal":
+        return kind, [[rng.randint(1, 3) * (i == j) for j in range(r)] for i in range(r)]
+    B = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(r)]
+    return kind, [[sum(b[i] * b[j] for b in B) + (i == j) for j in range(r)] for i in range(r)]
+
+
+def _combination(rng, vectors, k):
+    """A random nonnegative integer combination of k of the vectors."""
+    terms = [(rng.randint(0, 3), v) for v in rng.sample(vectors, min(k, len(vectors)))]
+    return [sum(c * v[i] for c, v in terms) for i in range(len(vectors[0]))]
+
+
+def _projection_cases():
+    """Seeded (cone, x, Q, x kind) in dimension 1-6.
+
+    Cones come from random generators, with antipodal pairs mixed in, from
+    random halfspaces, or from halfspaces that pair positively with one
+    direction, which gives up to about 60 generators.  x is a combination
+    of generators (inside), minus Q^-1 of a combination of dual generators
+    (polar: the projection is 0), a point p of a facet minus Q^-1 of the
+    facet normal (facet: the projection is p), or random.  The oracle's
+    cost grows as C(n, k) in the size k of the subset it stops at, so cones
+    with more than 9 generators get only x whose answer needs few of them.
+    """
+    rng = random.Random(59)
+    for _ in range(2000):
+        r = rng.randint(1, 6)
+        shape = rng.random()
+        if shape < 0.15 and r >= 4:
+            v = [rng.randint(-2, 2) for _ in range(r)]
+            hs = []
+            while len(hs) < r + rng.randint(2, 9):
+                h = tuple(rng.randint(-2, 2) for _ in range(r))
+                if dot(h, v) > 0:
+                    hs.append(h)
+            C = RationalCone.from_halfspaces(hs, r)
+        elif shape < 0.55:
+            gens = [tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(rng.randint(1, 8))]
+            gens += [vec_neg(g) for g in gens if rng.random() < 0.15]
+            C = RationalCone(gens, r)
+        else:
+            C = RationalCone.from_halfspaces(
+                [tuple(rng.randint(-2, 2) for _ in range(r)) for _ in range(rng.randint(1, r + 3))], r)
+        kind, Q = _gram_matrix(rng, r)
+        eye = [[int(i == j) for j in range(r)] for i in range(r)]
+        roll, den = rng.random(), rng.randint(1, 5)
+        gens, dual = C.generators, C.dual().generators
+        big = len(gens) > 9
+        if roll < 0.2 and gens:
+            x = [Fraction(a, den) for a in _combination(rng, gens, 2 if big else 3)]
+        elif roll < 0.35 and dual:
+            X, d = solve(Q or eye, _combination(rng, dual, 2))
+            x = [Fraction(-a, d * den) for a in X]
+        elif (roll < 0.55 or big) and dual:
+            h = rng.choice(dual)
+            face = [g for g in gens if dot(h, g) == 0] or [(0,) * r]
+            X, d = solve(Q or eye, h)
+            p, t = _combination(rng, face, 2), rng.randint(1, 3)
+            x = [Fraction(d * a - t * b, d * den) for a, b in zip(p, X)]
+        else:
+            x = [Fraction(rng.randint(-6, 6), den) for _ in range(r)]
+        yield C, tuple(x), Q, kind
+
+
+def test_projection_matches_subset_scan_oracle():
+    seen = dict.fromkeys(["r%d" % r for r in range(1, 7)] + [
+        "identity", "diagonal", "random", "lineality", "40 generators", "x in C", "zero"], 0)
+    for C, x, Q, kind in _projection_cases():  # about 10 s, nearly all in the oracle
+        p = project_onto_cone(C, x, Q)
+        assert p == project_by_subset_scan(C, x, Q), (C, x, Q)
+        assert all(type(a) is Fraction for a in p)
+        seen["r%d" % C.ambient_dim] += 1
+        seen[kind] += 1
+        seen["lineality"] += any(vec_neg(g) in C.generators for g in C.generators)
+        seen["40 generators"] += len(C.generators) >= 40
+        seen["x in C"] += p == x
+        seen["zero"] += not any(p)
+    assert min(seen.values()) >= 3 and seen["lineality"] >= 500, seen
+
+
+# The limit cone and -Q^-1 theta of a rank 6 kempf problem: twelve weights,
+# all in the support.  The nearest point is a combination of 5 of its 47
+# generators, so the subset scan first tries all 195,709 subsets of at most
+# 4; it makes 332,488 solves in all and takes about 100 s.
+WORK_WEIGHTS = ((0, -1, 2, -1, 1, -1), (1, -2, 0, 0, 1, -1), (-1, 2, -1, 2, -2, -2),
+                (2, 1, 2, 1, 1, -1), (2, 2, 0, -2, 0, -1), (2, 0, 2, -2, -1, 0),
+                (2, 1, -2, 0, 0, -1), (2, -2, 0, 0, -1, -1), (0, 0, 2, 2, 0, 0),
+                (2, 1, 0, 2, 2, -1), (2, 0, 1, -1, 2, -2), (-2, 2, 2, 0, 0, -1))
+WORK_THETA = (-1, -2, -1, 1, 1, 1)
+WORK_Q = [[3, -1, -2, -1, -1, 0], [-1, 4, 2, -1, 3, 3], [-2, 2, 4, 1, 2, 1],
+          [-1, -1, 1, 4, -1, -2], [-1, 3, 2, -1, 4, 3], [0, 3, 1, -2, 3, 6]]
+# the point the subset scan returns for it
+WORK_POINT = tuple(Fraction(a, 1721) for a in (1934, 1282, 1654, -876, -695, -1325))
+
+
+def test_projection_work_stays_within_the_iteration_bound(monkeypatch):
+    cone = RationalCone.from_halfspaces(WORK_WEIGHTS, 6)
+    n = len(cone.generators)
+    assert n == 47
+    X, d = solve(WORK_Q, WORK_THETA)
+    x = [Fraction(-a, d) for a in X]
+    calls = []
+    real_solve = cones.solve
+
+    def counting_solve(rows, rhs):
+        calls.append(len(rows))
+        return real_solve(rows, rhs)
+
+    monkeypatch.setattr(cones, "solve", counting_solve)
+    assert project_onto_cone(cone, x, WORK_Q) == WORK_POINT
+    # Lawson and Hanson's NNLS gives up after 3n iterations; the subset
+    # scan's worst case here is sum_{k <= 6} C(47, k), over 12 million solves
+    assert len(calls) <= 3 * n, calls
 
 
 def test_generators_satisfy_facet_inequalities():

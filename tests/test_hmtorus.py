@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 from conftest import hirzebruch_action
+from fixedloci import cones, hmtorus
 from fixedloci.cones import RationalCone, dot_q
 from fixedloci.hmtorus import (
     WeightItem,
@@ -239,3 +240,26 @@ def test_nonidentity_inner_product():
     # -(1/2,1) in Q-metric onto the halfspace is (0,-1) -> same ray here
     assert lam == (0, -1)
     assert mv.sign == -1 and mv.m_squared == Fraction(1)
+
+
+def test_inner_product_checked_once_per_kempf_call(monkeypatch):
+    calls = []
+    real_check = cones.check_inner_product
+
+    def counting_check(Q, dim):
+        calls.append(dim)
+        return real_check(Q, dim)
+
+    monkeypatch.setattr(cones, "check_inner_product", counting_check)
+    monkeypatch.setattr(hmtorus, "check_inner_product", counting_check)
+    rng = random.Random(61)
+    signs = set()
+    for n in range(1, 41):
+        A = random_action(rng)
+        r = A.g_rank
+        B = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(r)]
+        Q = [[sum(b[i] * b[j] for b in B) + (i == j) for j in range(r)] for i in range(r)]
+        signs.add(kempf_data(A, random_support(rng, A), Q)[0].sign)
+        assert len(calls) == n
+    kempf_data(A, A.indices())
+    assert len(calls) == 40 and signs == {-1, 0, 1}
