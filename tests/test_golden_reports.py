@@ -10,6 +10,10 @@ problem schema in one place, and for 100 out-of-range or ill-shaped flags.
 GOLDEN_HIGH_RANK pins 24 more seeded kempf files of rank 5 and 6, whose
 limit cones have up to 32 generators, so the projection onto the limit
 cone is held to its exact answer where it is most costly.
+GOLDEN_VERTEX_ORDER pins 24 more seeded quiver files whose vertex lists
+are out of sorted order, some with numeric-string ids and alpha = 0 on
+the least id, so the covers they report are held to one representative
+per translation class whatever the order the vertices are listed in.
 Seeded toric, quiver and invalid-input cases also pin the sha256 of
 stderr, since many of them exit 2 or 3; the temporary directory in a
 message is replaced by a fixed token first, so the message texts are
@@ -22,7 +26,8 @@ When a change is meant to alter a report, regenerate the tables with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 
-paste the printed tables over GOLDEN and GOLDEN_HIGH_RANK, and name the
+paste the printed tables over GOLDEN, GOLDEN_HIGH_RANK and
+GOLDEN_VERTEX_ORDER, and name the
 reports that moved, and why, in the change's description.
 """
 
@@ -175,6 +180,54 @@ def _quiver_file(seed):
     flags = ["--seed", str(rng.randint(0, 99)), "--prime", str(rng.choice((2, 3, 5))),
              "--trials", str(rng.choice((0, 1, 5, 20, 60)))]
     if rng.random() < 0.7:
+        flags += ["--window", str(rng.randint(1, 2))]
+    return data, flags
+
+
+def _quiver_vertex_order_file(seed):
+    """A seeded quiver problem whose vertex list is not in sorted order.
+
+    Two to four vertices named v0..v3, or numeric strings such as "10",
+    "9" and "2" whose string order is not their numeric order, listed
+    shuffled.  One file in three has alpha = 0 on the least id.  Every file
+    has a loop and a 2-cycle; two in three grade the arrows by
+    `arrow_weights` of rank 0 to 2, weight 0 on about half the entries.
+    Covers are then rooted at a vertex other than the first listed one.
+    """
+    rng = random.Random("quiver-order:%d" % seed)
+    n = rng.randint(2, 4)
+    if seed % 2:
+        vertices = ["v%d" % i for i in range(n)]
+    else:
+        vertices = [str(x) for x in rng.sample((2, 3, 9, 10, 11, 20, 100), n)]
+    while vertices == sorted(vertices):
+        rng.shuffle(vertices)
+    pairs = [(vertices[i], vertices[i + 1])[::rng.choice((1, -1))] for i in range(n - 1)]
+    u, w = rng.sample(vertices, 2)
+    pairs += [(u, w), (w, u), (rng.choice(vertices),) * 2]
+    pairs += [(rng.choice(vertices), rng.choice(vertices)) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(pairs)
+    arrows = [{"id": "a%d" % k, "src": s, "tgt": t} for k, (s, t) in enumerate(pairs)]
+    alpha = {v: rng.randint(1, 3) for v in vertices}
+    if seed % 3 == 0:
+        alpha[min(vertices)] = 0
+    while sum(alpha.values()) > 6:
+        alpha[rng.choice([v for v in vertices if alpha[v] > 1])] -= 1
+    theta = {v: rng.randint(-3, 3) for v in vertices}
+    v = max(vertices, key=lambda u: alpha[u] == 1)
+    theta[v] = 0
+    theta[v] = -sum(theta[u] * alpha[u] for u in vertices) // alpha[v]
+    if sum(theta[u] * alpha[u] for u in vertices):
+        theta = {u: 0 for u in vertices}
+    data = {"kind": "quiver", "vertices": vertices, "arrows": arrows,
+            "alpha": alpha, "theta": theta}
+    if seed % 3:
+        aux = rng.randint(0, 2)
+        data["arrow_weights"] = {"aux_rank": aux, "weights": {
+            a["id"]: [rng.choice((0, 0, 1, -1)) for _ in range(aux)] for a in arrows}}
+    flags = ["--seed", str(rng.randint(0, 99)), "--prime", str(rng.choice((2, 3, 5))),
+             "--trials", str(rng.choice((0, 5, 20)))]
+    if rng.random() < 0.6:
         flags += ["--window", str(rng.randint(1, 2))]
     return data, flags
 
@@ -349,6 +402,15 @@ def _high_rank_cases(tmp):
         with open(path, "w") as fh:
             json.dump(data, fh)
         yield "kempf-high:%d" % seed, ["kempf", path] + flags
+
+
+def _vertex_order_cases(tmp):
+    for seed in range(24):
+        data, flags = _quiver_vertex_order_file(seed)
+        path = os.path.join(tmp, "quiver_order_%d.json" % seed)
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        yield "quiver:order:%d" % seed, ["quiver", path] + flags
 
 
 def _sha(text):
@@ -1035,6 +1097,33 @@ GOLDEN_HIGH_RANK = {
     'kempf-high:29': '0 8f3730f387fb9ac2974c892bd76a1494a3e06374e4d72fab1a6f2ac07ffd47a2',
 }
 
+GOLDEN_VERTEX_ORDER = {
+    'quiver:order:0': '0 7eb6f783a3d2972d4d26c0da2c0f1626146305d618f32a0f259a6230487a2412 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:order:1': '0 b047a2c3fbd8966c31068f3f1c68b790a6dd5766b7f4fa26df0d92fc4da6a021 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:order:2': '0 a0945fcfa3660a43328f466358480eabe3e4b0159870246ab2388d848460dba5 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:order:3': '0 160038e62bb648d12102de20f3fae4bd32d87eb929624fed74786f3301ff5534 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:order:4': '0 4a9b2fb4864585c5e74662cd85c5218685dd85bf5eb8167bfe7fba601dead548 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:order:5': '0 53deaf53fee43589d06b2da4218c28da89ccd4ec7d3a9828c9ac3c62fa3cc094 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:order:6': '0 cde8edba6d46cc8cf9bf556d73f01b32fbd21f7ac0a807bca5af9e0ca2a44448 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:order:7': '0 69a38bc14bd951106ad15be5ca0661cc7ddb3dc0c9ff34d212d82008c5bb2d4f e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:order:8': '0 237a6f9e1750ef2e14c594617bca50b997b80af1adfa741c400c9b456da4462b e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:order:9': '0 94f28b8518d887d3974fe35aaa483ef94284a21429910766aa80279d6afc9aeb e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:order:10': '0 db788317513f559719a470d594f4992f276d9803d926358a153ae6c579651565 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:order:11': '0 39b0da34b1a8a4fd619e1cc5dc0b6fe8a805db9f2b8bcf70fb3fa6f497f2a603 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:order:12': '0 d765732d3ebcb9c83dee344493639cf87146d16e2f45a06eb4ab5a041c269606 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:order:13': '0 ab62cf23368127e4a7fc4fbc9c02877ac7fccd49a0470b6438aeca0128befb02 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:order:14': '0 1baeb453ff36a6671189dc1f8350327f3dcea4d563508d7a3d39521a46521a98 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:order:15': '0 11e4b5647be67bd4e7694191ebb14058d121fb5eec9876179cfb3c8c4304a2ca e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:order:16': '0 b61d192122a403f5df554f541072862fd70b00073f74f67395795412fb60392a e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:order:17': '0 d576b43c4a5d7e132741afb7cda7ddea0cb14562f1f7127ed6836fe595b7df7c e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:order:18': '0 cccfe4b38c530dc60f640aca3b28be7433511243b2fb967edf0daa7342374666 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:order:19': '0 bbf4935a52a83b872c16d7550849672bbf3a39a72cda5f00f963e071fcc7168e e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:order:20': '0 c201265bf7b6c8e4a167383dee4dd7e350dd063b2966d8ce8d522ca1c9d9b3a1 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:order:21': '0 ce3525964fc7002ebf108155c07c975fd7640665c94c625809ea40f20bb61d06 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:order:22': '0 dda9b3ecef6a1bef3f7a9261c7d41e486658f4f95fbb07e242bb1d8f3de44a8a e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:order:23': '0 1db2a87e5a7d98f9f94ce77130e72133e925e8bbc5011ad7fd9300bff9be45a0 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+}
+
 
 def test_reports_match_golden_digests():
     got = digests()
@@ -1050,8 +1139,16 @@ def test_high_rank_kempf_reports_match_golden_digests():
     assert not moved, "report bytes changed: %s" % moved
 
 
+def test_out_of_order_vertex_reports_match_golden_digests():
+    got = digests(_vertex_order_cases)
+    assert sorted(got) == sorted(GOLDEN_VERTEX_ORDER)
+    moved = [case for case in GOLDEN_VERTEX_ORDER if got[case] != GOLDEN_VERTEX_ORDER[case]]
+    assert not moved, "report bytes changed: %s" % moved
+
+
 if __name__ == "__main__":
-    for table, cases in (("GOLDEN", _cases), ("GOLDEN_HIGH_RANK", _high_rank_cases)):
+    for table, cases in (("GOLDEN", _cases), ("GOLDEN_HIGH_RANK", _high_rank_cases),
+                         ("GOLDEN_VERTEX_ORDER", _vertex_order_cases)):
         print("%s = {" % table)
         for case, digest in digests(cases).items():
             print("    %r: %r," % (case, digest))
