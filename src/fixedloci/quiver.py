@@ -42,9 +42,6 @@ class Quiver:
                 raise ValidationError("duplicate arrow id %r" % a.id)
             ids.add(a.id)
 
-    def vertex_pos(self, v):
-        return self.vertices.index(v)
-
 
 @dataclass(frozen=True)
 class ArrowWeights:
@@ -108,20 +105,6 @@ class CoverVector:
     def total(self):
         return sum(n for _, n in self.items)
 
-    def translate(self, xi):
-        return CoverVector({(v, tuple(c + x for c, x in zip(chi, xi))): n for (v, chi), n in self.items})
-
-    def canonical(self):
-        """Shift so the lex-least support point sits at grade zero.
-
-        Translation acts freely on nonempty supports, so this representative
-        is unique in the translation class.
-        """
-        if not self.items:
-            return self
-        (_, chi0), _ = min(self.items)
-        return self.translate(tuple(-c for c in chi0))
-
     def __eq__(self, other):
         return isinstance(other, CoverVector) and self.items == other.items
 
@@ -155,39 +138,33 @@ def theta_hat(theta, points):
     return {(v, chi): int(theta.get(v, 0)) for (v, chi) in points}
 
 
+def _covering_arrows(quiver: Quiver, weights: ArrowWeights, beta: CoverVector):
+    """(arrow, source point, target point) for each covering arrow with both
+    ends in the support of beta: arrow by arrow, sources in sorted order."""
+    pts = beta.as_dict()
+    for a in quiver.arrows:
+        w = weights.of(a.id)
+        for p in pts:
+            if p[0] == a.src:
+                q = (a.tgt, tuple(c + x for c, x in zip(p[1], w)))
+                if q in pts:
+                    yield a, p, q
+
+
 def component_dimension(quiver: Quiver, weights: ArrowWeights, beta: CoverVector) -> int:
     """dim of the component a cover describes, assuming a free quotient:
     (arrow-block sizes) - (sum of squares) + 1."""
     if not beta.items:
         raise ZeroDimensionVector("cover is identically zero")
     b = beta.as_dict()
-    total = 0
-    for a in quiver.arrows:
-        w = weights.of(a.id)
-        for (v, chi), n in beta.items:
-            if v != a.src:
-                continue
-            tgt = (a.tgt, tuple(c + x for c, x in zip(chi, w)))
-            total += n * b.get(tgt, 0)
-    squares = sum(n * n for _, n in beta.items)
-    return total - squares + 1
+    blocks = sum(b[p] * b[q] for _, p, q in _covering_arrows(quiver, weights, beta))
+    return blocks - sum(n * n for n in b.values()) + 1
 
 
 def support_quiver(quiver: Quiver, weights: ArrowWeights, beta: CoverVector):
     """The finite quiver on the support of a cover: (support quiver, dims dict)."""
-    pts = set(beta.support())
-    arrows = []
-    for a in quiver.arrows:
-        w = weights.of(a.id)
-        for (v, chi) in sorted(pts):
-            if v != a.src:
-                continue
-            tgt = (a.tgt, tuple(c + x for c, x in zip(chi, w)))
-            if tgt in pts:
-                arrows.append(Arrow((a.id, chi), (v, chi), tgt))
-    sq = Quiver(tuple(sorted(pts)), tuple(arrows))
-    dims = {k: n for k, n in beta.items}
-    return sq, dims
+    arrows = tuple(Arrow((a.id, p[1]), p, q) for a, p, q in _covering_arrows(quiver, weights, beta))
+    return Quiver(beta.support(), arrows), beta.as_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -197,59 +174,54 @@ def enumerate_covers(quiver: Quiver, weights: ArrowWeights, alpha, radius):
     """All covers of alpha with connected support inside the window.
 
     The window of radius R admits every support that spans at most 2R in
-    each grade coordinate, equivalently one with a translate inside
-    [-R, R]^aux.  One canonical representative per translation class, in
-    deterministic sorted order.  Points are addressed as (vertex position,
-    grade) while enumerating; the caller sees vertex ids again.
+    each grade coordinate, equivalently one that a translation carries into
+    [-R, R]^aux.  One representative per translation class, in sorted
+    order: the member of the class whose least (vertex id, grade) point
+    sits at grade zero.
 
-    Every support covers v0, the first vertex with alpha > 0, so its
-    lex-least point is (v0, chi) and its translate by -chi has lex-least
-    point (v0, 0).  One search from that root, adding only points above it,
-    therefore meets each class exactly once.  The span bound is monotone
-    under adding points, so a candidate that breaks it is banned for the
-    rest of its branch without losing a class.
+    Every support covers v0, the least vertex id with alpha > 0, so its
+    least point is (v0, chi), and its representative is its shift by -chi,
+    with least point (v0, 0).  One search from that root, adding only
+    points above it, therefore meets each representative exactly once.
+    The span bound is monotone under adding points, so a candidate that
+    breaks it is banned for the rest of its branch without losing a class.
     """
     radius = int(radius)
     if radius < 0:
         raise ValidationError("window radius must be >= 0, got %d" % radius)
     alpha = {v: int(alpha.get(v, 0)) for v in quiver.vertices}
-    supp_pos = [i for i, v in enumerate(quiver.vertices) if alpha[v] > 0]
-    if not supp_pos:
+    supp = [v for v in quiver.vertices if alpha[v] > 0]
+    if not supp:
         return [CoverVector({})]
     total = sum(alpha.values())
-    limits = {i: alpha[quiver.vertices[i]] for i in range(len(quiver.vertices))}
 
-    out_arcs = {}
-    in_arcs = {}
+    arcs = {}  # vertex -> (neighbour, grade step), both directions of each arrow
     for a in quiver.arrows:
         w = weights.of(a.id)
-        out_arcs.setdefault(quiver.vertex_pos(a.src), []).append((quiver.vertex_pos(a.tgt), w))
-        in_arcs.setdefault(quiver.vertex_pos(a.tgt), []).append((quiver.vertex_pos(a.src), w))
+        arcs.setdefault(a.src, []).append((a.tgt, w))
+        arcs.setdefault(a.tgt, []).append((a.src, tuple(-x for x in w)))
 
     def neighbors(point):
         v, chi = point
-        for u, w in out_arcs.get(v, ()):  # forward along arrows
-            if limits.get(u, 0) > 0:
+        for u, w in arcs.get(v, ()):
+            if alpha[u] > 0:
                 yield (u, tuple(c + x for c, x in zip(chi, w)))
-        for u, w in in_arcs.get(v, ()):  # backward along arrows
-            if limits.get(u, 0) > 0:
-                yield (u, tuple(c - x for c, x in zip(chi, w)))
 
     span = 2 * radius
-    v0 = min(supp_pos)
+    v0 = min(supp)
     root = (v0, (0,) * weights.aux_rank)
-    supports = set()
+    supports = []
 
     def grow(current, counts, lo, hi, candidates, banned):
-        if all(counts.get(i, 0) >= 1 for i in supp_pos):
-            supports.add(current)
+        if all(counts.get(v, 0) >= 1 for v in supp):
+            supports.append(current)
         if len(current) >= total:
             return
         banned = set(banned)
         for pos, u in enumerate(candidates):
             lo2 = tuple(map(min, lo, u[1]))
             hi2 = tuple(map(max, hi, u[1]))
-            if counts.get(u[0], 0) >= limits[u[0]] or any(h - l > span for l, h in zip(lo2, hi2)):
+            if counts.get(u[0], 0) >= alpha[u[0]] or any(h - l > span for l, h in zip(lo2, hi2)):
                 banned.add(u)
                 continue
             nxt = current | {u}
@@ -267,21 +239,14 @@ def enumerate_covers(quiver: Quiver, weights: ArrowWeights, alpha, radius):
     start = sorted({w for w in neighbors(root) if w > root})
     grow(frozenset([root]), {v0: 1}, root[1], root[1], start, set())
 
-    covers = set()
+    covers = []
     for sup in supports:
         per_vertex = {}
-        for v, chi in sup:
+        for v, chi in sorted(sup):
             per_vertex.setdefault(v, []).append(chi)
-        choices = []
-        keys = sorted(per_vertex)
-        for v in keys:
-            pts = sorted(per_vertex[v])
-            comps = positive_compositions(limits[v], len(pts))
-            choices.append([(pts, c) for c in comps])
+        choices = [[(v, pts, c) for c in positive_compositions(alpha[v], len(pts))]
+                   for v, pts in per_vertex.items()]
         for combo in itertools.product(*choices):
-            mapping = {}
-            for (pts, comp), v in zip(combo, keys):
-                for chi, n in zip(pts, comp):
-                    mapping[(quiver.vertices[v], chi)] = n
-            covers.add(CoverVector(mapping).canonical())
+            covers.append(CoverVector({(v, chi): n for v, pts, comp in combo
+                                       for chi, n in zip(pts, comp)}))
     return sorted(covers, key=lambda c: c.items)

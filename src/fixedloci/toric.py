@@ -55,12 +55,10 @@ class ToricFan:
 
     @property
     def maximal_cones(self):
-        sets = [frozenset(c) for c in self.cones]
-        out = []
-        for i, c in enumerate(sets):
-            if not any(c < d for d in sets):
-                out.append(self.cones[i])
-        return tuple(out)
+        """The cones that are no facet of another cone.  Every face is
+        listed, so a cone inside a larger one is a facet of some cone."""
+        facets = {c[:k] + c[k + 1:] for c in self.cones for k in range(len(c))}
+        return tuple(c for c in self.cones if c not in facets)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Cover helpers that only the quiver tests use.
 
 `is_cover_of` checks the column sums of a cover, `support_is_connected`
-walks its support quiver, and `weyl_canonical`, `covers_to_rho` and
-`rho_to_cover` pass between covers and diagonal torus morphism matrices.
-They lived in `fixedloci.quiver` until nothing there used them.
+walks its support quiver, `translate` and `canonical` pick a cover's
+representative in its translation class independently of the enumerator,
+and `weyl_canonical`, `covers_to_rho` and `rho_to_cover` pass between
+covers and diagonal torus morphism matrices.  They lived in
+`fixedloci.quiver` until nothing there used them.
 """
 
 from fixedloci.errors import DimMismatch
@@ -16,6 +18,22 @@ def is_cover_of(beta: CoverVector, alpha):
     for (v, _), n in beta.items:
         totals[v] = totals.get(v, 0) + n
     return all(totals.get(v, 0) == int(alpha.get(v, 0)) for v in set(alpha) | set(totals))
+
+
+def translate(beta: CoverVector, xi) -> CoverVector:
+    return CoverVector({(v, tuple(c + x for c, x in zip(chi, xi))): n for (v, chi), n in beta.items})
+
+
+def canonical(beta: CoverVector) -> CoverVector:
+    """Shift so the lex-least support point sits at grade zero.
+
+    Translation acts freely on nonempty supports, so this representative
+    is unique in the translation class.
+    """
+    if not beta.items:
+        return beta
+    (_, chi0), _ = min(beta.items)
+    return translate(beta, tuple(-c for c in chi0))
 
 
 def support_is_connected(quiver: Quiver, weights: ArrowWeights, beta: CoverVector) -> bool:

@@ -18,7 +18,15 @@ from fixedloci.quiver import (
     enumerate_covers,
     theta_hat,
 )
-from quiver_oracles import covers_to_rho, is_cover_of, rho_to_cover, support_is_connected, weyl_canonical
+from quiver_oracles import (
+    canonical,
+    covers_to_rho,
+    is_cover_of,
+    rho_to_cover,
+    support_is_connected,
+    translate,
+    weyl_canonical,
+)
 
 
 def a2_quiver():
@@ -66,7 +74,7 @@ def test_enumerate_covers_brute_force_a2():
         for c2 in range(-2, 3):
             beta = CoverVector({("1", (c1,)): 1, ("2", (c2,)): 1})
             if support_is_connected(Q, W, beta):
-                expected.add(beta.canonical())
+                expected.add(canonical(beta))
     got = set(enumerate_covers(Q, W, {"1": 1, "2": 1}, 2))
     assert got == expected
 
@@ -107,14 +115,17 @@ def _union_find_connected(Q, W, beta):
 
 
 def test_canonical_translate_idempotent_and_invariant():
+    # every enumerated cover is its own canonical translate, and canonical
+    # gives it back from any translate of it; the second quiver lists its
+    # vertices out of sorted order
     rng = random.Random(71)
     Q, W, alpha, _ = kronecker3()
-    covers = enumerate_covers(Q, W, alpha, 2)
-    for c in covers[:20]:
-        assert c.canonical() == c
-        for _ in range(5):
-            xi = tuple(rng.randint(-4, 4) for _ in range(3))
-            assert c.translate(xi).canonical() == c
+    for Q, W, alpha in [(Q, W, alpha), _subtorus_cycle()]:
+        for c in enumerate_covers(Q, W, alpha, 2):
+            assert canonical(c) == c
+            for _ in range(3):
+                xi = tuple(rng.randint(-4, 4) for _ in range(W.aux_rank))
+                assert canonical(translate(c, xi)) == c
 
 
 def test_theta_hat():
@@ -187,9 +198,9 @@ def test_cover_rho_roundtrip_random():
         back = covers_to_rho(Q, cov, 3)
         assert back == rho
         # and through canonical translation on the cover side
-        cov2 = cov.canonical()
+        cov2 = canonical(cov)
         rho2 = covers_to_rho(Q, cov2, 3)
-        assert rho_to_cover(Q, rho2, alpha).canonical() == cov2.canonical()
+        assert canonical(rho_to_cover(Q, rho2, alpha)) == canonical(cov2)
 
 
 def test_reversed_quadruple_same_class():
@@ -215,7 +226,7 @@ def test_reversed_quadruple_same_class():
     for quad in ["abac", "abab", "abca", "acbc", "babc", "cabc"]:
         fwd = type2_cover(*quad)
         rev = type2_cover(*quad[::-1])
-        assert fwd.canonical() == rev.canonical()
+        assert canonical(fwd) == canonical(rev)
 
 
 def test_default_window_radius():
@@ -244,8 +255,8 @@ def _enumerate_covers_box_oracle(quiver, weights, alpha, radius):
     in_arcs = {}
     for a in quiver.arrows:
         w = weights.of(a.id)
-        out_arcs.setdefault(quiver.vertex_pos(a.src), []).append((quiver.vertex_pos(a.tgt), w))
-        in_arcs.setdefault(quiver.vertex_pos(a.tgt), []).append((quiver.vertex_pos(a.src), w))
+        out_arcs.setdefault(quiver.vertices.index(a.src), []).append((quiver.vertices.index(a.tgt), w))
+        in_arcs.setdefault(quiver.vertices.index(a.tgt), []).append((quiver.vertices.index(a.src), w))
 
     def neighbors(point):
         v, chi = point
@@ -305,7 +316,7 @@ def _enumerate_covers_box_oracle(quiver, weights, alpha, radius):
             for (pts, comp), v in zip(combo, keys):
                 for chi, n in zip(pts, comp):
                     mapping[(quiver.vertices[v], chi)] = n
-            covers.add(CoverVector(mapping).canonical())
+            covers.add(canonical(CoverVector(mapping)))
     return sorted(covers, key=lambda c: c.items)
 
 
@@ -327,17 +338,64 @@ def test_enumerate_covers_matches_box_oracle_explicit_window(n, a, b, radius):
     assert enumerate_covers(Q, W, alpha, radius) == _enumerate_covers_box_oracle(Q, W, alpha, radius)
 
 
-def test_enumerate_covers_matches_box_oracle_subtorus():
+def _subtorus_cycle():
     # rank-2 grading with a weight-0 arrow and a negative entry, on a
     # cycle; vertex ids out of lex order
     Q = Quiver(("b", "a", "c"), (
         Arrow("x", "b", "a"), Arrow("y", "b", "a"), Arrow("z", "a", "c"), Arrow("t", "c", "b"),
     ))
     W = ArrowWeights.from_dict(2, {"x": (1, 0), "y": (0, 0), "z": (-1, 1), "t": (1, 0)})
-    alpha = {"a": 2, "b": 2, "c": 2}
+    return Q, W, {"a": 2, "b": 2, "c": 2}
+
+
+def test_enumerate_covers_matches_box_oracle_subtorus():
+    Q, W, alpha = _subtorus_cycle()
     sizes = []
     for radius in (0, 1, 2, default_window_radius(alpha, W)):
         got = enumerate_covers(Q, W, alpha, radius)
         assert got == _enumerate_covers_box_oracle(Q, W, alpha, radius)
         sizes.append(len(got))
     assert sizes == [0, 68, 73, 73]
+
+
+def _random_quiver(rng):
+    """One to four vertices with ids drawn shuffled from v0..v3 or from
+    numeric strings, whose string order is not their numeric order; random
+    arrows, often with a loop or a 2-cycle; a grading of rank 0 to 2 with
+    many weight-0 entries; alpha <= 3 per vertex; a window of 0 to 2."""
+    n = rng.randint(1, 4)
+    vertices = rng.sample(rng.choice((["v0", "v1", "v2", "v3"], ["2", "9", "10", "11", "100"])), n)
+    pairs = [(rng.choice(vertices), rng.choice(vertices)) for _ in range(rng.randint(0, 4))]
+    if rng.random() < 0.4:
+        pairs.append((rng.choice(vertices),) * 2)
+    if n > 1 and rng.random() < 0.4:
+        u, w = rng.sample(vertices, 2)
+        pairs += [(u, w), (w, u)]
+    Q = Quiver(tuple(vertices), tuple(Arrow("a%d" % k, s, t) for k, (s, t) in enumerate(pairs)))
+    aux = rng.randint(0, 2)
+    W = ArrowWeights.from_dict(aux, {"a%d" % k: [rng.choice((0, 0, 1, -1, 2)) for _ in range(aux)]
+                                     for k in range(len(pairs))})
+    return Q, W, {v: rng.randint(0, 3) for v in vertices}, rng.randint(0, 2)
+
+
+def test_enumerate_covers_matches_box_oracle_random_quivers():
+    # equal lists: the same classes, the same representatives, in the same
+    # order, and no class met twice
+    rng = random.Random(101)
+    for _ in range(400):
+        Q, W, alpha, radius = _random_quiver(rng)
+        assert enumerate_covers(Q, W, alpha, radius) == _enumerate_covers_box_oracle(Q, W, alpha, radius)
+
+
+def test_enumerate_covers_builds_each_cover_once(monkeypatch):
+    built = []
+    init = CoverVector.__init__
+
+    def counting_init(self, mapping):
+        built.append(1)
+        init(self, mapping)
+
+    monkeypatch.setattr(CoverVector, "__init__", counting_init)
+    Q, W, alpha = kronecker(3, 3, 5)
+    covers = enumerate_covers(Q, W, alpha, 2)
+    assert len(covers) == len(built) > 0

@@ -28,6 +28,7 @@ from toric_oracles import (
     fan_is_face_closed,
     fan_is_simplicial,
     fans_unimodularly_equivalent,
+    maximal_cones,
     necessary_condition,
     stable_subsets,
 )
@@ -160,8 +161,20 @@ def test_scans_agree_with_stable_subsets_oracle():
         ray = {i: primitive(ctx.pi.col(A.flat_index(i))) for i in full}
         assert ({frozenset(fan.rays[i] for i in c) for c in fan.cones}
                 == {frozenset(ray[i] for i in full - s) for s in oracle})
+        assert fan.maximal_cones == maximal_cones(fan)
         checked += 1
     assert checked >= 100
+
+
+def test_maximal_cones_match_pairwise_oracle_on_random_complexes():
+    # face-closed sets of index tuples, not all of one dimension
+    rng = random.Random(79)
+    for _ in range(200):
+        n = rng.randint(0, 6)
+        tops = [tuple(sorted(rng.sample(range(n), rng.randint(0, n)))) for _ in range(rng.randint(1, 5))]
+        cones = {face for c in tops for k in range(len(c) + 1) for face in itertools.combinations(c, k)}
+        fan = ToricFan(n, tuple((i,) for i in range(n)), tuple(sorted(cones)))
+        assert fan.maximal_cones == maximal_cones(fan)
 
 
 def test_context_refuses_past_max_enum_dim():

@@ -1,7 +1,8 @@
 """Brute-force oracles and fan checks for the toric tests.
 
-`stable_subsets` tests every subset of I on its own; the checks and the
-comparison below judge a finished fan from its rays and cones alone.
+`stable_subsets` tests every subset of I on its own, and `maximal_cones`
+every pair of cones; the checks and the comparison below judge a finished
+fan from its rays and cones alone.
 """
 
 import itertools
@@ -61,6 +62,16 @@ def fan_is_face_closed(fan: ToricFan) -> bool:
                 if tuple(face) not in cone_set:
                     return False
     return True
+
+
+def maximal_cones(fan: ToricFan):
+    """The cones strictly inside no other cone, by testing every pair."""
+    sets = [frozenset(c) for c in fan.cones]
+    out = []
+    for i, c in enumerate(sets):
+        if not any(c < d for d in sets):
+            out.append(fan.cones[i])
+    return tuple(out)
 
 
 def fan_intersections_ok(fan: ToricFan, pairs=None) -> bool:
