@@ -3,14 +3,22 @@
 Given the weight data of a rank-r subtorus of the diagonal torus T acting on
 C^m with stability character theta, this module checks the action once
 (toric_context), then computes the toric fan of the quotient and the
-residual-torus fixed points from one memo of stable supports, and the
-bijection between fixed points and morphisms rho from the residual torus
-back into the acting torus.
+residual-torus fixed points, and the bijection between fixed points and
+morphisms rho from the residual torus back into the acting torus.
+
+For generic theta, on no hyperplane spanned by r-1 weights, both scans read
+the stable bases: the r-subsets B of the weights with det B != 0 and
+B^-1 theta > 0.  They are the minimally stable supports, so they are the
+fixed points, and the fan's cones are the faces of their complements
+(Cox-Little-Schenck, Toric Varieties, section 14).  For theta on a wall both
+scans fall back to testing supports one by one through a memo keyed by the
+weight items a support meets.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,10 +35,19 @@ from .linalg import (
     det,
     primitive,
     rank,
+    solve,
     solve_integral,
 )
 
-MAX_ENUM_DIM = 16  # cap on |I| for the 2^|I| fan enumeration
+MAX_ENUM_DIM = 16  # cap on |I| for the 2^|I| scan; only non-generic theta needs it
+# Past MAX_ENUM_DIM a generic theta is admitted under two caps, set by
+# measurement to about the work admitted within it.  The basis scan makes one
+# det and one solve for each of the C(d, r) r-subsets of the d distinct
+# weights, and C(16, 8) is the most an input within MAX_ENUM_DIM can meet.
+# The fan lists bases * 2^(m-r) faces before dropping repeats; at 2^18 with
+# no repeat (r = 0, m = 18) that is a 58 MB report.
+MAX_BASIS_SUBSETS = math.comb(MAX_ENUM_DIM, MAX_ENUM_DIM // 2)
+MAX_FAN_FACES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -73,19 +90,47 @@ class FixedComponent:
 @dataclass(frozen=True)
 class ToricContext:
     """A checked action with its cokernel projection pi, the section c in
-    use, and `stable`, the support stability test memoised by item set."""
+    use, `stable`, the support stability test memoised by item set, and
+    `bases`, the sorted stable index bases, or None when theta is not
+    generic."""
 
     action: WeightedAction
     pi: IntMatrix
     section: IntMatrix
     stable: Callable
+    bases: tuple | None
+
+
+def _stable_bases(action: WeightedAction, copies):
+    """The stable index bases in sorted order, or None when theta is not generic.
+
+    copies maps each distinct weight to its (item, copy) indices.  Each
+    r-subset B of the distinct weights with det B != 0 gets one solve for
+    lambda = B^-1 theta.  lambda > 0 makes B a stable basis, and it expands
+    to one index basis per choice of copies.  Some lambda_j = 0 puts theta
+    on the wall spanned by the rest of B; once the weights have rank r every
+    independent (r-1)-set extends to a basis, so the scan sees every wall.
+    """
+    r = action.g_rank
+    out = []
+    for B in itertools.combinations(copies, r):
+        cols = [[chi[i] for chi in B] for i in range(r)]
+        if det(cols) == 0:
+            continue
+        lam, _ = solve(cols, action.theta)
+        if 0 in lam:
+            return None
+        if all(x > 0 for x in lam):
+            out.extend(tuple(sorted(p)) for p in itertools.product(*(copies[chi] for chi in B)))
+    return tuple(sorted(out))
 
 
 def toric_context(action: WeightedAction, section: IntMatrix | None = None) -> ToricContext:
     """The one entry point of the toric scans, after their checks.
 
     The checks run in order: the full support must be stable
-    (EmptyStableLocus), |I| must be at most MAX_ENUM_DIM (TooLarge), the
+    (EmptyStableLocus); past MAX_ENUM_DIM coordinates theta must be generic
+    and the basis scan and the fan's faces within their caps (TooLarge); the
     weight inclusion must have a free cokernel (NotInjective,
     TorsionCokernel), and a supplied section must split it
     (FreeActionViolated).
@@ -95,7 +140,8 @@ def toric_context(action: WeightedAction, section: IntMatrix | None = None) -> T
     columns must complete the weight columns to a lattice basis, and pi is
     then the unique projection annihilating the weights and splitting c.
     Stability depends only on the weights a support meets, so `stable`
-    decides each set of weight items once for both scans.
+    decides each set of weight items once for both scans when theta is not
+    generic.
     """
     memo = {}
 
@@ -106,16 +152,25 @@ def toric_context(action: WeightedAction, section: IntMatrix | None = None) -> T
         return memo[key]
 
     idx = action.indices()
+    m, r = len(idx), action.g_rank
     if not stable(idx):
         raise EmptyStableLocus("the stable locus is empty")
-    if len(idx) > MAX_ENUM_DIM:
-        raise TooLarge("fan enumeration over 2^%d subsets refused" % len(idx))
-    a = IntMatrix.from_rows([action.chi_of(i) for i in idx], action.g_rank)
+    copies = {}
+    for i in idx:
+        copies.setdefault(action.chi_of(i), []).append(i)
+    if m > MAX_ENUM_DIM and math.comb(len(copies), r) > MAX_BASIS_SUBSETS:
+        raise TooLarge("basis scan over C(%d, %d) weight subsets refused" % (len(copies), r))
+    bases = _stable_bases(action, copies)
+    if m > MAX_ENUM_DIM:
+        if bases is None:
+            raise TooLarge("fan enumeration over 2^%d subsets refused" % m)
+        if len(bases) << (m - r) > MAX_FAN_FACES:
+            raise TooLarge("fan of %d stable bases with 2^%d faces each refused" % (len(bases), m - r))
+    a = IntMatrix.from_rows([action.chi_of(i) for i in idx], r)
     pi, c = cokernel_with_section(a)
     if section is not None:
         if (section.nrows, section.ncols) != (c.nrows, c.ncols):
             raise FreeActionViolated("section must be %dx%d" % (c.nrows, c.ncols))
-        m, r = a.nrows, a.ncols
         completed = IntMatrix.from_rows(
             [tuple(a.entries[i]) + tuple(section.entries[i]) for i in range(m)], m
         )
@@ -124,7 +179,7 @@ def toric_context(action: WeightedAction, section: IntMatrix | None = None) -> T
             raise FreeActionViolated("supplied section does not split the cokernel")
         pi = IntMatrix.from_rows(inv[r:], m)
         c = section
-    return ToricContext(action, pi, c, stable)
+    return ToricContext(action, pi, c, stable, bases)
 
 
 def quotient_fan(ctx: ToricContext) -> ToricFan:
@@ -132,22 +187,37 @@ def quotient_fan(ctx: ToricContext) -> ToricFan:
 
     Rays are the primitive images of the coordinate 1-PS basis under the
     cokernel projection; a subset spans a cone precisely when its complement
-    is a stable support.
+    is a stable support.  For generic theta the maximal cones are the
+    complements of the stable bases, one rank test each (a face of an
+    independent set is independent), and the cones are all their faces.
+    Otherwise every subset of I is tested, with one rank test per cone.
     """
     action = ctx.action
     idx = action.indices()
     n_rank = ctx.pi.nrows
     ray_of = {i: primitive(ctx.pi.col(action.flat_index(i))) for i in idx}
     all_idx = frozenset(idx)
+
+    def independent(vecs):
+        if vecs and rank(IntMatrix.from_rows(vecs, n_rank)) != len(vecs):
+            raise AssertionError("fan cone is not simplicial; this is a bug")
+        return vecs
+
+    if ctx.bases is not None:
+        tops = [independent([ray_of[i] for i in idx if i not in b]) for b in ctx.bases]
+        rays = tuple(sorted({v for top in tops for v in top}))
+        lookup = {v: i for i, v in enumerate(rays)}
+        cone_set = set()
+        for top in tops:
+            top = tuple(sorted(lookup[v] for v in top))
+            for k in range(len(top) + 1):
+                cone_set.update(itertools.combinations(top, k))
+        return ToricFan(n_rank, rays, tuple(sorted(cone_set)))
     cone_sets = set()
     for size in range(len(idx) + 1):
         for comb in itertools.combinations(idx, size):
-            if not ctx.stable(all_idx.difference(comb)):
-                continue
-            vecs = [ray_of[i] for i in comb]
-            if vecs and rank(IntMatrix.from_rows(vecs, n_rank)) != len(vecs):
-                raise AssertionError("fan cone is not simplicial; this is a bug")
-            cone_sets.add(frozenset(vecs))
+            if ctx.stable(all_idx.difference(comb)):
+                cone_sets.add(frozenset(independent([ray_of[i] for i in comb])))
     rays = tuple(sorted(set().union(*cone_sets)))
     lookup = {v: i for i, v in enumerate(rays)}
     cones = tuple(sorted(tuple(sorted(lookup[v] for v in c)) for c in cone_sets))
@@ -174,26 +244,29 @@ def rho_from_stable_subset(action: WeightedAction, support, section: IntMatrix) 
 
 def s_rho(action: WeightedAction, rho: RhoMap, section: IntMatrix):
     """Indices whose section character equals the weight pulled back by rho."""
-    out = []
-    for idx in action.indices():
-        c_row = section.entries[action.flat_index(idx)]
-        if tuple(c_row) == rho.pullback_weight(action.chi_of(idx)):
-            out.append(idx)
+    out, flat = [], 0
+    for s, it in enumerate(action.items):
+        pulled = rho.pullback_weight(it.chi)
+        out.extend((s, k) for k in range(it.mult) if tuple(section.entries[flat + k]) == pulled)
+        flat += it.mult
     return frozenset(out)
 
 
 def fixed_points_toric(ctx: ToricContext):
     """One zero-dimensional fixed component per stable r-subset of I.
 
-    A stable support of size r is minimally stable, its weights a basis, so
-    the scan runs over the size-r subsets only instead of all of 2^|I|.  I
-    is sorted, so the subsets, and the components, come in sorted order.
+    A stable support of size r is minimally stable, its weights a basis.
+    For generic theta these are the context's stable bases; otherwise the
+    scan tests the size-r subsets only instead of all of 2^|I|.  I is
+    sorted, so the subsets, and the components, come in sorted order.
     """
     action, c = ctx.action, ctx.section
+    supports = ctx.bases
+    if supports is None:
+        supports = [comb for comb in itertools.combinations(action.indices(), action.g_rank)
+                    if ctx.stable(comb)]
     components = []
-    for comb in itertools.combinations(action.indices(), action.g_rank):
-        if not ctx.stable(comb):
-            continue
+    for comb in supports:
         sup = frozenset(comb)
         rho = rho_from_stable_subset(action, sup, c)
         derived = s_rho(action, rho, c)

@@ -136,9 +136,6 @@ def test_toric_context_and_locus_check_run_once(tmp_path, capsys, monkeypatch):
 
 
 def test_toric_stability_decided_once_per_item_set(tmp_path, capsys, monkeypatch):
-    # folded (P^1)^4: four weight items of multiplicity two
-    prob = {"kind": "toric", "g_rank": 4, "theta": [1] * 4,
-            "weights": [{"chi": [int(i == j) for j in range(4)], "mult": 2} for i in range(4)]}
     calls, stable = collections.Counter(), toric.is_stable_support
 
     def counted_stable(action, support):
@@ -146,9 +143,19 @@ def test_toric_stability_decided_once_per_item_set(tmp_path, capsys, monkeypatch
         return stable(action, support)
 
     monkeypatch.setattr("fixedloci.toric.is_stable_support", counted_stable)
+    # folded (P^1)^4, generic theta: the stable bases leave only the full-support check
+    prob = {"kind": "toric", "g_rank": 4, "theta": [1] * 4,
+            "weights": [{"chi": [int(i == j) for j in range(4)], "mult": 2} for i in range(4)]}
     code, out, _ = run(["toric", write(tmp_path, "p1.json", prob)], capsys)
     assert code == 0 and len(json.loads(out)["components"]) == 16
-    assert len(calls) == 16 and max(calls.values()) == 1
+    assert calls == {frozenset(range(4)): 1}
+    # theta on the wall spanned by (1, 1): the fallback scan decides each item set once
+    calls.clear()
+    prob = {"kind": "toric", "g_rank": 2, "theta": [1, 1],
+            "weights": [{"chi": [1, 0], "mult": 2}, {"chi": [0, 1], "mult": 2}, {"chi": [1, 1]}]}
+    code, out, _ = run(["toric", write(tmp_path, "wall.json", prob)], capsys)
+    assert code == 0 and len(json.loads(out)["components"]) == 4
+    assert len(calls) == 8 and max(calls.values()) == 1
 
 
 def test_grassmann_and_kempf_run(tmp_path, capsys):
@@ -390,10 +397,11 @@ def test_free_action_refused_before_fan_scan(tmp_path, capsys, monkeypatch):
     code, out, err = run(["toric", write(tmp_path, "t.json", prob)], capsys)
     assert (code, out) == (2, "")
     assert err == "validation error: support weight matrix has determinant 3\n"
-    # past MAX_ENUM_DIM coordinates the size guard still comes first
+    # past MAX_ENUM_DIM coordinates the size guard still comes first: 11 stable
+    # bases with 2^16 faces each are more than MAX_FAN_FACES
     prob["weights"] += [{"chi": [1], "mult": 2}]
     code, _, err = run(["toric", write(tmp_path, "t.json", prob)], capsys)
-    assert code == 3 and err.startswith("guard error: fan enumeration")
+    assert code == 3 and err == "guard error: fan of 11 stable bases with 2^16 faces each refused\n"
 
 
 def test_determinism_bytes(tmp_path, capsys):

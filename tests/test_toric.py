@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -14,7 +15,9 @@ from fixedloci.errors import (
 from fixedloci.hmtorus import WeightItem, WeightedAction
 from fixedloci.linalg import IntMatrix, det, primitive
 from fixedloci.toric import (
+    MAX_BASIS_SUBSETS,
     MAX_ENUM_DIM,
+    MAX_FAN_FACES,
     RhoMap,
     ToricFan,
     fixed_points_toric,
@@ -134,9 +137,18 @@ def test_fan_axioms():
         assert fan_intersections_ok(fan)
 
 
+def fixed_points_or_error(ctx):
+    try:
+        return fixed_points_toric(ctx)
+    except FreeActionViolated as exc:
+        return str(exc)
+
+
 def test_scans_agree_with_stable_subsets_oracle():
+    # for generic theta the 2^|I| fallback scan is a second oracle for the
+    # basis scan; both kinds of theta must turn up
     rng = random.Random(73)
-    checked = 0
+    checked = generic = 0
     for _ in range(300):
         r = rng.randint(0, 3)
         items = tuple(WeightItem(tuple(rng.randint(-1, 1) for _ in range(r)),
@@ -162,8 +174,15 @@ def test_scans_agree_with_stable_subsets_oracle():
         assert ({frozenset(fan.rays[i] for i in c) for c in fan.cones}
                 == {frozenset(ray[i] for i in full - s) for s in oracle})
         assert fan.maximal_cones == maximal_cones(fan)
+        if ctx.bases is not None:
+            assert list(ctx.bases) == bases
+            scan = dataclasses.replace(ctx, bases=None)
+            assert quotient_fan(scan) == fan
+            assert fixed_points_or_error(scan) == fixed_points_or_error(ctx)
+            generic += 1
         checked += 1
     assert checked >= 100
+    assert (generic, checked - generic) == (107, 33)
 
 
 def test_maximal_cones_match_pairwise_oracle_on_random_complexes():
@@ -178,9 +197,33 @@ def test_maximal_cones_match_pairwise_oracle_on_random_complexes():
 
 
 def test_context_refuses_past_max_enum_dim():
-    A = WeightedAction(1, 0, (WeightItem((1,), mult=MAX_ENUM_DIM + 1),), (1,))
+    # theta = 0 lies on the wall of every basis, so the 2^17 scan would be needed
+    small = WeightedAction(1, 0, (WeightItem((1,), mult=8), WeightItem((-1,), mult=8)), (0,))
+    assert toric_context(small).bases is None
+    A = WeightedAction(1, 0, (WeightItem((1,), mult=9), WeightItem((-1,), mult=8)), (0,))
     with pytest.raises(TooLarge, match="fan enumeration over 2\\^17 subsets refused"):
         toric_context(A)
+    # generic theta: 17 stable bases with 2^16 faces each pass MAX_FAN_FACES
+    A = WeightedAction(1, 0, (WeightItem((1,), mult=MAX_ENUM_DIM + 1),), (1,))
+    assert 17 << 16 > MAX_FAN_FACES
+    with pytest.raises(TooLarge, match="fan of 17 stable bases with 2\\^16 faces each refused"):
+        toric_context(A)
+    # 17 distinct rank-8 weights: C(17, 8) subsets pass MAX_BASIS_SUBSETS
+    units = [tuple(s * int(i == j) for j in range(8)) for i in range(8) for s in (1, -1)]
+    A = WeightedAction(8, 0, tuple(WeightItem(u) for u in units + [(1,) * 8]), (1,) * 8)
+    assert 24310 > MAX_BASIS_SUBSETS
+    with pytest.raises(TooLarge, match="basis scan over C\\(17, 8\\) weight subsets refused"):
+        toric_context(A)
+
+
+def test_generic_theta_past_max_enum_dim_answered():
+    # unfolded (P^1)^9: 18 coordinates, 2^9 bases with 2^9 faces each
+    A = WeightedAction(9, 0, tuple(WeightItem(tuple(int(i == j) for j in range(9)))
+                                   for i in range(9) for _ in range(2)), (1,) * 9)
+    ctx = toric_context(A)
+    assert len(ctx.bases) == 2 ** 9 == len(fixed_points_toric(ctx))
+    fan = quotient_fan(ctx)
+    assert len(fan.cones) == 3 ** 9 and len(fan.maximal_cones) == 2 ** 9
 
 
 def test_fixed_points_hirzebruch_patterns(hirz2):
