@@ -6,20 +6,21 @@ C^m with stability character theta, this module checks the action once
 residual-torus fixed points, and the bijection between fixed points and
 morphisms rho from the residual torus back into the acting torus.
 
-For generic theta, on no hyperplane spanned by r-1 weights, both scans read
-the stable bases: the r-subsets B of the weights with det B != 0 and
-B^-1 theta > 0.  They are the minimally stable supports, so they are the
-fixed points, and the fan's cones are the faces of their complements
-(Cox-Little-Schenck, Toric Varieties, section 14).  For theta on a wall both
-scans fall back to testing supports one by one through a memo keyed by the
-weight items a support meets.
+The fixed points are the stable bases: the r-subsets B of the weights with
+det B != 0 and B^-1 theta > 0, which are exactly the stable supports of size
+r.  toric_context finds them once, with one det and one solve per r-subset
+of the distinct weights.  For generic theta, on no hyperplane spanned by r-1
+weights, the stable bases are the minimally stable supports, and the fan's
+cones are the faces of their complements (Cox-Little-Schenck, Toric
+Varieties, section 14).  For theta on a wall the fan falls back to testing
+every support through a memo keyed by the weight items a support meets.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .common import Status
@@ -69,11 +70,14 @@ class ToricFan:
     lattice_rank: int
     rays: tuple
     cones: tuple  # sorted tuples of ray indices, every face listed
+    tops: tuple | None = field(default=None, compare=False, repr=False)  # maximal cones, if known
 
     @property
     def maximal_cones(self):
         """The cones that are no facet of another cone.  Every face is
         listed, so a cone inside a larger one is a facet of some cone."""
+        if self.tops is not None:
+            return self.tops
         facets = {c[:k] + c[k + 1:] for c in self.cones for k in range(len(c))}
         return tuple(c for c in self.cones if c not in facets)
 
@@ -90,39 +94,39 @@ class FixedComponent:
 @dataclass(frozen=True)
 class ToricContext:
     """A checked action with its cokernel projection pi, the section c in
-    use, `stable`, the support stability test memoised by item set, and
-    `bases`, the sorted stable index bases, or None when theta is not
-    generic."""
+    use, `stable`, the support stability test memoised by item set,
+    `bases`, the sorted stable index bases, and whether theta is generic."""
 
     action: WeightedAction
     pi: IntMatrix
     section: IntMatrix
     stable: Callable
-    bases: tuple | None
+    bases: tuple
+    generic: bool
 
 
 def _stable_bases(action: WeightedAction, copies):
-    """The stable index bases in sorted order, or None when theta is not generic.
+    """The stable bases among the distinct weights, and whether theta is generic.
 
     copies maps each distinct weight to its (item, copy) indices.  Each
     r-subset B of the distinct weights with det B != 0 gets one solve for
-    lambda = B^-1 theta.  lambda > 0 makes B a stable basis, and it expands
-    to one index basis per choice of copies.  Some lambda_j = 0 puts theta
-    on the wall spanned by the rest of B; once the weights have rank r every
-    independent (r-1)-set extends to a basis, so the scan sees every wall.
+    lambda = B^-1 theta, and lambda > 0 makes B a stable basis.  Some
+    lambda_j = 0 puts theta on the wall spanned by the rest of B; once the
+    weights have rank r every independent (r-1)-set extends to a basis, so
+    the scan sees every wall.
     """
     r = action.g_rank
-    out = []
+    out, generic = [], True
     for B in itertools.combinations(copies, r):
         cols = [[chi[i] for chi in B] for i in range(r)]
         if det(cols) == 0:
             continue
         lam, _ = solve(cols, action.theta)
         if 0 in lam:
-            return None
-        if all(x > 0 for x in lam):
-            out.extend(tuple(sorted(p)) for p in itertools.product(*(copies[chi] for chi in B)))
-    return tuple(sorted(out))
+            generic = False
+        elif all(x > 0 for x in lam):
+            out.append(B)
+    return out, generic
 
 
 def toric_context(action: WeightedAction, section: IntMatrix | None = None) -> ToricContext:
@@ -140,7 +144,7 @@ def toric_context(action: WeightedAction, section: IntMatrix | None = None) -> T
     columns must complete the weight columns to a lattice basis, and pi is
     then the unique projection annihilating the weights and splitting c.
     Stability depends only on the weights a support meets, so `stable`
-    decides each set of weight items once for both scans when theta is not
+    decides each set of weight items once for the fan when theta is not
     generic.
     """
     memo = {}
@@ -160,12 +164,17 @@ def toric_context(action: WeightedAction, section: IntMatrix | None = None) -> T
         copies.setdefault(action.chi_of(i), []).append(i)
     if m > MAX_ENUM_DIM and math.comb(len(copies), r) > MAX_BASIS_SUBSETS:
         raise TooLarge("basis scan over C(%d, %d) weight subsets refused" % (len(copies), r))
-    bases = _stable_bases(action, copies)
+    weight_bases, generic = _stable_bases(action, copies)
     if m > MAX_ENUM_DIM:
-        if bases is None:
+        if not generic:
             raise TooLarge("fan enumeration over 2^%d subsets refused" % m)
-        if len(bases) << (m - r) > MAX_FAN_FACES:
-            raise TooLarge("fan of %d stable bases with 2^%d faces each refused" % (len(bases), m - r))
+        n_bases = sum(math.prod(len(copies[chi]) for chi in B) for B in weight_bases)
+        if n_bases << (m - r) > MAX_FAN_FACES:
+            raise TooLarge("fan of %d stable bases with 2^%d faces each refused" % (n_bases, m - r))
+    # one index basis per choice of copies; sorted, they come in the order
+    # of itertools.combinations(idx, r)
+    bases = tuple(sorted(tuple(sorted(p)) for B in weight_bases
+                         for p in itertools.product(*(copies[chi] for chi in B))))
     a = IntMatrix.from_rows([action.chi_of(i) for i in idx], r)
     pi, c = cokernel_with_section(a)
     if section is not None:
@@ -179,7 +188,7 @@ def toric_context(action: WeightedAction, section: IntMatrix | None = None) -> T
             raise FreeActionViolated("supplied section does not split the cokernel")
         pi = IntMatrix.from_rows(inv[r:], m)
         c = section
-    return ToricContext(action, pi, c, stable, bases)
+    return ToricContext(action, pi, c, stable, bases, generic)
 
 
 def quotient_fan(ctx: ToricContext) -> ToricFan:
@@ -189,8 +198,9 @@ def quotient_fan(ctx: ToricContext) -> ToricFan:
     cokernel projection; a subset spans a cone precisely when its complement
     is a stable support.  For generic theta the maximal cones are the
     complements of the stable bases, one rank test each (a face of an
-    independent set is independent), and the cones are all their faces.
-    Otherwise every subset of I is tested, with one rank test per cone.
+    independent set is independent), and the cones are all their faces;
+    the fan keeps them as its maximal cones.  Otherwise every subset of I
+    is tested, with one rank test per cone.
     """
     action = ctx.action
     idx = action.indices()
@@ -203,16 +213,14 @@ def quotient_fan(ctx: ToricContext) -> ToricFan:
             raise AssertionError("fan cone is not simplicial; this is a bug")
         return vecs
 
-    if ctx.bases is not None:
-        tops = [independent([ray_of[i] for i in idx if i not in b]) for b in ctx.bases]
-        rays = tuple(sorted({v for top in tops for v in top}))
+    if ctx.generic:
+        comps = [independent([ray_of[i] for i in idx if i not in b]) for b in ctx.bases]
+        rays = tuple(sorted({v for comp in comps for v in comp}))
         lookup = {v: i for i, v in enumerate(rays)}
-        cone_set = set()
-        for top in tops:
-            top = tuple(sorted(lookup[v] for v in top))
-            for k in range(len(top) + 1):
-                cone_set.update(itertools.combinations(top, k))
-        return ToricFan(n_rank, rays, tuple(sorted(cone_set)))
+        tops = tuple(sorted({tuple(sorted(lookup[v] for v in comp)) for comp in comps}))
+        cones = {face for top in tops for k in range(len(top) + 1)
+                 for face in itertools.combinations(top, k)}
+        return ToricFan(n_rank, rays, tuple(sorted(cones)), tops)
     cone_sets = set()
     for size in range(len(idx) + 1):
         for comb in itertools.combinations(idx, size):
@@ -253,20 +261,15 @@ def s_rho(action: WeightedAction, rho: RhoMap, section: IntMatrix):
 
 
 def fixed_points_toric(ctx: ToricContext):
-    """One zero-dimensional fixed component per stable r-subset of I.
+    """One zero-dimensional fixed component per stable basis, for any theta.
 
-    A stable support of size r is minimally stable, its weights a basis.
-    For generic theta these are the context's stable bases; otherwise the
-    scan tests the size-r subsets only instead of all of 2^|I|.  I is
-    sorted, so the subsets, and the components, come in sorted order.
+    A point is fixed when its T-orbit has the dimension r of its G-orbit,
+    so its support has size r; a stable support of size r is a stable
+    basis.  The context lists them in sorted order.
     """
     action, c = ctx.action, ctx.section
-    supports = ctx.bases
-    if supports is None:
-        supports = [comb for comb in itertools.combinations(action.indices(), action.g_rank)
-                    if ctx.stable(comb)]
     components = []
-    for comb in supports:
+    for comb in ctx.bases:
         sup = frozenset(comb)
         rho = rho_from_stable_subset(action, sup, c)
         derived = s_rho(action, rho, c)

@@ -149,7 +149,7 @@ def test_toric_stability_decided_once_per_item_set(tmp_path, capsys, monkeypatch
     code, out, _ = run(["toric", write(tmp_path, "p1.json", prob)], capsys)
     assert code == 0 and len(json.loads(out)["components"]) == 16
     assert calls == {frozenset(range(4)): 1}
-    # theta on the wall spanned by (1, 1): the fallback scan decides each item set once
+    # theta on the wall spanned by (1, 1): the fallback fan scan decides each item set once
     calls.clear()
     prob = {"kind": "toric", "g_rank": 2, "theta": [1, 1],
             "weights": [{"chi": [1, 0], "mult": 2}, {"chi": [0, 1], "mult": 2}, {"chi": [1, 1]}]}

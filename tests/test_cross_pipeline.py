@@ -53,6 +53,6 @@ def test_thin_quiver_moduli_are_toric(tmp_path, capsys):
         if stable:
             nonempty += 1
             action = WeightedAction(n - 1, 0, tuple(WeightItem(w) for w in weights), tuple(theta))
-            generic += toric_context(action).bases is not None
-    # both toric scans are exercised: 9 of the 94 nonempty cases put theta on a wall
+            generic += toric_context(action).generic
+    # both fan scans are exercised: 9 of the 94 nonempty cases put theta on a wall
     assert (nonempty, nonempty - generic) == (94, 9)
