@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .cones import (
     RationalCone,
@@ -67,9 +68,10 @@ class WeightedAction:
                 out.append((s, k))
         return tuple(out)
 
-    def flat_index(self, idx):
-        s, k = idx
-        return sum(self.items[t].mult for t in range(s)) + k
+    @cached_property
+    def flat(self):
+        """Each (item, copy) index's position in flat order, built once."""
+        return {idx: n for n, idx in enumerate(self.indices())}
 
     @property
     def total_dim(self):
@@ -81,9 +83,8 @@ class WeightedAction:
 
 def _normalize_support(action, support):
     support = frozenset(tuple(p) for p in support)
-    valid = set(action.indices())
     for p in support:
-        if p not in valid:
+        if p not in action.flat:
             raise DimMismatch("support index %r not in the action's index set" % (p,))
     return support
 

@@ -11,6 +11,7 @@ package.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -105,9 +106,10 @@ class IntMatrix:
     def mul(self, other):
         if self.ncols != other.nrows:
             raise DimMismatch("matmul %dx%d by %dx%d" % (self.nrows, self.ncols, other.nrows, other.ncols))
-        cols = [other.col(j) for j in range(other.ncols)]
+        cols = list(zip(*other.entries)) if other.entries else [()] * other.ncols
         return IntMatrix(
-            tuple(tuple(dot(r, c) for c in cols) for r in self.entries), other.ncols
+            tuple(tuple(sum(map(operator.mul, r, c)) for c in cols) for r in self.entries),
+            other.ncols,
         )
 
     def apply(self, v):

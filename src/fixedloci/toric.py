@@ -38,6 +38,7 @@ from .linalg import (
     rank,
     solve,
     solve_integral,
+    unimodular_inverse,
 )
 
 MAX_ENUM_DIM = 16  # cap on |I| for the 2^|I| scan; only non-generic theta needs it
@@ -205,7 +206,7 @@ def quotient_fan(ctx: ToricContext) -> ToricFan:
     action = ctx.action
     idx = action.indices()
     n_rank = ctx.pi.nrows
-    ray_of = {i: primitive(ctx.pi.col(action.flat_index(i))) for i in idx}
+    ray_of = {i: primitive(ctx.pi.col(action.flat[i])) for i in idx}
     all_idx = frozenset(idx)
 
     def independent(vecs):
@@ -232,24 +233,6 @@ def quotient_fan(ctx: ToricContext) -> ToricFan:
     return ToricFan(n_rank, rays, cones)
 
 
-def rho_from_stable_subset(action: WeightedAction, support, section: IntMatrix) -> RhoMap:
-    """Invert the weight map on a minimally stable support against the section.
-
-    The map g -> (chi_s(g)) over the support must be invertible over Z; the
-    free-action hypothesis forces this, so failure raises FreeActionViolated.
-    """
-    sup = sorted(support)
-    r = action.g_rank
-    a_s = IntMatrix.from_rows([action.chi_of(i) for i in sup], r)
-    if a_s.nrows != r:
-        raise FreeActionViolated("support has size %d, expected %d" % (a_s.nrows, r))
-    d = det(a_s.entries)
-    if abs(d) != 1:
-        raise FreeActionViolated("support weight matrix has determinant %s" % d)
-    c_s = [section.entries[action.flat_index(i)] for i in sup]
-    return RhoMap(IntMatrix.from_rows(solve_integral(a_s.entries, c_s), section.ncols))
-
-
 def s_rho(action: WeightedAction, rho: RhoMap, section: IntMatrix):
     """Indices whose section character equals the weight pulled back by rho."""
     out, flat = [], 0
@@ -265,15 +248,28 @@ def fixed_points_toric(ctx: ToricContext):
 
     A point is fixed when its T-orbit has the dimension r of its G-orbit,
     so its support has size r; a stable support of size r is a stable
-    basis.  The context lists them in sorted order.
+    basis.  The context lists them in sorted order.  Its morphism is
+    rho = A_S^-1 C_S, the weight rows of S inverted against its section
+    rows.  The free action makes A_S unimodular (else FreeActionViolated).
+    Every choice of copies S of one weight basis B permutes the rows of
+    A_B and C_S alike, and (PA)^-1 (PC) = A^-1 C, so A_B is checked and
+    inverted once per weight basis.
     """
-    action, c = ctx.action, ctx.section
+    action, c, flat = ctx.action, ctx.section, ctx.action.flat
+    inverses = {}
     components = []
     for comb in ctx.bases:
-        sup = frozenset(comb)
-        rho = rho_from_stable_subset(action, sup, c)
-        derived = s_rho(action, rho, c)
-        assert derived == sup, "support of rho does not recover the stable subset"
+        by_chi = sorted(comb, key=action.chi_of)
+        key = tuple(action.chi_of(i) for i in by_chi)
+        if key not in inverses:
+            if abs(det(key)) != 1:
+                # the sign is that of the rows in index order, as the basis is listed
+                raise FreeActionViolated("support weight matrix has determinant %s"
+                                         % det([action.chi_of(i) for i in comb]))
+            inverses[key] = unimodular_inverse(IntMatrix.from_rows(key, action.g_rank))
+        rho = RhoMap(inverses[key].mul(c.submatrix_rows([flat[i] for i in by_chi])))
+        assert s_rho(action, rho, c) == frozenset(comb), \
+            "support of rho does not recover the stable subset"
         components.append(
             FixedComponent(
                 rho=rho,

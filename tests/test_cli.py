@@ -404,6 +404,16 @@ def test_free_action_refused_before_fan_scan(tmp_path, capsys, monkeypatch):
     assert code == 3 and err == "guard error: fan of 11 stable bases with 2^16 faces each refused\n"
 
 
+def test_free_action_refusal_keeps_the_sign_of_the_listed_rows(tmp_path, capsys):
+    # the first stable basis, ((0, 0), (1, 0)), has rows (1, 0), (0, -2) in
+    # index order, determinant -2, and both copies of (0, -2) refuse alike;
+    # in sorted weight order the same rows have determinant 2
+    prob = {"kind": "toric", "g_rank": 2, "theta": [1, -1],
+            "weights": [{"chi": [1, 0]}, {"chi": [0, -2], "mult": 2}, {"chi": [0, -1]}]}
+    code, out, err = run(["toric", write(tmp_path, "t.json", prob)], capsys)
+    assert (code, out, err) == (2, "", "validation error: support weight matrix has determinant -2\n")
+
+
 def test_determinism_bytes(tmp_path, capsys):
     f = write(tmp_path, "k.json", KRON3)
     out1 = tmp_path / "r1.json"

@@ -1,6 +1,8 @@
 """Property tests: every schema-valid problem file, with any in-range option
 flags and well-formed or malformed kempf JSON flags, ends in exit 0, 2 or 3,
-never in a traceback, and every exit-0 report validates."""
+never in a traceback, and every exit-0 report validates.  The one-pass JSON
+encoder writes the bytes of json.dumps(sort_keys=True, indent=2) for any
+JSON value."""
 
 import contextlib
 import io
@@ -11,7 +13,7 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixedloci.cli import load_problem, main
+from fixedloci.cli import _one_pass_json, load_problem, main
 from schema_oracles import validate_report
 
 ENTRY = st.integers(-3, 3)
@@ -19,6 +21,21 @@ JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 8) | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
     max_leaves=8)
+# every kind of JSON leaf, among them the floats json.load accepts in an
+# echoed problem file, and any text: non-ASCII, quotes, backslashes, controls
+ANY_LEAF = (st.none() | st.booleans() | st.integers()
+            | st.integers(-10 ** 80, 10 ** 80)
+            | st.sampled_from([0, -1, 2 ** 64, -2 ** 100])
+            | st.floats()
+            | st.sampled_from([-0.0, 1e16, float("nan"), float("inf"), float("-inf")])
+            | st.text())
+ANY_JSON = st.recursive(
+    ANY_LEAF,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(st.integers(), max_size=4)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=20)
 
 
 @st.composite
@@ -130,3 +147,9 @@ def test_grassmann_files_end_in_known_exit_codes(data):
 @given(quiver_runs())
 def test_quiver_files_end_in_known_exit_codes(run):
     _ends_in_known_exit_code("quiver", *run)
+
+
+@settings(max_examples=500, deadline=None)
+@given(ANY_JSON)
+def test_one_pass_encoder_matches_json_dumps(value):
+    assert _one_pass_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"

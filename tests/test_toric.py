@@ -13,7 +13,7 @@ from fixedloci.errors import (
     TorsionCokernel,
 )
 from fixedloci.hmtorus import WeightItem, WeightedAction
-from fixedloci.linalg import IntMatrix, det, primitive
+from fixedloci.linalg import IntMatrix, primitive
 from fixedloci.toric import (
     MAX_BASIS_SUBSETS,
     MAX_ENUM_DIM,
@@ -22,7 +22,6 @@ from fixedloci.toric import (
     ToricFan,
     fixed_points_toric,
     quotient_fan,
-    rho_from_stable_subset,
     s_rho,
     toric_context,
 )
@@ -33,6 +32,7 @@ from toric_oracles import (
     fans_unimodularly_equivalent,
     maximal_cones,
     necessary_condition,
+    rho_from_stable_subset,
     stable_subsets,
 )
 
@@ -142,7 +142,7 @@ def test_scans_agree_with_stable_subsets_oracle():
     # generic theta the 2^|I| fallback scan is a second oracle for the basis
     # fan; both kinds of theta must turn up
     rng = random.Random(73)
-    checked = generic = 0
+    checked = generic = refused = 0
     for _ in range(300):
         r = rng.randint(0, 3)
         items = tuple(WeightItem(tuple(rng.randint(-1, 1) for _ in range(r)),
@@ -160,11 +160,18 @@ def test_scans_agree_with_stable_subsets_oracle():
             continue
         bases = [tuple(sorted(s)) for s in oracle if len(s) == r]
         try:
-            assert [c.support for c in fixed_points_toric(ctx)] == bases
-        except FreeActionViolated:
-            assert any(abs(det([A.chi_of(i) for i in b])) != 1 for b in bases)
+            comps = fixed_points_toric(ctx)
+        except FreeActionViolated as exc:
+            # the first basis in sorted order that the oracle refuses, with its determinant
+            with pytest.raises(FreeActionViolated) as want:
+                [rho_from_stable_subset(A, b, ctx.section) for b in bases]
+            assert str(exc) == str(want.value)
+            refused += 1
+        else:
+            assert ([(c.support, c.rho) for c in comps]
+                    == [(b, rho_from_stable_subset(A, b, ctx.section)) for b in bases])
         fan = quotient_fan(ctx)
-        ray = {i: primitive(ctx.pi.col(A.flat_index(i))) for i in full}
+        ray = {i: primitive(ctx.pi.col(A.flat[i])) for i in full}
         assert ({frozenset(fan.rays[i] for i in c) for c in fan.cones}
                 == {frozenset(ray[i] for i in full - s) for s in oracle})
         assert fan.maximal_cones == maximal_cones(fan)
@@ -175,7 +182,7 @@ def test_scans_agree_with_stable_subsets_oracle():
             generic += 1
         checked += 1
     assert checked >= 100
-    assert (generic, checked - generic) == (107, 33)
+    assert (generic, checked - generic, refused) == (107, 33, 5)
 
 
 def test_maximal_cones_match_pairwise_oracle_on_random_complexes():
@@ -266,7 +273,7 @@ def test_s_rho_examples(hirz2):
     assert sorted(s_rho(hirz2, rho4, PAPER_SECTION)) == [(0, 1), (2, 0)]
     # trivial rho with a trivial-weight section row matches exactly those rows
     triv_rows = [i for i, row in enumerate(PAPER_SECTION.entries) if not any(row)]
-    got = sorted(hirz2.flat_index(i) for i in s_rho(hirz2, rho4, PAPER_SECTION))
+    got = sorted(hirz2.flat[i] for i in s_rho(hirz2, rho4, PAPER_SECTION))
     assert got == triv_rows
 
 

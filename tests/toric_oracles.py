@@ -1,13 +1,15 @@
 """Brute-force oracles and fan checks for the toric tests.
 
-`stable_subsets` tests every subset of I on its own, and `maximal_cones`
-every pair of cones; the checks and the comparison below judge a finished
-fan from its rays and cones alone.
+`stable_subsets` tests every subset of I on its own, `rho_from_stable_subset`
+solves for each fixed point's morphism on its own, and `maximal_cones`
+checks every pair of cones; the checks and the comparison below judge a
+finished fan from its rays and cones alone.
 """
 
 import itertools
 
 from fixedloci.cones import RationalCone
+from fixedloci.errors import FreeActionViolated
 from fixedloci.hmtorus import WeightedAction, is_stable_support
 from fixedloci.linalg import IntMatrix, det, primitive, rank, solve_integral
 from fixedloci.toric import RhoMap, ToricFan, s_rho
@@ -30,6 +32,24 @@ def stable_subsets(action: WeightedAction):
             if memo[key]:
                 out.append(frozenset(comb))
     return out
+
+
+def rho_from_stable_subset(action: WeightedAction, support, section: IntMatrix) -> RhoMap:
+    """Invert the weight map on a minimally stable support against the section.
+
+    The map g -> (chi_s(g)) over the support must be invertible over Z; the
+    free-action hypothesis forces this, so failure raises FreeActionViolated.
+    """
+    sup = sorted(support)
+    r = action.g_rank
+    a_s = IntMatrix.from_rows([action.chi_of(i) for i in sup], r)
+    if a_s.nrows != r:
+        raise FreeActionViolated("support has size %d, expected %d" % (a_s.nrows, r))
+    d = det(a_s.entries)
+    if abs(d) != 1:
+        raise FreeActionViolated("support weight matrix has determinant %s" % d)
+    c_s = [section.entries[action.flat[i]] for i in sup]
+    return RhoMap(IntMatrix.from_rows(solve_integral(a_s.entries, c_s), section.ncols))
 
 
 def necessary_condition(action: WeightedAction, rho: RhoMap, section: IntMatrix) -> bool:
