@@ -102,18 +102,6 @@ def limit_cone(action: WeightedAction, support) -> RationalCone:
     return RationalCone.from_halfspaces(_support_chis(action, support), action.g_rank)
 
 
-def is_semistable_support(action: WeightedAction, support) -> bool:
-    """True iff the limit cone pairs nonnegatively with theta.
-
-    By Farkas' lemma this says theta lies in the cone of the support weights,
-    so the certificate is one LP: some lambda >= 0 with
-    sum_s lambda_s chi_s = theta.
-    """
-    chis = _support_chis(action, support)
-    rows = [[chi[i] for chi in chis] for i in range(action.g_rank)]
-    return feasible_nonneg(rows, action.theta)
-
-
 def is_stable_support(action: WeightedAction, support) -> bool:
     """True iff every nonzero limit-admitting 1-PS pairs positively with theta.
 

@@ -9,11 +9,16 @@ morphisms rho from the residual torus back into the acting torus.
 The fixed points are the stable bases: the r-subsets B of the weights with
 det B != 0 and B^-1 theta > 0, which are exactly the stable supports of size
 r.  toric_context finds them once, with one det and one solve per r-subset
-of the distinct weights.  For generic theta, on no hyperplane spanned by r-1
-weights, the stable bases are the minimally stable supports, and the fan's
-cones are the faces of their complements (Cox-Little-Schenck, Toric
-Varieties, section 14).  For theta on a wall the fan falls back to testing
-every support through a memo keyed by the weight items a support meets.
+of the distinct weights.  The fan comes from stable bases too, for every
+theta.  A support is stable exactly when, for each of the 2r directions
+d = +-e_i, it holds a stable basis of theta + eps d + eps^2 e_1 + ... +
+eps^(r+1) e_r, eps a formal infinitesimal (lexicographic perturbation,
+Charnes 1952).  No perturbed theta lies on a wall, so each lies in a chamber
+whose fan has the faces of the complements of its stable bases as cones
+(Cox-Little-Schenck, Toric Varieties, section 14); the fan for theta is the
+intersection of these fans.  A generic theta, on no hyperplane spanned by
+r-1 weights, has one chamber, and its stable bases are the minimally stable
+supports.
 """
 
 from __future__ import annotations
@@ -21,14 +26,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .common import Status
-from .errors import (
-    EmptyStableLocus,
-    FreeActionViolated,
-    TooLarge,
-)
+from .errors import EmptyStableLocus, FreeActionViolated, TooLarge
 from .hmtorus import WeightedAction, is_stable_support
 from .linalg import (
     IntMatrix,
@@ -41,13 +41,13 @@ from .linalg import (
     unimodular_inverse,
 )
 
-MAX_ENUM_DIM = 16  # cap on |I| for the 2^|I| scan; only non-generic theta needs it
-# Past MAX_ENUM_DIM a generic theta is admitted under two caps, set by
+MAX_ENUM_DIM = 16
+# Past MAX_ENUM_DIM coordinates a theta is admitted under two caps, set by
 # measurement to about the work admitted within it.  The basis scan makes one
 # det and one solve for each of the C(d, r) r-subsets of the d distinct
 # weights, and C(16, 8) is the most an input within MAX_ENUM_DIM can meet.
-# The fan lists bases * 2^(m-r) faces before dropping repeats; at 2^18 with
-# no repeat (r = 0, m = 18) that is a 58 MB report.
+# The fan lists bases * 2^(m-r) faces for each chamber before dropping
+# repeats; at 2^18 with no repeat (r = 0, m = 18) that is a 58 MB report.
 MAX_BASIS_SUBSETS = math.comb(MAX_ENUM_DIM, MAX_ENUM_DIM // 2)
 MAX_FAN_FACES = 1 << 18
 
@@ -95,48 +95,65 @@ class FixedComponent:
 @dataclass(frozen=True)
 class ToricContext:
     """A checked action with its cokernel projection pi, the section c in
-    use, `stable`, the support stability test memoised by item set,
-    `bases`, the sorted stable index bases, and whether theta is generic."""
+    use, `bases`, the sorted stable index bases of theta, and `chambers`,
+    the sorted stable index bases of each chamber next to theta (one, the
+    bases themselves, when theta is generic)."""
 
     action: WeightedAction
     pi: IntMatrix
     section: IntMatrix
-    stable: Callable
     bases: tuple
-    generic: bool
+    chambers: tuple
 
 
 def _stable_bases(action: WeightedAction, copies):
-    """The stable bases among the distinct weights, and whether theta is generic.
+    """The stable weight bases of each chamber next to theta, and of theta.
 
     copies maps each distinct weight to its (item, copy) indices.  Each
     r-subset B of the distinct weights with det B != 0 gets one solve for
-    lambda = B^-1 theta, and lambda > 0 makes B a stable basis.  Some
-    lambda_j = 0 puts theta on the wall spanned by the rest of B; once the
-    weights have rank r every independent (r-1)-set extends to a basis, so
-    the scan sees every wall.
+    lambda = B^-1 theta.  Perturbing theta along d = +-e_i adds
+    eps B^-1 d + eps^2 B^-1 e_1 + ... to lambda, so lambda_j takes the sign
+    of the first nonzero entry of (lambda_j, +-(B^-1)_ji, row j of B^-1),
+    never 0 as the row is not.  A B with no lambda_j = 0 is therefore stable
+    for every perturbed theta or for none, by lambda > 0, and only a B on a
+    wall takes the r further solves for B^-1.  A support is stable when
+    theta is inside the cone of its weights; near theta every perturbed
+    theta is then inside too, in the cone of one of its bases, and
+    conversely a form vanishing on theta and nonnegative on the cone would
+    have to vanish on e_i and -e_i alike.  The bases stable for theta
+    itself, the fixed points, are those of every chamber: lambda > 0.
+
+    Returns the distinct chambers' bases, in the order d = e_1, -e_1, e_2,
+    ..., and the stable bases of theta.
     """
     r = action.g_rank
-    out, generic = [], True
+    stable, walls = [], []
     for B in itertools.combinations(copies, r):
         cols = [[chi[i] for chi in B] for i in range(r)]
         if det(cols) == 0:
             continue
         lam, _ = solve(cols, action.theta)
         if 0 in lam:
-            generic = False
+            # the columns of B^-1, each times a positive integer
+            inv = [solve(cols, e)[0] for e in IntMatrix.identity(r).entries]
+            walls.append((B, [(x, *(col[j] for col in inv)) for j, x in enumerate(lam)]))
         elif all(x > 0 for x in lam):
-            out.append(B)
-    return out, generic
+            stable.append(B)
+    stable = tuple(stable)
+    chambers = dict.fromkeys(
+        stable + tuple(B for B, rows in walls
+                       if all(next(x for x in (row[0], s * row[1 + i]) + row[1:] if x) > 0 for row in rows))
+        for i in range(r) for s in (1, -1))
+    return tuple(chambers) or (stable,), stable
 
 
 def toric_context(action: WeightedAction, section: IntMatrix | None = None) -> ToricContext:
     """The one entry point of the toric scans, after their checks.
 
     The checks run in order: the full support must be stable
-    (EmptyStableLocus); past MAX_ENUM_DIM coordinates theta must be generic
-    and the basis scan and the fan's faces within their caps (TooLarge); the
-    weight inclusion must have a free cokernel (NotInjective,
+    (EmptyStableLocus); past MAX_ENUM_DIM coordinates the basis scan and the
+    fan's faces, summed over the chambers, must be within their caps
+    (TooLarge); the weight inclusion must have a free cokernel (NotInjective,
     TorsionCokernel), and a supplied section must split it
     (FreeActionViolated).
 
@@ -144,38 +161,30 @@ def toric_context(action: WeightedAction, section: IntMatrix | None = None) -> T
     A user-supplied section fixes the identification of the cokernel: its
     columns must complete the weight columns to a lattice basis, and pi is
     then the unique projection annihilating the weights and splitting c.
-    Stability depends only on the weights a support meets, so `stable`
-    decides each set of weight items once for the fan when theta is not
-    generic.
     """
-    memo = {}
-
-    def stable(support):
-        key = frozenset(s for (s, k) in support)
-        if key not in memo:
-            memo[key] = is_stable_support(action, support)
-        return memo[key]
-
     idx = action.indices()
     m, r = len(idx), action.g_rank
-    if not stable(idx):
+    if not is_stable_support(action, idx):
         raise EmptyStableLocus("the stable locus is empty")
     copies = {}
     for i in idx:
         copies.setdefault(action.chi_of(i), []).append(i)
     if m > MAX_ENUM_DIM and math.comb(len(copies), r) > MAX_BASIS_SUBSETS:
         raise TooLarge("basis scan over C(%d, %d) weight subsets refused" % (len(copies), r))
-    weight_bases, generic = _stable_bases(action, copies)
+    weight_chambers, weight_bases = _stable_bases(action, copies)
     if m > MAX_ENUM_DIM:
-        if not generic:
-            raise TooLarge("fan enumeration over 2^%d subsets refused" % m)
-        n_bases = sum(math.prod(len(copies[chi]) for chi in B) for B in weight_bases)
+        n_bases = sum(math.prod(len(copies[chi]) for chi in B) for ws in weight_chambers for B in ws)
         if n_bases << (m - r) > MAX_FAN_FACES:
             raise TooLarge("fan of %d stable bases with 2^%d faces each refused" % (n_bases, m - r))
-    # one index basis per choice of copies; sorted, they come in the order
-    # of itertools.combinations(idx, r)
-    bases = tuple(sorted(tuple(sorted(p)) for B in weight_bases
-                         for p in itertools.product(*(copies[chi] for chi in B))))
+
+    def index_bases(ws):
+        # one index basis per choice of copies; sorted, they come in the order
+        # of itertools.combinations(idx, r)
+        return tuple(sorted(tuple(sorted(p)) for B in ws
+                            for p in itertools.product(*(copies[chi] for chi in B))))
+
+    bases = index_bases(weight_bases)
+    chambers = tuple(bases if ws == weight_bases else index_bases(ws) for ws in weight_chambers)
     a = IntMatrix.from_rows([action.chi_of(i) for i in idx], r)
     pi, c = cokernel_with_section(a)
     if section is not None:
@@ -189,7 +198,7 @@ def toric_context(action: WeightedAction, section: IntMatrix | None = None) -> T
             raise FreeActionViolated("supplied section does not split the cokernel")
         pi = IntMatrix.from_rows(inv[r:], m)
         c = section
-    return ToricContext(action, pi, c, stable, bases, generic)
+    return ToricContext(action, pi, c, bases, chambers)
 
 
 def quotient_fan(ctx: ToricContext) -> ToricFan:
@@ -197,40 +206,39 @@ def quotient_fan(ctx: ToricContext) -> ToricFan:
 
     Rays are the primitive images of the coordinate 1-PS basis under the
     cokernel projection; a subset spans a cone precisely when its complement
-    is a stable support.  For generic theta the maximal cones are the
-    complements of the stable bases, one rank test each (a face of an
-    independent set is independent), and the cones are all their faces;
-    the fan keeps them as its maximal cones.  Otherwise every subset of I
-    is tested, with one rank test per cone.
+    is a stable support, that is, when it avoids some stable basis of each
+    chamber next to theta.  A chamber's cones are the faces of the
+    complements of its bases.  The complements of the first chamber's bases
+    each take one rank test (a face of an independent set is independent).
+    With one chamber, as for every generic theta, the fan keeps them as its
+    maximal cones.  On a wall the cones are the faces every chamber lists,
+    met as sets of indices, since two coordinates may share a ray.
     """
     action = ctx.action
     idx = action.indices()
     n_rank = ctx.pi.nrows
     ray_of = {i: primitive(ctx.pi.col(action.flat[i])) for i in idx}
-    all_idx = frozenset(idx)
 
-    def independent(vecs):
-        if vecs and rank(IntMatrix.from_rows(vecs, n_rank)) != len(vecs):
+    def complements(bases):
+        return [[i for i in idx if i not in b] for b in bases]
+
+    def faces(tops):
+        return {face for top in tops for k in range(len(top) + 1)
+                for face in itertools.combinations(top, k)}
+
+    first, *others = ctx.chambers
+    comps = complements(first)
+    for comp in comps:
+        if comp and rank(IntMatrix.from_rows([ray_of[i] for i in comp], n_rank)) != len(comp):
             raise AssertionError("fan cone is not simplicial; this is a bug")
-        return vecs
-
-    if ctx.generic:
-        comps = [independent([ray_of[i] for i in idx if i not in b]) for b in ctx.bases]
-        rays = tuple(sorted({v for comp in comps for v in comp}))
-        lookup = {v: i for i, v in enumerate(rays)}
-        tops = tuple(sorted({tuple(sorted(lookup[v] for v in comp)) for comp in comps}))
-        cones = {face for top in tops for k in range(len(top) + 1)
-                 for face in itertools.combinations(top, k)}
-        return ToricFan(n_rank, rays, tuple(sorted(cones)), tops)
-    cone_sets = set()
-    for size in range(len(idx) + 1):
-        for comb in itertools.combinations(idx, size):
-            if ctx.stable(all_idx.difference(comb)):
-                cone_sets.add(frozenset(independent([ray_of[i] for i in comb])))
-    rays = tuple(sorted(set().union(*cone_sets)))
-    lookup = {v: i for i, v in enumerate(rays)}
-    cones = tuple(sorted(tuple(sorted(lookup[v] for v in c)) for c in cone_sets))
-    return ToricFan(n_rank, rays, cones)
+    if others:
+        comps = faces(comps).intersection(*(faces(complements(bases)) for bases in others))
+    rays = tuple(sorted({ray_of[i] for comp in comps for i in comp}))
+    lookup = {v: n for n, v in enumerate(rays)}
+    listed = tuple(sorted({tuple(sorted(lookup[ray_of[i]] for i in comp)) for comp in comps}))
+    if others:  # every cone is listed; the maximal ones come from the facet test
+        return ToricFan(n_rank, rays, listed)
+    return ToricFan(n_rank, rays, tuple(sorted(faces(listed))), listed)
 
 
 def s_rho(action: WeightedAction, rho: RhoMap, section: IntMatrix):

@@ -2,7 +2,9 @@
 
 `solve_nonneg` is the phase-1 simplex with Bland's rule that
 `fixedloci.simplex` ran before its tableau became fraction-free, kept
-verbatim: every pivot divides over Fractions.
+verbatim: every pivot divides over Fractions.  `is_semistable_support`
+decides support semistability with it, as the reference the Kempf sign is
+held to.
 """
 
 from fractions import Fraction
@@ -70,3 +72,15 @@ def solve_nonneg(A, b):
         if basis[i] < n:
             x[basis[i]] = T[i][-1]
     return tuple(x)
+
+
+def is_semistable_support(action, support):
+    """True iff the limit cone of the support pairs nonnegatively with theta.
+
+    By Farkas' lemma this says theta lies in the cone of the support weights,
+    so the certificate is one LP: some lambda >= 0 with
+    sum_s lambda_s chi_s = theta.
+    """
+    chis = sorted({action.chi_of(i) for i in support})
+    rows = [[chi[i] for chi in chis] for i in range(action.g_rank)]
+    return solve_nonneg(rows, action.theta) is not None

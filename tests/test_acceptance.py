@@ -19,7 +19,6 @@ from fixedloci.grassmann import GrassmannProblem, classify
 from fixedloci.hmtorus import (
     WeightItem,
     WeightedAction,
-    is_semistable_support,
     is_stable_support,
     kempf_data,
     limit_cone,
@@ -28,6 +27,7 @@ from fixedloci.linalg import dot
 from fixedloci.quiver import ArrowWeights, CoverVector, component_dimension
 from fixedloci.simplex import feasible_nonneg
 from fixedloci.toric import quotient_fan, toric_context
+from lp_oracle import is_semistable_support
 from test_toric import classical_hirzebruch_fan
 from toric_oracles import (
     fan_intersections_ok,

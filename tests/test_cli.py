@@ -7,8 +7,9 @@ import pytest
 from fixedloci import simplex, toric
 from fixedloci.cli import main
 from fixedloci.cli import _action_from_data, _kempf_report, _quiver_report, _toric_report
-from fixedloci.hmtorus import is_semistable_support, is_stable_support
+from fixedloci.hmtorus import is_stable_support
 from fixedloci.linalg import IntMatrix, rank
+from lp_oracle import is_semistable_support
 from schema_oracles import validate_report
 
 
@@ -122,8 +123,7 @@ def test_toric_context_and_locus_check_run_once(tmp_path, capsys, monkeypatch):
         return context(*args)
 
     def counted_stable(action, support):
-        # the fan scan's memo passes frozensets; count the explicit checks
-        if not isinstance(support, frozenset) and set(support) == set(action.indices()):
+        if set(support) == set(action.indices()):
             full_checks.append(support)
         return stable(action, support)
 
@@ -149,13 +149,14 @@ def test_toric_stability_decided_once_per_item_set(tmp_path, capsys, monkeypatch
     code, out, _ = run(["toric", write(tmp_path, "p1.json", prob)], capsys)
     assert code == 0 and len(json.loads(out)["components"]) == 16
     assert calls == {frozenset(range(4)): 1}
-    # theta on the wall spanned by (1, 1): the fallback fan scan decides each item set once
+    # theta on the wall spanned by (1, 1): the fan comes from the stable bases
+    # of the two chambers next to theta, so the one LP is the full-support check
     calls.clear()
     prob = {"kind": "toric", "g_rank": 2, "theta": [1, 1],
             "weights": [{"chi": [1, 0], "mult": 2}, {"chi": [0, 1], "mult": 2}, {"chi": [1, 1]}]}
     code, out, _ = run(["toric", write(tmp_path, "wall.json", prob)], capsys)
     assert code == 0 and len(json.loads(out)["components"]) == 4
-    assert len(calls) == 8 and max(calls.values()) == 1
+    assert calls == {frozenset(range(3)): 1}
 
 
 def test_grassmann_and_kempf_run(tmp_path, capsys):

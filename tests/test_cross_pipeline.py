@@ -22,7 +22,7 @@ def _run(args, capsys):
 
 def test_thin_quiver_moduli_are_toric(tmp_path, capsys):
     rng = random.Random(97)
-    nonempty = generic = 0
+    nonempty = walls = 0
     for case in range(300):
         n = rng.randint(2, 5)
         verts = ["v%d" % i for i in range(n)]
@@ -53,6 +53,7 @@ def test_thin_quiver_moduli_are_toric(tmp_path, capsys):
         if stable:
             nonempty += 1
             action = WeightedAction(n - 1, 0, tuple(WeightItem(w) for w in weights), tuple(theta))
-            generic += toric_context(action).generic
-    # both fan scans are exercised: 9 of the 94 nonempty cases put theta on a wall
-    assert (nonempty, nonempty - generic) == (94, 9)
+            walls += len(toric_context(action).chambers) > 1
+    # in 5 of the 94 nonempty cases theta lies on a wall between chambers; 4
+    # more put theta on a hyperplane spanned by weights, but on no such wall
+    assert (nonempty, walls) == (94, 5)

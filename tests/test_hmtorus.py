@@ -8,12 +8,12 @@ from fixedloci.cones import RationalCone, dot_q
 from fixedloci.hmtorus import (
     WeightItem,
     WeightedAction,
-    is_semistable_support,
     is_stable_support,
     kempf_data,
     limit_cone,
 )
 from fixedloci.linalg import IntMatrix, dot, rank
+from lp_oracle import is_semistable_support
 
 
 def random_action(rng, r=None, max_items=6):

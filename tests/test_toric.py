@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -12,7 +11,7 @@ from fixedloci.errors import (
     TooLarge,
     TorsionCokernel,
 )
-from fixedloci.hmtorus import WeightItem, WeightedAction
+from fixedloci.hmtorus import WeightItem, WeightedAction, is_stable_support
 from fixedloci.linalg import IntMatrix, primitive
 from fixedloci.toric import (
     MAX_BASIS_SUBSETS,
@@ -49,10 +48,9 @@ def classical_hirzebruch_fan(d):
 
 
 def minimally_stable_subsets(action):
-    """The stable r-subsets of I, decided by the context's stability memo."""
-    ctx = toric_context(action)
+    """The stable r-subsets of I, each decided by its own LP certificate."""
     return [frozenset(comb) for comb in itertools.combinations(action.indices(), action.g_rank)
-            if ctx.stable(comb)]
+            if is_stable_support(action, comb)]
 
 
 def test_minimally_stable_hirzebruch(hirz2):
@@ -138,17 +136,23 @@ def test_fan_axioms():
 
 
 def test_scans_agree_with_stable_subsets_oracle():
-    # the stable bases are the oracle's stable r-subsets for every theta; for
-    # generic theta the 2^|I| fallback scan is a second oracle for the basis
-    # fan; both kinds of theta must turn up
+    # the stable bases are the oracle's stable r-subsets and the fan its
+    # stable supports for every theta; theta is drawn as 0 or a sum of one
+    # or two weights about half the time, so that many lie on a wall, where
+    # the chambers next to theta differ
     rng = random.Random(73)
-    checked = generic = refused = 0
+    checked = walls = refused = 0
     for _ in range(300):
         r = rng.randint(0, 3)
         items = tuple(WeightItem(tuple(rng.randint(-1, 1) for _ in range(r)),
                                  mult=rng.choice((1, 1, 2, 3)))
                       for _ in range(rng.randint(max(1, r), r + 3)))
-        A = WeightedAction(r, 0, items, tuple(rng.randint(-1, 1) for _ in range(r)))
+        if rng.random() < 0.5:
+            picks = rng.sample(items, rng.randint(0, min(2, len(items))))
+            theta = tuple(sum(it.chi[i] for it in picks) for i in range(r))
+        else:
+            theta = tuple(rng.randint(-1, 1) for _ in range(r))
+        A = WeightedAction(r, 0, items, theta)
         oracle = stable_subsets(A)
         full = frozenset(A.indices())
         try:
@@ -176,13 +180,9 @@ def test_scans_agree_with_stable_subsets_oracle():
                 == {frozenset(ray[i] for i in full - s) for s in oracle})
         assert fan.maximal_cones == maximal_cones(fan)
         assert list(ctx.bases) == bases
-        if ctx.generic:
-            scan = quotient_fan(dataclasses.replace(ctx, generic=False))
-            assert scan == fan and scan.maximal_cones == fan.maximal_cones
-            generic += 1
+        walls += len(ctx.chambers) > 1
         checked += 1
-    assert checked >= 100
-    assert (generic, checked - generic, refused) == (107, 33, 5)
+    assert (checked - walls, walls, refused) == (114, 37, 3)
 
 
 def test_maximal_cones_match_pairwise_oracle_on_random_complexes():
@@ -197,11 +197,15 @@ def test_maximal_cones_match_pairwise_oracle_on_random_complexes():
 
 
 def test_context_refuses_past_max_enum_dim():
-    # theta = 0 lies on the wall of every basis, so the 2^17 scan would be needed
+    # theta = 0 on +-1: the chambers of theta = +eps and -eps list faces of
+    # the complements of the copies of 1 and of -1, and a cone misses a copy of each
     small = WeightedAction(1, 0, (WeightItem((1,), mult=8), WeightItem((-1,), mult=8)), (0,))
-    assert not toric_context(small).generic
+    ctx = toric_context(small)
+    assert len(ctx.chambers) == 2 and ctx.bases == ()
+    assert len(quotient_fan(ctx).cones) == (2 ** 8 - 1) ** 2
+    # at 17 coordinates the faces of both chambers count: 17 bases with 2^16 faces each
     A = WeightedAction(1, 0, (WeightItem((1,), mult=9), WeightItem((-1,), mult=8)), (0,))
-    with pytest.raises(TooLarge, match="fan enumeration over 2\\^17 subsets refused"):
+    with pytest.raises(TooLarge, match="fan of 17 stable bases with 2\\^16 faces each refused"):
         toric_context(A)
     # generic theta: 17 stable bases with 2^16 faces each pass MAX_FAN_FACES
     A = WeightedAction(1, 0, (WeightItem((1,), mult=MAX_ENUM_DIM + 1),), (1,))
@@ -218,6 +222,20 @@ def test_context_refuses_past_max_enum_dim():
     A = WeightedAction(8, 0, tuple(WeightItem(u, mult=10) for u in units[::2]), (1,) * 8)
     with pytest.raises(TooLarge, match="fan of 100000000 stable bases with 2\\^72 faces each refused"):
         toric_context(A)
+
+
+def test_wall_past_max_enum_dim_answered():
+    # theta = 0 on the weights 1, -1 and fifteen copies of 0: the stable
+    # supports are those holding 1 and -1, so no basis is stable for theta,
+    # and the cones are the subsets of the copies of 0
+    A = WeightedAction(1, 0, (WeightItem((1,)), WeightItem((-1,)), WeightItem((0,), mult=15)), (0,))
+    assert A.total_dim == MAX_ENUM_DIM + 1
+    ctx = toric_context(A)
+    assert ctx.chambers == ((((0, 0),),), (((1, 0),),)) and fixed_points_toric(ctx) == []
+    fan = quotient_fan(ctx)
+    zeros = [primitive(ctx.pi.col(A.flat[(2, k)])) for k in range(15)]
+    assert fan.rays == tuple(sorted(zeros)) and len(fan.cones) == 2 ** 15
+    assert fan.maximal_cones == (tuple(range(15)),)
 
 
 def test_generic_theta_past_max_enum_dim_answered():
