@@ -197,7 +197,7 @@ def _toric_report(data, seed):
         met = set(sup_flat)
         pattern = "".join("1" if j in met else "0" for j in range(m))
         comp_json.append({
-            "rho": [list(r) for r in c.rho.matrix.entries],
+            "rho": [list(r) for r in c.rho.entries],
             "support": [list(i) for i in c.support],
             "support_flat": sup_flat,
             "point_pattern": pattern,
@@ -342,7 +342,7 @@ def _kempf_report(data, support=None, inner_product=None):
             "m_sign": mv.sign,
             "m_squared": _frac_str(mv.m_squared),
             "adapted": None if lam is None else list(lam),
-            "limit_cone": [list(g) for g in cone.generators],
+            "limit_cone": [list(g) for g in cone],
         },
     }
 

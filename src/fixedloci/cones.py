@@ -1,15 +1,15 @@
-"""Rational polyhedral cone arithmetic, exact throughout.
+"""Rational polyhedral cones, exact throughout.
 
-Cones are stored by a canonical generator list: primitive vectors,
+A cone is a tuple of canonical generators: primitive vectors,
 lexicographically sorted, with redundant generators removed.  For a cone
 with lineality L the canonical list consists of the +/- rows of the HNF basis
 of the lineality lattice together with the extreme rays of C intersected
 with L^perp, which makes the list unique for the cone as a set.
 
-Duals, intersections, canonical forms and membership all come from one
-exact double description whose adjacency tests are integer ranks: a cone
-is canonicalised as the dual of its dual, and a point lies in it when it
-pairs nonnegatively with every dual generator.  No LP runs here.  Fine for
+`dual_cone` is one exact double description whose adjacency tests are
+integer ranks; it gives the limit cones of the Kempf queries, and the dual
+of a dual is a canonical form.  `project_onto_cone` finds the nearest point
+of such a cone in an integral inner product.  No LP runs here.  Fine for
 desk-scale dimensions (<= ~8).
 """
 
@@ -21,7 +21,6 @@ from fractions import Fraction
 from .errors import DimMismatch, ValidationError
 from .linalg import (
     IntMatrix,
-    clear_denominators,
     det,
     dot,
     hnf,
@@ -34,7 +33,7 @@ from .linalg import (
 )
 
 
-def _dd(halfspaces, dim):
+def dual_cone(halfspaces, dim):
     """Canonical generators of {y : <h, y> >= 0 for every h}, exactly.
 
     The lineality space is the saturated integer kernel of the halfspace
@@ -94,70 +93,8 @@ def _combine(a, u, b, w):
     return primitive(tuple(a * x - b * y for x, y in zip(u, w)))
 
 
-class RationalCone:
-    """A rational polyhedral cone in Z^d, canonical generator description."""
-
-    __slots__ = ("generators", "ambient_dim", "_dual")
-
-    def __init__(self, generators, ambient_dim=None, _canonical=False):
-        generators = [tuple(int(x) for x in g) for g in generators]
-        if ambient_dim is None:
-            if not generators:
-                raise ValueError("ambient_dim required for a cone with no generators")
-            ambient_dim = len(generators[0])
-        if any(len(g) != ambient_dim for g in generators):
-            raise DimMismatch("generator length does not match ambient_dim")
-        if not _canonical:
-            generators = _dd(_dd(generators, ambient_dim), ambient_dim)  # C = C**
-        self.generators = tuple(generators)
-        self.ambient_dim = ambient_dim
-        self._dual = None
-
-    @staticmethod
-    def from_halfspaces(halfspaces, dim):
-        """The cone {y : <h, y> >= 0 for every h}."""
-        return RationalCone(_dd(halfspaces, dim), dim, _canonical=True)
-
-    @staticmethod
-    def zero(dim):
-        return RationalCone((), dim, _canonical=True)
-
-    @staticmethod
-    def full(dim):
-        return RationalCone.from_halfspaces((), dim)
-
-    def __repr__(self):
-        return "RationalCone(%r, dim=%d)" % (list(self.generators), self.ambient_dim)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalCone)
-            and self.ambient_dim == other.ambient_dim
-            and self.generators == other.generators
-        )
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.generators))
-
-    def contains(self, x):
-        if len(x) != self.ambient_dim:
-            raise DimMismatch("point has wrong dimension")
-        return all(dot(h, x) >= 0 for h in self.dual().generators)  # C = C**
-
-    def dual(self):
-        if self._dual is None:
-            self._dual = RationalCone.from_halfspaces(self.generators, self.ambient_dim)
-        return self._dual
-
-    def intersection(self, other):
-        if self.ambient_dim != other.ambient_dim:
-            raise DimMismatch("ambient dims differ")
-        return RationalCone.from_halfspaces(
-            self.dual().generators + other.dual().generators, self.ambient_dim)
-
-
 # ---------------------------------------------------------------------------
-# nearest-point projection in a rational inner product
+# nearest-point projection in an integral inner product
 
 def check_inner_product(Q, dim):
     """Validate an integral symmetric positive definite Gram matrix."""
@@ -179,37 +116,37 @@ def dot_q(u, v, Q):
     return sum(u[i] * sum(Q[i][j] * v[j] for j in range(len(v))) for i in range(len(u)))
 
 
-def project_onto_cone(C: RationalCone, x, Q=None):
-    """The unique nearest point of C to x in the Q-norm, exactly rational.
+def project_onto_cone(gens, x, Q=None):
+    """The nearest point of the cone on the canonical generators gens to
+    the integer point x in the Q-norm, as (P, D): integers P and D > 0 with
+    the point P / D.
 
     Q is an integral symmetric positive definite Gram matrix as
     check_inner_product returns it, the identity when None; it is not
-    checked again here.  The point is sum_g c_g g over the canonical
-    generators g with c >= 0 minimising |x - sum_g c_g g|_Q, found by the
-    Lawson-Hanson active-set method for non-negative least squares
-    (Solving Least Squares Problems, 1974, ch. 23) in exact arithmetic.
-    Each pass adds to the passive set the generator with the largest
-    positive residual pairing <x - p, g>_Q, the lowest index on ties, and
-    solves the normal equations on the passive set; while a coefficient is
-    not positive it steps back to feasibility by the exact ratio and drops
-    the generators whose coefficients reach 0.  It stops when no pairing is
-    positive: with c >= 0 this says <x - p, c - p>_Q <= 0 for all c in C.
+    checked again here.  The point is sum_g c_g g with c >= 0 minimising
+    |x - sum_g c_g g|_Q, found by the Lawson-Hanson active-set method for
+    non-negative least squares (Solving Least Squares Problems, 1974,
+    ch. 23) in exact arithmetic.  Each pass adds to the passive set the
+    generator with the largest positive residual pairing <x - p, g>_Q, the
+    lowest index on ties, and solves the normal equations on the passive
+    set; while a coefficient is not positive it steps back to feasibility
+    by the exact ratio and drops the generators whose coefficients reach 0.
+    It stops when no pairing is positive: with c >= 0 this says
+    <x - p, c - p>_Q <= 0 for every c in the cone.  The projection is
+    positively homogeneous, so the nearest point to x / d is P / (d * D).
     """
-    dim = C.ambient_dim
+    dim = len(x)
     if Q is None:
         Q = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    gens = C.generators
-    # work with the integer vector den * x; p is then (sum_g X_g g) / (d * den)
-    xs, den = clear_denominators(x)
     qgens = [[dot(row, g) for row in Q] for g in gens]
     gram = [[dot(g, qh) for qh in qgens] for g in gens]
-    rhs = [dot(xs, qg) for qg in qgens]
+    rhs = [dot(x, qg) for qg in qgens]
     passive, X, d = [], (), 1
     # A passive set stays linearly independent (a generator in its span
     # pairs to 0 with the residual), and each pass ends on a new one at a
     # smaller distance, so the passes are bounded by the independent sets.
     for _ in range(sum(math.comb(len(gens), k) for k in range(dim + 1))):
-        # d * <den * x - p, g>_Q for every generator g
+        # d * <x - p, g>_Q for every generator g
         w = [d * b - sum(c * gram[i][j] for c, i in zip(X, passive))
              for j, b in enumerate(rhs)]
         j = max(range(len(gens)), key=w.__getitem__, default=None)
@@ -231,5 +168,4 @@ def project_onto_cone(C: RationalCone, x, Q=None):
         raise AssertionError("active-set projection did not converge; this is a bug")
     assert all(c > 0 for c in X) and all(v <= 0 for v in w), \
         "projection fails its optimality conditions; this is a bug"
-    return tuple(Fraction(sum(c * gens[i][k] for c, i in zip(X, passive)), d * den)
-                 for k in range(dim))
+    return tuple(sum(c * gens[i][k] for c, i in zip(X, passive)) for k in range(dim)), d

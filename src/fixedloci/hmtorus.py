@@ -16,14 +16,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .cones import (
-    RationalCone,
-    check_inner_product,
-    dot_q,
-    project_onto_cone,
-)
+from .cones import check_inner_product, dot_q, dual_cone, project_onto_cone
 from .errors import DimMismatch
-from .linalg import IntMatrix, dot, rank, rational_primitive, solve
+from .linalg import IntMatrix, dot, primitive, rank, solve, vec_neg
 from .simplex import feasible_nonneg
 
 
@@ -95,11 +90,12 @@ def _support_chis(action, support):
     return sorted({action.items[s].chi for (s, k) in support})
 
 
-def limit_cone(action: WeightedAction, support) -> RationalCone:
+def limit_cone(action: WeightedAction, support):
     """One-parameter subgroups eta such that every support coordinate has
-    a limit: {eta : <chi_s, eta> >= 0 for all s meeting the support}, the
-    dual of the support weights' cone, built from the raw weights."""
-    return RationalCone.from_halfspaces(_support_chis(action, support), action.g_rank)
+    a limit: the canonical generators of {eta : <chi_s, eta> >= 0 for all s
+    meeting the support}, the dual of the support weights' cone, built from
+    the raw weights."""
+    return dual_cone(_support_chis(action, support), action.g_rank)
 
 
 def is_stable_support(action: WeightedAction, support) -> bool:
@@ -137,23 +133,23 @@ class MValue:
 
 def kempf_data(action: WeightedAction, support, Q=None):
     """The Kempf minimum, the adapted primitive ray (None unless m < 0) and
-    the limit cone, from one nearest-point projection."""
+    the limit cone's generators, from one nearest-point projection of
+    -Q^-1 theta = -X / d, taken at the integer point -X."""
     cone = limit_cone(action, support)
     r = action.g_rank
     if Q is None:
         Q = [[int(i == j) for j in range(r)] for i in range(r)]
     else:
         Q = check_inner_product(Q, r)
-    if not cone.generators:
+    if not cone:
         return MValue(1, None), None, cone
     theta = action.theta
     X, d = solve(Q, theta)
-    p = project_onto_cone(cone, [Fraction(-a, d) for a in X], Q)
-    if any(p):
-        msq = Fraction(dot_q(p, p, Q))
-        return MValue(-1, msq), rational_primitive(p), cone
+    P, D = project_onto_cone(cone, vec_neg(X), Q)
+    if any(P):
+        return MValue(-1, Fraction(dot_q(P, P, Q), (d * D) ** 2)), primitive(P), cone
     vals = []
-    for g in cone.generators:
+    for g in cone:
         num = dot(theta, g)
         assert num >= 0, "projection vanished but a generator pairs negatively"
         vals.append(Fraction(num * num, dot_q(g, g, Q)))

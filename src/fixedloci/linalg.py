@@ -51,11 +51,6 @@ def clear_denominators(v):
     return tuple(a.numerator * (den // a.denominator) for a in v), den
 
 
-def rational_primitive(v):
-    """Primitive integer vector on the ray through a rational vector."""
-    return primitive(clear_denominators(v)[0])
-
-
 def is_zero_vec(v):
     return all(a == 0 for a in v)
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 import random
 from dataclasses import dataclass
@@ -131,8 +130,9 @@ def random_rep(quiver: Quiver, dims, prime, rng: random.Random) -> RepFq:
 def check_guard(dims, prime):
     """Refuse what the brute-force F_p scans cannot take.
 
-    In order: a modulus that is not prime is bad input (ValidationError);
-    a total dimension above DEFAULT_MAX_TOTAL_DIM or a prime above
+    In order: a modulus that is not prime is bad input (ValidationError),
+    and one too large to be shown prime exceeds the guard (TooLarge); a
+    total dimension above DEFAULT_MAX_TOTAL_DIM or a prime above
     DEFAULT_MAX_PRIME exceeds a guard (TooLarge).
     """
     check_prime(prime)
@@ -145,21 +145,20 @@ def check_guard(dims, prime):
 
 
 def check_prime(prime):
-    """A non-prime modulus is bad input, not an exceeded guard.  Below
-    3.3e24 the strong probable-prime test to the primes up to 41 is exact
-    (Sorenson and Webster, Math. Comp. 86, 2017); above it, trial division
-    by every q with q * q <= prime decides.
+    """A non-prime modulus is bad input, not an exceeded guard.  The strong
+    probable-prime test to the primes up to 41 decides below 3.3e24
+    (Sorenson and Webster, Math. Comp. 86, 2017).  At or above that bound a
+    modulus it shows composite is bad input, and one that passes exceeds
+    the guard (TooLarge) with no claim that it is prime.
     """
     bases, n, d, r = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41), prime, prime - 1, 0
     while n > 2 and d % 2 == 0:
         d, r = d // 2, r + 1
-    if n >= 3317044064679887385961981:
-        composite = any(n % q == 0 for q in range(2, math.isqrt(n) + 1))
-    else:
-        composite = n < 2 or (n not in bases and any(
-            pow(a, d, n) != 1 and all(pow(a, d << i, n) != n - 1 for i in range(r)) for a in bases))
-    if composite:
+    if n < 2 or (n not in bases and any(
+            pow(a, d, n) != 1 and all(pow(a, d << i, n) != n - 1 for i in range(r)) for a in bases)):
         raise ValidationError("modulus %d is not prime" % prime)
+    if n >= 3317044064679887385961981:
+        raise TooLarge("modulus %d exceeds the guard %d" % (prime, DEFAULT_MAX_PRIME))
 
 
 def _iter_subrep_dimvectors(quiver: Quiver, M: RepFq):

@@ -53,20 +53,6 @@ MAX_FAN_FACES = 1 << 18
 
 
 @dataclass(frozen=True)
-class RhoMap:
-    """A morphism of tori on cocharacter lattices: r rows, aux_rank columns."""
-
-    matrix: IntMatrix
-
-    def pullback_weight(self, chi):
-        """The induced character of the source torus: chi composed with rho."""
-        return tuple(
-            sum(chi[i] * self.matrix.entries[i][j] for i in range(self.matrix.nrows))
-            for j in range(self.matrix.ncols)
-        )
-
-
-@dataclass(frozen=True)
 class ToricFan:
     lattice_rank: int
     rays: tuple
@@ -85,7 +71,7 @@ class ToricFan:
 
 @dataclass(frozen=True)
 class FixedComponent:
-    rho: RhoMap
+    rho: IntMatrix  # a morphism of tori on cocharacter lattices: r rows, aux_rank columns
     support: tuple  # sorted (item, copy) pairs carrying the weights of V_rho
     g_descriptor: str
     dimension: int
@@ -241,11 +227,12 @@ def quotient_fan(ctx: ToricContext) -> ToricFan:
     return ToricFan(n_rank, rays, tuple(sorted(faces(listed))), listed)
 
 
-def s_rho(action: WeightedAction, rho: RhoMap, section: IntMatrix):
-    """Indices whose section character equals the weight pulled back by rho."""
+def s_rho(action: WeightedAction, rho: IntMatrix, section: IntMatrix):
+    """Indices whose section character equals the weight pulled back by rho,
+    the row chi * rho."""
+    chis = IntMatrix.from_rows([it.chi for it in action.items], action.g_rank)
     out, flat = [], 0
-    for s, it in enumerate(action.items):
-        pulled = rho.pullback_weight(it.chi)
+    for s, (it, pulled) in enumerate(zip(action.items, chis.mul(rho).entries)):
         out.extend((s, k) for k in range(it.mult) if tuple(section.entries[flat + k]) == pulled)
         flat += it.mult
     return frozenset(out)
@@ -275,7 +262,7 @@ def fixed_points_toric(ctx: ToricContext):
                 raise FreeActionViolated("support weight matrix has determinant %s"
                                          % det([action.chi_of(i) for i in comb]))
             inverses[key] = unimodular_inverse(IntMatrix.from_rows(key, action.g_rank))
-        rho = RhoMap(inverses[key].mul(c.submatrix_rows([flat[i] for i in by_chi])))
+        rho = inverses[key].mul(c.submatrix_rows([flat[i] for i in by_chi]))
         assert s_rho(action, rho, c) == frozenset(comb), \
             "support of rho does not recover the stable subset"
         components.append(

@@ -1,5 +1,10 @@
-"""Brute-force oracle for the cone tests.
+"""Cone algebra and brute-force oracles for the cone tests.
 
+A cone is the tuple of canonical generators `dual_cone` returns, so two
+cones are equal when their tuples are.  `canonical`, `contains` and
+`intersection` are the cone algebra over that one double description.
+
+`project` runs `project_onto_cone` at a rational point.  The oracle
 `project_by_subset_scan` is the nearest-point projection `cones` ran
 before the active-set method, kept verbatim: it tries every generator
 subset of size at most the dimension, in order of size and then of
@@ -11,23 +16,45 @@ Its cost grows as the sum of C(n, k) over k <= dim.
 import itertools
 from fractions import Fraction
 
-from fixedloci.cones import RationalCone, check_inner_product, dot_q
-from fixedloci.linalg import clear_denominators, solve
+from fixedloci.cones import check_inner_product, dot_q, dual_cone, project_onto_cone
+from fixedloci.linalg import clear_denominators, dot, solve
 
 
-def project_by_subset_scan(C: RationalCone, x, Q=None):
-    """The unique nearest point of C to x in the Q-norm, exactly rational.
+def canonical(gens, dim):
+    """The canonical generators of the cone on gens: the dual of its dual."""
+    return dual_cone(dual_cone(gens, dim), dim)
+
+
+def contains(gens, x):
+    """x lies in the cone on gens: it pairs nonnegatively with every dual generator."""
+    return all(dot(h, x) >= 0 for h in dual_cone(gens, len(x)))
+
+
+def intersection(a, b, dim):
+    """The canonical generators of the intersection: the dual of the joined duals."""
+    return dual_cone(dual_cone(a, dim) + dual_cone(b, dim), dim)
+
+
+def project(gens, x, Q=None):
+    """project_onto_cone at the rational point x, as a tuple of Fractions."""
+    xs, den = clear_denominators(x)
+    P, D = project_onto_cone(gens, xs, Q)
+    return tuple(Fraction(a, D * den) for a in P)
+
+
+def project_by_subset_scan(gens, x, Q=None):
+    """The unique nearest point of the cone on the canonical generators gens
+    to x in the Q-norm, exactly rational.
 
     Characterized by p in C and <x - p, c - p>_Q <= 0 for all c in C; found
     by scanning linearly independent generator subsets and solving the normal
     equations on each.
     """
-    dim = C.ambient_dim
+    dim = len(x)
     if Q is None:
         Q = [[int(i == j) for j in range(dim)] for i in range(dim)]
     else:
         Q = check_inner_product(Q, dim)
-    gens = C.generators
     if not gens:
         return tuple(Fraction(0) for _ in range(dim))
     # work with the integer vector den * x; p is then (sum_g c_g g) / (d * den)

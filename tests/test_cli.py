@@ -1,6 +1,7 @@
 import collections
 import json
 import random
+import time
 
 import pytest
 
@@ -346,9 +347,23 @@ def test_large_prime_modulus_reaches_the_guard(tmp_path, capsys):
 
 def test_large_composite_modulus_exits_2(tmp_path, capsys):
     f = write(tmp_path, "k.json", KRON3)
-    p = 999983 * 1000003
+    for p in (999983 * 1000003, (2 ** 61 - 1) * (2 ** 89 - 1)):
+        start = time.perf_counter()
+        code, out, err = run(["quiver", f, "--prime", str(p)], capsys)
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (2, "", "validation error: modulus %d is not prime\n" % p)
+
+
+@pytest.mark.parametrize("p", [2 ** 89 - 1, 1287836182261 * 2575672364521])
+def test_huge_modulus_exceeds_the_guard(tmp_path, capsys, p):
+    # from 3.3e24 on the strong probable-prime test proves nothing: 2^89 - 1
+    # is prime and the bound itself is composite, and both pass it, so both
+    # exceed the guard without being called prime
+    f = write(tmp_path, "k.json", KRON3)
+    start = time.perf_counter()
     code, out, err = run(["quiver", f, "--prime", str(p)], capsys)
-    assert (code, out, err) == (2, "", "validation error: modulus %d is not prime\n" % p)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (3, "", "guard error: modulus %d exceeds the guard 5\n" % p)
 
 
 @pytest.mark.parametrize("flags", [

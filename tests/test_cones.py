@@ -2,19 +2,26 @@ import itertools
 import random
 from fractions import Fraction
 
-import pytest
-
-from cone_oracles import project_by_subset_scan
+from cone_oracles import canonical, contains, intersection, project, project_by_subset_scan
 from fixedloci import cones, simplex
-from fixedloci.cones import RationalCone, dot_q, project_onto_cone
-from fixedloci.errors import DimMismatch
-from fixedloci.linalg import IntMatrix, dot, hnf, is_zero_vec, kernel_basis, primitive, solve, vec_neg
+from fixedloci.cones import dot_q, dual_cone, project_onto_cone
+from fixedloci.linalg import (
+    IntMatrix,
+    clear_denominators,
+    dot,
+    hnf,
+    is_zero_vec,
+    kernel_basis,
+    primitive,
+    solve,
+    vec_neg,
+)
 from fixedloci.simplex import feasible_nonneg, solve_nonneg
 
 
 # The LP-pruned double description that canonicalised and dualised cones
 # before the exact rank tests, and the LP membership test that decided
-# RationalCone.contains before the dual did, kept verbatim as oracles.
+# membership before the dual did, kept verbatim as oracles.
 
 def _in_cone_raw(gens, x):
     """Membership of x in cone(gens) via nonnegative-combination feasibility."""
@@ -137,9 +144,9 @@ def test_exact_dd_matches_lp_pruned_oracle():
                           "empty", "full"], 0)
     for gens, d in _oracle_cases():  # about 7 s, nearly all in the oracle
         canon = _canonical_generators(gens, d)
-        C = RationalCone(gens, d)
-        assert C.generators == canon, (gens, d)
-        assert C.dual().generators == _canonical_generators(_dual_generators(canon, d), d)
+        C = canonical(gens, d)
+        assert C == canon, (gens, d)
+        assert dual_cone(C, d) == _canonical_generators(_dual_generators(canon, d), d)
         prims = [primitive(g) for g in gens]
         seen["lineality"] += any(vec_neg(g) in canon for g in canon)
         seen["pointed"] += bool(canon) and not any(vec_neg(g) in canon for g in canon)
@@ -147,7 +154,7 @@ def test_exact_dd_matches_lp_pruned_oracle():
         seen["repeat"] += len(set(prims)) < len(prims)
         seen["antipodal"] += any(vec_neg(g) in prims for g in prims if any(g))
         seen["empty"] += not canon
-        seen["full"] += len(canon) == 2 * d > 0 and not C.dual().generators
+        seen["full"] += len(canon) == 2 * d > 0 and not dual_cone(C, d)
     assert seen["lineality"] >= 500 and min(seen.values()) >= 10, seen
 
 
@@ -160,22 +167,22 @@ def test_no_lp_in_canonical_form_dual_or_intersection(monkeypatch):
     rng = random.Random(43)
     for _ in range(200):
         d = rng.randint(0, 4)
-        A = RationalCone([tuple(rng.randint(-2, 2) for _ in range(d))
-                          for _ in range(rng.randint(0, 5))], d)
-        B = RationalCone([tuple(rng.randint(-2, 2) for _ in range(d))
-                          for _ in range(rng.randint(0, 5))], d)
-        I = A.intersection(B)
-        assert I.dual().dual().generators == I.generators
-        assert all(A.contains(g) and B.contains(g) for g in I.generators)
-        assert all(A.contains(g) for g in A.generators)
-    assert RationalCone.full(3).dual() == RationalCone.zero(3)
-    assert RationalCone([(1, 0)], 2).contains((1, 0))
-    assert not RationalCone([(1, 0)], 2).contains((1, 1))
+        A = canonical([tuple(rng.randint(-2, 2) for _ in range(d))
+                       for _ in range(rng.randint(0, 5))], d)
+        B = canonical([tuple(rng.randint(-2, 2) for _ in range(d))
+                       for _ in range(rng.randint(0, 5))], d)
+        I = intersection(A, B, d)
+        assert canonical(I, d) == I
+        assert all(contains(A, g) and contains(B, g) for g in I)
+        assert all(contains(A, g) for g in A)
+    assert dual_cone(dual_cone((), 3), 3) == ()
+    assert contains([(1, 0)], (1, 0))
+    assert not contains([(1, 0)], (1, 1))
 
 
 def test_contains_and_equality_match_lp_oracle():
     # contains reads the dual's halfspaces and == compares canonical
-    # generators; the LP decides both from the raw generators
+    # generator tuples; the LP decides both from the raw generators
     rng = random.Random(47)
     seen = dict.fromkeys(["lineality", "inside", "outside", "equal", "unequal"], 0)
     for _ in range(400):
@@ -187,18 +194,18 @@ def test_contains_and_equality_match_lp_oracle():
             rng.shuffle(other)
         else:
             other = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(0, 5))]
-        A, B = RationalCone(gens, d), RationalCone(other, d)
+        A, B = canonical(gens, d), canonical(other, d)
         points = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(8)]
         points += [tuple(a + b for a, b in zip(g, h)) for g, h in zip(gens, other)]
         for x in points:
             inside = _in_cone_raw(gens, x)
-            assert A.contains(x) == inside, (gens, x)
+            assert contains(A, x) == inside, (gens, x)
             seen["inside" if inside else "outside"] += 1
         mutual = (all(_in_cone_raw(gens, g) for g in other)
                   and all(_in_cone_raw(other, g) for g in gens))
         assert (A == B) == mutual and (A != B) == (not mutual), (gens, other)
         seen["equal" if mutual else "unequal"] += 1
-        seen["lineality"] += any(vec_neg(g) in A.generators for g in A.generators)
+        seen["lineality"] += any(vec_neg(g) in A for g in A)
     assert min(seen.values()) > 100, seen
 
 
@@ -213,34 +220,29 @@ def test_simplex_basics():
 
 
 def test_dual_quadrant_self_dual():
-    C = RationalCone([(1, 0), (0, 1)])
-    assert C.dual().generators == ((0, 1), (1, 0))
+    C = canonical([(1, 0), (0, 1)], 2)
+    assert dual_cone(C, 2) == ((0, 1), (1, 0))
 
 
 def test_dual_halfline_is_halfspace():
-    C = RationalCone([(1, 0)], 2)
-    D = C.dual()
-    assert D.generators == ((0, -1), (0, 1), (1, 0))
+    C = canonical([(1, 0)], 2)
+    D = dual_cone(C, 2)
+    assert D == ((0, -1), (0, 1), (1, 0))
     # oracle: lattice points in a box agree with the direct pairing test
     for x in itertools.product(range(-3, 4), repeat=2):
-        assert D.contains(x) == (dot((1, 0), x) >= 0)
+        assert contains(D, x) == (dot((1, 0), x) >= 0)
 
 
 def test_dual_full_space_is_origin():
-    assert RationalCone.full(2).dual().generators == ()
+    assert dual_cone(dual_cone((), 2), 2) == ()
 
 
 def test_membership_examples():
-    quad = RationalCone([(1, 0), (0, 1)])
-    assert quad.contains((1, 1))
-    assert quad.contains((1, 0))
-    C = RationalCone([(1, 0), (1, 2)])
-    assert not C.contains((1, 3))
-
-
-def test_membership_dim_mismatch():
-    with pytest.raises(DimMismatch):
-        RationalCone([(1, 0)], 2).contains((1, 0, 0))
+    quad = canonical([(1, 0), (0, 1)], 2)
+    assert contains(quad, (1, 1))
+    assert contains(quad, (1, 0))
+    C = canonical([(1, 0), (1, 2)], 2)
+    assert not contains(C, (1, 3))
 
 
 def test_double_dual_random():
@@ -249,8 +251,8 @@ def test_double_dual_random():
         d = rng.randint(1, 4)
         k = rng.randint(0, 6)
         gens = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(k)]
-        C = RationalCone(gens, d)
-        DD = C.dual().dual()
+        C = canonical(gens, d)
+        DD = dual_cone(dual_cone(C, d), d)
         assert DD == C  # canonical form is unique, even with lineality
 
 
@@ -260,18 +262,18 @@ def test_contains_agrees_with_pairing_oracle():
     for _ in range(80):
         d = rng.randint(1, 3)
         gens = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(1, 5))]
-        C = RationalCone(gens, d)
+        C = canonical(gens, d)
         for _ in range(12):
             x = tuple(rng.randint(-4, 4) for _ in range(d))
-            assert C.contains(x) == _in_cone_raw(gens, x)
+            assert contains(C, x) == _in_cone_raw(gens, x)
 
 
 def test_projection_examples():
-    half = RationalCone([(1, 0), (0, 1), (0, -1)])  # {x >= 0}
-    assert project_onto_cone(half, (-1, -1)) == (0, -1)
-    quad = RationalCone([(1, 0), (0, 1)])
-    assert project_onto_cone(quad, (2, 3)) == (2, 3)
-    assert project_onto_cone(RationalCone.zero(3), (5, -1, 2)) == (0, 0, 0)
+    half = canonical([(1, 0), (0, 1), (0, -1)], 2)  # {x >= 0}
+    assert project(half, (-1, -1)) == (0, -1)
+    quad = canonical([(1, 0), (0, 1)], 2)
+    assert project(quad, (2, 3)) == (2, 3)
+    assert project((), (5, -1, 2)) == (0, 0, 0)
 
 
 def test_projection_variational_inequality():
@@ -281,18 +283,18 @@ def test_projection_variational_inequality():
     while cases < 25:
         d = rng.randint(1, 3)
         gens = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(1, 5))]
-        C = RationalCone(gens, d)
-        if not C.generators:
+        C = canonical(gens, d)
+        if not C:
             continue
         cases += 1
         Q = [[int(i == j) * rng.choice([1, 1, 2]) for j in range(d)] for i in range(d)]
         x = tuple(Fraction(rng.randint(-5, 5)) for _ in range(d))
-        p = project_onto_cone(C, x, Q)
-        assert C.contains(p)
+        p = project(C, x, Q)
+        assert contains(C, p)
         diff = tuple(a - b for a, b in zip(x, p))
         for _ in range(100):
-            coeffs = [rng.randint(0, 3) for _ in C.generators]
-            c = tuple(sum(co * g[i] for co, g in zip(coeffs, C.generators)) for i in range(d))
+            coeffs = [rng.randint(0, 3) for _ in C]
+            c = tuple(sum(co * g[i] for co, g in zip(coeffs, C)) for i in range(d))
             gap = dot_q(diff, tuple(a - b for a, b in zip(c, p)), Q)
             assert gap <= 0
 
@@ -337,18 +339,18 @@ def _projection_cases():
                 h = tuple(rng.randint(-2, 2) for _ in range(r))
                 if dot(h, v) > 0:
                     hs.append(h)
-            C = RationalCone.from_halfspaces(hs, r)
+            C = dual_cone(hs, r)
         elif shape < 0.55:
             gens = [tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(rng.randint(1, 8))]
             gens += [vec_neg(g) for g in gens if rng.random() < 0.15]
-            C = RationalCone(gens, r)
+            C = canonical(gens, r)
         else:
-            C = RationalCone.from_halfspaces(
+            C = dual_cone(
                 [tuple(rng.randint(-2, 2) for _ in range(r)) for _ in range(rng.randint(1, r + 3))], r)
         kind, Q = _gram_matrix(rng, r)
         eye = [[int(i == j) for j in range(r)] for i in range(r)]
         roll, den = rng.random(), rng.randint(1, 5)
-        gens, dual = C.generators, C.dual().generators
+        gens, dual = C, dual_cone(C, r)
         big = len(gens) > 9
         if roll < 0.2 and gens:
             x = [Fraction(a, den) for a in _combination(rng, gens, 2 if big else 3)]
@@ -370,13 +372,15 @@ def test_projection_matches_subset_scan_oracle():
     seen = dict.fromkeys(["r%d" % r for r in range(1, 7)] + [
         "identity", "diagonal", "random", "lineality", "40 generators", "x in C", "zero"], 0)
     for C, x, Q, kind in _projection_cases():  # about 10 s, nearly all in the oracle
-        p = project_onto_cone(C, x, Q)
+        xs, den = clear_denominators(x)
+        P, D = project_onto_cone(C, xs, Q)
+        p = tuple(Fraction(a, D * den) for a in P)
         assert p == project_by_subset_scan(C, x, Q), (C, x, Q)
-        assert all(type(a) is Fraction for a in p)
-        seen["r%d" % C.ambient_dim] += 1
+        assert all(type(a) is int for a in P + (D,))
+        seen["r%d" % len(x)] += 1
         seen[kind] += 1
-        seen["lineality"] += any(vec_neg(g) in C.generators for g in C.generators)
-        seen["40 generators"] += len(C.generators) >= 40
+        seen["lineality"] += any(vec_neg(g) in C for g in C)
+        seen["40 generators"] += len(C) >= 40
         seen["x in C"] += p == x
         seen["zero"] += not any(p)
     assert min(seen.values()) >= 3 and seen["lineality"] >= 500, seen
@@ -398,11 +402,10 @@ WORK_POINT = tuple(Fraction(a, 1721) for a in (1934, 1282, 1654, -876, -695, -13
 
 
 def test_projection_work_stays_within_the_iteration_bound(monkeypatch):
-    cone = RationalCone.from_halfspaces(WORK_WEIGHTS, 6)
-    n = len(cone.generators)
+    cone = dual_cone(WORK_WEIGHTS, 6)
+    n = len(cone)
     assert n == 47
     X, d = solve(WORK_Q, WORK_THETA)
-    x = [Fraction(-a, d) for a in X]
     calls = []
     real_solve = cones.solve
 
@@ -411,7 +414,8 @@ def test_projection_work_stays_within_the_iteration_bound(monkeypatch):
         return real_solve(rows, rhs)
 
     monkeypatch.setattr(cones, "solve", counting_solve)
-    assert project_onto_cone(cone, x, WORK_Q) == WORK_POINT
+    P, D = project_onto_cone(cone, vec_neg(X), WORK_Q)
+    assert tuple(Fraction(a, d * D) for a in P) == WORK_POINT
     # Lawson and Hanson's NNLS gives up after 3n iterations; the subset
     # scan's worst case here is sum_{k <= 6} C(47, k), over 12 million solves
     assert len(calls) <= 3 * n, calls
@@ -422,15 +426,15 @@ def test_generators_satisfy_facet_inequalities():
     for _ in range(40):
         d = rng.randint(1, 3)
         gens = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(1, 5))]
-        C = RationalCone(gens, d)
-        for g in C.generators:
-            assert all(dot(n, g) >= 0 for n in C.dual().generators)
+        C = canonical(gens, d)
+        for g in C:
+            assert all(dot(n, g) >= 0 for n in dual_cone(C, d))
 
 
 def test_intersection():
-    A = RationalCone([(1, 0), (1, 1)])
-    B = RationalCone([(1, 1), (0, 1)])
-    I = A.intersection(B)
-    assert I == RationalCone([(1, 1)], 2)
-    quad = RationalCone([(1, 0), (0, 1)])
-    assert quad.intersection(quad) == quad
+    A = canonical([(1, 0), (1, 1)], 2)
+    B = canonical([(1, 1), (0, 1)], 2)
+    I = intersection(A, B, 2)
+    assert I == canonical([(1, 1)], 2)
+    quad = canonical([(1, 0), (0, 1)], 2)
+    assert intersection(quad, quad, 2) == quad

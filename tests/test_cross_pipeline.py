@@ -5,12 +5,18 @@ A quiver with dimension vector 1 at every vertex has a toric moduli space
 vertex 0's factor dropped, acts on one coordinate per arrow with weight
 e_tgt - e_src, and the toric theta is the quiver theta on vertices 1..n-1.
 Its fixed points are then the stable components the quiver pipeline finds.
+
+The Grassmannian Gr(m, n) is the Kronecker moduli space M(K_n, (1, m)) at
+theta = (-m, 1): n vectors spanning C^m up to GL_m.  A circle scaling the n
+columns with weights w grades the n arrows alike, so the quiver pipeline's
+stable components are the closed-form products of Grassmannians.
 """
 
 import json
 import random
 
 from fixedloci.cli import main
+from fixedloci.grassmann import GrassmannProblem, classify
 from fixedloci.hmtorus import WeightItem, WeightedAction
 from fixedloci.toric import toric_context
 
@@ -57,3 +63,27 @@ def test_thin_quiver_moduli_are_toric(tmp_path, capsys):
     # in 5 of the 94 nonempty cases theta lies on a wall between chambers; 4
     # more put theta on a hyperplane spanned by weights, but on no such wall
     assert (nonempty, walls) == (94, 5)
+
+
+def test_grassmannians_are_kronecker_moduli(tmp_path, capsys):
+    rng = random.Random(101)
+    path = tmp_path / "k.json"
+    split = 0
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        m = rng.randint(1, min(4, n))
+        w = [rng.randint(-2, 2) for _ in range(n)]
+        ids = ["a%d" % k for k in range(n)]
+        path.write_text(json.dumps({
+            "kind": "quiver", "vertices": ["s", "t"],
+            "arrows": [{"id": a, "src": "s", "tgt": "t"} for a in ids],
+            "alpha": {"s": 1, "t": m}, "theta": {"s": -m, "t": 1},
+            "arrow_weights": {"aux_rank": 1, "weights": {a: [x] for a, x in zip(ids, w)}}}))
+        code, out = _run(["quiver", str(path), "--trials", "0"], capsys)
+        assert code == 0
+        dims = sorted(c["dimension"] for c in json.loads(out.out)["components"]
+                      if c["status"] == "NonemptyVerified")
+        want = sorted(c.dimension for c in classify(GrassmannProblem(m, n, w)))
+        assert dims == want, (m, n, w)
+        split += len(want) > 1
+    assert split > 50, split

@@ -7,9 +7,10 @@ import random
 from fractions import Fraction
 
 import fixedloci
-from fixedloci.cones import RationalCone, project_onto_cone
+from cone_oracles import canonical
+from fixedloci.cones import project_onto_cone
 from fixedloci.hmtorus import WeightedAction, WeightItem, kempf_data
-from fixedloci.linalg import solve
+from fixedloci.linalg import clear_denominators, solve
 
 SOURCES = sorted(pathlib.Path(fixedloci.__file__).parent.glob("*.py"))
 
@@ -74,10 +75,11 @@ def test_exact_routines_return_ints_and_fractions():
     for _ in range(80):
         dim = rng.randint(1, 3)
         gens = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(rng.randint(0, 4))]
-        cone = RationalCone(gens, dim)
+        cone = canonical(gens, dim)
         x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(dim)]
         Q = _random_inner_product(rng, dim) if rng.random() < 0.5 else None
-        assert _exact(project_onto_cone(cone, x, Q))
+        P, D = project_onto_cone(cone, clear_denominators(x)[0], Q)
+        assert _exact(P) and type(D) is int
 
     kinds = set()
     for _ in range(80):

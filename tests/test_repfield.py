@@ -635,3 +635,14 @@ def test_check_prime_matches_trial_division():
               561, 41041, 999983 * 1000003):
         assert not accepted(n), n
     assert accepted(2 ** 61 - 1) and accepted(2 ** 31 - 1)
+    # the 13 bases decide below the bound; the bound itself is a strong
+    # pseudoprime to all of them, so there a modulus that passes exceeds the
+    # guard, whether prime (2^89 - 1) or not, and one that fails is composite
+    bound = 3317044064679887385961981
+    assert 1287836182261 * 2575672364521 == bound
+    for n in (bound, 2 ** 89 - 1):
+        with pytest.raises(TooLarge, match="modulus %d exceeds the guard" % n):
+            check_prime(n)
+    for n in (1287836182261 * 2575672364519, bound - 1, 3 * bound,
+              (2 ** 61 - 1) * (2 ** 89 - 1), (2 ** 89 - 1) ** 2):
+        assert not accepted(n), n

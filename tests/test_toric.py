@@ -17,7 +17,6 @@ from fixedloci.toric import (
     MAX_BASIS_SUBSETS,
     MAX_ENUM_DIM,
     MAX_FAN_FACES,
-    RhoMap,
     ToricFan,
     fixed_points_toric,
     quotient_fan,
@@ -275,19 +274,19 @@ def test_rho_examples_match_reference():
     for d in range(4):
         A = hirzebruch_action(d)
         rho1 = rho_from_stable_subset(A, {(0, 0), (1, 0)}, PAPER_SECTION)
-        assert rho1.matrix.entries == ((1, 0), (0, 1))
+        assert rho1.entries == ((1, 0), (0, 1))
         rho3 = rho_from_stable_subset(A, {(0, 0), (2, 0)}, PAPER_SECTION)
-        assert rho3.matrix.entries == ((1, 0), (-d, 0))
+        assert rho3.entries == ((1, 0), (-d, 0))
         rho2 = rho_from_stable_subset(A, {(0, 1), (1, 0)}, PAPER_SECTION)
-        assert rho2.matrix.entries == ((0, 0), (0, 1))
+        assert rho2.entries == ((0, 0), (0, 1))
         rho4 = rho_from_stable_subset(A, {(0, 1), (2, 0)}, PAPER_SECTION)
-        assert rho4.matrix.entries == ((0, 0), (0, 0))
+        assert rho4.entries == ((0, 0), (0, 0))
 
 
 def test_s_rho_examples(hirz2):
-    rho1 = RhoMap(IntMatrix.identity(2))
+    rho1 = IntMatrix.identity(2)
     assert sorted(s_rho(hirz2, rho1, PAPER_SECTION)) == [(0, 0), (1, 0)]
-    rho4 = RhoMap(IntMatrix.zero(2, 2))
+    rho4 = IntMatrix.zero(2, 2)
     assert sorted(s_rho(hirz2, rho4, PAPER_SECTION)) == [(0, 1), (2, 0)]
     # trivial rho with a trivial-weight section row matches exactly those rows
     triv_rows = [i for i, row in enumerate(PAPER_SECTION.entries) if not any(row)]
@@ -304,7 +303,7 @@ def test_bijection_properties(hirz2):
         assert s_rho(hirz2, rho, c) == s
         assert len(s) == hirz2.g_rank
     # injective
-    assert len({r.matrix.entries for r in rhos}) == len(rhos)
+    assert len({r.entries for r in rhos}) == len(rhos)
     # counts line up with the fan
     fan = quotient_fan(toric_context(hirz2))
     assert len(fan.maximal_cones) == len(mins) == len(fixed_points_toric(toric_context(hirz2)))
@@ -325,9 +324,9 @@ def test_rho_requires_unimodular_support():
 
 
 def test_necessary_condition(hirz2):
-    rho1 = RhoMap(IntMatrix.identity(2))
+    rho1 = IntMatrix.identity(2)
     assert necessary_condition(hirz2, rho1, PAPER_SECTION)
     # a rho matching nothing: empty S_rho cannot span
-    rho_none = RhoMap(IntMatrix.from_rows([[3, 0], [0, 3]]))
+    rho_none = IntMatrix.from_rows([[3, 0], [0, 3]])
     assert s_rho(hirz2, rho_none, PAPER_SECTION) == frozenset()
     assert not necessary_condition(hirz2, rho_none, PAPER_SECTION)

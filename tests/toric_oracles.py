@@ -8,11 +8,11 @@ finished fan from its rays and cones alone.
 
 import itertools
 
-from fixedloci.cones import RationalCone
+from cone_oracles import canonical, intersection
 from fixedloci.errors import FreeActionViolated
 from fixedloci.hmtorus import WeightedAction, is_stable_support
 from fixedloci.linalg import IntMatrix, det, primitive, rank, solve_integral
-from fixedloci.toric import RhoMap, ToricFan, s_rho
+from fixedloci.toric import ToricFan, s_rho
 
 
 def stable_subsets(action: WeightedAction):
@@ -34,7 +34,7 @@ def stable_subsets(action: WeightedAction):
     return out
 
 
-def rho_from_stable_subset(action: WeightedAction, support, section: IntMatrix) -> RhoMap:
+def rho_from_stable_subset(action: WeightedAction, support, section: IntMatrix) -> IntMatrix:
     """Invert the weight map on a minimally stable support against the section.
 
     The map g -> (chi_s(g)) over the support must be invertible over Z; the
@@ -49,10 +49,10 @@ def rho_from_stable_subset(action: WeightedAction, support, section: IntMatrix) 
     if abs(d) != 1:
         raise FreeActionViolated("support weight matrix has determinant %s" % d)
     c_s = [section.entries[action.flat[i]] for i in sup]
-    return RhoMap(IntMatrix.from_rows(solve_integral(a_s.entries, c_s), section.ncols))
+    return IntMatrix.from_rows(solve_integral(a_s.entries, c_s), section.ncols)
 
 
-def necessary_condition(action: WeightedAction, rho: RhoMap, section: IntMatrix) -> bool:
+def necessary_condition(action: WeightedAction, rho: IntMatrix, section: IntMatrix) -> bool:
     """Weights of the rho-compatible subspace must span full character space."""
     sup = s_rho(action, rho, section)
     if not sup:
@@ -61,9 +61,9 @@ def necessary_condition(action: WeightedAction, rho: RhoMap, section: IntMatrix)
     return rank(IntMatrix.from_rows(chis, action.g_rank)) == action.g_rank
 
 
-def cone_geometry(fan: ToricFan, cone) -> RationalCone:
-    gens = [fan.rays[i] for i in cone]
-    return RationalCone(gens, fan.lattice_rank)
+def cone_geometry(fan: ToricFan, cone):
+    """The canonical generators of the cone on the rays of an index cone."""
+    return canonical([fan.rays[i] for i in cone], fan.lattice_rank)
 
 
 def fan_is_simplicial(fan: ToricFan) -> bool:
@@ -101,7 +101,7 @@ def fan_intersections_ok(fan: ToricFan, pairs=None) -> bool:
         pairs = itertools.combinations(range(len(cones)), 2)
     for i, j in pairs:
         a, b = cones[i], cones[j]
-        inter = cone_geometry(fan, a).intersection(cone_geometry(fan, b))
+        inter = intersection(cone_geometry(fan, a), cone_geometry(fan, b), fan.lattice_rank)
         expected = cone_geometry(fan, tuple(sorted(set(a) & set(b))))
         if inter != expected:
             return False
