@@ -26,7 +26,6 @@ from .common import Status
 from .errors import FixedLociError, TooLarge, ValidationError
 from .grassmann import GrassmannProblem, classify
 from .hmtorus import WeightItem, WeightedAction, kempf_data
-from .linalg import IntMatrix
 from .quiver import (
     Arrow,
     ArrowWeights,
@@ -183,7 +182,9 @@ def _toric_report(data, seed):
     section = None
     opts = data.get("options", {})
     if "section" in opts:
-        section = IntMatrix.from_rows(opts["section"], len(opts["section"][0]) if opts["section"] else 0)
+        section = tuple(tuple(int(x) for x in row) for row in opts["section"])
+        if len({len(row) for row in section}) > 1:
+            raise ValidationError("ragged rows")
     ctx = toric_context(action, section)
     # the free-action check in fixed_points_toric is cheap; run it before the fan scan
     comps = fixed_points_toric(ctx)
@@ -197,7 +198,7 @@ def _toric_report(data, seed):
         met = set(sup_flat)
         pattern = "".join("1" if j in met else "0" for j in range(m))
         comp_json.append({
-            "rho": [list(r) for r in c.rho.entries],
+            "rho": [list(r) for r in c.rho],
             "support": [list(i) for i in c.support],
             "support_flat": sup_flat,
             "point_pattern": pattern,
@@ -228,7 +229,7 @@ def _toric_report(data, seed):
         "fan": fan_json,
         "counts": {
             "fixed_points": len(comp_json),
-            "section_rows": ctx.section.nrows,
+            "section_rows": len(ctx.section),
         },
     }
 

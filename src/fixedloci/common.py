@@ -11,9 +11,6 @@ class Status(enum.Enum):
     NONEMPTY_VERIFIED = "NonemptyVerified"
     EMPTY_VERIFIED = "EmptyVerified"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 def positive_compositions(n, k):
     """Ordered k-tuples of positive integers summing to n."""

@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from .errors import DimMismatch, ValidationError
 from .linalg import (
-    IntMatrix,
     det,
     dot,
     hnf,
@@ -47,8 +46,8 @@ def dual_cone(halfspaces, dim):
     cone intersected with L^perp.
     """
     hs = sorted({primitive(h) for h in halfspaces if not is_zero_vec(h)})
-    K = kernel_basis(IntMatrix.from_rows(hs, dim))
-    lin = [primitive(b) for b in kernel_basis(K).entries]  # a basis of W
+    K = kernel_basis(hs, dim)
+    lin = [primitive(b) for b in kernel_basis(K, dim)]  # a basis of W
     dim_w = len(lin)
     rays = []  # (ray, bitmask of the processed halfspaces tight at it)
     for k, h in enumerate(hs):
@@ -76,13 +75,13 @@ def dual_cone(halfspaces, dim):
         for u, zu, hu in pos:
             for w, zw, hw in neg:
                 common = zu & zw
-                if common.bit_count() < need or rank(IntMatrix.from_rows(
-                        [hs[i] for i in range(k) if common >> i & 1], dim)) != need:
+                if common.bit_count() < need or rank(
+                        [hs[i] for i in range(k) if common >> i & 1]) != need:
                     continue
                 new.append((_combine(hu, w, hw, u), common | 1 << k))
         rays = new
     out = {r for r, _ in rays}
-    for row in hnf(K)[0].entries:
+    for row in hnf(K, dim)[0]:
         out.add(row)
         out.add(vec_neg(row))
     return tuple(sorted(out))

@@ -18,7 +18,7 @@ from functools import cached_property
 
 from .cones import check_inner_product, dot_q, dual_cone, project_onto_cone
 from .errors import DimMismatch
-from .linalg import IntMatrix, dot, primitive, rank, solve, vec_neg
+from .linalg import dot, primitive, rank, solve, vec_neg
 from .simplex import feasible_nonneg
 
 
@@ -111,7 +111,7 @@ def is_stable_support(action: WeightedAction, support) -> bool:
     """
     chis = _support_chis(action, support)
     r = action.g_rank
-    if rank(IntMatrix.from_rows(chis, r)) != r:
+    if rank(chis) != r:
         return False
     rows = [[chi[i] for chi in chis] + [-action.theta[i]] for i in range(r)]
     return feasible_nonneg(rows, [-sum(chi[i] for chi in chis) for i in range(r)])

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimMismatch, NotInjective, TorsionCokernel
@@ -56,84 +55,31 @@ def is_zero_vec(v):
 
 
 # ---------------------------------------------------------------------------
-# integer matrices
+# integer matrices: tuples of integer rows; a function that needs the column
+# count takes it explicitly, since a matrix may have no rows
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable integer matrix; ncols is explicit so 0-row matrices work."""
+def identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
-    entries: tuple
-    ncols: int
 
-    @staticmethod
-    def from_rows(rows, ncols=None):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
-        if rows:
-            n = len(rows[0])
-            if any(len(r) != n for r in rows):
-                raise DimMismatch("ragged rows")
-            if ncols is None:
-                ncols = n
-            elif ncols != n:
-                raise DimMismatch("ncols=%d but rows have length %d" % (ncols, n))
-        elif ncols is None:
-            raise ValueError("ncols required for a matrix with no rows")
-        return IntMatrix(rows, ncols)
-
-    @staticmethod
-    def identity(n):
-        return IntMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
-
-    @staticmethod
-    def zero(m, n):
-        return IntMatrix(tuple(tuple(0 for _ in range(n)) for _ in range(m)), n)
-
-    @property
-    def nrows(self):
-        return len(self.entries)
-
-    def col(self, j):
-        return tuple(r[j] for r in self.entries)
-
-    def transpose(self):
-        return IntMatrix(tuple(self.col(j) for j in range(self.ncols)), self.nrows)
-
-    def mul(self, other):
-        if self.ncols != other.nrows:
-            raise DimMismatch("matmul %dx%d by %dx%d" % (self.nrows, self.ncols, other.nrows, other.ncols))
-        cols = list(zip(*other.entries)) if other.entries else [()] * other.ncols
-        return IntMatrix(
-            tuple(tuple(sum(map(operator.mul, r, c)) for c in cols) for r in self.entries),
-            other.ncols,
-        )
-
-    def apply(self, v):
-        if len(v) != self.ncols:
-            raise DimMismatch("apply %dx%d to vector of length %d" % (self.nrows, self.ncols, len(v)))
-        return tuple(dot(r, v) for r in self.entries)
-
-    def is_zero(self):
-        return all(is_zero_vec(r) for r in self.entries)
-
-    def submatrix_rows(self, indices):
-        return IntMatrix(tuple(self.entries[i] for i in indices), self.ncols)
-
-    def submatrix_cols(self, indices):
-        return IntMatrix(tuple(tuple(r[j] for j in indices) for r in self.entries), len(indices))
+def matmul(A, B, ncols):
+    """The product A * B, with B having ncols columns."""
+    cols = list(zip(*B)) if B else [()] * ncols
+    return tuple(tuple(sum(map(operator.mul, r, c)) for c in cols) for r in A)
 
 
 # ---------------------------------------------------------------------------
 # normal forms
 
-def hnf(A: IntMatrix):
-    """Row Hermite normal form.
+def hnf(A, n):
+    """Row Hermite normal form of A, with n columns.
 
     Returns (H, U) with U*A = H, U unimodular, H in row echelon form with
     positive pivots and the entries above each pivot reduced into [0, pivot).
     """
-    m, n = A.nrows, A.ncols
-    H = [list(r) for r in A.entries]
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    m = len(A)
+    H = [list(r) for r in A]
+    U = [list(r) for r in identity(m)]
 
     def row_sub(i, j, q):
         H[i] = [a - q * b for a, b in zip(H[i], H[j])]
@@ -169,19 +115,20 @@ def hnf(A: IntMatrix):
                 if q:
                     row_sub(i, r, q)
             r += 1
-    return IntMatrix.from_rows(H, n), IntMatrix.from_rows(U, m)
+    return tuple(map(tuple, H)), tuple(map(tuple, U))
 
 
-def smith(A: IntMatrix):
-    """Smith normal form with transforms: returns (D, U, V), U*A*V = D.
+def smith(A, n):
+    """Smith normal form of A, with n columns, with transforms: returns
+    (D, U, V), U*A*V = D.
 
     D is diagonal with nonnegative entries d_1 | d_2 | ...; U and V are
     unimodular.
     """
-    m, n = A.nrows, A.ncols
-    H = [list(r) for r in A.entries]
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
+    m = len(A)
+    H = [list(r) for r in A]
+    U = [list(r) for r in identity(m)]
+    V = [list(r) for r in identity(n)]
 
     def row_sub(i, j, q):
         H[i] = [a - q * b for a, b in zip(H[i], H[j])]
@@ -237,18 +184,18 @@ def smith(A: IntMatrix):
         if H[t][t] < 0:
             H[t] = [-a for a in H[t]]
             U[t] = [-a for a in U[t]]
-    return IntMatrix.from_rows(H, n), IntMatrix.from_rows(U, m), IntMatrix.from_rows(V, n)
+    return tuple(map(tuple, H)), tuple(map(tuple, U)), tuple(map(tuple, V))
 
 
-def rank(A: IntMatrix):
-    return len(_eliminate(A.entries)[1])
+def rank(A):
+    return len(_eliminate(A)[1])
 
 
-def kernel_basis(A: IntMatrix) -> IntMatrix:
-    """Basis of the integer kernel {x : A x = 0}, as rows (saturated lattice)."""
-    H, U = hnf(A.transpose())
-    rows = [U.entries[i] for i in range(H.nrows) if is_zero_vec(H.entries[i])]
-    return IntMatrix.from_rows(rows, A.ncols)
+def kernel_basis(A, n):
+    """Basis of the integer kernel {x : A x = 0} of A, with n columns, as
+    rows (saturated lattice)."""
+    H, U = hnf(tuple(tuple(r[j] for r in A) for j in range(n)), len(A))
+    return tuple(u for h, u in zip(H, U) if is_zero_vec(h))
 
 
 # ---------------------------------------------------------------------------
@@ -353,17 +300,17 @@ def solve_integral(rows, rhs_rows):
     return tuple(tuple(x // d for x in r) for r in X)
 
 
-def unimodular_inverse(U: IntMatrix) -> IntMatrix:
-    inv = solve_integral(U.entries, IntMatrix.identity(U.nrows).entries)
+def unimodular_inverse(U):
+    inv = solve_integral(U, identity(len(U)))
     if inv is None:
         raise ValueError("matrix is not unimodular")
-    return IntMatrix.from_rows(inv, U.nrows)
+    return inv
 
 
 # ---------------------------------------------------------------------------
 # cokernel of an injective lattice map, with section
 
-def cokernel_with_section(a: IntMatrix):
+def cokernel_with_section(a, r):
     """Cokernel projection and section for an injective lattice map.
 
     a is an m x r integer matrix, the map Z^r -> Z^m.  Returns (pi, c) where
@@ -373,15 +320,12 @@ def cokernel_with_section(a: IntMatrix):
     Raises NotInjective when a has a kernel and TorsionCokernel when the
     quotient lattice has torsion (the free-action setup then fails).
     """
-    m, r = a.nrows, a.ncols
-    D, U, _ = smith(a)
-    diag = [D.entries[i][i] for i in range(min(m, r))]
+    m = len(a)
+    D, U, _ = smith(a, r)
+    diag = [D[i][i] for i in range(min(m, r))]
     rk = sum(1 for d in diag if d != 0)
     if rk < r:
         raise NotInjective("lattice map has rank %d < %d" % (rk, r))
     if any(d != 1 for d in diag[:r]):
         raise TorsionCokernel("cokernel has invariant factors %s" % (diag,))
-    pi = U.submatrix_rows(range(r, m))
-    Uinv = unimodular_inverse(U)
-    c = Uinv.submatrix_cols(range(r, m))
-    return pi, c
+    return U[r:], tuple(row[r:] for row in unimodular_inverse(U))

@@ -102,9 +102,6 @@ class CoverVector:
     def support(self):
         return tuple(k for k, _ in self.items)
 
-    def total(self):
-        return sum(n for _, n in self.items)
-
     def __eq__(self, other):
         return isinstance(other, CoverVector) and self.items == other.items
 

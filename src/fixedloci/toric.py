@@ -31,9 +31,10 @@ from .common import Status
 from .errors import EmptyStableLocus, FreeActionViolated, TooLarge
 from .hmtorus import WeightedAction, is_stable_support
 from .linalg import (
-    IntMatrix,
     cokernel_with_section,
     det,
+    identity,
+    matmul,
     primitive,
     rank,
     solve,
@@ -71,7 +72,7 @@ class ToricFan:
 
 @dataclass(frozen=True)
 class FixedComponent:
-    rho: IntMatrix  # a morphism of tori on cocharacter lattices: r rows, aux_rank columns
+    rho: tuple  # a morphism of tori on cocharacter lattices: r rows, m - r columns
     support: tuple  # sorted (item, copy) pairs carrying the weights of V_rho
     g_descriptor: str
     dimension: int
@@ -86,8 +87,8 @@ class ToricContext:
     bases themselves, when theta is generic)."""
 
     action: WeightedAction
-    pi: IntMatrix
-    section: IntMatrix
+    pi: tuple
+    section: tuple
     bases: tuple
     chambers: tuple
 
@@ -121,7 +122,7 @@ def _stable_bases(action: WeightedAction, copies):
         lam, _ = solve(cols, action.theta)
         if 0 in lam:
             # the columns of B^-1, each times a positive integer
-            inv = [solve(cols, e)[0] for e in IntMatrix.identity(r).entries]
+            inv = [solve(cols, e)[0] for e in identity(r)]
             walls.append((B, [(x, *(col[j] for col in inv)) for j, x in enumerate(lam)]))
         elif all(x > 0 for x in lam):
             stable.append(B)
@@ -133,7 +134,7 @@ def _stable_bases(action: WeightedAction, copies):
     return tuple(chambers) or (stable,), stable
 
 
-def toric_context(action: WeightedAction, section: IntMatrix | None = None) -> ToricContext:
+def toric_context(action: WeightedAction, section: tuple | None = None) -> ToricContext:
     """The one entry point of the toric scans, after their checks.
 
     The checks run in order: the full support must be stable
@@ -171,18 +172,15 @@ def toric_context(action: WeightedAction, section: IntMatrix | None = None) -> T
 
     bases = index_bases(weight_bases)
     chambers = tuple(bases if ws == weight_bases else index_bases(ws) for ws in weight_chambers)
-    a = IntMatrix.from_rows([action.chi_of(i) for i in idx], r)
-    pi, c = cokernel_with_section(a)
+    a = tuple(action.chi_of(i) for i in idx)
+    pi, c = cokernel_with_section(a, r)
     if section is not None:
-        if (section.nrows, section.ncols) != (c.nrows, c.ncols):
-            raise FreeActionViolated("section must be %dx%d" % (c.nrows, c.ncols))
-        completed = IntMatrix.from_rows(
-            [tuple(a.entries[i]) + tuple(section.entries[i]) for i in range(m)], m
-        )
-        inv = solve_integral(completed.entries, IntMatrix.identity(m).entries)
+        if len(section) != m or any(len(row) != m - r for row in section):
+            raise FreeActionViolated("section must be %dx%d" % (m, m - r))
+        inv = solve_integral([a[i] + section[i] for i in range(m)], identity(m))
         if inv is None:
             raise FreeActionViolated("supplied section does not split the cokernel")
-        pi = IntMatrix.from_rows(inv[r:], m)
+        pi = inv[r:]
         c = section
     return ToricContext(action, pi, c, bases, chambers)
 
@@ -202,8 +200,8 @@ def quotient_fan(ctx: ToricContext) -> ToricFan:
     """
     action = ctx.action
     idx = action.indices()
-    n_rank = ctx.pi.nrows
-    ray_of = {i: primitive(ctx.pi.col(action.flat[i])) for i in idx}
+    n_rank = len(ctx.pi)
+    ray_of = {i: primitive(tuple(row[action.flat[i]] for row in ctx.pi)) for i in idx}
 
     def complements(bases):
         return [[i for i in idx if i not in b] for b in bases]
@@ -215,7 +213,7 @@ def quotient_fan(ctx: ToricContext) -> ToricFan:
     first, *others = ctx.chambers
     comps = complements(first)
     for comp in comps:
-        if comp and rank(IntMatrix.from_rows([ray_of[i] for i in comp], n_rank)) != len(comp):
+        if comp and rank([ray_of[i] for i in comp]) != len(comp):
             raise AssertionError("fan cone is not simplicial; this is a bug")
     if others:
         comps = faces(comps).intersection(*(faces(complements(bases)) for bases in others))
@@ -227,13 +225,13 @@ def quotient_fan(ctx: ToricContext) -> ToricFan:
     return ToricFan(n_rank, rays, tuple(sorted(faces(listed))), listed)
 
 
-def s_rho(action: WeightedAction, rho: IntMatrix, section: IntMatrix):
+def s_rho(action: WeightedAction, rho, section):
     """Indices whose section character equals the weight pulled back by rho,
     the row chi * rho."""
-    chis = IntMatrix.from_rows([it.chi for it in action.items], action.g_rank)
+    pulled_rows = matmul([it.chi for it in action.items], rho, action.total_dim - action.g_rank)
     out, flat = [], 0
-    for s, (it, pulled) in enumerate(zip(action.items, chis.mul(rho).entries)):
-        out.extend((s, k) for k in range(it.mult) if tuple(section.entries[flat + k]) == pulled)
+    for s, (it, pulled) in enumerate(zip(action.items, pulled_rows)):
+        out.extend((s, k) for k in range(it.mult) if section[flat + k] == pulled)
         flat += it.mult
     return frozenset(out)
 
@@ -251,6 +249,7 @@ def fixed_points_toric(ctx: ToricContext):
     inverted once per weight basis.
     """
     action, c, flat = ctx.action, ctx.section, ctx.action.flat
+    n_cols = action.total_dim - action.g_rank
     inverses = {}
     components = []
     for comb in ctx.bases:
@@ -261,8 +260,8 @@ def fixed_points_toric(ctx: ToricContext):
                 # the sign is that of the rows in index order, as the basis is listed
                 raise FreeActionViolated("support weight matrix has determinant %s"
                                          % det([action.chi_of(i) for i in comb]))
-            inverses[key] = unimodular_inverse(IntMatrix.from_rows(key, action.g_rank))
-        rho = inverses[key].mul(c.submatrix_rows([flat[i] for i in by_chi]))
+            inverses[key] = unimodular_inverse(key)
+        rho = matmul(inverses[key], [c[flat[i]] for i in by_chi], n_cols)
         assert s_rho(action, rho, c) == frozenset(comb), \
             "support of rho does not recover the stable subset"
         components.append(

@@ -1,7 +1,6 @@
 import pytest
 
 from fixedloci.hmtorus import WeightItem, WeightedAction
-from fixedloci.linalg import IntMatrix
 from fixedloci.quiver import Arrow, ArrowWeights, Quiver
 
 
@@ -14,7 +13,7 @@ def hirzebruch_action(d):
     )
 
 
-PAPER_SECTION = IntMatrix.from_rows([[1, 0], [0, 0], [0, 1], [0, 0]])
+PAPER_SECTION = ((1, 0), (0, 0), (0, 1), (0, 0))
 
 
 def kronecker3():

@@ -9,7 +9,6 @@ covers and diagonal torus morphism matrices.  They lived in
 """
 
 from fixedloci.errors import DimMismatch
-from fixedloci.linalg import IntMatrix
 from fixedloci.quiver import ArrowWeights, CoverVector, Quiver, support_quiver
 
 
@@ -61,19 +60,19 @@ def support_is_connected(quiver: Quiver, weights: ArrowWeights, beta: CoverVecto
 def weyl_canonical(rho, blocks):
     """Canonical representative under permutations within vertex blocks:
     rows sorted lexicographically inside each block."""
-    rows = list(rho.entries) if isinstance(rho, IntMatrix) else [tuple(r) for r in rho]
+    rows = [tuple(r) for r in rho]
     out = []
     at = 0
     for b in blocks:
         out.extend(sorted(rows[at:at + b]))
         at += b
-    ncols = rho.ncols if isinstance(rho, IntMatrix) else (len(rows[0]) if rows else 0)
-    return IntMatrix.from_rows(out, ncols)
+    return tuple(out)
 
 
-def covers_to_rho(quiver: Quiver, beta: CoverVector, aux_rank: int) -> IntMatrix:
+def covers_to_rho(quiver: Quiver, beta: CoverVector, aux_rank: int):
     """Diagonal torus morphism matrix from a cover: one row per basis slot,
-    the grade of the slot, rows grouped by vertex and sorted within blocks."""
+    the grade of the slot in Z^aux_rank, rows grouped by vertex and sorted
+    within blocks."""
     rows = []
     for v in quiver.vertices:
         grades = []
@@ -81,19 +80,21 @@ def covers_to_rho(quiver: Quiver, beta: CoverVector, aux_rank: int) -> IntMatrix
             if u == v:
                 grades.extend([chi] * n)
         rows.extend(sorted(grades))
-    return IntMatrix.from_rows(rows, aux_rank)
+    if any(len(r) != aux_rank for r in rows):
+        raise DimMismatch("grades must live in Z^%d" % aux_rank)
+    return tuple(rows)
 
 
-def rho_to_cover(quiver: Quiver, rho: IntMatrix, alpha) -> CoverVector:
+def rho_to_cover(quiver: Quiver, rho, alpha) -> CoverVector:
     """Cover from a diagonal morphism matrix: multiplicity of each grade row
     per vertex block."""
     counts = {}
     at = 0
     for v in quiver.vertices:
         for _ in range(int(alpha.get(v, 0))):
-            chi = tuple(rho.entries[at])
+            chi = tuple(rho[at])
             counts[(v, chi)] = counts.get((v, chi), 0) + 1
             at += 1
-    if at != rho.nrows:
-        raise DimMismatch("rho has %d rows, alpha needs %d" % (rho.nrows, at))
+    if at != len(rho):
+        raise DimMismatch("rho has %d rows, alpha needs %d" % (len(rho), at))
     return CoverVector(counts)

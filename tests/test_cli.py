@@ -9,7 +9,7 @@ from fixedloci import simplex, toric
 from fixedloci.cli import main
 from fixedloci.cli import _action_from_data, _kempf_report, _quiver_report, _toric_report
 from fixedloci.hmtorus import is_stable_support
-from fixedloci.linalg import IntMatrix, rank
+from fixedloci.linalg import rank
 from lp_oracle import is_semistable_support
 from schema_oracles import validate_report
 
@@ -256,7 +256,7 @@ def test_kempf_report_agrees_with_lp_certificates():
         assert k["stable"] == is_stable_support(action, support), (data, support, Q)
         support_chis = [chis[s] for s, _ in support]
         seen["empty"] += not support
-        seen["deficient"] += bool(support) and rank(IntMatrix.from_rows(support_chis, r)) < r
+        seen["deficient"] += bool(support) and rank(support_chis) < r
         seen["zero_theta"] += not any(theta)
         seen["gram"] += Q is not None
         seen["stable"] += k["stable"]
@@ -428,6 +428,40 @@ def test_free_action_refusal_keeps_the_sign_of_the_listed_rows(tmp_path, capsys)
             "weights": [{"chi": [1, 0]}, {"chi": [0, -2], "mult": 2}, {"chi": [0, -1]}]}
     code, out, err = run(["toric", write(tmp_path, "t.json", prob)], capsys)
     assert (code, out, err) == (2, "", "validation error: support weight matrix has determinant -2\n")
+
+
+G_RANK_0 = {"kind": "toric", "g_rank": 0, "weights": [{"chi": [], "mult": 3}], "theta": []}
+
+
+def _hirz2_with_section(section):
+    return {**HIRZ2, "options": {"section": section}}
+
+
+@pytest.mark.parametrize("data,err", [
+    (_hirz2_with_section([]), "section must be 4x2"),
+    (_hirz2_with_section([[1, 0], [0, 0], [0, 1]]), "section must be 4x2"),
+    (_hirz2_with_section([[1, 0, 0], [0, 0, 0], [0, 1, 0], [0, 0, 0]]), "section must be 4x2"),
+    (_hirz2_with_section([[1, 0], [0], [0, 1], [0, 0]]), "ragged rows"),
+    (_hirz2_with_section([[0, 0]] * 4), "supplied section does not split the cokernel"),
+    (_hirz2_with_section([[1.0, 0], [0, 0], [0, 1.0], [0, 0]]), None),
+    (G_RANK_0, None),
+], ids=["empty", "3x2", "4x3", "ragged", "zero", "integral-floats", "g_rank-0"])
+def test_toric_section_boundary(tmp_path, capsys, data, err):
+    # hirzebruch_d2 has m = 4 coordinates and r = 2, so a section is 4 x 2
+    code, out, stderr = run(["toric", write(tmp_path, "t.json", data)], capsys)
+    if err is not None:
+        assert (code, out, stderr) == (2, "", "validation error: %s\n" % err)
+        return
+    assert (code, stderr) == (0, "")
+    report = json.loads(out)
+    if data is G_RANK_0:
+        assert [c["rho"] for c in report["components"]] == [[]]
+        assert report["counts"]["section_rows"] == 3
+        return
+    # the schema admits 1.0 as an integer; it reads as the integer section
+    _, want, _ = run(["toric", write(tmp_path, "h.json", HIRZ2)], capsys)
+    want = json.loads(want)
+    assert (report["components"], report["fan"]) == (want["components"], want["fan"])
 
 
 def test_determinism_bytes(tmp_path, capsys):

@@ -6,10 +6,10 @@ from cone_oracles import canonical, contains, intersection, project, project_by_
 from fixedloci import cones, simplex
 from fixedloci.cones import dot_q, dual_cone, project_onto_cone
 from fixedloci.linalg import (
-    IntMatrix,
     clear_denominators,
     dot,
     hnf,
+    identity,
     is_zero_vec,
     kernel_basis,
     primitive,
@@ -32,17 +32,15 @@ def _in_cone_raw(gens, x):
     return feasible_nonneg(rows, list(x))
 
 
-def saturated_lattice_basis(vectors, dim) -> IntMatrix:
+def saturated_lattice_basis(vectors, dim):
     """Canonical basis of span_Q(vectors) intersected with Z^dim, as HNF rows."""
     vecs = [v for v in vectors if not is_zero_vec(v)]
     if not vecs:
-        return IntMatrix.from_rows([], dim)
-    M = IntMatrix.from_rows(vecs, dim)
-    orth = kernel_basis(M)
-    sat = kernel_basis(orth) if orth.nrows else IntMatrix.identity(dim)
-    H, _ = hnf(sat)
-    rows = [r for r in H.entries if not is_zero_vec(r)]
-    return IntMatrix.from_rows(rows, dim)
+        return ()
+    orth = kernel_basis(vecs, dim)
+    sat = kernel_basis(orth, dim) if orth else identity(dim)
+    H, _ = hnf(sat, dim)
+    return tuple(r for r in H if not is_zero_vec(r))
 
 
 def _prune_redundant(gens):
@@ -81,12 +79,12 @@ def _canonical_generators(gens, dim):
     L = saturated_lattice_basis(lin, dim)
     pointed = []
     for g in gens:
-        w = _orthogonal_component(g, L.entries)
+        w = _orthogonal_component(g, L)
         if any(w):
             pointed.append(primitive(w))
     pointed = _prune_redundant(sorted(set(pointed)))
     out = set(pointed)
-    for row in L.entries:
+    for row in L:
         out.add(tuple(row))
         out.add(vec_neg(row))
     return tuple(sorted(out))

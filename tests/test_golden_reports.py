@@ -43,7 +43,7 @@ from pathlib import Path
 
 from fixedloci.cli import main
 from fixedloci.errors import FixedLociError
-from fixedloci.linalg import IntMatrix, cokernel_with_section
+from fixedloci.linalg import cokernel_with_section
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 KIND_TO_COMMAND = {"toric": "toric", "quiver": "quiver", "grassmann": "grassmann",
@@ -135,9 +135,9 @@ def _toric_file(seed):
         section = [[rng.randint(-1, 1) for _ in range(m - r)] for _ in range(m)]
         if rng.random() < 0.5:
             try:
-                _, c = cokernel_with_section(IntMatrix.from_rows(rows, r))
+                _, c = cokernel_with_section(rows, r)
                 shear = [[rng.randint(-1, 1) for _ in range(m - r)] for _ in range(r)]
-                section = [[c.entries[i][j] + sum(rows[i][k] * shear[k][j] for k in range(r))
+                section = [[c[i][j] + sum(rows[i][k] * shear[k][j] for k in range(r))
                             for j in range(m - r)] for i in range(m)]
             except FixedLociError:
                 pass

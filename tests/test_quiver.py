@@ -6,7 +6,6 @@ import pytest
 from conftest import kronecker3
 from fixedloci.common import positive_compositions
 from fixedloci.errors import ValidationError, ZeroDimensionVector
-from fixedloci.linalg import IntMatrix
 from fixedloci.quiver import (
     Arrow,
     ArrowWeights,
@@ -163,13 +162,13 @@ def test_component_dimension_examples():
 
 
 def test_weyl_canonical():
-    M = IntMatrix.from_rows([[0, 1], [1, 0]])
+    M = ((0, 1), (1, 0))
     assert weyl_canonical(M, [2]) == M
-    M2 = IntMatrix.from_rows([[1, 0], [0, 1]])
-    assert weyl_canonical(M2, [2]).entries == ((0, 1), (1, 0))
+    M2 = ((1, 0), (0, 1))
+    assert weyl_canonical(M2, [2]) == ((0, 1), (1, 0))
     # two blocks sort independently
-    M3 = IntMatrix.from_rows([[2, 0], [1, 0], [5, 5], [4, 4]])
-    assert weyl_canonical(M3, [2, 2]).entries == ((1, 0), (2, 0), (4, 4), (5, 5))
+    M3 = ((2, 0), (1, 0), (5, 5), (4, 4))
+    assert weyl_canonical(M3, [2, 2]) == ((1, 0), (2, 0), (4, 4), (5, 5))
 
 
 def test_covers_to_rho_examples():
@@ -179,10 +178,10 @@ def test_covers_to_rho_examples():
         ("2", (1, 0, 0)): 1, ("2", (0, 1, 0)): 1, ("2", (0, 0, 1)): 1,
     })
     rho = covers_to_rho(Q, type1, 3)
-    assert rho.entries == ((0, 0, 0), (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))
+    assert rho == ((0, 0, 0), (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))
     assert rho_to_cover(Q, rho, alpha) == type1
 
-    trivial = IntMatrix.zero(5, 3)
+    trivial = ((0, 0, 0),) * 5
     cov = rho_to_cover(Q, trivial, alpha)
     assert cov.items == ((("1", (0, 0, 0)), 2), (("2", (0, 0, 0)), 3))
 
@@ -193,7 +192,7 @@ def test_cover_rho_roundtrip_random():
     blocks = [alpha[v] for v in Q.vertices]
     for _ in range(50):
         rows = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(5)]
-        rho = weyl_canonical(IntMatrix.from_rows(rows, 3), blocks)
+        rho = weyl_canonical(rows, blocks)
         cov = rho_to_cover(Q, rho, alpha)
         back = covers_to_rho(Q, cov, 3)
         assert back == rho

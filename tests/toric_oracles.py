@@ -11,7 +11,7 @@ import itertools
 from cone_oracles import canonical, intersection
 from fixedloci.errors import FreeActionViolated
 from fixedloci.hmtorus import WeightedAction, is_stable_support
-from fixedloci.linalg import IntMatrix, det, primitive, rank, solve_integral
+from fixedloci.linalg import det, matmul, primitive, rank, solve_integral
 from fixedloci.toric import ToricFan, s_rho
 
 
@@ -34,7 +34,7 @@ def stable_subsets(action: WeightedAction):
     return out
 
 
-def rho_from_stable_subset(action: WeightedAction, support, section: IntMatrix) -> IntMatrix:
+def rho_from_stable_subset(action: WeightedAction, support, section):
     """Invert the weight map on a minimally stable support against the section.
 
     The map g -> (chi_s(g)) over the support must be invertible over Z; the
@@ -42,23 +42,22 @@ def rho_from_stable_subset(action: WeightedAction, support, section: IntMatrix) 
     """
     sup = sorted(support)
     r = action.g_rank
-    a_s = IntMatrix.from_rows([action.chi_of(i) for i in sup], r)
-    if a_s.nrows != r:
-        raise FreeActionViolated("support has size %d, expected %d" % (a_s.nrows, r))
-    d = det(a_s.entries)
+    a_s = [action.chi_of(i) for i in sup]
+    if len(a_s) != r:
+        raise FreeActionViolated("support has size %d, expected %d" % (len(a_s), r))
+    d = det(a_s)
     if abs(d) != 1:
         raise FreeActionViolated("support weight matrix has determinant %s" % d)
-    c_s = [section.entries[action.flat[i]] for i in sup]
-    return IntMatrix.from_rows(solve_integral(a_s.entries, c_s), section.ncols)
+    return solve_integral(a_s, [section[action.flat[i]] for i in sup])
 
 
-def necessary_condition(action: WeightedAction, rho: IntMatrix, section: IntMatrix) -> bool:
+def necessary_condition(action: WeightedAction, rho, section) -> bool:
     """Weights of the rho-compatible subspace must span full character space."""
     sup = s_rho(action, rho, section)
     if not sup:
         return action.g_rank == 0
     chis = [action.chi_of(i) for i in sup]
-    return rank(IntMatrix.from_rows(chis, action.g_rank)) == action.g_rank
+    return rank(chis) == action.g_rank
 
 
 def cone_geometry(fan: ToricFan, cone):
@@ -69,7 +68,7 @@ def cone_geometry(fan: ToricFan, cone):
 def fan_is_simplicial(fan: ToricFan) -> bool:
     for cone in fan.cones:
         vecs = [fan.rays[i] for i in cone]
-        if vecs and rank(IntMatrix.from_rows(vecs, fan.lattice_rank)) != len(vecs):
+        if vecs and rank(vecs) != len(vecs):
             return False
     return True
 
@@ -127,11 +126,10 @@ def fans_unimodularly_equivalent(f1: ToricFan, f2: ToricFan) -> bool:
             Ut = solve_integral(base, [f2.rays[i] for i in perm])
             if Ut is None or abs(det(Ut)) != 1:
                 continue
-            U = IntMatrix.from_rows(Ut, d).transpose()
             mapped = {}
             good = True
             for i, ray in enumerate(f1.rays):
-                img = primitive(U.apply(ray))
+                img = primitive(matmul((ray,), Ut, d)[0])
                 if img not in f2.rays:
                     good = False
                     break
