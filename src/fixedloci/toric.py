@@ -14,18 +14,20 @@ theta.  A support is stable exactly when, for each of the 2r directions
 d = +-e_i, it holds a stable basis of theta + eps d + eps^2 e_1 + ... +
 eps^(r+1) e_r, eps a formal infinitesimal (lexicographic perturbation,
 Charnes 1952).  No perturbed theta lies on a wall, so each lies in a chamber
-whose fan has the faces of the complements of its stable bases as cones
-(Cox-Little-Schenck, Toric Varieties, section 14); the fan for theta is the
-intersection of these fans.  A generic theta, on no hyperplane spanned by
-r-1 weights, has one chamber, and its stable bases are the minimally stable
-supports.
+whose fan has the complements of its stable bases as maximal cones
+(Cox-Little-Schenck, Toric Varieties, section 14).  The fan for theta holds
+the cones every one of these fans holds; its maximal cones are the maximal
+meets of theirs, folded in one chamber at a time.  A generic theta, on no
+hyperplane spanned by r-1 weights, has one chamber, and its stable bases are
+the minimally stable supports.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .common import Status
 from .errors import EmptyStableLocus, FreeActionViolated, TooLarge
@@ -57,17 +59,13 @@ MAX_FAN_FACES = 1 << 18
 class ToricFan:
     lattice_rank: int
     rays: tuple
-    cones: tuple  # sorted tuples of ray indices, every face listed
-    tops: tuple | None = field(default=None, compare=False, repr=False)  # maximal cones, if known
+    maximal_cones: tuple  # sorted tuples of ray indices, none inside another
 
-    @property
-    def maximal_cones(self):
-        """The cones that are no facet of another cone.  Every face is
-        listed, so a cone inside a larger one is a facet of some cone."""
-        if self.tops is not None:
-            return self.tops
-        facets = {c[:k] + c[k + 1:] for c in self.cones for k in range(len(c))}
-        return tuple(c for c in self.cones if c not in facets)
+    @functools.cached_property
+    def cones(self):
+        """Every face of a maximal cone, sorted."""
+        return tuple(sorted({face for top in self.maximal_cones for k in range(len(top) + 1)
+                             for face in itertools.combinations(top, k)}))
 
 
 @dataclass(frozen=True)
@@ -192,37 +190,37 @@ def quotient_fan(ctx: ToricContext) -> ToricFan:
     cokernel projection; a subset spans a cone precisely when its complement
     is a stable support, that is, when it avoids some stable basis of each
     chamber next to theta.  A chamber's cones are the faces of the
-    complements of its bases.  The complements of the first chamber's bases
-    each take one rank test (a face of an independent set is independent).
-    With one chamber, as for every generic theta, the fan keeps them as its
-    maximal cones.  On a wall the cones are the faces every chamber lists,
-    met as sets of indices, since two coordinates may share a ray.
+    complements of its bases, and two such complexes meet in the faces of
+    the meets F & G of their maximal sets.  So the fan starts from the
+    complements of the first chamber's bases, each taking one rank test (a
+    face of an independent set is independent), and folds each further
+    chamber in, keeping the maximal meets.  A generic theta has one chamber
+    and no fold.
     """
     action = ctx.action
-    idx = action.indices()
-    n_rank = len(ctx.pi)
+    idx = frozenset(action.indices())
     ray_of = {i: primitive(tuple(row[action.flat[i]] for row in ctx.pi)) for i in idx}
-
-    def complements(bases):
-        return [[i for i in idx if i not in b] for b in bases]
-
-    def faces(tops):
-        return {face for top in tops for k in range(len(top) + 1)
-                for face in itertools.combinations(top, k)}
-
     first, *others = ctx.chambers
-    comps = complements(first)
-    for comp in comps:
-        if comp and rank([ray_of[i] for i in comp]) != len(comp):
+    tops = [idx.difference(b) for b in first]
+    for top in tops:
+        if top and rank([ray_of[i] for i in top]) != len(top):
             raise AssertionError("fan cone is not simplicial; this is a bug")
-    if others:
-        comps = faces(comps).intersection(*(faces(complements(bases)) for bases in others))
-    rays = tuple(sorted({ray_of[i] for comp in comps for i in comp}))
+    for bases in others:
+        meets = sorted({top.difference(b) for top in tops for b in bases}, key=len, reverse=True)
+        tops = []
+        for _, group in itertools.groupby(meets, len):
+            # a set lies only in strictly larger ones, all kept before its size
+            tops += [s for s in group if not any(s < t for t in tops)]
+    # The indices of a cone have distinct nonzero rays, so no cone loses a
+    # ray to the map below.  Equal rays of i != j give a 1-PS y with
+    # <chi_i, y> > 0 > <chi_j, y> and <chi_k, y> = 0 for every other k; on a
+    # support missing both i and j, y and -y both have limits, so by
+    # Hilbert-Mumford every stable support holds i or j.  Likewise a zero ray
+    # lies in every stable support.
+    rays = tuple(sorted({ray_of[i] for top in tops for i in top}))
     lookup = {v: n for n, v in enumerate(rays)}
-    listed = tuple(sorted({tuple(sorted(lookup[ray_of[i]] for i in comp)) for comp in comps}))
-    if others:  # every cone is listed; the maximal ones come from the facet test
-        return ToricFan(n_rank, rays, listed)
-    return ToricFan(n_rank, rays, tuple(sorted(faces(listed))), listed)
+    return ToricFan(len(ctx.pi), rays,
+                    tuple(sorted({tuple(sorted(lookup[ray_of[i]] for i in top)) for top in tops})))
 
 
 def s_rho(action: WeightedAction, rho, section):

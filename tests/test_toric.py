@@ -37,13 +37,7 @@ from toric_oracles import (
 
 def classical_hirzebruch_fan(d):
     rays = ((1, 0), (0, 1), (-1, d), (0, -1))
-    maximal = [(0, 1), (1, 2), (2, 3), (3, 0)]
-    cones = {()}
-    for c in maximal:
-        cones.add(tuple(sorted(c)))
-        for r in c:
-            cones.add((r,))
-    return ToricFan(2, rays, tuple(sorted(cones)))
+    return ToricFan(2, rays, ((0, 1), (0, 3), (1, 2), (2, 3)))
 
 
 def minimally_stable_subsets(action):
@@ -138,9 +132,9 @@ def test_scans_agree_with_stable_subsets_oracle():
     # the stable bases are the oracle's stable r-subsets and the fan its
     # stable supports for every theta; theta is drawn as 0 or a sum of one
     # or two weights about half the time, so that many lie on a wall, where
-    # the chambers next to theta differ
+    # the chambers next to theta differ; nine pairs of coordinates share a ray
     rng = random.Random(73)
-    checked = walls = refused = 0
+    checked = walls = refused = shared = 0
     for _ in range(300):
         r = rng.randint(0, 3)
         items = tuple(WeightItem(tuple(rng.randint(-1, 1) for _ in range(r)),
@@ -175,24 +169,20 @@ def test_scans_agree_with_stable_subsets_oracle():
                     == [(b, rho_from_stable_subset(A, b, ctx.section)) for b in bases])
         fan = quotient_fan(ctx)
         ray = {i: primitive(tuple(row[A.flat[i]] for row in ctx.pi)) for i in full}
+        # coordinates of one ray never miss a stable support together, and a
+        # zero ray misses none, so no cone holds two indices of one ray
+        for i, j in itertools.combinations(sorted(full), 2):
+            if ray[i] == ray[j]:
+                assert all(i in s or j in s for s in oracle)
+                shared += 1
+        assert all(i in s for i in full if not any(ray[i]) for s in oracle)
         assert ({frozenset(fan.rays[i] for i in c) for c in fan.cones}
                 == {frozenset(ray[i] for i in full - s) for s in oracle})
         assert fan.maximal_cones == maximal_cones(fan)
         assert list(ctx.bases) == bases
         walls += len(ctx.chambers) > 1
         checked += 1
-    assert (checked - walls, walls, refused) == (114, 37, 3)
-
-
-def test_maximal_cones_match_pairwise_oracle_on_random_complexes():
-    # face-closed sets of index tuples, not all of one dimension
-    rng = random.Random(79)
-    for _ in range(200):
-        n = rng.randint(0, 6)
-        tops = [tuple(sorted(rng.sample(range(n), rng.randint(0, n)))) for _ in range(rng.randint(1, 5))]
-        cones = {face for c in tops for k in range(len(c) + 1) for face in itertools.combinations(c, k)}
-        fan = ToricFan(n, tuple((i,) for i in range(n)), tuple(sorted(cones)))
-        assert fan.maximal_cones == maximal_cones(fan)
+    assert (checked - walls, walls, refused, shared) == (114, 37, 3, 9)
 
 
 def test_context_refuses_past_max_enum_dim():
@@ -201,7 +191,17 @@ def test_context_refuses_past_max_enum_dim():
     small = WeightedAction(1, 0, (WeightItem((1,), mult=8), WeightItem((-1,), mult=8)), (0,))
     ctx = toric_context(small)
     assert len(ctx.chambers) == 2 and ctx.bases == ()
-    assert len(quotient_fan(ctx).cones) == (2 ** 8 - 1) ** 2
+    fan = quotient_fan(ctx)
+    assert len(fan.cones) == (2 ** 8 - 1) ** 2
+    assert len(fan.maximal_cones) == 8 * 8 and {len(c) for c in fan.maximal_cones} == {14}
+    # theta = 0 on +-e_1, +-e_2: three chambers, and a cone misses a copy of each weight
+    square = WeightedAction(2, 0, tuple(WeightItem(chi, mult=4) for chi in ((1, 0), (-1, 0), (0, 1), (0, -1))),
+                            (0, 0))
+    ctx = toric_context(square)
+    assert len(ctx.chambers) == 3 and ctx.bases == ()
+    fan = quotient_fan(ctx)
+    assert len(fan.cones) == (2 ** 4 - 1) ** 4
+    assert len(fan.maximal_cones) == 4 ** 4 and {len(c) for c in fan.maximal_cones} == {12}
     # at 17 coordinates the faces of both chambers count: 17 bases with 2^16 faces each
     A = WeightedAction(1, 0, (WeightItem((1,), mult=9), WeightItem((-1,), mult=8)), (0,))
     with pytest.raises(TooLarge, match="fan of 17 stable bases with 2\\^16 faces each refused"):
