@@ -32,7 +32,6 @@ from .quiver import (
     CoverVector,
     Quiver,
     check_stability_pairing,
-    component_dimension,
     default_window_radius,
     enumerate_covers,
     support_quiver,
@@ -259,20 +258,18 @@ def _quiver_report(data, seed, prime, trials, window):
     if radius is None:
         radius = default_window_radius(alpha, W)
     check_guard(alpha, prime)
-    covers = enumerate_covers(Q, W, alpha, radius)
-    dimension = {c: component_dimension(Q, W, c) for c in covers if c.items}
-    cands = [c for c, d in dimension.items() if d >= 0]
+    classes, cands = enumerate_covers(Q, W, alpha, radius)
     results = [
         certify_component(Q, W, c, theta, trials=trials, prime=prime, seed=seed)
-        for c in cands
+        for c, _ in cands
     ]
 
     comp_json = []
-    for c, r in zip(cands, results):
+    for (c, dim), r in zip(cands, results):
         blocks = sorted(n for _, n in c.items)
         comp_json.append({
             "beta": [[_point_json(k), n] for k, n in c.items],
-            "dimension": dimension[c],
+            "dimension": dim,
             "g_rho": "torus" if all(n == 1 for n in blocks) else blocks,
             "status": r.status.value,
             "method": r.method,
@@ -294,7 +291,7 @@ def _quiver_report(data, seed, prime, trials, window):
         "seed": seed,
         "input": data,
         "components": comp_json,
-        "classes_enumerated": len(covers),
+        "classes_enumerated": classes,
         "counts": counts,
     }
 

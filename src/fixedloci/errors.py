@@ -29,9 +29,5 @@ class TooLarge(FixedLociError):
     """A brute-force guard was exceeded."""
 
 
-class ZeroDimensionVector(FixedLociError):
-    pass
-
-
 class ValidationError(FixedLociError):
     """Problem data failed schema or semantic validation."""

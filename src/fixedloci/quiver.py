@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .common import positive_compositions
-from .errors import DimMismatch, ValidationError, ZeroDimensionVector
+from .errors import DimMismatch, ValidationError
 
 
 @dataclass(frozen=True)
@@ -135,10 +135,9 @@ def theta_hat(theta, points):
     return {(v, chi): int(theta.get(v, 0)) for (v, chi) in points}
 
 
-def _covering_arrows(quiver: Quiver, weights: ArrowWeights, beta: CoverVector):
+def _covering_arrows(quiver: Quiver, weights: ArrowWeights, pts):
     """(arrow, source point, target point) for each covering arrow with both
-    ends in the support of beta: arrow by arrow, sources in sorted order."""
-    pts = beta.as_dict()
+    ends in the point collection pts: arrow by arrow, sources in pts order."""
     for a in quiver.arrows:
         w = weights.of(a.id)
         for p in pts:
@@ -148,19 +147,9 @@ def _covering_arrows(quiver: Quiver, weights: ArrowWeights, beta: CoverVector):
                     yield a, p, q
 
 
-def component_dimension(quiver: Quiver, weights: ArrowWeights, beta: CoverVector) -> int:
-    """dim of the component a cover describes, assuming a free quotient:
-    (arrow-block sizes) - (sum of squares) + 1."""
-    if not beta.items:
-        raise ZeroDimensionVector("cover is identically zero")
-    b = beta.as_dict()
-    blocks = sum(b[p] * b[q] for _, p, q in _covering_arrows(quiver, weights, beta))
-    return blocks - sum(n * n for n in b.values()) + 1
-
-
 def support_quiver(quiver: Quiver, weights: ArrowWeights, beta: CoverVector):
     """The finite quiver on the support of a cover: (support quiver, dims dict)."""
-    arrows = tuple(Arrow((a.id, p[1]), p, q) for a, p, q in _covering_arrows(quiver, weights, beta))
+    arrows = tuple(Arrow((a.id, p[1]), p, q) for a, p, q in _covering_arrows(quiver, weights, beta.as_dict()))
     return Quiver(beta.support(), arrows), beta.as_dict()
 
 
@@ -168,7 +157,13 @@ def support_quiver(quiver: Quiver, weights: ArrowWeights, beta: CoverVector):
 # enumeration of covers up to translation
 
 def enumerate_covers(quiver: Quiver, weights: ArrowWeights, alpha, radius):
-    """All covers of alpha with connected support inside the window.
+    """(number of covers of alpha with connected support inside the window,
+    the candidates among them as (cover, dimension) pairs sorted by cover).
+
+    The dimension of cover b's component, for a free quotient, is the sum of
+    b_p b_q over its covering arrows p -> q, minus the sum of b_p^2, plus 1.
+    Candidates have dimension >= 0; only they are built.  alpha = 0 has one
+    cover, the empty one, and no candidate.
 
     The window of radius R admits every support that spans at most 2R in
     each grade coordinate, equivalently one that a translation carries into
@@ -189,7 +184,7 @@ def enumerate_covers(quiver: Quiver, weights: ArrowWeights, alpha, radius):
     alpha = {v: int(alpha.get(v, 0)) for v in quiver.vertices}
     supp = [v for v in quiver.vertices if alpha[v] > 0]
     if not supp:
-        return [CoverVector({})]
+        return 1, []
     total = sum(alpha.values())
 
     arcs = {}  # vertex -> (neighbour, grade step), both directions of each arrow
@@ -222,28 +217,27 @@ def enumerate_covers(quiver: Quiver, weights: ArrowWeights, alpha, radius):
                 banned.add(u)
                 continue
             nxt = current | {u}
-            counts2 = dict(counts)
-            counts2[u[0]] = counts2.get(u[0], 0) + 1
-            seenc = set(candidates[pos + 1:]) | banned | nxt
-            extra = []
-            for w in neighbors(u):
-                if w > root and w not in seenc:
-                    extra.append(w)
-                    seenc.add(w)
-            grow(nxt, counts2, lo2, hi2, candidates[pos + 1:] + sorted(extra), banned)
+            counts2 = {**counts, u[0]: counts.get(u[0], 0) + 1}
+            seen = set(candidates[pos + 1:]) | banned | nxt
+            extra = sorted({w for w in neighbors(u) if w > root} - seen)
+            grow(nxt, counts2, lo2, hi2, candidates[pos + 1:] + extra, banned)
             banned.add(u)
 
     start = sorted({w for w in neighbors(root) if w > root})
     grow(frozenset([root]), {v0: 1}, root[1], root[1], start, set())
 
-    covers = []
+    count, kept = 0, []
     for sup in supports:
-        per_vertex = {}
-        for v, chi in sorted(sup):
-            per_vertex.setdefault(v, []).append(chi)
-        choices = [[(v, pts, c) for c in positive_compositions(alpha[v], len(pts))]
-                   for v, pts in per_vertex.items()]
+        pts = sorted(sup)
+        index = {p: i for i, p in enumerate(pts)}
+        pairs = [(index[p], index[q]) for _, p, q in _covering_arrows(quiver, weights, index)]
+        # sorted points run vertex by vertex, so one composition per vertex fills b
+        runs = itertools.groupby(v for v, _ in pts)
+        choices = [positive_compositions(alpha[v], len(list(g))) for v, g in runs]
         for combo in itertools.product(*choices):
-            covers.append(CoverVector({(v, chi): n for v, pts, comp in combo
-                                       for chi, n in zip(pts, comp)}))
-    return sorted(covers, key=lambda c: c.items)
+            b = [n for comp in combo for n in comp]
+            count += 1
+            dim = sum(b[i] * b[j] for i, j in pairs) - sum(n * n for n in b) + 1
+            if dim >= 0:
+                kept.append((CoverVector(zip(pts, b)), dim))
+    return count, sorted(kept, key=lambda cd: cd[0].items)

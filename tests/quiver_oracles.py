@@ -6,8 +6,16 @@ representative in its translation class independently of the enumerator,
 and `weyl_canonical`, `covers_to_rho` and `rho_to_cover` pass between
 covers and diagonal torus morphism matrices.  They lived in
 `fixedloci.quiver` until nothing there used them.
+
+`box_covers`, `cover_dimension` and `count_and_candidates` are the
+per-cover path: build every cover, walk each one's covering arrows for its
+dimension, then keep those of dimension >= 0.  `enumerate_covers` must
+return what they do.
 """
 
+import itertools
+
+from fixedloci.common import positive_compositions
 from fixedloci.errors import DimMismatch
 from fixedloci.quiver import ArrowWeights, CoverVector, Quiver, support_quiver
 
@@ -52,6 +60,116 @@ def support_is_connected(quiver: Quiver, weights: ArrowWeights, beta: CoverVecto
                 seen.add(q)
                 stack.append(q)
     return len(seen) == len(pts)
+
+
+# ---------------------------------------------------------------------------
+# the per-cover path
+
+def box_covers(quiver: Quiver, weights: ArrowWeights, alpha, radius):
+    """Every cover in the window, built one by one, sorted: the box-rooted
+    enumerator searches from every point of [-R, R]^aux, keeps neighbors
+    inside the box, canonicalizes what each root finds, and splits alpha
+    over each support by positive compositions."""
+    box = tuple((-radius, radius) for _ in range(weights.aux_rank))
+
+    def box_contains(chi):
+        return all(lo <= c <= hi for (lo, hi), c in zip(box, chi))
+
+    alpha = {v: int(alpha.get(v, 0)) for v in quiver.vertices}
+    supp_pos = [i for i, v in enumerate(quiver.vertices) if alpha[v] > 0]
+    if not supp_pos:
+        return [CoverVector({})]
+    total = sum(alpha.values())
+    limits = {i: alpha[quiver.vertices[i]] for i in range(len(quiver.vertices))}
+
+    out_arcs = {}
+    in_arcs = {}
+    for a in quiver.arrows:
+        w = weights.of(a.id)
+        out_arcs.setdefault(quiver.vertices.index(a.src), []).append((quiver.vertices.index(a.tgt), w))
+        in_arcs.setdefault(quiver.vertices.index(a.tgt), []).append((quiver.vertices.index(a.src), w))
+
+    def neighbors(point):
+        v, chi = point
+        for u, w in out_arcs.get(v, ()):
+            nxt = tuple(c + x for c, x in zip(chi, w))
+            if limits.get(u, 0) > 0 and box_contains(nxt):
+                yield (u, nxt)
+        for u, w in in_arcs.get(v, ()):
+            nxt = tuple(c - x for c, x in zip(chi, w))
+            if limits.get(u, 0) > 0 and box_contains(nxt):
+                yield (u, nxt)
+
+    v0 = min(supp_pos)
+    supports = set()
+
+    def grow(current, counts, candidates, banned, root):
+        if all(counts.get(i, 0) >= 1 for i in supp_pos):
+            shift = min(current)[1]
+            canon = frozenset((v, tuple(c - s for c, s in zip(chi, shift))) for v, chi in current)
+            supports.add(canon)
+        if len(current) >= total:
+            return
+        banned = set(banned)
+        for pos, u in enumerate(candidates):
+            if counts.get(u[0], 0) >= limits[u[0]]:
+                banned.add(u)
+                continue
+            nxt = current | {u}
+            counts2 = dict(counts)
+            counts2[u[0]] = counts2.get(u[0], 0) + 1
+            seenc = set(candidates[pos + 1:]) | banned | nxt
+            extra = []
+            for w in neighbors(u):
+                if w > root and w not in seenc:
+                    extra.append(w)
+                    seenc.add(w)
+            grow(nxt, counts2, candidates[pos + 1:] + sorted(extra), banned, root)
+            banned.add(u)
+
+    for chi0 in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
+        root = (v0, chi0)
+        start = sorted({w for w in neighbors(root) if w > root})
+        grow(frozenset([root]), {v0: 1}, start, set(), root)
+
+    covers = set()
+    for sup in supports:
+        per_vertex = {}
+        for v, chi in sup:
+            per_vertex.setdefault(v, []).append(chi)
+        choices = []
+        keys = sorted(per_vertex)
+        for v in keys:
+            pts = sorted(per_vertex[v])
+            choices.append([(pts, c) for c in positive_compositions(limits[v], len(pts))])
+        for combo in itertools.product(*choices):
+            mapping = {}
+            for (pts, comp), v in zip(combo, keys):
+                for chi, n in zip(pts, comp):
+                    mapping[(quiver.vertices[v], chi)] = n
+            covers.add(canonical(CoverVector(mapping)))
+    return sorted(covers, key=lambda c: c.items)
+
+
+def cover_dimension(quiver: Quiver, weights: ArrowWeights, beta: CoverVector) -> int:
+    """dim of the component a nonzero cover describes, assuming a free
+    quotient: (arrow-block sizes) - (sum of squares) + 1."""
+    b = beta.as_dict()
+    blocks = 0
+    for a in quiver.arrows:
+        w = weights.of(a.id)
+        for (v, chi), n in b.items():
+            if v == a.src:
+                blocks += n * b.get((a.tgt, tuple(c + x for c, x in zip(chi, w))), 0)
+    return blocks - sum(n * n for n in b.values()) + 1
+
+
+def count_and_candidates(quiver: Quiver, weights: ArrowWeights, covers):
+    """(number of covers, sorted (cover, dimension) pairs of the nonzero
+    covers with dimension >= 0), from the list of every cover."""
+    dims = [(c, cover_dimension(quiver, weights, c)) for c in sorted(covers, key=lambda c: c.items)
+            if c.items]
+    return len(covers), [(c, d) for c, d in dims if d >= 0]
 
 
 # ---------------------------------------------------------------------------

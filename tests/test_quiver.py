@@ -1,24 +1,23 @@
-import itertools
 import random
 
 import pytest
 
 from conftest import kronecker3
-from fixedloci.common import positive_compositions
-from fixedloci.errors import ValidationError, ZeroDimensionVector
+from fixedloci.errors import ValidationError
 from fixedloci.quiver import (
     Arrow,
     ArrowWeights,
     CoverVector,
     Quiver,
     check_stability_pairing,
-    component_dimension,
     default_window_radius,
     enumerate_covers,
     theta_hat,
 )
 from quiver_oracles import (
+    box_covers,
     canonical,
+    count_and_candidates,
     covers_to_rho,
     is_cover_of,
     rho_to_cover,
@@ -37,12 +36,12 @@ def test_window_examples():
     # window 0 keeps every support at one grade, where the A2 arrow (weight
     # 1) joins nothing; a weight-0 grading puts a copy of A2 at each grade
     Q, W = a2_quiver()
-    assert enumerate_covers(Q, W, {"1": 1, "2": 1}, 0) == []
-    assert enumerate_covers(Q, W, {"1": 1, "2": 0}, 0) == [CoverVector({("1", (0,)): 1})]
+    assert enumerate_covers(Q, W, {"1": 1, "2": 1}, 0) == (0, [])
+    assert enumerate_covers(Q, W, {"1": 1, "2": 0}, 0) == (1, [(CoverVector({("1", (0,)): 1}), 0)])
     W0 = ArrowWeights.from_dict(1, {"a": (0,)})
     same_grade = CoverVector({("1", (0,)): 1, ("2", (0,)): 1})
-    assert enumerate_covers(Q, W0, {"1": 1, "2": 1}, 0) == [same_grade]
-    assert enumerate_covers(Q, W0, {"1": 1, "2": 1}, 1) == [same_grade]
+    assert enumerate_covers(Q, W0, {"1": 1, "2": 1}, 0) == (1, [(same_grade, 0)])
+    assert enumerate_covers(Q, W0, {"1": 1, "2": 1}, 1) == (1, [(same_grade, 0)])
 
 
 def test_negative_window_rejected():
@@ -53,15 +52,15 @@ def test_negative_window_rejected():
 
 def test_enumerate_covers_a2():
     Q, W = a2_quiver()
-    covers = enumerate_covers(Q, W, {"1": 1, "2": 1}, 2)
-    assert len(covers) == 1
-    assert covers[0].items == ((("1", (0,)), 1), (("2", (1,)), 1))
+    count, cands = enumerate_covers(Q, W, {"1": 1, "2": 1}, 2)
+    assert count == len(cands) == 1
+    assert cands[0][0].items == ((("1", (0,)), 1), (("2", (1,)), 1))
 
 
 def test_enumerate_covers_zero_alpha():
     Q, W = a2_quiver()
-    covers = enumerate_covers(Q, W, {"1": 0, "2": 0}, 2)
-    assert len(covers) == 1 and covers[0].items == ()
+    # the empty cover counts as a class but is no candidate
+    assert enumerate_covers(Q, W, {"1": 0, "2": 0}, 2) == (1, [])
 
 
 def test_enumerate_covers_brute_force_a2():
@@ -74,15 +73,14 @@ def test_enumerate_covers_brute_force_a2():
             beta = CoverVector({("1", (c1,)): 1, ("2", (c2,)): 1})
             if support_is_connected(Q, W, beta):
                 expected.add(canonical(beta))
-    got = set(enumerate_covers(Q, W, {"1": 1, "2": 1}, 2))
-    assert got == expected
+    assert enumerate_covers(Q, W, {"1": 1, "2": 1}, 2) == count_and_candidates(Q, W, list(expected))
 
 
 def test_cover_sums_and_connectivity():
     Q, W, alpha, _theta = kronecker3()
-    covers = enumerate_covers(Q, W, alpha, 2)
-    assert len(covers) == 55
-    for c in covers:
+    count, cands = enumerate_covers(Q, W, alpha, 2)
+    assert (count, len(cands)) == (55, 19)
+    for c, _ in cands:
         assert is_cover_of(c, alpha)
         assert support_is_connected(Q, W, c)
         # union-find oracle for connectivity
@@ -120,7 +118,7 @@ def test_canonical_translate_idempotent_and_invariant():
     rng = random.Random(71)
     Q, W, alpha, _ = kronecker3()
     for Q, W, alpha in [(Q, W, alpha), _subtorus_cycle()]:
-        for c in enumerate_covers(Q, W, alpha, 2):
+        for c, _ in enumerate_covers(Q, W, alpha, 2)[1]:
             assert canonical(c) == c
             for _ in range(3):
                 xi = tuple(rng.randint(-4, 4) for _ in range(W.aux_rank))
@@ -129,8 +127,8 @@ def test_canonical_translate_idempotent_and_invariant():
 
 def test_theta_hat():
     Q, W, alpha, theta = kronecker3()
-    covers = enumerate_covers(Q, W, alpha, 2)
-    for c in covers[:10]:
+    _, cands = enumerate_covers(Q, W, alpha, 2)
+    for c, _ in cands[:10]:
         th = theta_hat(theta, c.support())
         assert sum(th[k] * n for k, n in c.items) == 0
         for (v, chi), val in th.items():
@@ -145,20 +143,18 @@ def test_stability_pairing_guard():
 
 
 def test_component_dimension_examples():
-    Q, _W, _alpha, _theta = kronecker3()
+    # the dimensions come with the candidates from enumerate_covers
+    Q, _W, alpha, _theta = kronecker3()
     W0 = ArrowWeights.from_dict(0, {"a": (), "b": (), "c": ()})
     triv = CoverVector({("1", ()): 2, ("2", ()): 3})
-    assert component_dimension(Q, W0, triv) == 6
+    assert enumerate_covers(Q, W0, alpha, 0) == (1, [(triv, 6)])
 
     A2, WA = a2_quiver()
     unit = CoverVector({("1", (0,)): 1, ("2", (1,)): 1})
-    assert component_dimension(A2, WA, unit) == 0
+    assert enumerate_covers(A2, WA, {"1": 1, "2": 1}, 2) == (1, [(unit, 0)])
 
     single = CoverVector({("1", (0,)): 1})
-    assert component_dimension(A2, WA, single) == 0
-
-    with pytest.raises(ZeroDimensionVector):
-        component_dimension(A2, WA, CoverVector({}))
+    assert enumerate_covers(A2, WA, {"1": 1, "2": 0}, 0) == (1, [(single, 0)])
 
 
 def test_weyl_canonical():
@@ -235,88 +231,8 @@ def test_default_window_radius():
     assert default_window_radius(alpha, W0) == 0
 
 
-def _enumerate_covers_box_oracle(quiver, weights, alpha, radius):
-    """The box-rooted enumerator: search from every point of [-R, R]^aux,
-    keep neighbors inside the box, and canonicalize what each root finds."""
-    box = tuple((-radius, radius) for _ in range(weights.aux_rank))
-
-    def box_contains(chi):
-        return all(lo <= c <= hi for (lo, hi), c in zip(box, chi))
-
-    alpha = {v: int(alpha.get(v, 0)) for v in quiver.vertices}
-    supp_pos = [i for i, v in enumerate(quiver.vertices) if alpha[v] > 0]
-    if not supp_pos:
-        return [CoverVector({})]
-    total = sum(alpha.values())
-    limits = {i: alpha[quiver.vertices[i]] for i in range(len(quiver.vertices))}
-
-    out_arcs = {}
-    in_arcs = {}
-    for a in quiver.arrows:
-        w = weights.of(a.id)
-        out_arcs.setdefault(quiver.vertices.index(a.src), []).append((quiver.vertices.index(a.tgt), w))
-        in_arcs.setdefault(quiver.vertices.index(a.tgt), []).append((quiver.vertices.index(a.src), w))
-
-    def neighbors(point):
-        v, chi = point
-        for u, w in out_arcs.get(v, ()):
-            nxt = tuple(c + x for c, x in zip(chi, w))
-            if limits.get(u, 0) > 0 and box_contains(nxt):
-                yield (u, nxt)
-        for u, w in in_arcs.get(v, ()):
-            nxt = tuple(c - x for c, x in zip(chi, w))
-            if limits.get(u, 0) > 0 and box_contains(nxt):
-                yield (u, nxt)
-
-    v0 = min(supp_pos)
-    supports = set()
-
-    def grow(current, counts, candidates, banned, root):
-        if all(counts.get(i, 0) >= 1 for i in supp_pos):
-            shift = min(current)[1]
-            canon = frozenset((v, tuple(c - s for c, s in zip(chi, shift))) for v, chi in current)
-            supports.add(canon)
-        if len(current) >= total:
-            return
-        banned = set(banned)
-        for pos, u in enumerate(candidates):
-            if counts.get(u[0], 0) >= limits[u[0]]:
-                banned.add(u)
-                continue
-            nxt = current | {u}
-            counts2 = dict(counts)
-            counts2[u[0]] = counts2.get(u[0], 0) + 1
-            seenc = set(candidates[pos + 1:]) | banned | nxt
-            extra = []
-            for w in neighbors(u):
-                if w > root and w not in seenc:
-                    extra.append(w)
-                    seenc.add(w)
-            grow(nxt, counts2, candidates[pos + 1:] + sorted(extra), banned, root)
-            banned.add(u)
-
-    for chi0 in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
-        root = (v0, chi0)
-        start = sorted({w for w in neighbors(root) if w > root})
-        grow(frozenset([root]), {v0: 1}, start, set(), root)
-
-    covers = set()
-    for sup in supports:
-        per_vertex = {}
-        for v, chi in sup:
-            per_vertex.setdefault(v, []).append(chi)
-        choices = []
-        keys = sorted(per_vertex)
-        for v in keys:
-            pts = sorted(per_vertex[v])
-            choices.append([(pts, c) for c in positive_compositions(limits[v], len(pts))])
-        for combo in itertools.product(*choices):
-            mapping = {}
-            for (pts, comp), v in zip(combo, keys):
-                for chi, n in zip(pts, comp):
-                    mapping[(quiver.vertices[v], chi)] = n
-            covers.add(canonical(CoverVector(mapping)))
-    return sorted(covers, key=lambda c: c.items)
+def _box_oracle(Q, W, alpha, radius):
+    return count_and_candidates(Q, W, box_covers(Q, W, alpha, radius))
 
 
 def kronecker(n, a, b):
@@ -328,13 +244,13 @@ def kronecker(n, a, b):
 def test_enumerate_covers_matches_box_oracle_default_window(n, a, b):
     Q, W, alpha = kronecker(n, a, b)
     radius = default_window_radius(alpha, W)
-    assert enumerate_covers(Q, W, alpha, radius) == _enumerate_covers_box_oracle(Q, W, alpha, radius)
+    assert enumerate_covers(Q, W, alpha, radius) == _box_oracle(Q, W, alpha, radius)
 
 
 @pytest.mark.parametrize("n,a,b,radius", [(3, 2, 3, 0), (3, 2, 3, 1), (3, 2, 3, 2), (3, 3, 4, 2)])
 def test_enumerate_covers_matches_box_oracle_explicit_window(n, a, b, radius):
     Q, W, alpha = kronecker(n, a, b)
-    assert enumerate_covers(Q, W, alpha, radius) == _enumerate_covers_box_oracle(Q, W, alpha, radius)
+    assert enumerate_covers(Q, W, alpha, radius) == _box_oracle(Q, W, alpha, radius)
 
 
 def _subtorus_cycle():
@@ -352,9 +268,9 @@ def test_enumerate_covers_matches_box_oracle_subtorus():
     sizes = []
     for radius in (0, 1, 2, default_window_radius(alpha, W)):
         got = enumerate_covers(Q, W, alpha, radius)
-        assert got == _enumerate_covers_box_oracle(Q, W, alpha, radius)
-        sizes.append(len(got))
-    assert sizes == [0, 68, 73, 73]
+        assert got == _box_oracle(Q, W, alpha, radius)
+        sizes.append((got[0], len(got[1])))
+    assert sizes == [(0, 0), (68, 30), (73, 34), (73, 34)]
 
 
 def _random_quiver(rng):
@@ -378,12 +294,12 @@ def _random_quiver(rng):
 
 
 def test_enumerate_covers_matches_box_oracle_random_quivers():
-    # equal lists: the same classes, the same representatives, in the same
-    # order, and no class met twice
+    # the same number of classes, and equal candidate lists: the same
+    # representatives and dimensions, in the same order, none met twice
     rng = random.Random(101)
     for _ in range(400):
         Q, W, alpha, radius = _random_quiver(rng)
-        assert enumerate_covers(Q, W, alpha, radius) == _enumerate_covers_box_oracle(Q, W, alpha, radius)
+        assert enumerate_covers(Q, W, alpha, radius) == _box_oracle(Q, W, alpha, radius)
 
 
 def test_enumerate_covers_builds_each_cover_once(monkeypatch):
@@ -396,5 +312,5 @@ def test_enumerate_covers_builds_each_cover_once(monkeypatch):
 
     monkeypatch.setattr(CoverVector, "__init__", counting_init)
     Q, W, alpha = kronecker(3, 3, 5)
-    covers = enumerate_covers(Q, W, alpha, 2)
-    assert len(covers) == len(built) > 0
+    count, cands = enumerate_covers(Q, W, alpha, 2)
+    assert (count, len(cands), len(built)) == (1533, 158, 158)

@@ -17,7 +17,6 @@ from fixedloci.quiver import (
     ArrowWeights,
     CoverVector,
     Quiver,
-    component_dimension,
     default_window_radius,
     enumerate_covers,
     support_quiver,
@@ -38,6 +37,7 @@ from fixedloci.repfield import (
     structural_destabilizer,
     subspaces,
 )
+from quiver_oracles import box_covers
 from repfield_oracles import _iter_subrep_dimvectors as oracle_iter_subrep_dimvectors
 from repfield_oracles import is_semistable_rep, subrep_dimension_vectors
 from repfield_oracles import structural_destabilizer as oracle_structural_destabilizer
@@ -174,11 +174,7 @@ def test_cross_module_consistency_with_torus_stability():
     # for an all-ones cover the gauge group is a torus; King stability of a
     # 0/1 representation must match torus-level support stability
     Q, W, alpha, theta = kronecker3()
-    covers = [
-        c for c in enumerate_covers(Q, W, alpha, 2)
-        if all(n == 1 for _, n in c.items)
-        and component_dimension(Q, W, c) >= 0
-    ]
+    covers = [c for c, _ in enumerate_covers(Q, W, alpha, 2)[1] if all(n == 1 for _, n in c.items)]
     rng = random.Random(83)
     checked = 0
     for beta in covers[:8]:
@@ -220,9 +216,9 @@ def test_structural_destabilizer_soundness():
     # when a destabilizer is reported, random reps of that shape are never stable
     Q, W, alpha, theta = kronecker3()
     rng = random.Random(89)
-    covers = enumerate_covers(Q, W, alpha, 2)
     flagged = 0
-    for beta in covers:
+    # every cover, not only the candidates
+    for beta in box_covers(Q, W, alpha, 2):
         sq, dims = support_quiver(Q, W, beta)
         th = theta_hat(theta, sq.vertices)
         if sum(dims.values()) > 8:
@@ -362,8 +358,7 @@ def test_schofield_agrees_with_sampler(n, a, b, radius, counts):
     Q, W, alpha, theta = _kronecker(n, a, b)
     if radius is None:
         radius = default_window_radius(alpha, W)
-    cands = [c for c in enumerate_covers(Q, W, alpha, radius)
-             if c.items and component_dimension(Q, W, c) >= 0]
+    cands = [c for c, _ in enumerate_covers(Q, W, alpha, radius)[1]]
     seen = {Status.NONEMPTY_VERIFIED: 0, Status.EMPTY_VERIFIED: 0}
     for beta in cands:
         res = certify_component(Q, W, beta, theta)
