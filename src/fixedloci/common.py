@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import functools
 
 
 class Status(enum.Enum):
@@ -12,14 +13,16 @@ class Status(enum.Enum):
     EMPTY_VERIFIED = "EmptyVerified"
 
 
+@functools.cache
 def positive_compositions(n, k):
-    """Ordered k-tuples of positive integers summing to n."""
+    """Ordered k-tuples of positive integers summing to n, as a tuple.
+
+    Memoised on (n, k): cover enumeration asks for the same few pairs once
+    per support.
+    """
     if k == 0:
-        return [()] if n == 0 else []
+        return ((),) if n == 0 else ()
     if k == 1:
-        return [(n,)]
-    out = []
-    for first in range(1, n - k + 2):
-        for rest in positive_compositions(n - first, k - 1):
-            out.append((first,) + rest)
-    return out
+        return ((n,),)
+    return tuple((first,) + rest for first in range(1, n - k + 2)
+                 for rest in positive_compositions(n - first, k - 1))

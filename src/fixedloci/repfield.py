@@ -12,8 +12,11 @@ attached to a nonempty component as a witness when it is geometrically
 stable: stable over F_p with End(M) = F_p, so that no Galois-conjugate
 summands split it over the algebraic closure.  The status never rests
 on the witness.  King's inequalities are evaluated on F_p representations
-by a depth-first scan that extends only subspace tuples closed under the
-arrow maps.
+by a depth-first search for a destabilizing subrepresentation: it extends
+only subspace tuples closed under the arrow maps, cuts a branch once no
+completion of it can reach θ <= 0, and stops at the first destabilizer.
+Its plan (vertex order, subspace lists, arrow checks and θ bounds) is
+built once per component and serves all of that component's trials.
 """
 
 from __future__ import annotations
@@ -161,42 +164,76 @@ def check_prime(prime):
         raise TooLarge("modulus %d exceeds the guard %d" % (prime, DEFAULT_MAX_PRIME))
 
 
-def _iter_subrep_dimvectors(quiver: Quiver, M: RepFq):
-    """Yield the dimension vectors of all subrepresentations (with repeats).
+class KingScan:
+    """King's test for every F_p representation of one dimension vector.
 
-    Ordered by quiver.vertices.  The vertices take subspaces depth-first in
-    breadth-first order of the underlying graph; each arrow is checked as
-    soon as both its ends have a subspace, and a failed check prunes the
-    branch.  The image of every source subspace is computed once.
+    The plan is built once per (quiver, dims, prime, theta) and serves every
+    representation of those dimensions.  The vertices take subspaces
+    depth-first in breadth-first order of the underlying graph; each arrow
+    is checked as soon as both its ends have a subspace, and a failed check
+    prunes the branch.  The θ bound prunes too: with S the θ-weight of the
+    subspaces chosen so far, a branch is cut when S plus the least weight the
+    remaining vertices can add, Σ min(0, θ_v d_v), is still positive, since
+    no completion of it can destabilize.  The bound holds for any θ.
     """
-    p, dims, order, head = M.prime, dict(M.dims), [], 0
-    ends = [(a.src, a.tgt) for a in quiver.arrows] + [(a.tgt, a.src) for a in quiver.arrows]
-    for root in quiver.vertices:  # breadth-first; order[head:] is the queue
-        order += [] if root in order else [root]
-        while head < len(order):
-            order += [u for u in dict.fromkeys(u for s, u in ends if s == order[head]) if u not in order]
-            head += 1
-    depth = {v: k for k, v in enumerate(order)}
-    spaces = [subspaces(dims.get(v, 0), p) for v in order]
-    checks = [[] for _ in order]  # the arrows whose later end is order[k]
-    for a in quiver.arrows:
-        mat, s, t = M.mat_of(a.id), depth[a.src], depth[a.tgt]
-        images = [[x for x in (gf_matvec(mat, row, p) for row in S) if any(x)] for S in spaces[s]]
-        checks[max(s, t)].append((s, t, images))
-    out, chosen, gamma, k = [depth[v] for v in quiver.vertices], [-1] * len(order), [0] * len(order), 0
-    while k >= 0:
-        if k == len(order):
-            yield tuple(map(gamma.__getitem__, out))
-            k -= 1
-        elif chosen[k] + 1 == len(spaces[k]):
-            chosen[k] = -1
-            k -= 1
-        else:
-            chosen[k] += 1
-            if all(gf_in_span(spaces[t][chosen[t]], row, p)
-                   for s, t, images in checks[k] for row in images[chosen[s]]):
-                gamma[k] = len(spaces[k][chosen[k]])
-                k += 1
+
+    def __init__(self, quiver: Quiver, dims, prime, theta):
+        check_guard(dims, prime)
+        order, head = [], 0
+        ends = [(a.src, a.tgt) for a in quiver.arrows] + [(a.tgt, a.src) for a in quiver.arrows]
+        for root in quiver.vertices:  # breadth-first; order[head:] is the queue
+            order += [] if root in order else [root]
+            while head < len(order):
+                order += [u for u in dict.fromkeys(u for s, u in ends if s == order[head]) if u not in order]
+                head += 1
+        depth = {v: k for k, v in enumerate(order)}
+        self.prime = prime
+        self.full = [int(dims.get(v, 0)) for v in order]
+        self.spaces = [subspaces(d, prime) for d in self.full]
+        self.checks = [[] for _ in order]  # (arrow id, source, target) by depth of the later end
+        for a in quiver.arrows:
+            s, t = depth[a.src], depth[a.tgt]
+            self.checks[max(s, t)].append((a.id, s, t))
+        self.theta = [int(theta.get(v, 0)) for v in order]
+        self.least = [0] * (len(order) + 1)  # least θ-weight of the vertices from depth k on
+        for k in reversed(range(len(order))):
+            self.least[k] = self.least[k + 1] + min(0, self.theta[k] * self.full[k])
+        self.out = [depth[v] for v in quiver.vertices]
+
+    def destabilizer(self, M: RepFq):
+        """The dimension vector of a proper nonzero subrepresentation of M
+        with θ <= 0, ordered by quiver.vertices, or None when M is stable.
+
+        The arrow images of a source subspace are computed when a branch
+        first needs them, once per representation.
+        """
+        p, spaces, theta, least, n = self.prime, self.spaces, self.theta, self.least, len(self.spaces)
+        images = {a: [None] * len(spaces[s]) for c in self.checks for a, s, _ in c}
+
+        def image(a, s, i):  # the nonzero images of subspace i of depth s under arrow a
+            if images[a][i] is None:
+                mat = M.mat_of(a)
+                images[a][i] = [x for x in (gf_matvec(mat, row, p) for row in spaces[s][i]) if any(x)]
+            return images[a][i]
+
+        chosen, partial, k = [-1] * n, [0] * (n + 1), 0
+        while k >= 0:
+            if k == n:
+                gamma = [len(spaces[j][chosen[j]]) for j in range(n)]
+                if any(gamma) and gamma != self.full:
+                    return tuple(map(gamma.__getitem__, self.out))
+                k -= 1
+            elif chosen[k] + 1 == len(spaces[k]):
+                chosen[k] = -1
+                k -= 1
+            else:
+                chosen[k] += 1
+                partial[k + 1] = partial[k] + theta[k] * len(spaces[k][chosen[k]])
+                if partial[k + 1] + least[k + 1] <= 0 and \
+                        all(gf_in_span(spaces[t][chosen[t]], row, p)
+                            for a, s, t in self.checks[k] for row in image(a, s, chosen[s])):
+                    k += 1
+        return None
 
 
 def _theta_vec(quiver, theta):
@@ -204,12 +241,9 @@ def _theta_vec(quiver, theta):
 
 
 def is_stable_rep(quiver: Quiver, M: RepFq, theta) -> bool:
-    """King's strict inequality on proper nonzero subrepresentations."""
-    check_guard(dict(M.dims), M.prime)
-    tv = _theta_vec(quiver, theta)
-    trivial = tuple(0 for _ in quiver.vertices), tuple(dict(M.dims).get(v, 0) for v in quiver.vertices)
-    return all(sum(map(operator.mul, tv, gamma)) > 0
-               for gamma in _iter_subrep_dimvectors(quiver, M) if gamma not in trivial)
+    """King's strict inequality on proper nonzero subrepresentations, by a
+    KingScan planned for this one call."""
+    return KingScan(quiver, dict(M.dims), M.prime, theta).destabilizer(M) is None
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +401,10 @@ def certify_component(quiver: Quiver, weights: ArrowWeights, beta: CoverVector, 
         return Certification(Status.EMPTY_VERIFIED, method,
                              destabilizer=tuple(sorted(dest.items())))
 
-    comp_key = repr(beta.items)
+    comp_key, king = repr(beta.items), KingScan(sq, dims, prime, th)
     for trial in range(trials):
         rng = random.Random("%s:%s:%d" % (seed, comp_key, trial))
         M = random_rep(sq, dims, prime, rng)
-        if is_stable_rep(sq, M, th) and endomorphism_dim(sq, M) == 1:
+        if king.destabilizer(M) is None and endomorphism_dim(sq, M) == 1:
             return Certification(Status.NONEMPTY_VERIFIED, method, witness=M, witness_trial=trial)
     return Certification(Status.NONEMPTY_VERIFIED, method)

@@ -24,8 +24,8 @@ from fixedloci.quiver import (
 )
 from fixedloci.repfield import (
     GenericSubdims,
+    KingScan,
     RepFq,
-    _iter_subrep_dimvectors,
     certify_component,
     check_prime,
     endomorphism_dim,
@@ -548,21 +548,27 @@ def _random_rep_case(rng):
 
 
 def test_pruned_scan_matches_product_oracle():
+    """The first destabilizer the scan returns is a proper nonzero
+    subrepresentation dimension vector with θ <= 0, and it returns None
+    exactly when the product scan finds none.  Each case runs with a random
+    θ and with that θ moved onto the wall θ·β = 0, as theta_hat gives it on
+    a cover, where the θ bound cuts most."""
     rng = random.Random(101)
     seen = collections.Counter()
     for _ in range(2000):
         Q, M = _random_rep_case(rng)
-        got = set(_iter_subrep_dimvectors(Q, M))
-        want = set(oracle_iter_subrep_dimvectors(Q, M))
-        assert got == want, (Q, M)
-        full = tuple(dict(M.dims)[v] for v in Q.vertices)
-        zero = tuple(0 for _ in Q.vertices)
-        theta = {v: rng.randint(-3, 3) for v in Q.vertices}
-        stable = all(sum(theta[v] * g for v, g in zip(Q.vertices, gamma)) > 0
-                     for gamma in want if gamma not in (zero, full))
-        assert is_stable_rep(Q, M, theta) == stable, (Q, M, theta)
-        seen[stable] += 1
         dims = dict(M.dims)
+        trivial = tuple(0 for _ in Q.vertices), tuple(dims[v] for v in Q.vertices)
+        subreps = set(oracle_iter_subrep_dimvectors(Q, M)) - set(trivial)
+        theta = {v: rng.randint(-3, 3) for v in Q.vertices}
+        pairing = sum(theta[v] * dims[v] for v in Q.vertices)
+        on_wall = {v: sum(dims.values()) * theta[v] - pairing for v in Q.vertices}
+        for kind, th in (("random", theta), ("wall", on_wall)):
+            want = {g for g in subreps if sum(th[v] * x for v, x in zip(Q.vertices, g)) <= 0}
+            got = KingScan(Q, dims, M.prime, th).destabilizer(M)
+            assert (got in want) if want else got is None, (Q, M, th, got)
+            assert is_stable_rep(Q, M, th) == (got is None)
+            seen[kind, got is None] += 1
         seen["loop"] += any(a.src == a.tgt for a in Q.arrows)
         pairs = {(a.src, a.tgt) for a in Q.arrows}
         seen["2-cycle"] += any(s != t and (t, s) in pairs for s, t in pairs)
@@ -572,7 +578,25 @@ def test_pruned_scan_matches_product_oracle():
         seen["total 8"] += sum(dims.values()) == 8
         seen[M.prime] += 1
     assert min(seen.values()) >= 50, seen
-    assert list(_iter_subrep_dimvectors(Quiver((), ()), RepFq.build(5, {}, {}))) == [()]
+    assert KingScan(Quiver((), ()), {}, 5, {}).destabilizer(RepFq.build(5, {}, {})) is None
+
+
+def test_king_scan_bound_edges():
+    # a simple representation at θ = 0: x^2 - 2 is irreducible over F_5, so
+    # the loop fixes no line; the bound cuts nothing and no leaf destabilizes
+    Q = Quiver(("1",), (Arrow("a", "1", "1"),))
+    M = RepFq.build(5, {"1": 2}, {"a": [[0, 2], [1, 0]]})
+    assert subrep_dimension_vectors(Q, M) == {(0,), (2,)}
+    assert KingScan(Q, {"1": 2}, 5, {"1": 0}).destabilizer(M) is None
+    # the scan takes vertex 1 first; its only destabilizer, (1, 1), has
+    # θ-weight 1 > 0 there and is decided by θ_2 = -2 at the last vertex
+    Q = Quiver(("1", "2"), (Arrow("a", "2", "1"),))
+    M = RepFq.build(5, {"1": 2, "2": 1}, {"a": [[1], [0]]})
+    theta = {"1": 1, "2": -2}
+    assert {g for g in subrep_dimension_vectors(Q, M) - {(0, 0), (2, 1)}
+            if g[0] - 2 * g[1] <= 0} == {(1, 1)}
+    assert KingScan(Q, {"1": 2, "2": 1}, 5, theta).destabilizer(M) == (1, 1)
+    assert not is_stable_rep(Q, M, theta)
 
 
 def test_structural_destabilizer_matches_combinations_oracle():
@@ -592,7 +616,9 @@ def test_structural_destabilizer_matches_combinations_oracle():
 
 def test_king_scan_checks_only_closed_prefixes(monkeypatch, tmp_path):
     """The arrow-closure checks (gf_in_span calls) of one CLI run of K3(3,4)
-    at window 2: 6,826, against 25,188 for the full product scan."""
+    at window 2: 3,712 with the θ bound and the stop at the first
+    destabilizer, against 6,826 for the closed-prefix scan of every
+    subrepresentation and 25,188 for the full product scan."""
     calls = []
 
     def counted(rows, vec, p):
@@ -608,7 +634,7 @@ def test_king_scan_checks_only_closed_prefixes(monkeypatch, tmp_path):
         "alpha": alpha, "theta": theta}))
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["quiver", str(path), "--window", "2"]) == 0
-    assert len(calls) == 6826
+    assert len(calls) == 3712
 
 
 def test_check_prime_matches_trial_division():
