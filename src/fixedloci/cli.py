@@ -29,7 +29,6 @@ from .hmtorus import WeightItem, WeightedAction, kempf_data
 from .quiver import (
     Arrow,
     ArrowWeights,
-    CoverVector,
     Quiver,
     check_stability_pairing,
     default_window_radius,
@@ -97,13 +96,17 @@ def _schema_errors(value, schema, path=()):
 
 def load_problem(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ValidationError("cannot read %s: %s" % (path, exc))
+    except UnicodeDecodeError as exc:
+        raise ValidationError("%s: not UTF-8 text: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise ValidationError("%s: invalid JSON at line %d column %d: %s"
                               % (path, exc.lineno, exc.colno, exc.msg))
+    except RecursionError:
+        raise ValidationError("%s: JSON nested too deeply" % path)
     error = min(_schema_errors(data, _problem_schema()), key=lambda e: e[0], default=None)
     if error:
         loc = "/".join(str(p) for p in error[0]) or "(root)"
@@ -129,6 +132,8 @@ def _json_flag(flag, text, *path):
         value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError("%s: invalid JSON at column %d: %s" % (flag, exc.colno, exc.msg))
+    except RecursionError:
+        raise ValidationError("%s: JSON nested too deeply" % flag)
     return _check_flag(flag, value, "weights", *path)
 
 
@@ -266,9 +271,9 @@ def _quiver_report(data, seed, prime, trials, window):
 
     comp_json = []
     for (c, dim), r in zip(cands, results):
-        blocks = sorted(n for _, n in c.items)
+        blocks = sorted(n for _, n in c)
         comp_json.append({
-            "beta": [[_point_json(k), n] for k, n in c.items],
+            "beta": [[_point_json(k), n] for k, n in c],
             "dimension": dim,
             "g_rho": "torus" if all(n == 1 for n in blocks) else blocks,
             "status": r.status.value,
@@ -323,7 +328,7 @@ def _kempf_report(data, support=None, inner_product=None):
     action = _action_from_data(data, "items")
     if support is None:
         support = data["support"] if "support" in data else action.indices()
-    support = [tuple(p) for p in support]
+    support = [tuple(int(x) for x in p) for p in support]
     if inner_product is None:
         inner_product = data.get("options", {}).get("inner_product")
     mv, lam, cone = kempf_data(action, support, inner_product)
@@ -442,7 +447,7 @@ def render_dot(report):
         data = report["input"]
         Q, W, _alpha, _theta = _quiver_from_data(data)
         points = {(pt[0], tuple(pt[1])) for c in report["components"] for pt, _n in c["beta"]}
-        sq, _ = support_quiver(Q, W, CoverVector({pt: 1 for pt in points}))
+        sq, _ = support_quiver(Q, W, tuple((pt, 1) for pt in sorted(points)))
         out = ["digraph cover_supports {"]
         names = {}
         for pt in sq.vertices:

@@ -4,7 +4,8 @@ The covering quiver lives on Q_0 x Z^aux with an arrow (a, chi) from
 (src a, chi) to (tgt a, chi + w_a) for the chosen arrow grading w.  A cover
 of the dimension vector alpha is a dimension vector on the covering quiver
 whose column sums reproduce alpha; covers are enumerated with connected
-support, one representative per translation class.
+support, one representative per translation class.  A cover is the sorted
+tuple of its ((vertex, grade), n) pairs, n > 0.
 """
 
 from __future__ import annotations
@@ -82,36 +83,6 @@ def check_stability_pairing(theta, alpha):
         raise ValidationError("theta . alpha = %d, expected 0" % val)
 
 
-class CoverVector:
-    """Dimension vector on the covering quiver: (vertex, chi) -> positive int."""
-
-    __slots__ = ("items",)
-
-    def __init__(self, mapping):
-        items = []
-        for (v, chi), n in mapping.items() if isinstance(mapping, dict) else mapping:
-            n = int(n)
-            if n <= 0:
-                raise ValidationError("cover entries must be positive")
-            items.append(((v, tuple(int(x) for x in chi)), n))
-        self.items = tuple(sorted(items))
-
-    def as_dict(self):
-        return dict(self.items)
-
-    def support(self):
-        return tuple(k for k, _ in self.items)
-
-    def __eq__(self, other):
-        return isinstance(other, CoverVector) and self.items == other.items
-
-    def __hash__(self):
-        return hash(self.items)
-
-    def __repr__(self):
-        return "CoverVector(%r)" % (list(self.items),)
-
-
 # ---------------------------------------------------------------------------
 # the grading window
 
@@ -147,10 +118,12 @@ def _covering_arrows(quiver: Quiver, weights: ArrowWeights, pts):
                     yield a, p, q
 
 
-def support_quiver(quiver: Quiver, weights: ArrowWeights, beta: CoverVector):
-    """The finite quiver on the support of a cover: (support quiver, dims dict)."""
-    arrows = tuple(Arrow((a.id, p[1]), p, q) for a, p, q in _covering_arrows(quiver, weights, beta.as_dict()))
-    return Quiver(beta.support(), arrows), beta.as_dict()
+def support_quiver(quiver: Quiver, weights: ArrowWeights, beta):
+    """The finite quiver on the support of a cover, given as its sorted
+    ((vertex, grade), n) tuple: (support quiver, dims dict)."""
+    dims = dict(beta)
+    arrows = tuple(Arrow((a.id, p[1]), p, q) for a, p, q in _covering_arrows(quiver, weights, dims))
+    return Quiver(tuple(dims), arrows), dims
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +131,13 @@ def support_quiver(quiver: Quiver, weights: ArrowWeights, beta: CoverVector):
 
 def enumerate_covers(quiver: Quiver, weights: ArrowWeights, alpha, radius):
     """(number of covers of alpha with connected support inside the window,
-    the candidates among them as (cover, dimension) pairs sorted by cover).
+    the candidates among them as (cover, dimension) pairs sorted by cover,
+    each cover its sorted ((vertex, grade), n) tuple).
 
     The dimension of cover b's component, for a free quotient, is the sum of
     b_p b_q over its covering arrows p -> q, minus the sum of b_p^2, plus 1.
-    Candidates have dimension >= 0; only they are built.  alpha = 0 has one
-    cover, the empty one, and no candidate.
+    Candidates have dimension >= 0; only their tuples are built.  alpha = 0
+    has one cover, the empty one, and no candidate.
 
     The window of radius R admits every support that spans at most 2R in
     each grade coordinate, equivalently one that a translation carries into
@@ -239,5 +213,6 @@ def enumerate_covers(quiver: Quiver, weights: ArrowWeights, alpha, radius):
             count += 1
             dim = sum(b[i] * b[j] for i, j in pairs) - sum(n * n for n in b) + 1
             if dim >= 0:
-                kept.append((CoverVector(zip(pts, b)), dim))
-    return count, sorted(kept, key=lambda cd: cd[0].items)
+                kept.append((tuple(zip(pts, b)), dim))
+    # covers are distinct, so this sorts by cover
+    return count, sorted(kept)

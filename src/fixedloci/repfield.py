@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .common import Status
 from .errors import TooLarge, ValidationError
-from .quiver import ArrowWeights, CoverVector, Quiver, support_quiver, theta_hat
+from .quiver import ArrowWeights, Quiver, support_quiver, theta_hat
 
 DEFAULT_MAX_TOTAL_DIM = 8
 DEFAULT_MAX_PRIME = 5
@@ -376,9 +376,10 @@ class Certification:
     destabilizer: tuple | None = None
 
 
-def certify_component(quiver: Quiver, weights: ArrowWeights, beta: CoverVector, theta,
+def certify_component(quiver: Quiver, weights: ArrowWeights, beta, theta,
                       trials=200, prime=5, seed=0) -> Certification:
-    """Certify (non)emptiness of the stable locus a cover describes.
+    """Certify (non)emptiness of the stable locus a cover describes, the
+    cover given as its sorted ((vertex, grade), n) tuple.
 
     In order: a structural destabilizer proves emptiness; without one a thin
     cover is nonempty; every other cover is decided by generic_destabilizer.
@@ -401,7 +402,7 @@ def certify_component(quiver: Quiver, weights: ArrowWeights, beta: CoverVector, 
         return Certification(Status.EMPTY_VERIFIED, method,
                              destabilizer=tuple(sorted(dest.items())))
 
-    comp_key, king = repr(beta.items), KingScan(sq, dims, prime, th)
+    comp_key, king = repr(beta), KingScan(sq, dims, prime, th)
     for trial in range(trials):
         rng = random.Random("%s:%s:%d" % (seed, comp_key, trial))
         M = random_rep(sq, dims, prime, rng)

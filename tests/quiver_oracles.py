@@ -1,5 +1,7 @@
 """Cover helpers that only the quiver tests use.
 
+A cover is the sorted tuple of its ((vertex, grade), n) pairs, as
+`enumerate_covers` returns it; `cover` builds one from a mapping.
 `is_cover_of` checks the column sums of a cover, `support_is_connected`
 walks its support quiver, `translate` and `canonical` pick a cover's
 representative in its translation class independently of the enumerator,
@@ -17,34 +19,39 @@ import itertools
 
 from fixedloci.common import positive_compositions
 from fixedloci.errors import DimMismatch
-from fixedloci.quiver import ArrowWeights, CoverVector, Quiver, support_quiver
+from fixedloci.quiver import ArrowWeights, Quiver, support_quiver
 
 
-def is_cover_of(beta: CoverVector, alpha):
+def cover(mapping):
+    """The cover with these (vertex, grade) -> n entries."""
+    return tuple(sorted(mapping.items()))
+
+
+def is_cover_of(beta, alpha):
     totals = {}
-    for (v, _), n in beta.items:
+    for (v, _), n in beta:
         totals[v] = totals.get(v, 0) + n
     return all(totals.get(v, 0) == int(alpha.get(v, 0)) for v in set(alpha) | set(totals))
 
 
-def translate(beta: CoverVector, xi) -> CoverVector:
-    return CoverVector({(v, tuple(c + x for c, x in zip(chi, xi))): n for (v, chi), n in beta.items})
+def translate(beta, xi):
+    return cover({(v, tuple(c + x for c, x in zip(chi, xi))): n for (v, chi), n in beta})
 
 
-def canonical(beta: CoverVector) -> CoverVector:
+def canonical(beta):
     """Shift so the lex-least support point sits at grade zero.
 
     Translation acts freely on nonempty supports, so this representative
     is unique in the translation class.
     """
-    if not beta.items:
+    if not beta:
         return beta
-    (_, chi0), _ = min(beta.items)
+    (_, chi0), _ = min(beta)
     return translate(beta, tuple(-c for c in chi0))
 
 
-def support_is_connected(quiver: Quiver, weights: ArrowWeights, beta: CoverVector) -> bool:
-    pts = list(beta.support())
+def support_is_connected(quiver: Quiver, weights: ArrowWeights, beta) -> bool:
+    pts = [p for p, _ in beta]
     if not pts:
         return True
     sq, _ = support_quiver(quiver, weights, beta)
@@ -78,7 +85,7 @@ def box_covers(quiver: Quiver, weights: ArrowWeights, alpha, radius):
     alpha = {v: int(alpha.get(v, 0)) for v in quiver.vertices}
     supp_pos = [i for i, v in enumerate(quiver.vertices) if alpha[v] > 0]
     if not supp_pos:
-        return [CoverVector({})]
+        return [()]
     total = sum(alpha.values())
     limits = {i: alpha[quiver.vertices[i]] for i in range(len(quiver.vertices))}
 
@@ -147,14 +154,14 @@ def box_covers(quiver: Quiver, weights: ArrowWeights, alpha, radius):
             for (pts, comp), v in zip(combo, keys):
                 for chi, n in zip(pts, comp):
                     mapping[(quiver.vertices[v], chi)] = n
-            covers.add(canonical(CoverVector(mapping)))
-    return sorted(covers, key=lambda c: c.items)
+            covers.add(canonical(cover(mapping)))
+    return sorted(covers)
 
 
-def cover_dimension(quiver: Quiver, weights: ArrowWeights, beta: CoverVector) -> int:
+def cover_dimension(quiver: Quiver, weights: ArrowWeights, beta) -> int:
     """dim of the component a nonzero cover describes, assuming a free
     quotient: (arrow-block sizes) - (sum of squares) + 1."""
-    b = beta.as_dict()
+    b = dict(beta)
     blocks = 0
     for a in quiver.arrows:
         w = weights.of(a.id)
@@ -167,8 +174,7 @@ def cover_dimension(quiver: Quiver, weights: ArrowWeights, beta: CoverVector) ->
 def count_and_candidates(quiver: Quiver, weights: ArrowWeights, covers):
     """(number of covers, sorted (cover, dimension) pairs of the nonzero
     covers with dimension >= 0), from the list of every cover."""
-    dims = [(c, cover_dimension(quiver, weights, c)) for c in sorted(covers, key=lambda c: c.items)
-            if c.items]
+    dims = [(c, cover_dimension(quiver, weights, c)) for c in sorted(covers) if c]
     return len(covers), [(c, d) for c, d in dims if d >= 0]
 
 
@@ -187,14 +193,14 @@ def weyl_canonical(rho, blocks):
     return tuple(out)
 
 
-def covers_to_rho(quiver: Quiver, beta: CoverVector, aux_rank: int):
+def covers_to_rho(quiver: Quiver, beta, aux_rank: int):
     """Diagonal torus morphism matrix from a cover: one row per basis slot,
     the grade of the slot in Z^aux_rank, rows grouped by vertex and sorted
     within blocks."""
     rows = []
     for v in quiver.vertices:
         grades = []
-        for (u, chi), n in beta.items:
+        for (u, chi), n in beta:
             if u == v:
                 grades.extend([chi] * n)
         rows.extend(sorted(grades))
@@ -203,7 +209,7 @@ def covers_to_rho(quiver: Quiver, beta: CoverVector, aux_rank: int):
     return tuple(rows)
 
 
-def rho_to_cover(quiver: Quiver, rho, alpha) -> CoverVector:
+def rho_to_cover(quiver: Quiver, rho, alpha):
     """Cover from a diagonal morphism matrix: multiplicity of each grade row
     per vertex block."""
     counts = {}
@@ -215,4 +221,4 @@ def rho_to_cover(quiver: Quiver, rho, alpha) -> CoverVector:
             at += 1
     if at != len(rho):
         raise DimMismatch("rho has %d rows, alpha needs %d" % (len(rho), at))
-    return CoverVector(counts)
+    return cover(counts)

@@ -25,7 +25,7 @@ from fixedloci.hmtorus import (
     limit_cone,
 )
 from fixedloci.linalg import dot
-from fixedloci.quiver import ArrowWeights, CoverVector, enumerate_covers
+from fixedloci.quiver import ArrowWeights, enumerate_covers
 from fixedloci.simplex import feasible_nonneg
 from fixedloci.toric import quotient_fan, toric_context
 from lp_oracle import is_semistable_support
@@ -139,7 +139,7 @@ def test_criterion_3_ambient_dimension():
     with criterion(3, "ambient moduli dimension"):
         Q, _W, alpha, _theta = kronecker3()
         W0 = ArrowWeights.from_dict(0, {"a": (), "b": (), "c": ()})
-        trivial = CoverVector({("1", ()): 2, ("2", ()): 3})
+        trivial = ((("1", ()), 2), (("2", ()), 3))
         assert enumerate_covers(Q, W0, alpha, 0) == (1, [(trivial, 6)])
 
 

@@ -185,6 +185,20 @@ def test_kempf_support_flag(tmp_path, capsys):
     assert json.loads(out)["kempf"]["support"] == [[0, 0]]
 
 
+def test_kempf_integral_float_support(tmp_path, capsys):
+    # the schema takes 1.0 as an integer; the report prints it as 1
+    doubled = dict(KEMPF, items=[{"chi": [1, 0], "mult": 2}])
+    f = write(tmp_path, "w.json", dict(doubled, support=[[0.0, 0]]))
+    code, out, err = run(["kempf", f], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["kempf"]["support"] == [[0, 0]]
+    f = write(tmp_path, "w2.json", doubled)
+    code, out, err = run(["kempf", f, "--support", "[[0, 1.0]]"], capsys)
+    assert (code, err) == (0, "")
+    support = json.loads(out)["kempf"]["support"]
+    assert support == [[0, 1]] and all(type(x) is int for x in support[0])
+
+
 def test_kempf_inner_product_flag(tmp_path, capsys):
     f = write(tmp_path, "w.json", KEMPF)
     code, out, _ = run(["kempf", f, "--inner-product", "[[2,0],[0,1]]"], capsys)
@@ -310,6 +324,18 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert "invalid JSON" in err
 
 
+@pytest.mark.parametrize("content,message", [
+    pytest.param(b'\xff\xfe{"kind": "toric"}', "not UTF-8 text", id="utf16-bom"),
+    pytest.param(b"[" * 100000, "JSON nested too deeply", id="deep"),
+])
+def test_undecodable_problem_file_exits_2(tmp_path, capsys, content, message):
+    p = tmp_path / "odd.json"
+    p.write_bytes(content)
+    code, out, err = run(["toric", str(p)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("validation error: %s: %s" % (p, message)) and err.count("\n") == 1
+
+
 def test_kind_mismatch_exits_2(tmp_path, capsys):
     f = write(tmp_path, "g.json", GRASS)
     code, _, err = run(["toric", f], capsys)
@@ -379,6 +405,8 @@ def test_bad_quiver_flags_exit_2(tmp_path, capsys, flags):
 @pytest.mark.parametrize("flag,text", [
     ("--support", "[[0,0"), ("--inner-product", "[[1"),
     ("--support", "[1]"), ("--inner-product", '[[1, 0], [0, "a"]]'),
+    pytest.param("--support", "[" * 100000, id="--support-deep"),
+    pytest.param("--inner-product", "[" * 100000, id="--inner-product-deep"),
 ])
 def test_kempf_bad_json_flag_exits_2(tmp_path, capsys, flag, text):
     f = write(tmp_path, "w.json", KEMPF)

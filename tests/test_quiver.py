@@ -7,7 +7,6 @@ from fixedloci.errors import ValidationError
 from fixedloci.quiver import (
     Arrow,
     ArrowWeights,
-    CoverVector,
     Quiver,
     check_stability_pairing,
     default_window_radius,
@@ -18,6 +17,7 @@ from quiver_oracles import (
     box_covers,
     canonical,
     count_and_candidates,
+    cover,
     covers_to_rho,
     is_cover_of,
     rho_to_cover,
@@ -37,9 +37,9 @@ def test_window_examples():
     # 1) joins nothing; a weight-0 grading puts a copy of A2 at each grade
     Q, W = a2_quiver()
     assert enumerate_covers(Q, W, {"1": 1, "2": 1}, 0) == (0, [])
-    assert enumerate_covers(Q, W, {"1": 1, "2": 0}, 0) == (1, [(CoverVector({("1", (0,)): 1}), 0)])
+    assert enumerate_covers(Q, W, {"1": 1, "2": 0}, 0) == (1, [(cover({("1", (0,)): 1}), 0)])
     W0 = ArrowWeights.from_dict(1, {"a": (0,)})
-    same_grade = CoverVector({("1", (0,)): 1, ("2", (0,)): 1})
+    same_grade = cover({("1", (0,)): 1, ("2", (0,)): 1})
     assert enumerate_covers(Q, W0, {"1": 1, "2": 1}, 0) == (1, [(same_grade, 0)])
     assert enumerate_covers(Q, W0, {"1": 1, "2": 1}, 1) == (1, [(same_grade, 0)])
 
@@ -54,7 +54,7 @@ def test_enumerate_covers_a2():
     Q, W = a2_quiver()
     count, cands = enumerate_covers(Q, W, {"1": 1, "2": 1}, 2)
     assert count == len(cands) == 1
-    assert cands[0][0].items == ((("1", (0,)), 1), (("2", (1,)), 1))
+    assert cands[0][0] == ((("1", (0,)), 1), (("2", (1,)), 1))
 
 
 def test_enumerate_covers_zero_alpha():
@@ -70,25 +70,26 @@ def test_enumerate_covers_brute_force_a2():
     expected = set()
     for c1 in range(-2, 3):
         for c2 in range(-2, 3):
-            beta = CoverVector({("1", (c1,)): 1, ("2", (c2,)): 1})
+            beta = cover({("1", (c1,)): 1, ("2", (c2,)): 1})
             if support_is_connected(Q, W, beta):
                 expected.add(canonical(beta))
     assert enumerate_covers(Q, W, {"1": 1, "2": 1}, 2) == count_and_candidates(Q, W, list(expected))
 
 
 def test_cover_sums_and_connectivity():
-    Q, W, alpha, _theta = kronecker3()
-    count, cands = enumerate_covers(Q, W, alpha, 2)
-    assert (count, len(cands)) == (55, 19)
-    for c, _ in cands:
-        assert is_cover_of(c, alpha)
-        assert support_is_connected(Q, W, c)
-        # union-find oracle for connectivity
-        assert _union_find_connected(Q, W, c)
+    # K3(2,3) and K3(3,5) at window 2
+    for (Q, W, alpha), sizes in [(kronecker3()[:3], (55, 19)), (kronecker(3, 3, 5), (1533, 158))]:
+        count, cands = enumerate_covers(Q, W, alpha, 2)
+        assert (count, len(cands)) == sizes
+        for c, _ in cands:
+            assert is_cover_of(c, alpha)
+            assert support_is_connected(Q, W, c)
+            # union-find oracle for connectivity
+            assert _union_find_connected(Q, W, c)
 
 
 def _union_find_connected(Q, W, beta):
-    pts = list(beta.support())
+    pts = [p for p, _ in beta]
     if not pts:
         return True
     parent = {p: p for p in pts}
@@ -129,8 +130,8 @@ def test_theta_hat():
     Q, W, alpha, theta = kronecker3()
     _, cands = enumerate_covers(Q, W, alpha, 2)
     for c, _ in cands[:10]:
-        th = theta_hat(theta, c.support())
-        assert sum(th[k] * n for k, n in c.items) == 0
+        th = theta_hat(theta, [p for p, _ in c])
+        assert sum(th[k] * n for k, n in c) == 0
         for (v, chi), val in th.items():
             assert val == theta[v]
     assert theta_hat({"1": 0, "2": 0}, [("1", (0,))]) == {("1", (0,)): 0}
@@ -146,14 +147,14 @@ def test_component_dimension_examples():
     # the dimensions come with the candidates from enumerate_covers
     Q, _W, alpha, _theta = kronecker3()
     W0 = ArrowWeights.from_dict(0, {"a": (), "b": (), "c": ()})
-    triv = CoverVector({("1", ()): 2, ("2", ()): 3})
+    triv = cover({("1", ()): 2, ("2", ()): 3})
     assert enumerate_covers(Q, W0, alpha, 0) == (1, [(triv, 6)])
 
     A2, WA = a2_quiver()
-    unit = CoverVector({("1", (0,)): 1, ("2", (1,)): 1})
+    unit = cover({("1", (0,)): 1, ("2", (1,)): 1})
     assert enumerate_covers(A2, WA, {"1": 1, "2": 1}, 2) == (1, [(unit, 0)])
 
-    single = CoverVector({("1", (0,)): 1})
+    single = cover({("1", (0,)): 1})
     assert enumerate_covers(A2, WA, {"1": 1, "2": 0}, 0) == (1, [(single, 0)])
 
 
@@ -169,7 +170,7 @@ def test_weyl_canonical():
 
 def test_covers_to_rho_examples():
     Q, W, alpha, _ = kronecker3()
-    type1 = CoverVector({
+    type1 = cover({
         ("1", (0, 0, 0)): 2,
         ("2", (1, 0, 0)): 1, ("2", (0, 1, 0)): 1, ("2", (0, 0, 1)): 1,
     })
@@ -179,7 +180,7 @@ def test_covers_to_rho_examples():
 
     trivial = ((0, 0, 0),) * 5
     cov = rho_to_cover(Q, trivial, alpha)
-    assert cov.items == ((("1", (0, 0, 0)), 2), (("2", (0, 0, 0)), 3))
+    assert cov == ((("1", (0, 0, 0)), 2), (("2", (0, 0, 0)), 3))
 
 
 def test_cover_rho_roundtrip_random():
@@ -210,7 +211,7 @@ def test_reversed_quadruple_same_class():
         def neg(v):
             return tuple(-x for x in v)
 
-        return CoverVector({
+        return cover({
             ("1", (0, 0, 0)): 1,
             ("1", add(e[m2], neg(e[m3]))): 1,
             ("2", e[m1]): 1,
@@ -300,17 +301,3 @@ def test_enumerate_covers_matches_box_oracle_random_quivers():
     for _ in range(400):
         Q, W, alpha, radius = _random_quiver(rng)
         assert enumerate_covers(Q, W, alpha, radius) == _box_oracle(Q, W, alpha, radius)
-
-
-def test_enumerate_covers_builds_each_cover_once(monkeypatch):
-    built = []
-    init = CoverVector.__init__
-
-    def counting_init(self, mapping):
-        built.append(1)
-        init(self, mapping)
-
-    monkeypatch.setattr(CoverVector, "__init__", counting_init)
-    Q, W, alpha = kronecker(3, 3, 5)
-    count, cands = enumerate_covers(Q, W, alpha, 2)
-    assert (count, len(cands), len(built)) == (1533, 158, 158)

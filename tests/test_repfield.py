@@ -15,7 +15,6 @@ from fixedloci.hmtorus import WeightItem, WeightedAction, is_stable_support
 from fixedloci.quiver import (
     Arrow,
     ArrowWeights,
-    CoverVector,
     Quiver,
     default_window_radius,
     enumerate_covers,
@@ -37,7 +36,7 @@ from fixedloci.repfield import (
     structural_destabilizer,
     subspaces,
 )
-from quiver_oracles import box_covers
+from quiver_oracles import box_covers, cover
 from repfield_oracles import _iter_subrep_dimvectors as oracle_iter_subrep_dimvectors
 from repfield_oracles import is_semistable_rep, subrep_dimension_vectors
 from repfield_oracles import structural_destabilizer as oracle_structural_destabilizer
@@ -132,7 +131,7 @@ def test_guards():
 def test_certify_simple_vertex():
     Q = Quiver(("1", "2"), (Arrow("a", "1", "2"),))
     W = ArrowWeights.full(Q)
-    beta = CoverVector({("1", (0,)): 1})
+    beta = cover({("1", (0,)): 1})
     res = certify_component(Q, W, beta, {"1": 0, "2": 0}, trials=5, prime=5, seed=0)
     assert res.status is Status.NONEMPTY_VERIFIED
 
@@ -143,7 +142,7 @@ def test_certify_structural_empty_abcb():
     Q, W, alpha, theta = kronecker3()
     ea, eb, ec = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     delta = tuple(c - b for c, b in zip(ec, eb))
-    beta = CoverVector({
+    beta = cover({
         ("1", (0, 0, 0)): 1,
         ("1", delta): 1,
         ("2", ea): 1, ("2", eb): 1, ("2", ec): 1,
@@ -159,7 +158,7 @@ def test_certify_nonempty_type2():
     Q, W, alpha, theta = kronecker3()
     ea, eb, ec = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     delta = tuple(b - a for b, a in zip(eb, ea))
-    beta = CoverVector({
+    beta = cover({
         ("1", (0, 0, 0)): 1,
         ("1", delta): 1,
         ("2", ea): 1, ("2", eb): 1,
@@ -174,7 +173,7 @@ def test_cross_module_consistency_with_torus_stability():
     # for an all-ones cover the gauge group is a torus; King stability of a
     # 0/1 representation must match torus-level support stability
     Q, W, alpha, theta = kronecker3()
-    covers = [c for c, _ in enumerate_covers(Q, W, alpha, 2)[1] if all(n == 1 for _, n in c.items)]
+    covers = [c for c, _ in enumerate_covers(Q, W, alpha, 2)[1] if all(n == 1 for _, n in c)]
     rng = random.Random(83)
     checked = 0
     for beta in covers[:8]:
@@ -338,7 +337,7 @@ def _sampler_certify(Q, W, beta, theta, trials=200, prime=5, seed=0):
     if structural_destabilizer(sq, dims, th) is not None:
         return Status.EMPTY_VERIFIED
     for trial in range(trials):
-        rng = random.Random("%s:%s:%d" % (seed, repr(beta.items), trial))
+        rng = random.Random("%s:%s:%d" % (seed, repr(beta), trial))
         M = random_rep(sq, dims, prime, rng)
         if is_stable_rep(sq, M, th) and endomorphism_dim(sq, M) == 1:
             return Status.NONEMPTY_VERIFIED
@@ -366,12 +365,12 @@ def test_schofield_agrees_with_sampler(n, a, b, radius, counts):
         old = _sampler_certify(Q, W, beta, theta)
         assert old is None or res.status is old, beta
         # the old path's only emptiness certificate was the structural one
-        structural = all(k == 1 for _, k in beta.items) or old is Status.EMPTY_VERIFIED
+        structural = all(k == 1 for _, k in beta) or old is Status.EMPTY_VERIFIED
         assert res.method == ("structural" if structural else "schofield")
         if res.method == "schofield" and res.status is Status.EMPTY_VERIFIED:
             dest = dict(res.destabilizer)
-            full = beta.as_dict()
-            assert 0 < sum(dest.values()) < sum(n for _, n in beta.items)
+            full = dict(beta)
+            assert 0 < sum(dest.values()) < sum(full.values())
             assert all(0 < k <= full[p] for p, k in dest.items())
             assert sum(theta[v] * k for (v, _), k in dest.items()) <= 0
     assert (seen[Status.NONEMPTY_VERIFIED], seen[Status.EMPTY_VERIFIED]) == counts
@@ -383,7 +382,7 @@ def _two_cycle(alpha, theta, extra_arrow=False):
         arrows.append(Arrow("c", "1", "2"))
     Q = Quiver(("1", "2"), tuple(arrows))
     W = ArrowWeights.from_dict(1, {x.id: (0,) for x in arrows})
-    beta = CoverVector({(v, (0,)): k for v, k in alpha.items()})
+    beta = cover({(v, (0,)): k for v, k in alpha.items()})
     return Q, W, beta, theta
 
 
@@ -411,14 +410,14 @@ def test_golden_quiver_files_certify_exactly(tmp_path):
         Q, W, _alpha, theta = _quiver_from_data(data)
         for comp, comp0 in zip(report["components"], bare["components"], strict=True):
             assert [comp[k] for k in verdict] == [comp0[k] for k in verdict], (seed, comp)
-            beta = CoverVector([((v, chi), n) for (v, chi), n in comp["beta"]])
+            beta = cover({(v, tuple(chi)): n for (v, chi), n in comp["beta"]})
             assert comp0["beta"] == comp["beta"] and comp0["witness"] is None
             old = _sampler_certify(Q, W, beta, theta, opts["trials"], opts["prime"], opts["seed"])
             if old is not None:
                 assert comp["status"] == old.value, (seed, comp)
             if comp["method"] == "schofield" and comp["status"] == "EmptyVerified":
-                dest, full = {(v, tuple(chi)): k for (v, chi), k in comp["destabilizer"]}, beta.as_dict()
-                assert 0 < sum(dest.values()) < sum(n for _, n in beta.items)
+                dest, full = {(v, tuple(chi)): k for (v, chi), k in comp["destabilizer"]}, dict(beta)
+                assert 0 < sum(dest.values()) < sum(full.values())
                 assert all(0 < k <= full[p] for p, k in dest.items())
                 assert sum(theta[v] * k for (v, _), k in dest.items()) <= 0
             seen[comp["status"], comp["method"], old] += 1
@@ -454,7 +453,7 @@ def test_witness_has_trivial_endomorphisms():
     loops = (Arrow("a", "1", "1"), Arrow("b", "1", "1"))
     Q = Quiver(("1",), loops)
     W = ArrowWeights.from_dict(1, {x.id: (0,) for x in loops})
-    beta = CoverVector({("1", (0,)): 2})
+    beta = cover({("1", (0,)): 2})
     sq, dims = support_quiver(Q, W, beta)
     th = theta_hat({"1": 0}, sq.vertices)
     skipped = 0
@@ -463,7 +462,7 @@ def test_witness_has_trivial_endomorphisms():
             res = certify_component(Q, W, beta, {"1": 0}, trials=40, prime=prime, seed=seed)
             assert (res.status, res.method) == (Status.NONEMPTY_VERIFIED, "schofield")
             assert res.witness is not None and endomorphism_dim(sq, res.witness) == 1
-            earlier = (random_rep(sq, dims, prime, random.Random("%s:%s:%d" % (seed, repr(beta.items), t)))
+            earlier = (random_rep(sq, dims, prime, random.Random("%s:%s:%d" % (seed, repr(beta), t)))
                        for t in range(res.witness_trial))
             skipped += any(is_stable_rep(sq, M, th) for M in earlier)
     assert skipped >= 10, skipped
