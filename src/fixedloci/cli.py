@@ -105,6 +105,8 @@ def load_problem(path):
     except json.JSONDecodeError as exc:
         raise ValidationError("%s: invalid JSON at line %d column %d: %s"
                               % (path, exc.lineno, exc.colno, exc.msg))
+    except ValueError as exc:  # an integer literal past sys.get_int_max_str_digits()
+        raise ValidationError("%s: invalid JSON: %s" % (path, exc))
     except RecursionError:
         raise ValidationError("%s: JSON nested too deeply" % path)
     error = min(_schema_errors(data, _problem_schema()), key=lambda e: e[0], default=None)
@@ -132,6 +134,8 @@ def _json_flag(flag, text, *path):
         value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError("%s: invalid JSON at column %d: %s" % (flag, exc.colno, exc.msg))
+    except ValueError as exc:  # an integer literal past sys.get_int_max_str_digits()
+        raise ValidationError("%s: invalid JSON: %s" % (flag, exc))
     except RecursionError:
         raise ValidationError("%s: JSON nested too deeply" % flag)
     return _check_flag(flag, value, "weights", *path)

@@ -11,6 +11,7 @@ tuple of its ((vertex, grade), n) pairs, n > 0.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .common import positive_compositions
@@ -109,13 +110,15 @@ def theta_hat(theta, points):
 def _covering_arrows(quiver: Quiver, weights: ArrowWeights, pts):
     """(arrow, source point, target point) for each covering arrow with both
     ends in the point collection pts: arrow by arrow, sources in pts order."""
+    shift, at = dict(weights.weights), {}
+    for p in pts:
+        at.setdefault(p[0], []).append(p)
     for a in quiver.arrows:
-        w = weights.of(a.id)
-        for p in pts:
-            if p[0] == a.src:
-                q = (a.tgt, tuple(c + x for c, x in zip(p[1], w)))
-                if q in pts:
-                    yield a, p, q
+        w = shift[str(a.id)]
+        for p in at.get(a.src, ()):
+            q = (a.tgt, tuple(map(operator.add, p[1], w)))
+            if q in pts:
+                yield a, p, q
 
 
 def support_quiver(quiver: Quiver, weights: ArrowWeights, beta):

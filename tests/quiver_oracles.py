@@ -12,14 +12,15 @@ covers and diagonal torus morphism matrices.  They lived in
 `box_covers`, `cover_dimension` and `count_and_candidates` are the
 per-cover path: build every cover, walk each one's covering arrows for its
 dimension, then keep those of dimension >= 0.  `enumerate_covers` must
-return what they do.
+return what they do.  `support_quiver_pairs` finds a cover's covering
+arrows by trying every pair of its points; `support_quiver` must agree.
 """
 
 import itertools
 
 from fixedloci.common import positive_compositions
 from fixedloci.errors import DimMismatch
-from fixedloci.quiver import ArrowWeights, Quiver, support_quiver
+from fixedloci.quiver import Arrow, ArrowWeights, Quiver, support_quiver
 
 
 def cover(mapping):
@@ -169,6 +170,16 @@ def cover_dimension(quiver: Quiver, weights: ArrowWeights, beta) -> int:
             if v == a.src:
                 blocks += n * b.get((a.tgt, tuple(c + x for c, x in zip(chi, w))), 0)
     return blocks - sum(n * n for n in b.values()) + 1
+
+
+def support_quiver_pairs(quiver: Quiver, weights: ArrowWeights, beta):
+    """What support_quiver returns, with each covering arrow found by trying
+    every arrow on every pair of support points."""
+    pts = [p for p, _ in beta]
+    arrows = tuple(Arrow((a.id, p[1]), p, q) for a in quiver.arrows for p in pts for q in pts
+                   if (p[0], q[0]) == (a.src, a.tgt)
+                   and q[1] == tuple(c + x for c, x in zip(p[1], weights.of(a.id))))
+    return Quiver(tuple(pts), arrows), dict(beta)
 
 
 def count_and_candidates(quiver: Quiver, weights: ArrowWeights, covers):

@@ -1,7 +1,9 @@
 """Brute-force oracles for the repfield tests.
 
 `_iter_subrep_dimvectors` walks the full product of per-vertex subspace
-lists and keeps the tuples closed under every arrow; `structural_destabilizer`
+lists and keeps the tuples closed under every arrow, testing closure by
+`gf_in_span`, which reduces a vector against RREF rows in place of the
+scan's parity checks; `structural_destabilizer`
 tests every vertex subset of the support for arrow-closure, in order of
 size and then of position.  Both are the scans `repfield` ran before it
 generated only closed tuples, kept verbatim.  `subrep_dimension_vectors`
@@ -11,7 +13,18 @@ and `is_semistable_rep` are helpers only the tests use.
 import itertools
 
 from fixedloci.quiver import Quiver
-from fixedloci.repfield import RepFq, _theta_vec, check_guard, gf_in_span, gf_matvec, subspaces
+from fixedloci.repfield import RepFq, _theta_vec, check_guard, gf_matvec, subspaces
+
+
+def gf_in_span(rref_rows, vec, p):
+    """Whether vec lies in the row space of rref_rows, by reduction."""
+    v = [x % p for x in vec]
+    for row in rref_rows:
+        lead = next(i for i, x in enumerate(row) if x)
+        if v[lead]:
+            f = v[lead]
+            v = [(x - f * y) % p for x, y in zip(v, row)]
+    return not any(v)
 
 
 def _iter_subrep_dimvectors(quiver: Quiver, M: RepFq):

@@ -327,6 +327,8 @@ def test_malformed_json_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("content,message", [
     pytest.param(b'\xff\xfe{"kind": "toric"}', "not UTF-8 text", id="utf16-bom"),
     pytest.param(b"[" * 100000, "JSON nested too deeply", id="deep"),
+    # past the 4,300-digit limit on int parsing, json raises a plain ValueError
+    pytest.param(b'{"kind": "toric", "g_rank": %s}' % (b"9" * 5000), "invalid JSON: ", id="long-int"),
 ])
 def test_undecodable_problem_file_exits_2(tmp_path, capsys, content, message):
     p = tmp_path / "odd.json"
@@ -407,6 +409,8 @@ def test_bad_quiver_flags_exit_2(tmp_path, capsys, flags):
     ("--support", "[1]"), ("--inner-product", '[[1, 0], [0, "a"]]'),
     pytest.param("--support", "[" * 100000, id="--support-deep"),
     pytest.param("--inner-product", "[" * 100000, id="--inner-product-deep"),
+    pytest.param("--support", "[[%s, 0]]" % ("9" * 5000), id="--support-long-int"),
+    pytest.param("--inner-product", "[[%s]]" % ("9" * 5000), id="--inner-product-long-int"),
 ])
 def test_kempf_bad_json_flag_exits_2(tmp_path, capsys, flag, text):
     f = write(tmp_path, "w.json", KEMPF)

@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from fixedloci.quiver import (
     check_stability_pairing,
     default_window_radius,
     enumerate_covers,
+    support_quiver,
     theta_hat,
 )
 from quiver_oracles import (
@@ -22,6 +24,7 @@ from quiver_oracles import (
     is_cover_of,
     rho_to_cover,
     support_is_connected,
+    support_quiver_pairs,
     translate,
     weyl_canonical,
 )
@@ -301,3 +304,23 @@ def test_enumerate_covers_matches_box_oracle_random_quivers():
     for _ in range(400):
         Q, W, alpha, radius = _random_quiver(rng)
         assert enumerate_covers(Q, W, alpha, radius) == _box_oracle(Q, W, alpha, radius)
+
+
+def test_support_quiver_matches_pairwise_oracle():
+    """The support quiver of every cover in the window of seeded graded
+    quivers: the same points, and the same covering arrows in the same
+    order, as trying every arrow on every pair of points finds."""
+    rng = random.Random(103)
+    seen = collections.Counter()
+    for _ in range(300):
+        Q, W, alpha, radius = _random_quiver(rng)
+        covers = box_covers(Q, W, alpha, radius)
+        for c in covers:
+            assert support_quiver(Q, W, c) == support_quiver_pairs(Q, W, c), (Q, W, c)
+        if any(len(c) > 1 for c in covers):
+            seen["aux %d" % W.aux_rank] += 1
+            seen["loop"] += any(a.src == a.tgt for a in Q.arrows)
+            seen["2-cycle"] += any((b.src, b.tgt) == (a.tgt, a.src) != (a.src, a.tgt)
+                                   for a in Q.arrows for b in Q.arrows)
+            seen["negative shift"] += any(x < 0 for _, w in W.weights for x in w)
+    assert min(seen.values()) >= 20 and len(seen) == 6, seen

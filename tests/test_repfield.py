@@ -1,9 +1,11 @@
 import collections
 import contextlib
 import io
+import itertools
 import json
 import math
 import random
+import time
 
 import pytest
 
@@ -29,16 +31,18 @@ from fixedloci.repfield import (
     check_prime,
     endomorphism_dim,
     generic_destabilizer,
-    gf_in_span,
+    gf_member,
     gf_rref,
     is_stable_rep,
     random_rep,
     structural_destabilizer,
+    subspace_count,
+    subspace_table,
     subspaces,
 )
 from quiver_oracles import box_covers, cover
 from repfield_oracles import _iter_subrep_dimvectors as oracle_iter_subrep_dimvectors
-from repfield_oracles import is_semistable_rep, subrep_dimension_vectors
+from repfield_oracles import gf_in_span, is_semistable_rep, subrep_dimension_vectors
 from repfield_oracles import structural_destabilizer as oracle_structural_destabilizer
 from test_golden_reports import _quiver_file
 
@@ -50,6 +54,26 @@ def test_subspace_counts():
     assert len(subspaces(2, 2)) == 5   # 1 + 3 + 1
     assert len(subspaces(3, 2)) == 16  # 1 + 7 + 7 + 1
     assert len(subspaces(2, 5)) == 8   # 1 + 6 + 1
+    assert isinstance(subspaces(3, 2), tuple)
+    for p in (2, 3, 5):
+        assert [subspace_count(n, p) for n in range(5)] == [len(subspaces(n, p)) for n in range(5)]
+    assert [subspace_count(6, 5), subspace_count(8, 2)] == [3583232, 417199]
+
+
+def test_subspace_table_membership_matches_reduction():
+    """For every subspace and every vector of F_p^n, n <= 3 with p = 2, 3, 5,
+    and of F_2^4: the parity rows say a vector is in the subspace exactly
+    when reduction against its RREF rows does.  The table's basis row ids
+    and dimension ranges match subspaces(n, p) too."""
+    for n, p in [(n, p) for p in (2, 3, 5) for n in range(4)] + [(4, 2)]:
+        table, spaces = subspace_table(n, p), subspaces(n, p)
+        assert table.vectors == tuple(itertools.product(range(p), repeat=n))
+        assert len(table.ids) == len(table.parity) == len(spaces)
+        for i, rows in enumerate(spaces):
+            assert tuple(table.vectors[r] for r in table.ids[i]) == rows
+            assert table.starts[len(rows)] <= i < table.starts[len(rows) + 1]
+            for v in table.vectors:
+                assert gf_member(table.parity[i], v, p) == gf_in_span(rows, v, p), (n, p, rows, v)
 
 
 def test_zero_rep_subreps():
@@ -614,17 +638,18 @@ def test_structural_destabilizer_matches_combinations_oracle():
 
 
 def test_king_scan_checks_only_closed_prefixes(monkeypatch, tmp_path):
-    """The arrow-closure checks (gf_in_span calls) of one CLI run of K3(3,4)
-    at window 2: 3,712 with the θ bound and the stop at the first
-    destabilizer, against 6,826 for the closed-prefix scan of every
-    subrepresentation and 25,188 for the full product scan."""
+    """The arrow-closure checks (gf_member calls, one per nonzero image of a
+    basis row) of one CLI run of K3(3,4) at window 2: 3,712 with the θ bound
+    and the stop at the first destabilizer, against 6,826 for the
+    closed-prefix scan of every subrepresentation and 25,188 for the full
+    product scan."""
     calls = []
 
-    def counted(rows, vec, p):
+    def counted(parity, vec, p):
         calls.append(1)
-        return gf_in_span(rows, vec, p)
+        return gf_member(parity, vec, p)
 
-    monkeypatch.setattr("fixedloci.repfield.gf_in_span", counted)
+    monkeypatch.setattr("fixedloci.repfield.gf_member", counted)
     Q, W, alpha, theta = _kronecker(3, 3, 4)
     path = tmp_path / "k34.json"
     path.write_text(json.dumps({
@@ -634,6 +659,25 @@ def test_king_scan_checks_only_closed_prefixes(monkeypatch, tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["quiver", str(path), "--window", "2"]) == 0
     assert len(calls) == 3712
+
+
+def test_witness_search_skips_tables_above_the_cap():
+    """Kronecker quivers without grading, one cover each.  K7(1,6) needs
+    the subspaces of F_5^6, 3,583,232 of them: above MAX_SUBSPACES, so the
+    component keeps its Schofield status, gets no witness, and is certified
+    in seconds with no table built.  K6(1,5) needs F_5^5, 42,176 subspaces,
+    under the cap, and finds its witness at trial 0."""
+    for n, b, witnessed in ((7, 6, False), (6, 5, True)):
+        Q = Quiver(("1", "2"), tuple(Arrow("a%d" % i, "1", "2") for i in range(n)))
+        W = ArrowWeights.from_dict(0, {a.id: () for a in Q.arrows})
+        beta = cover({("1", ()): 1, ("2", ()): b})
+        start = time.perf_counter()
+        res = certify_component(Q, W, beta, {"1": -b, "2": 1})
+        assert time.perf_counter() - start < 10
+        assert (res.status, res.method) == (Status.NONEMPTY_VERIFIED, "schofield")
+        assert (res.witness is not None, res.witness_trial) == ((True, 0) if witnessed else (False, None))
+    with pytest.raises(TooLarge):
+        subspaces(6, 5)
 
 
 def test_check_prime_matches_trial_division():
