@@ -16,17 +16,17 @@ by a depth-first search for a destabilizing subrepresentation: it extends
 only subspace tuples closed under the arrow maps, cuts a branch once no
 completion of it can reach θ <= 0, and stops at the first destabilizer.
 Its plan (vertex order, arrow checks and θ bounds) is built once per
-component and serves all of that component's trials.  The subspaces of
-F_p^n come from a table built once per (n, p) and kept for the process:
-each subspace with the ids of its basis rows, so that an arrow's image of
-a row is computed once per representation, and with parity-check rows,
-so that a membership test is a few dot products.  A table holds at most
-MAX_SUBSPACES subspaces; above that no witness is sought.
+component, after the caller's check_guard, and serves all of that
+component's trials.  The subspaces of F_p^n are listed once per (n, p),
+in one table kept for the process: each with the ids of its RREF rows,
+so that an arrow's image of a row is computed once per representation,
+and with parity-check rows, so that a membership test is a few dot
+products.  A table holds at most MAX_SUBSPACES subspaces; above that no
+witness is sought.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import operator
@@ -41,9 +41,9 @@ from .quiver import ArrowWeights, Quiver, support_quiver, theta_hat
 DEFAULT_MAX_TOTAL_DIM = 8
 DEFAULT_MAX_PRIME = 5
 # The most subspaces a memoised table may hold.  Measured on a 2-vCPU Xeon
-# with Python 3.11: F_5^5 (42,176 subspaces) builds in 0.5 s into 10 MB and
-# F_3^6 (56,632) in 0.6 s into 13 MB; F_2^8 (417,199), the next count up
-# under the total dimension guard, takes 6 s and 110 MB.
+# with Python 3.11: F_5^5 (42,176 subspaces) builds in 0.3 s into 7 MB and
+# F_3^6 (56,632) in 0.4 s into 9 MB; F_2^8 (417,199), the next count up
+# under the total dimension guard, takes 3 s and 74 MB.
 MAX_SUBSPACES = 60_000
 
 
@@ -97,43 +97,13 @@ def subspace_count(n, p):
     return total
 
 
-@functools.cache
-def subspaces(n, p):
-    """All subspaces of F_p^n as RREF row tuples (the zero space is ()), by
-    dimension, then pivot columns, then the free entries in product order.
-
-    Memoised; above MAX_SUBSPACES subspaces it raises TooLarge and builds
-    nothing, which bounds what the cache holds.
-    """
-    count = subspace_count(n, p)
-    if count > MAX_SUBSPACES:
-        raise TooLarge("F_%d^%d has %d subspaces, above the table cap %d"
-                       % (p, n, count, MAX_SUBSPACES))
-    out, shared = [()], {}  # one tuple per distinct row
-    for r in range(1, n + 1):
-        for pivots in itertools.combinations(range(n), r):
-            free_cols = [
-                [c for c in range(pivots[i] + 1, n) if c not in pivots]
-                for i in range(r)
-            ]
-            slots = [(i, c) for i in range(r) for c in free_cols[i]]
-            for values in itertools.product(range(p), repeat=len(slots)):
-                rows = [[0] * n for _ in range(r)]
-                for i in range(r):
-                    rows[i][pivots[i]] = 1
-                for (i, c), val in zip(slots, values):
-                    rows[i][c] = val
-                out.append(tuple(shared.setdefault(row, row) for row in map(tuple, rows)))
-    return tuple(out)
-
-
 class SubspaceTable(NamedTuple):
-    """What King's scan reads about the subspaces of F_p^n, in subspaces(n, p)
-    order: vectors lists F_p^n in product order; ids[i] gives the index in
-    vectors of each basis row of subspace i; parity[i] holds the rows of a
-    basis of its annihilator, so that a vector lies in it exactly when
-    gf_member(parity[i], vector, p); subspaces of dimension r have the
-    indices from starts[r] to starts[r + 1]."""
+    """The subspaces of F_p^n by dimension, then pivot columns, then the
+    free entries of their RREF rows in product order.  vectors lists F_p^n
+    in product order; ids[i] gives the index in vectors of each RREF row of
+    subspace i; parity[i] holds a basis of its annihilator, so that a vector
+    lies in it exactly when gf_member(parity[i], vector, p); subspaces of
+    dimension r have the indices from starts[r] to starts[r + 1]."""
 
     vectors: tuple
     ids: tuple
@@ -143,27 +113,37 @@ class SubspaceTable(NamedTuple):
 
 @functools.cache
 def subspace_table(n, p):
-    """The SubspaceTable of F_p^n, memoised.  A subspace with RREF rows R
-    and pivot columns P has one parity row per free column f: 1 at f, and
-    -R[j][f] at P[j]."""
+    """The SubspaceTable of F_p^n, memoised; above MAX_SUBSPACES subspaces
+    it raises TooLarge and builds nothing, which bounds what the cache
+    holds.  A subspace with RREF rows R and pivot columns P has one parity
+    row per free column f: 1 at f, and -R[j][f] at P[j]."""
+    count = subspace_count(n, p)
+    if count > MAX_SUBSPACES:
+        raise TooLarge("F_%d^%d has %d subspaces, above the table cap %d"
+                       % (p, n, count, MAX_SUBSPACES))
     vectors = tuple(itertools.product(range(p), repeat=n))
     index = {v: i for i, v in enumerate(vectors)}
-    spaces = subspaces(n, p)
-    ids, parity, shared = [], [], {}
-    for rows in spaces:
-        pivots = [row.index(1) for row in rows]  # an RREF row leads with 1
-        ids.append(tuple(map(index.__getitem__, rows)))
-        checks = []
-        for f in (c for c in range(n) if c not in pivots):
-            h = [0] * n
-            h[f] = 1
-            for piv, row in zip(pivots, rows):
-                h[piv] = -row[f] % p
-            h = tuple(h)
-            checks.append(shared.setdefault(h, h))
-        parity.append(tuple(checks))
-    starts = tuple(bisect.bisect_left(spaces, r, key=len) for r in range(n + 2))
-    return SubspaceTable(vectors, tuple(ids), tuple(parity), starts)
+    units = [[int(c == f) for c in range(n)] for f in range(n)]
+    ids, parity, starts, shared = [], [], [], {}  # one tuple per distinct parity row
+    for r in range(n + 2):  # no subspace has dimension n + 1: that pass only closes starts
+        starts.append(len(ids))
+        for pivots in itertools.combinations(range(n), r):
+            free = [c for c in range(n) if c not in pivots]
+            slots = [(i, c) for i in range(r) for c in free if c > pivots[i]]
+            for values in itertools.product(range(p), repeat=len(slots)):
+                rows = [units[piv][:] for piv in pivots]
+                for (i, c), val in zip(slots, values):
+                    rows[i][c] = val
+                ids.append(tuple(index[tuple(row)] for row in rows))
+                checks = []
+                for f in free:
+                    h = units[f][:]
+                    for piv, row in zip(pivots, rows):
+                        h[piv] = -row[f] % p
+                    h = tuple(h)
+                    checks.append(shared.setdefault(h, h))
+                parity.append(tuple(checks))
+    return SubspaceTable(vectors, tuple(ids), tuple(parity), tuple(starts))
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +229,10 @@ class KingScan:
     remaining vertices can add, Σ min(0, θ_v d_v), is still positive, since
     no completion of it can destabilize.  The bound holds for any θ.  The
     subspaces at each vertex come from the shared subspace_table of its
-    dimension.
+    dimension.  The plan runs no check_guard; its callers do.
     """
 
     def __init__(self, quiver: Quiver, dims, prime, theta):
-        check_guard(dims, prime)
         order, head = [], 0
         ends = [(a.src, a.tgt) for a in quiver.arrows] + [(a.tgt, a.src) for a in quiver.arrows]
         for root in quiver.vertices:  # breadth-first; order[head:] is the queue
@@ -356,7 +335,8 @@ def _theta_vec(quiver, theta):
 
 def is_stable_rep(quiver: Quiver, M: RepFq, theta) -> bool:
     """King's strict inequality on proper nonzero subrepresentations, by a
-    KingScan planned for this one call."""
+    KingScan planned for this one call, after check_guard."""
+    check_guard(dict(M.dims), M.prime)
     return KingScan(quiver, dict(M.dims), M.prime, theta).destabilizer(M) is None
 
 

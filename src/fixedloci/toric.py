@@ -63,9 +63,24 @@ class ToricFan:
 
     @functools.cached_property
     def cones(self):
-        """Every face of a maximal cone, sorted."""
-        return tuple(sorted({face for top in self.maximal_cones for k in range(len(top) + 1)
-                             for face in itertools.combinations(top, k)}))
+        """Every face of a maximal cone, once each, sorted.  A depth-first
+        walk extends a face only by a larger ray that shares a maximal cone
+        with all of it, read off a bitmask per ray of the maximal cones that
+        hold it; its preorder is sorted order."""
+        holders, out = [0] * len(self.rays), []
+        for k, top in enumerate(self.maximal_cones):
+            for i in top:
+                holders[i] |= 1 << k
+
+        def walk(face, mask, start):  # mask: the maximal cones that hold face
+            out.append(face)
+            for i in range(start, len(holders)):
+                if mask & holders[i]:
+                    walk(face + (i,), mask & holders[i], i + 1)
+
+        if self.maximal_cones:
+            walk((), (1 << len(self.maximal_cones)) - 1, 0)
+        return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Brute-force oracles for the repfield tests.
 
+`subspaces` lists the subspaces of F_p^n as RREF row tuples, in the order
+of `subspace_table`, which enumerates them on its own.
 `_iter_subrep_dimvectors` walks the full product of per-vertex subspace
 lists and keeps the tuples closed under every arrow, testing closure by
 `gf_in_span`, which reduces a vector against RREF rows in place of the
@@ -10,10 +12,42 @@ generated only closed tuples, kept verbatim.  `subrep_dimension_vectors`
 and `is_semistable_rep` are helpers only the tests use.
 """
 
+import functools
 import itertools
 
+from fixedloci.errors import TooLarge
 from fixedloci.quiver import Quiver
-from fixedloci.repfield import RepFq, _theta_vec, check_guard, gf_matvec, subspaces
+from fixedloci.repfield import MAX_SUBSPACES, RepFq, _theta_vec, check_guard, gf_matvec, subspace_count
+
+
+@functools.cache
+def subspaces(n, p):
+    """All subspaces of F_p^n as RREF row tuples (the zero space is ()), by
+    dimension, then pivot columns, then the free entries in product order.
+
+    Memoised; above MAX_SUBSPACES subspaces it raises TooLarge and builds
+    nothing, which bounds what the cache holds.
+    """
+    count = subspace_count(n, p)
+    if count > MAX_SUBSPACES:
+        raise TooLarge("F_%d^%d has %d subspaces, above the table cap %d"
+                       % (p, n, count, MAX_SUBSPACES))
+    out, shared = [()], {}  # one tuple per distinct row
+    for r in range(1, n + 1):
+        for pivots in itertools.combinations(range(n), r):
+            free_cols = [
+                [c for c in range(pivots[i] + 1, n) if c not in pivots]
+                for i in range(r)
+            ]
+            slots = [(i, c) for i in range(r) for c in free_cols[i]]
+            for values in itertools.product(range(p), repeat=len(slots)):
+                rows = [[0] * n for _ in range(r)]
+                for i in range(r):
+                    rows[i][pivots[i]] = 1
+                for (i, c), val in zip(slots, values):
+                    rows[i][c] = val
+                out.append(tuple(shared.setdefault(row, row) for row in map(tuple, rows)))
+    return tuple(out)
 
 
 def gf_in_span(rref_rows, vec, p):

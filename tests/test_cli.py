@@ -1,6 +1,7 @@
 import collections
 import json
 import random
+import re
 import time
 
 import pytest
@@ -298,6 +299,41 @@ def test_theta_missing_vertex_counts_as_zero(tmp_path, capsys):
         reports.append(json.loads(out))
     assert reports[0]["components"] == reports[1]["components"]
     assert reports[0]["counts"] == reports[1]["counts"]
+
+
+NONSYMMETRIC = dict(KEMPF, items=[{"chi": [1, 0]}, {"chi": [0, 1]}],
+                    options={"inner_product": [[2, 1], [0, 2]]})
+
+
+@pytest.mark.parametrize("command,data,message", [
+    ("quiver", dict(KRON3, vertices=["1", "2", "1"]), "duplicate vertex ids"),
+    ("quiver", dict(KRON3, arrows=KRON3["arrows"] + [{"id": "b", "src": "2", "tgt": "1"}]),
+     "duplicate arrow id 'b'"),
+    ("quiver", dict(KRON3, arrow_weights={"aux_rank": 1, "weights": {"a": [1], "b": [1, 0], "c": [0]}}),
+     "arrow weight (1, 0) has wrong rank"),
+    ("quiver", dict(KRON3, alpha={"1": 2, "2": 3, "3": 0}), "alpha/theta mention unknown vertex '3'"),
+    ("quiver", dict(KRON3, theta={"1": -3, "2": 2, "x": 0}), "alpha/theta mention unknown vertex 'x'"),
+    ("kempf", NONSYMMETRIC, "inner product not symmetric"),
+], ids=["duplicate-vertex", "duplicate-arrow", "weight-rank", "unknown-alpha", "unknown-theta",
+        "nonsymmetric-inner-product"])
+def test_ill_formed_problem_exits_2(tmp_path, capsys, command, data, message):
+    code, out, err = run([command, write(tmp_path, "p.json", data)], capsys)
+    assert (code, out, err) == (2, "", "validation error: %s\n" % message)
+
+
+def test_directory_problem_path_exits_2(tmp_path, capsys):
+    code, out, err = run(["toric", str(tmp_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("validation error: cannot read %s: " % tmp_path) and err.count("\n") == 1
+
+
+def test_verbose_adds_only_the_elapsed_line(tmp_path, capsys):
+    f = write(tmp_path, "k.json", KRON3)
+    code, quiet, err = run(["quiver", f], capsys)
+    assert (code, err) == (0, "")
+    code, out, err = run(["quiver", f, "--verbose"], capsys)
+    assert (code, out) == (0, quiet)
+    assert re.fullmatch(r"elapsed: \d+\.\d{3}s\n", err)
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):

@@ -38,25 +38,24 @@ from fixedloci.repfield import (
     structural_destabilizer,
     subspace_count,
     subspace_table,
-    subspaces,
 )
 from quiver_oracles import box_covers, cover
 from repfield_oracles import _iter_subrep_dimvectors as oracle_iter_subrep_dimvectors
-from repfield_oracles import gf_in_span, is_semistable_rep, subrep_dimension_vectors
+from repfield_oracles import gf_in_span, is_semistable_rep, subrep_dimension_vectors, subspaces
 from repfield_oracles import structural_destabilizer as oracle_structural_destabilizer
 from test_golden_reports import _quiver_file
 
 
 def test_subspace_counts():
     # subspace counts over F_2: 1 + 3 + 3 + 1 for F_2^3... (Gaussian binomials)
-    assert len(subspaces(0, 5)) == 1
-    assert len(subspaces(1, 5)) == 2
-    assert len(subspaces(2, 2)) == 5   # 1 + 3 + 1
-    assert len(subspaces(3, 2)) == 16  # 1 + 7 + 7 + 1
-    assert len(subspaces(2, 5)) == 8   # 1 + 6 + 1
-    assert isinstance(subspaces(3, 2), tuple)
+    assert len(subspace_table(0, 5).ids) == 1
+    assert len(subspace_table(1, 5).ids) == 2
+    assert len(subspace_table(2, 2).ids) == 5   # 1 + 3 + 1
+    assert len(subspace_table(3, 2).ids) == 16  # 1 + 7 + 7 + 1
+    assert len(subspace_table(2, 5).ids) == 8   # 1 + 6 + 1
+    assert subspace_table(3, 2).starts == (0, 1, 8, 15, 16)
     for p in (2, 3, 5):
-        assert [subspace_count(n, p) for n in range(5)] == [len(subspaces(n, p)) for n in range(5)]
+        assert [subspace_count(n, p) for n in range(5)] == [len(subspace_table(n, p).ids) for n in range(5)]
     assert [subspace_count(6, 5), subspace_count(8, 2)] == [3583232, 417199]
 
 
@@ -64,7 +63,8 @@ def test_subspace_table_membership_matches_reduction():
     """For every subspace and every vector of F_p^n, n <= 3 with p = 2, 3, 5,
     and of F_2^4: the parity rows say a vector is in the subspace exactly
     when reduction against its RREF rows does.  The table's basis row ids
-    and dimension ranges match subspaces(n, p) too."""
+    and dimension ranges match the oracle subspaces(n, p), row by row and
+    in order."""
     for n, p in [(n, p) for p in (2, 3, 5) for n in range(4)] + [(4, 2)]:
         table, spaces = subspace_table(n, p), subspaces(n, p)
         assert table.vectors == tuple(itertools.product(range(p), repeat=n))
@@ -677,7 +677,7 @@ def test_witness_search_skips_tables_above_the_cap():
         assert (res.status, res.method) == (Status.NONEMPTY_VERIFIED, "schofield")
         assert (res.witness is not None, res.witness_trial) == ((True, 0) if witnessed else (False, None))
     with pytest.raises(TooLarge):
-        subspaces(6, 5)
+        subspace_table(6, 5)
 
 
 def test_check_prime_matches_trial_division():

@@ -4,8 +4,10 @@ import random
 import pytest
 
 from conftest import PAPER_SECTION, hirzebruch_action
+from fixedloci.cli import _action_from_data
 from fixedloci.errors import (
     EmptyStableLocus,
+    FixedLociError,
     FreeActionViolated,
     NotInjective,
     TooLarge,
@@ -24,6 +26,7 @@ from fixedloci.toric import (
     toric_context,
 )
 from toric_oracles import (
+    all_faces,
     fan_intersections_ok,
     fan_is_face_closed,
     fan_is_simplicial,
@@ -33,6 +36,7 @@ from toric_oracles import (
     rho_from_stable_subset,
     stable_subsets,
 )
+from test_golden_reports import _toric_file
 
 
 def classical_hirzebruch_fan(d):
@@ -245,6 +249,33 @@ def test_generic_theta_past_max_enum_dim_answered():
     assert len(ctx.bases) == 2 ** 9 == len(fixed_points_toric(ctx))
     fan = quotient_fan(ctx)
     assert len(fan.cones) == 3 ** 9 and len(fan.maximal_cones) == 2 ** 9
+
+
+def test_cones_match_face_set_oracle():
+    """The walk lists each face once, in sorted order: the same tuple as
+    the sorted set of all faces, on the 26 fans that the 60 seeded toric
+    files of the golden reports have and on three θ on a wall."""
+    fans = []
+    for seed in range(60):
+        data = _toric_file(seed)
+        section = data.get("options", {}).get("section")
+        try:
+            fans.append(quotient_fan(toric_context(_action_from_data(data, "weights"),
+                                                   section and tuple(map(tuple, section)))))
+        except FixedLociError:
+            continue
+    # θ = 0 on ±1 and on ±e_1, ±e_2, and θ = (2, 1) on the ray of a weight of H_2
+    walls = [WeightedAction(1, 0, (WeightItem((1,), mult=4), WeightItem((-1,), mult=4)), (0,)),
+             WeightedAction(2, 0, tuple(WeightItem(chi, mult=2) for chi in ((1, 0), (-1, 0), (0, 1), (0, -1))),
+                            (0, 0)),
+             WeightedAction(2, 0, hirzebruch_action(2).items, (2, 1))]
+    for action in walls:
+        ctx = toric_context(action)
+        assert len(ctx.chambers) > 1
+        fans.append(quotient_fan(ctx))
+    assert len(fans) == 29
+    for fan in fans:
+        assert fan.cones == all_faces(fan)
 
 
 def test_fixed_points_hirzebruch_patterns(hirz2):

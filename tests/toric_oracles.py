@@ -1,9 +1,10 @@
 """Brute-force oracles and fan checks for the toric tests.
 
 `stable_subsets` tests every subset of I on its own, `rho_from_stable_subset`
-solves for each fixed point's morphism on its own, and `maximal_cones`
-checks every pair of cones; the checks and the comparison below judge a
-finished fan from its rays and cones alone.
+solves for each fixed point's morphism on its own, `all_faces` lists every
+face of every maximal cone, repeats included, and sorts the set of them,
+and `maximal_cones` checks every pair of cones; the checks and the
+comparison below judge a finished fan from its rays and cones alone.
 """
 
 import itertools
@@ -58,6 +59,13 @@ def necessary_condition(action: WeightedAction, rho, section) -> bool:
         return action.g_rank == 0
     chis = [action.chi_of(i) for i in sup]
     return rank(chis) == action.g_rank
+
+
+def all_faces(fan: ToricFan):
+    """Every face of a maximal cone, sorted, from the set of the faces of
+    each maximal cone taken on its own."""
+    return tuple(sorted({face for top in fan.maximal_cones for k in range(len(top) + 1)
+                         for face in itertools.combinations(top, k)}))
 
 
 def cone_geometry(fan: ToricFan, cone):
