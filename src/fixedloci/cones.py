@@ -8,9 +8,10 @@ with L^perp, which makes the list unique for the cone as a set.
 
 `dual_cone` is one exact double description whose adjacency tests are
 integer ranks; it gives the limit cones of the Kempf queries, and the dual
-of a dual is a canonical form.  `project_onto_cone` finds the nearest point
-of such a cone in an integral inner product.  No LP runs here.  Fine for
-desk-scale dimensions (<= ~8).
+of a dual is a canonical form.  `nnls`, exact non-negative least squares in
+an integral inner product, is the package's one cone-membership solver:
+`project_onto_cone` and `simplex.solve_nonneg` read their answers off it.
+Fine for desk-scale dimensions (<= ~8).
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def _combine(a, u, b, w):
 
 
 # ---------------------------------------------------------------------------
-# nearest-point projection in an integral inner product
+# non-negative least squares in an integral inner product
 
 def check_inner_product(Q, dim):
     """Validate an integral symmetric positive definite Gram matrix."""
@@ -115,42 +116,40 @@ def dot_q(u, v, Q):
     return sum(u[i] * sum(Q[i][j] * v[j] for j in range(len(v))) for i in range(len(u)))
 
 
-def project_onto_cone(gens, x, Q=None):
-    """The nearest point of the cone on the canonical generators gens to
-    the integer point x in the Q-norm, as (P, D): integers P and D > 0 with
-    the point P / D.
+def nnls(gens, x, Q=None):
+    """Exact non-negative least squares on integer vectors: (passive, X, d)
+    with the point sum_k X_k * gens[passive_k] / d of the cone on gens
+    nearest to x in the Q-norm, every X_k > 0, d > 0, and the passive
+    generators linearly independent.
 
     Q is an integral symmetric positive definite Gram matrix as
     check_inner_product returns it, the identity when None; it is not
-    checked again here.  The point is sum_g c_g g with c >= 0 minimising
-    |x - sum_g c_g g|_Q, found by the Lawson-Hanson active-set method for
-    non-negative least squares (Solving Least Squares Problems, 1974,
-    ch. 23) in exact arithmetic.  Each pass adds to the passive set the
-    generator with the largest positive residual pairing <x - p, g>_Q, the
-    lowest index on ties, and solves the normal equations on the passive
-    set; while a coefficient is not positive it steps back to feasibility
-    by the exact ratio and drops the generators whose coefficients reach 0.
-    It stops when no pairing is positive: with c >= 0 this says
-    <x - p, c - p>_Q <= 0 for every c in the cone.  The projection is
-    positively homogeneous, so the nearest point to x / d is P / (d * D).
+    checked again here.  This is Lawson-Hanson's active-set method (Solving
+    Least Squares Problems, 1974, ch. 23) in exact arithmetic.  Each pass
+    adds to the passive set the generator with the largest positive
+    residual pairing <x - p, g>_Q, the lowest index on ties, and solves the
+    normal equations on the passive set; while a coefficient is not
+    positive it steps back to feasibility by the exact ratio and drops the
+    generators whose coefficients reach 0.  It stops when no pairing is
+    positive: with c >= 0 this says <x - p, c - p>_Q <= 0 for every c in
+    the cone.  So x lies in the cone exactly when p = x.
     """
-    dim = len(x)
-    if Q is None:
-        Q = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    qgens = [[dot(row, g) for row in Q] for g in gens]
-    gram = [[dot(g, qh) for qh in qgens] for g in gens]
+    qgens = gens if Q is None else [[dot(row, g) for row in Q] for g in gens]
     rhs = [dot(x, qg) for qg in qgens]
+    gram = {}  # the Gram row of each generator that has entered the passive set
     passive, X, d = [], (), 1
     # A passive set stays linearly independent (a generator in its span
     # pairs to 0 with the residual), and each pass ends on a new one at a
     # smaller distance, so the passes are bounded by the independent sets.
-    for _ in range(sum(math.comb(len(gens), k) for k in range(dim + 1))):
+    for _ in range(sum(math.comb(len(gens), k) for k in range(len(x) + 1))):
         # d * <x - p, g>_Q for every generator g
         w = [d * b - sum(c * gram[i][j] for c, i in zip(X, passive))
              for j, b in enumerate(rhs)]
         j = max(range(len(gens)), key=w.__getitem__, default=None)
         if j is None or w[j] <= 0:
             break
+        if j not in gram:
+            gram[j] = [dot(gens[j], qg) for qg in qgens]
         passive.append(j)
         coeffs = [Fraction(c, d) for c in X] + [Fraction(0)]
         while True:
@@ -167,4 +166,12 @@ def project_onto_cone(gens, x, Q=None):
         raise AssertionError("active-set projection did not converge; this is a bug")
     assert all(c > 0 for c in X) and all(v <= 0 for v in w), \
         "projection fails its optimality conditions; this is a bug"
-    return tuple(sum(c * gens[i][k] for c, i in zip(X, passive)) for k in range(dim)), d
+    return tuple(passive), X, d
+
+
+def project_onto_cone(gens, x, Q=None):
+    """The point of `nnls` as (P, D): integers P and D > 0 with the point
+    P / D.  The projection is positively homogeneous, so the nearest point
+    to x / d is P / (d * D)."""
+    passive, X, d = nnls(gens, x, Q)
+    return tuple(sum(c * gens[i][k] for c, i in zip(X, passive)) for k in range(len(x))), d

@@ -1,18 +1,18 @@
-"""Exact rational LP feasibility (phase-1 simplex with Bland's rule).
+"""Exact rational LP feasibility: does A x = b admit x >= 0?
 
-Only the feasibility form needed by the support-stability certificates is
-provided: does A x = b admit x >= 0?  The tableau is kept fraction-free:
-one common denominator makes it integral, and each pivot is the Bareiss
-step of `linalg._pivot` (Edmonds' integer Gauss-Jordan), so every row is
-the current basis determinant times the rational tableau.  The answer is
-exact; Bland's rule guarantees termination.
+b lies in the cone on A's columns exactly when `cones.nnls`, the package's
+one exact cone-membership solver, puts its nearest point there at b.  This
+module is only the LP entry point that the benchmark's `simplex.lp` trace
+group and the tests name; ROADMAP item 2 deletes it once the benchmark is
+re-based (item 1).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import _pivot, clear_denominators
+from .cones import nnls
+from .linalg import clear_denominators
 
 
 def solve_nonneg(A, b):
@@ -21,46 +21,19 @@ def solve_nonneg(A, b):
     A is a sequence of m rows of length n; b has length m.
     """
     m = len(b)
-    n = len(A[0]) if m and len(A) else 0
     if m == 0:
         return ()
-    if n == 0:
-        return () if all(x == 0 for x in b) else None
-
-    # rows [A | I | b] over one denominator, negated where b_i < 0 (identity
-    # kept), then the phase-1 cost row: minus their sum, 0 on the artificials
+    n = len(A[0]) if len(A) else 0
+    # A and b over one denominator, then A's columns as the generators
     flat, _ = clear_denominators([a for row in A[:m] for a in row] + list(b))
     rhs = flat[m * n:]
-    T = [[a if rhs[i] >= 0 else -a for a in flat[i * n:(i + 1) * n]]
-         + [int(i == j) for j in range(m)] + [abs(rhs[i])] for i in range(m)]
-    T.append([-sum(col) for col in zip(*T)])
-    T[m][n:n + m] = [0] * m
-    basis = [n + i for i in range(m)]
-    prev = 1
-
-    while True:
-        enter = next((j for j in range(n + m) if T[m][j] < 0), None)
-        if enter is None:
-            break
-        # least ratio T[i][-1] / T[i][enter], ties to the lower basis index;
-        # the denominators T[i][enter] are positive, so cross-multiply
-        r = None
-        for i in range(m):
-            if T[i][enter] > 0 and (r is None or (T[i][-1] * T[r][enter], basis[i])
-                                    < (T[r][-1] * T[i][enter], basis[r])):
-                r = i
-        if r is None:
-            # phase-1 objective is bounded below by 0, so this cannot happen
-            raise ArithmeticError("unbounded phase-1 simplex")
-        prev = _pivot(T, r, enter, prev, [i for i in range(m + 1) if i != r])
-        basis[r] = enter
-
-    if T[m][-1] != 0:
+    cols = [flat[j:m * n:n] for j in range(n)]
+    passive, X, d = nnls(cols, rhs)
+    if any(sum(c * cols[j][i] for c, j in zip(X, passive)) != d * bi for i, bi in enumerate(rhs)):
         return None
     x = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = Fraction(T[i][-1], prev)
+    for c, j in zip(X, passive):
+        x[j] = Fraction(c, d)
     return tuple(x)
 
 

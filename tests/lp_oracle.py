@@ -1,10 +1,12 @@
 """The Fraction-tableau simplex, kept as the reference for the LP tests.
 
-`solve_nonneg` is the phase-1 simplex with Bland's rule that
-`fixedloci.simplex` ran before its tableau became fraction-free, kept
-verbatim: every pivot divides over Fractions.  `is_semistable_support`
-decides support semistability with it, as the reference the Kempf sign is
-held to.
+`solve_nonneg` is a phase-1 simplex with Bland's rule in which every pivot
+divides over Fractions, a solver apart from the exact NNLS (`cones.nnls`)
+that `fixedloci.simplex.solve_nonneg` answers by.  That one must agree
+with it on feasibility, and acceptance criterion 5 decides its direct
+stability LP on it, so two different solvers are compared there.
+`is_semistable_support` decides support semistability with it, as the
+reference the Kempf sign is held to.
 """
 
 from fractions import Fraction

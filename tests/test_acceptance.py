@@ -26,9 +26,8 @@ from fixedloci.hmtorus import (
 )
 from fixedloci.linalg import dot
 from fixedloci.quiver import ArrowWeights, enumerate_covers
-from fixedloci.simplex import feasible_nonneg
 from fixedloci.toric import quotient_fan, toric_context
-from lp_oracle import is_semistable_support
+from lp_oracle import is_semistable_support, solve_nonneg
 from test_toric import classical_hirzebruch_fan
 from toric_oracles import (
     fan_intersections_ok,
@@ -199,8 +198,10 @@ def _random_support(rng, action):
 def _stable_direct_lp(action, support):
     """No nonzero eta with <chi_s,eta> >= 0 (s in the support) and <theta,eta> <= 0.
 
-    Feasibility of the negation is decided by exact phase-1 simplex, writing
-    eta = u - v with u, v >= 0 and slack variables for the inequalities.
+    Feasibility of the negation is decided by the Fraction-tableau simplex of
+    lp_oracle, a different solver from the NNLS behind is_stable_support,
+    writing eta = u - v with u, v >= 0 and slack variables for the
+    inequalities.
     """
     r = action.g_rank
     chis = sorted({action.chi_of(i) for i in support})
@@ -225,7 +226,7 @@ def _stable_direct_lp(action, support):
             row[-1] = -1
             rows.append(row)
             rhs.append(1)
-            if feasible_nonneg(rows, rhs):
+            if solve_nonneg(rows, rhs) is not None:
                 return False
     return True
 

@@ -387,6 +387,18 @@ def test_guard_exits_3(tmp_path, capsys):
     assert "guard error" in err
 
 
+def test_grassmann_component_guard_exits_3(tmp_path, capsys):
+    # C(16, 8) components of 8 factors are listed; C(20, 10) of 10 are refused
+    f = write(tmp_path, "g16.json", {"kind": "grassmann", "m": 8, "n": 16, "weights": list(range(16))})
+    code, out, _ = run(["grassmann", f, "--format", "table"], capsys)
+    assert code == 0 and "\ncomponents: 12870\n" in out
+    f = write(tmp_path, "g20.json", {"kind": "grassmann", "m": 10, "n": 20, "weights": list(range(20))})
+    start = time.monotonic()
+    assert run(["grassmann", f], capsys) == (3, "", "guard error: m=10, n=20: fixed components of up "
+                                             "to 10 factors each need more than 700000 report cells\n")
+    assert time.monotonic() - start < 5
+
+
 def test_prime_guard_runs_without_candidates(tmp_path, capsys):
     # one arrow 1 -> 2 at alpha = (2, 3) has a single cover class and no
     # candidate, so no component is certified; the guard must still run

@@ -1,11 +1,14 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
-from fixedloci.errors import ValidationError
-from fixedloci.grassmann import GrassmannProblem, classify
+from fixedloci import grassmann
+from fixedloci.common import positive_compositions
+from fixedloci.errors import TooLarge, ValidationError
+from fixedloci.grassmann import GrassmannComponent, GrassmannProblem, classify, component_count
 
 
 def oracle_components(m, n, weights):
@@ -33,6 +36,26 @@ def oracle_components(m, n, weights):
         t_seq = tuple(q[j - 1] - d[j - 1] for j in j_seq)
         dim = sum(dj * (qj - dj) for dj, qj in zip(d, q))
         out.add((j_seq, t_seq, dim))
+    return out
+
+
+def crossing_classify(problem):
+    """The classifier's old enumeration, kept as an oracle: every composition
+    t of m crossed with every increasing block sequence, keeping the pairs
+    whose blocks hold their rows, in the classifier's order."""
+    q = [b[1] for b in problem.blocks()]
+    k, m = len(q), problem.m
+    out = []
+    for l in range(1, min(m, k) + 1):
+        for t in positive_compositions(m, l):
+            for j_seq in itertools.combinations(range(1, k + 1), l):
+                if any(t[i] > q[j_seq[i] - 1] for i in range(l)):
+                    continue
+                s_seq = tuple(itertools.accumulate((0,) + t))
+                factors = tuple((t[i], q[j_seq[i] - 1]) for i in range(l))
+                dim = sum(ti * (qi - ti) for ti, qi in factors)
+                out.append(GrassmannComponent(s_seq, j_seq, factors, dim))
+    out.sort(key=lambda c: (c.l, c.s_seq, c.j_seq))
     return out
 
 
@@ -111,3 +134,41 @@ def test_validation():
         GrassmannProblem(4, 3, (1, 1, 1))
     with pytest.raises(ValidationError):
         GrassmannProblem(2, 3, (1, 1))
+
+
+def test_classify_matches_crossing_oracle_in_order():
+    rng = random.Random(131)
+    cases = [(2, 3, range(3)), (4, 8, range(8)), (6, 12, range(12)), (5, 9, (0, 0, 1, 1, 1, 2, 3, 3, 4))]
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        cases.append((rng.randint(1, n), n, [rng.randint(-2, 3) for _ in range(n)]))
+    for m, n, weights in cases:
+        P = GrassmannProblem(m, n, tuple(weights))
+        comps = classify(P)
+        assert comps == crossing_classify(P), (m, n, weights)
+        assert component_count([b[1] for b in P.blocks()], m) == len(comps)
+        # the guard's early refusal: for m < n there are at least k components
+        assert m == n or len(comps) >= len(P.blocks())
+
+
+def test_component_guard(monkeypatch):
+    # the report needs components x (min(m, k) + 2) cells; m = 8, n = 16
+    # distinct needs 12,870 x 10 of them
+    assert component_count([1] * 16, 8) == 12870
+    assert component_count([1] * 20, 10) == 184756
+    with pytest.raises(TooLarge):
+        classify(GrassmannProblem(10, 20, tuple(range(20))))
+    # few components, but each with hundreds of factors
+    assert component_count([1] * 362, 360) == 65341
+    with pytest.raises(TooLarge):
+        classify(GrassmannProblem(360, 362, tuple(range(362))))
+    # refused before counting: every coefficient from x^1 to x^(n-1) is >= k
+    start = time.monotonic()
+    with pytest.raises(TooLarge):
+        classify(GrassmannProblem(2500, 5000, tuple(range(5000))))
+    assert time.monotonic() - start < 1
+    monkeypatch.setattr(grassmann, "MAX_REPORT_CELLS", 128700)
+    assert len(classify(GrassmannProblem(8, 16, tuple(range(16))))) == 12870
+    monkeypatch.setattr(grassmann, "MAX_REPORT_CELLS", 128699)
+    with pytest.raises(TooLarge):
+        classify(GrassmannProblem(8, 16, tuple(range(16))))

@@ -2,6 +2,7 @@ import collections
 import random
 from fractions import Fraction
 
+from fixedloci.linalg import clear_denominators, rank
 from fixedloci.simplex import solve_nonneg
 from lp_oracle import solve_nonneg as oracle_solve_nonneg
 
@@ -33,18 +34,22 @@ def _system(rng):
 
 
 def test_simplex_matches_fraction_oracle():
-    # same x (or both None) as the Fraction-tableau simplex, pivot for pivot
+    # None exactly when the Fraction-tableau simplex says infeasible; else an
+    # exact x >= 0 whose support columns are linearly independent (basic)
     rng = random.Random(4101)
     seen = collections.Counter()
     for _ in range(20000):
         A, b, tags = _system(rng)
         x = solve_nonneg(A, b)
-        assert x == oracle_solve_nonneg(A, b), (A, b)
+        assert (x is None) == (oracle_solve_nonneg(A, b) is None), (A, b)
         if x is None:
             seen["infeasible"] += 1
         else:
             assert all(type(v) is Fraction and v >= 0 for v in x)
             assert all(sum(a * v for a, v in zip(row, x)) == bi for row, bi in zip(A, b))
+            support = [j for j, v in enumerate(x) if v]
+            cols = [clear_denominators([row[j] for row in A])[0] for j in support]
+            assert rank(cols) == len(support), (A, b, x)
             seen["feasible"] += 1
         seen.update(tags)
     assert min(seen.values()) > 500, seen
