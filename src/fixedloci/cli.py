@@ -268,8 +268,9 @@ def _quiver_report(data, seed, prime, trials, window):
         radius = default_window_radius(alpha, W)
     check_guard(alpha, prime)
     classes, cands = enumerate_covers(Q, W, alpha, radius)
+    shapes = {}  # decisions per support shape, shared by this report's candidates only
     results = [
-        certify_component(Q, W, c, theta, trials=trials, prime=prime, seed=seed)
+        certify_component(Q, W, c, theta, trials=trials, prime=prime, seed=seed, shapes=shapes)
         for c, _ in cands
     ]
 

@@ -11,11 +11,20 @@ tuple of its ((vertex, grade), n) pairs, n > 0.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
 from .common import positive_compositions
-from .errors import DimMismatch, ValidationError
+from .errors import DimMismatch, TooLarge, ValidationError
+
+# The most grow calls plus covers counted that one enumeration may take.
+# Measured with Python 3.11 on 2 CPUs: the largest input of the tests,
+# golden files, CI and benchmark takes 7,521; K6(4,4) and one vertex with
+# four loops at alpha = 8, both at full grading and inside the total
+# dimension guard, reach the cap in 2-3 s at about 70 MB; before it, they
+# ran for minutes and grew past 0.5 GB.
+MAX_COVERS = 100_000
 
 
 @dataclass(frozen=True)
@@ -154,6 +163,9 @@ def enumerate_covers(quiver: Quiver, weights: ArrowWeights, alpha, radius):
     points above it, therefore meets each representative exactly once.
     The span bound is monotone under adding points, so a candidate that
     breaks it is banned for the rest of its branch without losing a class.
+
+    Each grow call and each cover counted is one step of work, and past
+    MAX_COVERS steps the enumeration raises TooLarge.
     """
     radius = int(radius)
     if radius < 0:
@@ -179,9 +191,17 @@ def enumerate_covers(quiver: Quiver, weights: ArrowWeights, alpha, radius):
     span = 2 * radius
     v0 = min(supp)
     root = (v0, (0,) * weights.aux_rank)
-    supports = []
+    supports, work = [], 0  # work: grow calls plus covers counted
+
+    def spend(n):
+        nonlocal work
+        work += n
+        if work > MAX_COVERS:
+            raise TooLarge("cover enumeration exceeds the guard of %d support searches and covers"
+                           % MAX_COVERS)
 
     def grow(current, counts, lo, hi, candidates, banned):
+        spend(1)
         if all(counts.get(v, 0) >= 1 for v in supp):
             supports.append(current)
         if len(current) >= total:
@@ -211,9 +231,11 @@ def enumerate_covers(quiver: Quiver, weights: ArrowWeights, alpha, radius):
         # sorted points run vertex by vertex, so one composition per vertex fills b
         runs = itertools.groupby(v for v, _ in pts)
         choices = [positive_compositions(alpha[v], len(list(g))) for v, g in runs]
+        covers = math.prod(map(len, choices))
+        spend(covers)
+        count += covers
         for combo in itertools.product(*choices):
             b = [n for comp in combo for n in comp]
-            count += 1
             dim = sum(b[i] * b[j] for i, j in pairs) - sum(n * n for n in b) + 1
             if dim >= 0:
                 kept.append((tuple(zip(pts, b)), dim))

@@ -471,7 +471,7 @@ class Certification:
 
 
 def certify_component(quiver: Quiver, weights: ArrowWeights, beta, theta,
-                      trials=200, prime=5, seed=0) -> Certification:
+                      trials=200, prime=5, seed=0, shapes=None) -> Certification:
     """Certify (non)emptiness of the stable locus a cover describes, the
     cover given as its sorted ((vertex, grade), n) tuple.
 
@@ -481,21 +481,36 @@ def certify_component(quiver: Quiver, weights: ArrowWeights, beta, theta,
     = F_p) is then attached to a nonempty component as its witness; trials,
     prime and seed choose the witness and never the status.  No witness is
     sought when a vertex's subspaces outnumber MAX_SUBSPACES.
+
+    The decision depends only on the cover's shape: its dimensions and θ̂
+    in support order and its arrows as (source, target) positions.  Neither
+    destabilizer reads arrow ids, grades or arrow order, and each is chosen
+    by position, so shapes, a dict that the caller shares over the covers
+    of one report, keeps (method, destabilizer as (position, n) pairs) per
+    shape; a fresh dict is used when it is None.  check_guard and the
+    witness search, seeded by repr(beta), still run for every cover.
     """
     sq, dims = support_quiver(quiver, weights, beta)
     th = theta_hat(theta, sq.vertices)
     check_guard(dims, prime)
 
-    method = "structural"
-    dest = structural_destabilizer(sq, dims, th)
-    # a thin cover needs no more: the subrepresentations of the all-nonzero
-    # representation are the arrow-closed subsets, none of which destabilizes
-    if dest is None and any(n != 1 for n in dims.values()):
-        method = "schofield"
-        dest = generic_destabilizer(sq, dims, th)
+    pos = {v: i for i, v in enumerate(sq.vertices)}
+    shape = (tuple(dims.values()), tuple(th.values()),
+             tuple(sorted((pos[a.src], pos[a.tgt]) for a in sq.arrows)))
+    shapes = {} if shapes is None else shapes
+    if shape not in shapes:
+        method = "structural"
+        dest = structural_destabilizer(sq, dims, th)
+        # a thin cover needs no more: the subrepresentations of the all-nonzero
+        # representation are the arrow-closed subsets, none of which destabilizes
+        if dest is None and any(n != 1 for n in dims.values()):
+            method = "schofield"
+            dest = generic_destabilizer(sq, dims, th)
+        shapes[shape] = method, None if dest is None else tuple((pos[v], n) for v, n in dest.items())
+    method, dest = shapes[shape]
     if dest is not None:
         return Certification(Status.EMPTY_VERIFIED, method,
-                             destabilizer=tuple(sorted(dest.items())))
+                             destabilizer=tuple(sorted((sq.vertices[i], n) for i, n in dest)))
 
     if any(subspace_count(d, prime) > MAX_SUBSPACES for d in dims.values()):
         return Certification(Status.NONEMPTY_VERIFIED, method)

@@ -399,6 +399,22 @@ def test_grassmann_component_guard_exits_3(tmp_path, capsys):
     assert time.monotonic() - start < 5
 
 
+def test_cover_enumeration_guard_exits_3(tmp_path, capsys):
+    # both have total dimension 8, inside check_guard; at full grading the
+    # first enumerated 799,866 classes in 45 s, the second grew past 1.5 GB
+    six = ["a%d" % i for i in range(6)]
+    k644 = {"kind": "quiver", "vertices": ["1", "2"], "alpha": {"1": 4, "2": 4}, "theta": {"1": -1, "2": 1},
+            "arrows": [{"id": a, "src": "1", "tgt": "2"} for a in six]}
+    loops = {"kind": "quiver", "vertices": ["1"], "alpha": {"1": 8}, "theta": {"1": 0},
+             "arrows": [{"id": "l%d" % i, "src": "1", "tgt": "1"} for i in range(4)]}
+    for name, data in (("k644.json", k644), ("loops.json", loops)):
+        f = write(tmp_path, name, data)
+        start = time.monotonic()
+        assert run(["quiver", f], capsys) == (3, "", "guard error: cover enumeration exceeds the guard "
+                                              "of 100000 support searches and covers\n")
+        assert time.monotonic() - start < 10
+
+
 def test_prime_guard_runs_without_candidates(tmp_path, capsys):
     # one arrow 1 -> 2 at alpha = (2, 3) has a single cover class and no
     # candidate, so no component is certified; the guard must still run

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from conftest import kronecker3
-from fixedloci.cli import _quiver_from_data, main
+from fixedloci.cli import _quiver_from_data, _quiver_report, main
 from fixedloci.common import Status
 from fixedloci.errors import TooLarge, ValidationError
 from fixedloci.hmtorus import WeightItem, WeightedAction, is_stable_support
@@ -43,7 +43,8 @@ from quiver_oracles import box_covers, cover
 from repfield_oracles import _iter_subrep_dimvectors as oracle_iter_subrep_dimvectors
 from repfield_oracles import gf_in_span, is_semistable_rep, subrep_dimension_vectors, subspaces
 from repfield_oracles import structural_destabilizer as oracle_structural_destabilizer
-from test_golden_reports import _quiver_file
+from test_golden_reports import PROBLEMS, _quiver_file
+from test_golden_reports import _kronecker as _kronecker_data
 
 
 def test_subspace_counts():
@@ -710,3 +711,82 @@ def test_check_prime_matches_trial_division():
     for n in (1287836182261 * 2575672364519, bound - 1, 3 * bound,
               (2 ** 61 - 1) * (2 ** 89 - 1), (2 ** 89 - 1) ** 2):
         assert not accepted(n), n
+
+
+def _certify_all(data, shapes, window=None, seed=0, prime=5, trials=200):
+    """Every candidate of a quiver problem certified as the CLI does, with
+    the one shapes dict given, or a fresh one per cover when it is None."""
+    Q, W, alpha, theta = _quiver_from_data(data)
+    radius = default_window_radius(alpha, W) if window is None else window
+    return [certify_component(Q, W, c, theta, trials=trials, prime=prime, seed=seed, shapes=shapes)
+            for c, _ in enumerate_covers(Q, W, alpha, radius)[1]]
+
+
+def _shape(Q, W, beta, theta):
+    """The memo key of a cover: dims and θ̂ in support order, arrows by position."""
+    sq, dims = support_quiver(Q, W, beta)
+    pos = {v: i for i, v in enumerate(sq.vertices)}
+    return (tuple(dims[v] for v in sq.vertices), tuple(theta.get(v, 0) for v, _ in sq.vertices),
+            tuple(sorted((pos[a.src], pos[a.tgt]) for a in sq.arrows)))
+
+
+def test_shape_memo_changes_no_certification():
+    """One shapes dict over a report's candidates gives every cover the same
+    Certification (status, method, destabilizer, witness and witness_trial)
+    as a fresh dict per cover."""
+    kron3 = json.loads((PROBLEMS / "kronecker3.json").read_text())
+    runs = [(kron3, {"window": 2})] + [(_kronecker_data(3, 3, b), {"window": 2}) for b in (4, 5)]
+    for seed in range(200):
+        data, flags = _quiver_file(seed)
+        if sum(data["alpha"].values()) <= 8:  # the rest exceed the certification guard
+            runs.append((data, {k.lstrip("-"): int(v) for k, v in zip(flags[::2], flags[1::2])}))
+    hits = 0
+    for data, opts in runs:
+        shapes = {}
+        shared = _certify_all(data, shapes, **opts)
+        assert shared == _certify_all(data, None, **opts), (data, opts)
+        hits += len(shared) - len(shapes)
+    assert len(runs) >= 180 and hits >= 300, (len(runs), hits)
+
+
+def test_shape_memo_hit_lands_on_its_own_points():
+    """Two empty covers of K3(3,4) at window 2 with one shape: the second,
+    read from the entry the first made, gets the destabilizer it gets alone,
+    on its own points.  Of the 22 shapes with two empty covers, 8 put the
+    second's destabilizer off the first's points."""
+    Q, W, alpha, theta = _kronecker(3, 3, 4)
+    by_shape = collections.defaultdict(list)
+    for c, _ in enumerate_covers(Q, W, alpha, 2)[1]:
+        by_shape[_shape(Q, W, c, theta)].append(c)
+    pairs = [cs[:2] for cs in by_shape.values() if len(cs) > 1
+             and certify_component(Q, W, cs[0], theta, trials=0).status is Status.EMPTY_VERIFIED]
+    moved = 0
+    for first, second in pairs:
+        shapes = {}
+        one = certify_component(Q, W, first, theta, trials=0, shapes=shapes)
+        two = certify_component(Q, W, second, theta, trials=0, shapes=shapes)
+        assert len(shapes) == 1 and one.status is two.status is Status.EMPTY_VERIFIED
+        assert two == certify_component(Q, W, second, theta, trials=0)
+        assert {p for p, _ in one.destabilizer} <= dict(first).keys()
+        assert {p for p, _ in two.destabilizer} <= dict(second).keys()
+        moved += not {p for p, _ in two.destabilizer} <= dict(first).keys()
+    assert (len(pairs), moved) == (22, 8)
+
+
+def test_structural_test_runs_once_per_shape_per_report(monkeypatch):
+    """K3(3,4) at window 2 has 158 candidates over 79 shapes: each report
+    decides each shape once, and a second report decides them all again,
+    since the memo lives for one report only."""
+    calls = []
+
+    def counted(quiver, dims, theta):
+        calls.append(1)
+        return structural_destabilizer(quiver, dims, theta)
+
+    monkeypatch.setattr("fixedloci.repfield.structural_destabilizer", counted)
+    data, seen = _kronecker_data(3, 3, 4), []
+    for _ in range(2):
+        calls.clear()
+        report = _quiver_report(data, None, None, 0, 2)
+        seen.append((len(calls), report["counts"]["candidates"]))
+    assert seen == [(79, 158), (79, 158)]
