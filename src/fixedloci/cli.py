@@ -15,6 +15,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
+import operator
 import sys
 import time
 from fractions import Fraction
@@ -44,54 +46,123 @@ def _problem_schema():
     return json.loads(resources.files("fixedloci.schemas").joinpath("problem.schema.json").read_text())
 
 
-def _is_type(value, name):
-    """JSON Schema's type test: a bool is no number, a float with an integral value an integer."""
-    if isinstance(value, bool):
-        return False
-    if name == "integer":
-        return isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    return isinstance(value, {"number": (int, float), "string": str, "array": list,
-                              "object": dict}[name])
+def _compile(schema, table):
+    """The check closure of one schema node, compiled with every node below it
+    and each filed in `table` under its node's id.  check(value, path, out)
+    appends (path, message) to out for each way `value` breaks the node, in
+    schema order, with the messages of jsonschema's Draft 2020-12 validator
+    for the keywords the problem schema uses."""
+    check = _each([c for c in (_keyword(key, rule, schema, table) for key, rule in schema.items()) if c])
+    table[id(schema)] = check
+    return check
+
+
+def _each(checks):
+    """One check that runs `checks` in turn."""
+    def check(value, path, out):
+        for c in checks:
+            c(value, path, out)
+    return check
+
+
+def _keyword(key, rule, schema, table):
+    """The check of one keyword of a schema node; None for one that checks
+    nothing by itself, such as "then" or "title"."""
+    if key == "type":
+        # a bool is no number, a float with an integral value an integer
+        types = {"integer": (int,), "number": (int, float), "string": (str,), "array": (list,),
+                 "object": (dict,)}[rule]
+
+        def check(value, path, out):
+            if type(value) not in types and not (
+                    rule == "integer" and type(value) is float and value.is_integer()):
+                out.append((path, "%r is not of type %r" % (value, rule)))
+    elif key == "enum":
+        def check(value, path, out):
+            if value not in rule:
+                out.append((path, "%r is not one of %r" % (value, rule)))
+    elif key == "const":
+        def check(value, path, out):
+            if value != rule:
+                out.append((path, "%r was expected" % (rule,)))
+    elif key == "minimum":
+        def check(value, path, out):
+            if type(value) in (int, float) and value < rule:
+                out.append((path, "%r is less than the minimum of %r" % (value, rule)))
+    elif key in ("minItems", "maxItems"):
+        beyond, text = ((operator.lt, "should be non-empty" if rule == 1 else "is too short")
+                        if key == "minItems" else
+                        (operator.gt, "is expected to be empty" if rule == 0 else "is too long"))
+
+        def check(value, path, out):
+            if isinstance(value, list) and beyond(len(value), rule):
+                out.append((path, "%r %s" % (value, text)))
+    elif key == "required":
+        def check(value, path, out):
+            if isinstance(value, dict):
+                out.extend((path, "%r is a required property" % (n,)) for n in rule if n not in value)
+    elif key == "items":
+        item = _compile(rule, table)
+        # a list of plain ints at or above the minimum breaks no plain integer rule
+        plain = rule.get("type") == "integer" and set(rule) <= {"type", "minimum"}
+        low = rule.get("minimum", -math.inf)
+
+        def check(value, path, out):
+            if isinstance(value, list) and not (
+                    plain and all(type(x) is int for x in value) and min(value, default=low) >= low):
+                for i, x in enumerate(value):
+                    item(x, path + (i,), out)
+    elif key == "properties":
+        subs = [(name, _compile(sub, table)) for name, sub in rule.items()]
+
+        def check(value, path, out):
+            if isinstance(value, dict):
+                for name, sub in subs:
+                    if name in value:
+                        sub(value[name], path + (name,), out)
+    elif key == "additionalProperties":
+        known = set(schema.get("properties", {}))
+        sub = rule is not False and _compile(rule, table)
+
+        def check(value, path, out):
+            if not isinstance(value, dict):
+                return
+            extra = sorted(k for k in value if k not in known)
+            if sub:
+                for name in extra:
+                    sub(value[name], path + (name,), out)
+            elif extra:
+                out.append((path, "Additional properties are not allowed (%s %s unexpected)" % (
+                    ", ".join(map(repr, extra)), "was" if len(extra) == 1 else "were")))
+    elif key == "allOf":
+        check = _each([_compile(sub, table) for sub in rule])
+    elif key == "if":
+        cond, then = _compile(rule, table), _compile(schema["then"], table)
+
+        def check(value, path, out):
+            failed = []
+            cond(value, (), failed)
+            if not failed:
+                then(value, path, out)
+    else:
+        return None
+    return check
+
+
+@functools.cache
+def _compiled():
+    """The problem schema's check closures by node id, compiled on first use."""
+    table = {}
+    _compile(_problem_schema(), table)
+    return table
 
 
 def _schema_errors(value, schema, path=()):
-    """Yield (path, message) for each way `value` breaks `schema`, in schema order, with the
-    messages of jsonschema's Draft 2020-12 validator for the keywords the problem schema uses."""
-    for key, rule in schema.items():
-        if key == "type" and not _is_type(value, rule):
-            yield path, "%r is not of type %r" % (value, rule)
-        elif key == "enum" and value not in rule:
-            yield path, "%r is not one of %r" % (value, rule)
-        elif key == "const" and value != rule:
-            yield path, "%r was expected" % (rule,)
-        elif key == "minimum" and _is_type(value, "number") and value < rule:
-            yield path, "%r is less than the minimum of %r" % (value, rule)
-        elif key == "minItems" and isinstance(value, list) and len(value) < rule:
-            yield path, "%r %s" % (value, "should be non-empty" if rule == 1 else "is too short")
-        elif key == "maxItems" and isinstance(value, list) and len(value) > rule:
-            yield path, "%r %s" % (value, "is expected to be empty" if rule == 0 else "is too long")
-        elif key == "items" and isinstance(value, list):
-            for i, item in enumerate(value):
-                yield from _schema_errors(item, rule, path + (i,))
-        elif key == "required" and isinstance(value, dict):
-            yield from ((path, "%r is a required property" % (n,)) for n in rule if n not in value)
-        elif key == "properties" and isinstance(value, dict):
-            for name, sub in rule.items():
-                if name in value:
-                    yield from _schema_errors(value[name], sub, path + (name,))
-        elif key == "additionalProperties" and isinstance(value, dict):
-            extra = sorted(k for k in value if k not in schema.get("properties", {}))
-            if rule is False and extra:
-                yield path, "Additional properties are not allowed (%s %s unexpected)" % (
-                    ", ".join(map(repr, extra)), "was" if len(extra) == 1 else "were")
-            elif rule is not False:
-                for name in extra:
-                    yield from _schema_errors(value[name], rule, path + (name,))
-        elif key == "allOf":
-            for sub in rule:
-                yield from _schema_errors(value, sub, path)
-        elif key == "if" and not any(_schema_errors(value, rule)):
-            yield from _schema_errors(value, schema["then"], path)
+    """Iterate (path, message) for each way `value` breaks `schema`, in schema
+    order; a schema outside the problem schema is compiled for this call."""
+    out = []
+    (_compiled().get(id(schema)) or _compile(schema, {}))(value, path, out)
+    return iter(out)
 
 
 def load_problem(path):
@@ -116,16 +187,23 @@ def load_problem(path):
     return data
 
 
-def _check_flag(flag, value, kind, *path):
-    """Hold a command-line value to the schema rule for the same field of a
-    problem file of this kind."""
+@functools.cache
+def _flag_check(kind, path):
+    """The compiled schema rule for one field of a problem file of this kind."""
     rule = next(r["then"] for r in _problem_schema()["allOf"]
                 if r["if"]["properties"]["kind"]["const"] == kind)
     for key in path:
         rule = rule["properties"][key]
-    error = next(_schema_errors(value, rule), None)
-    if error:
-        raise ValidationError("%s: %s" % (flag, error[1]))
+    return _compiled()[id(rule)]
+
+
+def _check_flag(flag, value, kind, *path):
+    """Hold a command-line value to the schema rule for the same field of a
+    problem file of this kind."""
+    errors = []
+    _flag_check(kind, path)(value, (), errors)
+    if errors:
+        raise ValidationError("%s: %s" % (flag, errors[0][1]))
     return value
 
 

@@ -113,6 +113,9 @@ def check_inner_product(Q, dim):
 
 
 def dot_q(u, v, Q):
+    """<u, v>_Q, the standard inner product when Q is None."""
+    if Q is None:
+        return dot(u, v)
     return sum(u[i] * sum(Q[i][j] * v[j] for j in range(len(v))) for i in range(len(u)))
 
 

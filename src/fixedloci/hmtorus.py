@@ -136,15 +136,12 @@ def kempf_data(action: WeightedAction, support, Q=None):
     the limit cone's generators, from one nearest-point projection of
     -Q^-1 theta = -X / d, taken at the integer point -X."""
     cone = limit_cone(action, support)
-    r = action.g_rank
-    if Q is None:
-        Q = [[int(i == j) for j in range(r)] for i in range(r)]
-    else:
-        Q = check_inner_product(Q, r)
+    if Q is not None:  # None is the standard inner product, kept implicit
+        Q = check_inner_product(Q, action.g_rank)
     if not cone:
         return MValue(1, None), None, cone
     theta = action.theta
-    X, d = solve(Q, theta)
+    X, d = (theta, 1) if Q is None else solve(Q, theta)
     P, D = project_onto_cone(cone, vec_neg(X), Q)
     if any(P):
         return MValue(-1, Fraction(dot_q(P, P, Q), (d * D) ** 2)), primitive(P), cone

@@ -1,10 +1,10 @@
-"""jsonschema as the reference for the CLI's schema walker, and the report
+"""jsonschema as the reference for the CLI's schema checks, and the report
 schema check that only the tests make.
 
-The CLI validates problem files and flags with `cli._schema_errors`, a
-stdlib walker over the keywords the problem schema uses.  jsonschema's
-Draft 2020-12 validator is the oracle it is compared against; the report
-schema is checked here only.
+The CLI validates problem files and flags with `cli._schema_errors`,
+stdlib check closures compiled from the keywords the problem schema uses.
+jsonschema's Draft 2020-12 validator is the oracle they are compared
+against; the report schema is checked here only.
 """
 
 import json

@@ -1,10 +1,11 @@
-"""The CLI's schema walker against jsonschema, and the CLI without jsonschema.
+"""The CLI's compiled schema checks against jsonschema, and the CLI without jsonschema.
 
 `cli._schema_errors` must give jsonschema 4.26's (path, message) pairs on
 seeded mutated problem documents, and its first error on flag values; the
-messages reach the user on stderr.  The CLI must then run every subcommand
-with jsonschema unimportable, and leave it, `referencing` and `rpds`
-unimported.
+messages reach the user on stderr, and `load_problem` shows the first error
+at the least path.  The schema is compiled once per process, on first use.
+The CLI must then run every subcommand with jsonschema unimportable, and
+leave it, `referencing` and `rpds` unimported.
 """
 
 import collections
@@ -19,8 +20,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
+
 import fixedloci
-from fixedloci.cli import _problem_schema, _schema_errors, main
+from fixedloci import cli
+from fixedloci.cli import _problem_schema, _schema_errors, load_problem, main
+from fixedloci.errors import ValidationError
 from schema_oracles import jsonschema_errors
 from test_golden_reports import BASES, KIND_TO_COMMAND, PROBLEMS, _nodes, _parent
 
@@ -100,6 +105,82 @@ def test_walker_agrees_with_jsonschema():
             assert got == next(iter(jsonschema_errors(value, rule)), None), (value, rule)
             seen[got and _keyword(got[1])] += 1
     assert all(seen[k] >= 20 for k in KEYWORDS), seen
+
+
+def _chosen(errors):
+    """The error load_problem shows: the first one at the least path."""
+    return min(errors, key=lambda e: e[0], default=None)
+
+
+def test_load_problem_shows_jsonschemas_first_least_path_error(tmp_path):
+    schema = _problem_schema()
+    bases = [json.loads(p.read_text()) for p in sorted(PROBLEMS.glob("*.json"))] + list(BASES)
+    rng = random.Random("walker-oracle")
+    path = tmp_path / "doc.json"
+    invalid = ties = 0
+    for _ in range(5000):
+        doc = _mutated(rng, bases)
+        path.write_text(json.dumps(doc))
+        expected = jsonschema_errors(doc, schema)
+        want = _chosen(expected)
+        try:
+            load_problem(str(path))
+            got = None
+        except ValidationError as exc:
+            got = str(exc)
+        if want is None:
+            assert got is None, (doc, got)
+            continue
+        loc = "/".join(map(str, want[0])) or "(root)"
+        assert got == "%s: at %s: %s" % (path, loc, want[1]), doc
+        invalid += 1
+        ties += sum(e[0] == want[0] for e in expected) > 1
+    # in a tie the first error in walk order wins, so the order matters too
+    assert invalid > 2500 and ties > 200, (invalid, ties)
+
+
+def _weights_doc(**fields):
+    return dict({"kind": "weights", "g_rank": 1, "items": [{"chi": [1]}], "theta": [1]}, **fields)
+
+
+@pytest.mark.parametrize("doc", [
+    _weights_doc(items=[{"chi": chi}]) for chi in ([True], [1.0], [1e400], [float("nan")], [])
+] + [
+    _weights_doc(support=support) for support in ([[-1, 0]], [[0.0, 0]], [[0, 0, 0]])
+], ids=["chi-true", "chi-1.0", "chi-1e400", "chi-nan", "chi-empty",
+        "support-negative", "support-float", "support-triple"])
+def test_integer_array_fast_path_keeps_jsonschemas_errors(doc):
+    # a list of plain ints skips the per-item checks; bools, floats and
+    # values under the minimum must still reach them
+    got = list(_schema_errors(doc, _problem_schema()))
+    expected = jsonschema_errors(doc, _problem_schema())
+    assert sorted(got) == sorted(expected)
+    assert _chosen(got) == _chosen(expected)
+
+
+def test_schema_compiles_once_and_not_at_import(monkeypatch):
+    calls = []
+    compile_node = cli._compile
+
+    def counting(schema, table):
+        calls.append(schema)
+        return compile_node(schema, table)
+
+    monkeypatch.setattr(cli, "_compile", counting)
+    cli._compiled.cache_clear()
+    cli._flag_check.cache_clear()
+    args = ["kempf", str(PROBLEMS / "kempf_halfplane.json"), "--support", "[[0, 0]]"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(args) == 0
+        compiled = len(calls)
+        assert main(args) == 0
+    assert len(calls) == compiled and calls.count(_problem_schema()) == 1
+
+    src = str(Path(fixedloci.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import fixedloci.cli as c; print(c._compiled.cache_info().currsize)"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0 and proc.stdout == "0\n", proc.stderr
 
 
 NO_JSONSCHEMA = r"""
