@@ -10,8 +10,12 @@ every arrow nonzero is stable, and otherwise the general representation
 is.  A representation over a small prime field, sampled at random, is
 attached to a nonempty component as a witness when it is geometrically
 stable: stable over F_p with End(M) = F_p, so that no Galois-conjugate
-summands split it over the algebraic closure.  The status never rests
-on the witness.  King's inequalities are evaluated on F_p representations
+summands split it over the algebraic closure.  End(M) is computed only
+when the dimensions share a factor: the endomorphisms of a stable M form
+a finite field F_{p^k}, and k divides every dimension.  The status never
+rests on the witness.
+
+King's inequalities are evaluated on F_p representations
 by a depth-first search for a destabilizing subrepresentation: it extends
 only subspace tuples closed under the arrow maps, cuts a branch once no
 completion of it can reach θ <= 0, and stops at the first destabilizer.
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -369,28 +374,38 @@ def structural_destabilizer(quiver: Quiver, dims, theta):
     The full spaces over such a subset form a subrepresentation of every
     representation with these dimensions, so its existence certifies that no
     point is stable.  The arrow-closed subsets of the support are the unions
-    of its forward-reachability sets; the least one by size, then by
-    lexicographic position in the support, is returned.
+    of its forward-reachability sets, kept as int bitmasks with position i
+    of the n support vertices at bit n - 1 - i, so that among sets of one
+    size the least by lexicographic position has the greatest mask.  The
+    least one by size, then by position, is returned.
     """
     supp = [v for v in quiver.vertices if int(dims.get(v, 0)) > 0]
-    bit = {v: 1 << i for i, v in enumerate(supp)}
+    bit = {v: 1 << (len(supp) - 1 - i) for i, v in enumerate(supp)}
+    out = dict.fromkeys(bit.values(), 0)  # out-neighbour mask of each vertex bit
+    for a in quiver.arrows:
+        if a.src in bit and a.tgt in bit:
+            out[bit[a.src]] |= bit[a.tgt]
     closed = {0}
-    for v in supp:  # add the unions with the set reachable from v
-        reach, stack = 0, [v]
-        while stack:
-            u = stack.pop()
-            if not reach & bit[u]:
-                reach |= bit[u]
-                stack += [a.tgt for a in quiver.arrows if a.src == u and a.tgt in bit]
+    for reach in bit.values():  # add the unions with the set reachable from it
+        todo = out[reach] & ~reach
+        while todo:
+            low = todo & -todo
+            reach |= low
+            todo = (todo | out[low]) & ~reach
         closed |= {c | reach for c in closed}
-    weight = [int(theta.get(v, 0)) * int(dims[v]) for v in supp]
-    proper = sorted(closed - {0, (1 << len(supp)) - 1}, key=int.bit_count)
-    for _, group in itertools.groupby(proper, key=int.bit_count):  # by size, then position
-        found = [m for m in ([i for i in range(len(supp)) if c >> i & 1] for c in group)
-                 if sum(weight[i] for i in m) <= 0]
-        if found:
-            return {v: int(dims.get(v, 0)) for v in set(supp[i] for i in min(found))}
-    return None
+    proper = list(closed - {0, (1 << len(supp)) - 1})
+    by_bit = [int(theta.get(v, 0)) * int(dims[v]) for v in reversed(supp)]
+    weight = [0] * len(proper)
+    for lo in range(0, len(supp), 8):  # θ-weights 8 bits at a time: tables of 256 sums, not 2^n
+        table = [0]
+        for w_b in by_bit[lo:lo + 8]:
+            table += [w + w_b for w in table]
+        weight = [w + table[c >> lo & 255] for w, c in zip(weight, proper)]
+    found = [c for c, w in zip(proper, weight) if w <= 0]
+    if not found:
+        return None
+    least = min(found, key=lambda c: (c.bit_count(), -c))
+    return {v: int(dims.get(v, 0)) for v in set(v for v in supp if bit[v] & least)}
 
 
 def _subvectors(g):
@@ -406,13 +421,15 @@ class GenericSubdims:
     arrows i -> j of a_i b_j, s -> g exactly when ext(s, g - s) = 0, and
     ext(a, h) = max of -<a', h> over a' -> a (Schofield, Proc. LMS 65, 1992,
     Thm 5.4; for quivers with oriented cycles and loops, Crawley-Boevey,
-    Bull. LMS 28, 1996).  The subvectors of each g are memoised by g.
+    Bull. LMS 28, 1996).  So s -> g exactly when no t -> s has
+    <t, g - s> < 0, and only the t <= s with <t, g - s> < 0 are tested for
+    t -> s.  Each answer is memoised per (s, g).
     """
 
     def __init__(self, quiver: Quiver):
         pos = {v: i for i, v in enumerate(quiver.vertices)}
         self._arrows = [(pos[a.src], pos[a.tgt]) for a in quiver.arrows]
-        self._subs = {}
+        self._embeds = {}
 
     def _pairing(self, h):
         """The vector c with <a, h> = a . c for every a."""
@@ -421,25 +438,16 @@ class GenericSubdims:
             c[i] -= h[j]
         return c
 
-    def ext(self, a, h):
-        """Dimension of Ext between general representations of dimensions a and h."""
-        c = self._pairing(h)
-        return max(-sum(map(operator.mul, s, c)) for s in self.subs(a))
-
     def embeds(self, s, g):
         """s -> g, i.e. ext(s, g - s) = 0; ext is never negative (0 -> s)."""
         if s == g:
             return True
-        c = self._pairing([x - y for x, y in zip(g, s)])
-        # s -> s, so <s, g - s> < 0 settles it without the recursion
-        return sum(map(operator.mul, s, c)) >= 0 and \
-            all(sum(map(operator.mul, a, c)) >= 0 for a in self.subs(s))
-
-    def subs(self, g):
-        """All s with s -> g, zero and g included."""
-        if g not in self._subs:
-            self._subs[g] = [s for s in _subvectors(g) if self.embeds(s, g)]
-        return self._subs[g]
+        if (s, g) not in self._embeds:
+            c = self._pairing([x - y for x, y in zip(g, s)])
+            # s -> s, so <s, g - s> < 0 settles it without the recursion
+            self._embeds[s, g] = sum(map(operator.mul, s, c)) >= 0 and not any(
+                sum(map(operator.mul, t, c)) < 0 and self.embeds(t, s) for t in _subvectors(s))
+        return self._embeds[s, g]
 
 
 def generic_destabilizer(quiver: Quiver, dims, theta):
@@ -455,7 +463,7 @@ def generic_destabilizer(quiver: Quiver, dims, theta):
     tv = _theta_vec(quiver, theta)
     generic = GenericSubdims(quiver)
     for s in _subvectors(beta):
-        if any(s) and s != beta and sum(t * x for t, x in zip(tv, s)) <= 0 \
+        if any(s) and s != beta and sum(map(operator.mul, tv, s)) <= 0 \
                 and generic.embeds(s, beta):
             return {v: x for v, x in zip(quiver.vertices, s) if x}
     return None
@@ -515,9 +523,12 @@ def certify_component(quiver: Quiver, weights: ArrowWeights, beta, theta,
     if any(subspace_count(d, prime) > MAX_SUBSPACES for d in dims.values()):
         return Certification(Status.NONEMPTY_VERIFIED, method)
     comp_key, king = repr(beta), KingScan(sq, dims, prime, th)
+    # a stable M has End(M) a finite division ring when θ̂ . dims = 0, so a
+    # field F_{p^k} (Wedderburn); each M_v is an F_{p^k}-space, so k | d_v
+    scalar = math.gcd(*dims.values()) == 1 and not sum(th[v] * n for v, n in dims.items())
     for trial in range(trials):
         rng = random.Random("%s:%s:%d" % (seed, comp_key, trial))
         M = random_rep(sq, dims, prime, rng)
-        if king.destabilizer(M) is None and endomorphism_dim(sq, M) == 1:
+        if king.destabilizer(M) is None and (scalar or endomorphism_dim(sq, M) == 1):
             return Certification(Status.NONEMPTY_VERIFIED, method, witness=M, witness_trial=trial)
     return Certification(Status.NONEMPTY_VERIFIED, method)

@@ -8,12 +8,17 @@ lists and keeps the tuples closed under every arrow, testing closure by
 scan's parity checks; `structural_destabilizer`
 tests every vertex subset of the support for arrow-closure, in order of
 size and then of position.  Both are the scans `repfield` ran before it
-generated only closed tuples, kept verbatim.  `subrep_dimension_vectors`
+generated only closed tuples, kept verbatim.  `GenericSubdims` is
+Schofield's recursion as `repfield` ran it before its test became lazy: it
+lists every generic subdimension vector of s (`subs`) before testing
+s -> g, and it alone gives `ext`; `generic_destabilizer` runs it in the
+order of `repfield.generic_destabilizer`.  `subrep_dimension_vectors`
 and `is_semistable_rep` are helpers only the tests use.
 """
 
 import functools
 import itertools
+import operator
 
 from fixedloci.errors import TooLarge
 from fixedloci.quiver import Quiver
@@ -128,4 +133,66 @@ def structural_destabilizer(quiver: Quiver, dims, theta):
             val = sum(int(theta.get(v, 0)) * int(dims.get(v, 0)) for v in chosen)
             if val <= 0:
                 return {v: int(dims.get(v, 0)) for v in chosen}
+    return None
+
+
+def _subvectors(g):
+    return itertools.product(*(range(x + 1) for x in g))
+
+
+class GenericSubdims:
+    """Generic subdimension vectors, by Schofield's recursion.
+
+    Dimension vectors are tuples in quiver.vertices order.  s embeds in g
+    (s -> g) when every representation of dimension g has a subrepresentation
+    of dimension s.  With the Euler form <a, b> = sum a_v b_v - sum over
+    arrows i -> j of a_i b_j, s -> g exactly when ext(s, g - s) = 0, and
+    ext(a, h) = max of -<a', h> over a' -> a (Schofield, Proc. LMS 65, 1992,
+    Thm 5.4; for quivers with oriented cycles and loops, Crawley-Boevey,
+    Bull. LMS 28, 1996).  The subvectors of each g are memoised by g.
+    """
+
+    def __init__(self, quiver: Quiver):
+        pos = {v: i for i, v in enumerate(quiver.vertices)}
+        self._arrows = [(pos[a.src], pos[a.tgt]) for a in quiver.arrows]
+        self._subs = {}
+
+    def _pairing(self, h):
+        """The vector c with <a, h> = a . c for every a."""
+        c = list(h)
+        for i, j in self._arrows:
+            c[i] -= h[j]
+        return c
+
+    def ext(self, a, h):
+        """Dimension of Ext between general representations of dimensions a and h."""
+        c = self._pairing(h)
+        return max(-sum(map(operator.mul, s, c)) for s in self.subs(a))
+
+    def embeds(self, s, g):
+        """s -> g, i.e. ext(s, g - s) = 0; ext is never negative (0 -> s)."""
+        if s == g:
+            return True
+        c = self._pairing([x - y for x, y in zip(g, s)])
+        # s -> s, so <s, g - s> < 0 settles it without the recursion
+        return sum(map(operator.mul, s, c)) >= 0 and \
+            all(sum(map(operator.mul, a, c)) >= 0 for a in self.subs(s))
+
+    def subs(self, g):
+        """All s with s -> g, zero and g included."""
+        if g not in self._subs:
+            self._subs[g] = [s for s in _subvectors(g) if self.embeds(s, g)]
+        return self._subs[g]
+
+
+def generic_destabilizer(quiver: Quiver, dims, theta):
+    """The first proper nonzero s -> dims with theta <= 0 among the
+    subvectors in product order, as {vertex: dim} where nonzero, or None."""
+    beta = tuple(int(dims.get(v, 0)) for v in quiver.vertices)
+    tv = _theta_vec(quiver, theta)
+    generic = GenericSubdims(quiver)
+    for s in _subvectors(beta):
+        if any(s) and s != beta and sum(t * x for t, x in zip(tv, s)) <= 0 \
+                and generic.embeds(s, beta):
+            return {v: x for v, x in zip(quiver.vertices, s) if x}
     return None

@@ -40,7 +40,9 @@ from fixedloci.repfield import (
     subspace_table,
 )
 from quiver_oracles import box_covers, cover
+from repfield_oracles import GenericSubdims as OracleGenericSubdims
 from repfield_oracles import _iter_subrep_dimvectors as oracle_iter_subrep_dimvectors
+from repfield_oracles import generic_destabilizer as oracle_generic_destabilizer
 from repfield_oracles import gf_in_span, is_semistable_rep, subrep_dimension_vectors, subspaces
 from repfield_oracles import structural_destabilizer as oracle_structural_destabilizer
 from test_golden_reports import PROBLEMS, _quiver_file
@@ -328,17 +330,17 @@ def _random_cyclic_quiver(rng):
 
 def test_schofield_ext_matches_generic_rank():
     # Schofield's recursion holds on quivers with loops and oriented cycles
-    # too (Crawley-Boevey, Bull. LMS 28, 1996)
+    # too (Crawley-Boevey, Bull. LMS 28, 1996); ext comes from the oracle's
+    # list of generic subdimension vectors, embeds from the lazy test
     rng = random.Random(97)
     seen = collections.Counter()
     for k in range(850):
         Q, kind = (_random_acyclic_quiver(rng), "acyclic") if k < 400 else _random_cyclic_quiver(rng)
-        generic = GenericSubdims(Q)
         a = tuple(rng.randint(0, 3) for _ in Q.vertices)
         b = tuple(rng.randint(0, 3) for _ in Q.vertices)
         ext = _ext_by_generic_rank(Q, a, b, rng)
-        assert generic.ext(a, b) == ext, (Q, a, b)
-        assert generic.embeds(a, tuple(x + y for x, y in zip(a, b))) == (ext == 0)
+        assert OracleGenericSubdims(Q).ext(a, b) == ext, (Q, a, b)
+        assert GenericSubdims(Q).embeds(a, tuple(x + y for x, y in zip(a, b))) == (ext == 0)
         seen[kind] += 1
         seen[kind == "acyclic", ext > 0] += 1
     assert seen[True, True] > 100 and seen[False, True] > 100, seen
@@ -493,6 +495,109 @@ def test_witness_has_trivial_endomorphisms():
     assert skipped >= 10, skipped
 
 
+def test_end_check_runs_when_the_dimensions_share_a_factor(monkeypatch):
+    """K3 at (2, 2) over F_5 with a = I, b = C, c = C + I, C the companion
+    matrix of x^2 - 2, which is irreducible over F_5: no line is fixed by
+    C, so M is stable at θ = (-1, 1), yet every map commutes with C, so
+    End(M) = F_5[C] = F_25.  The dimensions share the factor 2, so
+    certify_component computes End(M) and does not take M as its witness
+    when random_rep returns it first."""
+    C = ((0, 2), (1, 0))
+    mats = {"a": ((1, 0), (0, 1)), "b": C, "c": ((1, 2), (1, 1))}
+    Q = Quiver(("1", "2"), tuple(Arrow(x, "1", "2") for x in mats))
+    theta = {"1": -1, "2": 1}
+    M = RepFq.build(5, {"1": 2, "2": 2}, mats)
+    assert KingScan(Q, {"1": 2, "2": 2}, 5, theta).destabilizer(M) is None
+    assert endomorphism_dim(Q, M) == 2
+
+    def m_first(quiver, dims, prime, rng):
+        if not served:
+            served.append(RepFq.build(prime, dims, {x.id: mats[x.id[0]] for x in quiver.arrows}))
+            return served[0]
+        return random_rep(quiver, dims, prime, rng)
+
+    served = []
+    monkeypatch.setattr("fixedloci.repfield.random_rep", m_first)
+    W, beta = ArrowWeights.from_dict(0, {x: () for x in mats}), cover({("1", ()): 2, ("2", ()): 2})
+    res = certify_component(Q, W, beta, theta, prime=5)
+    sq = support_quiver(Q, W, beta)[0]
+    assert is_stable_rep(sq, served[0], theta_hat(theta, sq.vertices))
+    assert (res.status, res.method) == (Status.NONEMPTY_VERIFIED, "schofield")
+    assert res.witness is not None and res.witness != served[0] and res.witness_trial > 0
+    assert endomorphism_dim(sq, res.witness) == 1
+
+
+def test_stable_samples_with_coprime_dimensions_have_scalar_endomorphisms():
+    """The rule that lets certify_component skip End(M): a stable M over
+    F_p with θ . d = 0 has End(M) a finite field F_{p^k}, and each M_v is
+    an F_{p^k}-space, so k divides every d_v.  On seeded acyclic and cyclic
+    quivers (loops and 2-cycles included) with θ on the wall, every stable
+    sample with coprime dimensions has End(M) = F_p; with a shared factor,
+    some stable samples do not."""
+    rng = random.Random(107)
+    seen = collections.Counter()
+    for k in range(1200):
+        Q, kind = (_random_acyclic_quiver(rng), "acyclic") if k % 2 else _random_cyclic_quiver(rng)
+        dims = {v: rng.randint(1, 3) for v in Q.vertices}
+        p = rng.choice((2, 3, 5))
+        raw = {v: rng.randint(-3, 3) for v in Q.vertices}
+        pairing = sum(raw[v] * dims[v] for v in Q.vertices)
+        theta = {v: sum(dims.values()) * raw[v] - pairing for v in Q.vertices}
+        king = KingScan(Q, dims, p, theta)
+        for _ in range(4):
+            M = random_rep(Q, dims, p, rng)
+            if king.destabilizer(M) is None:
+                end = endomorphism_dim(Q, M)
+                if math.gcd(*dims.values()) == 1:
+                    assert end == 1, (Q, M, theta)
+                    seen["coprime"] += 1
+                    seen[kind] += sum(dims.values()) > 1
+                else:
+                    seen["shared", end > 1] += 1
+    assert seen["coprime"] >= 200, seen
+    assert min(seen[kind] for kind in ("acyclic", "loop", "2-cycle", "cycle")) >= 40, seen
+    assert seen["shared", True] >= 10, seen
+
+
+def _undecided_supports(data, window):
+    """(support quiver, dims, θ̂) of each non-thin candidate of a quiver
+    problem that the structural test leaves undecided."""
+    Q, W, alpha, theta = _quiver_from_data(data)
+    radius = default_window_radius(alpha, W) if window is None else window
+    for c, _ in enumerate_covers(Q, W, alpha, radius)[1]:
+        sq, dims = support_quiver(Q, W, c)
+        th = theta_hat(theta, sq.vertices)
+        if any(n != 1 for n in dims.values()) and structural_destabilizer(sq, dims, th) is None:
+            yield sq, dims, th
+
+
+def test_lazy_schofield_matches_subs_oracle():
+    """generic_destabilizer, whose embeds tests t -> s only for the t <= s
+    with <t, g - s> < 0, against the oracle that lists every generic
+    subdimension vector of s first: the same answer on every support that
+    Schofield's test decides for K3(3,4) and K3(3,5) at window 2, K4(3,4)
+    at the default window and the seeded golden quiver files."""
+    runs = [(_kronecker_data(3, 3, b), 2) for b in (4, 5)] + [(_kronecker_data(4, 3, 4), None)]
+    for seed in range(200):
+        data, flags = _quiver_file(seed)
+        window = dict(zip(flags[::2], flags[1::2])).get("--window")
+        runs.append((data, window and int(window)))
+    seen = collections.Counter()
+    for data, window in runs:
+        try:
+            supports = list(_undecided_supports(data, window))
+        except TooLarge:  # enumeration past MAX_COVERS
+            seen["too large"] += 1
+            continue
+        for sq, dims, th in supports:
+            got = generic_destabilizer(sq, dims, th)
+            assert got == oracle_generic_destabilizer(sq, dims, th), (data, dims, th)
+            seen[got is None] += 1
+            seen["cyclic"] += any(a.src == a.tgt for a in sq.arrows) or \
+                any((a.tgt, a.src) in {(b.src, b.tgt) for b in sq.arrows} for a in sq.arrows)
+    assert seen[True] >= 200 and seen[False] >= 150 and seen["cyclic"] >= 80, seen
+
+
 def test_endomorphism_dim_examples():
     loop = Quiver(("1",), (Arrow("a", "1", "1"),))
 
@@ -636,6 +741,28 @@ def test_structural_destabilizer_matches_combinations_oracle():
             (Q, dims, theta)
         found += got is not None
     assert 500 < found < 1500
+
+
+def test_structural_destabilizer_past_eight_support_vertices():
+    """Supports of 9 to 12 vertices, whose θ-weights are read from more
+    than one table of 8 bits: the same set as the combinations oracle, in
+    the same item order.  θ leans towards in-degree minus out-degree and is
+    moved onto the wall, so that some supports have no destabilizer and
+    some have one of several vertices."""
+    rng = random.Random(109)
+    seen = collections.Counter()
+    for _ in range(300):
+        Q = _random_quiver(rng, rng.randint(9, 12), 20)
+        dims = {v: rng.choice((1, 1, 2)) for v in Q.vertices}
+        raw = {v: sum((a.tgt == v) - (a.src == v) for a in Q.arrows) + rng.randint(-1, 1) for v in Q.vertices}
+        pairing = sum(raw[v] * dims[v] for v in Q.vertices)
+        theta = {v: sum(dims.values()) * raw[v] - pairing for v in Q.vertices}
+        got = structural_destabilizer(Q, dims, theta)
+        want = oracle_structural_destabilizer(Q, dims, theta)
+        assert got == want and (got is None or list(got.items()) == list(want.items())), \
+            (Q, dims, theta)
+        seen["none" if got is None else "several" if len(got) > 1 else "one"] += 1
+    assert seen["none"] >= 10 and seen["several"] >= 40, seen
 
 
 def test_king_scan_checks_only_closed_prefixes(monkeypatch, tmp_path):
