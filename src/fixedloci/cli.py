@@ -19,7 +19,6 @@ import math
 import operator
 import sys
 import time
-from fractions import Fraction
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 
@@ -259,8 +258,10 @@ def _quiver_from_data(data):
 # ---------------------------------------------------------------------------
 # report assembly
 
-def _frac_str(x):
-    return None if x is None else str(Fraction(x))
+def _report(kind, seed, data, **body):
+    """A report of this kind: the frame every kind shares, then its own keys."""
+    return {"tool": "fixedloci", "version": __version__, "kind": kind, "seed": seed,
+            "input": data, **body}
 
 
 def _toric_report(data, seed):
@@ -305,19 +306,8 @@ def _toric_report(data, seed):
             for c in fan.cones
         ],
     }
-    return {
-        "tool": "fixedloci",
-        "version": __version__,
-        "kind": "toric",
-        "seed": seed,
-        "input": data,
-        "components": comp_json,
-        "fan": fan_json,
-        "counts": {
-            "fixed_points": len(comp_json),
-            "section_rows": len(ctx.section),
-        },
-    }
+    counts = {"fixed_points": len(comp_json), "section_rows": len(ctx.section)}
+    return _report("toric", seed, data, components=comp_json, fan=fan_json, counts=counts)
 
 
 def _point_json(point):
@@ -366,22 +356,12 @@ def _quiver_report(data, seed, prime, trials, window):
             "destabilizer": None if r.destabilizer is None
             else [[_point_json(k), n] for k, n in r.destabilizer],
         })
-    counts = {
+    return _report("quiver", seed, data, components=comp_json, classes_enumerated=classes, counts={
         "candidates": len(cands),
         "nonempty_verified": sum(1 for r in results if r.status is Status.NONEMPTY_VERIFIED),
         "empty_verified": sum(1 for r in results if r.status is Status.EMPTY_VERIFIED),
         "candidate_only": 0,  # every candidate is certified; the key keeps the report format
-    }
-    return {
-        "tool": "fixedloci",
-        "version": __version__,
-        "kind": "quiver",
-        "seed": seed,
-        "input": data,
-        "components": comp_json,
-        "classes_enumerated": classes,
-        "counts": counts,
-    }
+    })
 
 
 def _grassmann_report(data):
@@ -396,15 +376,7 @@ def _grassmann_report(data):
         }
         for c in comps
     ]
-    return {
-        "tool": "fixedloci",
-        "version": __version__,
-        "kind": "grassmann",
-        "seed": None,
-        "input": data,
-        "components": comp_json,
-        "counts": {"components": len(comps)},
-    }
+    return _report("grassmann", None, data, components=comp_json, counts={"components": len(comps)})
 
 
 def _kempf_report(data, support=None, inner_product=None):
@@ -415,22 +387,15 @@ def _kempf_report(data, support=None, inner_product=None):
     if inner_product is None:
         inner_product = data.get("options", {}).get("inner_product")
     mv, lam, cone = kempf_data(action, support, inner_product)
-    return {
-        "tool": "fixedloci",
-        "version": __version__,
-        "kind": "kempf",
-        "seed": None,
-        "input": data,
-        "kempf": {
-            "support": [list(p) for p in sorted(support)],
-            "semistable": mv.sign >= 0,
-            "stable": mv.sign > 0,
-            "m_sign": mv.sign,
-            "m_squared": _frac_str(mv.m_squared),
-            "adapted": None if lam is None else list(lam),
-            "limit_cone": [list(g) for g in cone],
-        },
-    }
+    return _report("kempf", None, data, kempf={
+        "support": [list(p) for p in sorted(support)],
+        "semistable": mv.sign >= 0,
+        "stable": mv.sign > 0,
+        "m_sign": mv.sign,
+        "m_squared": None if mv.m_squared is None else str(mv.m_squared),
+        "adapted": None if lam is None else list(lam),
+        "limit_cone": [list(g) for g in cone],
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -511,17 +476,22 @@ def render_table(report):
     return "\n".join(lines) + "\n"
 
 
+def _dot(text):
+    """`text` as a DOT quoted string: its backslashes and double quotes escaped."""
+    return '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def render_dot(report):
     kind = report["kind"]
     if kind == "toric":
         fan = report["fan"]
         out = ["graph fan {"]
         for i, ray in enumerate(fan["rays"]):
-            out.append('  r%d [label="%s" shape=box];' % (i, tuple(ray)))
+            out.append("  r%d [label=%s shape=box];" % (i, _dot(str(tuple(ray)))))
         for j, cone in enumerate(fan["cones"]):
             if not cone["maximal"] or not cone["rays"]:
                 continue
-            out.append('  c%d [label="cone %d"];' % (j, j))
+            out.append("  c%d [label=%s];" % (j, _dot("cone %d" % j)))
             for i in cone["rays"]:
                 out.append("  c%d -- r%d;" % (j, i))
         out.append("}")
@@ -535,15 +505,15 @@ def render_dot(report):
         names = {}
         for pt in sq.vertices:
             names[pt] = "v%d" % len(names)
-            out.append('  %s [label="%s %s"];' % (names[pt], pt[0], list(pt[1])))
+            out.append("  %s [label=%s];" % (names[pt], _dot("%s %s" % (pt[0], list(pt[1])))))
         for a in sq.arrows:
-            out.append('  %s -> %s [label="%s"];' % (names[a.src], names[a.tgt], a.id[0]))
+            out.append("  %s -> %s [label=%s];" % (names[a.src], names[a.tgt], _dot(a.id[0])))
         out.append("}")
         base = ["digraph quiver {"]
         for v in data["vertices"]:
-            base.append('  "%s";' % v)
+            base.append("  %s;" % _dot(v))
         for a in data["arrows"]:
-            base.append('  "%s" -> "%s" [label="%s"];' % (a["src"], a["tgt"], a["id"]))
+            base.append("  %s -> %s [label=%s];" % (_dot(a["src"]), _dot(a["tgt"]), _dot(a["id"])))
         base.append("}")
         return "\n".join(out) + "\n" + "\n".join(base) + "\n"
     raise ValidationError("dot output is only available for toric and quiver reports")
@@ -610,32 +580,21 @@ def main(argv=None):
                 inner_product = _json_flag("--inner-product", args.inner_product,
                                            "options", "inner_product")
             report = _kempf_report(data, support, inner_product)
+        text = {"json": render_json, "table": render_table, "dot": render_dot}[args.format](report)
+        if args.out:
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ValidationError("cannot write %s: %s" % (args.out, exc))
+        else:
+            sys.stdout.write(text)
     except TooLarge as exc:
         print("guard error: %s" % exc, file=sys.stderr)
         return 3
     except FixedLociError as exc:
         print("validation error: %s" % exc, file=sys.stderr)
         return 2
-
-    if args.format == "json":
-        text = render_json(report)
-    elif args.format == "table":
-        text = render_table(report)
-    else:
-        try:
-            text = render_dot(report)
-        except FixedLociError as exc:
-            print("validation error: %s" % exc, file=sys.stderr)
-            return 2
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print("validation error: cannot write %s: %s" % (args.out, exc), file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
     if args.verbose:
         print("elapsed: %.3fs" % (time.monotonic() - t0), file=sys.stderr)
     return 0

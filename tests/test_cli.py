@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from conftest import no_lp
 from fixedloci import simplex, toric
 from fixedloci.cli import main
 from fixedloci.cli import _action_from_data, _kempf_report, _quiver_report, _toric_report
@@ -229,9 +230,6 @@ def test_kempf_runs_no_lp(tmp_path, capsys, monkeypatch):
         args = ["kempf", write(tmp_path, "k%d.json" % i, data)] + flags
         runs.append((args, run(args, capsys)))
 
-    def no_lp(*args):
-        raise AssertionError("an LP ran")
-
     # every LP, feasible_nonneg included, runs through solve_nonneg
     monkeypatch.setattr(simplex, "solve_nonneg", no_lp)
     for (args, before), (_, _, semistable, stable) in zip(runs, cases):
@@ -343,6 +341,25 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
         assert code == 2 and out == ""
         assert err.startswith("validation error: cannot write %s: " % target)
     assert not (tmp_path / "missing").exists()
+
+
+DOT_REFUSED = "validation error: dot output is only available for toric and quiver reports\n"
+
+
+@pytest.mark.parametrize("command,data,flags,code,err", [
+    ("grassmann", GRASS, ["--format", "dot"], 2, DOT_REFUSED),
+    ("kempf", KEMPF, ["--format", "dot"], 2, DOT_REFUSED),
+    ("quiver", KRON3, ["--prime", "7"], 3, "guard error: prime 7 exceeds the guard 5\n"),
+], ids=["grassmann-dot", "kempf-dot", "prime-guard"])
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("verbose", [False, True], ids=["quiet", "verbose"])
+def test_failure_prints_one_line_and_writes_nothing(tmp_path, capsys, command, data, flags, code,
+                                                    err, out, verbose):
+    target = tmp_path / "report.txt"
+    args = [command, write(tmp_path, "p.json", data)] + flags
+    args += ["--out", str(target)] * out + ["--verbose"] * verbose
+    assert run(args, capsys) == (code, "", err)
+    assert not target.exists()
 
 
 def test_schema_violation_exits_2(tmp_path, capsys):
@@ -585,13 +602,26 @@ def test_table_and_dot_formats(tmp_path, capsys):
     assert code == 2
 
 
-def test_repeat_run_same_report(tmp_path, capsys):
-    f = write(tmp_path, "k.json", KRON3)
-    out1 = tmp_path / "r1.json"
-    out2 = tmp_path / "r2.json"
-    assert main(["quiver", f, "--out", str(out1)]) == 0
-    assert main(["quiver", f, "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+def test_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
+    # an unescaped " ends a DOT string early, and a trailing \ escapes its closing quote
+    u, v = 'a"b', "c\\"
+    data = {"kind": "quiver", "vertices": [u, v],
+            "arrows": [{"id": 'x"y', "src": u, "tgt": v}, {"id": "z\\", "src": u, "tgt": v}],
+            "alpha": {u: 1, v: 1}, "theta": {u: -1, v: 1}}
+    code, out, err = run(["quiver", write(tmp_path, "q.json", data), "--format", "dot"], capsys)
+    assert (code, err) == (0, "")
+    assert out.endswith(r'''digraph quiver {
+  "a\"b";
+  "c\\";
+  "a\"b" -> "c\\" [label="x\"y"];
+  "a\"b" -> "c\\" [label="z\\"];
+}
+''')
+    strings = re.compile(r'"((?:[^"\\]|\\.)*)"')
+    for line in out.splitlines():
+        assert '"' not in strings.sub("", line), line
+    labels = [re.sub(r"\\(.)", r"\1", s) for s in strings.findall(out.split("digraph quiver")[0])]
+    assert labels == ['a"b [0, 0]', "c\\ [0, 1]", "c\\ [1, 0]", 'x"y', "z\\"]
 
 
 def test_report_schema_validates_all_kinds(tmp_path):

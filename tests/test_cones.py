@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 from cone_oracles import canonical, contains, intersection, project, project_by_subset_scan
+from conftest import no_lp
 from fixedloci import cones, simplex
 from fixedloci.cones import dot_q, dual_cone, project_onto_cone
 from fixedloci.linalg import (
@@ -157,9 +158,6 @@ def test_exact_dd_matches_lp_pruned_oracle():
 
 
 def test_no_lp_in_canonical_form_dual_or_intersection(monkeypatch):
-    def no_lp(*args):
-        raise AssertionError("an LP ran")
-
     # every LP, feasible_nonneg included, runs through solve_nonneg
     monkeypatch.setattr(simplex, "solve_nonneg", no_lp)
     rng = random.Random(43)

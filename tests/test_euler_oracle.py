@@ -26,6 +26,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import kronecker_problem
 from fixedloci.cli import main
 
 
@@ -174,23 +175,13 @@ def localisation_sides(tmp_path, data):
     return chi_m, total, cyclic
 
 
-def kronecker(n, a, b):
-    return {
-        "kind": "quiver",
-        "vertices": ["1", "2"],
-        "arrows": [{"id": "a%d" % i, "src": "1", "tgt": "2"} for i in range(n)],
-        "alpha": {"1": a, "2": b},
-        "theta": {"1": -b, "2": a},
-    }
-
-
 @pytest.mark.parametrize("n,a,b,chi", [
     (3, 2, 3, 13), (4, 2, 3, 58), (5, 2, 3, 170), (3, 3, 4, 68), (3, 3, 5, 68),
     # Grassmannians: K_n(1, m) at theta (-m, 1) is Gr(m, n), with chi C(n, m)
     (4, 1, 2, 6), (5, 1, 2, 10), (6, 1, 3, 20), (7, 1, 2, 21), (5, 1, 4, 5),
 ])
 def test_kronecker_localisation(tmp_path, n, a, b, chi):
-    assert localisation_sides(tmp_path, kronecker(n, a, b)) == (chi, chi, [])
+    assert localisation_sides(tmp_path, kronecker_problem(n, a, b)) == (chi, chi, [])
 
 
 def _generic(verts, alpha, theta):

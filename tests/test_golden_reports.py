@@ -41,6 +41,7 @@ import random
 import tempfile
 from pathlib import Path
 
+from conftest import kronecker_problem
 from fixedloci.cli import main
 from fixedloci.errors import FixedLociError
 from fixedloci.linalg import cokernel_with_section
@@ -234,12 +235,6 @@ def _quiver_vertex_order_file(seed):
     return data, flags
 
 
-def _kronecker(n, a, b):
-    return {"kind": "quiver", "vertices": ["1", "2"],
-            "arrows": [{"id": "a%d" % i, "src": "1", "tgt": "2"} for i in range(n)],
-            "alpha": {"1": a, "2": b}, "theta": {"1": -b, "2": a}}
-
-
 KRONECKER_RUNS = (
     ((3, 3, 4), ["--window", "2", "--prime", "5", "--trials", "200"]),
     ((3, 3, 5), ["--window", "2", "--prime", "5", "--trials", "200"]),
@@ -375,7 +370,7 @@ def _cases(tmp):
         for fmt in ("json", "dot"):
             yield "toric:%d:%s" % (seed, fmt), ["toric", path, "--format", fmt]
     runs = [("quiver:%d" % seed,) + _quiver_file(seed) for seed in range(38)]
-    runs += [("quiver:K%d(%d,%d)" % nab, _kronecker(*nab), flags) for nab, flags in KRONECKER_RUNS]
+    runs += [("quiver:K%d(%d,%d)" % nab, kronecker_problem(*nab), flags) for nab, flags in KRONECKER_RUNS]
     for case, data, flags in runs:
         path = os.path.join(tmp, case.replace(":", "_") + ".json")
         with open(path, "w") as fh:

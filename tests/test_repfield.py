@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from conftest import kronecker3
+from conftest import kronecker3, kronecker_problem
 from fixedloci.cli import _quiver_from_data, _quiver_report, main
 from fixedloci.common import Status
 from fixedloci.errors import TooLarge, ValidationError
@@ -46,7 +46,6 @@ from repfield_oracles import generic_destabilizer as oracle_generic_destabilizer
 from repfield_oracles import gf_in_span, is_semistable_rep, subrep_dimension_vectors, subspaces
 from repfield_oracles import structural_destabilizer as oracle_structural_destabilizer
 from test_golden_reports import PROBLEMS, _quiver_file
-from test_golden_reports import _kronecker as _kronecker_data
 
 
 def test_subspace_counts():
@@ -577,7 +576,7 @@ def test_lazy_schofield_matches_subs_oracle():
     subdimension vector of s first: the same answer on every support that
     Schofield's test decides for K3(3,4) and K3(3,5) at window 2, K4(3,4)
     at the default window and the seeded golden quiver files."""
-    runs = [(_kronecker_data(3, 3, b), 2) for b in (4, 5)] + [(_kronecker_data(4, 3, 4), None)]
+    runs = [(kronecker_problem(3, 3, b), 2) for b in (4, 5)] + [(kronecker_problem(4, 3, 4), None)]
     for seed in range(200):
         data, flags = _quiver_file(seed)
         window = dict(zip(flags[::2], flags[1::2])).get("--window")
@@ -862,7 +861,7 @@ def test_shape_memo_changes_no_certification():
     Certification (status, method, destabilizer, witness and witness_trial)
     as a fresh dict per cover."""
     kron3 = json.loads((PROBLEMS / "kronecker3.json").read_text())
-    runs = [(kron3, {"window": 2})] + [(_kronecker_data(3, 3, b), {"window": 2}) for b in (4, 5)]
+    runs = [(kron3, {"window": 2})] + [(kronecker_problem(3, 3, b), {"window": 2}) for b in (4, 5)]
     for seed in range(200):
         data, flags = _quiver_file(seed)
         if sum(data["alpha"].values()) <= 8:  # the rest exceed the certification guard
@@ -911,7 +910,7 @@ def test_structural_test_runs_once_per_shape_per_report(monkeypatch):
         return structural_destabilizer(quiver, dims, theta)
 
     monkeypatch.setattr("fixedloci.repfield.structural_destabilizer", counted)
-    data, seen = _kronecker_data(3, 3, 4), []
+    data, seen = kronecker_problem(3, 3, 4), []
     for _ in range(2):
         calls.clear()
         report = _quiver_report(data, None, None, 0, 2)
