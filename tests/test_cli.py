@@ -1,7 +1,9 @@
 import collections
+import io
 import json
 import random
 import re
+import sys
 import time
 
 import pytest
@@ -360,6 +362,31 @@ def test_failure_prints_one_line_and_writes_nothing(tmp_path, capsys, command, d
     args += ["--out", str(target)] * out + ["--verbose"] * verbose
     assert run(args, capsys) == (code, "", err)
     assert not target.exists()
+
+
+@pytest.mark.parametrize("vertex,fmt,out,code", [
+    ("é", "dot", False, 2),       # an ASCII stdout cannot carry it
+    ("\ud800", "dot", True, 2),  # no encoding carries a lone surrogate
+    ("é", "table", True, 0),      # --out is written as UTF-8
+], ids=["ascii-stdout", "surrogate-out", "utf8-out"])
+def test_unencodable_report_exits_2_and_out_is_utf8(tmp_path, capsys, monkeypatch, vertex, fmt, out, code):
+    data = {"kind": "quiver", "vertices": [vertex, "b"],
+            "arrows": [{"id": "a", "src": vertex, "tgt": "b"}],
+            "alpha": {vertex: 1, "b": 1}, "theta": {vertex: -1, "b": 1}}
+    stdout = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(stdout, encoding="ascii"))
+    target = tmp_path / "report.txt"
+    args = ["quiver", write(tmp_path, "q.json", data), "--format", fmt] + ["--out", str(target)] * out
+    assert main(args) == code
+    sys.stdout.flush()
+    assert stdout.getvalue() == b""
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("validation error: cannot write %s: " % (target if out else "stdout"))
+        assert "codec can't encode" in err and err.count("\n") == 1
+        assert not target.exists()
+    else:
+        assert err == "" and vertex.encode("utf-8") in target.read_bytes()
 
 
 def test_schema_violation_exits_2(tmp_path, capsys):

@@ -10,6 +10,7 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +37,28 @@ ANY_JSON = st.recursive(
                    | st.lists(inner, max_size=3).map(tuple)
                    | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
     max_leaves=20)
+# keys a record template must escape: % (doubled in the template), quotes,
+# backslashes and non-ASCII
+COLUMN_KEYS = st.lists(st.sampled_from(["%", "%s", "%%d", '"', "\\", "\u00e9", "a", "b"]),
+                       max_size=4, unique=True)
+COLUMN_VALUES = (ANY_LEAF | st.lists(ANY_LEAF, max_size=3)
+                 | st.lists(st.lists(ANY_LEAF, max_size=2), max_size=2)
+                 | st.lists(ANY_LEAF, max_size=2).map(tuple)
+                 | st.dictionaries(st.sampled_from(["a", "b"]), ANY_LEAF, max_size=2))
+
+
+@st.composite
+def records(draw, depth=1):
+    """2-6 dicts drawn on one key set, each column a mix of JSON values, tuples
+    and lists of records one level down; one list in four has a record whose
+    key set differs."""
+    keys = draw(COLUMN_KEYS)
+    value = COLUMN_VALUES if depth == 0 else COLUMN_VALUES | records(depth - 1)
+    out = [{k: draw(value) for k in keys} for _ in range(draw(st.integers(2, 6)))]
+    if draw(st.integers(0, 3)) == 0:
+        odd = out[draw(st.integers(0, len(out) - 1))]
+        odd[draw(st.sampled_from(["%d", "\u00e9", "c"]))] = draw(ANY_LEAF)
+    return out
 
 
 @st.composite
@@ -152,4 +175,18 @@ def test_quiver_files_end_in_known_exit_codes(run):
 @settings(max_examples=500, deadline=None)
 @given(ANY_JSON)
 def test_one_pass_encoder_matches_json_dumps(value):
+    assert _one_pass_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(records())
+def test_one_pass_encoder_matches_json_dumps_on_records(value):
+    assert _one_pass_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    [True, 1], [{"a": True}, {"a": 1}], [{"w": None}, {"w": {"p": 5}}], [[], [1], [[]]],
+    [{"%s": 1}, {"%s": 2}], [1.5, 2], [(1, 2), [3]], [{}, {}],
+], ids=repr)
+def test_one_pass_encoder_on_mixed_columns(value):
     assert _one_pass_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
