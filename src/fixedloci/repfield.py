@@ -15,18 +15,23 @@ when the dimensions share a factor: the endomorphisms of a stable M form
 a finite field F_{p^k}, and k divides every dimension.  The status never
 rests on the witness.
 
-King's inequalities are evaluated on F_p representations
-by a depth-first search for a destabilizing subrepresentation: it extends
-only subspace tuples closed under the arrow maps, cuts a branch once no
-completion of it can reach θ <= 0, and stops at the first destabilizer.
-Its plan (vertex order, arrow checks and θ bounds) is built once per
-component, after the caller's check_guard, and serves all of that
-component's trials.  The subspaces of F_p^n are listed once per (n, p),
-in one table kept for the process: each with the ids of its RREF rows,
-so that an arrow's image of a row is computed once per representation,
-and with parity-check rows, so that a membership test is a few dot
-products.  A table holds at most MAX_SUBSPACES subspaces; above that no
-witness is sought.
+Most samples are decided by which arrows are zero.  When θ̂ pairs to zero
+with the dimensions, a sample whose nonzero arrows leave the support
+disconnected is a direct sum, and a summand with θ̂ <= 0 destabilizes it.
+On a thin cover, a sample with every arrow nonzero has the arrow-closed
+vertex sets as its subrepresentations, which the structural test has
+rejected, so it is stable.  King's inequalities are evaluated on the other
+F_p representations by a depth-first search for a destabilizing
+subrepresentation: it extends only subspace tuples closed under the arrow
+maps, cuts a branch once no completion of it can reach θ <= 0, and stops
+at the first destabilizer.  Its plan (vertex order, arrow checks and θ
+bounds) is built, after the caller's check_guard, on the first sample of
+a component that needs it, and serves the rest.  The subspaces of F_p^n
+are listed once per (n, p), in one table kept for the process: each with
+the ids of its RREF rows, so that an arrow's image of a row is computed
+once per representation, and with parity-check rows, so that a
+membership test is a few dot products.  A table holds at most
+MAX_SUBSPACES subspaces; above that no witness is sought.
 """
 
 from __future__ import annotations
@@ -487,8 +492,10 @@ def certify_component(quiver: Quiver, weights: ArrowWeights, beta, theta,
     cover is nonempty; every other cover is decided by generic_destabilizer.
     A sampled geometrically stable F_p representation (stable, with End(M)
     = F_p) is then attached to a nonempty component as its witness; trials,
-    prime and seed choose the witness and never the status.  No witness is
-    sought when a vertex's subspaces outnumber MAX_SUBSPACES.
+    prime and seed choose the witness and never the status.  A sample that
+    splits as a direct sum (on the wall θ̂ . dims = 0), or a thin one with
+    every arrow nonzero, needs no KingScan.  No witness is sought when a
+    vertex's subspaces outnumber MAX_SUBSPACES.
 
     The decision depends only on the cover's shape: its dimensions and θ̂
     in support order and its arrows as (source, target) positions.  Neither
@@ -522,13 +529,39 @@ def certify_component(quiver: Quiver, weights: ArrowWeights, beta, theta,
 
     if any(subspace_count(d, prime) > MAX_SUBSPACES for d in dims.values()):
         return Certification(Status.NONEMPTY_VERIFIED, method)
-    comp_key, king = repr(beta), KingScan(sq, dims, prime, th)
+    comp_key, king = repr(beta), None
+    wall = not sum(th[v] * n for v, n in dims.items())
     # a stable M has End(M) a finite division ring when θ̂ . dims = 0, so a
     # field F_{p^k} (Wedderburn); each M_v is an F_{p^k}-space, so k | d_v
-    scalar = math.gcd(*dims.values()) == 1 and not sum(th[v] * n for v, n in dims.items())
+    scalar = math.gcd(*dims.values()) == 1 and wall
+    thin = all(n == 1 for n in dims.values())
+    ends = {a.id: 1 << pos[a.src] | 1 << pos[a.tgt] for a in sq.arrows}  # bits of its ends
     for trial in range(trials):
         rng = random.Random("%s:%s:%d" % (seed, comp_key, trial))
         M = random_rep(sq, dims, prime, rng)
-        if king.destabilizer(M) is None and (scalar or endomorphism_dim(sq, M) == 1):
+        links = [ends[a] for a, rows in M.mats if any(map(any, rows))]
+        # on the wall, a sample whose nonzero arrows leave the support
+        # disconnected is a direct sum, and one summand has θ̂ <= 0
+        if wall and not _connects(links, len(dims)):
+            continue
+        # a thin sample with every arrow nonzero has the arrow-closed vertex
+        # sets as its subrepresentations, and none of them destabilizes
+        if not (thin and len(links) == len(ends)):
+            king = king or KingScan(sq, dims, prime, th)
+            if king.destabilizer(M) is not None:
+                continue
+        if scalar or endomorphism_dim(sq, M) == 1:
             return Certification(Status.NONEMPTY_VERIFIED, method, witness=M, witness_trial=trial)
     return Certification(Status.NONEMPTY_VERIFIED, method)
+
+
+def _connects(links, n):
+    """Whether links, each the bitmask of an arrow's ends, connect the
+    vertices 0..n - 1 as an undirected graph."""
+    reach, grew = 1 if n else 0, True
+    while grew:
+        grew = False
+        for link in links:
+            if reach & link and link & ~reach:
+                reach, grew = reach | link, True
+    return reach == (1 << n) - 1

@@ -8,7 +8,12 @@ lists and keeps the tuples closed under every arrow, testing closure by
 scan's parity checks; `structural_destabilizer`
 tests every vertex subset of the support for arrow-closure, in order of
 size and then of position.  Both are the scans `repfield` ran before it
-generated only closed tuples, kept verbatim.  `GenericSubdims` is
+generated only closed tuples, kept verbatim.
+`closed_prefix_subrep_dimvectors` is the scan that followed, which
+extends only closed prefixes but has no θ bound, and `is_stable_by`
+applies King's test to what a scan yields.  `certify_component` is the
+witness search as it ran before the sample rules, with `KingScan` on
+every sample.  `GenericSubdims` is
 Schofield's recursion as `repfield` ran it before its test became lazy: it
 lists every generic subdimension vector of s (`subs`) before testing
 s -> g, and it alone gives `ext`; `generic_destabilizer` runs it in the
@@ -18,11 +23,26 @@ and `is_semistable_rep` are helpers only the tests use.
 
 import functools
 import itertools
+import math
 import operator
+import random
 
+from fixedloci import repfield
+from fixedloci.common import Status
 from fixedloci.errors import TooLarge
-from fixedloci.quiver import Quiver
-from fixedloci.repfield import MAX_SUBSPACES, RepFq, _theta_vec, check_guard, gf_matvec, subspace_count
+from fixedloci.quiver import Quiver, support_quiver, theta_hat
+from fixedloci.repfield import (
+    MAX_SUBSPACES,
+    Certification,
+    KingScan,
+    RepFq,
+    _theta_vec,
+    check_guard,
+    endomorphism_dim,
+    gf_matvec,
+    random_rep,
+    subspace_count,
+)
 
 
 @functools.cache
@@ -86,6 +106,74 @@ def _iter_subrep_dimvectors(quiver: Quiver, M: RepFq):
                 break
         if ok:
             yield tuple(len(combo[i]) for i in range(len(verts)))
+
+
+def closed_prefix_subrep_dimvectors(quiver: Quiver, M: RepFq):
+    """Yield the dimension vectors of all subrepresentations (with repeats),
+    ordered by quiver.vertices.  The vertices take subspaces depth-first in
+    breadth-first order of the underlying graph; each arrow is checked as
+    soon as both its ends have a subspace, and a failed check prunes the
+    branch.  The image of every source subspace is computed once."""
+    p, dims, order, head = M.prime, dict(M.dims), [], 0
+    ends = [(a.src, a.tgt) for a in quiver.arrows] + [(a.tgt, a.src) for a in quiver.arrows]
+    for root in quiver.vertices:  # breadth-first; order[head:] is the queue
+        order += [] if root in order else [root]
+        while head < len(order):
+            order += [u for u in dict.fromkeys(u for s, u in ends if s == order[head]) if u not in order]
+            head += 1
+    depth = {v: k for k, v in enumerate(order)}
+    spaces = [subspaces(dims.get(v, 0), p) for v in order]
+    checks = [[] for _ in order]  # the arrows whose later end is order[k]
+    for a in quiver.arrows:
+        mat, s, t = M.mat_of(a.id), depth[a.src], depth[a.tgt]
+        images = [[x for x in (gf_matvec(mat, row, p) for row in S) if any(x)] for S in spaces[s]]
+        checks[max(s, t)].append((s, t, images))
+    out, chosen, gamma, k = [depth[v] for v in quiver.vertices], [-1] * len(order), [0] * len(order), 0
+    while k >= 0:
+        if k == len(order):
+            yield tuple(map(gamma.__getitem__, out))
+            k -= 1
+        elif chosen[k] + 1 == len(spaces[k]):
+            chosen[k] = -1
+            k -= 1
+        else:
+            chosen[k] += 1
+            if all(gf_in_span(spaces[t][chosen[t]], row, p)
+                   for s, t, images in checks[k] for row in images[chosen[s]]):
+                gamma[k] = len(spaces[k][chosen[k]])
+                k += 1
+
+
+def is_stable_by(scan, quiver: Quiver, M: RepFq, theta) -> bool:
+    """King's strict inequality on the proper nonzero subrepresentations
+    that scan yields, stopping at the first that fails it."""
+    tv = _theta_vec(quiver, theta)
+    trivial = tuple(0 for _ in quiver.vertices), tuple(dict(M.dims).get(v, 0) for v in quiver.vertices)
+    return all(sum(map(operator.mul, tv, gamma)) > 0
+               for gamma in scan(quiver, M) if gamma not in trivial)
+
+
+def certify_component(quiver, weights, beta, theta, trials=200, prime=5, seed=0, scanned=None):
+    """repfield.certify_component with its witness search as it ran before
+    the sample rules: every sample goes through KingScan.destabilizer.  The
+    decision comes from repfield at trials=0.  Each scanned sample is
+    appended to scanned, when given, as (support quiver, dims, θ̂, sample)."""
+    decided = repfield.certify_component(quiver, weights, beta, theta, trials=0, prime=prime)
+    sq, dims = support_quiver(quiver, weights, beta)
+    if decided.status is Status.EMPTY_VERIFIED or \
+            any(subspace_count(d, prime) > MAX_SUBSPACES for d in dims.values()):
+        return decided
+    th = theta_hat(theta, sq.vertices)
+    comp_key, king = repr(beta), KingScan(sq, dims, prime, th)
+    scalar = math.gcd(*dims.values()) == 1 and not sum(th[v] * n for v, n in dims.items())
+    for trial in range(trials):
+        rng = random.Random("%s:%s:%d" % (seed, comp_key, trial))
+        M = random_rep(sq, dims, prime, rng)
+        if scanned is not None:
+            scanned.append((sq, dims, th, M))
+        if king.destabilizer(M) is None and (scalar or endomorphism_dim(sq, M) == 1):
+            return Certification(Status.NONEMPTY_VERIFIED, decided.method, witness=M, witness_trial=trial)
+    return decided
 
 
 def subrep_dimension_vectors(quiver: Quiver, M: RepFq):

@@ -109,20 +109,32 @@ def grassmann_files(draw):
 
 @st.composite
 def quiver_runs(draw):
-    """A schema-valid quiver file and in-range --window/--trials/--prime flags."""
-    vertices = ["v%d" % i for i in range(draw(st.integers(1, 3)))]
+    """A schema-valid quiver file and in-range flags.
+
+    1-4 vertices and 0-6 arrows; an arrow may be a loop and may come with
+    its reverse, a 2-cycle.  α has total dimension at most 8, and three
+    files in four pair θ with α to zero.  Half the files grade the arrows
+    by arrow_weights of aux_rank 0-2.  Each of --window 0-2, --trials 0-30,
+    --prime 2, 3 or 5, and --seed is given or not."""
+    vertices = ["v%d" % i for i in range(draw(st.integers(1, 4)))]
     vertex = st.sampled_from(vertices)
-    arrows = [{"id": "a%d" % i, "src": draw(vertex), "tgt": draw(vertex)}
-              for i in range(draw(st.integers(0, 4)))]
-    alpha = {v: draw(st.integers(0, 2)) for v in vertices}
+    pairs, count = [], draw(st.integers(0, 6))
+    while len(pairs) < count:
+        s = draw(vertex)
+        pairs.append((s, s) if draw(st.integers(0, 4)) == 0 else (s, draw(vertex)))
+        if draw(st.integers(0, 3)) == 0:
+            pairs.append(pairs[-1][::-1])
+    arrows = [{"id": "a%d" % i, "src": s, "tgt": t} for i, (s, t) in enumerate(pairs[:count])]
+    alpha = {v: draw(st.integers(0, 3)) for v in vertices}
+    while sum(alpha.values()) > 8:
+        alpha[max(alpha, key=alpha.get)] -= 1
     theta = {v: draw(ENTRY) for v in vertices}
-    ones = [v for v in vertices if alpha[v] == 1]
-    if ones and draw(st.integers(0, 3)) > 0:  # pair theta with alpha to zero
-        theta[ones[0]] = 0
-        theta[ones[0]] = -sum(theta[v] * alpha[v] for v in vertices)
-    # the schema lets alpha and theta leave out vertices, which then count as 0
-    alpha = {v: n for v, n in alpha.items() if draw(st.integers(0, 3))}
-    theta = {v: n for v, n in theta.items() if draw(st.integers(0, 3))}
+    if draw(st.integers(0, 3)) > 0:  # S θ_v - P, with S = Σ α_v and P = Σ θ_v α_v
+        total, pairing = sum(alpha.values()), sum(theta[v] * alpha[v] for v in vertices)
+        theta = {v: total * t - pairing for v, t in theta.items()}
+    # the schema lets alpha and theta leave out zero entries, which then count as 0
+    alpha = {v: n for v, n in alpha.items() if n or draw(st.booleans())}
+    theta = {v: n for v, n in theta.items() if n or draw(st.booleans())}
     data = {"kind": "quiver", "vertices": vertices, "arrows": arrows,
             "alpha": alpha, "theta": theta}
     if draw(st.booleans()):
@@ -131,8 +143,8 @@ def quiver_runs(draw):
         data["arrow_weights"] = {"aux_rank": aux,
                                  "weights": {a["id"]: draw(grade) for a in arrows}}
     flags = []
-    for flag, values in (("--window", st.integers(0, 1)), ("--trials", st.integers(0, 5)),
-                         ("--prime", st.sampled_from([2, 3, 5, 7]))):
+    for flag, values in (("--window", st.integers(0, 2)), ("--trials", st.integers(0, 30)),
+                         ("--prime", st.sampled_from([2, 3, 5])), ("--seed", st.integers(0, 99))):
         if draw(st.booleans()):
             flags += [flag, str(draw(values))]
     return data, flags

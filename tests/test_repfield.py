@@ -42,8 +42,11 @@ from fixedloci.repfield import (
 from quiver_oracles import box_covers, cover
 from repfield_oracles import GenericSubdims as OracleGenericSubdims
 from repfield_oracles import _iter_subrep_dimvectors as oracle_iter_subrep_dimvectors
+from repfield_oracles import certify_component as oracle_certify_component
+from repfield_oracles import closed_prefix_subrep_dimvectors as oracle_closed_prefix_subrep_dimvectors
 from repfield_oracles import generic_destabilizer as oracle_generic_destabilizer
 from repfield_oracles import gf_in_span, is_semistable_rep, subrep_dimension_vectors, subspaces
+from repfield_oracles import is_stable_by as oracle_is_stable_by
 from repfield_oracles import structural_destabilizer as oracle_structural_destabilizer
 from test_golden_reports import PROBLEMS, _quiver_file
 
@@ -709,6 +712,97 @@ def test_pruned_scan_matches_product_oracle():
     assert KingScan(Quiver((), ()), {}, 5, {}).destabilizer(RepFq.build(5, {}, {})) is None
 
 
+def _random_shape(rng):
+    """A random quiver (acyclic or cyclic, with loops and 2-cycles), thin or
+    non-thin dimensions 1-3 of total at most 8, a prime 2, 3 or 5, and θ
+    either random or moved onto the wall θ·dims = 0; θ leans towards
+    in-degree minus out-degree, so that many shapes have no structural
+    destabilizer."""
+    while True:
+        Q = _random_quiver(rng, rng.randint(1, 5), 6)
+        thin = rng.random() < 0.5
+        dims = {v: 1 if thin else rng.randint(1, 3) for v in Q.vertices}
+        if sum(dims.values()) <= 8:
+            break
+    raw = {v: sum((a.tgt == v) - (a.src == v) for a in Q.arrows) + rng.randint(-1, 1) for v in Q.vertices}
+    if rng.random() < 0.75:
+        pairing = sum(raw[v] * dims[v] for v in Q.vertices)
+        raw = {v: sum(dims.values()) * raw[v] - pairing for v in Q.vertices}
+    return Q, dims, rng.choice((2, 3, 5)), raw
+
+
+def _connected(Q, arrows):
+    """Whether these arrows connect every vertex of Q, as undirected edges."""
+    seen, todo = set(), list(Q.vertices[:1])
+    while todo:
+        v = todo.pop()
+        if v not in seen:
+            seen.add(v)
+            todo += [u for a in arrows for w, u in ((a.src, a.tgt), (a.tgt, a.src)) if w == v]
+    return seen == set(Q.vertices)
+
+
+def test_sample_rules_agree_with_king_scan():
+    """The two rules that decide a sample before any scan, against KingScan.
+    On the wall θ·dims = 0, a sample whose nonzero arrows leave the support
+    disconnected has a destabilizer.  A thin sample with every arrow
+    nonzero, on a shape with no structural destabilizer, has none, for any
+    θ.  Each sample's matrices are dense to a random degree; the thin
+    all-nonzero ones have entries in 1..p - 1."""
+    rng = random.Random(113)
+    seen = collections.Counter()
+    for _ in range(1500):
+        Q, dims, p, theta = _random_shape(rng)
+        thin, wall = set(dims.values()) == {1}, not sum(theta[v] * dims[v] for v in Q.vertices)
+        density = 1 if thin and rng.random() < 0.5 else rng.random()
+        mats = {a.id: [[rng.randrange(1, p) if rng.random() < density else 0 for _ in range(dims[a.src])]
+                       for _ in range(dims[a.tgt])] for a in Q.arrows}
+        M = RepFq.build(p, dims, mats)
+        nonzero = [a for a in Q.arrows if any(map(any, M.mat_of(a.id)))]
+        got = KingScan(Q, dims, p, theta).destabilizer(M)
+        if wall and not _connected(Q, nonzero):
+            assert got is not None, (Q, M, theta)
+            seen["split", thin, p] += 1
+        if thin and len(nonzero) == len(Q.arrows) and structural_destabilizer(Q, dims, theta) is None:
+            assert got is None, (Q, M, theta)
+            seen["thin", wall, p] += 1
+            seen["thin cyclic"] += any(a.src == a.tgt for a in Q.arrows) or \
+                any((b.tgt, b.src) == (a.src, a.tgt) for a in Q.arrows for b in Q.arrows)
+    assert min(seen[k, x, p] for k in ("split", "thin") for x in (True, False) for p in (2, 3, 5)) >= 10, seen
+    assert seen["thin cyclic"] >= 20, seen
+
+
+def test_certify_component_matches_the_scan_every_sample_oracle():
+    """certify_component, which skips KingScan on samples the two rules
+    decide, gives the Certification of the oracle that scans every sample:
+    the same status, method, destabilizer, witness and witness_trial.  The
+    covers are random shapes with an ungraded cover, θ on the wall and off
+    it (where the direct-sum rule stands aside), and the candidates of
+    K3(2,3) and of the arrow-weighted golden quiver files, at 1, 3 or 30
+    trials, so that some searches end without a witness."""
+    rng = random.Random(127)
+    seen = collections.Counter()
+    runs = []
+    for _ in range(600):
+        Q, dims, p, theta = _random_shape(rng)
+        W = ArrowWeights.from_dict(0, {a.id: () for a in Q.arrows})
+        runs.append((Q, W, cover({(v, ()): n for v, n in dims.items()}), theta, p))
+    Q, W, alpha, theta = _kronecker(3, 2, 3)
+    runs += [(Q, W, c, theta, 5) for c, _ in enumerate_covers(Q, W, alpha, 2)[1]]
+    for seed in range(12):
+        data, _ = _quiver_file(seed)
+        if sum(data["alpha"].values()) <= 8:
+            Q, W, alpha, theta = _quiver_from_data(data)
+            runs += [(Q, W, c, theta, 3) for c, _ in enumerate_covers(Q, W, alpha, 1)[1]]
+    for Q, W, beta, theta, p in runs:
+        trials = rng.choice((1, 3, 30))
+        want = oracle_certify_component(Q, W, beta, theta, trials=trials, prime=p, seed=7)
+        assert certify_component(Q, W, beta, theta, trials=trials, prime=p, seed=7) == want, (Q, beta, theta)
+        wall = not sum(theta.get(v, 0) * n for (v, _), n in beta)
+        seen[want.status, want.witness is not None, wall] += 1
+    assert min(seen[Status.NONEMPTY_VERIFIED, w, x] for w in (True, False) for x in (True, False)) >= 5, seen
+
+
 def test_king_scan_bound_edges():
     # a simple representation at θ = 0: x^2 - 2 is irreducible over F_5, so
     # the loop fixes no line; the bound cuts nothing and no leaf destabilizes
@@ -765,19 +859,46 @@ def test_structural_destabilizer_past_eight_support_vertices():
 
 
 def test_king_scan_checks_only_closed_prefixes(monkeypatch, tmp_path):
-    """The arrow-closure checks (gf_member calls, one per nonzero image of a
-    basis row) of one CLI run of K3(3,4) at window 2: 3,712 with the θ bound
-    and the stop at the first destabilizer, against 6,826 for the
-    closed-prefix scan of every subrepresentation and 25,188 for the full
-    product scan."""
+    """The arrow-closure checks of one CLI run of K3(3,4) at window 2.
+
+    Replayed over the samples that the witness search drew when it scanned
+    every one (the oracle certify_component), with one KingScan plan per
+    cover: 3,712 gf_member calls with the θ bound and the stop at the first
+    destabilizer, against 6,826 gf_in_span calls for the closed-prefix scan
+    of every subrepresentation and 25,188 for the full product scan, each
+    stopping at the first destabilizer.  The CLI run itself scans only the
+    samples the two sample rules leave open: 1,092 gf_member calls."""
+    Q, W, alpha, theta = _kronecker(3, 3, 4)
+    samples = []  # the samples drawn, per cover
+    for c, _ in enumerate_covers(Q, W, alpha, 2)[1]:
+        samples.append([])
+        oracle_certify_component(Q, W, c, theta, scanned=samples[-1])
     calls = []
 
-    def counted(parity, vec, p):
-        calls.append(1)
-        return gf_member(parity, vec, p)
+    def counted(check):
+        def call(*args):
+            calls.append(1)
+            return check(*args)
+        return call
 
-    monkeypatch.setattr("fixedloci.repfield.gf_member", counted)
-    Q, W, alpha, theta = _kronecker(3, 3, 4)
+    monkeypatch.setattr("fixedloci.repfield.gf_member", counted(gf_member))
+    for drawn in samples:
+        if drawn:
+            sq, dims, th, _ = drawn[0]
+            king = KingScan(sq, dims, 5, th)
+            for *_, M in drawn:
+                king.destabilizer(M)
+    counts = [len(calls)]
+    monkeypatch.setattr("repfield_oracles.gf_in_span", counted(gf_in_span))
+    for scan in (oracle_closed_prefix_subrep_dimvectors, oracle_iter_subrep_dimvectors):
+        calls.clear()
+        for drawn in samples:
+            for sq, _, th, M in drawn:
+                oracle_is_stable_by(scan, sq, M, th)
+        counts.append(len(calls))
+    assert counts == [3712, 6826, 25188]
+
+    calls.clear()
     path = tmp_path / "k34.json"
     path.write_text(json.dumps({
         "kind": "quiver", "vertices": list(Q.vertices),
@@ -785,7 +906,7 @@ def test_king_scan_checks_only_closed_prefixes(monkeypatch, tmp_path):
         "alpha": alpha, "theta": theta}))
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["quiver", str(path), "--window", "2"]) == 0
-    assert len(calls) == 3712
+    assert len(calls) == 1092
 
 
 def test_witness_search_skips_tables_above_the_cap():
