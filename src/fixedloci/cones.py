@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DimMismatch, ValidationError
+from .errors import ValidationError
 from .linalg import (
     det,
     dot,
@@ -99,7 +99,7 @@ def _combine(a, u, b, w):
 def check_inner_product(Q, dim):
     """Validate an integral symmetric positive definite Gram matrix."""
     if len(Q) != dim or any(len(r) != dim for r in Q):
-        raise DimMismatch("inner product must be %dx%d" % (dim, dim))
+        raise ValidationError("inner product must be %dx%d" % (dim, dim))
     rows = [tuple(int(x) for x in r) for r in Q]
     for i in range(dim):
         for j in range(dim):

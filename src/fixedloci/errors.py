@@ -1,33 +1,14 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, one per CLI exit code."""
 
 
 class FixedLociError(Exception):
     """Base class for all library errors."""
 
 
-class DimMismatch(FixedLociError):
-    pass
-
-
-class NotInjective(FixedLociError):
-    """The lattice map has a nontrivial kernel."""
-
-
-class TorsionCokernel(FixedLociError):
-    """The cokernel has torsion, so the free-action setup fails at torus level."""
-
-
-class FreeActionViolated(FixedLociError):
-    """A map that the free-action hypothesis forces to be unimodular is not."""
-
-
-class EmptyStableLocus(FixedLociError):
-    pass
+class ValidationError(FixedLociError):
+    """Bad input or an unmet hypothesis, such as a non-free action or an
+    empty stable locus: exit 2."""
 
 
 class TooLarge(FixedLociError):
-    """A brute-force guard was exceeded."""
-
-
-class ValidationError(FixedLociError):
-    """Problem data failed schema or semantic validation."""
+    """A brute-force guard was exceeded: exit 3."""

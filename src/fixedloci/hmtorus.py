@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .cones import check_inner_product, dot_q, dual_cone, project_onto_cone
-from .errors import DimMismatch
+from .errors import ValidationError
 from .linalg import dot, primitive, rank, solve, vec_neg
 from .simplex import feasible_nonneg
 
@@ -34,7 +34,7 @@ class WeightItem:
         object.__setattr__(self, "chi", tuple(int(x) for x in self.chi))
         object.__setattr__(self, "w", tuple(int(x) for x in self.w))
         if self.mult < 1:
-            raise ValueError("mult must be >= 1")
+            raise ValidationError("mult must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -48,12 +48,12 @@ class WeightedAction:
         object.__setattr__(self, "items", tuple(self.items))
         object.__setattr__(self, "theta", tuple(int(x) for x in self.theta))
         if len(self.theta) != self.g_rank:
-            raise DimMismatch("theta must live in Z^%d" % self.g_rank)
+            raise ValidationError("theta must live in Z^%d" % self.g_rank)
         for it in self.items:
             if len(it.chi) != self.g_rank:
-                raise DimMismatch("weight %r has wrong rank" % (it.chi,))
+                raise ValidationError("weight %r has wrong rank" % (it.chi,))
             if len(it.w) != self.aux_rank:
-                raise DimMismatch("auxiliary weight %r has wrong rank" % (it.w,))
+                raise ValidationError("auxiliary weight %r has wrong rank" % (it.w,))
 
     def indices(self):
         """The index set I of (item, copy) pairs, in flat order."""
@@ -78,9 +78,11 @@ class WeightedAction:
 
 def _normalize_support(action, support):
     support = frozenset(tuple(p) for p in support)
+    items = action.items
     for p in support:
-        if p not in action.flat:
-            raise DimMismatch("support index %r not in the action's index set" % (p,))
+        # read off the multiplicities, so no index set is built for the check
+        if not (len(p) == 2 and 0 <= p[0] < len(items) and 0 <= p[1] < items[p[0]].mult):
+            raise ValidationError("support index %r not in the action's index set" % (p,))
     return support
 
 

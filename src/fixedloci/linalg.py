@@ -13,7 +13,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .errors import DimMismatch, NotInjective, TorsionCokernel
+from .errors import ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -21,7 +21,7 @@ from .errors import DimMismatch, NotInjective, TorsionCokernel
 
 def dot(u, v):
     if len(u) != len(v):
-        raise DimMismatch("vector dims %d vs %d" % (len(u), len(v)))
+        raise ValidationError("vector dims %d vs %d" % (len(u), len(v)))
     return sum(a * b for a, b in zip(u, v))
 
 
@@ -289,7 +289,7 @@ def solve_integral(rows, rhs_rows):
 def unimodular_inverse(U):
     inv = solve_integral(U, identity(len(U)))
     if inv is None:
-        raise ValueError("matrix is not unimodular")
+        raise ValidationError("matrix is not unimodular")
     return inv
 
 
@@ -303,15 +303,15 @@ def cokernel_with_section(a, r):
     pi is (m-r) x m with pi*a = 0 and pi surjective (as a lattice map), and
     c is m x (m-r) with pi*c = identity.
 
-    Raises NotInjective when a has a kernel and TorsionCokernel when the
-    quotient lattice has torsion (the free-action setup then fails).
+    Raises ValidationError when a has a kernel or the quotient lattice has
+    torsion (the free-action setup then fails).
     """
     m = len(a)
     D, U, _ = smith(a, r)
     diag = [D[i][i] for i in range(min(m, r))]
     rk = sum(1 for d in diag if d != 0)
     if rk < r:
-        raise NotInjective("lattice map has rank %d < %d" % (rk, r))
+        raise ValidationError("lattice map has rank %d < %d" % (rk, r))
     if any(d != 1 for d in diag[:r]):
-        raise TorsionCokernel("cokernel has invariant factors %s" % (diag,))
+        raise ValidationError("cokernel has invariant factors %s" % (diag,))
     return U[r:], tuple(row[r:] for row in unimodular_inverse(U))

@@ -10,13 +10,13 @@ tuple of its ((vertex, grade), n) pairs, n > 0.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass
 
-from .common import positive_compositions
-from .errors import DimMismatch, TooLarge, ValidationError
+from .errors import TooLarge, ValidationError
 
 # The most grow calls plus covers counted that one enumeration may take.
 # Measured with Python 3.11 on 2 CPUs: the largest input of the tests,
@@ -66,7 +66,7 @@ class ArrowWeights:
         items = tuple(sorted((str(k), tuple(int(x) for x in v)) for k, v in mapping.items()))
         for _, w in items:
             if len(w) != aux_rank:
-                raise DimMismatch("arrow weight %r has wrong rank" % (w,))
+                raise ValidationError("arrow weight %r has wrong rank" % (w,))
         return ArrowWeights(aux_rank, items)
 
     @staticmethod
@@ -140,6 +140,21 @@ def support_quiver(quiver: Quiver, weights: ArrowWeights, beta):
 
 # ---------------------------------------------------------------------------
 # enumeration of covers up to translation
+
+@functools.cache
+def positive_compositions(n, k):
+    """Ordered k-tuples of positive integers summing to n, as a tuple.
+
+    Memoised on (n, k): cover enumeration asks for the same few pairs once
+    per support.
+    """
+    if k == 0:
+        return ((),) if n == 0 else ()
+    if k == 1:
+        return ((n,),)
+    return tuple((first,) + rest for first in range(1, n - k + 2)
+                 for rest in positive_compositions(n - first, k - 1))
+
 
 def enumerate_covers(quiver: Quiver, weights: ArrowWeights, alpha, radius):
     """(number of covers of alpha with connected support inside the window,

@@ -36,6 +36,7 @@ MAX_SUBSPACES subspaces; above that no witness is sought.
 
 from __future__ import annotations
 
+import enum
 import functools
 import itertools
 import math
@@ -44,7 +45,6 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .common import Status
 from .errors import TooLarge, ValidationError
 from .quiver import ArrowWeights, Quiver, support_quiver, theta_hat
 
@@ -166,14 +166,6 @@ class RepFq:
     prime: int
     dims: tuple  # sorted (vertex, dim) pairs
     mats: tuple  # sorted (arrow_id, rows) pairs
-
-    @staticmethod
-    def build(prime, dims, mats):
-        return RepFq(
-            int(prime),
-            tuple(sorted((v, int(d)) for v, d in dims.items())),
-            tuple(sorted((a, tuple(tuple(int(x) % prime for x in row) for row in m)) for a, m in mats.items())),
-        )
 
     @functools.cached_property
     def _mat_dict(self):
@@ -339,17 +331,6 @@ class KingScan:
         return None
 
 
-def _theta_vec(quiver, theta):
-    return [int(theta.get(v, 0)) for v in quiver.vertices]
-
-
-def is_stable_rep(quiver: Quiver, M: RepFq, theta) -> bool:
-    """King's strict inequality on proper nonzero subrepresentations, by a
-    KingScan planned for this one call, after check_guard."""
-    check_guard(dict(M.dims), M.prime)
-    return KingScan(quiver, dict(M.dims), M.prime, theta).destabilizer(M) is None
-
-
 # ---------------------------------------------------------------------------
 # destabilizers and certification
 
@@ -465,13 +446,20 @@ def generic_destabilizer(quiver: Quiver, dims, theta):
     nonzero.
     """
     beta = tuple(int(dims.get(v, 0)) for v in quiver.vertices)
-    tv = _theta_vec(quiver, theta)
+    tv = [int(theta.get(v, 0)) for v in quiver.vertices]
     generic = GenericSubdims(quiver)
     for s in _subvectors(beta):
         if any(s) and s != beta and sum(map(operator.mul, tv, s)) <= 0 \
                 and generic.embeds(s, beta):
             return {v: x for v, x in zip(quiver.vertices, s) if x}
     return None
+
+
+class Status(enum.Enum):
+    """Certification status of a fixed-point component."""
+
+    NONEMPTY_VERIFIED = "NonemptyVerified"
+    EMPTY_VERIFIED = "EmptyVerified"
 
 
 @dataclass(frozen=True)

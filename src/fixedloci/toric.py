@@ -29,8 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .common import Status
-from .errors import EmptyStableLocus, FreeActionViolated, TooLarge
+from .errors import TooLarge, ValidationError
 from .hmtorus import WeightedAction, is_stable_support
 from .linalg import (
     cokernel_with_section,
@@ -89,9 +88,6 @@ class ToricFan:
 class FixedComponent:
     rho: tuple  # a morphism of tori on cocharacter lattices: r rows, m - r columns
     support: tuple  # sorted (item, copy) pairs carrying the weights of V_rho
-    g_descriptor: str
-    dimension: int
-    status: Status
 
 
 @dataclass(frozen=True)
@@ -108,11 +104,11 @@ class ToricContext:
     chambers: tuple
 
 
-def _stable_bases(action: WeightedAction, copies):
+def _stable_bases(action: WeightedAction, weights):
     """The stable weight bases of each chamber next to theta, and of theta.
 
-    copies maps each distinct weight to its (item, copy) indices.  Each
-    r-subset B of the distinct weights with det B != 0 gets one solve for
+    weights holds the distinct weights, in index order.  Each r-subset B
+    of them with det B != 0 gets one solve for
     lambda = B^-1 theta.  Perturbing theta along d = +-e_i adds
     eps B^-1 d + eps^2 B^-1 e_1 + ... to lambda, so lambda_j takes the sign
     of the first nonzero entry of (lambda_j, +-(B^-1)_ji, row j of B^-1),
@@ -130,7 +126,7 @@ def _stable_bases(action: WeightedAction, copies):
     """
     r = action.g_rank
     stable, walls = [], []
-    for B in itertools.combinations(copies, r):
+    for B in itertools.combinations(weights, r):
         cols = [[chi[i] for chi in B] for i in range(r)]
         if det(cols) == 0:
             continue
@@ -153,31 +149,37 @@ def toric_context(action: WeightedAction, section: tuple | None = None) -> Toric
     """The one entry point of the toric scans, after their checks.
 
     The checks run in order: the full support must be stable
-    (EmptyStableLocus); past MAX_ENUM_DIM coordinates the basis scan and the
+    (ValidationError); past MAX_ENUM_DIM coordinates the basis scan and the
     fan's faces, summed over the chambers, must be within their caps
-    (TooLarge); the weight inclusion must have a free cokernel (NotInjective,
-    TorsionCokernel), and a supplied section must split it
-    (FreeActionViolated).
+    (TooLarge); the weight inclusion must have a free cokernel, and a
+    supplied section must split it (ValidationError).  Everything up to the
+    caps is read off the items and their multiplicities, and the (item,
+    copy) indices are built only after them.
 
     pi is (m-r) x m on cocharacter lattices; c is m x (m-r) with pi*c = id.
     A user-supplied section fixes the identification of the cokernel: its
     columns must complete the weight columns to a lattice basis, and pi is
     then the unique projection annihilating the weights and splitting c.
     """
-    idx = action.indices()
-    m, r = len(idx), action.g_rank
-    if not is_stable_support(action, idx):
-        raise EmptyStableLocus("the stable locus is empty")
-    copies = {}
-    for i in idx:
-        copies.setdefault(action.chi_of(i), []).append(i)
-    if m > MAX_ENUM_DIM and math.comb(len(copies), r) > MAX_BASIS_SUBSETS:
-        raise TooLarge("basis scan over C(%d, %d) weight subsets refused" % (len(copies), r))
-    weight_chambers, weight_bases = _stable_bases(action, copies)
+    m, r = action.total_dim, action.g_rank
+    # one index per item meets every distinct weight
+    if not is_stable_support(action, [(s, 0) for s in range(len(action.items))]):
+        raise ValidationError("the stable locus is empty")
+    mults = {}  # each distinct weight's number of copies, in index order
+    for it in action.items:
+        mults[it.chi] = mults.get(it.chi, 0) + it.mult
+    if m > MAX_ENUM_DIM and math.comb(len(mults), r) > MAX_BASIS_SUBSETS:
+        raise TooLarge("basis scan over C(%d, %d) weight subsets refused" % (len(mults), r))
+    weight_chambers, weight_bases = _stable_bases(action, mults)
     if m > MAX_ENUM_DIM:
-        n_bases = sum(math.prod(len(copies[chi]) for chi in B) for ws in weight_chambers for B in ws)
-        if n_bases << (m - r) > MAX_FAN_FACES:
+        n_bases = sum(math.prod(mults[chi] for chi in B) for ws in weight_chambers for B in ws)
+        # past the cap's bit length any n_bases >= 1 is refused, so no larger shift is made
+        if n_bases << min(m - r, MAX_FAN_FACES.bit_length()) > MAX_FAN_FACES:
             raise TooLarge("fan of %d stable bases with 2^%d faces each refused" % (n_bases, m - r))
+    idx = action.indices()
+    copies = {chi: [] for chi in mults}
+    for i in idx:
+        copies[action.chi_of(i)].append(i)
 
     def index_bases(ws):
         # one index basis per choice of copies; sorted, they come in the order
@@ -191,10 +193,10 @@ def toric_context(action: WeightedAction, section: tuple | None = None) -> Toric
     pi, c = cokernel_with_section(a, r)
     if section is not None:
         if len(section) != m or any(len(row) != m - r for row in section):
-            raise FreeActionViolated("section must be %dx%d" % (m, m - r))
+            raise ValidationError("section must be %dx%d" % (m, m - r))
         inv = solve_integral([a[i] + section[i] for i in range(m)], identity(m))
         if inv is None:
-            raise FreeActionViolated("supplied section does not split the cokernel")
+            raise ValidationError("supplied section does not split the cokernel")
         pi = inv[r:]
         c = section
     return ToricContext(action, pi, c, bases, chambers)
@@ -258,7 +260,7 @@ def fixed_points_toric(ctx: ToricContext):
     so its support has size r; a stable support of size r is a stable
     basis.  The context lists them in sorted order.  Its morphism is
     rho = A_S^-1 C_S, the weight rows of S inverted against its section
-    rows.  The free action makes A_S unimodular (else FreeActionViolated).
+    rows.  The free action makes A_S unimodular (else ValidationError).
     Every choice of copies S of one weight basis B permutes the rows of
     A_B and C_S alike, and (PA)^-1 (PC) = A^-1 C, so A_B is checked and
     inverted once per weight basis.
@@ -273,19 +275,11 @@ def fixed_points_toric(ctx: ToricContext):
         if key not in inverses:
             if abs(det(key)) != 1:
                 # the sign is that of the rows in index order, as the basis is listed
-                raise FreeActionViolated("support weight matrix has determinant %s"
-                                         % det([action.chi_of(i) for i in comb]))
+                raise ValidationError("support weight matrix has determinant %s"
+                                      % det([action.chi_of(i) for i in comb]))
             inverses[key] = unimodular_inverse(key)
         rho = matmul(inverses[key], [c[flat[i]] for i in by_chi], n_cols)
         assert s_rho(action, rho, c) == frozenset(comb), \
             "support of rho does not recover the stable subset"
-        components.append(
-            FixedComponent(
-                rho=rho,
-                support=comb,
-                g_descriptor="torus",
-                dimension=0,
-                status=Status.NONEMPTY_VERIFIED,
-            )
-        )
+        components.append(FixedComponent(rho, comb))
     return components

@@ -18,9 +18,8 @@ arrows by trying every pair of its points; `support_quiver` must agree.
 
 import itertools
 
-from fixedloci.common import positive_compositions
-from fixedloci.errors import DimMismatch
-from fixedloci.quiver import Arrow, ArrowWeights, Quiver, support_quiver
+from fixedloci.errors import ValidationError
+from fixedloci.quiver import Arrow, ArrowWeights, Quiver, positive_compositions, support_quiver
 
 
 def cover(mapping):
@@ -216,7 +215,7 @@ def covers_to_rho(quiver: Quiver, beta, aux_rank: int):
                 grades.extend([chi] * n)
         rows.extend(sorted(grades))
     if any(len(r) != aux_rank for r in rows):
-        raise DimMismatch("grades must live in Z^%d" % aux_rank)
+        raise ValidationError("grades must live in Z^%d" % aux_rank)
     return tuple(rows)
 
 
@@ -231,5 +230,5 @@ def rho_to_cover(quiver: Quiver, rho, alpha):
             counts[(v, chi)] = counts.get((v, chi), 0) + 1
             at += 1
     if at != len(rho):
-        raise DimMismatch("rho has %d rows, alpha needs %d" % (len(rho), at))
+        raise ValidationError("rho has %d rows, alpha needs %d" % (len(rho), at))
     return cover(counts)

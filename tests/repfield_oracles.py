@@ -18,7 +18,9 @@ Schofield's recursion as `repfield` ran it before its test became lazy: it
 lists every generic subdimension vector of s (`subs`) before testing
 s -> g, and it alone gives `ext`; `generic_destabilizer` runs it in the
 order of `repfield.generic_destabilizer`.  `subrep_dimension_vectors`
-and `is_semistable_rep` are helpers only the tests use.
+and `is_semistable_rep` are helpers only the tests use, as are
+`build_rep`, which builds a representation from plain dicts, and
+`is_stable_rep`, King's test by a `KingScan` planned for one call.
 """
 
 import functools
@@ -28,7 +30,6 @@ import operator
 import random
 
 from fixedloci import repfield
-from fixedloci.common import Status
 from fixedloci.errors import TooLarge
 from fixedloci.quiver import Quiver, support_quiver, theta_hat
 from fixedloci.repfield import (
@@ -36,13 +37,33 @@ from fixedloci.repfield import (
     Certification,
     KingScan,
     RepFq,
-    _theta_vec,
+    Status,
     check_guard,
     endomorphism_dim,
     gf_matvec,
     random_rep,
     subspace_count,
 )
+
+
+def theta_vec(quiver, theta):
+    return [int(theta.get(v, 0)) for v in quiver.vertices]
+
+
+def build_rep(prime, dims, mats):
+    """A RepFq from {vertex: dim} and {arrow id: rows}, entries reduced mod prime."""
+    return RepFq(
+        int(prime),
+        tuple(sorted((v, int(d)) for v, d in dims.items())),
+        tuple(sorted((a, tuple(tuple(int(x) % prime for x in row) for row in m)) for a, m in mats.items())),
+    )
+
+
+def is_stable_rep(quiver: Quiver, M: RepFq, theta) -> bool:
+    """King's strict inequality on proper nonzero subrepresentations, by a
+    KingScan planned for this one call, after check_guard."""
+    check_guard(dict(M.dims), M.prime)
+    return KingScan(quiver, dict(M.dims), M.prime, theta).destabilizer(M) is None
 
 
 @functools.cache
@@ -147,7 +168,7 @@ def closed_prefix_subrep_dimvectors(quiver: Quiver, M: RepFq):
 def is_stable_by(scan, quiver: Quiver, M: RepFq, theta) -> bool:
     """King's strict inequality on the proper nonzero subrepresentations
     that scan yields, stopping at the first that fails it."""
-    tv = _theta_vec(quiver, theta)
+    tv = theta_vec(quiver, theta)
     trivial = tuple(0 for _ in quiver.vertices), tuple(dict(M.dims).get(v, 0) for v in quiver.vertices)
     return all(sum(map(operator.mul, tv, gamma)) > 0
                for gamma in scan(quiver, M) if gamma not in trivial)
@@ -188,7 +209,7 @@ def subrep_dimension_vectors(quiver: Quiver, M: RepFq):
 def is_semistable_rep(quiver: Quiver, M: RepFq, theta) -> bool:
     """King's inequality: theta of every subrepresentation is >= 0."""
     check_guard(dict(M.dims), M.prime)
-    tv = _theta_vec(quiver, theta)
+    tv = theta_vec(quiver, theta)
     for gamma in _iter_subrep_dimvectors(quiver, M):
         if sum(t * g for t, g in zip(tv, gamma)) < 0:
             return False
@@ -277,7 +298,7 @@ def generic_destabilizer(quiver: Quiver, dims, theta):
     """The first proper nonzero s -> dims with theta <= 0 among the
     subvectors in product order, as {vertex: dim} where nonzero, or None."""
     beta = tuple(int(dims.get(v, 0)) for v in quiver.vertices)
-    tv = _theta_vec(quiver, theta)
+    tv = theta_vec(quiver, theta)
     generic = GenericSubdims(quiver)
     for s in _subvectors(beta):
         if any(s) and s != beta and sum(t * x for t, x in zip(tv, s)) <= 0 \

@@ -1,18 +1,24 @@
 import collections
 import io
 import json
+import os
 import random
 import re
+import resource
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import fixedloci
 from conftest import no_lp
-from fixedloci import simplex, toric
+from fixedloci import cli, simplex, toric
 from fixedloci.cli import main
 from fixedloci.cli import _action_from_data, _kempf_report, _quiver_report, _toric_report
-from fixedloci.hmtorus import is_stable_support
+from fixedloci.errors import TooLarge
+from fixedloci.hmtorus import WeightedAction, is_stable_support
 from fixedloci.linalg import rank
 from lp_oracle import is_semistable_support
 from schema_oracles import validate_report
@@ -128,7 +134,8 @@ def test_toric_context_and_locus_check_run_once(tmp_path, capsys, monkeypatch):
         return context(*args)
 
     def counted_stable(action, support):
-        if set(support) == set(action.indices()):
+        # the locus check meets every item, through one index of each
+        if {s for s, _ in support} == set(range(len(action.items))):
             full_checks.append(support)
         return stable(action, support)
 
@@ -457,6 +464,67 @@ def test_cover_enumeration_guard_exits_3(tmp_path, capsys):
         assert run(["quiver", f], capsys) == (3, "", "guard error: cover enumeration exceeds the guard "
                                               "of 100000 support searches and covers\n")
         assert time.monotonic() - start < 10
+
+
+def _no_index_set(self):
+    raise AssertionError("an index set was built")
+
+
+def _huge(command, mult):
+    """One weight of multiplicity mult: a toric file, or a weights file for kempf."""
+    if command == "toric":
+        return {"kind": "toric", "g_rank": 1, "weights": [{"chi": [1], "mult": mult}], "theta": [1]}
+    return {"kind": "weights", "g_rank": 1, "items": [{"chi": [1], "mult": mult}], "theta": [1]}
+
+
+def test_multiplicity_guards_build_no_index_set(tmp_path, capsys, monkeypatch):
+    # the toric caps and the kempf default-support cap are read off the
+    # multiplicities, and an explicit support is checked against them
+    monkeypatch.setattr(WeightedAction, "indices", _no_index_set)
+    toric_file = write(tmp_path, "t.json", _huge("toric", 10 ** 9))
+    assert run(["toric", toric_file], capsys) == (
+        3, "", "guard error: fan of 1000000000 stable bases with 2^999999999 faces each refused\n")
+    weights_file = write(tmp_path, "w.json", _huge("kempf", 10 ** 9))
+    assert run(["kempf", weights_file], capsys) == (
+        3, "", "guard error: default support of 1000000000 indices exceeds the guard of 700000 report cells\n")
+    code, out, err = run(["kempf", weights_file, "--support", "[[0, 999999999]]"], capsys)
+    assert (code, err) == (0, "") and json.loads(out)["kempf"]["support"] == [[0, 999999999]]
+    code, out, err = run(["kempf", weights_file, "--support", "[[0, 1000000000]]"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "validation error: support index (0, 1000000000) not in the action's index set\n"
+
+
+def test_default_support_cap_boundary(monkeypatch):
+    # the cap counts the indices of the default support; a support given in
+    # the file or by --support is not refused
+    monkeypatch.setattr(cli, "MAX_REPORT_CELLS", 3)
+    assert len(_kempf_report(_huge("kempf", 3))["kempf"]["support"]) == 3
+    with pytest.raises(TooLarge, match="^default support of 4 indices exceeds the guard of 3 report cells$"):
+        _kempf_report(_huge("kempf", 4))
+    assert _kempf_report(dict(_huge("kempf", 4), support=[[0, 3]]))["kempf"]["support"] == [[0, 3]]
+    assert _kempf_report(_huge("kempf", 4), support=[[0, 1]])["kempf"]["support"] == [[0, 1]]
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("kind,flags,code,err", [
+    ("toric", [], 3, "guard error: fan of 1000000000 stable bases with 2^999999999 faces each refused\n"),
+    ("kempf", [], 3,
+     "guard error: default support of 1000000000 indices exceeds the guard of 700000 report cells\n"),
+    ("kempf", ["--support", "[[0, 0]]"], 0, ""),
+], ids=["toric", "kempf-default-support", "kempf-one-index"])
+def test_huge_multiplicity_in_a_memory_capped_child(tmp_path, kind, flags, code, err):
+    # 10^9 copies of one weight, in a child held to 1 GiB of address space:
+    # nothing that grows with the multiplicity may be built
+    src = str(Path(fixedloci.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    f = write(tmp_path, "huge.json", _huge(kind, 10 ** 9))
+    proc = subprocess.run([sys.executable, "-m", "fixedloci.cli", kind, f, *flags], capture_output=True,
+                          text=True, env=env, timeout=30, preexec_fn=_limit_memory)
+    assert (proc.returncode, proc.stderr) == (code, err)
+    assert code or json.loads(proc.stdout)["kempf"]["stable"] is True
 
 
 def test_prime_guard_runs_without_candidates(tmp_path, capsys):

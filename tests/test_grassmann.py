@@ -6,9 +6,9 @@ import time
 import pytest
 
 from fixedloci import grassmann
-from fixedloci.common import positive_compositions
 from fixedloci.errors import TooLarge, ValidationError
 from fixedloci.grassmann import GrassmannComponent, GrassmannProblem, classify, component_count
+from fixedloci.quiver import positive_compositions
 
 
 def oracle_components(m, n, weights):

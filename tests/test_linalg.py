@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fixedloci.errors import NotInjective, TorsionCokernel
+from fixedloci.errors import ValidationError
 from fixedloci.linalg import (
     cokernel_with_section,
     det,
@@ -134,12 +134,12 @@ def test_cokernel_identity_gives_no_rows():
 
 
 def test_cokernel_torsion():
-    with pytest.raises(TorsionCokernel):
+    with pytest.raises(ValidationError, match=r"^cokernel has invariant factors \[2\]$"):
         cokernel_with_section(((2,),), 1)
 
 
 def test_cokernel_not_injective():
-    with pytest.raises(NotInjective):
+    with pytest.raises(ValidationError, match="^lattice map has rank 1 < 2$"):
         cokernel_with_section(((1, 1), (2, 2), (0, 0)), 2)
 
 
@@ -152,7 +152,7 @@ def test_cokernel_random_properties():
         a = tuple(tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(m))
         try:
             pi, c = cokernel_with_section(a, r)
-        except (NotInjective, TorsionCokernel):
+        except ValidationError:
             continue
         produced += 1
         assert matmul(pi, a, r) == ((0,) * r,) * (m - r)
@@ -166,7 +166,7 @@ def test_unimodular_inverse():
     U = ((1, 2), (0, 1))
     V = unimodular_inverse(U)
     assert matmul(U, V, 2) == identity(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="^matrix is not unimodular$"):
         unimodular_inverse(((2, 0), (0, 1)))
 
 

@@ -11,7 +11,6 @@ import pytest
 
 from conftest import kronecker3, kronecker_problem
 from fixedloci.cli import _quiver_from_data, _quiver_report, main
-from fixedloci.common import Status
 from fixedloci.errors import TooLarge, ValidationError
 from fixedloci.hmtorus import WeightItem, WeightedAction, is_stable_support
 from fixedloci.quiver import (
@@ -26,14 +25,13 @@ from fixedloci.quiver import (
 from fixedloci.repfield import (
     GenericSubdims,
     KingScan,
-    RepFq,
+    Status,
     certify_component,
     check_prime,
     endomorphism_dim,
     generic_destabilizer,
     gf_member,
     gf_rref,
-    is_stable_rep,
     random_rep,
     structural_destabilizer,
     subspace_count,
@@ -41,11 +39,11 @@ from fixedloci.repfield import (
 )
 from quiver_oracles import box_covers, cover
 from repfield_oracles import GenericSubdims as OracleGenericSubdims
+from repfield_oracles import build_rep, gf_in_span, is_semistable_rep, is_stable_rep, subrep_dimension_vectors, subspaces
 from repfield_oracles import _iter_subrep_dimvectors as oracle_iter_subrep_dimvectors
 from repfield_oracles import certify_component as oracle_certify_component
 from repfield_oracles import closed_prefix_subrep_dimvectors as oracle_closed_prefix_subrep_dimvectors
 from repfield_oracles import generic_destabilizer as oracle_generic_destabilizer
-from repfield_oracles import gf_in_span, is_semistable_rep, subrep_dimension_vectors, subspaces
 from repfield_oracles import is_stable_by as oracle_is_stable_by
 from repfield_oracles import structural_destabilizer as oracle_structural_destabilizer
 from test_golden_reports import PROBLEMS, _quiver_file
@@ -83,7 +81,7 @@ def test_subspace_table_membership_matches_reduction():
 
 def test_zero_rep_subreps():
     Q, _W, _alpha, _theta = kronecker3()
-    M = RepFq.build(5, {"1": 2, "2": 3}, {
+    M = build_rep(5, {"1": 2, "2": 3}, {
         "a": [[0, 0]] * 3, "b": [[0, 0]] * 3, "c": [[0, 0]] * 3,
     })
     dims = subrep_dimension_vectors(Q, M)
@@ -92,13 +90,13 @@ def test_zero_rep_subreps():
 
 def test_identity_arrow_subreps():
     Q = Quiver(("1", "2"), (Arrow("a", "1", "2"),))
-    M = RepFq.build(5, {"1": 1, "2": 1}, {"a": [[1]]})
+    M = build_rep(5, {"1": 1, "2": 1}, {"a": [[1]]})
     assert subrep_dimension_vectors(Q, M) == {(0, 0), (0, 1), (1, 1)}
 
 
 def test_zero_rep_unstable():
     Q, _W, alpha, theta = kronecker3()
-    M = RepFq.build(5, alpha, {
+    M = build_rep(5, alpha, {
         "a": [[0, 0]] * 3, "b": [[0, 0]] * 3, "c": [[0, 0]] * 3,
     })
     # U = (C^2, 0) has theta(U) = -6 < 0
@@ -108,7 +106,7 @@ def test_zero_rep_unstable():
 
 def test_block_shape_rep_stable():
     Q, _W, alpha, theta = kronecker3()
-    M = RepFq.build(5, alpha, {
+    M = build_rep(5, alpha, {
         "a": [[1, 0], [0, 0], [0, 0]],
         "b": [[0, 0], [0, 1], [0, 0]],
         "c": [[0, 0], [0, 0], [1, 1]],
@@ -133,26 +131,26 @@ def test_zero_padding_never_stabilizes():
     # adding a zero row/column block never turns an unstable rep stable
     Q = Quiver(("1", "2"), (Arrow("a", "1", "2"),))
     theta = {"1": 1, "2": -1}
-    M = RepFq.build(5, {"1": 1, "2": 1}, {"a": [[0]]})
+    M = build_rep(5, {"1": 1, "2": 1}, {"a": [[0]]})
     assert not is_stable_rep(Q, M, theta)
     theta2 = {"1": 2, "2": -1}  # pairs to zero with (1, 2)
-    M2 = RepFq.build(5, {"1": 1, "2": 2}, {"a": [[0], [0]]})
+    M2 = build_rep(5, {"1": 1, "2": 2}, {"a": [[0], [0]]})
     assert not is_stable_rep(Q, M2, theta2)
 
 
 def test_guards():
     Q = Quiver(("1",), ())
-    M = RepFq.build(5, {"1": 9}, {})
+    M = build_rep(5, {"1": 9}, {})
     with pytest.raises(TooLarge):
         is_stable_rep(Q, M, {"1": 0})
-    M2 = RepFq.build(7, {"1": 1}, {})
+    M2 = build_rep(7, {"1": 1}, {})
     with pytest.raises(TooLarge):
         is_stable_rep(Q, M2, {"1": 0})
-    M3 = RepFq.build(4, {"1": 1}, {})
+    M3 = build_rep(4, {"1": 1}, {})
     with pytest.raises(ValidationError):
         is_stable_rep(Q, M3, {"1": 0})
     # a composite modulus is bad input even above the prime guard
-    M4 = RepFq.build(9, {"1": 1}, {})
+    M4 = build_rep(9, {"1": 1}, {})
     with pytest.raises(ValidationError, match="modulus 9 is not prime"):
         is_stable_rep(Q, M4, {"1": 0})
 
@@ -231,7 +229,7 @@ def test_cross_module_consistency_with_torus_stability():
                 a.id: [[1 if keep else 0]]
                 for a, keep in zip(sq.arrows, pattern)
             }
-            M = RepFq.build(5, dims, mats)
+            M = build_rep(5, dims, mats)
             king = is_stable_rep(sq, M, th)
             support = {(i, 0) for i, keep in enumerate(pattern) if keep}
             torus = is_stable_support(action, support)
@@ -508,13 +506,13 @@ def test_end_check_runs_when_the_dimensions_share_a_factor(monkeypatch):
     mats = {"a": ((1, 0), (0, 1)), "b": C, "c": ((1, 2), (1, 1))}
     Q = Quiver(("1", "2"), tuple(Arrow(x, "1", "2") for x in mats))
     theta = {"1": -1, "2": 1}
-    M = RepFq.build(5, {"1": 2, "2": 2}, mats)
+    M = build_rep(5, {"1": 2, "2": 2}, mats)
     assert KingScan(Q, {"1": 2, "2": 2}, 5, theta).destabilizer(M) is None
     assert endomorphism_dim(Q, M) == 2
 
     def m_first(quiver, dims, prime, rng):
         if not served:
-            served.append(RepFq.build(prime, dims, {x.id: mats[x.id[0]] for x in quiver.arrows}))
+            served.append(build_rep(prime, dims, {x.id: mats[x.id[0]] for x in quiver.arrows}))
             return served[0]
         return random_rep(quiver, dims, prime, rng)
 
@@ -604,7 +602,7 @@ def test_endomorphism_dim_examples():
     loop = Quiver(("1",), (Arrow("a", "1", "1"),))
 
     def rep(dims, mats):
-        return RepFq.build(5, dims, mats)
+        return build_rep(5, dims, mats)
 
     # End of one matrix is its commutant: F_5[M] when M is cyclic
     assert endomorphism_dim(loop, rep({"1": 2}, {"a": ((4, 2), (4, 4))})) == 2
@@ -675,7 +673,7 @@ def _random_rep_case(rng):
         mats = {a.id: [[rng.randrange(1, p) if rng.random() < density else 0
                         for _ in range(dims[a.src])] for _ in range(dims[a.tgt])]
                 for a in Q.arrows}
-        return Q, RepFq.build(p, dims, mats)
+        return Q, build_rep(p, dims, mats)
 
 
 def test_pruned_scan_matches_product_oracle():
@@ -709,7 +707,7 @@ def test_pruned_scan_matches_product_oracle():
         seen["total 8"] += sum(dims.values()) == 8
         seen[M.prime] += 1
     assert min(seen.values()) >= 50, seen
-    assert KingScan(Quiver((), ()), {}, 5, {}).destabilizer(RepFq.build(5, {}, {})) is None
+    assert KingScan(Quiver((), ()), {}, 5, {}).destabilizer(build_rep(5, {}, {})) is None
 
 
 def _random_shape(rng):
@@ -757,7 +755,7 @@ def test_sample_rules_agree_with_king_scan():
         density = 1 if thin and rng.random() < 0.5 else rng.random()
         mats = {a.id: [[rng.randrange(1, p) if rng.random() < density else 0 for _ in range(dims[a.src])]
                        for _ in range(dims[a.tgt])] for a in Q.arrows}
-        M = RepFq.build(p, dims, mats)
+        M = build_rep(p, dims, mats)
         nonzero = [a for a in Q.arrows if any(map(any, M.mat_of(a.id)))]
         got = KingScan(Q, dims, p, theta).destabilizer(M)
         if wall and not _connected(Q, nonzero):
@@ -807,13 +805,13 @@ def test_king_scan_bound_edges():
     # a simple representation at θ = 0: x^2 - 2 is irreducible over F_5, so
     # the loop fixes no line; the bound cuts nothing and no leaf destabilizes
     Q = Quiver(("1",), (Arrow("a", "1", "1"),))
-    M = RepFq.build(5, {"1": 2}, {"a": [[0, 2], [1, 0]]})
+    M = build_rep(5, {"1": 2}, {"a": [[0, 2], [1, 0]]})
     assert subrep_dimension_vectors(Q, M) == {(0,), (2,)}
     assert KingScan(Q, {"1": 2}, 5, {"1": 0}).destabilizer(M) is None
     # the scan takes vertex 1 first; its only destabilizer, (1, 1), has
     # θ-weight 1 > 0 there and is decided by θ_2 = -2 at the last vertex
     Q = Quiver(("1", "2"), (Arrow("a", "2", "1"),))
-    M = RepFq.build(5, {"1": 2, "2": 1}, {"a": [[1], [0]]})
+    M = build_rep(5, {"1": 2, "2": 1}, {"a": [[1], [0]]})
     theta = {"1": 1, "2": -2}
     assert {g for g in subrep_dimension_vectors(Q, M) - {(0, 0), (2, 1)}
             if g[0] - 2 * g[1] <= 0} == {(1, 1)}

@@ -10,7 +10,7 @@ comparison below judge a finished fan from its rays and cones alone.
 import itertools
 
 from cone_oracles import canonical, intersection
-from fixedloci.errors import FreeActionViolated
+from fixedloci.errors import ValidationError
 from fixedloci.hmtorus import WeightedAction, is_stable_support
 from fixedloci.linalg import det, matmul, primitive, rank, solve_integral
 from fixedloci.toric import ToricFan, s_rho
@@ -39,16 +39,16 @@ def rho_from_stable_subset(action: WeightedAction, support, section):
     """Invert the weight map on a minimally stable support against the section.
 
     The map g -> (chi_s(g)) over the support must be invertible over Z; the
-    free-action hypothesis forces this, so failure raises FreeActionViolated.
+    free-action hypothesis forces this, so failure raises ValidationError.
     """
     sup = sorted(support)
     r = action.g_rank
     a_s = [action.chi_of(i) for i in sup]
     if len(a_s) != r:
-        raise FreeActionViolated("support has size %d, expected %d" % (len(a_s), r))
+        raise ValidationError("support has size %d, expected %d" % (len(a_s), r))
     d = det(a_s)
     if abs(d) != 1:
-        raise FreeActionViolated("support weight matrix has determinant %s" % d)
+        raise ValidationError("support weight matrix has determinant %s" % d)
     return solve_integral(a_s, [section[action.flat[i]] for i in sup])
 
 
