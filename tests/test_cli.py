@@ -18,7 +18,7 @@ from fixedloci import cli, simplex, toric
 from fixedloci.cli import main
 from fixedloci.cli import _action_from_data, _kempf_report, _quiver_report, _toric_report
 from fixedloci.errors import TooLarge
-from fixedloci.hmtorus import WeightedAction, is_stable_support
+from fixedloci.hmtorus import is_stable_support
 from fixedloci.linalg import rank
 from lp_oracle import is_semistable_support
 from schema_oracles import validate_report
@@ -466,32 +466,11 @@ def test_cover_enumeration_guard_exits_3(tmp_path, capsys):
         assert time.monotonic() - start < 10
 
 
-def _no_index_set(self):
-    raise AssertionError("an index set was built")
-
-
 def _huge(command, mult):
     """One weight of multiplicity mult: a toric file, or a weights file for kempf."""
     if command == "toric":
         return {"kind": "toric", "g_rank": 1, "weights": [{"chi": [1], "mult": mult}], "theta": [1]}
     return {"kind": "weights", "g_rank": 1, "items": [{"chi": [1], "mult": mult}], "theta": [1]}
-
-
-def test_multiplicity_guards_build_no_index_set(tmp_path, capsys, monkeypatch):
-    # the toric caps and the kempf default-support cap are read off the
-    # multiplicities, and an explicit support is checked against them
-    monkeypatch.setattr(WeightedAction, "indices", _no_index_set)
-    toric_file = write(tmp_path, "t.json", _huge("toric", 10 ** 9))
-    assert run(["toric", toric_file], capsys) == (
-        3, "", "guard error: fan of 1000000000 stable bases with 2^999999999 faces each refused\n")
-    weights_file = write(tmp_path, "w.json", _huge("kempf", 10 ** 9))
-    assert run(["kempf", weights_file], capsys) == (
-        3, "", "guard error: default support of 1000000000 indices exceeds the guard of 700000 report cells\n")
-    code, out, err = run(["kempf", weights_file, "--support", "[[0, 999999999]]"], capsys)
-    assert (code, err) == (0, "") and json.loads(out)["kempf"]["support"] == [[0, 999999999]]
-    code, out, err = run(["kempf", weights_file, "--support", "[[0, 1000000000]]"], capsys)
-    assert (code, out) == (2, "")
-    assert err == "validation error: support index (0, 1000000000) not in the action's index set\n"
 
 
 def test_default_support_cap_boundary(monkeypatch):
@@ -514,17 +493,25 @@ def _limit_memory():
     ("kempf", [], 3,
      "guard error: default support of 1000000000 indices exceeds the guard of 700000 report cells\n"),
     ("kempf", ["--support", "[[0, 0]]"], 0, ""),
-], ids=["toric", "kempf-default-support", "kempf-one-index"])
+    ("kempf", ["--support", "[[0, 999999999]]"], 0, ""),
+    ("kempf", ["--support", "[[0, 1000000000]]"], 2,
+     "validation error: support index (0, 1000000000) not in the action's index set\n"),
+], ids=["toric", "kempf-default-support", "kempf-first-index", "kempf-last-index", "kempf-past-the-last"])
 def test_huge_multiplicity_in_a_memory_capped_child(tmp_path, kind, flags, code, err):
     # 10^9 copies of one weight, in a child held to 1 GiB of address space:
-    # nothing that grows with the multiplicity may be built
+    # nothing that grows with the multiplicity may be built, and a given
+    # support index is checked against the multiplicity
     src = str(Path(fixedloci.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     f = write(tmp_path, "huge.json", _huge(kind, 10 ** 9))
     proc = subprocess.run([sys.executable, "-m", "fixedloci.cli", kind, f, *flags], capture_output=True,
                           text=True, env=env, timeout=30, preexec_fn=_limit_memory)
     assert (proc.returncode, proc.stderr) == (code, err)
-    assert code or json.loads(proc.stdout)["kempf"]["stable"] is True
+    if code:
+        assert proc.stdout == ""
+    else:
+        report = json.loads(proc.stdout)["kempf"]
+        assert report["stable"] is True and report["support"] == json.loads(flags[1])
 
 
 def test_prime_guard_runs_without_candidates(tmp_path, capsys):

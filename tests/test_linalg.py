@@ -152,7 +152,10 @@ def test_cokernel_random_properties():
         a = tuple(tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(m))
         try:
             pi, c = cokernel_with_section(a, r)
-        except ValidationError:
+        except ValidationError as exc:
+            # only the two refusals of a map that is not a split inclusion
+            if not str(exc).startswith(("lattice map has rank ", "cokernel has invariant factors ")):
+                raise
             continue
         produced += 1
         assert matmul(pi, a, r) == ((0,) * r,) * (m - r)

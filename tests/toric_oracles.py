@@ -16,6 +16,14 @@ from fixedloci.linalg import det, matmul, primitive, rank, solve_integral
 from fixedloci.toric import ToricFan, s_rho
 
 
+def is_refused_context(exc: ValidationError) -> bool:
+    """Whether `toric_context` refused a random action for its input: an
+    empty stable locus, or a weight map that is not a split inclusion."""
+    msg = str(exc)
+    return msg == "the stable locus is empty" or msg.startswith(
+        ("lattice map has rank ", "cokernel has invariant factors "))
+
+
 def stable_subsets(action: WeightedAction):
     """All stable support subsets of I, in canonical sorted order.
 
