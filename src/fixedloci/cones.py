@@ -7,11 +7,13 @@ of the lineality lattice together with the extreme rays of C intersected
 with L^perp, which makes the list unique for the cone as a set.
 
 `dual_cone` is one exact double description whose adjacency tests are
-integer ranks; it gives the limit cones of the Kempf queries, and the dual
-of a dual is a canonical form.  `nnls`, exact non-negative least squares in
-an integral inner product, is the package's one cone-membership solver:
-`project_onto_cone` and `simplex.solve_nonneg` read their answers off it.
-Fine for desk-scale dimensions (<= ~8).
+integer ranks, run inside the span of the halfspaces from a basis that one
+fraction-free elimination gives; a saturated kernel and its HNF are built
+only for a nontrivial lineality.  It gives the limit cones of the Kempf
+queries, and the dual of a dual is a canonical form.  `nnls`, exact
+non-negative least squares in an integral inner product, is the package's
+one cone-membership solver: `project_onto_cone` and `simplex.solve_nonneg`
+read their answers off it.  Fine for desk-scale dimensions (<= ~8).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .linalg import (
+    _eliminate,
     det,
     dot,
     hnf,
@@ -36,19 +39,21 @@ from .linalg import (
 def dual_cone(halfspaces, dim):
     """Canonical generators of {y : <h, y> >= 0 for every h}, exactly.
 
-    The lineality space is the saturated integer kernel of the halfspace
-    rows, emitted as +/- its HNF rows.  The pointed part is found by double
-    description inside their row span W = L^perp (Fukuda-Prodon 1996),
-    starting from a basis of W as lineality: a halfspace nonzero on the
-    current lineality cuts it with one pivot; otherwise a positive and a
-    negative ray are combined only when adjacent, i.e. when the processed
-    halfspaces tight at both have rank dim W - dim lineality - 2.  Every ray
-    stays in W, so the rays found are the primitive extreme rays of the
-    cone intersected with L^perp.
+    The nonzero rows of one fraction-free elimination of the halfspace rows
+    are a basis of their row span W.  The pointed part is found by double
+    description inside W (Fukuda-Prodon 1996), starting from that basis as
+    lineality: a halfspace nonzero on the current lineality cuts it with one
+    pivot; otherwise a positive and a negative ray are combined only when
+    adjacent, i.e. when the processed halfspaces tight at both have rank
+    dim W - dim lineality - 2.  Every ray stays in W, so the rays found are
+    the primitive extreme rays of the cone intersected with W = L^perp.
+    Only when W is not all of Q^dim is the lineality space L nontrivial: it
+    is the saturated integer kernel of the halfspace rows, emitted as +/-
+    its HNF rows.
     """
     hs = sorted({primitive(h) for h in halfspaces if not is_zero_vec(h)})
-    K = kernel_basis(hs, dim)
-    lin = [primitive(b) for b in kernel_basis(K, dim)]  # a basis of W
+    M, pivots, _ = _eliminate(hs)
+    lin = [primitive(row) for row in M[:len(pivots)]]  # a basis of W
     dim_w = len(lin)
     rays = []  # (ray, bitmask of the processed halfspaces tight at it)
     for k, h in enumerate(hs):
@@ -82,15 +87,16 @@ def dual_cone(halfspaces, dim):
                 new.append((_combine(hu, w, hw, u), common | 1 << k))
         rays = new
     out = {r for r, _ in rays}
-    for row in hnf(K, dim)[0]:
-        out.add(row)
-        out.add(vec_neg(row))
+    if dim_w < dim:
+        for row in hnf(kernel_basis(hs, dim), dim)[0]:
+            out.add(row)
+            out.add(vec_neg(row))
     return tuple(sorted(out))
 
 
 def _combine(a, u, b, w):
     """The primitive vector on a * u - b * w."""
-    return primitive(tuple(a * x - b * y for x, y in zip(u, w)))
+    return primitive([a * x - b * y for x, y in zip(u, w)])
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 Hermite and Smith normal forms with unimodular transforms, integer kernels,
 cokernels with a chosen section, and fraction-free (Bareiss) elimination for
-determinants, ranks and exact solves.  All arithmetic uses
-arbitrary-precision ints and fractions.Fraction; there is no floating point
-anywhere in this package.
+determinants, ranks and exact solves.  The matrices met in practice are
+mostly 0 and +-1, so elimination, back-substitution and products skip the
+terms a zero entry makes vanish.  All arithmetic uses arbitrary-precision
+ints and fractions.Fraction; there is no floating point anywhere in this
+package.
 """
 
 from __future__ import annotations
@@ -22,11 +24,11 @@ from .errors import ValidationError
 def dot(u, v):
     if len(u) != len(v):
         raise ValidationError("vector dims %d vs %d" % (len(u), len(v)))
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def vec_neg(u):
-    return tuple(-a for a in u)
+    return tuple(map(operator.neg, u))
 
 
 def primitive(v):
@@ -34,12 +36,10 @@ def primitive(v):
 
     The zero vector is returned unchanged and the direction is preserved.
     """
-    g = 0
-    for a in v:
-        g = math.gcd(g, a)
+    g = math.gcd(*v)
     if g <= 1:
-        return tuple(int(a) for a in v)
-    return tuple(int(a) // g for a in v)
+        return tuple(v)
+    return tuple(a // g for a in v)
 
 
 def clear_denominators(v):
@@ -50,7 +50,7 @@ def clear_denominators(v):
 
 
 def is_zero_vec(v):
-    return all(a == 0 for a in v)
+    return not any(v)
 
 
 # ---------------------------------------------------------------------------
@@ -62,9 +62,17 @@ def identity(n):
 
 
 def matmul(A, B, ncols):
-    """The product A * B, with B having ncols columns."""
-    cols = list(zip(*B)) if B else [()] * ncols
-    return tuple(tuple(sum(map(operator.mul, r, c)) for c in cols) for r in A)
+    """The product A * B, with B having ncols columns.  Each row of the
+    product is a combination of the rows of B over the nonzero entries of
+    the matching row of A."""
+    out = []
+    for r in A:
+        acc = [0] * ncols
+        for a, b in zip(r, B):
+            if a:
+                acc = [x + a * y for x, y in zip(acc, b)]
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +215,10 @@ def _eliminate(rows):
     columns listed by pivots, and sign the parity of the row swaps.  After k
     pivot steps every entry below row k is a (k+1)-minor of the row-permuted
     input, so each division by the previous pivot is exact, and the last
-    pivot of a nonsingular square matrix is sign * determinant.
+    pivot of a nonsingular square matrix is sign * determinant.  A row
+    with 0 below the pivot is not recombined: it is kept when the pivot
+    equals the previous one and otherwise rescaled by piv / prev, which is
+    exact for the same reason.
     """
     M = [list(r) for r in rows]
     m = len(M)
@@ -227,7 +238,10 @@ def _eliminate(rows):
         piv = top[c]
         for i in range(r + 1, m):
             a = M[i][c]
-            M[i] = [(piv * x - a * y) // prev for x, y in zip(M[i], top)]
+            if a:
+                M[i] = [(piv * x - a * y) // prev for x, y in zip(M[i], top)]
+            elif piv != prev:
+                M[i] = [piv * x // prev for x in M[i]]
         prev = piv
         pivots.append(c)
     return M, pivots, sign
@@ -250,7 +264,7 @@ def _solve_augmented(rows, rhs_rows):
     X = [[0] * k for _ in range(n)]
     for i in reversed(range(len(pivots))):
         row = M[i]
-        later = [(row[c], X[c]) for c in pivots[i + 1:]]
+        later = [(row[c], X[c]) for c in pivots[i + 1:] if row[c]]
         X[pivots[i]] = [(d * row[n + j] - sum(u * x[j] for u, x in later)) // row[pivots[i]]
                         for j in range(k)]
     return X, d, pivots

@@ -2,10 +2,18 @@ import itertools
 import random
 from fractions import Fraction
 
-from cone_oracles import canonical, contains, intersection, project, project_by_subset_scan
+from cone_oracles import (
+    canonical,
+    contains,
+    dual_cone_by_kernels,
+    intersection,
+    project,
+    project_by_subset_scan,
+)
 from conftest import no_lp
-from fixedloci import cones, simplex
+from fixedloci import cones, linalg, simplex
 from fixedloci.cones import dot_q, dual_cone, project_onto_cone
+from fixedloci.hmtorus import WeightItem, WeightedAction, limit_cone
 from fixedloci.linalg import (
     clear_denominators,
     dot,
@@ -14,6 +22,7 @@ from fixedloci.linalg import (
     is_zero_vec,
     kernel_basis,
     primitive,
+    rank,
     solve,
     vec_neg,
 )
@@ -155,6 +164,76 @@ def test_exact_dd_matches_lp_pruned_oracle():
         seen["empty"] += not canon
         seen["full"] += len(canon) == 2 * d > 0 and not dual_cone(C, d)
     assert seen["lineality"] >= 500 and min(seen.values()) >= 10, seen
+
+
+def _halfspace_sets():
+    """Seeded halfspace sets of dimension 1-8 with entries mostly 0 and +-1,
+    drawn in turn to span, to fall short (trailing coordinates zeroed, or
+    rows that combine or repeat fewer than dim others), to be empty and to
+    be all zero."""
+    rng = random.Random(53)
+
+    def row(dim):
+        return tuple(rng.choice((-2, -1, -1, 0, 0, 0, 1, 1, 2)) for _ in range(dim))
+
+    for i in range(2400):
+        dim, kind = rng.randint(1, 8), i % 4
+        if kind == 0:
+            rows = [row(dim) for _ in range(rng.randint(dim, dim + 2))]
+        elif kind == 1:
+            rows = [row(dim) for _ in range(rng.randint(1, max(1, dim - 1)))]
+            if rng.random() < 0.5:
+                t = rng.randint(1, dim)
+                rows = [h[:dim - t] + (0,) * t for h in rows + [row(dim)]]
+            else:
+                for _ in range(rng.randint(1, 3)):
+                    u, w = rng.choice(rows), rng.choice(rows)
+                    a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+                    rows.append(tuple(a * x + b * y for x, y in zip(u, w)))
+        elif kind == 2:
+            rows = []
+        else:
+            rows = [(0,) * dim] * rng.randint(1, 3)
+        rng.shuffle(rows)
+        yield dim, rows
+
+
+def test_dual_cone_matches_two_kernel_oracle():
+    # the W basis read off one elimination, and the kernel and HNF only for a
+    # lineality, give the tuple of the two-kernel double description exactly
+    seen = dict.fromkeys(["spanning", "rank-deficient", "empty", "all-zero"], 0)
+    for dim, rows in _halfspace_sets():
+        nonzero = [h for h in rows if not is_zero_vec(h)]
+        kind = ("empty" if not rows else "all-zero" if not nonzero
+                else "spanning" if rank(nonzero) == dim else "rank-deficient")
+        seen[kind] += 1
+        assert dual_cone(rows, dim) == dual_cone_by_kernels(rows, dim), (dim, rows)
+    assert sum(seen.values()) >= 2000 and min(seen.values()) >= 100, seen
+
+
+def test_dual_cone_builds_the_kernel_only_for_a_lineality(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the lineality was computed for a spanning support")
+
+    monkeypatch.setattr(cones, "kernel_basis", refuse)
+    monkeypatch.setattr(cones, "hnf", refuse)
+    plane = WeightedAction(2, 0, (WeightItem((1, 0)), WeightItem((0, 1))), (1, 1))
+    assert limit_cone(plane, [(0, 0), (1, 0)]) == ((0, 1), (1, 0))
+
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cones, "kernel_basis", counted(linalg.kernel_basis))
+    monkeypatch.setattr(cones, "hnf", counted(linalg.hnf))
+    line = WeightedAction(3, 0, (WeightItem((1, 0, 0)), WeightItem((-1, 0, 0)),
+                                 WeightItem((1, 2, 0))), (1, 1, 1))
+    assert limit_cone(line, [(0, 0), (1, 0)]) == ((0, -1, 0), (0, 0, -1), (0, 0, 1), (0, 1, 0))
+    assert sorted(calls) == ["hnf", "kernel_basis"]
 
 
 def test_no_lp_in_canonical_form_dual_or_intersection(monkeypatch):

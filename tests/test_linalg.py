@@ -178,8 +178,27 @@ def test_matmul_keeps_the_width_of_a_product_with_no_rows():
     # rho at g_rank 0
     assert matmul(((), ()), (), 3) == ((0, 0, 0), (0, 0, 0))
     assert matmul((), ((1, 2),), 2) == ()
+    assert matmul(((1, 2),), ((), ()), 0) == ((),)
     assert identity(0) == ()
     assert matmul(((1, 2), (3, 4)), identity(2), 2) == ((1, 2), (3, 4))
+
+
+def test_matmul_matches_dense_oracle():
+    # each product entry is the sum of a * b over the shared index, for sparse
+    # and dense factors, empty shapes included
+    rng = random.Random(29)
+    seen = {"sparse": 0, "dense": 0}
+    for _ in range(600):
+        m, k, n = (rng.randint(0, 5) for _ in range(3))
+        kind = rng.choice(("sparse", "dense"))
+        seen[kind] += 1
+        values = (0, 0, 0, 0, 1, -1, 3) if kind == "sparse" else range(-5, 6)
+        A = tuple(tuple(rng.choice(values) for _ in range(k)) for _ in range(m))
+        B = tuple(tuple(rng.choice(values) for _ in range(n)) for _ in range(k))
+        want = tuple(tuple(sum(A[i][t] * B[t][j] for t in range(k)) for j in range(n))
+                     for i in range(m))
+        assert matmul(A, B, n) == want
+    assert min(seen.values()) > 100, seen
 
 
 # ---------------------------------------------------------------------------
@@ -260,34 +279,47 @@ def det_rational(rows):
     return det
 
 
+SYSTEM_KINDS = ("dense", "combined row", "zero row", "consistent", "sparse")
+
+
 def _random_system(rng):
-    """An integer system (rows, rhs) with 1-6 rows and columns, entries in
-    [-4, 4], often rank deficient, with zero rows or an inconsistent rhs."""
+    """An integer system (rows, rhs, kind) with 1-6 rows and columns, entries
+    in [-4, 4], often rank deficient, with zero rows or an inconsistent rhs;
+    a sparse system has entries mostly 0 and +-1 and some diagonal entries
+    of size 2-4, so a row often has 0 below a pivot that differs from the
+    previous one."""
     m, n = rng.randint(1, 6), rng.randint(1, 6)
-    rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
-    kind = rng.randrange(4)
-    if kind == 1 and m > 1:  # a row that combines two others
+    kind = SYSTEM_KINDS[rng.randrange(len(SYSTEM_KINDS))]
+    if kind == "sparse":
+        rows = [[rng.choice((0, 0, 0, 0, 1, -1)) for _ in range(n)] for _ in range(m)]
+        for i in range(min(m, n)):
+            if rng.random() < 0.5:
+                rows[i][i] = rng.choice((2, 3, 4, -2, -3, -4))
+    else:
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+    if kind == "combined row" and m > 1:
         i, j, k = (rng.randrange(m) for _ in range(3))
         a, b = rng.randint(-2, 2), rng.randint(-2, 2)
         rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
-    elif kind == 2:
+    elif kind == "zero row":
         rows[rng.randrange(m)] = [0] * n
     rhs = [rng.randint(-4, 4) for _ in range(m)]
-    if kind == 3:  # consistent, or nudged off the column span
+    if kind == "consistent":  # consistent, or nudged off the column span
         x = [rng.randint(-3, 3) for _ in range(n)]
         rhs = [sum(a * b for a, b in zip(r, x)) for r in rows]
         if m > 1:
             rows[-1] = list(rows[0])
             rhs[-1] = rhs[0] + rng.randint(0, 1)
-    return rows, rhs
+    return rows, rhs, kind
 
 
 def test_bareiss_matches_rational_oracles():
     rng = random.Random(23)
     assert det([]) == det_rational([]) == 1
-    seen = {"singular": 0, "inconsistent": 0, "integral": 0, "fractional": 0}
-    for _ in range(2500):
-        rows, rhs = _random_system(rng)
+    seen = dict.fromkeys(("singular", "inconsistent", "integral", "fractional") + SYSTEM_KINDS, 0)
+    for _ in range(3000):
+        rows, rhs, kind = _random_system(rng)
+        seen[kind] += 1
         m, n = len(rows), len(rows[0])
         k = min(m, n)
         square = [r[:k] for r in rows[:k]]
@@ -317,6 +349,16 @@ def test_bareiss_matches_rational_oracles():
             seen["integral" if integral else "fractional"] += 1
         assert solve_integral(square, B) == expected
     assert min(seen.values()) > 100, seen
+
+
+def test_bareiss_rescales_a_zero_row_below_a_new_pivot():
+    # the row below the pivot 2 has 0 there; kept without its rescaling by
+    # 2 / 1 it would give det 3, the solution (1/3, 1/3) and rank 2
+    assert det([[2, 0], [0, 3]]) == 6
+    X, d = solve([[2, 0], [0, 3]], [1, 1])
+    assert (Fraction(X[0], d), Fraction(X[1], d)) == (Fraction(1, 2), Fraction(1, 3))
+    assert rank([[2, 0, 0], [0, 1, 1], [0, 1, 2]]) == 3
+    assert rank([[2, 0, 0], [0, 1, 1], [0, 2, 2]]) == 2
 
 
 def test_solve_edge_cases():
