@@ -334,16 +334,16 @@ def _quiver_report(data, seed, prime, trials, window):
     radius = window if window is not None else opts.get("window")
     if radius is None:
         radius = default_window_radius(alpha, W)
-    check_guard(alpha, prime)
+    check_guard(alpha, prime)  # every cover of alpha has its total dimension
     classes, cands = enumerate_covers(Q, W, alpha, radius)
     shapes = {}  # decisions per support shape, shared by this report's candidates only
     results = [
-        certify_component(Q, W, c, theta, trials=trials, prime=prime, seed=seed, shapes=shapes)
-        for c, _ in cands
+        certify_component(Q, W, c, arrows, theta, trials=trials, prime=prime, seed=seed, shapes=shapes)
+        for c, _, arrows in cands
     ]
 
     comp_json = []
-    for (c, dim), r in zip(cands, results):
+    for (c, dim, _), r in zip(cands, results):
         blocks = sorted(n for _, n in c)
         comp_json.append({
             "beta": [[_point_json(k), n] for k, n in c],

@@ -158,8 +158,14 @@ def positive_compositions(n, k):
 
 def enumerate_covers(quiver: Quiver, weights: ArrowWeights, alpha, radius):
     """(number of covers of alpha with connected support inside the window,
-    the candidates among them as (cover, dimension) pairs sorted by cover,
-    each cover its sorted ((vertex, grade), n) tuple).
+    the candidates among them as (cover, dimension, arrows) triples sorted
+    by cover, each cover its sorted ((vertex, grade), n) tuple).
+
+    arrows lists the covering arrows of the cover's support as sorted
+    (source, target) pairs of positions in the cover, one pair per arrow:
+    a loop of zero shift once, parallel arrows of one weight once each.
+    The search collects them as it grows each support: a point added
+    brings the arrows between it and the points already present.
 
     The dimension of cover b's component, for a free quotient, is the sum of
     b_p b_q over its covering arrows p -> q, minus the sum of b_p^2, plus 1.
@@ -191,22 +197,31 @@ def enumerate_covers(quiver: Quiver, weights: ArrowWeights, alpha, radius):
         return 1, []
     total = sum(alpha.values())
 
-    arcs = {}  # vertex -> (neighbour, grade step), both directions of each arrow
+    arcs = {}  # vertex -> (neighbour, grade step, whether the arrow leaves the vertex)
     for a in quiver.arrows:
         w = weights.of(a.id)
-        arcs.setdefault(a.src, []).append((a.tgt, w))
-        arcs.setdefault(a.tgt, []).append((a.src, tuple(-x for x in w)))
+        if alpha[a.src] > 0 and alpha[a.tgt] > 0:
+            arcs.setdefault(a.src, []).append((a.tgt, w, True))
+            arcs.setdefault(a.tgt, []).append((a.src, tuple(-x for x in w), False))
 
-    def neighbors(point):
-        v, chi = point
-        for u, w in arcs.get(v, ()):
-            if alpha[u] > 0:
-                yield (u, tuple(c + x for c, x in zip(chi, w)))
+    def joins(point, present):
+        """The covering arrows between point and the points present, as
+        (source, target) pairs, and the neighbours of point not present."""
+        links, near = [], set()
+        for u, w, leaves in arcs.get(point[0], ()):
+            other = (u, tuple(map(operator.add, point[1], w)))
+            if other in present:
+                links.append((point, other) if leaves else (other, point))
+            elif other != point:
+                near.add(other)
+            elif leaves:  # a loop of zero shift, met once from each end
+                links.append((point, point))
+        return links, near
 
     span = 2 * radius
     v0 = min(supp)
     root = (v0, (0,) * weights.aux_rank)
-    supports, work = [], 0  # work: grow calls plus covers counted
+    supports, work = [], 0  # (points, covering arrows) of each support; grow calls plus covers counted
 
     def spend(n):
         nonlocal work
@@ -215,10 +230,10 @@ def enumerate_covers(quiver: Quiver, weights: ArrowWeights, alpha, radius):
             raise TooLarge("cover enumeration exceeds the guard of %d support searches and covers"
                            % MAX_COVERS)
 
-    def grow(current, counts, lo, hi, candidates, banned):
+    def grow(current, links, counts, lo, hi, candidates, banned):
         spend(1)
         if all(counts.get(v, 0) >= 1 for v in supp):
-            supports.append(current)
+            supports.append((current, links))
         if len(current) >= total:
             return
         banned = set(banned)
@@ -228,21 +243,21 @@ def enumerate_covers(quiver: Quiver, weights: ArrowWeights, alpha, radius):
             if counts.get(u[0], 0) >= alpha[u[0]] or any(h - l > span for l, h in zip(lo2, hi2)):
                 banned.add(u)
                 continue
-            nxt = current | {u}
-            counts2 = {**counts, u[0]: counts.get(u[0], 0) + 1}
-            seen = set(candidates[pos + 1:]) | banned | nxt
-            extra = sorted({w for w in neighbors(u) if w > root} - seen)
-            grow(nxt, counts2, lo2, hi2, candidates[pos + 1:] + extra, banned)
+            new, near = joins(u, current)
+            seen = set(candidates[pos + 1:]) | banned
+            extra = sorted(w for w in near if w > root and w not in seen)
+            grow(current | {u}, links + new, {**counts, u[0]: counts.get(u[0], 0) + 1}, lo2, hi2,
+                 candidates[pos + 1:] + extra, banned)
             banned.add(u)
 
-    start = sorted({w for w in neighbors(root) if w > root})
-    grow(frozenset([root]), {v0: 1}, root[1], root[1], start, set())
+    links, near = joins(root, ())
+    grow(frozenset([root]), links, {v0: 1}, root[1], root[1], sorted(w for w in near if w > root), set())
 
     count, kept = 0, []
-    for sup in supports:
+    for sup, links in supports:
         pts = sorted(sup)
         index = {p: i for i, p in enumerate(pts)}
-        pairs = [(index[p], index[q]) for _, p, q in _covering_arrows(quiver, weights, index)]
+        pairs = tuple(sorted((index[p], index[q]) for p, q in links))
         # sorted points run vertex by vertex, so one composition per vertex fills b
         runs = itertools.groupby(v for v, _ in pts)
         choices = [positive_compositions(alpha[v], len(list(g))) for v, g in runs]
@@ -253,6 +268,6 @@ def enumerate_covers(quiver: Quiver, weights: ArrowWeights, alpha, radius):
             b = [n for comp in combo for n in comp]
             dim = sum(b[i] * b[j] for i, j in pairs) - sum(n * n for n in b) + 1
             if dim >= 0:
-                kept.append((tuple(zip(pts, b)), dim))
+                kept.append((tuple(zip(pts, b)), dim, pairs))
     # covers are distinct, so this sorts by cover
     return count, sorted(kept)

@@ -7,13 +7,18 @@ arrow-closed vertex subset at full dimension) or, for a non-thin cover, a
 generic subdimension vector from Schofield's recursion.  When neither
 exists the locus is nonempty: for a thin cover the representation with
 every arrow nonzero is stable, and otherwise the general representation
-is.  A representation over a small prime field, sampled at random, is
-attached to a nonempty component as a witness when it is geometrically
-stable: stable over F_p with End(M) = F_p, so that no Galois-conjugate
-summands split it over the algebraic closure.  End(M) is computed only
-when the dimensions share a factor: the endomorphisms of a stable M form
-a finite field F_{p^k}, and k divides every dimension.  The status never
-rests on the witness.
+is.  Both tests run on the cover's shape, its dimensions, θ̂ and the
+covering arrows that enumerate_covers carries, as position pairs, and
+each shape is decided once per report.  A representation over a small
+prime field, sampled at random, is attached to a nonempty component as a
+witness when it is geometrically stable: stable over F_p with End(M) =
+F_p, so that no Galois-conjugate summands split it over the algebraic
+closure.  Only this search builds the support quiver, whose arrow order
+fixes the order of the draws; each entry is getrandbits(k), k the bit
+length of p, drawn again while it is >= p, as randrange(p) draws.  End(M)
+is computed only when the dimensions share a factor: the endomorphisms of
+a stable M form a finite field F_{p^k}, and k divides every dimension.
+The status never rests on the witness.
 
 Most samples are decided by which arrows are zero.  When θ̂ pairs to zero
 with the dimensions, a sample whose nonzero arrows leave the support
@@ -25,8 +30,9 @@ F_p representations by a depth-first search for a destabilizing
 subrepresentation: it extends only subspace tuples closed under the arrow
 maps, cuts a branch once no completion of it can reach θ <= 0, and stops
 at the first destabilizer.  Its plan (vertex order, arrow checks and θ
-bounds) is built, after the caller's check_guard, on the first sample of
-a component that needs it, and serves the rest.  The subspaces of F_p^n
+bounds) is built on the first sample of a component that needs it, and
+serves the rest; the report has run check_guard on alpha once, since
+every cover of alpha has its total dimension.  The subspaces of F_p^n
 are listed once per (n, p), in one table kept for the process: each with
 the ids of its RREF rows, so that an arrow's image of a row is computed
 once per representation, and with parity-check rows, so that a
@@ -46,7 +52,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import TooLarge, ValidationError
-from .quiver import ArrowWeights, Quiver, support_quiver, theta_hat
+from .quiver import Arrow, ArrowWeights, Quiver, support_quiver, theta_hat
 
 DEFAULT_MAX_TOTAL_DIM = 8
 DEFAULT_MAX_PRIME = 5
@@ -177,10 +183,20 @@ class RepFq:
 
 def random_rep(quiver: Quiver, dims, prime, rng: random.Random) -> RepFq:
     """A representation with uniform entries in [0, prime), drawn arrow by
-    arrow in quiver.arrows order, each matrix row by row."""
-    mats = [(a.id, tuple(tuple(rng.randrange(prime) for _ in range(int(dims.get(a.src, 0))))
-                         for _ in range(int(dims.get(a.tgt, 0)))))
-            for a in quiver.arrows]
+    arrow in quiver.arrows order, each matrix row by row.  An entry is
+    getrandbits(k), k the bit length of prime, drawn again while it is >=
+    prime: the draws that rng.randrange(prime) makes."""
+    k, draw, mats = prime.bit_length(), rng.getrandbits, []
+    for a in quiver.arrows:
+        cols, rows = int(dims.get(a.src, 0)), []
+        for _ in range(int(dims.get(a.tgt, 0))):
+            row = []
+            while len(row) < cols:
+                x = draw(k)
+                if x < prime:
+                    row.append(x)
+            rows.append(tuple(row))
+        mats.append((a.id, tuple(rows)))
     return RepFq(prime, tuple(sorted((v, int(dims.get(v, 0))) for v in quiver.vertices)),
                  tuple(sorted(mats)))
 
@@ -443,16 +459,40 @@ def generic_destabilizer(quiver: Quiver, dims, theta):
     returned dimension, so none is stable; when there is none, the general
     representation is stable (King, Quart. J. Math. 45, 1994: the stable
     locus is open).  Returns {vertex: dim} over the vertices where it is
-    nonzero.
+    nonzero: the first such s in product order of the subvectors.
+
+    The subvectors are walked as an odometer, the last vertex fastest, with
+    θ·s and the pairing c of β - s (<a, β - s> = a·c) kept up to date, so
+    that embeds runs only on the s with θ·s <= 0 and <s, β - s> = s·c >= 0;
+    it would refuse the others on that first test.
     """
     beta = tuple(int(dims.get(v, 0)) for v in quiver.vertices)
     tv = [int(theta.get(v, 0)) for v in quiver.vertices]
     generic = GenericSubdims(quiver)
-    for s in _subvectors(beta):
-        if any(s) and s != beta and sum(map(operator.mul, tv, s)) <= 0 \
-                and generic.embeds(s, beta):
-            return {v: x for v, x in zip(quiver.vertices, s) if x}
-    return None
+    into = [[] for _ in beta]  # the sources of the arrows into each vertex
+    for i, j in generic._arrows:
+        into[j].append(i)
+    s, c, weight, last = [0] * len(beta), generic._pairing(beta), 0, len(beta) - 1
+    while True:
+        k = last  # step the odometer: wrap the full digits, then raise one
+        while k >= 0 and s[k] == beta[k]:
+            step, s[k] = beta[k], 0
+            weight -= tv[k] * step
+            c[k] += step
+            for i in into[k]:
+                c[i] -= step
+            k -= 1
+        if k < 0:
+            return None
+        s[k] += 1
+        weight += tv[k]
+        c[k] -= 1
+        for i in into[k]:
+            c[i] += 1
+        if weight <= 0 and sum(map(operator.mul, s, c)) >= 0:
+            t = tuple(s)
+            if t != beta and generic.embeds(t, beta):
+                return {v: x for v, x in zip(quiver.vertices, t) if x}
 
 
 class Status(enum.Enum):
@@ -471,10 +511,12 @@ class Certification:
     destabilizer: tuple | None = None
 
 
-def certify_component(quiver: Quiver, weights: ArrowWeights, beta, theta,
+def certify_component(quiver: Quiver, weights: ArrowWeights, beta, arrows, theta,
                       trials=200, prime=5, seed=0, shapes=None) -> Certification:
     """Certify (non)emptiness of the stable locus a cover describes, the
-    cover given as its sorted ((vertex, grade), n) tuple.
+    cover given as its sorted ((vertex, grade), n) tuple and arrows, its
+    covering arrows as (source, target) positions in it, as
+    enumerate_covers gives them.
 
     In order: a structural destabilizer proves emptiness; without one a thin
     cover is nonempty; every other cover is decided by generic_destabilizer.
@@ -486,37 +528,39 @@ def certify_component(quiver: Quiver, weights: ArrowWeights, beta, theta,
     vertex's subspaces outnumber MAX_SUBSPACES.
 
     The decision depends only on the cover's shape: its dimensions and θ̂
-    in support order and its arrows as (source, target) positions.  Neither
-    destabilizer reads arrow ids, grades or arrow order, and each is chosen
-    by position, so shapes, a dict that the caller shares over the covers
-    of one report, keeps (method, destabilizer as (position, n) pairs) per
-    shape; a fresh dict is used when it is None.  check_guard and the
-    witness search, seeded by repr(beta), still run for every cover.
+    in point order and its sorted arrows.  Neither destabilizer reads arrow
+    ids, grades or arrow order, and each is chosen by position, so both run
+    on a quiver whose vertices are the positions, and shapes, a dict that
+    the caller shares over the covers of one report, keeps (method,
+    destabilizer as (position, n) pairs) per shape; a fresh dict is used
+    when it is None.  Only the witness search, seeded by repr(beta), runs
+    per cover, and only it builds the support quiver.  check_guard is the
+    caller's: every cover of alpha has alpha's total dimension.
     """
-    sq, dims = support_quiver(quiver, weights, beta)
-    th = theta_hat(theta, sq.vertices)
-    check_guard(dims, prime)
-
-    pos = {v: i for i, v in enumerate(sq.vertices)}
-    shape = (tuple(dims.values()), tuple(th.values()),
-             tuple(sorted((pos[a.src], pos[a.tgt]) for a in sq.arrows)))
+    sizes = tuple(n for _, n in beta)
+    thetas = tuple(int(theta.get(v, 0)) for (v, _), _ in beta)
+    shape = sizes, thetas, tuple(sorted(arrows))
     shapes = {} if shapes is None else shapes
     if shape not in shapes:
-        method = "structural"
-        dest = structural_destabilizer(sq, dims, th)
+        on = Quiver(range(len(sizes)), (Arrow(k, i, j) for k, (i, j) in enumerate(shape[2])))
+        method, d, t = "structural", dict(enumerate(sizes)), dict(enumerate(thetas))
+        dest = structural_destabilizer(on, d, t)
         # a thin cover needs no more: the subrepresentations of the all-nonzero
         # representation are the arrow-closed subsets, none of which destabilizes
-        if dest is None and any(n != 1 for n in dims.values()):
+        if dest is None and any(n != 1 for n in sizes):
             method = "schofield"
-            dest = generic_destabilizer(sq, dims, th)
-        shapes[shape] = method, None if dest is None else tuple((pos[v], n) for v, n in dest.items())
+            dest = generic_destabilizer(on, d, t)
+        shapes[shape] = method, None if dest is None else tuple(dest.items())
     method, dest = shapes[shape]
     if dest is not None:
         return Certification(Status.EMPTY_VERIFIED, method,
-                             destabilizer=tuple(sorted((sq.vertices[i], n) for i, n in dest)))
-
-    if any(subspace_count(d, prime) > MAX_SUBSPACES for d in dims.values()):
+                             destabilizer=tuple(sorted((beta[i][0], n) for i, n in dest)))
+    if not trials or any(subspace_count(n, prime) > MAX_SUBSPACES for n in sizes):
         return Certification(Status.NONEMPTY_VERIFIED, method)
+
+    sq, dims = support_quiver(quiver, weights, beta)
+    th = theta_hat(theta, sq.vertices)
+    pos = {v: i for i, v in enumerate(sq.vertices)}
     comp_key, king = repr(beta), None
     wall = not sum(th[v] * n for v, n in dims.items())
     # a stable M has End(M) a finite division ring when θ̂ . dims = 0, so a

@@ -16,13 +16,6 @@ def hirzebruch_action(d):
 PAPER_SECTION = ((1, 0), (0, 0), (0, 1), (0, 0))
 
 
-def kronecker_problem(n, a, b):
-    """The problem file of the n-arrow Kronecker quiver at alpha (a, b), theta (-b, a)."""
-    return {"kind": "quiver", "vertices": ["1", "2"],
-            "arrows": [{"id": "a%d" % i, "src": "1", "tgt": "2"} for i in range(n)],
-            "alpha": {"1": a, "2": b}, "theta": {"1": -b, "2": a}}
-
-
 def no_lp(*args):
     """Patched over simplex.solve_nonneg where no LP may run."""
     raise AssertionError("an LP ran")

@@ -13,7 +13,11 @@ covers and diagonal torus morphism matrices.  They lived in
 per-cover path: build every cover, walk each one's covering arrows for its
 dimension, then keep those of dimension >= 0.  `enumerate_covers` must
 return what they do.  `support_quiver_pairs` finds a cover's covering
-arrows by trying every pair of its points; `support_quiver` must agree.
+arrows by trying every pair of its points; `support_quiver` must agree,
+and `covering_pairs` reads from it the position pairs that
+`enumerate_covers` gives each candidate.  `kronecker_problem` builds the
+problem file of a Kronecker quiver; it imports nothing from pytest, so the
+golden digests run without it.
 """
 
 import itertools
@@ -181,11 +185,27 @@ def support_quiver_pairs(quiver: Quiver, weights: ArrowWeights, beta):
     return Quiver(tuple(pts), arrows), dict(beta)
 
 
+def covering_pairs(quiver: Quiver, weights: ArrowWeights, beta):
+    """The covering arrows of a cover as sorted (source, target) pairs of
+    positions in it, from support_quiver_pairs."""
+    sq, _ = support_quiver_pairs(quiver, weights, beta)
+    pos = {p: i for i, p in enumerate(sq.vertices)}
+    return tuple(sorted((pos[a.src], pos[a.tgt]) for a in sq.arrows))
+
+
 def count_and_candidates(quiver: Quiver, weights: ArrowWeights, covers):
-    """(number of covers, sorted (cover, dimension) pairs of the nonzero
-    covers with dimension >= 0), from the list of every cover."""
+    """(number of covers, sorted (cover, dimension, covering_pairs) triples
+    of the nonzero covers with dimension >= 0), from the list of every
+    cover."""
     dims = [(c, cover_dimension(quiver, weights, c)) for c in sorted(covers) if c]
-    return len(covers), [(c, d) for c, d in dims if d >= 0]
+    return len(covers), [(c, d, covering_pairs(quiver, weights, c)) for c, d in dims if d >= 0]
+
+
+def kronecker_problem(n, a, b):
+    """The problem file of the n-arrow Kronecker quiver at alpha (a, b), theta (-b, a)."""
+    return {"kind": "quiver", "vertices": ["1", "2"],
+            "arrows": [{"id": "a%d" % i, "src": "1", "tgt": "2"} for i in range(n)],
+            "alpha": {"1": a, "2": b}, "theta": {"1": -b, "2": a}}
 
 
 # ---------------------------------------------------------------------------

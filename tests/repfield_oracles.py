@@ -13,11 +13,13 @@ generated only closed tuples, kept verbatim.
 extends only closed prefixes but has no θ bound, and `is_stable_by`
 applies King's test to what a scan yields.  `certify_component` is the
 witness search as it ran before the sample rules, with `KingScan` on
-every sample.  `GenericSubdims` is
+every sample, drawn by `random_rep`, the sampler as it was when each entry
+was one `randrange` call.  `GenericSubdims` is
 Schofield's recursion as `repfield` ran it before its test became lazy: it
 lists every generic subdimension vector of s (`subs`) before testing
-s -> g, and it alone gives `ext`; `generic_destabilizer` runs it in the
-order of `repfield.generic_destabilizer`.  `subrep_dimension_vectors`
+s -> g, and it alone gives `ext`; `generic_destabilizer` tests every
+subvector in product order, the walk that `repfield.generic_destabilizer`
+shortens.  `subrep_dimension_vectors`
 and `is_semistable_rep` are helpers only the tests use, as are
 `build_rep`, which builds a representation from plain dicts, and
 `is_stable_rep`, King's test by a `KingScan` planned for one call.
@@ -41,7 +43,6 @@ from fixedloci.repfield import (
     check_guard,
     endomorphism_dim,
     gf_matvec,
-    random_rep,
     subspace_count,
 )
 
@@ -174,13 +175,28 @@ def is_stable_by(scan, quiver: Quiver, M: RepFq, theta) -> bool:
                for gamma in scan(quiver, M) if gamma not in trivial)
 
 
+def random_rep(quiver: Quiver, dims, prime, rng: random.Random) -> RepFq:
+    """repfield.random_rep as it drew before it called getrandbits itself:
+    one rng.randrange(prime) per entry, arrow by arrow in quiver.arrows
+    order, each matrix row by row."""
+    mats = [(a.id, tuple(tuple(rng.randrange(prime) for _ in range(int(dims.get(a.src, 0))))
+                         for _ in range(int(dims.get(a.tgt, 0)))))
+            for a in quiver.arrows]
+    return RepFq(prime, tuple(sorted((v, int(dims.get(v, 0))) for v in quiver.vertices)),
+                 tuple(sorted(mats)))
+
+
 def certify_component(quiver, weights, beta, theta, trials=200, prime=5, seed=0, scanned=None):
     """repfield.certify_component with its witness search as it ran before
-    the sample rules: every sample goes through KingScan.destabilizer.  The
-    decision comes from repfield at trials=0.  Each scanned sample is
-    appended to scanned, when given, as (support quiver, dims, θ̂, sample)."""
-    decided = repfield.certify_component(quiver, weights, beta, theta, trials=0, prime=prime)
+    the sample rules, on the randrange sampler above: every sample goes
+    through KingScan.destabilizer.  The decision comes from repfield at
+    trials=0, given the covering arrows read off the support quiver.  Each
+    scanned sample is appended to scanned, when given, as (support quiver,
+    dims, θ̂, sample)."""
     sq, dims = support_quiver(quiver, weights, beta)
+    pos = {v: i for i, v in enumerate(sq.vertices)}
+    arrows = [(pos[a.src], pos[a.tgt]) for a in sq.arrows]
+    decided = repfield.certify_component(quiver, weights, beta, arrows, theta, trials=0, prime=prime)
     if decided.status is Status.EMPTY_VERIFIED or \
             any(subspace_count(d, prime) > MAX_SUBSPACES for d in dims.values()):
         return decided

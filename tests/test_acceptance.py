@@ -140,7 +140,7 @@ def test_criterion_3_ambient_dimension():
         Q, _W, alpha, _theta = kronecker3()
         W0 = ArrowWeights.from_dict(0, {"a": (), "b": (), "c": ()})
         trivial = ((("1", ()), 2), (("2", ()), 3))
-        assert enumerate_covers(Q, W0, alpha, 0) == (1, [(trivial, 6)])
+        assert enumerate_covers(Q, W0, alpha, 0) == (1, [(trivial, 6, ((0, 1),) * 3)])
 
 
 def _grassmann_oracle(m, n, weights):

@@ -26,8 +26,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import kronecker_problem
 from fixedloci.cli import main
+from quiver_oracles import kronecker_problem
 
 
 def _gaussian_binomial(n, k, q):

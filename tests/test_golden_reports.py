@@ -22,7 +22,13 @@ quiver cases pin the F_p witnesses and the trials that found them, so they
 hold the subrepresentation scans to their exact answers.  A refactoring
 or speed-up must leave every one of them unchanged.
 
-When a change is meant to alter a report, regenerate the tables with
+The file runs without pytest:
+
+    PYTHONPATH=src python tests/test_golden_reports.py --check
+
+checks every digest, names each case that moved on stderr, and exits 1 if
+any did.  When a change is meant to alter a report, regenerate the tables
+with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 
@@ -38,13 +44,14 @@ import io
 import json
 import os
 import random
+import sys
 import tempfile
 from pathlib import Path
 
-from conftest import kronecker_problem
 from fixedloci.cli import main
 from fixedloci.errors import FixedLociError
 from fixedloci.linalg import cokernel_with_section
+from quiver_oracles import kronecker_problem
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 KIND_TO_COMMAND = {"toric": "toric", "quiver": "quiver", "grassmann": "grassmann",
@@ -1122,30 +1129,38 @@ GOLDEN_VERTEX_ORDER = {
 }
 
 
+def mismatches(cases, golden):
+    """The cases whose digest differs from golden's, or that only one side has."""
+    got = digests(cases)
+    return sorted(case for case in got.keys() | golden.keys() if got.get(case) != golden.get(case))
+
+
 def test_reports_match_golden_digests():
-    got = digests()
-    assert sorted(got) == sorted(GOLDEN)
-    moved = [case for case in GOLDEN if got[case] != GOLDEN[case]]
+    moved = mismatches(_cases, GOLDEN)
     assert not moved, "report bytes changed: %s" % moved
 
 
 def test_high_rank_kempf_reports_match_golden_digests():
-    got = digests(_high_rank_cases)
-    assert sorted(got) == sorted(GOLDEN_HIGH_RANK)
-    moved = [case for case in GOLDEN_HIGH_RANK if got[case] != GOLDEN_HIGH_RANK[case]]
+    moved = mismatches(_high_rank_cases, GOLDEN_HIGH_RANK)
     assert not moved, "report bytes changed: %s" % moved
 
 
 def test_out_of_order_vertex_reports_match_golden_digests():
-    got = digests(_vertex_order_cases)
-    assert sorted(got) == sorted(GOLDEN_VERTEX_ORDER)
-    moved = [case for case in GOLDEN_VERTEX_ORDER if got[case] != GOLDEN_VERTEX_ORDER[case]]
+    moved = mismatches(_vertex_order_cases, GOLDEN_VERTEX_ORDER)
     assert not moved, "report bytes changed: %s" % moved
 
 
 if __name__ == "__main__":
-    for table, cases in (("GOLDEN", _cases), ("GOLDEN_HIGH_RANK", _high_rank_cases),
-                         ("GOLDEN_VERTEX_ORDER", _vertex_order_cases)):
+    TABLES = (("GOLDEN", _cases, GOLDEN), ("GOLDEN_HIGH_RANK", _high_rank_cases, GOLDEN_HIGH_RANK),
+              ("GOLDEN_VERTEX_ORDER", _vertex_order_cases, GOLDEN_VERTEX_ORDER))
+    if sys.argv[1:] == ["--check"]:
+        moved = [case for _, cases, golden in TABLES for case in mismatches(cases, golden)]
+        for case in moved:
+            print("report bytes changed: %s" % case, file=sys.stderr)
+        print("%d golden digests checked, %d mismatched"
+              % (sum(len(golden) for *_, golden in TABLES), len(moved)))
+        sys.exit(1 if moved else 0)
+    for table, cases, _ in TABLES:
         print("%s = {" % table)
         for case, digest in digests(cases).items():
             print("    %r: %r," % (case, digest))

@@ -40,11 +40,11 @@ def test_window_examples():
     # 1) joins nothing; a weight-0 grading puts a copy of A2 at each grade
     Q, W = a2_quiver()
     assert enumerate_covers(Q, W, {"1": 1, "2": 1}, 0) == (0, [])
-    assert enumerate_covers(Q, W, {"1": 1, "2": 0}, 0) == (1, [(cover({("1", (0,)): 1}), 0)])
+    assert enumerate_covers(Q, W, {"1": 1, "2": 0}, 0) == (1, [(cover({("1", (0,)): 1}), 0, ())])
     W0 = ArrowWeights.from_dict(1, {"a": (0,)})
     same_grade = cover({("1", (0,)): 1, ("2", (0,)): 1})
-    assert enumerate_covers(Q, W0, {"1": 1, "2": 1}, 0) == (1, [(same_grade, 0)])
-    assert enumerate_covers(Q, W0, {"1": 1, "2": 1}, 1) == (1, [(same_grade, 0)])
+    assert enumerate_covers(Q, W0, {"1": 1, "2": 1}, 0) == (1, [(same_grade, 0, ((0, 1),))])
+    assert enumerate_covers(Q, W0, {"1": 1, "2": 1}, 1) == (1, [(same_grade, 0, ((0, 1),))])
 
 
 def test_negative_window_rejected():
@@ -84,7 +84,7 @@ def test_cover_sums_and_connectivity():
     for (Q, W, alpha), sizes in [(kronecker3()[:3], (55, 19)), (kronecker(3, 3, 5), (1533, 158))]:
         count, cands = enumerate_covers(Q, W, alpha, 2)
         assert (count, len(cands)) == sizes
-        for c, _ in cands:
+        for c, _, _ in cands:
             assert is_cover_of(c, alpha)
             assert support_is_connected(Q, W, c)
             # union-find oracle for connectivity
@@ -122,7 +122,7 @@ def test_canonical_translate_idempotent_and_invariant():
     rng = random.Random(71)
     Q, W, alpha, _ = kronecker3()
     for Q, W, alpha in [(Q, W, alpha), _subtorus_cycle()]:
-        for c, _ in enumerate_covers(Q, W, alpha, 2)[1]:
+        for c, _, _ in enumerate_covers(Q, W, alpha, 2)[1]:
             assert canonical(c) == c
             for _ in range(3):
                 xi = tuple(rng.randint(-4, 4) for _ in range(W.aux_rank))
@@ -132,7 +132,7 @@ def test_canonical_translate_idempotent_and_invariant():
 def test_theta_hat():
     Q, W, alpha, theta = kronecker3()
     _, cands = enumerate_covers(Q, W, alpha, 2)
-    for c, _ in cands[:10]:
+    for c, _, _ in cands[:10]:
         th = theta_hat(theta, [p for p, _ in c])
         assert sum(th[k] * n for k, n in c) == 0
         for (v, chi), val in th.items():
@@ -147,18 +147,36 @@ def test_stability_pairing_guard():
 
 
 def test_component_dimension_examples():
-    # the dimensions come with the candidates from enumerate_covers
+    # the dimensions and covering arrows come with the candidates from enumerate_covers
     Q, _W, alpha, _theta = kronecker3()
     W0 = ArrowWeights.from_dict(0, {"a": (), "b": (), "c": ()})
     triv = cover({("1", ()): 2, ("2", ()): 3})
-    assert enumerate_covers(Q, W0, alpha, 0) == (1, [(triv, 6)])
+    assert enumerate_covers(Q, W0, alpha, 0) == (1, [(triv, 6, ((0, 1),) * 3)])
 
     A2, WA = a2_quiver()
     unit = cover({("1", (0,)): 1, ("2", (1,)): 1})
-    assert enumerate_covers(A2, WA, {"1": 1, "2": 1}, 2) == (1, [(unit, 0)])
+    assert enumerate_covers(A2, WA, {"1": 1, "2": 1}, 2) == (1, [(unit, 0, ((0, 1),))])
 
     single = cover({("1", (0,)): 1})
-    assert enumerate_covers(A2, WA, {"1": 1, "2": 0}, 0) == (1, [(single, 0)])
+    assert enumerate_covers(A2, WA, {"1": 1, "2": 0}, 0) == (1, [(single, 0, ())])
+
+
+def test_carried_arrows_of_loops_and_parallel_arrows():
+    """A loop of zero shift joins its point to itself once; a loop of shift
+    1 joins two points.  Two parallel arrows of one weight are two covering
+    arrows, and a third of another weight joins other points."""
+    Q = Quiver(("1",), (Arrow("a", "1", "1"), Arrow("b", "1", "1")))
+    W = ArrowWeights.from_dict(1, {"a": (0,), "b": (1,)})
+    assert enumerate_covers(Q, W, {"1": 2}, 1) == (2, [
+        (cover({("1", (0,)): 1, ("1", (1,)): 1}), 2, ((0, 0), (0, 1), (1, 1))),
+        (cover({("1", (0,)): 2}), 1, ((0, 0),)),
+    ])
+    Q = Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "1", "2"), Arrow("c", "1", "2")))
+    W = ArrowWeights.from_dict(1, {"a": (1,), "b": (1,), "c": (0,)})
+    assert enumerate_covers(Q, W, {"1": 1, "2": 1}, 1) == (2, [
+        (cover({("1", (0,)): 1, ("2", (0,)): 1}), 0, ((0, 1),)),
+        (cover({("1", (0,)): 1, ("2", (1,)): 1}), 1, ((0, 1), (0, 1))),
+    ])
 
 
 def test_weyl_canonical():
@@ -236,6 +254,7 @@ def test_default_window_radius():
 
 
 def _box_oracle(Q, W, alpha, radius):
+    """What enumerate_covers must return, each candidate's arrows from support_quiver_pairs."""
     return count_and_candidates(Q, W, box_covers(Q, W, alpha, radius))
 
 
@@ -299,11 +318,23 @@ def _random_quiver(rng):
 
 def test_enumerate_covers_matches_box_oracle_random_quivers():
     # the same number of classes, and equal candidate lists: the same
-    # representatives and dimensions, in the same order, none met twice
+    # representatives, dimensions and covering arrows (sorted, so compared
+    # as multisets), in the same order, none met twice
     rng = random.Random(101)
+    seen = collections.Counter()
     for _ in range(400):
         Q, W, alpha, radius = _random_quiver(rng)
-        assert enumerate_covers(Q, W, alpha, radius) == _box_oracle(Q, W, alpha, radius)
+        got = enumerate_covers(Q, W, alpha, radius)
+        assert got == _box_oracle(Q, W, alpha, radius)
+        for c, _, arrows in got[1]:
+            # the shifts of the quiver arrows that can make each covering arrow
+            steps = [x for i, j in arrows for a in Q.arrows if (a.src, a.tgt) == (c[i][0][0], c[j][0][0])
+                     and tuple(map(sum, zip(c[i][0][1], W.of(a.id)))) == c[j][0][1] for x in W.of(a.id)]
+            seen["loop"] += any(i == j for i, j in arrows)
+            seen["2-cycle"] += any((j, i) in arrows for i, j in arrows if i != j)
+            seen["negative shift"] += any(x < 0 for x in steps)
+            seen["zero shift"] += 0 in steps
+    assert min(seen.values()) >= 100 and len(seen) == 4, seen
 
 
 def test_support_quiver_matches_pairwise_oracle():

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from conftest import kronecker3, kronecker_problem
+from conftest import kronecker3
 from fixedloci.cli import _quiver_from_data, _quiver_report, main
 from fixedloci.errors import TooLarge, ValidationError
 from fixedloci.hmtorus import WeightItem, WeightedAction, is_stable_support
@@ -27,6 +27,7 @@ from fixedloci.repfield import (
     KingScan,
     Status,
     certify_component,
+    check_guard,
     check_prime,
     endomorphism_dim,
     generic_destabilizer,
@@ -37,7 +38,7 @@ from fixedloci.repfield import (
     subspace_count,
     subspace_table,
 )
-from quiver_oracles import box_covers, cover
+from quiver_oracles import box_covers, cover, covering_pairs, kronecker_problem
 from repfield_oracles import GenericSubdims as OracleGenericSubdims
 from repfield_oracles import build_rep, gf_in_span, is_semistable_rep, is_stable_rep, subrep_dimension_vectors, subspaces
 from repfield_oracles import _iter_subrep_dimvectors as oracle_iter_subrep_dimvectors
@@ -45,6 +46,7 @@ from repfield_oracles import certify_component as oracle_certify_component
 from repfield_oracles import closed_prefix_subrep_dimvectors as oracle_closed_prefix_subrep_dimvectors
 from repfield_oracles import generic_destabilizer as oracle_generic_destabilizer
 from repfield_oracles import is_stable_by as oracle_is_stable_by
+from repfield_oracles import random_rep as oracle_random_rep
 from repfield_oracles import structural_destabilizer as oracle_structural_destabilizer
 from test_golden_reports import PROBLEMS, _quiver_file
 
@@ -159,7 +161,7 @@ def test_certify_simple_vertex():
     Q = Quiver(("1", "2"), (Arrow("a", "1", "2"),))
     W = ArrowWeights.full(Q)
     beta = cover({("1", (0,)): 1})
-    res = certify_component(Q, W, beta, {"1": 0, "2": 0}, trials=5, prime=5, seed=0)
+    res = certify_component(Q, W, beta, (), {"1": 0, "2": 0}, trials=5, prime=5, seed=0)
     assert res.status is Status.NONEMPTY_VERIFIED
 
 
@@ -174,7 +176,7 @@ def test_certify_structural_empty_abcb():
         ("1", delta): 1,
         ("2", ea): 1, ("2", eb): 1, ("2", ec): 1,
     })
-    res = certify_component(Q, W, beta, theta, trials=50, prime=5, seed=0)
+    res = certify_component(Q, W, beta, covering_pairs(Q, W, beta), theta, trials=50, prime=5, seed=0)
     assert res.status is Status.EMPTY_VERIFIED
     assert res.destabilizer is not None
     dest = dict(res.destabilizer)
@@ -191,7 +193,7 @@ def test_certify_nonempty_type2():
         ("2", ea): 1, ("2", eb): 1,
         ("2", tuple(b - a + c for b, a, c in zip(eb, ea, ec))): 1,
     })
-    res = certify_component(Q, W, beta, theta, trials=200, prime=5, seed=0)
+    res = certify_component(Q, W, beta, covering_pairs(Q, W, beta), theta, trials=200, prime=5, seed=0)
     assert res.status is Status.NONEMPTY_VERIFIED
     assert res.witness is not None
 
@@ -200,7 +202,7 @@ def test_cross_module_consistency_with_torus_stability():
     # for an all-ones cover the gauge group is a torus; King stability of a
     # 0/1 representation must match torus-level support stability
     Q, W, alpha, theta = kronecker3()
-    covers = [c for c, _ in enumerate_covers(Q, W, alpha, 2)[1] if all(n == 1 for _, n in c)]
+    covers = [c for c, _, _ in enumerate_covers(Q, W, alpha, 2)[1] if all(n == 1 for _, n in c)]
     rng = random.Random(83)
     checked = 0
     for beta in covers[:8]:
@@ -384,10 +386,10 @@ def test_schofield_agrees_with_sampler(n, a, b, radius, counts):
     Q, W, alpha, theta = _kronecker(n, a, b)
     if radius is None:
         radius = default_window_radius(alpha, W)
-    cands = [c for c, _ in enumerate_covers(Q, W, alpha, radius)[1]]
+    cands = enumerate_covers(Q, W, alpha, radius)[1]
     seen = {Status.NONEMPTY_VERIFIED: 0, Status.EMPTY_VERIFIED: 0}
-    for beta in cands:
-        res = certify_component(Q, W, beta, theta)
+    for beta, _, arrows in cands:
+        res = certify_component(Q, W, beta, arrows, theta)
         seen[res.status] += 1
         old = _sampler_certify(Q, W, beta, theta)
         assert old is None or res.status is old, beta
@@ -410,7 +412,7 @@ def _two_cycle(alpha, theta, extra_arrow=False):
     Q = Quiver(("1", "2"), tuple(arrows))
     W = ArrowWeights.from_dict(1, {x.id: (0,) for x in arrows})
     beta = cover({(v, (0,)): k for v, k in alpha.items()})
-    return Q, W, beta, theta
+    return Q, W, beta, covering_pairs(Q, W, beta), theta
 
 
 def test_golden_quiver_files_certify_exactly(tmp_path):
@@ -458,9 +460,9 @@ def test_cyclic_supports_are_exact():
     # a weight-0 grading keeps the 2-cycle in the support quiver; every
     # representation has U = (k, image of a) with theta(U) = -1, which no
     # structural test sees
-    Q, W, beta, theta = _two_cycle({"1": 1, "2": 2}, {"1": -2, "2": 1})
+    Q, W, beta, arrows, theta = _two_cycle({"1": 1, "2": 2}, {"1": -2, "2": 1})
     for trials in (0, 20):
-        res = certify_component(Q, W, beta, theta, trials=trials)
+        res = certify_component(Q, W, beta, arrows, theta, trials=trials)
         assert (res.status, res.method, res.witness) == (Status.EMPTY_VERIFIED, "schofield", None)
         assert res.destabilizer == ((("1", (0,)), 1), (("2", (0,)), 1))
     # with a second arrow 1 -> 2 the general representation is stable
@@ -486,7 +488,7 @@ def test_witness_has_trivial_endomorphisms():
     skipped = 0
     for prime in (2, 3, 5):
         for seed in range(100):
-            res = certify_component(Q, W, beta, {"1": 0}, trials=40, prime=prime, seed=seed)
+            res = certify_component(Q, W, beta, ((0, 0), (0, 0)), {"1": 0}, trials=40, prime=prime, seed=seed)
             assert (res.status, res.method) == (Status.NONEMPTY_VERIFIED, "schofield")
             assert res.witness is not None and endomorphism_dim(sq, res.witness) == 1
             earlier = (random_rep(sq, dims, prime, random.Random("%s:%s:%d" % (seed, repr(beta), t)))
@@ -519,7 +521,7 @@ def test_end_check_runs_when_the_dimensions_share_a_factor(monkeypatch):
     served = []
     monkeypatch.setattr("fixedloci.repfield.random_rep", m_first)
     W, beta = ArrowWeights.from_dict(0, {x: () for x in mats}), cover({("1", ()): 2, ("2", ()): 2})
-    res = certify_component(Q, W, beta, theta, prime=5)
+    res = certify_component(Q, W, beta, ((0, 1),) * 3, theta, prime=5)
     sq = support_quiver(Q, W, beta)[0]
     assert is_stable_rep(sq, served[0], theta_hat(theta, sq.vertices))
     assert (res.status, res.method) == (Status.NONEMPTY_VERIFIED, "schofield")
@@ -564,7 +566,7 @@ def _undecided_supports(data, window):
     problem that the structural test leaves undecided."""
     Q, W, alpha, theta = _quiver_from_data(data)
     radius = default_window_radius(alpha, W) if window is None else window
-    for c, _ in enumerate_covers(Q, W, alpha, radius)[1]:
+    for c, _, _ in enumerate_covers(Q, W, alpha, radius)[1]:
         sq, dims = support_quiver(Q, W, c)
         th = theta_hat(theta, sq.vertices)
         if any(n != 1 for n in dims.values()) and structural_destabilizer(sq, dims, th) is None:
@@ -784,18 +786,20 @@ def test_certify_component_matches_the_scan_every_sample_oracle():
     for _ in range(600):
         Q, dims, p, theta = _random_shape(rng)
         W = ArrowWeights.from_dict(0, {a.id: () for a in Q.arrows})
-        runs.append((Q, W, cover({(v, ()): n for v, n in dims.items()}), theta, p))
+        beta = cover({(v, ()): n for v, n in dims.items()})
+        runs.append((Q, W, beta, covering_pairs(Q, W, beta), theta, p))
     Q, W, alpha, theta = _kronecker(3, 2, 3)
-    runs += [(Q, W, c, theta, 5) for c, _ in enumerate_covers(Q, W, alpha, 2)[1]]
+    runs += [(Q, W, c, arrows, theta, 5) for c, _, arrows in enumerate_covers(Q, W, alpha, 2)[1]]
     for seed in range(12):
         data, _ = _quiver_file(seed)
         if sum(data["alpha"].values()) <= 8:
             Q, W, alpha, theta = _quiver_from_data(data)
-            runs += [(Q, W, c, theta, 3) for c, _ in enumerate_covers(Q, W, alpha, 1)[1]]
-    for Q, W, beta, theta, p in runs:
+            runs += [(Q, W, c, arrows, theta, 3) for c, _, arrows in enumerate_covers(Q, W, alpha, 1)[1]]
+    for Q, W, beta, arrows, theta, p in runs:
         trials = rng.choice((1, 3, 30))
         want = oracle_certify_component(Q, W, beta, theta, trials=trials, prime=p, seed=7)
-        assert certify_component(Q, W, beta, theta, trials=trials, prime=p, seed=7) == want, (Q, beta, theta)
+        got = certify_component(Q, W, beta, arrows, theta, trials=trials, prime=p, seed=7)
+        assert got == want, (Q, beta, theta)
         wall = not sum(theta.get(v, 0) * n for (v, _), n in beta)
         seen[want.status, want.witness is not None, wall] += 1
     assert min(seen[Status.NONEMPTY_VERIFIED, w, x] for w in (True, False) for x in (True, False)) >= 5, seen
@@ -868,7 +872,7 @@ def test_king_scan_checks_only_closed_prefixes(monkeypatch, tmp_path):
     samples the two sample rules leave open: 1,092 gf_member calls."""
     Q, W, alpha, theta = _kronecker(3, 3, 4)
     samples = []  # the samples drawn, per cover
-    for c, _ in enumerate_covers(Q, W, alpha, 2)[1]:
+    for c, _, _ in enumerate_covers(Q, W, alpha, 2)[1]:
         samples.append([])
         oracle_certify_component(Q, W, c, theta, scanned=samples[-1])
     calls = []
@@ -918,7 +922,7 @@ def test_witness_search_skips_tables_above_the_cap():
         W = ArrowWeights.from_dict(0, {a.id: () for a in Q.arrows})
         beta = cover({("1", ()): 1, ("2", ()): b})
         start = time.perf_counter()
-        res = certify_component(Q, W, beta, {"1": -b, "2": 1})
+        res = certify_component(Q, W, beta, ((0, 1),) * n, {"1": -b, "2": 1})
         assert time.perf_counter() - start < 10
         assert (res.status, res.method) == (Status.NONEMPTY_VERIFIED, "schofield")
         assert (res.witness is not None, res.witness_trial) == ((True, 0) if witnessed else (False, None))
@@ -963,8 +967,8 @@ def _certify_all(data, shapes, window=None, seed=0, prime=5, trials=200):
     the one shapes dict given, or a fresh one per cover when it is None."""
     Q, W, alpha, theta = _quiver_from_data(data)
     radius = default_window_radius(alpha, W) if window is None else window
-    return [certify_component(Q, W, c, theta, trials=trials, prime=prime, seed=seed, shapes=shapes)
-            for c, _ in enumerate_covers(Q, W, alpha, radius)[1]]
+    return [certify_component(Q, W, c, arrows, theta, trials=trials, prime=prime, seed=seed, shapes=shapes)
+            for c, _, arrows in enumerate_covers(Q, W, alpha, radius)[1]]
 
 
 def _shape(Q, W, beta, theta):
@@ -1001,17 +1005,17 @@ def test_shape_memo_hit_lands_on_its_own_points():
     second's destabilizer off the first's points."""
     Q, W, alpha, theta = _kronecker(3, 3, 4)
     by_shape = collections.defaultdict(list)
-    for c, _ in enumerate_covers(Q, W, alpha, 2)[1]:
-        by_shape[_shape(Q, W, c, theta)].append(c)
+    for c, _, arrows in enumerate_covers(Q, W, alpha, 2)[1]:
+        by_shape[_shape(Q, W, c, theta)].append((c, arrows))
     pairs = [cs[:2] for cs in by_shape.values() if len(cs) > 1
-             and certify_component(Q, W, cs[0], theta, trials=0).status is Status.EMPTY_VERIFIED]
+             and certify_component(Q, W, *cs[0], theta, trials=0).status is Status.EMPTY_VERIFIED]
     moved = 0
-    for first, second in pairs:
+    for (first, arrows1), (second, arrows2) in pairs:
         shapes = {}
-        one = certify_component(Q, W, first, theta, trials=0, shapes=shapes)
-        two = certify_component(Q, W, second, theta, trials=0, shapes=shapes)
+        one = certify_component(Q, W, first, arrows1, theta, trials=0, shapes=shapes)
+        two = certify_component(Q, W, second, arrows2, theta, trials=0, shapes=shapes)
         assert len(shapes) == 1 and one.status is two.status is Status.EMPTY_VERIFIED
-        assert two == certify_component(Q, W, second, theta, trials=0)
+        assert two == certify_component(Q, W, second, arrows2, theta, trials=0)
         assert {p for p, _ in one.destabilizer} <= dict(first).keys()
         assert {p for p, _ in two.destabilizer} <= dict(second).keys()
         moved += not {p for p, _ in two.destabilizer} <= dict(first).keys()
@@ -1035,3 +1039,49 @@ def test_structural_test_runs_once_per_shape_per_report(monkeypatch):
         report = _quiver_report(data, None, None, 0, 2)
         seen.append((len(calls), report["counts"]["candidates"]))
     assert seen == [(79, 158), (79, 158)]
+
+
+def test_random_rep_draws_as_randrange():
+    """random_rep, which draws getrandbits(k) and redraws at or above p,
+    against the sampler that called randrange(p) per entry: the same RepFq
+    from the same seed, and the generator left in the same state, on seeded
+    acyclic and cyclic quivers (loops and parallel arrows included) with
+    dimensions 1 to 4 over F_2, F_3, F_5 and F_7."""
+    rng = random.Random(131)
+    seen = collections.Counter()
+    for k in range(2400):
+        Q = _random_acyclic_quiver(rng) if k % 2 else _random_cyclic_quiver(rng)[0]
+        dims = {v: rng.randint(1, 4) for v in Q.vertices}
+        p = (2, 3, 5, 7)[k % 4]
+        ours, theirs = random.Random("%d:%d" % (p, k)), random.Random("%d:%d" % (p, k))
+        assert random_rep(Q, dims, p, ours) == oracle_random_rep(Q, dims, p, theirs), (Q, dims, p)
+        assert ours.getstate() == theirs.getstate()
+        ends = [(a.src, a.tgt) for a in Q.arrows]
+        seen[p] += 1
+        seen["loop"] += any(s == t for s, t in ends)
+        seen["parallel"] += len(set(ends)) < len(ends)
+    assert min(seen.values()) >= 300, seen
+
+
+def test_support_quivers_only_for_witness_searches(monkeypatch):
+    """A K3(3,4) report at window 2 builds a support quiver for each of its
+    65 nonempty covers, all of whose witness searches run, and none for its
+    93 empty ones, which are decided on their carried arrows; at --trials 0
+    it builds none.  check_guard runs once per report."""
+    calls = collections.Counter()
+
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+        return call
+
+    monkeypatch.setattr("fixedloci.repfield.support_quiver", counted("support_quiver", support_quiver))
+    for module in ("fixedloci.repfield", "fixedloci.cli"):
+        monkeypatch.setattr(module + ".check_guard", counted("check_guard", check_guard))
+    seen = []
+    for trials in (200, 0):
+        calls.clear()
+        report = _quiver_report(kronecker_problem(3, 3, 4), None, None, trials, 2)
+        seen.append((calls["support_quiver"], calls["check_guard"], report["counts"]["nonempty_verified"]))
+    assert seen == [(65, 1, 65), (0, 1, 65)]
