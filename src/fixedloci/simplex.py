@@ -3,8 +3,8 @@
 b lies in the cone on A's columns exactly when `cones.nnls`, the package's
 one exact cone-membership solver, puts its nearest point there at b.  This
 module is only the LP entry point that the benchmark's `simplex.lp` trace
-group and the tests name; ROADMAP item 3 deletes it once the benchmark is
-re-based (item 2).
+group and the tests name; ROADMAP item 5 deletes it once the benchmark is
+re-based (item 4).
 """
 
 from __future__ import annotations

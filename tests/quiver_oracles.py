@@ -201,11 +201,19 @@ def count_and_candidates(quiver: Quiver, weights: ArrowWeights, covers):
     return len(covers), [(c, d, covering_pairs(quiver, weights, c)) for c, d in dims if d >= 0]
 
 
-def kronecker_problem(n, a, b):
-    """The problem file of the n-arrow Kronecker quiver at alpha (a, b), theta (-b, a)."""
-    return {"kind": "quiver", "vertices": ["1", "2"],
+def kronecker_problem(n, a, b, arrow_weight=None):
+    """The problem file of the n-arrow Kronecker quiver at alpha (a, b), theta (-b, a).
+
+    With `arrow_weight`, a list of aux_rank integers, every arrow gets that
+    weight: [] leaves the quiver ungraded, [0] puts it in one grade.
+    Without it the arrows take the default, full grading."""
+    data = {"kind": "quiver", "vertices": ["1", "2"],
             "arrows": [{"id": "a%d" % i, "src": "1", "tgt": "2"} for i in range(n)],
             "alpha": {"1": a, "2": b}, "theta": {"1": -b, "2": a}}
+    if arrow_weight is not None:
+        data["arrow_weights"] = {"aux_rank": len(arrow_weight),
+                                 "weights": {arrow["id"]: arrow_weight for arrow in data["arrows"]}}
+    return data
 
 
 # ---------------------------------------------------------------------------

@@ -396,6 +396,18 @@ def test_unencodable_report_exits_2_and_out_is_utf8(tmp_path, capsys, monkeypatc
         assert err == "" and vertex.encode("utf-8") in target.read_bytes()
 
 
+def test_out_is_utf8_in_the_c_locale(tmp_path):
+    # the locale is read when the interpreter starts, so only a child runs
+    # with LC_ALL=C and without UTF-8 mode, where open() defaults to ASCII
+    data = {"kind": "quiver", "vertices": ["é", "b"], "arrows": [{"id": "a", "src": "é", "tgt": "b"}],
+            "alpha": {"é": 1, "b": 1}, "theta": {"é": -1, "b": 1}}
+    target = tmp_path / "report.txt"
+    proc = _cli_child(["quiver", write(tmp_path, "q.json", data), "--format", "table", "--out", str(target)],
+                      options=["-X", "utf8=0"], env={"LC_ALL": "C"})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert "é".encode("utf-8") in target.read_bytes()
+
+
 def test_schema_violation_exits_2(tmp_path, capsys):
     f = write(tmp_path, "bad.json", {"kind": "toric", "g_rank": 2})
     code, _, err = run(["toric", f], capsys)
@@ -488,6 +500,16 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def _cli_child(args, options=(), env=None, **kwargs):
+    """Run the CLI in a child interpreter with -W error and src/ on its path;
+    `options` go to the interpreter, `env` is added to its environment."""
+    src = str(Path(fixedloci.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-W", "error", *options, "-m", "fixedloci.cli", *args],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path, **(env or {})),
+                          timeout=30, **kwargs)
+
+
 @pytest.mark.parametrize("kind,flags,code,err", [
     ("toric", [], 3, "guard error: fan of 1000000000 stable bases with 2^999999999 faces each refused\n"),
     ("kempf", [], 3,
@@ -501,11 +523,8 @@ def test_huge_multiplicity_in_a_memory_capped_child(tmp_path, kind, flags, code,
     # 10^9 copies of one weight, in a child held to 1 GiB of address space:
     # nothing that grows with the multiplicity may be built, and a given
     # support index is checked against the multiplicity
-    src = str(Path(fixedloci.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     f = write(tmp_path, "huge.json", _huge(kind, 10 ** 9))
-    proc = subprocess.run([sys.executable, "-m", "fixedloci.cli", kind, f, *flags], capture_output=True,
-                          text=True, env=env, timeout=30, preexec_fn=_limit_memory)
+    proc = _cli_child([kind, f, *flags], preexec_fn=_limit_memory)
     assert (proc.returncode, proc.stderr) == (code, err)
     if code:
         assert proc.stdout == ""

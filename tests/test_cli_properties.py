@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixedloci.cli import _one_pass_json, load_problem, main
+from fixedloci.cli import _one_pass_json, _toric_report, load_problem, main
 from schema_oracles import validate_report
 
 ENTRY = st.integers(-3, 3)
@@ -196,9 +196,25 @@ def test_one_pass_encoder_matches_json_dumps_on_records(value):
     assert _one_pass_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("value", [
+MIXED_COLUMNS = [
     [True, 1], [{"a": True}, {"a": 1}], [{"w": None}, {"w": {"p": 5}}], [[], [1], [[]]],
     [{"%s": 1}, {"%s": 2}], [1.5, 2], [(1, 2), [3]], [{}, {}],
-], ids=repr)
+    [{"\u00e9": "\"", "b": [1, [2]]}, {"\u00e9": 0.5, "b": (3, None)}, {"\u00e9": 0}],
+]
+
+
+@pytest.mark.parametrize("value", MIXED_COLUMNS + [pytest.param(MIXED_COLUMNS, id="all")], ids=repr)
 def test_one_pass_encoder_on_mixed_columns(value):
     assert _one_pass_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("data", [
+    # unfolded (P^1)^9: 19,683 cones
+    {"kind": "toric", "g_rank": 9, "theta": [1] * 9,
+     "weights": [{"chi": [int(i == j) for j in range(9)]} for i in range(9) for _ in range(2)]},
+    # theta = 0 on eight copies each of 1 and -1: 65,025 cones
+    {"kind": "toric", "g_rank": 1, "theta": [0], "weights": [{"chi": [1], "mult": 8}, {"chi": [-1], "mult": 8}]},
+], ids=["P1^9", "wall-16"])
+def test_one_pass_encoder_on_large_toric_reports(data):
+    report = _toric_report(data, seed=None)
+    assert _one_pass_json(report) == json.dumps(report, sort_keys=True, indent=2) + "\n"

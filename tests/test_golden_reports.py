@@ -5,7 +5,7 @@ GOLDEN pins the exit code and the sha256 of the CLI's stdout for every
 files (g_rank 0-4) run with `--support` and `--inner-product` flags, and
 for 60 seeded toric files (g_rank 0-3, with multiplicities, one in three
 with a section) in json and dot format, for 38 seeded quiver files and
-four Kronecker quivers in json format, for 300 seeded files that break the
+seven Kronecker quivers in json format, for 300 seeded files that break the
 problem schema in one place, and for 100 out-of-range or ill-shaped flags.
 GOLDEN_HIGH_RANK pins 24 more seeded kempf files of rank 5 and 6, whose
 limit cones have up to 32 generators, so the projection onto the limit
@@ -242,11 +242,20 @@ def _quiver_vertex_order_file(seed):
     return data, flags
 
 
+# (n, a, b), the weight of every arrow (None: full grading), and the flags
 KRONECKER_RUNS = (
-    ((3, 3, 4), ["--window", "2", "--prime", "5", "--trials", "200"]),
-    ((3, 3, 5), ["--window", "2", "--prime", "5", "--trials", "200"]),
-    ((3, 2, 3), ["--window", "1", "--prime", "3", "--trials", "40", "--seed", "7"]),
-    ((4, 1, 3), ["--prime", "2", "--trials", "20", "--seed", "3"]),
+    ((3, 3, 4), None, ["--window", "2", "--prime", "5", "--trials", "200"]),
+    ((3, 3, 5), None, ["--window", "2", "--prime", "5", "--trials", "200"]),
+    ((3, 2, 3), None, ["--window", "1", "--prime", "3", "--trials", "40", "--seed", "7"]),
+    ((4, 1, 3), None, ["--prime", "2", "--trials", "20", "--seed", "3"]),
+    # 2,029 candidates over 254 support shapes, most decided from the shape memo
+    ((4, 3, 4), None, []),
+    # one cover whose vertex of dimension 6 needs the 56,632 subspaces of
+    # F_3^6, the largest table under MAX_SUBSPACES; the witness is trial 0
+    ((7, 1, 6), [], ["--prime", "3"]),
+    # dimensions sharing the factor 2, so End(M) is computed: trial 0 is
+    # stable with End(M) = F_4 and is skipped, and trial 2 is the witness
+    ((3, 2, 2), [0], ["--prime", "2", "--seed", "7"]),
 )
 
 
@@ -377,7 +386,8 @@ def _cases(tmp):
         for fmt in ("json", "dot"):
             yield "toric:%d:%s" % (seed, fmt), ["toric", path, "--format", fmt]
     runs = [("quiver:%d" % seed,) + _quiver_file(seed) for seed in range(38)]
-    runs += [("quiver:K%d(%d,%d)" % nab, kronecker_problem(*nab), flags) for nab, flags in KRONECKER_RUNS]
+    runs += [("quiver:K%d(%d,%d)" % nab, kronecker_problem(*nab, weight), flags)
+             for nab, weight, flags in KRONECKER_RUNS]
     for case, data, flags in runs:
         path = os.path.join(tmp, case.replace(":", "_") + ".json")
         with open(path, "w") as fh:
@@ -672,6 +682,9 @@ GOLDEN = {
     'quiver:K3(3,5)': '0 fbe2e998e2cf85857b426a2fd4cdfbe40baefb4b31d1909fa995085f62aaa9a6 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
     'quiver:K3(2,3)': '0 e31ecf1a1a1b65665f58cefcd5b289f71069a7f424e07d35992a4780b9de01e8 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
     'quiver:K4(1,3)': '0 4a564cf5f33f9de8040ede2954578279129c6188ef432648719062867c0c0db4 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:K4(3,4)': '0 e15cf6e6b0ca10aa5a30e51b04b4e2441b79dabe3e31225771c7a496d023cd47 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:K7(1,6)': '0 958e54db2ea6121ae770af82b281e2ad0556a2697b04c64b769470a894d6aa9d e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'quiver:K3(2,2)': '0 639caff96dd5646e0af2aa230ceae1a19fc2f365c9ea01174dfe8d13bb6743aa e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
     'invalid:0': '2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 9070a246826a211b74b9d7e647b2061e11a8fa77eefcac4b58f0b4893ccb8b3c',
     'invalid:1': '0 58ebb2e9b5d67f00253f9a2b0271b2bd782bc252bb5ebb2c14626c246a842170 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
     'invalid:2': '2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 010d11b0295900f9d7080a2735b5f397c1f7691adab4dfe4e848cd757cb68e63',

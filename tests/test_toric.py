@@ -107,6 +107,12 @@ def test_quotient_fan_p1():
 def test_fan_axioms():
     fans = [quotient_fan(toric_context(hirzebruch_action(d))) for d in range(4)]
     fans.append(quotient_fan(toric_context(WeightedAction(1, 0, (WeightItem((1,), mult=2),), (1,)))))
+    # theta = (1, 1) on the wall spanned by (1, 1): the fan folds in the fans
+    # of the chambers next to theta, each read off its stable bases
+    wall = WeightedAction(2, 0, (WeightItem((1, 0), mult=2), WeightItem((0, 1), mult=2), WeightItem((1, 1))),
+                          (1, 1))
+    fans.append(quotient_fan(toric_context(wall)))
+    assert (len(fans[-1].cones), len(fans[-1].maximal_cones)) == (18, 4)
     rng = random.Random(61)
     made = 0
     while made < 6:
