@@ -36,7 +36,7 @@ from .quiver import (
     enumerate_covers,
     support_quiver,
 )
-from .repfield import Status, certify_component, check_guard
+from .repfield import check_guard, decide, find_witness
 from .toric import fixed_points_toric, quotient_fan, toric_context
 
 
@@ -291,7 +291,7 @@ def _toric_report(data, seed):
             "point_pattern": pattern,
             "g_rho": "torus",
             "dimension": 0,
-            "status": Status.NONEMPTY_VERIFIED.value,
+            "status": "NonemptyVerified",
         })
     maximal = set(fan.maximal_cones)
     fan_json = {
@@ -316,8 +316,6 @@ def _point_json(point):
 
 
 def _witness_json(witness):
-    if witness is None:
-        return None
     return {
         "prime": witness.prime,
         "dims": [[_point_json(v), d] for v, d in witness.dims],
@@ -336,30 +334,32 @@ def _quiver_report(data, seed, prime, trials, window):
         radius = default_window_radius(alpha, W)
     check_guard(alpha, prime)  # every cover of alpha has its total dimension
     classes, cands = enumerate_covers(Q, W, alpha, radius)
-    shapes = {}  # decisions per support shape, shared by this report's candidates only
-    results = [
-        certify_component(Q, W, c, arrows, theta, trials=trials, prime=prime, seed=seed, shapes=shapes)
-        for c, _, arrows in cands
-    ]
-
+    decisions = {}  # (method, destabilizer) per cover shape, for this report only
     comp_json = []
-    for (c, dim, _), r in zip(cands, results):
+    for c, dim, arrows in cands:
+        shape = tuple(n for _, n in c), tuple(int(theta.get(v, 0)) for (v, _), _ in c), arrows
+        if shape not in decisions:
+            decisions[shape] = decide(*shape)
+        method, dest = decisions[shape]
+        # the witness trials are seeded by the cover, so they run per cover
+        found = find_witness(Q, W, c, theta, trials, prime, seed) if dest is None else None
+        M, trial = found or (None, None)
         blocks = sorted(n for _, n in c)
         comp_json.append({
             "beta": [[_point_json(k), n] for k, n in c],
             "dimension": dim,
             "g_rho": "torus" if all(n == 1 for n in blocks) else blocks,
-            "status": r.status.value,
-            "method": r.method,
-            "witness": _witness_json(r.witness),
-            "witness_trial": r.witness_trial,
-            "destabilizer": None if r.destabilizer is None
-            else [[_point_json(k), n] for k, n in r.destabilizer],
+            "status": "NonemptyVerified" if dest is None else "EmptyVerified",
+            "method": method,
+            "witness": None if M is None else _witness_json(M),
+            "witness_trial": trial,
+            "destabilizer": None if dest is None else [[_point_json(c[i][0]), n] for i, n in dest],
         })
+    empty = sum(1 for comp in comp_json if comp["destabilizer"] is not None)
     return _report("quiver", seed, data, components=comp_json, classes_enumerated=classes, counts={
         "candidates": len(cands),
-        "nonempty_verified": sum(1 for r in results if r.status is Status.NONEMPTY_VERIFIED),
-        "empty_verified": sum(1 for r in results if r.status is Status.EMPTY_VERIFIED),
+        "nonempty_verified": len(cands) - empty,
+        "empty_verified": empty,
         "candidate_only": 0,  # every candidate is certified; the key keeps the report format
     })
 
@@ -394,7 +394,7 @@ def _kempf_report(data, support=None, inner_product=None):
         inner_product = data.get("options", {}).get("inner_product")
     mv, lam, cone = kempf_data(action, support, inner_product)
     return _report("kempf", None, data, kempf={
-        "support": [list(p) for p in sorted(support)],
+        "support": [list(p) for p in sorted(set(support))],
         "semistable": mv.sign >= 0,
         "stable": mv.sign > 0,
         "m_sign": mv.sign,

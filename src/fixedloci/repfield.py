@@ -1,24 +1,25 @@
-"""Certification of quiver cover components, exact in characteristic zero.
+"""Quiver cover components: an exact decision, and an F_p witness.
 
-A cover's support quiver carries the stable locus to be certified.
-Emptiness comes from a destabilizing dimension vector that every
-representation has as a subrepresentation: either a structural one (an
-arrow-closed vertex subset at full dimension) or, for a non-thin cover, a
-generic subdimension vector from Schofield's recursion.  When neither
-exists the locus is nonempty: for a thin cover the representation with
-every arrow nonzero is stable, and otherwise the general representation
-is.  Both tests run on the cover's shape, its dimensions, θ̂ and the
-covering arrows that enumerate_covers carries, as position pairs, and
-each shape is decided once per report.  A representation over a small
-prime field, sampled at random, is attached to a nonempty component as a
-witness when it is geometrically stable: stable over F_p with End(M) =
-F_p, so that no Galois-conjugate summands split it over the algebraic
-closure.  Only this search builds the support quiver, whose arrow order
-fixes the order of the draws; each entry is getrandbits(k), k the bit
-length of p, drawn again while it is >= p, as randrange(p) draws.  End(M)
-is computed only when the dimensions share a factor: the endomorphisms of
-a stable M form a finite field F_{p^k}, and k divides every dimension.
-The status never rests on the witness.
+decide settles, in characteristic zero, whether the stable locus of a
+cover is empty, from the cover's shape alone: its dimensions and θ̂ in
+point order and the covering arrows that enumerate_covers carries, as
+position pairs.  Emptiness comes from a destabilizing dimension vector
+that every representation has as a subrepresentation: either a
+structural one (an arrow-closed vertex subset at full dimension) or, for
+a non-thin cover, a generic subdimension vector from Schofield's
+recursion.  When neither exists the locus is nonempty: for a thin cover
+the representation with every arrow nonzero is stable, and otherwise the
+general representation is.  decide takes no prime, trials or seed.
+
+find_witness searches a nonempty component for a representation over a
+small prime field, sampled at random, that is geometrically stable:
+stable over F_p with End(M) = F_p, so that no Galois-conjugate summands
+split it over the algebraic closure.  It alone builds the support
+quiver, whose arrow order fixes the order of the draws; each entry is
+getrandbits(k), k the bit length of p, drawn again while it is >= p, as
+randrange(p) draws.  End(M) is computed only when the dimensions share a
+factor: the endomorphisms of a stable M form a finite field F_{p^k}, and
+k divides every dimension.  The decision never rests on the witness.
 
 Most samples are decided by which arrows are zero.  When θ̂ pairs to zero
 with the dimensions, a sample whose nonzero arrows leave the support
@@ -42,7 +43,6 @@ MAX_SUBSPACES subspaces; above that no witness is sought.
 
 from __future__ import annotations
 
-import enum
 import functools
 import itertools
 import math
@@ -348,7 +348,7 @@ class KingScan:
 
 
 # ---------------------------------------------------------------------------
-# destabilizers and certification
+# destabilizers, the decision and the witness search
 
 def endomorphism_dim(quiver: Quiver, M: RepFq) -> int:
     """dim over F_p of End(M), the kernel of (phi_v) -> (M_a phi_src - phi_tgt M_a)."""
@@ -495,69 +495,40 @@ def generic_destabilizer(quiver: Quiver, dims, theta):
                 return {v: x for v, x in zip(quiver.vertices, t) if x}
 
 
-class Status(enum.Enum):
-    """Certification status of a fixed-point component."""
-
-    NONEMPTY_VERIFIED = "NonemptyVerified"
-    EMPTY_VERIFIED = "EmptyVerified"
-
-
-@dataclass(frozen=True)
-class Certification:
-    status: Status
-    method: str  # "structural" or "schofield"
-    witness: RepFq | None = None
-    witness_trial: int | None = None
-    destabilizer: tuple | None = None
-
-
-def certify_component(quiver: Quiver, weights: ArrowWeights, beta, arrows, theta,
-                      trials=200, prime=5, seed=0, shapes=None) -> Certification:
-    """Certify (non)emptiness of the stable locus a cover describes, the
-    cover given as its sorted ((vertex, grade), n) tuple and arrows, its
-    covering arrows as (source, target) positions in it, as
-    enumerate_covers gives them.
+def decide(sizes, thetas, arrows):
+    """The exact decision on a cover shape: its dimensions and θ̂ in point
+    order and its covering arrows as (source, target) positions, as
+    enumerate_covers carries them.  Returns (method, destabilizer), the
+    destabilizer as sorted (position, n) pairs, or None when the stable
+    locus is nonempty.
 
     In order: a structural destabilizer proves emptiness; without one a thin
     cover is nonempty; every other cover is decided by generic_destabilizer.
-    A sampled geometrically stable F_p representation (stable, with End(M)
-    = F_p) is then attached to a nonempty component as its witness; trials,
-    prime and seed choose the witness and never the status.  A sample that
-    splits as a direct sum (on the wall θ̂ . dims = 0), or a thin one with
-    every arrow nonzero, needs no KingScan.  No witness is sought when a
-    vertex's subspaces outnumber MAX_SUBSPACES.
+    Neither reads arrow ids, grades or arrow order, and each is chosen by
+    position, so both run on a quiver whose vertices are the positions.
+    """
+    on = Quiver(range(len(sizes)), (Arrow(k, i, j) for k, (i, j) in enumerate(arrows)))
+    d, t = dict(enumerate(sizes)), dict(enumerate(thetas))
+    method, dest = "structural", structural_destabilizer(on, d, t)
+    # a thin cover needs no more: the subrepresentations of the all-nonzero
+    # representation are the arrow-closed subsets, none of which destabilizes
+    if dest is None and any(n != 1 for n in sizes):
+        method, dest = "schofield", generic_destabilizer(on, d, t)
+    return method, None if dest is None else tuple(sorted(dest.items()))
 
-    The decision depends only on the cover's shape: its dimensions and θ̂
-    in point order and its sorted arrows.  Neither destabilizer reads arrow
-    ids, grades or arrow order, and each is chosen by position, so both run
-    on a quiver whose vertices are the positions, and shapes, a dict that
-    the caller shares over the covers of one report, keeps (method,
-    destabilizer as (position, n) pairs) per shape; a fresh dict is used
-    when it is None.  Only the witness search, seeded by repr(beta), runs
-    per cover, and only it builds the support quiver.  check_guard is the
+
+def find_witness(quiver: Quiver, weights: ArrowWeights, beta, theta, trials, prime, seed):
+    """(M, trial) for the first of trials seeded samples over F_p that is
+    geometrically stable (stable, with End(M) = F_p), or None.  beta is the
+    cover as its sorted ((vertex, grade), n) tuple, and the search runs on
+    its support quiver, built here.  A sample that splits as a direct sum
+    (on the wall θ̂ . dims = 0), or a thin one with every arrow nonzero,
+    needs no KingScan.  No witness is sought at zero trials, or when a
+    vertex's subspaces outnumber MAX_SUBSPACES.  check_guard is the
     caller's: every cover of alpha has alpha's total dimension.
     """
-    sizes = tuple(n for _, n in beta)
-    thetas = tuple(int(theta.get(v, 0)) for (v, _), _ in beta)
-    shape = sizes, thetas, tuple(sorted(arrows))
-    shapes = {} if shapes is None else shapes
-    if shape not in shapes:
-        on = Quiver(range(len(sizes)), (Arrow(k, i, j) for k, (i, j) in enumerate(shape[2])))
-        method, d, t = "structural", dict(enumerate(sizes)), dict(enumerate(thetas))
-        dest = structural_destabilizer(on, d, t)
-        # a thin cover needs no more: the subrepresentations of the all-nonzero
-        # representation are the arrow-closed subsets, none of which destabilizes
-        if dest is None and any(n != 1 for n in sizes):
-            method = "schofield"
-            dest = generic_destabilizer(on, d, t)
-        shapes[shape] = method, None if dest is None else tuple(dest.items())
-    method, dest = shapes[shape]
-    if dest is not None:
-        return Certification(Status.EMPTY_VERIFIED, method,
-                             destabilizer=tuple(sorted((beta[i][0], n) for i, n in dest)))
-    if not trials or any(subspace_count(n, prime) > MAX_SUBSPACES for n in sizes):
-        return Certification(Status.NONEMPTY_VERIFIED, method)
-
+    if not trials or any(subspace_count(n, prime) > MAX_SUBSPACES for _, n in beta):
+        return None
     sq, dims = support_quiver(quiver, weights, beta)
     th = theta_hat(theta, sq.vertices)
     pos = {v: i for i, v in enumerate(sq.vertices)}
@@ -583,8 +554,8 @@ def certify_component(quiver: Quiver, weights: ArrowWeights, beta, arrows, theta
             if king.destabilizer(M) is not None:
                 continue
         if scalar or endomorphism_dim(sq, M) == 1:
-            return Certification(Status.NONEMPTY_VERIFIED, method, witness=M, witness_trial=trial)
-    return Certification(Status.NONEMPTY_VERIFIED, method)
+            return M, trial
+    return None
 
 
 def _connects(links, n):

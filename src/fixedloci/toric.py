@@ -50,8 +50,7 @@ MAX_ENUM_DIM = 16
 # weights, and C(16, 8) is the most an input within MAX_ENUM_DIM can meet.
 # The fan lists bases * 2^(m-r) faces for each chamber before dropping
 # repeats; at 2^18 with no repeat (r = 0, m = 18) that is a 58 MB report,
-# which the CLI writes in 1.5-2.1 s at a peak RSS of 248 MB (Python 3.11.7,
-# 2 CPUs; 1.9-2.1 s and 337 MB when JSON was rendered value by value).
+# which the CLI writes in 1.5-2.1 s at a peak RSS of 248 MB (Python 3.11.7, 2 CPUs).
 MAX_BASIS_SUBSETS = math.comb(MAX_ENUM_DIM, MAX_ENUM_DIM // 2)
 MAX_FAN_FACES = 1 << 18
 

@@ -11,7 +11,7 @@ size and then of position.  Both are the scans `repfield` ran before it
 generated only closed tuples, kept verbatim.
 `closed_prefix_subrep_dimvectors` is the scan that followed, which
 extends only closed prefixes but has no θ bound, and `is_stable_by`
-applies King's test to what a scan yields.  `certify_component` is the
+applies King's test to what a scan yields.  `find_witness` is the
 witness search as it ran before the sample rules, with `KingScan` on
 every sample, drawn by `random_rep`, the sampler as it was when each entry
 was one `randrange` call.  `GenericSubdims` is
@@ -31,16 +31,14 @@ import math
 import operator
 import random
 
-from fixedloci import repfield
 from fixedloci.errors import TooLarge
 from fixedloci.quiver import Quiver, support_quiver, theta_hat
 from fixedloci.repfield import (
     MAX_SUBSPACES,
-    Certification,
     KingScan,
     RepFq,
-    Status,
     check_guard,
+    decide,
     endomorphism_dim,
     gf_matvec,
     subspace_count,
@@ -186,20 +184,20 @@ def random_rep(quiver: Quiver, dims, prime, rng: random.Random) -> RepFq:
                  tuple(sorted(mats)))
 
 
-def certify_component(quiver, weights, beta, theta, trials=200, prime=5, seed=0, scanned=None):
-    """repfield.certify_component with its witness search as it ran before
-    the sample rules, on the randrange sampler above: every sample goes
-    through KingScan.destabilizer.  The decision comes from repfield at
-    trials=0, given the covering arrows read off the support quiver.  Each
-    scanned sample is appended to scanned, when given, as (support quiver,
-    dims, θ̂, sample)."""
+def find_witness(quiver, weights, beta, theta, trials=200, prime=5, seed=0, scanned=None):
+    """repfield.find_witness as it ran before the sample rules, on the
+    randrange sampler above: every sample goes through
+    KingScan.destabilizer.  It searches only where repfield.decide, given
+    the covering arrows read off the support quiver, finds the component
+    nonempty, as the CLI does.  Each scanned sample is appended to scanned,
+    when given, as (support quiver, dims, θ̂, sample)."""
     sq, dims = support_quiver(quiver, weights, beta)
     pos = {v: i for i, v in enumerate(sq.vertices)}
-    arrows = [(pos[a.src], pos[a.tgt]) for a in sq.arrows]
-    decided = repfield.certify_component(quiver, weights, beta, arrows, theta, trials=0, prime=prime)
-    if decided.status is Status.EMPTY_VERIFIED or \
+    arrows = tuple(sorted((pos[a.src], pos[a.tgt]) for a in sq.arrows))
+    thetas = tuple(int(theta.get(v, 0)) for v, _ in sq.vertices)
+    if decide(tuple(dims[v] for v in sq.vertices), thetas, arrows)[1] is not None or \
             any(subspace_count(d, prime) > MAX_SUBSPACES for d in dims.values()):
-        return decided
+        return None
     th = theta_hat(theta, sq.vertices)
     comp_key, king = repr(beta), KingScan(sq, dims, prime, th)
     scalar = math.gcd(*dims.values()) == 1 and not sum(th[v] * n for v, n in dims.items())
@@ -209,8 +207,8 @@ def certify_component(quiver, weights, beta, theta, trials=200, prime=5, seed=0,
         if scanned is not None:
             scanned.append((sq, dims, th, M))
         if king.destabilizer(M) is None and (scalar or endomorphism_dim(sq, M) == 1):
-            return Certification(Status.NONEMPTY_VERIFIED, decided.method, witness=M, witness_trial=trial)
-    return decided
+            return M, trial
+    return None
 
 
 def subrep_dimension_vectors(quiver: Quiver, M: RepFq):

@@ -194,6 +194,11 @@ def test_kempf_support_flag(tmp_path, capsys):
     code, out, _ = run(["kempf", f, "--support", "[[0,0]]"], capsys)
     assert code == 0
     assert json.loads(out)["kempf"]["support"] == [[0, 0]]
+    # the support is a set: a repeated index is listed once
+    doubled = write(tmp_path, "w2.json", dict(KEMPF, items=[{"chi": [1, 0], "mult": 2}]))
+    code, out, _ = run(["kempf", doubled, "--support", "[[0,1],[0,0],[0,1]]"], capsys)
+    assert code == 0
+    assert json.loads(out)["kempf"]["support"] == [[0, 0], [0, 1]]
 
 
 def test_kempf_integral_float_support(tmp_path, capsys):
@@ -359,7 +364,9 @@ DOT_REFUSED = "validation error: dot output is only available for toric and quiv
     ("grassmann", GRASS, ["--format", "dot"], 2, DOT_REFUSED),
     ("kempf", KEMPF, ["--format", "dot"], 2, DOT_REFUSED),
     ("quiver", KRON3, ["--prime", "7"], 3, "guard error: prime 7 exceeds the guard 5\n"),
-], ids=["grassmann-dot", "kempf-dot", "prime-guard"])
+    # the prime guards the report, not the witness search: no trials, same exit
+    ("quiver", KRON3, ["--prime", "7", "--trials", "0"], 3, "guard error: prime 7 exceeds the guard 5\n"),
+], ids=["grassmann-dot", "kempf-dot", "prime-guard", "prime-guard-no-trials"])
 @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
 @pytest.mark.parametrize("verbose", [False, True], ids=["quiet", "verbose"])
 def test_failure_prints_one_line_and_writes_nothing(tmp_path, capsys, command, data, flags, code,

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from conftest import kronecker3
-from fixedloci.cli import _quiver_from_data, _quiver_report, main
+from fixedloci.cli import _quiver_from_data, _quiver_report, _witness_json, main
 from fixedloci.errors import TooLarge, ValidationError
 from fixedloci.hmtorus import WeightItem, WeightedAction, is_stable_support
 from fixedloci.quiver import (
@@ -25,11 +25,11 @@ from fixedloci.quiver import (
 from fixedloci.repfield import (
     GenericSubdims,
     KingScan,
-    Status,
-    certify_component,
     check_guard,
     check_prime,
+    decide,
     endomorphism_dim,
+    find_witness,
     generic_destabilizer,
     gf_member,
     gf_rref,
@@ -42,8 +42,8 @@ from quiver_oracles import box_covers, cover, covering_pairs, kronecker_problem
 from repfield_oracles import GenericSubdims as OracleGenericSubdims
 from repfield_oracles import build_rep, gf_in_span, is_semistable_rep, is_stable_rep, subrep_dimension_vectors, subspaces
 from repfield_oracles import _iter_subrep_dimvectors as oracle_iter_subrep_dimvectors
-from repfield_oracles import certify_component as oracle_certify_component
 from repfield_oracles import closed_prefix_subrep_dimvectors as oracle_closed_prefix_subrep_dimvectors
+from repfield_oracles import find_witness as oracle_find_witness
 from repfield_oracles import generic_destabilizer as oracle_generic_destabilizer
 from repfield_oracles import is_stable_by as oracle_is_stable_by
 from repfield_oracles import random_rep as oracle_random_rep
@@ -157,12 +157,22 @@ def test_guards():
         is_stable_rep(Q, M4, {"1": 0})
 
 
+def _decide(beta, arrows, theta):
+    """decide on a cover given as its sorted ((vertex, grade), n) tuple, its
+    covering arrows and θ, with the destabilizer mapped back to the
+    cover's own points, as the CLI maps it."""
+    method, dest = decide(tuple(n for _, n in beta), tuple(int(theta.get(v, 0)) for (v, _), _ in beta),
+                          tuple(sorted(arrows)))
+    return method, None if dest is None else tuple((beta[i][0], n) for i, n in dest)
+
+
 def test_certify_simple_vertex():
     Q = Quiver(("1", "2"), (Arrow("a", "1", "2"),))
     W = ArrowWeights.full(Q)
     beta = cover({("1", (0,)): 1})
-    res = certify_component(Q, W, beta, (), {"1": 0, "2": 0}, trials=5, prime=5, seed=0)
-    assert res.status is Status.NONEMPTY_VERIFIED
+    theta = {"1": 0, "2": 0}
+    assert _decide(beta, (), theta)[1] is None
+    assert find_witness(Q, W, beta, theta, 5, 5, 0) is not None
 
 
 def test_certify_structural_empty_abcb():
@@ -176,10 +186,9 @@ def test_certify_structural_empty_abcb():
         ("1", delta): 1,
         ("2", ea): 1, ("2", eb): 1, ("2", ec): 1,
     })
-    res = certify_component(Q, W, beta, covering_pairs(Q, W, beta), theta, trials=50, prime=5, seed=0)
-    assert res.status is Status.EMPTY_VERIFIED
-    assert res.destabilizer is not None
-    dest = dict(res.destabilizer)
+    _, destabilizer = _decide(beta, covering_pairs(Q, W, beta), theta)
+    assert destabilizer is not None
+    dest = dict(destabilizer)
     assert sum(theta[v] * n for (v, _chi), n in dest.items()) <= 0
 
 
@@ -193,9 +202,8 @@ def test_certify_nonempty_type2():
         ("2", ea): 1, ("2", eb): 1,
         ("2", tuple(b - a + c for b, a, c in zip(eb, ea, ec))): 1,
     })
-    res = certify_component(Q, W, beta, covering_pairs(Q, W, beta), theta, trials=200, prime=5, seed=0)
-    assert res.status is Status.NONEMPTY_VERIFIED
-    assert res.witness is not None
+    assert _decide(beta, covering_pairs(Q, W, beta), theta)[1] is None
+    assert find_witness(Q, W, beta, theta, 200, 5, 0) is not None
 
 
 def test_cross_module_consistency_with_torus_stability():
@@ -364,12 +372,12 @@ def _sampler_certify(Q, W, beta, theta, trials=200, prime=5, seed=0):
     sq, dims = support_quiver(Q, W, beta)
     th = theta_hat(theta, sq.vertices)
     if structural_destabilizer(sq, dims, th) is not None:
-        return Status.EMPTY_VERIFIED
+        return "EmptyVerified"
     for trial in range(trials):
         rng = random.Random("%s:%s:%d" % (seed, repr(beta), trial))
         M = random_rep(sq, dims, prime, rng)
         if is_stable_rep(sq, M, th) and endomorphism_dim(sq, M) == 1:
-            return Status.NONEMPTY_VERIFIED
+            return "NonemptyVerified"
     return None
 
 
@@ -387,22 +395,23 @@ def test_schofield_agrees_with_sampler(n, a, b, radius, counts):
     if radius is None:
         radius = default_window_radius(alpha, W)
     cands = enumerate_covers(Q, W, alpha, radius)[1]
-    seen = {Status.NONEMPTY_VERIFIED: 0, Status.EMPTY_VERIFIED: 0}
+    seen = {"NonemptyVerified": 0, "EmptyVerified": 0}
     for beta, _, arrows in cands:
-        res = certify_component(Q, W, beta, arrows, theta)
-        seen[res.status] += 1
+        method, destabilizer = _decide(beta, arrows, theta)
+        status = "NonemptyVerified" if destabilizer is None else "EmptyVerified"
+        seen[status] += 1
         old = _sampler_certify(Q, W, beta, theta)
-        assert old is None or res.status is old, beta
+        assert old is None or status == old, beta
         # the old path's only emptiness certificate was the structural one
-        structural = all(k == 1 for _, k in beta) or old is Status.EMPTY_VERIFIED
-        assert res.method == ("structural" if structural else "schofield")
-        if res.method == "schofield" and res.status is Status.EMPTY_VERIFIED:
-            dest = dict(res.destabilizer)
+        structural = all(k == 1 for _, k in beta) or old == "EmptyVerified"
+        assert method == ("structural" if structural else "schofield")
+        if method == "schofield" and status == "EmptyVerified":
+            dest = dict(destabilizer)
             full = dict(beta)
             assert 0 < sum(dest.values()) < sum(full.values())
             assert all(0 < k <= full[p] for p, k in dest.items())
             assert sum(theta[v] * k for (v, _), k in dest.items()) <= 0
-    assert (seen[Status.NONEMPTY_VERIFIED], seen[Status.EMPTY_VERIFIED]) == counts
+    assert (seen["NonemptyVerified"], seen["EmptyVerified"]) == counts
 
 
 def _two_cycle(alpha, theta, extra_arrow=False):
@@ -443,7 +452,7 @@ def test_golden_quiver_files_certify_exactly(tmp_path):
             assert comp0["beta"] == comp["beta"] and comp0["witness"] is None
             old = _sampler_certify(Q, W, beta, theta, opts["trials"], opts["prime"], opts["seed"])
             if old is not None:
-                assert comp["status"] == old.value, (seed, comp)
+                assert comp["status"] == old, (seed, comp)
             if comp["method"] == "schofield" and comp["status"] == "EmptyVerified":
                 dest, full = {(v, tuple(chi)): k for (v, chi), k in comp["destabilizer"]}, dict(beta)
                 assert 0 < sum(dest.values()) < sum(full.values())
@@ -452,7 +461,7 @@ def test_golden_quiver_files_certify_exactly(tmp_path):
             seen[comp["status"], comp["method"], old] += 1
     assert seen["files"] >= 150, seen
     assert seen["EmptyVerified", "schofield", None] >= 20, seen
-    assert seen["NonemptyVerified", "schofield", Status.NONEMPTY_VERIFIED] >= 20, seen
+    assert seen["NonemptyVerified", "schofield", "NonemptyVerified"] >= 20, seen
     assert seen["NonemptyVerified", "schofield", None] >= 5, seen
 
 
@@ -461,17 +470,15 @@ def test_cyclic_supports_are_exact():
     # representation has U = (k, image of a) with theta(U) = -1, which no
     # structural test sees
     Q, W, beta, arrows, theta = _two_cycle({"1": 1, "2": 2}, {"1": -2, "2": 1})
-    for trials in (0, 20):
-        res = certify_component(Q, W, beta, arrows, theta, trials=trials)
-        assert (res.status, res.method, res.witness) == (Status.EMPTY_VERIFIED, "schofield", None)
-        assert res.destabilizer == ((("1", (0,)), 1), (("2", (0,)), 1))
+    assert _decide(beta, arrows, theta) == ("schofield", ((("1", (0,)), 1), (("2", (0,)), 1)))
     # with a second arrow 1 -> 2 the general representation is stable
-    res = certify_component(*_two_cycle({"1": 1, "2": 2}, {"1": -2, "2": 1}, True))
-    assert (res.status, res.method) == (Status.NONEMPTY_VERIFIED, "schofield")
-    assert res.witness is not None
+    Q, W, beta, arrows, theta = _two_cycle({"1": 1, "2": 2}, {"1": -2, "2": 1}, True)
+    assert _decide(beta, arrows, theta) == ("schofield", None)
+    assert find_witness(Q, W, beta, theta, 200, 5, 0) is not None
     # a thin cover stays structural
-    res = certify_component(*_two_cycle({"1": 1, "2": 1}, {"1": 1, "2": -1}), trials=0)
-    assert (res.status, res.method, res.witness) == (Status.NONEMPTY_VERIFIED, "structural", None)
+    Q, W, beta, arrows, theta = _two_cycle({"1": 1, "2": 1}, {"1": 1, "2": -1})
+    assert _decide(beta, arrows, theta) == ("structural", None)
+    assert find_witness(Q, W, beta, theta, 0, 5, 0) is None
 
 
 def test_witness_has_trivial_endomorphisms():
@@ -485,14 +492,14 @@ def test_witness_has_trivial_endomorphisms():
     beta = cover({("1", (0,)): 2})
     sq, dims = support_quiver(Q, W, beta)
     th = theta_hat({"1": 0}, sq.vertices)
+    assert _decide(beta, ((0, 0), (0, 0)), {"1": 0}) == ("schofield", None)
     skipped = 0
     for prime in (2, 3, 5):
         for seed in range(100):
-            res = certify_component(Q, W, beta, ((0, 0), (0, 0)), {"1": 0}, trials=40, prime=prime, seed=seed)
-            assert (res.status, res.method) == (Status.NONEMPTY_VERIFIED, "schofield")
-            assert res.witness is not None and endomorphism_dim(sq, res.witness) == 1
+            found = find_witness(Q, W, beta, {"1": 0}, 40, prime, seed)
+            assert found is not None and endomorphism_dim(sq, found[0]) == 1
             earlier = (random_rep(sq, dims, prime, random.Random("%s:%s:%d" % (seed, repr(beta), t)))
-                       for t in range(res.witness_trial))
+                       for t in range(found[1]))
             skipped += any(is_stable_rep(sq, M, th) for M in earlier)
     assert skipped >= 10, skipped
 
@@ -502,8 +509,8 @@ def test_end_check_runs_when_the_dimensions_share_a_factor(monkeypatch):
     matrix of x^2 - 2, which is irreducible over F_5: no line is fixed by
     C, so M is stable at θ = (-1, 1), yet every map commutes with C, so
     End(M) = F_5[C] = F_25.  The dimensions share the factor 2, so
-    certify_component computes End(M) and does not take M as its witness
-    when random_rep returns it first."""
+    find_witness computes End(M) and does not take M as its witness when
+    random_rep returns it first."""
     C = ((0, 2), (1, 0))
     mats = {"a": ((1, 0), (0, 1)), "b": C, "c": ((1, 2), (1, 1))}
     Q = Quiver(("1", "2"), tuple(Arrow(x, "1", "2") for x in mats))
@@ -521,16 +528,16 @@ def test_end_check_runs_when_the_dimensions_share_a_factor(monkeypatch):
     served = []
     monkeypatch.setattr("fixedloci.repfield.random_rep", m_first)
     W, beta = ArrowWeights.from_dict(0, {x: () for x in mats}), cover({("1", ()): 2, ("2", ()): 2})
-    res = certify_component(Q, W, beta, ((0, 1),) * 3, theta, prime=5)
+    assert _decide(beta, ((0, 1),) * 3, theta) == ("schofield", None)
+    witness, trial = find_witness(Q, W, beta, theta, 200, 5, 0)
     sq = support_quiver(Q, W, beta)[0]
     assert is_stable_rep(sq, served[0], theta_hat(theta, sq.vertices))
-    assert (res.status, res.method) == (Status.NONEMPTY_VERIFIED, "schofield")
-    assert res.witness is not None and res.witness != served[0] and res.witness_trial > 0
-    assert endomorphism_dim(sq, res.witness) == 1
+    assert witness != served[0] and trial > 0
+    assert endomorphism_dim(sq, witness) == 1
 
 
 def test_stable_samples_with_coprime_dimensions_have_scalar_endomorphisms():
-    """The rule that lets certify_component skip End(M): a stable M over
+    """The rule that lets find_witness skip End(M): a stable M over
     F_p with θ . d = 0 has End(M) a finite field F_{p^k}, and each M_v is
     an F_{p^k}-space, so k divides every d_v.  On seeded acyclic and cyclic
     quivers (loops and 2-cycles included) with θ on the wall, every stable
@@ -773,13 +780,13 @@ def test_sample_rules_agree_with_king_scan():
 
 
 def test_certify_component_matches_the_scan_every_sample_oracle():
-    """certify_component, which skips KingScan on samples the two rules
-    decide, gives the Certification of the oracle that scans every sample:
-    the same status, method, destabilizer, witness and witness_trial.  The
-    covers are random shapes with an ungraded cover, θ on the wall and off
-    it (where the direct-sum rule stands aside), and the candidates of
-    K3(2,3) and of the arrow-weighted golden quiver files, at 1, 3 or 30
-    trials, so that some searches end without a witness."""
+    """find_witness, which skips KingScan on samples the two rules decide,
+    run where decide finds the component nonempty, as the CLI runs it,
+    gives the witness and witness_trial of the oracle that scans every
+    sample.  The covers are random shapes with an ungraded cover, θ on the
+    wall and off it (where the direct-sum rule stands aside), and the
+    candidates of K3(2,3) and of the arrow-weighted golden quiver files, at
+    1, 3 or 30 trials, so that some searches end without a witness."""
     rng = random.Random(127)
     seen = collections.Counter()
     runs = []
@@ -797,12 +804,13 @@ def test_certify_component_matches_the_scan_every_sample_oracle():
             runs += [(Q, W, c, arrows, theta, 3) for c, _, arrows in enumerate_covers(Q, W, alpha, 1)[1]]
     for Q, W, beta, arrows, theta, p in runs:
         trials = rng.choice((1, 3, 30))
-        want = oracle_certify_component(Q, W, beta, theta, trials=trials, prime=p, seed=7)
-        got = certify_component(Q, W, beta, arrows, theta, trials=trials, prime=p, seed=7)
+        want = oracle_find_witness(Q, W, beta, theta, trials=trials, prime=p, seed=7)
+        nonempty = _decide(beta, arrows, theta)[1] is None
+        got = find_witness(Q, W, beta, theta, trials, p, 7) if nonempty else None
         assert got == want, (Q, beta, theta)
         wall = not sum(theta.get(v, 0) * n for (v, _), n in beta)
-        seen[want.status, want.witness is not None, wall] += 1
-    assert min(seen[Status.NONEMPTY_VERIFIED, w, x] for w in (True, False) for x in (True, False)) >= 5, seen
+        seen[nonempty, want is not None, wall] += 1
+    assert min(seen[True, w, x] for w in (True, False) for x in (True, False)) >= 5, seen
 
 
 def test_king_scan_bound_edges():
@@ -864,7 +872,7 @@ def test_king_scan_checks_only_closed_prefixes(monkeypatch, tmp_path):
     """The arrow-closure checks of one CLI run of K3(3,4) at window 2.
 
     Replayed over the samples that the witness search drew when it scanned
-    every one (the oracle certify_component), with one KingScan plan per
+    every one (the oracle find_witness), with one KingScan plan per
     cover: 3,712 gf_member calls with the θ bound and the stop at the first
     destabilizer, against 6,826 gf_in_span calls for the closed-prefix scan
     of every subrepresentation and 25,188 for the full product scan, each
@@ -874,7 +882,7 @@ def test_king_scan_checks_only_closed_prefixes(monkeypatch, tmp_path):
     samples = []  # the samples drawn, per cover
     for c, _, _ in enumerate_covers(Q, W, alpha, 2)[1]:
         samples.append([])
-        oracle_certify_component(Q, W, c, theta, scanned=samples[-1])
+        oracle_find_witness(Q, W, c, theta, scanned=samples[-1])
     calls = []
 
     def counted(check):
@@ -922,10 +930,11 @@ def test_witness_search_skips_tables_above_the_cap():
         W = ArrowWeights.from_dict(0, {a.id: () for a in Q.arrows})
         beta = cover({("1", ()): 1, ("2", ()): b})
         start = time.perf_counter()
-        res = certify_component(Q, W, beta, ((0, 1),) * n, {"1": -b, "2": 1})
+        decided = _decide(beta, ((0, 1),) * n, {"1": -b, "2": 1})
+        found = find_witness(Q, W, beta, {"1": -b, "2": 1}, 200, 5, 0)
         assert time.perf_counter() - start < 10
-        assert (res.status, res.method) == (Status.NONEMPTY_VERIFIED, "schofield")
-        assert (res.witness is not None, res.witness_trial) == ((True, 0) if witnessed else (False, None))
+        assert decided == ("schofield", None)
+        assert (found is not None, found and found[1]) == ((True, 0) if witnessed else (False, None))
     with pytest.raises(TooLarge):
         subspace_table(6, 5)
 
@@ -962,13 +971,30 @@ def test_check_prime_matches_trial_division():
         assert not accepted(n), n
 
 
-def _certify_all(data, shapes, window=None, seed=0, prime=5, trials=200):
-    """Every candidate of a quiver problem certified as the CLI does, with
-    the one shapes dict given, or a fresh one per cover when it is None."""
-    Q, W, alpha, theta = _quiver_from_data(data)
-    radius = default_window_radius(alpha, W) if window is None else window
-    return [certify_component(Q, W, c, arrows, theta, trials=trials, prime=prime, seed=seed, shapes=shapes)
-            for c, _, arrows in enumerate_covers(Q, W, alpha, radius)[1]]
+def _counted_decide(monkeypatch):
+    """Count the CLI's calls of decide, one list item per call."""
+    calls = []
+
+    def counted(*shape):
+        calls.append(shape)
+        return decide(*shape)
+
+    monkeypatch.setattr("fixedloci.cli.decide", counted)
+    return calls
+
+
+def _fresh(Q, W, cands, theta, prime, trials, seed):
+    """The components of each candidate, decided and searched alone, as a
+    report writes them: status, method, destabilizer, witness and
+    witness_trial."""
+    out = []
+    for c, _, arrows in cands:
+        method, dest = _decide(c, arrows, theta)
+        found = find_witness(Q, W, c, theta, trials, prime, seed) if dest is None else None
+        out.append({"status": "NonemptyVerified" if dest is None else "EmptyVerified", "method": method,
+                    "destabilizer": None if dest is None else [[[v, list(chi)], n] for (v, chi), n in dest],
+                    "witness": found and _witness_json(found[0]), "witness_trial": found and found[1]})
+    return out
 
 
 def _shape(Q, W, beta, theta):
@@ -979,46 +1005,56 @@ def _shape(Q, W, beta, theta):
             tuple(sorted((pos[a.src], pos[a.tgt]) for a in sq.arrows)))
 
 
-def test_shape_memo_changes_no_certification():
-    """One shapes dict over a report's candidates gives every cover the same
-    Certification (status, method, destabilizer, witness and witness_trial)
-    as a fresh dict per cover."""
+def test_shape_memo_changes_no_certification(monkeypatch):
+    """The decisions a report keeps per shape give every cover the same
+    status, method, destabilizer, witness and witness_trial as a fresh
+    decide and witness search per cover."""
     kron3 = json.loads((PROBLEMS / "kronecker3.json").read_text())
     runs = [(kron3, {"window": 2})] + [(kronecker_problem(3, 3, b), {"window": 2}) for b in (4, 5)]
     for seed in range(200):
         data, flags = _quiver_file(seed)
         if sum(data["alpha"].values()) <= 8:  # the rest exceed the certification guard
             runs.append((data, {k.lstrip("-"): int(v) for k, v in zip(flags[::2], flags[1::2])}))
-    hits = 0
+    keys = ("status", "method", "destabilizer", "witness", "witness_trial")
+    calls, hits = _counted_decide(monkeypatch), 0
     for data, opts in runs:
-        shapes = {}
-        shared = _certify_all(data, shapes, **opts)
-        assert shared == _certify_all(data, None, **opts), (data, opts)
-        hits += len(shared) - len(shapes)
+        seed, prime, trials = opts.get("seed", 0), opts.get("prime", 5), opts.get("trials", 200)
+        Q, W, alpha, theta = _quiver_from_data(data)
+        radius = default_window_radius(alpha, W) if opts.get("window") is None else opts["window"]
+        calls.clear()
+        report = _quiver_report(data, seed, prime, trials, radius)
+        cands = enumerate_covers(Q, W, alpha, radius)[1]
+        got = [{k: comp[k] for k in keys} for comp in report["components"]]
+        assert got == _fresh(Q, W, cands, theta, prime, trials, seed), (data, opts)
+        hits += len(cands) - len(calls)
     assert len(runs) >= 180 and hits >= 300, (len(runs), hits)
 
 
-def test_shape_memo_hit_lands_on_its_own_points():
+def test_shape_memo_hit_lands_on_its_own_points(monkeypatch):
     """Two empty covers of K3(3,4) at window 2 with one shape: the second,
-    read from the entry the first made, gets the destabilizer it gets alone,
-    on its own points.  Of the 22 shapes with two empty covers, 8 put the
-    second's destabilizer off the first's points."""
+    read from the decision the report kept for the first, gets the
+    destabilizer it gets alone, on its own points.  Of the 22 shapes with
+    two empty covers, 8 put the second's destabilizer off the first's
+    points."""
     Q, W, alpha, theta = _kronecker(3, 3, 4)
+    calls = _counted_decide(monkeypatch)
+    report = _quiver_report(kronecker_problem(3, 3, 4), None, None, 0, 2)
+    cands = enumerate_covers(Q, W, alpha, 2)[1]
+    comps = {c: comp["destabilizer"] for (c, _, _), comp in zip(cands, report["components"], strict=True)}
     by_shape = collections.defaultdict(list)
-    for c, _, arrows in enumerate_covers(Q, W, alpha, 2)[1]:
+    for c, _, arrows in cands:
         by_shape[_shape(Q, W, c, theta)].append((c, arrows))
-    pairs = [cs[:2] for cs in by_shape.values() if len(cs) > 1
-             and certify_component(Q, W, *cs[0], theta, trials=0).status is Status.EMPTY_VERIFIED]
+    assert len(calls) == len(by_shape)
+    pairs = [cs[:2] for cs in by_shape.values() if len(cs) > 1 and comps[cs[0][0]] is not None]
     moved = 0
     for (first, arrows1), (second, arrows2) in pairs:
-        shapes = {}
-        one = certify_component(Q, W, first, arrows1, theta, trials=0, shapes=shapes)
-        two = certify_component(Q, W, second, arrows2, theta, trials=0, shapes=shapes)
-        assert len(shapes) == 1 and one.status is two.status is Status.EMPTY_VERIFIED
-        assert two == certify_component(Q, W, second, arrows2, theta, trials=0)
-        assert {p for p, _ in one.destabilizer} <= dict(first).keys()
-        assert {p for p, _ in two.destabilizer} <= dict(second).keys()
-        moved += not {p for p, _ in two.destabilizer} <= dict(first).keys()
+        one, two = comps[first], comps[second]
+        assert one is not None and two is not None
+        dest = _decide(second, arrows2, theta)[1]
+        assert two == [[[v, list(chi)], n] for (v, chi), n in dest]
+        assert {p for p, _ in dest} <= dict(second).keys()
+        assert {(v, tuple(chi)) for (v, chi), _ in one} <= dict(first).keys()
+        moved += not {p for p, _ in dest} <= dict(first).keys()
     assert (len(pairs), moved) == (22, 8)
 
 
@@ -1026,19 +1062,20 @@ def test_structural_test_runs_once_per_shape_per_report(monkeypatch):
     """K3(3,4) at window 2 has 158 candidates over 79 shapes: each report
     decides each shape once, and a second report decides them all again,
     since the memo lives for one report only."""
-    calls = []
+    structural, decided = [], _counted_decide(monkeypatch)
 
     def counted(quiver, dims, theta):
-        calls.append(1)
+        structural.append(1)
         return structural_destabilizer(quiver, dims, theta)
 
     monkeypatch.setattr("fixedloci.repfield.structural_destabilizer", counted)
     data, seen = kronecker_problem(3, 3, 4), []
     for _ in range(2):
-        calls.clear()
+        structural.clear()
+        decided.clear()
         report = _quiver_report(data, None, None, 0, 2)
-        seen.append((len(calls), report["counts"]["candidates"]))
-    assert seen == [(79, 158), (79, 158)]
+        seen.append((len(structural), len(decided), report["counts"]["candidates"]))
+    assert seen == [(79, 79, 158), (79, 79, 158)]
 
 
 def test_random_rep_draws_as_randrange():
