@@ -68,9 +68,8 @@ def _keyword(key, rule, schema, table):
     """The check of one keyword of a schema node; None for one that checks
     nothing by itself, such as "then" or "title"."""
     if key == "type":
-        # a bool is no number, a float with an integral value an integer
-        types = {"integer": (int,), "number": (int, float), "string": (str,), "array": (list,),
-                 "object": (dict,)}[rule]
+        # a bool is no integer, a float with an integral value is one
+        types = {"integer": (int,), "string": (str,), "array": (list,), "object": (dict,)}[rule]
 
         def check(value, path, out):
             if type(value) not in types and not (
@@ -90,8 +89,7 @@ def _keyword(key, rule, schema, table):
                 out.append((path, "%r is less than the minimum of %r" % (value, rule)))
     elif key in ("minItems", "maxItems"):
         beyond, text = ((operator.lt, "should be non-empty" if rule == 1 else "is too short")
-                        if key == "minItems" else
-                        (operator.gt, "is expected to be empty" if rule == 0 else "is too long"))
+                        if key == "minItems" else (operator.gt, "is too long"))
 
         def check(value, path, out):
             if isinstance(value, list) and beyond(len(value), rule):
@@ -157,10 +155,10 @@ def _compiled():
 
 
 def _schema_errors(value, schema, path=()):
-    """Iterate (path, message) for each way `value` breaks `schema`, in schema
-    order; a schema outside the problem schema is compiled for this call."""
+    """Iterate (path, message) for each way `value` breaks `schema`, a node
+    of the problem schema, in schema order."""
     out = []
-    (_compiled().get(id(schema)) or _compile(schema, {}))(value, path, out)
+    _compiled()[id(schema)](value, path, out)
     return iter(out)
 
 

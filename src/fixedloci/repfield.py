@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import TooLarge, ValidationError
-from .quiver import Arrow, ArrowWeights, Quiver, support_quiver, theta_hat
+from .quiver import ArrowWeights, Quiver, support_quiver, theta_hat
 
 DEFAULT_MAX_TOTAL_DIM = 8
 DEFAULT_MAX_PRIME = 5
@@ -370,35 +370,36 @@ def endomorphism_dim(quiver: Quiver, M: RepFq) -> int:
     return n - len(gf_rref(rows, M.prime))
 
 
-def structural_destabilizer(quiver: Quiver, dims, theta):
-    """A proper nonzero arrow-closed vertex subset with theta <= 0, if any.
+def structural_destabilizer(sizes, thetas, arrows):
+    """A proper nonzero arrow-closed set of positions with θ̂ <= 0, if any.
 
-    The full spaces over such a subset form a subrepresentation of every
+    The full spaces over such a set form a subrepresentation of every
     representation with these dimensions, so its existence certifies that no
-    point is stable.  The arrow-closed subsets of the support are the unions
-    of its forward-reachability sets, kept as int bitmasks with position i
-    of the n support vertices at bit n - 1 - i, so that among sets of one
-    size the least by lexicographic position has the greatest mask.  The
-    least one by size, then by position, is returned.
+    point is stable.  sizes and thetas give each position's dimension, at
+    least 1, and θ̂; arrows are (source, target) positions.  The
+    arrow-closed sets are the unions of the forward-reachability sets, kept
+    as int bitmasks with position i of n at bit n - 1 - i, so that among
+    sets of one size the least by lexicographic position has the greatest
+    mask.  The least one by size, then by position, is returned as sorted
+    (position, size) pairs.
     """
-    supp = [v for v in quiver.vertices if int(dims.get(v, 0)) > 0]
-    bit = {v: 1 << (len(supp) - 1 - i) for i, v in enumerate(supp)}
-    out = dict.fromkeys(bit.values(), 0)  # out-neighbour mask of each vertex bit
-    for a in quiver.arrows:
-        if a.src in bit and a.tgt in bit:
-            out[bit[a.src]] |= bit[a.tgt]
+    n = len(sizes)
+    out = [0] * n  # out-neighbour mask of each position
+    for i, j in arrows:
+        out[i] |= 1 << (n - 1 - j)
     closed = {0}
-    for reach in bit.values():  # add the unions with the set reachable from it
-        todo = out[reach] & ~reach
+    for i in range(n):  # add the unions with the set reachable from i
+        reach = 1 << (n - 1 - i)
+        todo = out[i] & ~reach
         while todo:
             low = todo & -todo
             reach |= low
-            todo = (todo | out[low]) & ~reach
+            todo = (todo | out[n - low.bit_length()]) & ~reach
         closed |= {c | reach for c in closed}
-    proper = list(closed - {0, (1 << len(supp)) - 1})
-    by_bit = [int(theta.get(v, 0)) * int(dims[v]) for v in reversed(supp)]
+    proper = list(closed - {0, (1 << n) - 1})
+    by_bit = [t * d for t, d in zip(reversed(thetas), reversed(sizes))]
     weight = [0] * len(proper)
-    for lo in range(0, len(supp), 8):  # θ-weights 8 bits at a time: tables of 256 sums, not 2^n
+    for lo in range(0, n, 8):  # θ-weights 8 bits at a time: tables of 256 sums, not 2^n
         table = [0]
         for w_b in by_bit[lo:lo + 8]:
             table += [w + w_b for w in table]
@@ -407,77 +408,70 @@ def structural_destabilizer(quiver: Quiver, dims, theta):
     if not found:
         return None
     least = min(found, key=lambda c: (c.bit_count(), -c))
-    return {v: int(dims.get(v, 0)) for v in set(v for v in supp if bit[v] & least)}
-
-
-def _subvectors(g):
-    return itertools.product(*(range(x + 1) for x in g))
+    return tuple((i, d) for i, d in enumerate(sizes) if least >> (n - 1 - i) & 1)
 
 
 class GenericSubdims:
     """Generic subdimension vectors, by Schofield's recursion.
 
-    Dimension vectors are tuples in quiver.vertices order.  s embeds in g
-    (s -> g) when every representation of dimension g has a subrepresentation
-    of dimension s.  With the Euler form <a, b> = sum a_v b_v - sum over
-    arrows i -> j of a_i b_j, s -> g exactly when ext(s, g - s) = 0, and
-    ext(a, h) = max of -<a', h> over a' -> a (Schofield, Proc. LMS 65, 1992,
-    Thm 5.4; for quivers with oriented cycles and loops, Crawley-Boevey,
-    Bull. LMS 28, 1996).  So s -> g exactly when no t -> s has
-    <t, g - s> < 0, and only the t <= s with <t, g - s> < 0 are tested for
-    t -> s.  Each answer is memoised per (s, g).
+    Dimension vectors are tuples by position, and arrows are (source,
+    target) positions.  s embeds in g (s -> g) when every representation of
+    dimension g has a subrepresentation of dimension s.  With the Euler form
+    <a, b> = sum a_v b_v - sum over arrows i -> j of a_i b_j, s -> g exactly
+    when ext(s, g - s) = 0, and ext(a, h) = max of -<a', h> over a' -> a
+    (Schofield, Proc. LMS 65, 1992, Thm 5.4; for quivers with oriented
+    cycles and loops, Crawley-Boevey, Bull. LMS 28, 1996).  So s -> g
+    exactly when no t -> s has <t, g - s> < 0, and only the t <= s with
+    <t, g - s> < 0 are tested for t -> s.  Each answer is memoised per
+    (s, g).
     """
 
-    def __init__(self, quiver: Quiver):
-        pos = {v: i for i, v in enumerate(quiver.vertices)}
-        self._arrows = [(pos[a.src], pos[a.tgt]) for a in quiver.arrows]
+    def __init__(self, arrows):
+        self.arrows = arrows
         self._embeds = {}
 
-    def _pairing(self, h):
+    def pairing(self, h):
         """The vector c with <a, h> = a . c for every a."""
         c = list(h)
-        for i, j in self._arrows:
+        for i, j in self.arrows:
             c[i] -= h[j]
         return c
 
     def embeds(self, s, g):
         """s -> g, i.e. ext(s, g - s) = 0; ext is never negative (0 -> s)."""
-        if s == g:
-            return True
         if (s, g) not in self._embeds:
-            c = self._pairing([x - y for x, y in zip(g, s)])
+            c = self.pairing([x - y for x, y in zip(g, s)])
             # s -> s, so <s, g - s> < 0 settles it without the recursion
             self._embeds[s, g] = sum(map(operator.mul, s, c)) >= 0 and not any(
-                sum(map(operator.mul, t, c)) < 0 and self.embeds(t, s) for t in _subvectors(s))
+                sum(map(operator.mul, t, c)) < 0 and self.embeds(t, s)
+                for t in itertools.product(*(range(x + 1) for x in s)))
         return self._embeds[s, g]
 
 
-def generic_destabilizer(quiver: Quiver, dims, theta):
-    """A proper nonzero generic subdimension vector with theta <= 0, if any.
+def generic_destabilizer(sizes, thetas, arrows):
+    """A proper nonzero generic subdimension vector with θ̂ <= 0, if any.
 
-    Every representation of dimension dims has a subrepresentation of the
+    Every representation of dimension sizes has a subrepresentation of the
     returned dimension, so none is stable; when there is none, the general
     representation is stable (King, Quart. J. Math. 45, 1994: the stable
-    locus is open).  Returns {vertex: dim} over the vertices where it is
-    nonzero: the first such s in product order of the subvectors.
+    locus is open).  Returns (position, n) pairs where n is nonzero: the
+    first such s in product order of the subvectors.
 
-    The subvectors are walked as an odometer, the last vertex fastest, with
-    θ·s and the pairing c of β - s (<a, β - s> = a·c) kept up to date, so
-    that embeds runs only on the s with θ·s <= 0 and <s, β - s> = s·c >= 0;
-    it would refuse the others on that first test.
+    The subvectors are walked as an odometer, the last position fastest,
+    with θ̂·s and the pairing c of β - s (<a, β - s> = a·c) kept up to date,
+    so that embeds runs only on the s with θ̂·s <= 0 and <s, β - s> = s·c >=
+    0; it would refuse the others on that first test.
     """
-    beta = tuple(int(dims.get(v, 0)) for v in quiver.vertices)
-    tv = [int(theta.get(v, 0)) for v in quiver.vertices]
-    generic = GenericSubdims(quiver)
-    into = [[] for _ in beta]  # the sources of the arrows into each vertex
-    for i, j in generic._arrows:
+    beta, generic = tuple(sizes), GenericSubdims(arrows)
+    into = [[] for _ in beta]  # the sources of the arrows into each position
+    for i, j in generic.arrows:
         into[j].append(i)
-    s, c, weight, last = [0] * len(beta), generic._pairing(beta), 0, len(beta) - 1
+    s, c, weight, last = [0] * len(beta), generic.pairing(beta), 0, len(beta) - 1
     while True:
         k = last  # step the odometer: wrap the full digits, then raise one
         while k >= 0 and s[k] == beta[k]:
             step, s[k] = beta[k], 0
-            weight -= tv[k] * step
+            weight -= thetas[k] * step
             c[k] += step
             for i in into[k]:
                 c[i] -= step
@@ -485,14 +479,14 @@ def generic_destabilizer(quiver: Quiver, dims, theta):
         if k < 0:
             return None
         s[k] += 1
-        weight += tv[k]
+        weight += thetas[k]
         c[k] -= 1
         for i in into[k]:
             c[i] += 1
         if weight <= 0 and sum(map(operator.mul, s, c)) >= 0:
             t = tuple(s)
             if t != beta and generic.embeds(t, beta):
-                return {v: x for v, x in zip(quiver.vertices, t) if x}
+                return tuple((i, x) for i, x in enumerate(t) if x)
 
 
 def decide(sizes, thetas, arrows):
@@ -503,18 +497,15 @@ def decide(sizes, thetas, arrows):
     locus is nonempty.
 
     In order: a structural destabilizer proves emptiness; without one a thin
-    cover is nonempty; every other cover is decided by generic_destabilizer.
-    Neither reads arrow ids, grades or arrow order, and each is chosen by
-    position, so both run on a quiver whose vertices are the positions.
+    cover is nonempty (the subrepresentations of its all-nonzero
+    representation are the arrow-closed sets, none of which destabilizes);
+    every other cover is decided by generic_destabilizer.  Neither reads
+    arrow order.
     """
-    on = Quiver(range(len(sizes)), (Arrow(k, i, j) for k, (i, j) in enumerate(arrows)))
-    d, t = dict(enumerate(sizes)), dict(enumerate(thetas))
-    method, dest = "structural", structural_destabilizer(on, d, t)
-    # a thin cover needs no more: the subrepresentations of the all-nonzero
-    # representation are the arrow-closed subsets, none of which destabilizes
+    method, dest = "structural", structural_destabilizer(sizes, thetas, arrows)
     if dest is None and any(n != 1 for n in sizes):
-        method, dest = "schofield", generic_destabilizer(on, d, t)
-    return method, None if dest is None else tuple(sorted(dest.items()))
+        method, dest = "schofield", generic_destabilizer(sizes, thetas, arrows)
+    return method, dest
 
 
 def find_witness(quiver: Quiver, weights: ArrowWeights, beta, theta, trials, prime, seed):

@@ -326,8 +326,11 @@ NONSYMMETRIC = dict(KEMPF, items=[{"chi": [1, 0]}, {"chi": [0, 1]}],
     ("quiver", dict(KRON3, alpha={"1": 2, "2": 3, "3": 0}), "alpha/theta mention unknown vertex '3'"),
     ("quiver", dict(KRON3, theta={"1": -3, "2": 2, "x": 0}), "alpha/theta mention unknown vertex 'x'"),
     ("kempf", NONSYMMETRIC, "inner product not symmetric"),
+    ("quiver", HIRZ2, "problem kind 'toric' does not match subcommand 'quiver'"),
+    ("grassmann", dict(GRASS, m=4), "need 1 <= m <= n, got m=4 n=3"),
+    ("toric", dict(HIRZ2, theta=[3]), "theta must live in Z^2"),
 ], ids=["duplicate-vertex", "duplicate-arrow", "weight-rank", "unknown-alpha", "unknown-theta",
-        "nonsymmetric-inner-product"])
+        "nonsymmetric-inner-product", "kind-mismatch", "grassmann-m-above-n", "toric-theta-rank"])
 def test_ill_formed_problem_exits_2(tmp_path, capsys, command, data, message):
     code, out, err = run([command, write(tmp_path, "p.json", data)], capsys)
     assert (code, out, err) == (2, "", "validation error: %s\n" % message)
