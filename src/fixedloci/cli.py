@@ -32,9 +32,9 @@ from .quiver import (
     ArrowWeights,
     Quiver,
     check_stability_pairing,
+    covering_arrows,
     default_window_radius,
     enumerate_covers,
-    support_quiver,
 )
 from .repfield import check_guard, decide, find_witness
 from .toric import fixed_points_toric, quotient_fan, toric_context
@@ -236,9 +236,9 @@ def _quiver_from_data(data):
     )
     alpha = {v: int(n) for v, n in data["alpha"].items()}
     theta = {v: int(n) for v, n in data["theta"].items()}
-    for v in set(alpha) | set(theta):
-        if v not in set(Q.vertices):
-            raise ValidationError("alpha/theta mention unknown vertex %r" % v)
+    unknown = sorted((set(alpha) | set(theta)) - set(Q.vertices))
+    if unknown:
+        raise ValidationError("alpha/theta mention unknown vertex %r" % unknown[0])
     check_stability_pairing(theta, alpha)
     if "arrow_weights" in data:
         W = ArrowWeights.from_dict(
@@ -313,14 +313,6 @@ def _point_json(point):
     return [v, list(chi)]
 
 
-def _witness_json(witness):
-    return {
-        "prime": witness.prime,
-        "dims": [[_point_json(v), d] for v, d in witness.dims],
-        "mats": [[[a[0], list(a[1])], [list(r) for r in m]] for a, m in witness.mats],
-    }
-
-
 def _quiver_report(data, seed, prime, trials, window):
     Q, W, alpha, theta = _quiver_from_data(data)
     opts = data.get("options", {})
@@ -340,8 +332,8 @@ def _quiver_report(data, seed, prime, trials, window):
             decisions[shape] = decide(*shape)
         method, dest = decisions[shape]
         # the witness trials are seeded by the cover, so they run per cover
-        found = find_witness(Q, W, c, theta, trials, prime, seed) if dest is None else None
-        M, trial = found or (None, None)
+        found = find_witness(Q, W, c, shape[1], trials, prime, seed) if dest is None else None
+        mats, trial = found or (None, None)
         blocks = sorted(n for _, n in c)
         comp_json.append({
             "beta": [[_point_json(k), n] for k, n in c],
@@ -349,7 +341,11 @@ def _quiver_report(data, seed, prime, trials, window):
             "g_rho": "torus" if all(n == 1 for n in blocks) else blocks,
             "status": "NonemptyVerified" if dest is None else "EmptyVerified",
             "method": method,
-            "witness": None if M is None else _witness_json(M),
+            "witness": None if mats is None else {
+                "prime": prime,
+                "dims": [[_point_json(p), n] for p, n in c],
+                "mats": [[[a, list(chi)], [list(r) for r in m]] for (a, chi), m in mats],
+            },
             "witness_trial": trial,
             "destabilizer": None if dest is None else [[_point_json(c[i][0]), n] for i, n in dest],
         })
@@ -567,15 +563,12 @@ def render_dot(report):
     if kind == "quiver":
         data = report["input"]
         Q, W, _alpha, _theta = _quiver_from_data(data)
-        points = {(pt[0], tuple(pt[1])) for c in report["components"] for pt, _n in c["beta"]}
-        sq, _ = support_quiver(Q, W, tuple((pt, 1) for pt in sorted(points)))
+        points = sorted({(pt[0], tuple(pt[1])) for c in report["components"] for pt, _n in c["beta"]})
         out = ["digraph cover_supports {"]
-        names = {}
-        for pt in sq.vertices:
-            names[pt] = "v%d" % len(names)
-            out.append("  %s [label=%s];" % (names[pt], _dot("%s %s" % (pt[0], list(pt[1])))))
-        for a in sq.arrows:
-            out.append("  %s -> %s [label=%s];" % (names[a.src], names[a.tgt], _dot(a.id[0])))
+        for i, pt in enumerate(points):
+            out.append("  v%d [label=%s];" % (i, _dot("%s %s" % (pt[0], list(pt[1])))))
+        for (a, _), i, j in covering_arrows(Q, W, points):
+            out.append("  v%d -> v%d [label=%s];" % (i, j, _dot(a)))
         out.append("}")
         base = ["digraph quiver {"]
         for v in data["vertices"]:

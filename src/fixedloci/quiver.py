@@ -79,12 +79,6 @@ class ArrowWeights:
         }
         return ArrowWeights.from_dict(n, mapping)
 
-    def of(self, arrow_id):
-        for k, w in self.weights:
-            if k == str(arrow_id):
-                return w
-        raise KeyError(arrow_id)
-
 
 def check_stability_pairing(theta, alpha):
     """Stability parameters must pair to zero with the dimension vector."""
@@ -110,32 +104,19 @@ def default_window_radius(alpha, weights: ArrowWeights):
     return max(1, total * max(1, wmax)) if weights.aux_rank else 0
 
 
-def theta_hat(theta, points):
-    """Graded stability on covering-quiver points: the vertex value, per grade.
-    A vertex missing from theta counts as 0."""
-    return {(v, chi): int(theta.get(v, 0)) for (v, chi) in points}
-
-
-def _covering_arrows(quiver: Quiver, weights: ArrowWeights, pts):
-    """(arrow, source point, target point) for each covering arrow with both
-    ends in the point collection pts: arrow by arrow, sources in pts order."""
-    shift, at = dict(weights.weights), {}
-    for p in pts:
-        at.setdefault(p[0], []).append(p)
+def covering_arrows(quiver: Quiver, weights: ArrowWeights, points):
+    """The covering arrows with both ends among points, a sequence of
+    distinct covering-quiver points, as ((arrow id, source grade), source
+    position, target position) triples: arrow by arrow, sources in point
+    order."""
+    shift, index, out = dict(weights.weights), {p: i for i, p in enumerate(points)}, []
     for a in quiver.arrows:
         w = shift[str(a.id)]
-        for p in at.get(a.src, ()):
-            q = (a.tgt, tuple(map(operator.add, p[1], w)))
-            if q in pts:
-                yield a, p, q
-
-
-def support_quiver(quiver: Quiver, weights: ArrowWeights, beta):
-    """The finite quiver on the support of a cover, given as its sorted
-    ((vertex, grade), n) tuple: (support quiver, dims dict)."""
-    dims = dict(beta)
-    arrows = tuple(Arrow((a.id, p[1]), p, q) for a, p, q in _covering_arrows(quiver, weights, dims))
-    return Quiver(tuple(dims), arrows), dims
+        for i, (v, chi) in enumerate(points):
+            j = index.get((a.tgt, tuple(map(operator.add, chi, w)))) if v == a.src else None
+            if j is not None:
+                out.append(((a.id, chi), i, j))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +178,10 @@ def enumerate_covers(quiver: Quiver, weights: ArrowWeights, alpha, radius):
         return 1, []
     total = sum(alpha.values())
 
+    shift = dict(weights.weights)
     arcs = {}  # vertex -> (neighbour, grade step, whether the arrow leaves the vertex)
     for a in quiver.arrows:
-        w = weights.of(a.id)
+        w = shift[str(a.id)]
         if alpha[a.src] > 0 and alpha[a.tgt] > 0:
             arcs.setdefault(a.src, []).append((a.tgt, w, True))
             arcs.setdefault(a.tgt, []).append((a.src, tuple(-x for x in w), False))

@@ -14,12 +14,14 @@ general representation is.  decide takes no prime, trials or seed.
 find_witness searches a nonempty component for a representation over a
 small prime field, sampled at random, that is geometrically stable:
 stable over F_p with End(M) = F_p, so that no Galois-conjugate summands
-split it over the algebraic closure.  It alone builds the support
-quiver, whose arrow order fixes the order of the draws; each entry is
-getrandbits(k), k the bit length of p, drawn again while it is >= p, as
-randrange(p) draws.  End(M) is computed only when the dimensions share a
-factor: the endomorphisms of a stable M form a finite field F_{p^k}, and
-k divides every dimension.  The decision never rests on the witness.
+split it over the algebraic closure.  It draws the cover's covering
+arrows, whose order fixes the order of the draws, and runs on positions
+as decide does: a sample is a tuple of matrices, one per covering arrow.
+Each entry is getrandbits(k), k the bit length of p, drawn again while it
+is >= p, as randrange(p) draws.  End(M) is computed only when the
+dimensions share a factor: the endomorphisms of a stable M form a finite
+field F_{p^k}, and k divides every dimension.  The decision never rests
+on the witness.
 
 Most samples are decided by which arrows are zero.  When θ̂ pairs to zero
 with the dimensions, a sample whose nonzero arrows leave the support
@@ -48,11 +50,10 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import TooLarge, ValidationError
-from .quiver import ArrowWeights, Quiver, support_quiver, theta_hat
+from .quiver import ArrowWeights, Quiver, covering_arrows
 
 DEFAULT_MAX_TOTAL_DIM = 8
 DEFAULT_MAX_PRIME = 5
@@ -165,40 +166,24 @@ def subspace_table(n, p):
 # ---------------------------------------------------------------------------
 # representations
 
-@dataclass(frozen=True)
-class RepFq:
-    """A representation over F_p: one matrix per arrow, shape tgt x src."""
-
-    prime: int
-    dims: tuple  # sorted (vertex, dim) pairs
-    mats: tuple  # sorted (arrow_id, rows) pairs
-
-    @functools.cached_property
-    def _mat_dict(self):
-        return dict(self.mats)
-
-    def mat_of(self, arrow_id):
-        return self._mat_dict[arrow_id]
-
-
-def random_rep(quiver: Quiver, dims, prime, rng: random.Random) -> RepFq:
-    """A representation with uniform entries in [0, prime), drawn arrow by
-    arrow in quiver.arrows order, each matrix row by row.  An entry is
-    getrandbits(k), k the bit length of prime, drawn again while it is >=
-    prime: the draws that rng.randrange(prime) makes."""
+def random_rep(sizes, arrows, prime, rng: random.Random):
+    """A representation with uniform entries in [0, prime): one matrix per
+    (id, source, target) arrow, shape sizes[target] x sizes[source], drawn
+    in arrows order, each row by row.  An entry is getrandbits(k), k the
+    bit length of prime, drawn again while it is >= prime: the draws that
+    rng.randrange(prime) makes."""
     k, draw, mats = prime.bit_length(), rng.getrandbits, []
-    for a in quiver.arrows:
-        cols, rows = int(dims.get(a.src, 0)), []
-        for _ in range(int(dims.get(a.tgt, 0))):
+    for _, s, t in arrows:
+        rows = []
+        for _ in range(sizes[t]):
             row = []
-            while len(row) < cols:
+            while len(row) < sizes[s]:
                 x = draw(k)
                 if x < prime:
                     row.append(x)
             rows.append(tuple(row))
-        mats.append((a.id, tuple(rows)))
-    return RepFq(prime, tuple(sorted((v, int(dims.get(v, 0))) for v in quiver.vertices)),
-                 tuple(sorted(mats)))
+        mats.append(tuple(rows))
+    return tuple(mats)
 
 
 def check_guard(dims, prime):
@@ -238,11 +223,12 @@ def check_prime(prime):
 class KingScan:
     """King's test for every F_p representation of one dimension vector.
 
-    The plan is built once per (quiver, dims, prime, theta) and serves every
-    representation of those dimensions.  The vertices take subspaces
-    depth-first in breadth-first order of the underlying graph; each arrow
-    is checked as soon as both its ends have a subspace, and a failed check
-    prunes the branch.  The θ bound prunes too: with S the θ-weight of the
+    The plan is built once per (sizes, arrows, prime, thetas), all by
+    position as random_rep takes them, and serves every representation of
+    those dimensions.  The positions take subspaces depth-first in
+    breadth-first order of the underlying graph; each arrow is checked as
+    soon as both its ends have a subspace, and a failed check prunes the
+    branch.  The θ bound prunes too: with S the θ-weight of the
     subspaces chosen so far, a branch is cut when S plus the least weight the
     remaining vertices can add, Σ min(0, θ_v d_v), is still positive, since
     no completion of it can destabilize.  The bound holds for any θ.  The
@@ -250,29 +236,30 @@ class KingScan:
     dimension.  The plan runs no check_guard; its callers do.
     """
 
-    def __init__(self, quiver: Quiver, dims, prime, theta):
+    def __init__(self, sizes, arrows, prime, thetas):
         order, head = [], 0
-        ends = [(a.src, a.tgt) for a in quiver.arrows] + [(a.tgt, a.src) for a in quiver.arrows]
-        for root in quiver.vertices:  # breadth-first; order[head:] is the queue
+        ends = [(s, t) for _, s, t in arrows] + [(t, s) for _, s, t in arrows]
+        for root in range(len(sizes)):  # breadth-first; order[head:] is the queue
             order += [] if root in order else [root]
             while head < len(order):
                 order += [u for u in dict.fromkeys(u for s, u in ends if s == order[head]) if u not in order]
                 head += 1
-        depth = {v: k for k, v in enumerate(order)}
+        self.depth = [0] * len(order)  # the depth of each position
+        for k, v in enumerate(order):
+            self.depth[v] = k
         self.prime = prime
-        self.full = [int(dims.get(v, 0)) for v in order]
+        self.full = [sizes[v] for v in order]
         self.tables = [subspace_table(d, prime) for d in self.full]
         self.ids, self.parity = [t.ids for t in self.tables], [t.parity for t in self.tables]
-        self.arrows = [(a.id, depth[a.src]) for a in quiver.arrows]  # (id, depth of the source)
+        self.sources = [self.depth[s] for _, s, _ in arrows]  # the depth of each arrow's source
         self.checks = [[] for _ in order]  # (arrow index, source, target) by depth of the later end
-        for j, a in enumerate(quiver.arrows):
-            s, t = depth[a.src], depth[a.tgt]
+        for j, (_, s, t) in enumerate(arrows):
+            s, t = self.depth[s], self.depth[t]
             self.checks[max(s, t)].append((j, s, t))
-        self.theta = [int(theta.get(v, 0)) for v in order]
-        self.least = [0] * (len(order) + 1)  # least θ-weight of the vertices from depth k on
+        self.theta = [thetas[v] for v in order]
+        self.least = [0] * (len(order) + 1)  # least θ-weight of the positions from depth k on
         for k in reversed(range(len(order))):
             self.least[k] = self.least[k + 1] + min(0, self.theta[k] * self.full[k])
-        self.out = [depth[v] for v in quiver.vertices]
         self.spans = {}
 
     def span(self, k, weight):
@@ -293,9 +280,10 @@ class KingScan:
             self.spans[k, weight] = (starts[lo] - 1, starts[hi + 1]) if lo <= hi else (-1, 0)
         return self.spans[k, weight]
 
-    def destabilizer(self, M: RepFq):
-        """The dimension vector of a proper nonzero subrepresentation of M
-        with θ <= 0, ordered by quiver.vertices, or None when M is stable.
+    def destabilizer(self, M):
+        """The dimension vector of a proper nonzero subrepresentation of M,
+        one matrix per arrow, with θ <= 0, by position, or None when M is
+        stable.
 
         An arrow's image of a basis row is computed once per representation,
         when a branch first needs it, and so is the list of nonzero images
@@ -304,11 +292,11 @@ class KingScan:
         """
         p, theta, full, checks, n = self.prime, self.theta, self.full, self.checks, len(self.full)
         ids, parity = self.ids, self.parity
-        row_images = [[None] * len(self.tables[s].vectors) for _, s in self.arrows]
-        images = [[None] * len(ids[s]) for _, s in self.arrows]
+        row_images = [[None] * len(self.tables[s].vectors) for s in self.sources]
+        images = [[None] * len(ids[s]) for s in self.sources]
 
         def image(j, s, i):  # the nonzero images of subspace i of depth s under arrow j
-            mat, memo, vectors = M.mat_of(self.arrows[j][0]), row_images[j], self.tables[s].vectors
+            mat, memo, vectors = M[j], row_images[j], self.tables[s].vectors
             for r in ids[s][i]:
                 if memo[r] is None:
                     memo[r] = gf_matvec(mat, vectors[r], p)
@@ -343,31 +331,28 @@ class KingScan:
                     continue
                 gamma = [len(ids[i][chosen[i]]) for i in range(n)]
                 if any(gamma) and gamma != full:
-                    return tuple(map(gamma.__getitem__, self.out))
+                    return tuple(map(gamma.__getitem__, self.depth))
         return None
 
 
 # ---------------------------------------------------------------------------
 # destabilizers, the decision and the witness search
 
-def endomorphism_dim(quiver: Quiver, M: RepFq) -> int:
-    """dim over F_p of End(M), the kernel of (phi_v) -> (M_a phi_src - phi_tgt M_a)."""
-    dims = dict(M.dims)
-    offset, n = {}, 0
-    for v in quiver.vertices:
-        offset[v] = n
-        n += dims.get(v, 0) ** 2
+def endomorphism_dim(sizes, arrows, M, p) -> int:
+    """dim over F_p of End(M), the kernel of (phi_v) -> (M_a phi_src - phi_tgt M_a),
+    for M one matrix per (id, source, target) arrow, as random_rep draws it."""
+    offset = [0, *itertools.accumulate(d * d for d in sizes)]
     rows = []
-    for a in quiver.arrows:
-        mat, s, t = M.mat_of(a.id), dims.get(a.src, 0), dims.get(a.tgt, 0)
+    for mat, (_, src, tgt) in zip(M, arrows):
+        s, t = sizes[src], sizes[tgt]
         for i, j in itertools.product(range(t), range(s)):
-            row = [0] * n  # entry (i, j) of M_a phi_src - phi_tgt M_a
+            row = [0] * offset[-1]  # entry (i, j) of M_a phi_src - phi_tgt M_a
             for k in range(s):
-                row[offset[a.src] + k * s + j] += mat[i][k]
+                row[offset[src] + k * s + j] += mat[i][k]
             for k in range(t):
-                row[offset[a.tgt] + i * t + k] -= mat[k][j]
+                row[offset[tgt] + i * t + k] -= mat[k][j]
             rows.append(row)
-    return n - len(gf_rref(rows, M.prime))
+    return offset[-1] - len(gf_rref(rows, p))
 
 
 def structural_destabilizer(sizes, thetas, arrows):
@@ -508,44 +493,44 @@ def decide(sizes, thetas, arrows):
     return method, dest
 
 
-def find_witness(quiver: Quiver, weights: ArrowWeights, beta, theta, trials, prime, seed):
-    """(M, trial) for the first of trials seeded samples over F_p that is
-    geometrically stable (stable, with End(M) = F_p), or None.  beta is the
-    cover as its sorted ((vertex, grade), n) tuple, and the search runs on
-    its support quiver, built here.  A sample that splits as a direct sum
-    (on the wall θ̂ . dims = 0), or a thin one with every arrow nonzero,
-    needs no KingScan.  No witness is sought at zero trials, or when a
-    vertex's subspaces outnumber MAX_SUBSPACES.  check_guard is the
-    caller's: every cover of alpha has alpha's total dimension.
+def find_witness(quiver: Quiver, weights: ArrowWeights, beta, thetas, trials, prime, seed):
+    """(mats, trial) for the first of trials seeded samples over F_p that is
+    geometrically stable (stable, with End(M) = F_p), or None; mats are its
+    sorted (arrow id, rows) pairs, each id (quiver arrow id, source grade).
+    beta is the cover as its sorted ((vertex, grade), n) tuple and thetas
+    its θ̂ in point order; the search draws the covering arrows and runs on
+    positions.  A sample that splits as a direct sum (on the wall θ̂ . dims
+    = 0), or a thin one with every arrow nonzero, needs no KingScan.  No
+    witness is sought at zero trials, or when a vertex's subspaces
+    outnumber MAX_SUBSPACES.  check_guard is the caller's: every cover of
+    alpha has alpha's total dimension.
     """
     if not trials or any(subspace_count(n, prime) > MAX_SUBSPACES for _, n in beta):
         return None
-    sq, dims = support_quiver(quiver, weights, beta)
-    th = theta_hat(theta, sq.vertices)
-    pos = {v: i for i, v in enumerate(sq.vertices)}
+    sizes, arrows = [n for _, n in beta], covering_arrows(quiver, weights, [p for p, _ in beta])
     comp_key, king = repr(beta), None
-    wall = not sum(th[v] * n for v, n in dims.items())
+    wall = not sum(map(operator.mul, thetas, sizes))
     # a stable M has End(M) a finite division ring when θ̂ . dims = 0, so a
     # field F_{p^k} (Wedderburn); each M_v is an F_{p^k}-space, so k | d_v
-    scalar = math.gcd(*dims.values()) == 1 and wall
-    thin = all(n == 1 for n in dims.values())
-    ends = {a.id: 1 << pos[a.src] | 1 << pos[a.tgt] for a in sq.arrows}  # bits of its ends
+    scalar = math.gcd(*sizes) == 1 and wall
+    thin = all(n == 1 for n in sizes)
+    ends = [1 << s | 1 << t for _, s, t in arrows]  # bits of each arrow's ends
     for trial in range(trials):
         rng = random.Random("%s:%s:%d" % (seed, comp_key, trial))
-        M = random_rep(sq, dims, prime, rng)
-        links = [ends[a] for a, rows in M.mats if any(map(any, rows))]
+        M = random_rep(sizes, arrows, prime, rng)
+        links = [e for e, rows in zip(ends, M) if any(map(any, rows))]
         # on the wall, a sample whose nonzero arrows leave the support
         # disconnected is a direct sum, and one summand has θ̂ <= 0
-        if wall and not _connects(links, len(dims)):
+        if wall and not _connects(links, len(sizes)):
             continue
         # a thin sample with every arrow nonzero has the arrow-closed vertex
         # sets as its subrepresentations, and none of them destabilizes
         if not (thin and len(links) == len(ends)):
-            king = king or KingScan(sq, dims, prime, th)
+            king = king or KingScan(sizes, arrows, prime, thetas)
             if king.destabilizer(M) is not None:
                 continue
-        if scalar or endomorphism_dim(sq, M) == 1:
-            return M, trial
+        if scalar or endomorphism_dim(sizes, arrows, M, prime) == 1:
+            return tuple(sorted((a, rows) for (a, _, _), rows in zip(arrows, M))), trial
     return None
 
 

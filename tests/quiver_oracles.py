@@ -3,7 +3,7 @@
 A cover is the sorted tuple of its ((vertex, grade), n) pairs, as
 `enumerate_covers` returns it; `cover` builds one from a mapping.
 `is_cover_of` checks the column sums of a cover, `support_is_connected`
-walks its support quiver, `translate` and `canonical` pick a cover's
+walks its support quiver, built by `support_quiver_pairs`, `translate` and `canonical` pick a cover's
 representative in its translation class independently of the enumerator,
 and `weyl_canonical`, `covers_to_rho` and `rho_to_cover` pass between
 covers and diagonal torus morphism matrices.  They lived in
@@ -12,9 +12,9 @@ covers and diagonal torus morphism matrices.  They lived in
 `box_covers`, `cover_dimension` and `count_and_candidates` are the
 per-cover path: build every cover, walk each one's covering arrows for its
 dimension, then keep those of dimension >= 0.  `enumerate_covers` must
-return what they do.  `support_quiver_pairs` finds a cover's covering
-arrows by trying every pair of its points; `support_quiver` must agree,
-and `covering_pairs` reads from it the position pairs that
+return what they do.  `support_quiver_pairs` builds a cover's support
+quiver, finding its covering arrows by trying every pair of its points;
+`covering_arrows` must agree, and `covering_pairs` reads from it the position pairs that
 `enumerate_covers` gives each candidate.  `kronecker_problem` builds the
 problem file of a Kronecker quiver; it imports nothing from pytest, so the
 golden digests run without it.
@@ -23,7 +23,7 @@ golden digests run without it.
 import itertools
 
 from fixedloci.errors import ValidationError
-from fixedloci.quiver import Arrow, ArrowWeights, Quiver, positive_compositions, support_quiver
+from fixedloci.quiver import Arrow, ArrowWeights, Quiver, positive_compositions
 
 
 def cover(mapping):
@@ -58,7 +58,7 @@ def support_is_connected(quiver: Quiver, weights: ArrowWeights, beta) -> bool:
     pts = [p for p, _ in beta]
     if not pts:
         return True
-    sq, _ = support_quiver(quiver, weights, beta)
+    sq, _ = support_quiver_pairs(quiver, weights, beta)
     adj = {p: set() for p in pts}
     for a in sq.arrows:
         adj[a.src].add(a.tgt)
@@ -95,8 +95,9 @@ def box_covers(quiver: Quiver, weights: ArrowWeights, alpha, radius):
 
     out_arcs = {}
     in_arcs = {}
+    shift = dict(weights.weights)
     for a in quiver.arrows:
-        w = weights.of(a.id)
+        w = shift[str(a.id)]
         out_arcs.setdefault(quiver.vertices.index(a.src), []).append((quiver.vertices.index(a.tgt), w))
         in_arcs.setdefault(quiver.vertices.index(a.tgt), []).append((quiver.vertices.index(a.src), w))
 
@@ -166,9 +167,9 @@ def cover_dimension(quiver: Quiver, weights: ArrowWeights, beta) -> int:
     """dim of the component a nonzero cover describes, assuming a free
     quotient: (arrow-block sizes) - (sum of squares) + 1."""
     b = dict(beta)
-    blocks = 0
+    blocks, shift = 0, dict(weights.weights)
     for a in quiver.arrows:
-        w = weights.of(a.id)
+        w = shift[str(a.id)]
         for (v, chi), n in b.items():
             if v == a.src:
                 blocks += n * b.get((a.tgt, tuple(c + x for c, x in zip(chi, w))), 0)
@@ -176,12 +177,14 @@ def cover_dimension(quiver: Quiver, weights: ArrowWeights, beta) -> int:
 
 
 def support_quiver_pairs(quiver: Quiver, weights: ArrowWeights, beta):
-    """What support_quiver returns, with each covering arrow found by trying
+    """The finite quiver on the support of a cover and its {point: n} dims:
+    the points of beta in order, and an arrow ((arrow id, source grade),
+    source point, target point) for each covering arrow, found by trying
     every arrow on every pair of support points."""
-    pts = [p for p, _ in beta]
+    pts, shift = [p for p, _ in beta], dict(weights.weights)
     arrows = tuple(Arrow((a.id, p[1]), p, q) for a in quiver.arrows for p in pts for q in pts
                    if (p[0], q[0]) == (a.src, a.tgt)
-                   and q[1] == tuple(c + x for c, x in zip(p[1], weights.of(a.id))))
+                   and q[1] == tuple(c + x for c, x in zip(p[1], shift[str(a.id)])))
     return Quiver(tuple(pts), arrows), dict(beta)
 
 

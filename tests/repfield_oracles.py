@@ -21,8 +21,11 @@ s -> g, and it alone gives `ext`; `generic_destabilizer` tests every
 subvector in product order, the walk that `repfield.generic_destabilizer`
 shortens.  `subrep_dimension_vectors`
 and `is_semistable_rep` are helpers only the tests use, as are
-`build_rep`, which builds a representation from plain dicts, and
-`is_stable_rep`, King's test by a `KingScan` planned for one call.
+`RepFq`, a representation whose matrices are looked up by arrow id,
+`build_rep`, which builds one from plain dicts, `on_positions`, which
+gives a quiver, its dimensions, θ and a `RepFq` by position as `repfield`
+takes them, and `is_stable_rep`, King's test by a `KingScan` planned for
+one call.
 """
 
 import functools
@@ -30,19 +33,36 @@ import itertools
 import math
 import operator
 import random
+from dataclasses import dataclass
 
 from fixedloci.errors import TooLarge
-from fixedloci.quiver import Quiver, support_quiver, theta_hat
+from fixedloci.quiver import Quiver
 from fixedloci.repfield import (
     MAX_SUBSPACES,
     KingScan,
-    RepFq,
     check_guard,
     decide,
     endomorphism_dim,
     gf_matvec,
     subspace_count,
 )
+from quiver_oracles import support_quiver_pairs
+
+
+@dataclass(frozen=True)
+class RepFq:
+    """A representation over F_p: one matrix per arrow, shape tgt x src."""
+
+    prime: int
+    dims: tuple  # sorted (vertex, dim) pairs
+    mats: tuple  # sorted (arrow_id, rows) pairs
+
+    @functools.cached_property
+    def _mat_dict(self):
+        return dict(self.mats)
+
+    def mat_of(self, arrow_id):
+        return self._mat_dict[arrow_id]
 
 
 def theta_vec(quiver, theta):
@@ -58,11 +78,24 @@ def build_rep(prime, dims, mats):
     )
 
 
+def on_positions(quiver: Quiver, dims, theta, M=None):
+    """(sizes, arrows, thetas, mats): dims and θ by position in
+    quiver.vertices, a vertex missing from either counting as 0, the arrows
+    as (id, source, target) positions, and M's matrices in arrow order, or
+    None without M."""
+    pos = {v: i for i, v in enumerate(quiver.vertices)}
+    return (tuple(int(dims.get(v, 0)) for v in quiver.vertices),
+            tuple((a.id, pos[a.src], pos[a.tgt]) for a in quiver.arrows),
+            tuple(int(theta.get(v, 0)) for v in quiver.vertices),
+            None if M is None else tuple(M.mat_of(a.id) for a in quiver.arrows))
+
+
 def is_stable_rep(quiver: Quiver, M: RepFq, theta) -> bool:
     """King's strict inequality on proper nonzero subrepresentations, by a
     KingScan planned for this one call, after check_guard."""
     check_guard(dict(M.dims), M.prime)
-    return KingScan(quiver, dict(M.dims), M.prime, theta).destabilizer(M) is None
+    sizes, arrows, thetas, mats = on_positions(quiver, dict(M.dims), theta, M)
+    return KingScan(sizes, arrows, M.prime, thetas).destabilizer(mats) is None
 
 
 @functools.cache
@@ -186,28 +219,28 @@ def random_rep(quiver: Quiver, dims, prime, rng: random.Random) -> RepFq:
 
 def find_witness(quiver, weights, beta, theta, trials=200, prime=5, seed=0, scanned=None):
     """repfield.find_witness as it ran before the sample rules, on the
-    randrange sampler above: every sample goes through
-    KingScan.destabilizer.  It searches only where repfield.decide, given
-    the covering arrows read off the support quiver, finds the component
-    nonempty, as the CLI does.  Each scanned sample is appended to scanned,
-    when given, as (support quiver, dims, θ̂, sample)."""
-    sq, dims = support_quiver(quiver, weights, beta)
-    pos = {v: i for i, v in enumerate(sq.vertices)}
-    arrows = tuple(sorted((pos[a.src], pos[a.tgt]) for a in sq.arrows))
-    thetas = tuple(int(theta.get(v, 0)) for v, _ in sq.vertices)
-    if decide(tuple(dims[v] for v in sq.vertices), thetas, arrows)[1] is not None or \
-            any(subspace_count(d, prime) > MAX_SUBSPACES for d in dims.values()):
+    randrange sampler above and the support quiver of support_quiver_pairs:
+    every sample goes through KingScan.destabilizer.  It searches only where
+    repfield.decide, given the covering arrows read off the support quiver,
+    finds the component nonempty, as the CLI does.  Returns (M.mats, trial)
+    or None.  Each scanned sample is appended to scanned, when given, as
+    (support quiver, dims, θ̂, sample)."""
+    sq, dims = support_quiver_pairs(quiver, weights, beta)
+    th = {v: int(theta.get(v[0], 0)) for v in sq.vertices}
+    sizes, arrows, thetas, _ = on_positions(sq, dims, th)
+    if decide(sizes, thetas, tuple(sorted((s, t) for _, s, t in arrows)))[1] is not None or \
+            any(subspace_count(d, prime) > MAX_SUBSPACES for d in sizes):
         return None
-    th = theta_hat(theta, sq.vertices)
-    comp_key, king = repr(beta), KingScan(sq, dims, prime, th)
-    scalar = math.gcd(*dims.values()) == 1 and not sum(th[v] * n for v, n in dims.items())
+    comp_key, king = repr(beta), KingScan(sizes, arrows, prime, thetas)
+    scalar = math.gcd(*sizes) == 1 and not sum(map(operator.mul, thetas, sizes))
     for trial in range(trials):
         rng = random.Random("%s:%s:%d" % (seed, comp_key, trial))
         M = random_rep(sq, dims, prime, rng)
         if scanned is not None:
             scanned.append((sq, dims, th, M))
-        if king.destabilizer(M) is None and (scalar or endomorphism_dim(sq, M) == 1):
-            return M, trial
+        mats = on_positions(sq, dims, th, M)[3]
+        if king.destabilizer(mats) is None and (scalar or endomorphism_dim(sizes, arrows, mats, prime) == 1):
+            return M.mats, trial
     return None
 
 

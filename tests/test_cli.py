@@ -543,6 +543,16 @@ def test_huge_multiplicity_in_a_memory_capped_child(tmp_path, kind, flags, code,
         assert report["stable"] is True and report["support"] == json.loads(flags[1])
 
 
+def test_unknown_vertex_message_does_not_hang_on_the_hash_seed(tmp_path):
+    # string hashes are seeded per process, so set order moves from run to
+    # run; of three unknown vertices, the least is the one named
+    f = write(tmp_path, "p.json", dict(KRON3, alpha={"1": 2, "2": 3, "x": 0, "y": 0, "z": 0}))
+    for seed in ("0", "1", "2"):
+        proc = _cli_child(["quiver", f], env={"PYTHONHASHSEED": seed})
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (2, "", "validation error: alpha/theta mention unknown vertex 'x'\n"), seed
+
+
 def test_prime_guard_runs_without_candidates(tmp_path, capsys):
     # one arrow 1 -> 2 at alpha = (2, 3) has a single cover class and no
     # candidate, so no component is certified; the guard must still run

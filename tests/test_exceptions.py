@@ -10,9 +10,6 @@ from fixedloci import errors
 
 SOURCES = sorted(pathlib.Path(fixedloci.__file__).parent.glob("*.py"))
 ALLOWED = {"ValidationError", "TooLarge", "AssertionError"}
-# (module, enclosing function, exception) of each raise outside the rule:
-# ArrowWeights.of fails a lookup as a mapping does
-EXEMPT = {("quiver.py", "ArrowWeights.of", "KeyError")}
 
 
 def _raises(path):
@@ -37,9 +34,8 @@ def _raises(path):
 def test_library_raises_only_the_exit_code_classes():
     assert len(SOURCES) > 5
     seen = {(p.name, where, name) for p in SOURCES for _, where, name in _raises(p)}
-    bad = sorted(r for r in seen - EXEMPT if r[2] not in ALLOWED)
+    bad = sorted(r for r in seen if r[2] not in ALLOWED)
     assert bad == []
-    assert EXEMPT <= seen  # no stale exemption
     assert {name for _, _, name in seen} >= ALLOWED
 
 

@@ -6,7 +6,9 @@ files (g_rank 0-4) run with `--support` and `--inner-product` flags, and
 for 60 seeded toric files (g_rank 0-3, with multiplicities, one in three
 with a section) in json and dot format, for 38 seeded quiver files and
 seven Kronecker quivers in json format, for 300 seeded files that break the
-problem schema in one place, and for 100 out-of-range or ill-shaped flags.
+problem schema in one place, for one quiver file whose alpha names three
+unknown vertices, so that the one named may not hang on the hash seed, and
+for 100 out-of-range or ill-shaped flags.
 GOLDEN_HIGH_RANK pins 24 more seeded kempf files of rank 5 and 6, whose
 limit cones have up to 32 generators, so the projection onto the limit
 cone is held to its exact answer where it is most costly.
@@ -401,6 +403,10 @@ def _cases(tmp):
         command = KIND_TO_COMMAND.get(data.get("kind") if isinstance(data, dict) else None,
                                       ("toric", "quiver", "grassmann", "kempf")[seed % 4])
         yield "invalid:%d" % seed, [command, path]
+    path = os.path.join(tmp, "unknown_vertices.json")
+    with open(path, "w") as fh:
+        json.dump(dict(kronecker_problem(1, 1, 1), alpha={"1": 1, "2": 1, "x": 0, "y": 0, "z": 0}), fh)
+    yield "invalid:unknown-vertices", ["quiver", path]
     for seed in range(100):
         command, data, flags = _invalid_flags(seed)
         path = os.path.join(tmp, "invalid_flag_%d.json" % seed)
@@ -985,6 +991,7 @@ GOLDEN = {
     'invalid:297': '2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 a0f5c0fa598fea834ea48b024451eed0997f52427782272ddf17079e8fa45c9b',
     'invalid:298': '0 dad89d732760509f1b40dd9d7150e00fb84b17223a3ea47ba2563f5956a09ab0 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
     'invalid:299': '2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 4d3d8e89e5647ab1bfb4a16c944ccdfff678092e1476e525bb1085818da1cfff',
+    'invalid:unknown-vertices': '2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 9c137bbea2cd599438eda2ea8abe1b6a1832947554bb2b30f554a1646d45cdcc',
     'invalid-flag:0': '2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 f7e175d10da92e0bf579ff5f83c29b6b2829bfbe7f83468d82b80f6807de5c04',
     'invalid-flag:1': '2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 ceed7794b8ee86ce407057b807a902e94f6d7bf975ee30400b7b6539e783368f',
     'invalid-flag:2': '2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 26fb7fdca0bb276a1ac911bd54f6e41e8311e2752c92e0ad984af5793b7d03e0',

@@ -10,10 +10,9 @@ from fixedloci.quiver import (
     ArrowWeights,
     Quiver,
     check_stability_pairing,
+    covering_arrows,
     default_window_radius,
     enumerate_covers,
-    support_quiver,
-    theta_hat,
 )
 from quiver_oracles import (
     box_covers,
@@ -104,7 +103,7 @@ def _union_find_connected(Q, W, beta):
         return x
 
     for a in Q.arrows:
-        w = W.of(a.id)
+        w = dict(W.weights)[a.id]
         for (v, chi) in pts:
             if v != a.src:
                 continue
@@ -127,17 +126,6 @@ def test_canonical_translate_idempotent_and_invariant():
             for _ in range(3):
                 xi = tuple(rng.randint(-4, 4) for _ in range(W.aux_rank))
                 assert canonical(translate(c, xi)) == c
-
-
-def test_theta_hat():
-    Q, W, alpha, theta = kronecker3()
-    _, cands = enumerate_covers(Q, W, alpha, 2)
-    for c, _, _ in cands[:10]:
-        th = theta_hat(theta, [p for p, _ in c])
-        assert sum(th[k] * n for k, n in c) == 0
-        for (v, chi), val in th.items():
-            assert val == theta[v]
-    assert theta_hat({"1": 0, "2": 0}, [("1", (0,))]) == {("1", (0,)): 0}
 
 
 def test_stability_pairing_guard():
@@ -324,12 +312,12 @@ def test_enumerate_covers_matches_box_oracle_random_quivers():
     seen = collections.Counter()
     for _ in range(400):
         Q, W, alpha, radius = _random_quiver(rng)
-        got = enumerate_covers(Q, W, alpha, radius)
+        got, shift = enumerate_covers(Q, W, alpha, radius), dict(W.weights)
         assert got == _box_oracle(Q, W, alpha, radius)
         for c, _, arrows in got[1]:
             # the shifts of the quiver arrows that can make each covering arrow
             steps = [x for i, j in arrows for a in Q.arrows if (a.src, a.tgt) == (c[i][0][0], c[j][0][0])
-                     and tuple(map(sum, zip(c[i][0][1], W.of(a.id)))) == c[j][0][1] for x in W.of(a.id)]
+                     and tuple(map(sum, zip(c[i][0][1], shift[a.id]))) == c[j][0][1] for x in shift[a.id]]
             seen["loop"] += any(i == j for i, j in arrows)
             seen["2-cycle"] += any((j, i) in arrows for i, j in arrows if i != j)
             seen["negative shift"] += any(x < 0 for x in steps)
@@ -338,16 +326,20 @@ def test_enumerate_covers_matches_box_oracle_random_quivers():
 
 
 def test_support_quiver_matches_pairwise_oracle():
-    """The support quiver of every cover in the window of seeded graded
-    quivers: the same points, and the same covering arrows in the same
-    order, as trying every arrow on every pair of points finds."""
+    """The covering arrows of every cover in the window of seeded graded
+    quivers: the same arrows, by position in the cover, in the same order,
+    as the support quiver that trying every arrow on every pair of points
+    builds."""
     rng = random.Random(103)
     seen = collections.Counter()
     for _ in range(300):
         Q, W, alpha, radius = _random_quiver(rng)
         covers = box_covers(Q, W, alpha, radius)
         for c in covers:
-            assert support_quiver(Q, W, c) == support_quiver_pairs(Q, W, c), (Q, W, c)
+            sq, _ = support_quiver_pairs(Q, W, c)
+            pos = {p: i for i, p in enumerate(sq.vertices)}
+            want = [(a.id, pos[a.src], pos[a.tgt]) for a in sq.arrows]
+            assert covering_arrows(Q, W, [p for p, _ in c]) == want, (Q, W, c)
         if any(len(c) > 1 for c in covers):
             seen["aux %d" % W.aux_rank] += 1
             seen["loop"] += any(a.src == a.tgt for a in Q.arrows)

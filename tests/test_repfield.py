@@ -10,17 +10,16 @@ import time
 import pytest
 
 from conftest import kronecker3
-from fixedloci.cli import _quiver_from_data, _quiver_report, _witness_json, main
+from fixedloci.cli import _quiver_from_data, _quiver_report, main
 from fixedloci.errors import TooLarge, ValidationError
 from fixedloci.hmtorus import WeightItem, WeightedAction, is_stable_support
 from fixedloci.quiver import (
     Arrow,
     ArrowWeights,
     Quiver,
+    covering_arrows,
     default_window_radius,
     enumerate_covers,
-    support_quiver,
-    theta_hat,
 )
 from fixedloci.repfield import (
     GenericSubdims,
@@ -38,9 +37,10 @@ from fixedloci.repfield import (
     subspace_count,
     subspace_table,
 )
-from quiver_oracles import box_covers, cover, covering_pairs, kronecker_problem
+from quiver_oracles import box_covers, cover, covering_pairs, kronecker_problem, support_quiver_pairs
 from repfield_oracles import GenericSubdims as OracleGenericSubdims
-from repfield_oracles import build_rep, gf_in_span, is_semistable_rep, is_stable_rep, subrep_dimension_vectors, subspaces
+from repfield_oracles import (build_rep, gf_in_span, is_semistable_rep, is_stable_rep, on_positions,
+                              subrep_dimension_vectors, subspaces)
 from repfield_oracles import _iter_subrep_dimvectors as oracle_iter_subrep_dimvectors
 from repfield_oracles import closed_prefix_subrep_dimvectors as oracle_closed_prefix_subrep_dimvectors
 from repfield_oracles import find_witness as oracle_find_witness
@@ -124,7 +124,7 @@ def test_stable_implies_semistable_random():
     Q, _W, alpha, theta = kronecker3()
     rng = random.Random(79)
     for _ in range(20):
-        M = random_rep(Q, alpha, 5, rng)
+        M = oracle_random_rep(Q, alpha, 5, rng)
         if is_stable_rep(Q, M, theta):
             assert is_semistable_rep(Q, M, theta)
 
@@ -168,12 +168,28 @@ def _on_support(test, Q, dims, theta):
     return None if dest is None else {supp[i]: n for i, n in dest}
 
 
+def _hat(beta, theta):
+    """θ̂ of a cover in point order, as the CLI passes it."""
+    return tuple(int(theta.get(v, 0)) for (v, _), _ in beta)
+
+
+def _support(Q, W, beta, theta):
+    """(support quiver, dims, θ̂ by point) of a cover, from the pairwise oracle."""
+    sq, dims = support_quiver_pairs(Q, W, beta)
+    return sq, dims, {pt: int(theta.get(pt[0], 0)) for pt in sq.vertices}
+
+
+def _end_dim(Q, M):
+    """endomorphism_dim of a RepFq of Q."""
+    sizes, arrows, _, mats = on_positions(Q, dict(M.dims), {}, M)
+    return endomorphism_dim(sizes, arrows, mats, M.prime)
+
+
 def _decide(beta, arrows, theta):
     """decide on a cover given as its sorted ((vertex, grade), n) tuple, its
     covering arrows and θ, with the destabilizer mapped back to the
     cover's own points, as the CLI maps it."""
-    method, dest = decide(tuple(n for _, n in beta), tuple(int(theta.get(v, 0)) for (v, _), _ in beta),
-                          tuple(sorted(arrows)))
+    method, dest = decide(tuple(n for _, n in beta), _hat(beta, theta), tuple(sorted(arrows)))
     return method, None if dest is None else tuple((beta[i][0], n) for i, n in dest)
 
 
@@ -183,7 +199,7 @@ def test_certify_simple_vertex():
     beta = cover({("1", (0,)): 1})
     theta = {"1": 0, "2": 0}
     assert _decide(beta, (), theta)[1] is None
-    assert find_witness(Q, W, beta, theta, 5, 5, 0) is not None
+    assert find_witness(Q, W, beta, _hat(beta, theta), 5, 5, 0) is not None
 
 
 def test_certify_structural_empty_abcb():
@@ -214,7 +230,7 @@ def test_certify_nonempty_type2():
         ("2", tuple(b - a + c for b, a, c in zip(eb, ea, ec))): 1,
     })
     assert _decide(beta, covering_pairs(Q, W, beta), theta)[1] is None
-    assert find_witness(Q, W, beta, theta, 200, 5, 0) is not None
+    assert find_witness(Q, W, beta, _hat(beta, theta), 200, 5, 0) is not None
 
 
 def test_cross_module_consistency_with_torus_stability():
@@ -225,8 +241,7 @@ def test_cross_module_consistency_with_torus_stability():
     rng = random.Random(83)
     checked = 0
     for beta in covers[:8]:
-        sq, dims = support_quiver(Q, W, beta)
-        th = theta_hat(theta, sq.vertices)
+        sq, dims, th = _support(Q, W, beta, theta)
         pts = list(sq.vertices)
         n = len(pts)
         # basis of the rank-(n-1) character lattice: y_i - y_n
@@ -266,8 +281,7 @@ def test_structural_destabilizer_soundness():
     flagged = 0
     # every cover, not only the candidates
     for beta in box_covers(Q, W, alpha, 2):
-        sq, dims = support_quiver(Q, W, beta)
-        th = theta_hat(theta, sq.vertices)
+        sq, dims, th = _support(Q, W, beta, theta)
         if sum(dims.values()) > 8:
             continue
         dest = _on_support(structural_destabilizer, sq, dims, th)
@@ -275,7 +289,7 @@ def test_structural_destabilizer_soundness():
             continue
         flagged += 1
         for _ in range(5):
-            M = random_rep(sq, dims, 5, rng)
+            M = oracle_random_rep(sq, dims, 5, rng)
             assert not is_stable_rep(sq, M, th)
     assert flagged >= 6
 
@@ -382,14 +396,13 @@ def _sampler_certify(Q, W, beta, theta, trials=200, prime=5, seed=0):
     geometrically stable witness (stable, with End(M) = F_p), None when the
     trials find neither.
     """
-    sq, dims = support_quiver(Q, W, beta)
-    th = theta_hat(theta, sq.vertices)
+    sq, dims, th = _support(Q, W, beta, theta)
     if _on_support(structural_destabilizer, sq, dims, th) is not None:
         return "EmptyVerified"
     for trial in range(trials):
         rng = random.Random("%s:%s:%d" % (seed, repr(beta), trial))
-        M = random_rep(sq, dims, prime, rng)
-        if is_stable_rep(sq, M, th) and endomorphism_dim(sq, M) == 1:
+        M = oracle_random_rep(sq, dims, prime, rng)
+        if is_stable_rep(sq, M, th) and _end_dim(sq, M) == 1:
             return "NonemptyVerified"
     return None
 
@@ -487,11 +500,11 @@ def test_cyclic_supports_are_exact():
     # with a second arrow 1 -> 2 the general representation is stable
     Q, W, beta, arrows, theta = _two_cycle({"1": 1, "2": 2}, {"1": -2, "2": 1}, True)
     assert _decide(beta, arrows, theta) == ("schofield", None)
-    assert find_witness(Q, W, beta, theta, 200, 5, 0) is not None
+    assert find_witness(Q, W, beta, _hat(beta, theta), 200, 5, 0) is not None
     # a thin cover stays structural
     Q, W, beta, arrows, theta = _two_cycle({"1": 1, "2": 1}, {"1": 1, "2": -1})
     assert _decide(beta, arrows, theta) == ("structural", None)
-    assert find_witness(Q, W, beta, theta, 0, 5, 0) is None
+    assert find_witness(Q, W, beta, _hat(beta, theta), 0, 5, 0) is None
 
 
 def test_witness_has_trivial_endomorphisms():
@@ -503,15 +516,14 @@ def test_witness_has_trivial_endomorphisms():
     Q = Quiver(("1",), loops)
     W = ArrowWeights.from_dict(1, {x.id: (0,) for x in loops})
     beta = cover({("1", (0,)): 2})
-    sq, dims = support_quiver(Q, W, beta)
-    th = theta_hat({"1": 0}, sq.vertices)
+    sq, dims, th = _support(Q, W, beta, {"1": 0})
     assert _decide(beta, ((0, 0), (0, 0)), {"1": 0}) == ("schofield", None)
     skipped = 0
     for prime in (2, 3, 5):
         for seed in range(100):
-            found = find_witness(Q, W, beta, {"1": 0}, 40, prime, seed)
-            assert found is not None and endomorphism_dim(sq, found[0]) == 1
-            earlier = (random_rep(sq, dims, prime, random.Random("%s:%s:%d" % (seed, repr(beta), t)))
+            found = find_witness(Q, W, beta, (0,), 40, prime, seed)
+            assert found is not None and _end_dim(sq, build_rep(prime, dims, dict(found[0]))) == 1
+            earlier = (oracle_random_rep(sq, dims, prime, random.Random("%s:%s:%d" % (seed, repr(beta), t)))
                        for t in range(found[1]))
             skipped += any(is_stable_rep(sq, M, th) for M in earlier)
     assert skipped >= 10, skipped
@@ -529,24 +541,26 @@ def test_end_check_runs_when_the_dimensions_share_a_factor(monkeypatch):
     Q = Quiver(("1", "2"), tuple(Arrow(x, "1", "2") for x in mats))
     theta = {"1": -1, "2": 1}
     M = build_rep(5, {"1": 2, "2": 2}, mats)
-    assert KingScan(Q, {"1": 2, "2": 2}, 5, theta).destabilizer(M) is None
-    assert endomorphism_dim(Q, M) == 2
+    sizes, arrows, thetas, positional = on_positions(Q, dict(M.dims), theta, M)
+    assert KingScan(sizes, arrows, 5, thetas).destabilizer(positional) is None
+    assert endomorphism_dim(sizes, arrows, positional, 5) == 2
 
-    def m_first(quiver, dims, prime, rng):
+    def m_first(sizes, arrows, prime, rng):
         if not served:
-            served.append(build_rep(prime, dims, {x.id: mats[x.id[0]] for x in quiver.arrows}))
+            served.append(tuple(mats[a] for (a, _), _, _ in arrows))
             return served[0]
-        return random_rep(quiver, dims, prime, rng)
+        return random_rep(sizes, arrows, prime, rng)
 
     served = []
     monkeypatch.setattr("fixedloci.repfield.random_rep", m_first)
     W, beta = ArrowWeights.from_dict(0, {x: () for x in mats}), cover({("1", ()): 2, ("2", ()): 2})
     assert _decide(beta, ((0, 1),) * 3, theta) == ("schofield", None)
-    witness, trial = find_witness(Q, W, beta, theta, 200, 5, 0)
-    sq = support_quiver(Q, W, beta)[0]
-    assert is_stable_rep(sq, served[0], theta_hat(theta, sq.vertices))
-    assert witness != served[0] and trial > 0
-    assert endomorphism_dim(sq, witness) == 1
+    witness, trial = find_witness(Q, W, beta, _hat(beta, theta), 200, 5, 0)
+    sq, dims, th = _support(Q, W, beta, theta)
+    first = build_rep(5, dims, {a.id: m for a, m in zip(sq.arrows, served[0])})
+    assert is_stable_rep(sq, first, th)
+    assert witness != first.mats and trial > 0
+    assert _end_dim(sq, build_rep(5, dims, dict(witness))) == 1
 
 
 def test_stable_samples_with_coprime_dimensions_have_scalar_endomorphisms():
@@ -565,11 +579,12 @@ def test_stable_samples_with_coprime_dimensions_have_scalar_endomorphisms():
         raw = {v: rng.randint(-3, 3) for v in Q.vertices}
         pairing = sum(raw[v] * dims[v] for v in Q.vertices)
         theta = {v: sum(dims.values()) * raw[v] - pairing for v in Q.vertices}
-        king = KingScan(Q, dims, p, theta)
+        sizes, arrows, thetas, _ = on_positions(Q, dims, theta)
+        king = KingScan(sizes, arrows, p, thetas)
         for _ in range(4):
-            M = random_rep(Q, dims, p, rng)
+            M = random_rep(sizes, arrows, p, rng)
             if king.destabilizer(M) is None:
-                end = endomorphism_dim(Q, M)
+                end = endomorphism_dim(sizes, arrows, M, p)
                 if math.gcd(*dims.values()) == 1:
                     assert end == 1, (Q, M, theta)
                     seen["coprime"] += 1
@@ -587,8 +602,7 @@ def _undecided_supports(data, window):
     Q, W, alpha, theta = _quiver_from_data(data)
     radius = default_window_radius(alpha, W) if window is None else window
     for c, _, _ in enumerate_covers(Q, W, alpha, radius)[1]:
-        sq, dims = support_quiver(Q, W, c)
-        th = theta_hat(theta, sq.vertices)
+        sq, dims, th = _support(Q, W, c, theta)
         if any(n != 1 for n in dims.values()) and _on_support(structural_destabilizer, sq, dims, th) is None:
             yield sq, dims, th
 
@@ -627,20 +641,20 @@ def test_endomorphism_dim_examples():
         return build_rep(5, dims, mats)
 
     # End of one matrix is its commutant: F_5[M] when M is cyclic
-    assert endomorphism_dim(loop, rep({"1": 2}, {"a": ((4, 2), (4, 4))})) == 2
-    assert endomorphism_dim(loop, rep({"1": 2}, {"a": ((0, 0), (0, 0))})) == 4
-    assert endomorphism_dim(loop, rep({"1": 3}, {"a": ((1, 0, 0), (0, 1, 0), (0, 0, 2))})) == 5
+    assert _end_dim(loop, rep({"1": 2}, {"a": ((4, 2), (4, 4))})) == 2
+    assert _end_dim(loop, rep({"1": 2}, {"a": ((0, 0), (0, 0))})) == 4
+    assert _end_dim(loop, rep({"1": 3}, {"a": ((1, 0, 0), (0, 1, 0), (0, 0, 2))})) == 5
     two = Quiver(("1",), (Arrow("a", "1", "1"), Arrow("b", "1", "1")))
-    assert endomorphism_dim(two, rep({"1": 2}, {"a": ((1, 0), (0, 2)), "b": ((1, 1), (1, 1))})) == 1
+    assert _end_dim(two, rep({"1": 2}, {"a": ((1, 0), (0, 2)), "b": ((1, 1), (1, 1))})) == 1
     A2 = Quiver(("1", "2"), (Arrow("a", "1", "2"),))
-    assert endomorphism_dim(A2, rep({"1": 1, "2": 1}, {"a": ((3,),)})) == 1
-    assert endomorphism_dim(A2, rep({"1": 1, "2": 1}, {"a": ((0,),)})) == 2
+    assert _end_dim(A2, rep({"1": 1, "2": 1}, {"a": ((3,),)})) == 1
+    assert _end_dim(A2, rep({"1": 1, "2": 1}, {"a": ((0,),)})) == 2
     # K3 at (1, 2) with three maps spanning F_5^2 is a brick; a vertex with
     # no arrows contributes its full matrix algebra
     Q, _W, _alpha, _theta = kronecker3()
     M = rep({"1": 1, "2": 2}, {"a": ((1,), (0,)), "b": ((0,), (1,)), "c": ((1,), (1,))})
-    assert endomorphism_dim(Q, M) == 1
-    assert endomorphism_dim(Quiver(("1",), ()), rep({"1": 3}, {})) == 9
+    assert _end_dim(Q, M) == 1
+    assert _end_dim(Quiver(("1",), ()), rep({"1": 3}, {})) == 9
 
 
 def test_generic_destabilizer_examples():
@@ -702,8 +716,8 @@ def test_pruned_scan_matches_product_oracle():
     """The first destabilizer the scan returns is a proper nonzero
     subrepresentation dimension vector with θ <= 0, and it returns None
     exactly when the product scan finds none.  Each case runs with a random
-    θ and with that θ moved onto the wall θ·β = 0, as theta_hat gives it on
-    a cover, where the θ bound cuts most."""
+    θ and with that θ moved onto the wall θ·β = 0, as θ̂ is on a cover,
+    where the θ bound cuts most."""
     rng = random.Random(101)
     seen = collections.Counter()
     for _ in range(2000):
@@ -716,7 +730,8 @@ def test_pruned_scan_matches_product_oracle():
         on_wall = {v: sum(dims.values()) * theta[v] - pairing for v in Q.vertices}
         for kind, th in (("random", theta), ("wall", on_wall)):
             want = {g for g in subreps if sum(th[v] * x for v, x in zip(Q.vertices, g)) <= 0}
-            got = KingScan(Q, dims, M.prime, th).destabilizer(M)
+            sizes, arrows, thetas, mats = on_positions(Q, dims, th, M)
+            got = KingScan(sizes, arrows, M.prime, thetas).destabilizer(mats)
             assert (got in want) if want else got is None, (Q, M, th, got)
             assert is_stable_rep(Q, M, th) == (got is None)
             seen[kind, got is None] += 1
@@ -729,7 +744,7 @@ def test_pruned_scan_matches_product_oracle():
         seen["total 8"] += sum(dims.values()) == 8
         seen[M.prime] += 1
     assert min(seen.values()) >= 50, seen
-    assert KingScan(Quiver((), ()), {}, 5, {}).destabilizer(build_rep(5, {}, {})) is None
+    assert KingScan((), (), 5, ()).destabilizer(()) is None
 
 
 def _random_shape(rng):
@@ -779,7 +794,8 @@ def test_sample_rules_agree_with_king_scan():
                        for _ in range(dims[a.tgt])] for a in Q.arrows}
         M = build_rep(p, dims, mats)
         nonzero = [a for a in Q.arrows if any(map(any, M.mat_of(a.id)))]
-        got = KingScan(Q, dims, p, theta).destabilizer(M)
+        sizes, arrows, thetas, positional = on_positions(Q, dims, theta, M)
+        got = KingScan(sizes, arrows, p, thetas).destabilizer(positional)
         if wall and not _connected(Q, nonzero):
             assert got is not None, (Q, M, theta)
             seen["split", thin, p] += 1
@@ -819,7 +835,7 @@ def test_certify_component_matches_the_scan_every_sample_oracle():
         trials = rng.choice((1, 3, 30))
         want = oracle_find_witness(Q, W, beta, theta, trials=trials, prime=p, seed=7)
         nonempty = _decide(beta, arrows, theta)[1] is None
-        got = find_witness(Q, W, beta, theta, trials, p, 7) if nonempty else None
+        got = find_witness(Q, W, beta, _hat(beta, theta), trials, p, 7) if nonempty else None
         assert got == want, (Q, beta, theta)
         wall = not sum(theta.get(v, 0) * n for (v, _), n in beta)
         seen[nonempty, want is not None, wall] += 1
@@ -832,7 +848,8 @@ def test_king_scan_bound_edges():
     Q = Quiver(("1",), (Arrow("a", "1", "1"),))
     M = build_rep(5, {"1": 2}, {"a": [[0, 2], [1, 0]]})
     assert subrep_dimension_vectors(Q, M) == {(0,), (2,)}
-    assert KingScan(Q, {"1": 2}, 5, {"1": 0}).destabilizer(M) is None
+    sizes, arrows, thetas, mats = on_positions(Q, {"1": 2}, {"1": 0}, M)
+    assert KingScan(sizes, arrows, 5, thetas).destabilizer(mats) is None
     # the scan takes vertex 1 first; its only destabilizer, (1, 1), has
     # θ-weight 1 > 0 there and is decided by θ_2 = -2 at the last vertex
     Q = Quiver(("1", "2"), (Arrow("a", "2", "1"),))
@@ -840,7 +857,8 @@ def test_king_scan_bound_edges():
     theta = {"1": 1, "2": -2}
     assert {g for g in subrep_dimension_vectors(Q, M) - {(0, 0), (2, 1)}
             if g[0] - 2 * g[1] <= 0} == {(1, 1)}
-    assert KingScan(Q, {"1": 2, "2": 1}, 5, theta).destabilizer(M) == (1, 1)
+    sizes, arrows, thetas, mats = on_positions(Q, {"1": 2, "2": 1}, theta, M)
+    assert KingScan(sizes, arrows, 5, thetas).destabilizer(mats) == (1, 1)
     assert not is_stable_rep(Q, M, theta)
 
 
@@ -907,10 +925,10 @@ def test_king_scan_checks_only_closed_prefixes(monkeypatch, tmp_path):
     monkeypatch.setattr("fixedloci.repfield.gf_member", counted(gf_member))
     for drawn in samples:
         if drawn:
-            sq, dims, th, _ = drawn[0]
-            king = KingScan(sq, dims, 5, th)
-            for *_, M in drawn:
-                king.destabilizer(M)
+            sizes, arrows, thetas, _ = on_positions(*drawn[0][:3])
+            king = KingScan(sizes, arrows, 5, thetas)
+            for sq, dims, th, M in drawn:
+                king.destabilizer(on_positions(sq, dims, th, M)[3])
     counts = [len(calls)]
     monkeypatch.setattr("repfield_oracles.gf_in_span", counted(gf_in_span))
     for scan in (oracle_closed_prefix_subrep_dimvectors, oracle_iter_subrep_dimvectors):
@@ -944,7 +962,7 @@ def test_witness_search_skips_tables_above_the_cap():
         beta = cover({("1", ()): 1, ("2", ()): b})
         start = time.perf_counter()
         decided = _decide(beta, ((0, 1),) * n, {"1": -b, "2": 1})
-        found = find_witness(Q, W, beta, {"1": -b, "2": 1}, 200, 5, 0)
+        found = find_witness(Q, W, beta, (-b, 1), 200, 5, 0)
         assert time.perf_counter() - start < 10
         assert decided == ("schofield", None)
         assert (found is not None, found and found[1]) == ((True, 0) if witnessed else (False, None))
@@ -1003,16 +1021,18 @@ def _fresh(Q, W, cands, theta, prime, trials, seed):
     out = []
     for c, _, arrows in cands:
         method, dest = _decide(c, arrows, theta)
-        found = find_witness(Q, W, c, theta, trials, prime, seed) if dest is None else None
+        found = find_witness(Q, W, c, _hat(c, theta), trials, prime, seed) if dest is None else None
+        witness = found and {"prime": prime, "dims": [[[v, list(chi)], n] for (v, chi), n in c],
+                             "mats": [[[a, list(chi)], [list(r) for r in m]] for (a, chi), m in found[0]]}
         out.append({"status": "NonemptyVerified" if dest is None else "EmptyVerified", "method": method,
                     "destabilizer": None if dest is None else [[[v, list(chi)], n] for (v, chi), n in dest],
-                    "witness": found and _witness_json(found[0]), "witness_trial": found and found[1]})
+                    "witness": witness, "witness_trial": found and found[1]})
     return out
 
 
 def _shape(Q, W, beta, theta):
     """The memo key of a cover: dims and θ̂ in support order, arrows by position."""
-    sq, dims = support_quiver(Q, W, beta)
+    sq, dims = support_quiver_pairs(Q, W, beta)
     pos = {v: i for i, v in enumerate(sq.vertices)}
     return (tuple(dims[v] for v in sq.vertices), tuple(theta.get(v, 0) for v, _ in sq.vertices),
             tuple(sorted((pos[a.src], pos[a.tgt]) for a in sq.arrows)))
@@ -1093,8 +1113,8 @@ def test_structural_test_runs_once_per_shape_per_report(monkeypatch):
 
 def test_random_rep_draws_as_randrange():
     """random_rep, which draws getrandbits(k) and redraws at or above p,
-    against the sampler that called randrange(p) per entry: the same RepFq
-    from the same seed, and the generator left in the same state, on seeded
+    against the sampler that called randrange(p) per entry: the same
+    matrices from the same seed, and the generator left in the same state, on seeded
     acyclic and cyclic quivers (loops and parallel arrows included) with
     dimensions 1 to 4 over F_2, F_3, F_5 and F_7."""
     rng = random.Random(131)
@@ -1104,7 +1124,9 @@ def test_random_rep_draws_as_randrange():
         dims = {v: rng.randint(1, 4) for v in Q.vertices}
         p = (2, 3, 5, 7)[k % 4]
         ours, theirs = random.Random("%d:%d" % (p, k)), random.Random("%d:%d" % (p, k))
-        assert random_rep(Q, dims, p, ours) == oracle_random_rep(Q, dims, p, theirs), (Q, dims, p)
+        sizes, arrows, _, _ = on_positions(Q, dims, {})
+        want = on_positions(Q, dims, {}, oracle_random_rep(Q, dims, p, theirs))[3]
+        assert random_rep(sizes, arrows, p, ours) == want, (Q, dims, p)
         assert ours.getstate() == theirs.getstate()
         ends = [(a.src, a.tgt) for a in Q.arrows]
         seen[p] += 1
@@ -1114,10 +1136,10 @@ def test_random_rep_draws_as_randrange():
 
 
 def test_support_quivers_only_for_witness_searches(monkeypatch):
-    """A K3(3,4) report at window 2 builds a support quiver for each of its
-    65 nonempty covers, all of whose witness searches run, and none for its
-    93 empty ones, which are decided on their carried arrows; at --trials 0
-    it builds none.  check_guard runs once per report."""
+    """A K3(3,4) report at window 2 draws the covering arrows of each of its
+    65 nonempty covers, all of whose witness searches run, and of none of
+    its 93 empty ones, which are decided on their carried arrows; at
+    --trials 0 it draws none.  check_guard runs once per report."""
     calls = collections.Counter()
 
     def counted(name, f):
@@ -1126,12 +1148,12 @@ def test_support_quivers_only_for_witness_searches(monkeypatch):
             return f(*args)
         return call
 
-    monkeypatch.setattr("fixedloci.repfield.support_quiver", counted("support_quiver", support_quiver))
+    monkeypatch.setattr("fixedloci.repfield.covering_arrows", counted("covering_arrows", covering_arrows))
     for module in ("fixedloci.repfield", "fixedloci.cli"):
         monkeypatch.setattr(module + ".check_guard", counted("check_guard", check_guard))
     seen = []
     for trials in (200, 0):
         calls.clear()
         report = _quiver_report(kronecker_problem(3, 3, 4), None, None, trials, 2)
-        seen.append((calls["support_quiver"], calls["check_guard"], report["counts"]["nonempty_verified"]))
+        seen.append((calls["covering_arrows"], calls["check_guard"], report["counts"]["nonempty_verified"]))
     assert seen == [(65, 1, 65), (0, 1, 65)]
