@@ -27,15 +27,8 @@ from . import __version__
 from .errors import TooLarge, ValidationError
 from .grassmann import MAX_REPORT_CELLS, GrassmannProblem, classify
 from .hmtorus import WeightItem, WeightedAction, kempf_data
-from .quiver import (
-    Arrow,
-    ArrowWeights,
-    Quiver,
-    check_stability_pairing,
-    covering_arrows,
-    default_window_radius,
-    enumerate_covers,
-)
+from .quiver import (Arrow, Quiver, check_stability_pairing, covering_arrows, default_window_radius,
+                     enumerate_covers)
 from .repfield import check_guard, decide, find_witness
 from .toric import fixed_points_toric, quotient_fan, toric_context
 
@@ -230,27 +223,32 @@ def _action_from_data(data, key):
 
 
 def _quiver_from_data(data):
-    Q = Quiver(
-        tuple(data["vertices"]),
-        tuple(Arrow(a["id"], a["src"], a["tgt"]) for a in data["arrows"]),
-    )
+    """(quiver, alpha, theta) of a quiver file.  Without arrow_weights the
+    arrows take the full grading; a file's own grading is checked after the
+    quiver, the vertices of alpha and theta, and their pairing."""
+    arrows = [(a["id"], a["src"], a["tgt"]) for a in data["arrows"]]
+    graded = data.get("arrow_weights")
+    if graded is None:
+        Q = Quiver.full(data["vertices"], arrows)
+    else:
+        # an arrow the file leaves out holds the shift None until the check below refuses it
+        shift = {k: tuple(int(x) for x in w) for k, w in graded["weights"].items()}
+        Q = Quiver(data["vertices"], tuple(Arrow(*a, shift.get(a[0])) for a in arrows),
+                   int(graded["aux_rank"]))
     alpha = {v: int(n) for v, n in data["alpha"].items()}
     theta = {v: int(n) for v, n in data["theta"].items()}
     unknown = sorted((set(alpha) | set(theta)) - set(Q.vertices))
     if unknown:
         raise ValidationError("alpha/theta mention unknown vertex %r" % unknown[0])
     check_stability_pairing(theta, alpha)
-    if "arrow_weights" in data:
-        W = ArrowWeights.from_dict(
-            int(data["arrow_weights"]["aux_rank"]), data["arrow_weights"]["weights"]
-        )
-        known = {a.id for a in Q.arrows}
-        given = {k for k, _ in W.weights}
-        if known != given:
-            raise ValidationError("arrow_weights must grade exactly the arrows: %s" % sorted(known ^ given))
-    else:
-        W = ArrowWeights.full(Q)
-    return Q, W, alpha, theta
+    if graded is not None:
+        for _, w in sorted(shift.items()):
+            if len(w) != Q.aux_rank:
+                raise ValidationError("arrow weight %r has wrong rank" % (w,))
+        odd = sorted(shift.keys() ^ {a.id for a in Q.arrows})
+        if odd:
+            raise ValidationError("arrow_weights must grade exactly the arrows: %s" % odd)
+    return Q, alpha, theta
 
 
 # ---------------------------------------------------------------------------
@@ -314,25 +312,26 @@ def _point_json(point):
 
 
 def _quiver_report(data, seed, prime, trials, window):
-    Q, W, alpha, theta = _quiver_from_data(data)
+    Q, alpha, theta = _quiver_from_data(data)
     opts = data.get("options", {})
     seed = seed if seed is not None else int(opts.get("seed", 0))
     prime = prime if prime is not None else int(opts.get("prime", 5))
     trials = trials if trials is not None else int(opts.get("trials", 200))
     radius = window if window is not None else opts.get("window")
     if radius is None:
-        radius = default_window_radius(alpha, W)
+        radius = default_window_radius(alpha, Q)
     check_guard(alpha, prime)  # every cover of alpha has its total dimension
-    classes, cands = enumerate_covers(Q, W, alpha, radius)
+    classes, cands = enumerate_covers(Q, alpha, radius)
     decisions = {}  # (method, destabilizer) per cover shape, for this report only
     comp_json = []
     for c, dim, arrows in cands:
-        shape = tuple(n for _, n in c), tuple(int(theta.get(v, 0)) for (v, _), _ in c), arrows
+        shape = (tuple(n for _, n in c), tuple(int(theta.get(v, 0)) for (v, _), _ in c),
+                 tuple(sorted((i, j) for _, i, j in arrows)))
         if shape not in decisions:
             decisions[shape] = decide(*shape)
         method, dest = decisions[shape]
         # the witness trials are seeded by the cover, so they run per cover
-        found = find_witness(Q, W, c, shape[1], trials, prime, seed) if dest is None else None
+        found = find_witness(c, shape[1], arrows, trials, prime, seed) if dest is None else None
         mats, trial = found or (None, None)
         blocks = sorted(n for _, n in c)
         comp_json.append({
@@ -562,12 +561,12 @@ def render_dot(report):
         return "\n".join(out) + "\n"
     if kind == "quiver":
         data = report["input"]
-        Q, W, _alpha, _theta = _quiver_from_data(data)
+        Q, _alpha, _theta = _quiver_from_data(data)
         points = sorted({(pt[0], tuple(pt[1])) for c in report["components"] for pt, _n in c["beta"]})
         out = ["digraph cover_supports {"]
         for i, pt in enumerate(points):
             out.append("  v%d [label=%s];" % (i, _dot("%s %s" % (pt[0], list(pt[1])))))
-        for (a, _), i, j in covering_arrows(Q, W, points):
+        for (a, _), i, j in covering_arrows(Q, points):
             out.append("  v%d -> v%d [label=%s];" % (i, j, _dot(a)))
         out.append("}")
         base = ["digraph quiver {"]

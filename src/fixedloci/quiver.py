@@ -1,7 +1,7 @@
 """Quivers, graded covers on the covering quiver, and fixed-component data.
 
 The covering quiver lives on Q_0 x Z^aux with an arrow (a, chi) from
-(src a, chi) to (tgt a, chi + w_a) for the chosen arrow grading w.  A cover
+(src a, chi) to (tgt a, chi + w_a), w_a the shift that arrow a carries.  A cover
 of the dimension vector alpha is a dimension vector on the covering quiver
 whose column sums reproduce alpha; covers are enumerated with connected
 support, one representative per translation class.  A cover is the sorted
@@ -29,15 +29,23 @@ MAX_COVERS = 100_000
 
 @dataclass(frozen=True)
 class Arrow:
+    """An arrow src -> tgt, scaled by the character shift of the auxiliary
+    torus: its covering arrows step the grade by shift."""
+
     id: str
     src: object
     tgt: object
+    shift: tuple
 
 
 @dataclass(frozen=True)
 class Quiver:
+    """Vertices and arrows, every arrow's shift of length aux_rank.  The
+    constructor checks the ids and the arrow ends, not the shifts."""
+
     vertices: tuple
     arrows: tuple
+    aux_rank: int
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
@@ -53,31 +61,14 @@ class Quiver:
                 raise ValidationError("duplicate arrow id %r" % a.id)
             ids.add(a.id)
 
-
-@dataclass(frozen=True)
-class ArrowWeights:
-    """Grading of the arrows by characters of an auxiliary torus."""
-
-    aux_rank: int
-    weights: tuple  # sorted (arrow_id, w) pairs
-
     @staticmethod
-    def from_dict(aux_rank, mapping):
-        items = tuple(sorted((str(k), tuple(int(x) for x in v)) for k, v in mapping.items()))
-        for _, w in items:
-            if len(w) != aux_rank:
-                raise ValidationError("arrow weight %r has wrong rank" % (w,))
-        return ArrowWeights(aux_rank, items)
-
-    @staticmethod
-    def full(quiver: Quiver):
-        """One independent scaling per arrow (the full arrow torus)."""
-        n = len(quiver.arrows)
-        mapping = {
-            a.id: tuple(int(i == j) for j in range(n))
-            for i, a in enumerate(quiver.arrows)
-        }
-        return ArrowWeights.from_dict(n, mapping)
+    def full(vertices, arrows):
+        """The quiver with these (id, source, target) arrows under the full
+        arrow torus: one independent scaling per arrow, arrow i shifting by
+        the i-th unit vector."""
+        n = len(arrows)
+        return Quiver(vertices, tuple(Arrow(a, s, t, tuple(int(i == j) for j in range(n)))
+                                      for i, (a, s, t) in enumerate(arrows)), n)
 
 
 def check_stability_pairing(theta, alpha):
@@ -90,30 +81,26 @@ def check_stability_pairing(theta, alpha):
 # ---------------------------------------------------------------------------
 # the grading window
 
-def default_window_radius(alpha, weights: ArrowWeights):
+def default_window_radius(alpha, quiver: Quiver):
     """Radius guaranteeing every connected cover support fits after translation.
 
     A connected support has graph diameter below the total dimension, and
-    each arrow shifts the grade by at most the sup-norm of its weight.
+    each arrow shifts the grade by at most the sup-norm of its shift.
     """
     total = sum(int(x) for x in alpha.values())
-    wmax = 0
-    for _, w in weights.weights:
-        for x in w:
-            wmax = max(wmax, abs(x))
-    return max(1, total * max(1, wmax)) if weights.aux_rank else 0
+    wmax = max((abs(x) for a in quiver.arrows for x in a.shift), default=0)
+    return max(1, total * max(1, wmax)) if quiver.aux_rank else 0
 
 
-def covering_arrows(quiver: Quiver, weights: ArrowWeights, points):
+def covering_arrows(quiver: Quiver, points):
     """The covering arrows with both ends among points, a sequence of
     distinct covering-quiver points, as ((arrow id, source grade), source
     position, target position) triples: arrow by arrow, sources in point
-    order."""
-    shift, index, out = dict(weights.weights), {p: i for i, p in enumerate(points)}, []
+    order, the order of the arrows enumerate_covers carries."""
+    index, out = {p: i for i, p in enumerate(points)}, []
     for a in quiver.arrows:
-        w = shift[str(a.id)]
         for i, (v, chi) in enumerate(points):
-            j = index.get((a.tgt, tuple(map(operator.add, chi, w)))) if v == a.src else None
+            j = index.get((a.tgt, tuple(map(operator.add, chi, a.shift)))) if v == a.src else None
             if j is not None:
                 out.append(((a.id, chi), i, j))
     return out
@@ -137,16 +124,17 @@ def positive_compositions(n, k):
                  for rest in positive_compositions(n - first, k - 1))
 
 
-def enumerate_covers(quiver: Quiver, weights: ArrowWeights, alpha, radius):
+def enumerate_covers(quiver: Quiver, alpha, radius):
     """(number of covers of alpha with connected support inside the window,
     the candidates among them as (cover, dimension, arrows) triples sorted
     by cover, each cover its sorted ((vertex, grade), n) tuple).
 
-    arrows lists the covering arrows of the cover's support as sorted
-    (source, target) pairs of positions in the cover, one pair per arrow:
-    a loop of zero shift once, parallel arrows of one weight once each.
-    The search collects them as it grows each support: a point added
-    brings the arrows between it and the points already present.
+    arrows lists the covering arrows of the cover's support as
+    covering_arrows does: ((arrow id, source grade), source position,
+    target position) triples, arrow by arrow, sources in point order; a
+    loop of zero shift once, parallel arrows of one shift once each.  The
+    search collects them as it grows each support: a point added brings
+    the arrows between it and the points already present.
 
     The dimension of cover b's component, for a free quotient, is the sum of
     b_p b_q over its covering arrows p -> q, minus the sum of b_p^2, plus 1.
@@ -178,31 +166,30 @@ def enumerate_covers(quiver: Quiver, weights: ArrowWeights, alpha, radius):
         return 1, []
     total = sum(alpha.values())
 
-    shift = dict(weights.weights)
-    arcs = {}  # vertex -> (neighbour, grade step, whether the arrow leaves the vertex)
-    for a in quiver.arrows:
-        w = shift[str(a.id)]
+    arcs = {}  # vertex -> (arrow index, neighbour, grade step, whether the arrow leaves the vertex)
+    for k, a in enumerate(quiver.arrows):
         if alpha[a.src] > 0 and alpha[a.tgt] > 0:
-            arcs.setdefault(a.src, []).append((a.tgt, w, True))
-            arcs.setdefault(a.tgt, []).append((a.src, tuple(-x for x in w), False))
+            arcs.setdefault(a.src, []).append((k, a.tgt, a.shift, True))
+            arcs.setdefault(a.tgt, []).append((k, a.src, tuple(-x for x in a.shift), False))
 
     def joins(point, present):
         """The covering arrows between point and the points present, as
-        (source, target) pairs, and the neighbours of point not present."""
+        (arrow index, source, target) triples, and the neighbours of point
+        not present."""
         links, near = [], set()
-        for u, w, leaves in arcs.get(point[0], ()):
+        for k, u, w, leaves in arcs.get(point[0], ()):
             other = (u, tuple(map(operator.add, point[1], w)))
             if other in present:
-                links.append((point, other) if leaves else (other, point))
+                links.append((k, point, other) if leaves else (k, other, point))
             elif other != point:
                 near.add(other)
             elif leaves:  # a loop of zero shift, met once from each end
-                links.append((point, point))
+                links.append((k, point, point))
         return links, near
 
     span = 2 * radius
     v0 = min(supp)
-    root = (v0, (0,) * weights.aux_rank)
+    root = (v0, (0,) * quiver.aux_rank)
     supports, work = [], 0  # (points, covering arrows) of each support; grow calls plus covers counted
 
     def spend(n):
@@ -239,7 +226,9 @@ def enumerate_covers(quiver: Quiver, weights: ArrowWeights, alpha, radius):
     for sup, links in supports:
         pts = sorted(sup)
         index = {p: i for i, p in enumerate(pts)}
-        pairs = tuple(sorted((index[p], index[q]) for p, q in links))
+        # an arrow index and a source position name one covering arrow
+        arrows = tuple(((quiver.arrows[k].id, pts[i][1]), i, j)
+                       for k, i, j in sorted((k, index[p], index[q]) for k, p, q in links))
         # sorted points run vertex by vertex, so one composition per vertex fills b
         runs = itertools.groupby(v for v, _ in pts)
         choices = [positive_compositions(alpha[v], len(list(g))) for v, g in runs]
@@ -248,8 +237,8 @@ def enumerate_covers(quiver: Quiver, weights: ArrowWeights, alpha, radius):
         count += covers
         for combo in itertools.product(*choices):
             b = [n for comp in combo for n in comp]
-            dim = sum(b[i] * b[j] for i, j in pairs) - sum(n * n for n in b) + 1
+            dim = sum(b[i] * b[j] for _, i, j in arrows) - sum(n * n for n in b) + 1
             if dim >= 0:
-                kept.append((tuple(zip(pts, b)), dim, pairs))
+                kept.append((tuple(zip(pts, b)), dim, arrows))
     # covers are distinct, so this sorts by cover
     return count, sorted(kept)

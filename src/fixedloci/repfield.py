@@ -2,8 +2,8 @@
 
 decide settles, in characteristic zero, whether the stable locus of a
 cover is empty, from the cover's shape alone: its dimensions and θ̂ in
-point order and the covering arrows that enumerate_covers carries, as
-position pairs.  Emptiness comes from a destabilizing dimension vector
+point order and the (source, target) positions of the covering arrows
+that enumerate_covers carries.  Emptiness comes from a destabilizing dimension vector
 that every representation has as a subrepresentation: either a
 structural one (an arrow-closed vertex subset at full dimension) or, for
 a non-thin cover, a generic subdimension vector from Schofield's
@@ -14,9 +14,11 @@ general representation is.  decide takes no prime, trials or seed.
 find_witness searches a nonempty component for a representation over a
 small prime field, sampled at random, that is geometrically stable:
 stable over F_p with End(M) = F_p, so that no Galois-conjugate summands
-split it over the algebraic closure.  It draws the cover's covering
-arrows, whose order fixes the order of the draws, and runs on positions
-as decide does: a sample is a tuple of matrices, one per covering arrow.
+split it over the algebraic closure.  It takes the cover's covering
+arrows as enumerate_covers carries them, labelled by arrow id and source
+grade, in the order that fixes the order of the draws, and runs on
+positions as decide does: a sample is a tuple of matrices, one per
+covering arrow.
 Each entry is getrandbits(k), k the bit length of p, drawn again while it
 is >= p, as randrange(p) draws.  End(M) is computed only when the
 dimensions share a factor: the endomorphisms of a stable M form a finite
@@ -53,7 +55,6 @@ import random
 from typing import NamedTuple
 
 from .errors import TooLarge, ValidationError
-from .quiver import ArrowWeights, Quiver, covering_arrows
 
 DEFAULT_MAX_TOTAL_DIM = 8
 DEFAULT_MAX_PRIME = 5
@@ -476,8 +477,8 @@ def generic_destabilizer(sizes, thetas, arrows):
 
 def decide(sizes, thetas, arrows):
     """The exact decision on a cover shape: its dimensions and θ̂ in point
-    order and its covering arrows as (source, target) positions, as
-    enumerate_covers carries them.  Returns (method, destabilizer), the
+    order and the (source, target) positions of the covering arrows that
+    enumerate_covers carries.  Returns (method, destabilizer), the
     destabilizer as sorted (position, n) pairs, or None when the stable
     locus is nonempty.
 
@@ -493,21 +494,23 @@ def decide(sizes, thetas, arrows):
     return method, dest
 
 
-def find_witness(quiver: Quiver, weights: ArrowWeights, beta, thetas, trials, prime, seed):
+def find_witness(beta, thetas, arrows, trials, prime, seed):
     """(mats, trial) for the first of trials seeded samples over F_p that is
     geometrically stable (stable, with End(M) = F_p), or None; mats are its
     sorted (arrow id, rows) pairs, each id (quiver arrow id, source grade).
-    beta is the cover as its sorted ((vertex, grade), n) tuple and thetas
-    its θ̂ in point order; the search draws the covering arrows and runs on
-    positions.  A sample that splits as a direct sum (on the wall θ̂ . dims
-    = 0), or a thin one with every arrow nonzero, needs no KingScan.  No
-    witness is sought at zero trials, or when a vertex's subspaces
-    outnumber MAX_SUBSPACES.  check_guard is the caller's: every cover of
-    alpha has alpha's total dimension.
+    beta is the cover as its sorted ((vertex, grade), n) tuple, thetas its
+    θ̂ in point order and arrows its covering arrows as enumerate_covers
+    carries them, ((arrow id, source grade), source position, target
+    position) triples in the order the samples draw them.  A sample that
+    splits as a direct sum (on the wall θ̂ . dims = 0), or a thin one with
+    every arrow nonzero, needs no KingScan.  No witness is sought at zero
+    trials, or when a vertex's subspaces outnumber MAX_SUBSPACES.
+    check_guard is the caller's: every cover of alpha has alpha's total
+    dimension.
     """
     if not trials or any(subspace_count(n, prime) > MAX_SUBSPACES for _, n in beta):
         return None
-    sizes, arrows = [n for _, n in beta], covering_arrows(quiver, weights, [p for p, _ in beta])
+    sizes = [n for _, n in beta]
     comp_key, king = repr(beta), None
     wall = not sum(map(operator.mul, thetas, sizes))
     # a stable M has End(M) a finite division ring when θ̂ . dims = 0, so a

@@ -1,7 +1,7 @@
 import pytest
 
 from fixedloci.hmtorus import WeightItem, WeightedAction
-from fixedloci.quiver import Arrow, ArrowWeights, Quiver
+from fixedloci.quiver import Arrow, Quiver
 
 
 def hirzebruch_action(d):
@@ -22,11 +22,15 @@ def no_lp(*args):
 
 
 def kronecker3():
-    Q = Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "1", "2"), Arrow("c", "1", "2")))
-    W = ArrowWeights.full(Q)
+    Q = Quiver.full(("1", "2"), [(x, "1", "2") for x in "abc"])
     alpha = {"1": 2, "2": 3}
     theta = {"1": -3, "2": 2}
-    return Q, W, alpha, theta
+    return Q, alpha, theta
+
+
+def ungraded(Q):
+    """Q under the grading of rank 0, where no arrow moves the grade."""
+    return Quiver(Q.vertices, tuple(Arrow(a.id, a.src, a.tgt, ()) for a in Q.arrows), 0)
 
 
 @pytest.fixture

@@ -13,9 +13,11 @@ covers and diagonal torus morphism matrices.  They lived in
 per-cover path: build every cover, walk each one's covering arrows for its
 dimension, then keep those of dimension >= 0.  `enumerate_covers` must
 return what they do.  `support_quiver_pairs` builds a cover's support
-quiver, finding its covering arrows by trying every pair of its points;
-`covering_arrows` must agree, and `covering_pairs` reads from it the position pairs that
-`enumerate_covers` gives each candidate.  `kronecker_problem` builds the
+quiver, finding its covering arrows by trying every pair of its points,
+and `labelled_arrows` reads from it the ((arrow id, source grade),
+source position, target position) triples that `enumerate_covers` gives
+each candidate and `covering_arrows` gives a cover's points, in the same
+order.  Each reads the shift an arrow carries.  `kronecker_problem` builds the
 problem file of a Kronecker quiver; it imports nothing from pytest, so the
 golden digests run without it.
 """
@@ -23,7 +25,7 @@ golden digests run without it.
 import itertools
 
 from fixedloci.errors import ValidationError
-from fixedloci.quiver import Arrow, ArrowWeights, Quiver, positive_compositions
+from fixedloci.quiver import Arrow, Quiver, positive_compositions
 
 
 def cover(mapping):
@@ -54,11 +56,11 @@ def canonical(beta):
     return translate(beta, tuple(-c for c in chi0))
 
 
-def support_is_connected(quiver: Quiver, weights: ArrowWeights, beta) -> bool:
+def support_is_connected(quiver: Quiver, beta) -> bool:
     pts = [p for p, _ in beta]
     if not pts:
         return True
-    sq, _ = support_quiver_pairs(quiver, weights, beta)
+    sq, _ = support_quiver_pairs(quiver, beta)
     adj = {p: set() for p in pts}
     for a in sq.arrows:
         adj[a.src].add(a.tgt)
@@ -76,12 +78,12 @@ def support_is_connected(quiver: Quiver, weights: ArrowWeights, beta) -> bool:
 # ---------------------------------------------------------------------------
 # the per-cover path
 
-def box_covers(quiver: Quiver, weights: ArrowWeights, alpha, radius):
+def box_covers(quiver: Quiver, alpha, radius):
     """Every cover in the window, built one by one, sorted: the box-rooted
     enumerator searches from every point of [-R, R]^aux, keeps neighbors
     inside the box, canonicalizes what each root finds, and splits alpha
     over each support by positive compositions."""
-    box = tuple((-radius, radius) for _ in range(weights.aux_rank))
+    box = tuple((-radius, radius) for _ in range(quiver.aux_rank))
 
     def box_contains(chi):
         return all(lo <= c <= hi for (lo, hi), c in zip(box, chi))
@@ -95,11 +97,9 @@ def box_covers(quiver: Quiver, weights: ArrowWeights, alpha, radius):
 
     out_arcs = {}
     in_arcs = {}
-    shift = dict(weights.weights)
     for a in quiver.arrows:
-        w = shift[str(a.id)]
-        out_arcs.setdefault(quiver.vertices.index(a.src), []).append((quiver.vertices.index(a.tgt), w))
-        in_arcs.setdefault(quiver.vertices.index(a.tgt), []).append((quiver.vertices.index(a.src), w))
+        out_arcs.setdefault(quiver.vertices.index(a.src), []).append((quiver.vertices.index(a.tgt), a.shift))
+        in_arcs.setdefault(quiver.vertices.index(a.tgt), []).append((quiver.vertices.index(a.src), a.shift))
 
     def neighbors(point):
         v, chi = point
@@ -163,45 +163,44 @@ def box_covers(quiver: Quiver, weights: ArrowWeights, alpha, radius):
     return sorted(covers)
 
 
-def cover_dimension(quiver: Quiver, weights: ArrowWeights, beta) -> int:
+def cover_dimension(quiver: Quiver, beta) -> int:
     """dim of the component a nonzero cover describes, assuming a free
     quotient: (arrow-block sizes) - (sum of squares) + 1."""
     b = dict(beta)
-    blocks, shift = 0, dict(weights.weights)
+    blocks = 0
     for a in quiver.arrows:
-        w = shift[str(a.id)]
         for (v, chi), n in b.items():
             if v == a.src:
-                blocks += n * b.get((a.tgt, tuple(c + x for c, x in zip(chi, w))), 0)
+                blocks += n * b.get((a.tgt, tuple(c + x for c, x in zip(chi, a.shift))), 0)
     return blocks - sum(n * n for n in b.values()) + 1
 
 
-def support_quiver_pairs(quiver: Quiver, weights: ArrowWeights, beta):
-    """The finite quiver on the support of a cover and its {point: n} dims:
-    the points of beta in order, and an arrow ((arrow id, source grade),
-    source point, target point) for each covering arrow, found by trying
-    every arrow on every pair of support points."""
-    pts, shift = [p for p, _ in beta], dict(weights.weights)
-    arrows = tuple(Arrow((a.id, p[1]), p, q) for a in quiver.arrows for p in pts for q in pts
+def support_quiver_pairs(quiver: Quiver, beta):
+    """The finite, ungraded quiver on the support of a cover and its
+    {point: n} dims: the points of beta in order, and an arrow ((arrow id,
+    source grade), source point, target point) for each covering arrow,
+    found by trying every arrow on every pair of support points."""
+    pts = [p for p, _ in beta]
+    arrows = tuple(Arrow((a.id, p[1]), p, q, ()) for a in quiver.arrows for p in pts for q in pts
                    if (p[0], q[0]) == (a.src, a.tgt)
-                   and q[1] == tuple(c + x for c, x in zip(p[1], shift[str(a.id)])))
-    return Quiver(tuple(pts), arrows), dict(beta)
+                   and q[1] == tuple(c + x for c, x in zip(p[1], a.shift)))
+    return Quiver(tuple(pts), arrows, 0), dict(beta)
 
 
-def covering_pairs(quiver: Quiver, weights: ArrowWeights, beta):
-    """The covering arrows of a cover as sorted (source, target) pairs of
-    positions in it, from support_quiver_pairs."""
-    sq, _ = support_quiver_pairs(quiver, weights, beta)
+def labelled_arrows(quiver: Quiver, beta):
+    """The covering arrows of a cover as ((arrow id, source grade), source
+    position, target position) triples, in support_quiver_pairs order."""
+    sq, _ = support_quiver_pairs(quiver, beta)
     pos = {p: i for i, p in enumerate(sq.vertices)}
-    return tuple(sorted((pos[a.src], pos[a.tgt]) for a in sq.arrows))
+    return tuple((a.id, pos[a.src], pos[a.tgt]) for a in sq.arrows)
 
 
-def count_and_candidates(quiver: Quiver, weights: ArrowWeights, covers):
-    """(number of covers, sorted (cover, dimension, covering_pairs) triples
+def count_and_candidates(quiver: Quiver, covers):
+    """(number of covers, sorted (cover, dimension, labelled_arrows) triples
     of the nonzero covers with dimension >= 0), from the list of every
     cover."""
-    dims = [(c, cover_dimension(quiver, weights, c)) for c in sorted(covers) if c]
-    return len(covers), [(c, d, covering_pairs(quiver, weights, c)) for c, d in dims if d >= 0]
+    dims = [(c, cover_dimension(quiver, c)) for c in sorted(covers) if c]
+    return len(covers), [(c, d, labelled_arrows(quiver, c)) for c, d in dims if d >= 0]
 
 
 def kronecker_problem(n, a, b, arrow_weight=None):

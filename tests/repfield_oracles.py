@@ -217,7 +217,7 @@ def random_rep(quiver: Quiver, dims, prime, rng: random.Random) -> RepFq:
                  tuple(sorted(mats)))
 
 
-def find_witness(quiver, weights, beta, theta, trials=200, prime=5, seed=0, scanned=None):
+def find_witness(quiver, beta, theta, trials=200, prime=5, seed=0, scanned=None):
     """repfield.find_witness as it ran before the sample rules, on the
     randrange sampler above and the support quiver of support_quiver_pairs:
     every sample goes through KingScan.destabilizer.  It searches only where
@@ -225,7 +225,7 @@ def find_witness(quiver, weights, beta, theta, trials=200, prime=5, seed=0, scan
     finds the component nonempty, as the CLI does.  Returns (M.mats, trial)
     or None.  Each scanned sample is appended to scanned, when given, as
     (support quiver, dims, θ̂, sample)."""
-    sq, dims = support_quiver_pairs(quiver, weights, beta)
+    sq, dims = support_quiver_pairs(quiver, beta)
     th = {v: int(theta.get(v[0], 0)) for v in sq.vertices}
     sizes, arrows, thetas, _ = on_positions(sq, dims, th)
     if decide(sizes, thetas, tuple(sorted((s, t) for _, s, t in arrows)))[1] is not None or \

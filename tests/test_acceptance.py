@@ -12,7 +12,7 @@ import time
 from contextlib import contextmanager
 
 from cone_oracles import contains
-from conftest import hirzebruch_action, kronecker3
+from conftest import hirzebruch_action, kronecker3, ungraded
 from fixedloci.cli import _quiver_report, _toric_report, render_json
 from fixedloci.cones import dot_q
 from fixedloci.errors import ValidationError
@@ -25,7 +25,7 @@ from fixedloci.hmtorus import (
     limit_cone,
 )
 from fixedloci.linalg import dot
-from fixedloci.quiver import ArrowWeights, enumerate_covers
+from fixedloci.quiver import enumerate_covers
 from fixedloci.toric import quotient_fan, toric_context
 from lp_oracle import is_semistable_support, solve_nonneg
 from test_toric import classical_hirzebruch_fan
@@ -137,10 +137,10 @@ def test_criterion_2_three_kronecker():
 
 def test_criterion_3_ambient_dimension():
     with criterion(3, "ambient moduli dimension"):
-        Q, _W, alpha, _theta = kronecker3()
-        W0 = ArrowWeights.from_dict(0, {"a": (), "b": (), "c": ()})
+        Q, alpha, _theta = kronecker3()
         trivial = ((("1", ()), 2), (("2", ()), 3))
-        assert enumerate_covers(Q, W0, alpha, 0) == (1, [(trivial, 6, ((0, 1),) * 3)])
+        arrows = tuple(((a, ()), 0, 1) for a in "abc")
+        assert enumerate_covers(ungraded(Q), alpha, 0) == (1, [(trivial, 6, arrows)])
 
 
 def _grassmann_oracle(m, n, weights):

@@ -323,13 +323,22 @@ NONSYMMETRIC = dict(KEMPF, items=[{"chi": [1, 0]}, {"chi": [0, 1]}],
      "duplicate arrow id 'b'"),
     ("quiver", dict(KRON3, arrow_weights={"aux_rank": 1, "weights": {"a": [1], "b": [1, 0], "c": [0]}}),
      "arrow weight (1, 0) has wrong rank"),
+    ("quiver", dict(KRON3, arrow_weights={"aux_rank": 1, "weights": {"a": [1], "c": [0]}}),
+     "arrow_weights must grade exactly the arrows: ['b']"),
+    ("quiver", dict(KRON3, arrows=KRON3["arrows"][:2] + [{"id": "c", "src": "1", "tgt": "3"}]),
+     "arrow c has endpoint outside the vertex set"),
+    # the ranks are checked first, also on a key that names no arrow
+    ("quiver", dict(KRON3, arrow_weights={"aux_rank": 1,
+                                          "weights": {"a": [1], "b": [1], "c": [0], "z": [1, 2]}}),
+     "arrow weight (1, 2) has wrong rank"),
     ("quiver", dict(KRON3, alpha={"1": 2, "2": 3, "3": 0}), "alpha/theta mention unknown vertex '3'"),
     ("quiver", dict(KRON3, theta={"1": -3, "2": 2, "x": 0}), "alpha/theta mention unknown vertex 'x'"),
     ("kempf", NONSYMMETRIC, "inner product not symmetric"),
     ("quiver", HIRZ2, "problem kind 'toric' does not match subcommand 'quiver'"),
     ("grassmann", dict(GRASS, m=4), "need 1 <= m <= n, got m=4 n=3"),
     ("toric", dict(HIRZ2, theta=[3]), "theta must live in Z^2"),
-], ids=["duplicate-vertex", "duplicate-arrow", "weight-rank", "unknown-alpha", "unknown-theta",
+], ids=["duplicate-vertex", "duplicate-arrow", "weight-rank", "weights-not-the-arrows", "endpoint-outside",
+        "weight-rank-before-arrow-set", "unknown-alpha", "unknown-theta",
         "nonsymmetric-inner-product", "kind-mismatch", "grassmann-m-above-n", "toric-theta-rank"])
 def test_ill_formed_problem_exits_2(tmp_path, capsys, command, data, message):
     code, out, err = run([command, write(tmp_path, "p.json", data)], capsys)

@@ -1,6 +1,8 @@
 """Every import in the package is stdlib or fixedloci, and every import in
 the tests is also a test module or a package of the `test` extra, so the
-suite runs on what `pip install .[test]` provides."""
+suite runs on what `pip install .[test]` provides.  Within the package,
+`repfield` imports only `errors`: it runs on cover shapes and labelled
+arrows, and knows no quiver."""
 
 import ast
 import re
@@ -46,3 +48,10 @@ def test_tests_import_only_stdlib_test_extra_and_their_own_modules():
     assert "pytest" in extra
     allowed = set(sys.stdlib_module_names) | {"fixedloci"} | extra | {f.stem for f in TESTS}
     assert offending(TESTS, allowed) == {}
+
+
+def test_repfield_imports_only_errors():
+    path = ROOT / "src" / "fixedloci" / "repfield.py"
+    relative = {node.module for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                if isinstance(node, ast.ImportFrom) and node.level}
+    assert relative == {"errors"} and "fixedloci" not in imported_roots(path)

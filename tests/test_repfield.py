@@ -13,14 +13,7 @@ from conftest import kronecker3
 from fixedloci.cli import _quiver_from_data, _quiver_report, main
 from fixedloci.errors import TooLarge, ValidationError
 from fixedloci.hmtorus import WeightItem, WeightedAction, is_stable_support
-from fixedloci.quiver import (
-    Arrow,
-    ArrowWeights,
-    Quiver,
-    covering_arrows,
-    default_window_radius,
-    enumerate_covers,
-)
+from fixedloci.quiver import Arrow, Quiver, covering_arrows, default_window_radius, enumerate_covers
 from fixedloci.repfield import (
     GenericSubdims,
     KingScan,
@@ -37,7 +30,7 @@ from fixedloci.repfield import (
     subspace_count,
     subspace_table,
 )
-from quiver_oracles import box_covers, cover, covering_pairs, kronecker_problem, support_quiver_pairs
+from quiver_oracles import box_covers, cover, kronecker_problem, labelled_arrows, support_quiver_pairs
 from repfield_oracles import GenericSubdims as OracleGenericSubdims
 from repfield_oracles import (build_rep, gf_in_span, is_semistable_rep, is_stable_rep, on_positions,
                               subrep_dimension_vectors, subspaces)
@@ -82,7 +75,7 @@ def test_subspace_table_membership_matches_reduction():
 
 
 def test_zero_rep_subreps():
-    Q, _W, _alpha, _theta = kronecker3()
+    Q, _alpha, _theta = kronecker3()
     M = build_rep(5, {"1": 2, "2": 3}, {
         "a": [[0, 0]] * 3, "b": [[0, 0]] * 3, "c": [[0, 0]] * 3,
     })
@@ -91,13 +84,13 @@ def test_zero_rep_subreps():
 
 
 def test_identity_arrow_subreps():
-    Q = Quiver(("1", "2"), (Arrow("a", "1", "2"),))
+    Q = Quiver(("1", "2"), (Arrow("a", "1", "2", ()),), 0)
     M = build_rep(5, {"1": 1, "2": 1}, {"a": [[1]]})
     assert subrep_dimension_vectors(Q, M) == {(0, 0), (0, 1), (1, 1)}
 
 
 def test_zero_rep_unstable():
-    Q, _W, alpha, theta = kronecker3()
+    Q, alpha, theta = kronecker3()
     M = build_rep(5, alpha, {
         "a": [[0, 0]] * 3, "b": [[0, 0]] * 3, "c": [[0, 0]] * 3,
     })
@@ -107,7 +100,7 @@ def test_zero_rep_unstable():
 
 
 def test_block_shape_rep_stable():
-    Q, _W, alpha, theta = kronecker3()
+    Q, alpha, theta = kronecker3()
     M = build_rep(5, alpha, {
         "a": [[1, 0], [0, 0], [0, 0]],
         "b": [[0, 0], [0, 1], [0, 0]],
@@ -121,7 +114,7 @@ def test_block_shape_rep_stable():
 
 
 def test_stable_implies_semistable_random():
-    Q, _W, alpha, theta = kronecker3()
+    Q, alpha, theta = kronecker3()
     rng = random.Random(79)
     for _ in range(20):
         M = oracle_random_rep(Q, alpha, 5, rng)
@@ -131,7 +124,7 @@ def test_stable_implies_semistable_random():
 
 def test_zero_padding_never_stabilizes():
     # adding a zero row/column block never turns an unstable rep stable
-    Q = Quiver(("1", "2"), (Arrow("a", "1", "2"),))
+    Q = Quiver(("1", "2"), (Arrow("a", "1", "2", ()),), 0)
     theta = {"1": 1, "2": -1}
     M = build_rep(5, {"1": 1, "2": 1}, {"a": [[0]]})
     assert not is_stable_rep(Q, M, theta)
@@ -141,7 +134,7 @@ def test_zero_padding_never_stabilizes():
 
 
 def test_guards():
-    Q = Quiver(("1",), ())
+    Q = Quiver(("1",), (), 0)
     M = build_rep(5, {"1": 9}, {})
     with pytest.raises(TooLarge):
         is_stable_rep(Q, M, {"1": 0})
@@ -173,9 +166,9 @@ def _hat(beta, theta):
     return tuple(int(theta.get(v, 0)) for (v, _), _ in beta)
 
 
-def _support(Q, W, beta, theta):
+def _support(Q, beta, theta):
     """(support quiver, dims, θ̂ by point) of a cover, from the pairwise oracle."""
-    sq, dims = support_quiver_pairs(Q, W, beta)
+    sq, dims = support_quiver_pairs(Q, beta)
     return sq, dims, {pt: int(theta.get(pt[0], 0)) for pt in sq.vertices}
 
 
@@ -187,25 +180,24 @@ def _end_dim(Q, M):
 
 def _decide(beta, arrows, theta):
     """decide on a cover given as its sorted ((vertex, grade), n) tuple, its
-    covering arrows and θ, with the destabilizer mapped back to the
-    cover's own points, as the CLI maps it."""
-    method, dest = decide(tuple(n for _, n in beta), _hat(beta, theta), tuple(sorted(arrows)))
+    labelled covering arrows and θ, with the destabilizer mapped back to
+    the cover's own points, as the CLI maps it."""
+    pairs = tuple(sorted((i, j) for _, i, j in arrows))
+    method, dest = decide(tuple(n for _, n in beta), _hat(beta, theta), pairs)
     return method, None if dest is None else tuple((beta[i][0], n) for i, n in dest)
 
 
 def test_certify_simple_vertex():
-    Q = Quiver(("1", "2"), (Arrow("a", "1", "2"),))
-    W = ArrowWeights.full(Q)
     beta = cover({("1", (0,)): 1})
     theta = {"1": 0, "2": 0}
     assert _decide(beta, (), theta)[1] is None
-    assert find_witness(Q, W, beta, _hat(beta, theta), 5, 5, 0) is not None
+    assert find_witness(beta, _hat(beta, theta), (), 5, 5, 0) is not None
 
 
 def test_certify_structural_empty_abcb():
     # the "abcb"-shaped cover: one grade at the second layer is reachable
     # only from one source, forcing a destabilizing subrepresentation
-    Q, W, alpha, theta = kronecker3()
+    Q, alpha, theta = kronecker3()
     ea, eb, ec = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     delta = tuple(c - b for c, b in zip(ec, eb))
     beta = cover({
@@ -213,14 +205,14 @@ def test_certify_structural_empty_abcb():
         ("1", delta): 1,
         ("2", ea): 1, ("2", eb): 1, ("2", ec): 1,
     })
-    _, destabilizer = _decide(beta, covering_pairs(Q, W, beta), theta)
+    _, destabilizer = _decide(beta, labelled_arrows(Q, beta), theta)
     assert destabilizer is not None
     dest = dict(destabilizer)
     assert sum(theta[v] * n for (v, _chi), n in dest.items()) <= 0
 
 
 def test_certify_nonempty_type2():
-    Q, W, alpha, theta = kronecker3()
+    Q, alpha, theta = kronecker3()
     ea, eb, ec = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     delta = tuple(b - a for b, a in zip(eb, ea))
     beta = cover({
@@ -229,19 +221,20 @@ def test_certify_nonempty_type2():
         ("2", ea): 1, ("2", eb): 1,
         ("2", tuple(b - a + c for b, a, c in zip(eb, ea, ec))): 1,
     })
-    assert _decide(beta, covering_pairs(Q, W, beta), theta)[1] is None
-    assert find_witness(Q, W, beta, _hat(beta, theta), 200, 5, 0) is not None
+    arrows = labelled_arrows(Q, beta)
+    assert _decide(beta, arrows, theta)[1] is None
+    assert find_witness(beta, _hat(beta, theta), arrows, 200, 5, 0) is not None
 
 
 def test_cross_module_consistency_with_torus_stability():
     # for an all-ones cover the gauge group is a torus; King stability of a
     # 0/1 representation must match torus-level support stability
-    Q, W, alpha, theta = kronecker3()
-    covers = [c for c, _, _ in enumerate_covers(Q, W, alpha, 2)[1] if all(n == 1 for _, n in c)]
+    Q, alpha, theta = kronecker3()
+    covers = [c for c, _, _ in enumerate_covers(Q, alpha, 2)[1] if all(n == 1 for _, n in c)]
     rng = random.Random(83)
     checked = 0
     for beta in covers[:8]:
-        sq, dims, th = _support(Q, W, beta, theta)
+        sq, dims, th = _support(Q, beta, theta)
         pts = list(sq.vertices)
         n = len(pts)
         # basis of the rank-(n-1) character lattice: y_i - y_n
@@ -276,12 +269,12 @@ def test_cross_module_consistency_with_torus_stability():
 
 def test_structural_destabilizer_soundness():
     # when a destabilizer is reported, random reps of that shape are never stable
-    Q, W, alpha, theta = kronecker3()
+    Q, alpha, theta = kronecker3()
     rng = random.Random(89)
     flagged = 0
     # every cover, not only the candidates
-    for beta in box_covers(Q, W, alpha, 2):
-        sq, dims, th = _support(Q, W, beta, theta)
+    for beta in box_covers(Q, alpha, 2):
+        sq, dims, th = _support(Q, beta, theta)
         if sum(dims.values()) > 8:
             continue
         dest = _on_support(structural_destabilizer, sq, dims, th)
@@ -340,8 +333,8 @@ def _random_acyclic_quiver(rng):
     arrows = []
     for k in range(rng.randint(0, 7) if n > 1 else 0):
         i, j = sorted(rng.sample(range(n), 2))
-        arrows.append(Arrow("x%d" % k, verts[i], verts[j]))
-    return Quiver(verts, tuple(arrows))
+        arrows.append(Arrow("x%d" % k, verts[i], verts[j], ()))
+    return Quiver(verts, tuple(arrows), 0)
 
 
 def _random_cyclic_quiver(rng):
@@ -360,7 +353,8 @@ def _random_cyclic_quiver(rng):
         pairs = list(zip(order, order[1:] + order[:1]))
     pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 6 - len(pairs)))]
     rng.shuffle(pairs)
-    return Quiver(verts, tuple(Arrow("x%d" % k, verts[i], verts[j]) for k, (i, j) in enumerate(pairs))), kind
+    arrows = tuple(Arrow("x%d" % k, verts[i], verts[j], ()) for k, (i, j) in enumerate(pairs))
+    return Quiver(verts, arrows, 0), kind
 
 
 def test_schofield_ext_matches_generic_rank():
@@ -385,18 +379,18 @@ def test_schofield_ext_matches_generic_rank():
 
 
 def _kronecker(n, a, b):
-    Q = Quiver(("1", "2"), tuple(Arrow("a%d" % i, "1", "2") for i in range(n)))
-    return Q, ArrowWeights.full(Q), {"1": a, "2": b}, {"1": -b, "2": a}
+    Q = Quiver.full(("1", "2"), [("a%d" % i, "1", "2") for i in range(n)])
+    return Q, {"1": a, "2": b}, {"1": -b, "2": a}
 
 
-def _sampler_certify(Q, W, beta, theta, trials=200, prime=5, seed=0):
+def _sampler_certify(Q, beta, theta, trials=200, prime=5, seed=0):
     """The sampler-only certification the Schofield test replaced, as an oracle.
 
     EmptyVerified for a structural destabilizer, NonemptyVerified for a
     geometrically stable witness (stable, with End(M) = F_p), None when the
     trials find neither.
     """
-    sq, dims, th = _support(Q, W, beta, theta)
+    sq, dims, th = _support(Q, beta, theta)
     if _on_support(structural_destabilizer, sq, dims, th) is not None:
         return "EmptyVerified"
     for trial in range(trials):
@@ -417,16 +411,16 @@ def _sampler_certify(Q, W, beta, theta, trials=200, prime=5, seed=0):
     (3, 3, 5, 2, (65, 93)),
 ])
 def test_schofield_agrees_with_sampler(n, a, b, radius, counts):
-    Q, W, alpha, theta = _kronecker(n, a, b)
+    Q, alpha, theta = _kronecker(n, a, b)
     if radius is None:
-        radius = default_window_radius(alpha, W)
-    cands = enumerate_covers(Q, W, alpha, radius)[1]
+        radius = default_window_radius(alpha, Q)
+    cands = enumerate_covers(Q, alpha, radius)[1]
     seen = {"NonemptyVerified": 0, "EmptyVerified": 0}
     for beta, _, arrows in cands:
         method, destabilizer = _decide(beta, arrows, theta)
         status = "NonemptyVerified" if destabilizer is None else "EmptyVerified"
         seen[status] += 1
-        old = _sampler_certify(Q, W, beta, theta)
+        old = _sampler_certify(Q, beta, theta)
         assert old is None or status == old, beta
         # the old path's only emptiness certificate was the structural one
         structural = all(k == 1 for _, k in beta) or old == "EmptyVerified"
@@ -441,13 +435,10 @@ def test_schofield_agrees_with_sampler(n, a, b, radius, counts):
 
 
 def _two_cycle(alpha, theta, extra_arrow=False):
-    arrows = [Arrow("a", "1", "2"), Arrow("b", "2", "1")]
-    if extra_arrow:
-        arrows.append(Arrow("c", "1", "2"))
-    Q = Quiver(("1", "2"), tuple(arrows))
-    W = ArrowWeights.from_dict(1, {x.id: (0,) for x in arrows})
+    ends = [("a", "1", "2"), ("b", "2", "1")] + [("c", "1", "2")] * extra_arrow
+    Q = Quiver(("1", "2"), tuple(Arrow(*e, (0,)) for e in ends), 1)
     beta = cover({(v, (0,)): k for v, k in alpha.items()})
-    return Q, W, beta, covering_pairs(Q, W, beta), theta
+    return beta, labelled_arrows(Q, beta), theta
 
 
 def test_golden_quiver_files_certify_exactly(tmp_path):
@@ -471,12 +462,12 @@ def test_golden_quiver_files_certify_exactly(tmp_path):
         seen["files"] += 1
         assert report["counts"]["candidate_only"] == 0
         opts = {k.lstrip("-"): int(v) for k, v in zip(flags[::2], flags[1::2])}
-        Q, W, _alpha, theta = _quiver_from_data(data)
+        Q, _alpha, theta = _quiver_from_data(data)
         for comp, comp0 in zip(report["components"], bare["components"], strict=True):
             assert [comp[k] for k in verdict] == [comp0[k] for k in verdict], (seed, comp)
             beta = cover({(v, tuple(chi)): n for (v, chi), n in comp["beta"]})
             assert comp0["beta"] == comp["beta"] and comp0["witness"] is None
-            old = _sampler_certify(Q, W, beta, theta, opts["trials"], opts["prime"], opts["seed"])
+            old = _sampler_certify(Q, beta, theta, opts["trials"], opts["prime"], opts["seed"])
             if old is not None:
                 assert comp["status"] == old, (seed, comp)
             if comp["method"] == "schofield" and comp["status"] == "EmptyVerified":
@@ -495,16 +486,16 @@ def test_cyclic_supports_are_exact():
     # a weight-0 grading keeps the 2-cycle in the support quiver; every
     # representation has U = (k, image of a) with theta(U) = -1, which no
     # structural test sees
-    Q, W, beta, arrows, theta = _two_cycle({"1": 1, "2": 2}, {"1": -2, "2": 1})
+    beta, arrows, theta = _two_cycle({"1": 1, "2": 2}, {"1": -2, "2": 1})
     assert _decide(beta, arrows, theta) == ("schofield", ((("1", (0,)), 1), (("2", (0,)), 1)))
     # with a second arrow 1 -> 2 the general representation is stable
-    Q, W, beta, arrows, theta = _two_cycle({"1": 1, "2": 2}, {"1": -2, "2": 1}, True)
+    beta, arrows, theta = _two_cycle({"1": 1, "2": 2}, {"1": -2, "2": 1}, True)
     assert _decide(beta, arrows, theta) == ("schofield", None)
-    assert find_witness(Q, W, beta, _hat(beta, theta), 200, 5, 0) is not None
+    assert find_witness(beta, _hat(beta, theta), arrows, 200, 5, 0) is not None
     # a thin cover stays structural
-    Q, W, beta, arrows, theta = _two_cycle({"1": 1, "2": 1}, {"1": 1, "2": -1})
+    beta, arrows, theta = _two_cycle({"1": 1, "2": 1}, {"1": 1, "2": -1})
     assert _decide(beta, arrows, theta) == ("structural", None)
-    assert find_witness(Q, W, beta, _hat(beta, theta), 0, 5, 0) is None
+    assert find_witness(beta, _hat(beta, theta), arrows, 0, 5, 0) is None
 
 
 def test_witness_has_trivial_endomorphisms():
@@ -512,16 +503,15 @@ def test_witness_has_trivial_endomorphisms():
     common eigenline over F_p may share one over F_{p^2}, where they commute
     and span a copy of F_{p^2}; such a stable M with End(M) = F_{p^2} is no
     witness, and the sampler skips it."""
-    loops = (Arrow("a", "1", "1"), Arrow("b", "1", "1"))
-    Q = Quiver(("1",), loops)
-    W = ArrowWeights.from_dict(1, {x.id: (0,) for x in loops})
+    Q = Quiver(("1",), (Arrow("a", "1", "1", (0,)), Arrow("b", "1", "1", (0,))), 1)
     beta = cover({("1", (0,)): 2})
-    sq, dims, th = _support(Q, W, beta, {"1": 0})
-    assert _decide(beta, ((0, 0), (0, 0)), {"1": 0}) == ("schofield", None)
+    sq, dims, th = _support(Q, beta, {"1": 0})
+    arrows = labelled_arrows(Q, beta)
+    assert _decide(beta, arrows, {"1": 0}) == ("schofield", None)
     skipped = 0
     for prime in (2, 3, 5):
         for seed in range(100):
-            found = find_witness(Q, W, beta, (0,), 40, prime, seed)
+            found = find_witness(beta, (0,), arrows, 40, prime, seed)
             assert found is not None and _end_dim(sq, build_rep(prime, dims, dict(found[0]))) == 1
             earlier = (oracle_random_rep(sq, dims, prime, random.Random("%s:%s:%d" % (seed, repr(beta), t)))
                        for t in range(found[1]))
@@ -538,7 +528,7 @@ def test_end_check_runs_when_the_dimensions_share_a_factor(monkeypatch):
     random_rep returns it first."""
     C = ((0, 2), (1, 0))
     mats = {"a": ((1, 0), (0, 1)), "b": C, "c": ((1, 2), (1, 1))}
-    Q = Quiver(("1", "2"), tuple(Arrow(x, "1", "2") for x in mats))
+    Q = Quiver(("1", "2"), tuple(Arrow(x, "1", "2", ()) for x in mats), 0)
     theta = {"1": -1, "2": 1}
     M = build_rep(5, {"1": 2, "2": 2}, mats)
     sizes, arrows, thetas, positional = on_positions(Q, dict(M.dims), theta, M)
@@ -553,10 +543,11 @@ def test_end_check_runs_when_the_dimensions_share_a_factor(monkeypatch):
 
     served = []
     monkeypatch.setattr("fixedloci.repfield.random_rep", m_first)
-    W, beta = ArrowWeights.from_dict(0, {x: () for x in mats}), cover({("1", ()): 2, ("2", ()): 2})
-    assert _decide(beta, ((0, 1),) * 3, theta) == ("schofield", None)
-    witness, trial = find_witness(Q, W, beta, _hat(beta, theta), 200, 5, 0)
-    sq, dims, th = _support(Q, W, beta, theta)
+    beta = cover({("1", ()): 2, ("2", ()): 2})
+    arrows = labelled_arrows(Q, beta)
+    assert _decide(beta, arrows, theta) == ("schofield", None)
+    witness, trial = find_witness(beta, _hat(beta, theta), arrows, 200, 5, 0)
+    sq, dims, th = _support(Q, beta, theta)
     first = build_rep(5, dims, {a.id: m for a, m in zip(sq.arrows, served[0])})
     assert is_stable_rep(sq, first, th)
     assert witness != first.mats and trial > 0
@@ -599,10 +590,10 @@ def test_stable_samples_with_coprime_dimensions_have_scalar_endomorphisms():
 def _undecided_supports(data, window):
     """(support quiver, dims, θ̂) of each non-thin candidate of a quiver
     problem that the structural test leaves undecided."""
-    Q, W, alpha, theta = _quiver_from_data(data)
-    radius = default_window_radius(alpha, W) if window is None else window
-    for c, _, _ in enumerate_covers(Q, W, alpha, radius)[1]:
-        sq, dims, th = _support(Q, W, c, theta)
+    Q, alpha, theta = _quiver_from_data(data)
+    radius = default_window_radius(alpha, Q) if window is None else window
+    for c, _, _ in enumerate_covers(Q, alpha, radius)[1]:
+        sq, dims, th = _support(Q, c, theta)
         if any(n != 1 for n in dims.values()) and _on_support(structural_destabilizer, sq, dims, th) is None:
             yield sq, dims, th
 
@@ -635,7 +626,7 @@ def test_lazy_schofield_matches_subs_oracle():
 
 
 def test_endomorphism_dim_examples():
-    loop = Quiver(("1",), (Arrow("a", "1", "1"),))
+    loop = Quiver(("1",), (Arrow("a", "1", "1", ()),), 0)
 
     def rep(dims, mats):
         return build_rep(5, dims, mats)
@@ -644,21 +635,21 @@ def test_endomorphism_dim_examples():
     assert _end_dim(loop, rep({"1": 2}, {"a": ((4, 2), (4, 4))})) == 2
     assert _end_dim(loop, rep({"1": 2}, {"a": ((0, 0), (0, 0))})) == 4
     assert _end_dim(loop, rep({"1": 3}, {"a": ((1, 0, 0), (0, 1, 0), (0, 0, 2))})) == 5
-    two = Quiver(("1",), (Arrow("a", "1", "1"), Arrow("b", "1", "1")))
+    two = Quiver(("1",), (Arrow("a", "1", "1", ()), Arrow("b", "1", "1", ())), 0)
     assert _end_dim(two, rep({"1": 2}, {"a": ((1, 0), (0, 2)), "b": ((1, 1), (1, 1))})) == 1
-    A2 = Quiver(("1", "2"), (Arrow("a", "1", "2"),))
+    A2 = Quiver(("1", "2"), (Arrow("a", "1", "2", ()),), 0)
     assert _end_dim(A2, rep({"1": 1, "2": 1}, {"a": ((3,),)})) == 1
     assert _end_dim(A2, rep({"1": 1, "2": 1}, {"a": ((0,),)})) == 2
     # K3 at (1, 2) with three maps spanning F_5^2 is a brick; a vertex with
     # no arrows contributes its full matrix algebra
-    Q, _W, _alpha, _theta = kronecker3()
+    Q, _alpha, _theta = kronecker3()
     M = rep({"1": 1, "2": 2}, {"a": ((1,), (0,)), "b": ((0,), (1,)), "c": ((1,), (1,))})
     assert _end_dim(Q, M) == 1
-    assert _end_dim(Quiver(("1",), ()), rep({"1": 3}, {})) == 9
+    assert _end_dim(Quiver(("1",), (), 0), rep({"1": 3}, {})) == 9
 
 
 def test_generic_destabilizer_examples():
-    Q, _W, alpha, theta = kronecker3()
+    Q, alpha, theta = kronecker3()
     # K3 with dimension vector (2, 3): the general representation is stable
     assert _on_support(generic_destabilizer, Q, alpha, theta) is None
     # (1, 3) is stable too: the three arrows map a line onto all of C^3
@@ -666,7 +657,7 @@ def test_generic_destabilizer_examples():
     # in (1, 4) they span only a hyperplane, and (1, 3) has theta = -1
     assert _on_support(generic_destabilizer, Q, {"1": 1, "2": 4}, {"1": -4, "2": 1}) == {"1": 1, "2": 3}
     # stability is strict: a subrepresentation with theta = 0 destabilizes
-    A2 = Quiver(("1", "2"), (Arrow("a", "1", "2"),))
+    A2 = Quiver(("1", "2"), (Arrow("a", "1", "2", ()),), 0)
     assert _on_support(generic_destabilizer, A2, {"1": 1, "2": 1}, {"1": 0, "2": 0}) == {"2": 1}
     assert _on_support(generic_destabilizer, A2, {"1": 1, "2": 1}, {"1": -1, "2": 1}) is None
 
@@ -687,7 +678,7 @@ def _random_quiver(rng, n, max_arrows):
             pairs += [(s, t), (t, s)]
         else:
             pairs.append((s, t))
-    return Quiver(verts, tuple(Arrow("x%d" % k, s, t) for k, (s, t) in enumerate(pairs)))
+    return Quiver(verts, tuple(Arrow("x%d" % k, s, t, ()) for k, (s, t) in enumerate(pairs)), 0)
 
 
 def _random_rep_case(rng):
@@ -821,21 +812,20 @@ def test_certify_component_matches_the_scan_every_sample_oracle():
     runs = []
     for _ in range(600):
         Q, dims, p, theta = _random_shape(rng)
-        W = ArrowWeights.from_dict(0, {a.id: () for a in Q.arrows})
         beta = cover({(v, ()): n for v, n in dims.items()})
-        runs.append((Q, W, beta, covering_pairs(Q, W, beta), theta, p))
-    Q, W, alpha, theta = _kronecker(3, 2, 3)
-    runs += [(Q, W, c, arrows, theta, 5) for c, _, arrows in enumerate_covers(Q, W, alpha, 2)[1]]
+        runs.append((Q, beta, labelled_arrows(Q, beta), theta, p))
+    Q, alpha, theta = _kronecker(3, 2, 3)
+    runs += [(Q, c, arrows, theta, 5) for c, _, arrows in enumerate_covers(Q, alpha, 2)[1]]
     for seed in range(12):
         data, _ = _quiver_file(seed)
         if sum(data["alpha"].values()) <= 8:
-            Q, W, alpha, theta = _quiver_from_data(data)
-            runs += [(Q, W, c, arrows, theta, 3) for c, _, arrows in enumerate_covers(Q, W, alpha, 1)[1]]
-    for Q, W, beta, arrows, theta, p in runs:
+            Q, alpha, theta = _quiver_from_data(data)
+            runs += [(Q, c, arrows, theta, 3) for c, _, arrows in enumerate_covers(Q, alpha, 1)[1]]
+    for Q, beta, arrows, theta, p in runs:
         trials = rng.choice((1, 3, 30))
-        want = oracle_find_witness(Q, W, beta, theta, trials=trials, prime=p, seed=7)
+        want = oracle_find_witness(Q, beta, theta, trials=trials, prime=p, seed=7)
         nonempty = _decide(beta, arrows, theta)[1] is None
-        got = find_witness(Q, W, beta, _hat(beta, theta), trials, p, 7) if nonempty else None
+        got = find_witness(beta, _hat(beta, theta), arrows, trials, p, 7) if nonempty else None
         assert got == want, (Q, beta, theta)
         wall = not sum(theta.get(v, 0) * n for (v, _), n in beta)
         seen[nonempty, want is not None, wall] += 1
@@ -845,14 +835,14 @@ def test_certify_component_matches_the_scan_every_sample_oracle():
 def test_king_scan_bound_edges():
     # a simple representation at θ = 0: x^2 - 2 is irreducible over F_5, so
     # the loop fixes no line; the bound cuts nothing and no leaf destabilizes
-    Q = Quiver(("1",), (Arrow("a", "1", "1"),))
+    Q = Quiver(("1",), (Arrow("a", "1", "1", ()),), 0)
     M = build_rep(5, {"1": 2}, {"a": [[0, 2], [1, 0]]})
     assert subrep_dimension_vectors(Q, M) == {(0,), (2,)}
     sizes, arrows, thetas, mats = on_positions(Q, {"1": 2}, {"1": 0}, M)
     assert KingScan(sizes, arrows, 5, thetas).destabilizer(mats) is None
     # the scan takes vertex 1 first; its only destabilizer, (1, 1), has
     # θ-weight 1 > 0 there and is decided by θ_2 = -2 at the last vertex
-    Q = Quiver(("1", "2"), (Arrow("a", "2", "1"),))
+    Q = Quiver(("1", "2"), (Arrow("a", "2", "1", ()),), 0)
     M = build_rep(5, {"1": 2, "2": 1}, {"a": [[1], [0]]})
     theta = {"1": 1, "2": -2}
     assert {g for g in subrep_dimension_vectors(Q, M) - {(0, 0), (2, 1)}
@@ -909,11 +899,11 @@ def test_king_scan_checks_only_closed_prefixes(monkeypatch, tmp_path):
     of every subrepresentation and 25,188 for the full product scan, each
     stopping at the first destabilizer.  The CLI run itself scans only the
     samples the two sample rules leave open: 1,092 gf_member calls."""
-    Q, W, alpha, theta = _kronecker(3, 3, 4)
+    Q, alpha, theta = _kronecker(3, 3, 4)
     samples = []  # the samples drawn, per cover
-    for c, _, _ in enumerate_covers(Q, W, alpha, 2)[1]:
+    for c, _, _ in enumerate_covers(Q, alpha, 2)[1]:
         samples.append([])
-        oracle_find_witness(Q, W, c, theta, scanned=samples[-1])
+        oracle_find_witness(Q, c, theta, scanned=samples[-1])
     calls = []
 
     def counted(check):
@@ -957,12 +947,12 @@ def test_witness_search_skips_tables_above_the_cap():
     in seconds with no table built.  K6(1,5) needs F_5^5, 42,176 subspaces,
     under the cap, and finds its witness at trial 0."""
     for n, b, witnessed in ((7, 6, False), (6, 5, True)):
-        Q = Quiver(("1", "2"), tuple(Arrow("a%d" % i, "1", "2") for i in range(n)))
-        W = ArrowWeights.from_dict(0, {a.id: () for a in Q.arrows})
+        Q = Quiver(("1", "2"), tuple(Arrow("a%d" % i, "1", "2", ()) for i in range(n)), 0)
         beta = cover({("1", ()): 1, ("2", ()): b})
+        arrows = labelled_arrows(Q, beta)
         start = time.perf_counter()
-        decided = _decide(beta, ((0, 1),) * n, {"1": -b, "2": 1})
-        found = find_witness(Q, W, beta, (-b, 1), 200, 5, 0)
+        decided = _decide(beta, arrows, {"1": -b, "2": 1})
+        found = find_witness(beta, (-b, 1), arrows, 200, 5, 0)
         assert time.perf_counter() - start < 10
         assert decided == ("schofield", None)
         assert (found is not None, found and found[1]) == ((True, 0) if witnessed else (False, None))
@@ -1014,14 +1004,14 @@ def _counted_decide(monkeypatch):
     return calls
 
 
-def _fresh(Q, W, cands, theta, prime, trials, seed):
+def _fresh(cands, theta, prime, trials, seed):
     """The components of each candidate, decided and searched alone, as a
     report writes them: status, method, destabilizer, witness and
     witness_trial."""
     out = []
     for c, _, arrows in cands:
         method, dest = _decide(c, arrows, theta)
-        found = find_witness(Q, W, c, _hat(c, theta), trials, prime, seed) if dest is None else None
+        found = find_witness(c, _hat(c, theta), arrows, trials, prime, seed) if dest is None else None
         witness = found and {"prime": prime, "dims": [[[v, list(chi)], n] for (v, chi), n in c],
                              "mats": [[[a, list(chi)], [list(r) for r in m]] for (a, chi), m in found[0]]}
         out.append({"status": "NonemptyVerified" if dest is None else "EmptyVerified", "method": method,
@@ -1030,9 +1020,9 @@ def _fresh(Q, W, cands, theta, prime, trials, seed):
     return out
 
 
-def _shape(Q, W, beta, theta):
+def _shape(Q, beta, theta):
     """The memo key of a cover: dims and θ̂ in support order, arrows by position."""
-    sq, dims = support_quiver_pairs(Q, W, beta)
+    sq, dims = support_quiver_pairs(Q, beta)
     pos = {v: i for i, v in enumerate(sq.vertices)}
     return (tuple(dims[v] for v in sq.vertices), tuple(theta.get(v, 0) for v, _ in sq.vertices),
             tuple(sorted((pos[a.src], pos[a.tgt]) for a in sq.arrows)))
@@ -1052,13 +1042,13 @@ def test_shape_memo_changes_no_certification(monkeypatch):
     calls, hits = _counted_decide(monkeypatch), 0
     for data, opts in runs:
         seed, prime, trials = opts.get("seed", 0), opts.get("prime", 5), opts.get("trials", 200)
-        Q, W, alpha, theta = _quiver_from_data(data)
-        radius = default_window_radius(alpha, W) if opts.get("window") is None else opts["window"]
+        Q, alpha, theta = _quiver_from_data(data)
+        radius = default_window_radius(alpha, Q) if opts.get("window") is None else opts["window"]
         calls.clear()
         report = _quiver_report(data, seed, prime, trials, radius)
-        cands = enumerate_covers(Q, W, alpha, radius)[1]
+        cands = enumerate_covers(Q, alpha, radius)[1]
         got = [{k: comp[k] for k in keys} for comp in report["components"]]
-        assert got == _fresh(Q, W, cands, theta, prime, trials, seed), (data, opts)
+        assert got == _fresh(cands, theta, prime, trials, seed), (data, opts)
         hits += len(cands) - len(calls)
     assert len(runs) >= 180 and hits >= 300, (len(runs), hits)
 
@@ -1069,14 +1059,14 @@ def test_shape_memo_hit_lands_on_its_own_points(monkeypatch):
     destabilizer it gets alone, on its own points.  Of the 22 shapes with
     two empty covers, 8 put the second's destabilizer off the first's
     points."""
-    Q, W, alpha, theta = _kronecker(3, 3, 4)
+    Q, alpha, theta = _kronecker(3, 3, 4)
     calls = _counted_decide(monkeypatch)
     report = _quiver_report(kronecker_problem(3, 3, 4), None, None, 0, 2)
-    cands = enumerate_covers(Q, W, alpha, 2)[1]
+    cands = enumerate_covers(Q, alpha, 2)[1]
     comps = {c: comp["destabilizer"] for (c, _, _), comp in zip(cands, report["components"], strict=True)}
     by_shape = collections.defaultdict(list)
     for c, _, arrows in cands:
-        by_shape[_shape(Q, W, c, theta)].append((c, arrows))
+        by_shape[_shape(Q, c, theta)].append((c, arrows))
     assert len(calls) == len(by_shape)
     pairs = [cs[:2] for cs in by_shape.values() if len(cs) > 1 and comps[cs[0][0]] is not None]
     moved = 0
@@ -1135,11 +1125,12 @@ def test_random_rep_draws_as_randrange():
     assert min(seen.values()) >= 300, seen
 
 
-def test_support_quivers_only_for_witness_searches(monkeypatch):
-    """A K3(3,4) report at window 2 draws the covering arrows of each of its
-    65 nonempty covers, all of whose witness searches run, and of none of
-    its 93 empty ones, which are decided on their carried arrows; at
-    --trials 0 it draws none.  check_guard runs once per report."""
+def test_covering_arrows_walked_only_for_dot_output(monkeypatch, tmp_path):
+    """A K3(3,4) report at window 2 walks no cover's covering arrows: its
+    158 candidates carry them from enumerate_covers, for the decision of
+    the 93 empty ones and the witness search of the 65 nonempty ones, at
+    200 trials and at 0.  check_guard runs once per report.  Only --format
+    dot calls covering_arrows, once, for the points of every component."""
     calls = collections.Counter()
 
     def counted(name, f):
@@ -1148,7 +1139,7 @@ def test_support_quivers_only_for_witness_searches(monkeypatch):
             return f(*args)
         return call
 
-    monkeypatch.setattr("fixedloci.repfield.covering_arrows", counted("covering_arrows", covering_arrows))
+    monkeypatch.setattr("fixedloci.cli.covering_arrows", counted("covering_arrows", covering_arrows))
     for module in ("fixedloci.repfield", "fixedloci.cli"):
         monkeypatch.setattr(module + ".check_guard", counted("check_guard", check_guard))
     seen = []
@@ -1156,4 +1147,11 @@ def test_support_quivers_only_for_witness_searches(monkeypatch):
         calls.clear()
         report = _quiver_report(kronecker_problem(3, 3, 4), None, None, trials, 2)
         seen.append((calls["covering_arrows"], calls["check_guard"], report["counts"]["nonempty_verified"]))
-    assert seen == [(65, 1, 65), (0, 1, 65)]
+    assert seen == [(0, 1, 65), (0, 1, 65)]
+    path = tmp_path / "k34.json"
+    path.write_text(json.dumps(kronecker_problem(3, 3, 4)))
+    calls.clear()
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["quiver", str(path), "--window", "2", "--format", "dot"]) == 0
+    assert (calls["covering_arrows"], calls["check_guard"]) == (1, 1)
+    assert out.getvalue().startswith("digraph cover_supports {")
